@@ -41,10 +41,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.messages import (MSG_DATA, MSG_HEARTBEAT, MSG_JOIN_DENIED,
-                             MSG_JOIN_REQUEST, MSG_LEAVE_DENIED,
-                             MSG_LEAVE_REQUEST, MSG_RESYNC_REQUEST,
-                             MSG_SUBCAST_REQUEST,
+from ..core.messages import (DEST_ALL, MSG_DATA, MSG_HEARTBEAT,
+                             MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
+                             MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
+                             MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST,
                              STRATEGY_GROUP_ORIENTED, Destination,
                              EncryptedItem, KeyRecord, Message,
                              OutboundMessage, WireError)
@@ -647,6 +647,11 @@ class ClusterCoordinator:
             except (ServerError, AccessDenied):
                 self._m_requests.inc(shard=label, op=op, status="denied")
                 raise
+            # The shard server addressed "its whole group"; cluster-wide
+            # that group is this shard's members only.
+            for out in outcome.rekey_messages:
+                if out.destination.kind == DEST_ALL:
+                    out.audience = shard.name
             ref, key = self._shard_leaf_state(shard)
             root_run = self.root_layer.rekey([(shard.name, ref, key)],
                                              self._all_members)
@@ -864,6 +869,8 @@ class ClusterCoordinator:
                         f"standby for shard {shard_id} diverged from the "
                         f"root layer; members would need out-of-band "
                         f"recovery")
+            promoted.pipeline.transport_resolves_groups = \
+                shard.server.pipeline.transport_resolves_groups
             shard.server = promoted
             shard.failed = False
             shard.standby = WarmStandby(

@@ -168,7 +168,7 @@ class GroupClient:
         watch = Stopwatch()
         if isinstance(data, Message):
             message = data
-            size = len(data.encode())
+            size = data.wire_size()
         else:
             message = Message.decode(data)
             size = len(data)
@@ -190,9 +190,13 @@ class GroupClient:
         # Gap detection (the §5 reliable-delivery assumption, relaxed):
         # an undecryptable leftover referencing a *newer* version of a
         # key we hold means we missed the rekey that produced it.
-        if any(self._references_missed_version(item) for item in leftovers):
-            self._mark_desync()
-        elif self.root_ref is not None and self.group_key() is None:
+        keys = self.keys
+        for item in leftovers:
+            held = keys.get(item.enc_node_id)
+            if held is not None and item.enc_version > held[0]:
+                self._mark_desync()
+                return changed
+        if self.root_ref is not None and self.group_key() is None:
             self._mark_desync()
         elif self.desynced and self.group_key() is not None:
             self.desynced = False
@@ -212,10 +216,6 @@ class GroupClient:
             return
         self.root_ref = (node_id, version)
 
-    def _references_missed_version(self, item) -> bool:
-        held = self.keys.get(item.enc_node_id)
-        return held is not None and item.enc_version > held[0]
-
     def _mark_desync(self) -> None:
         if not self.desynced:
             self.desynced = True
@@ -227,17 +227,23 @@ class GroupClient:
         Returns ``(keys changed, undecryptable leftovers)``.  Installs
         are version-gated: a record older than the held version is a
         stale duplicate and must not downgrade the key map.
+
+        One pass over ``items``; an item we cannot open yet waits under
+        the node id of the key it references and is looked at again
+        only if that key gets installed.  A group-oriented rekey
+        carries ``d(h-1)`` items of which a member opens at most ``h``,
+        so this loop is the receiver's hot path.
         """
-        pending = list(items)
+        keys = self.keys
+        waiting: Dict[int, list] = {}
         changed = 0
-        progress = True
-        while pending and progress:
-            progress = False
-            remaining = []
-            for item in pending:
+        ready = list(items)
+        while ready:
+            retry = []
+            for item in ready:
                 key = self._lookup_encrypting_key(item)
                 if key is None:
-                    remaining.append(item)
+                    waiting.setdefault(item.enc_node_id, []).append(item)
                     continue
                 try:
                     records = decrypt_records(self.suite, key, item)
@@ -245,15 +251,17 @@ class GroupClient:
                     raise ClientError(f"undecryptable item: {exc}") from None
                 self.stats.decryptions += 1
                 for record in records:
-                    current = self.keys.get(record.node_id)
+                    current = keys.get(record.node_id)
                     if current is not None and record.version < current[0]:
                         continue  # stale duplicate: never downgrade
                     if current != (record.version, record.key):
-                        self.keys[record.node_id] = (record.version, record.key)
+                        keys[record.node_id] = (record.version, record.key)
                         changed += 1
-                progress = True
-            pending = remaining
-        return changed, pending
+                        if record.node_id in waiting:
+                            retry.extend(waiting.pop(record.node_id))
+            ready = retry
+        return changed, [item for held_up in waiting.values()
+                         for item in held_up]
 
     # -- resynchronization ----------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 MAGIC = 0x4B47  # "KG"
 WIRE_VERSION = 1
@@ -93,6 +93,8 @@ SUBCAST_MESSAGE_KEY = 0xFFFFFFFE
 
 _HEADER = struct.Struct(">HBBBBIQQII")  # 34 bytes
 _ITEM_FIXED = struct.Struct(">IIH")
+#: Bytes of an encoded item besides its IV and ciphertext.
+_ITEM_OVERHEAD = _ITEM_FIXED.size + 3
 _RECORD_FIXED = struct.Struct(">II")
 
 
@@ -237,6 +239,14 @@ class AuthBlock:
                 parts.append(sibling)
         return b"".join(parts)
 
+    def wire_size(self) -> int:
+        """``len(self.encode())`` without building the bytes."""
+        size = 4 + len(self.digest) + len(self.signature)
+        if self.scheme == SIG_MERKLE:
+            size += 5 + len(self.merkle_path) + sum(map(len,
+                                                        self.merkle_path))
+        return size
+
     @classmethod
     def decode(cls, data: bytes, offset: int) -> Tuple["AuthBlock", int]:
         """Parse the trailer at ``offset``; returns (block, next offset)."""
@@ -264,6 +274,10 @@ class AuthBlock:
         if len(digest) != digest_len or len(signature) != sig_len:
             raise WireError("truncated auth block body")
         return cls(digest, scheme, signature, merkle_index, merkle_path), offset
+
+
+#: Encoded size of the ``AuthBlock()`` an unauthenticated message carries.
+_EMPTY_AUTH_SIZE = AuthBlock().wire_size()
 
 
 @dataclass
@@ -305,6 +319,19 @@ class Message:
         """Full wire encoding: signed region plus auth trailer."""
         auth = self.auth if self.auth is not None else AuthBlock()
         return self.signed_region() + auth.encode()
+
+    def wire_size(self) -> int:
+        """``len(self.encode())`` without building the bytes.
+
+        A receiver handed a parsed message (every member behind one
+        socket gets the same object) accounts its bytes with this
+        instead of re-encoding the message once per member.
+        """
+        size = _HEADER.size + 6 + len(self.body)
+        for item in self.items:
+            size += _ITEM_OVERHEAD + len(item.iv) + len(item.ciphertext)
+        return size + (self.auth.wire_size() if self.auth is not None
+                       else _EMPTY_AUTH_SIZE)
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
@@ -361,11 +388,14 @@ class Destination:
     node_id: Optional[int] = None
     user_id: Optional[str] = None
     user_ids: Tuple[str, ...] = ()
+    #: ``DEST_ALL`` only: one member that needs no copy (a joiner, whose
+    #: keys travel by unicast).
+    exclude: Optional[str] = None
 
     @classmethod
-    def to_all(cls) -> "Destination":
-        """Multicast to the whole group."""
-        return cls(DEST_ALL)
+    def to_all(cls, exclude: Optional[str] = None) -> "Destination":
+        """Multicast to the whole group (minus ``exclude``)."""
+        return cls(DEST_ALL, exclude=exclude)
 
     @classmethod
     def to_subgroup(cls, node_id: int) -> "Destination":
@@ -388,13 +418,21 @@ class OutboundMessage:
     """A message plus its destination and resolved receiver list.
 
     ``receivers`` is filled in by the server (which knows usersets) so
-    transports and the client simulator need no tree access.
+    transports and the client simulator need no tree access.  A
+    group-addressed message (``DEST_ALL``) handed to a transport that
+    resolves group addresses itself — the serving layer's
+    :class:`~repro.serve.fanout.SocketFanout` — carries no enumerated
+    receivers: the server names the group, the transport knows its
+    reply paths.  ``audience`` says *which* group when one transport
+    carries several (a cluster tags each shard's multicasts with the
+    shard's name); ``None`` is the transport's whole population.
     """
 
     destination: Destination
     message: Message
     receivers: Tuple[str, ...] = ()
     encoded: bytes = b""
+    audience: Optional[Hashable] = None
 
     @property
     def size(self) -> int:

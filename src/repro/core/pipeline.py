@@ -25,7 +25,10 @@ through four explicit stages:
     Messages are encoded and wrapped in :class:`~repro.core.messages.
     OutboundMessage`; receiver lists are resolved *after* the
     processing clock stops (a real server multicasts to group
-    addresses without enumerating members).
+    addresses without enumerating members) — and, for group-addressed
+    messages, not at all once a transport that resolves group addresses
+    itself drives the pipeline
+    (:attr:`RekeyPipeline.transport_resolves_groups`).
 
 Each stage has a hook point (:meth:`RekeyPipeline.add_hook`) so future
 optimisations — key caches, parallel signing, async dispatch — plug
@@ -50,7 +53,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from ..crypto import drbg
 from ..observability import NULL_INSTRUMENTATION, StageClock
-from .messages import MSG_REKEY, Message, OutboundMessage, STRATEGY_NONE
+from .messages import (DEST_ALL, MSG_REKEY, Message, OutboundMessage,
+                       STRATEGY_NONE)
 from .signing import MerkleSigner, NullSigner, PerMessageSigner
 from .strategies.base import PlannedMessage, RekeyContext, resolve_item
 
@@ -326,9 +330,10 @@ class StagedRun:
         :meth:`finish` / :meth:`abort`), letting a caller draw this
         op's ack sequence number before the next op seals.
     :meth:`finish`
-        Resolves receiver lists (outside the timed region), fires the
-        dispatch hook and records the run's metrics.  Returns the
-        completed :class:`PipelineRun`.
+        Resolves receiver lists (outside the timed region; group
+        addresses stay unresolved when the transport resolves them),
+        fires the dispatch hook and records the run's metrics.  Returns
+        the completed :class:`PipelineRun`.
 
     Any stage that raises records the partial timings as an errored
     run (mirroring the synchronous path) before propagating.  The
@@ -411,8 +416,10 @@ class StagedRun:
         """Resolve receivers, fire the dispatch hook, record the run."""
         self.release_turn()
         run = self.run
+        skip_groups = self.pipeline.transport_resolves_groups
         for outbound, plan in zip(run.messages, run.plans):
-            outbound.receivers = plan.resolve_receivers()
+            if not (skip_groups and plan.destination.kind == DEST_ALL):
+                outbound.receivers = plan.resolve_receivers()
         self.pipeline._fire(STAGE_DISPATCH, run)
         run.stage_seconds = dict(self.clock.stages)
         self.pipeline.instrumentation.record_run(run.op, self.clock)
@@ -466,6 +473,13 @@ class RekeyPipeline:
         # pool interleaves the encrypt stages.
         self.seal_lock = threading.Lock()
         self.seal_order = SealTurnstile()
+        #: True once a transport that resolves group addresses itself
+        #: (the serving layer's ``SocketFanout``) carries this
+        #: pipeline's output: ``DEST_ALL`` messages then leave with no
+        #: enumerated receivers, so no per-op work grows with the group.
+        #: The synchronous simulation API keeps the default and gets
+        #: every receiver tuple resolved.
+        self.transport_resolves_groups = False
 
     # -- hooks -------------------------------------------------------------
 

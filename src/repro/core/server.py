@@ -591,8 +591,8 @@ class GroupKeyServer:
                                STAR_GROUP_NODE, rekey.old_version)
             resolve = (lambda: tuple(u for u in self.star.members()
                                      if u != user_id))
-            plans.append(PlannedMessage(Destination.to_all(), [item],
-                                        resolve))
+            plans.append(PlannedMessage(
+                Destination.to_all(exclude=user_id), [item], resolve))
         item = ctx.encrypt(individual_key, [record], INDIVIDUAL_KEY, 0)
         plans.append(PlannedMessage(Destination.to_user(user_id), [item],
                                     lambda: (user_id,)))

@@ -2,8 +2,20 @@
 
 A strategy turns a key-tree edit (:class:`~repro.keygraph.tree.JoinResult`
 or :class:`~repro.keygraph.tree.LeaveResult`) into *planned messages*:
-destination + encrypted items + the resolved receiver list.  The server
+destination + encrypted items + a *lazy* receiver resolver.  The server
 wraps the plans into wire messages, signs and sends them.
+
+Who enumerates.  The destination is the address; the resolver exists
+for consumers that deliver per member.  The synchronous
+``GroupKeyServer.join``/``leave`` API calls every resolver (after the
+processing clock stops, before the next tree edit) because the
+simulation transports, the chaos fault injector and the Table 6 byte
+accounting walk the tuple.  A serving core's transport resolves group
+addresses itself (:mod:`repro.serve.fanout`), so there the resolver of
+a ``Destination.to_all()`` plan is never called and no per-op work
+grows with the group — the paper's "one multicast per request".
+Explicitly addressed plans (unicast, the key-/user-oriented subgroups)
+are resolved on every path: their receivers *are* their address.
 
 The :class:`RekeyContext` carries the cipher suite, the IV source and the
 encryption counters the experiments report (number of key-encryptions,
@@ -133,10 +145,12 @@ class PlannedMessage:
     ``resolve_receivers`` enumerates the concrete user ids the simulation
     must deliver to.  It is a *lazy* callable: a real server multicasts to
     a (sub)group address without enumerating members, so enumeration is
-    accounting work that the server excludes from its timed region.  The
+    accounting work that the server excludes from its timed region — and,
+    for a group-addressed plan behind a transport that resolves group
+    addresses, skips altogether (see the module docstring).  The
     strategy guarantees the audience is non-empty via cheap structural
-    checks; the closure is invoked by the server after the processing
-    clock stops (and before any further tree edit).
+    checks; when invoked, the closure runs after the processing clock
+    stops and before any further tree edit.
     """
 
     destination: Destination

@@ -38,7 +38,7 @@ class GroupOrientedStrategy:
         # anyone besides the joiner.
         if items and tree.n_users > 1:
             plans.append(PlannedMessage(
-                Destination.to_all(), items,
+                Destination.to_all(exclude=result.user_id), items,
                 subtree_receivers(tree, tree.root, exclude=result.user_id)))
         plans.append(requesting_user_message(result, ctx))
         return plans

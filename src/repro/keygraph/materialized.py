@@ -313,7 +313,7 @@ class MaterializedKeyGraph:
             plans = []
             if items:
                 plans.append(PlannedMessage(
-                    Destination.to_all(), items,
+                    Destination.to_all(exclude=user), items,
                     lambda: tuple(sorted(self.graph.u_nodes - {user}))))
             # Joiner bundle: the new keys of its entire closure.
             bundle = ctx.encrypt(individual_key,

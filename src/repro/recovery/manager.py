@@ -24,7 +24,7 @@ sends ``MSG_RESYNC_REQUEST`` and gets an immediate reply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.messages import (MSG_HEARTBEAT, MSG_RESYNC_REQUEST,
                              MSG_RESYNC_REPLY, Message, OutboundMessage,
@@ -82,9 +82,17 @@ class RecoveryManager:
 
     def __init__(self, backend, transport, *,
                  policy: Optional[RecoveryPolicy] = None,
-                 instrumentation: Optional[Instrumentation] = None):
+                 instrumentation: Optional[Instrumentation] = None,
+                 on_evicted: Optional[Callable[[str], None]] = None):
         self.backend = backend
         self.transport = transport
+        #: Called with each evicted member's id *before* its eviction
+        #: rekey is sent.  The serving layer drops the member's reply
+        #: path here: a transport that resolves group addresses itself
+        #: must stop counting the member into the group it just left.
+        #: (The simulation transports keep the handler — an evicted
+        #: member that comes back is owed a ``RESYNC_NOT_MEMBER``.)
+        self.on_evicted = on_evicted
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.policy.validate()
         self.instrumentation = (instrumentation if instrumentation is not None
@@ -289,9 +297,9 @@ class RecoveryManager:
                     return
             self._m_sheds.inc()
             self.sheds += 1
-            self.transport.send_all(messages)
             for user_id in queue:
                 self._finish_eviction(user_id)
+            self.transport.send_all(messages)
             return
         for user_id in queue:
             with tracer.span("resync.evict", user=user_id, mode="single"):
@@ -301,8 +309,8 @@ class RecoveryManager:
                     self._m_failures.inc(op="evict")
                     self._bump_evict_attempts([user_id])
                     continue
-            self.transport.send_all(messages)
             self._finish_eviction(user_id)
+            self.transport.send_all(messages)
 
     def _bump_evict_attempts(self, user_ids) -> None:
         """Count a failed eviction try; give up past the budget."""
@@ -322,3 +330,5 @@ class RecoveryManager:
         self._evict_attempts.pop(user_id, None)
         self._pending.pop(user_id, None)
         self._last_seen.pop(user_id, None)
+        if self.on_evicted is not None:
+            self.on_evicted(user_id)

@@ -37,6 +37,14 @@ Admission control:
   (join/leave/resync).  Heartbeats are never capped: punishing
   liveness signals under load would manufacture false evictions.
 
+Fan-out (see :mod:`repro.serve.fanout`): a serving core tells its
+backend's pipelines that the transport resolves group addresses
+(``transport_resolves_groups``), so a group rekey arrives at the
+fan-out naming its audience and no member; the core keeps the
+fan-out's audiences equal to the backend's membership by applying each
+op's membership change at the moment the op's outputs are released —
+and releases them strictly in plan order (:mod:`repro.serve.release`).
+
 Three flavors share the skeleton: :class:`ImmediateServingCore` (one
 :class:`~repro.core.server.GroupKeyServer`, staged per-request
 rekeying), :class:`CoalescingServingCore` (a :class:`~repro.batch.
@@ -73,8 +81,9 @@ from ..observability.slo import evaluate as evaluate_slos
 from ..recovery.backends import BatchBackend, ClusterBackend, ServerBackend
 from ..recovery.manager import RecoveryManager, RecoveryPolicy
 from .config import DEFAULT_WORKERS, ServeConfig, worker_count
-from .fanout import SocketFanout
+from .fanout import GROUP, SocketFanout
 from .health import InstrumentedExecutor, LoopHealthMonitor, WAIT_BUCKETS_S
+from .release import ReleaseOrder
 from .rpc import IdempotencyCache
 from .wire import (attach_corr_trailer, attach_trailers, split_corr_trailer,
                    split_trailers)
@@ -170,6 +179,9 @@ class AsyncServingCore:
         # Guards every tree/DRBG mutation across loop and executor:
         # plan, whole-op fallback, recovery tick, batch flush.
         self._op_lock = threading.Lock()
+        # Tickets are drawn under the op lock; outputs reach the
+        # fan-out in ticket order whatever order the pool finishes in.
+        self._release = ReleaseOrder()
         self._inflight = 0
         self._closing = False
         # The server half of the ResilientRpc contract: retried ops
@@ -185,7 +197,8 @@ class AsyncServingCore:
         self._slo_breached: set = set()
         self.recovery = RecoveryManager(
             self._recovery_backend(), self.fanout,
-            policy=recovery_policy, instrumentation=instrumentation)
+            policy=recovery_policy, instrumentation=instrumentation,
+            on_evicted=self.fanout.detach)
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -195,6 +208,15 @@ class AsyncServingCore:
     async def _rekey(self, op: str, user_id: str, payload: bytes,
                      reply, token: Optional[int], span) -> None:
         raise NotImplementedError
+
+    def _audiences(self, user_id: str) -> tuple:
+        """The fan-out audiences ``user_id`` is a member of right now.
+
+        ``()`` for a non-member: it may hold a reply path (it is owed
+        direct replies and ``RESYNC_NOT_MEMBER`` pushes) but no group
+        rekey is addressed to it.
+        """
+        return GROUP if self.recovery.backend.is_member(user_id) else ()
 
     def _stats_document(self) -> dict:
         tracer = self.instrumentation.tracer
@@ -460,6 +482,34 @@ class AsyncServingCore:
         busy = Message(msg_type=MSG_BUSY, body=user_id.encode("utf-8"))
         reply(attach_trailers(busy.encode(), trace, token))
 
+    def _attach(self, user_id: str, reply, path_id) -> None:
+        """Register the requester's reply path (None = one-shot tool)."""
+        if path_id is not None:
+            self.fanout.attach(user_id, reply, path_id,
+                               self._audiences(user_id))
+
+    def _forget_denied(self, user_id: str) -> None:
+        """Drop the reply path a refused joiner registered on arrival."""
+        if not self._audiences(user_id):
+            self.fanout.detach(user_id)
+
+    def _release_op(self, op: str, user_id: str,
+                    outputs: Sequence[OutboundMessage], reply,
+                    token: Optional[int], trace=None) -> None:
+        """Apply a completed op's membership change, then route it.
+
+        One synchronous step, taken in plan order: the joiner counts
+        from its own op on (its join's group rekey excludes it by
+        name, the root-layer rekey of a cluster join must reach it),
+        the leaver from its own op off, and the next op released finds
+        the audiences as its plan left the tree.
+        """
+        if op == "join":
+            self.fanout.enroll(user_id, self._audiences(user_id))
+        else:
+            self.fanout.detach(user_id)
+        self._route(outputs, user_id, reply, token, trace)
+
     def _route(self, outputs: Sequence[OutboundMessage], user_id: str,
                reply, token: Optional[int], trace=None) -> None:
         """Direct replies back to the requester; the rest to the fan-out."""
@@ -512,8 +562,7 @@ class AsyncServingCore:
         try:
             self._m_heartbeats.inc()
             user_id = message.body.decode("utf-8", errors="replace")
-            if path_id is not None:
-                self.fanout.attach(user_id, reply, path_id)
+            self._attach(user_id, reply, path_id)
             self.recovery.heartbeat(
                 user_id, (message.root_node_id, message.root_version))
         finally:
@@ -547,8 +596,7 @@ class AsyncServingCore:
             return
         user_id = message.body.decode("utf-8", errors="replace")
         if msg_type == MSG_HEARTBEAT:
-            if path_id is not None:
-                self.fanout.attach(user_id, reply, path_id)
+            self._attach(user_id, reply, path_id)
             await self._locked(
                 self.recovery.heartbeat, user_id,
                 (message.root_node_id, message.root_version))
@@ -567,8 +615,7 @@ class AsyncServingCore:
                 self._m_rate_limited.inc(type="resync")
                 self._shed(user_id, reply, token, "rate-cap", inbound)
                 return
-            if path_id is not None:
-                self.fanout.attach(user_id, reply, path_id)
+            self._attach(user_id, reply, path_id)
             # Created, never entered: the span must not sit on the
             # loop thread's active stack across the await below.
             span = tracer.span("serve.request", parent=inbound,
@@ -604,8 +651,8 @@ class AsyncServingCore:
             if self._inflight >= self.config.max_inflight:
                 self._shed(user_id, reply, token, "saturated", inbound)
                 return
-            if path_id is not None and op == "join":
-                self.fanout.attach(user_id, reply, path_id)
+            if op == "join":
+                self._attach(user_id, reply, path_id)
             self._inflight += 1
             self._m_inflight.set(self._inflight)
             # The request's root span.  Created, never entered — it
@@ -684,8 +731,7 @@ class AsyncServingCore:
         if self._inflight >= self.config.max_inflight:
             self._shed(sender, reply, token, "saturated", inbound)
             return
-        if path_id is not None:
-            self.fanout.attach(sender, reply, path_id)
+        self._attach(sender, reply, path_id)
         self._inflight += 1
         self._m_inflight.set(self._inflight)
         tracer = self.instrumentation.tracer
@@ -759,11 +805,11 @@ class AsyncServingCore:
         return body
 
     async def _track(self, op: str, user_id: str) -> None:
+        """Start/stop heartbeat surveillance once an op is released."""
         if op == "join":
             await self._locked(self.recovery.track, user_id)
         else:
             await self._locked(self.recovery.untrack, user_id)
-            self.fanout.detach(user_id)
 
 
 class ImmediateServingCore(AsyncServingCore):
@@ -783,6 +829,7 @@ class ImmediateServingCore(AsyncServingCore):
             recovery_policy)
         server.pipeline.seal_order.wait_observer = \
             self._m_turnstile_wait.observe
+        server.pipeline.transport_resolves_groups = True
         #: Force the whole-op serialized path even without a journal.
         #: The supervisor sets this for standby-recorded shards: the
         #: WarmStandby's single recording sink must see one op's draws
@@ -803,12 +850,15 @@ class ImmediateServingCore(AsyncServingCore):
         # lock the tick holds.  So take the lock only once the
         # turnstile is idle — plans (and so ticket draws) happen under
         # the lock, so idleness holds for as long as we do — and run
-        # the tick inline; its sync leaves then never wait.
+        # the tick inline; its sync leaves then never wait.  The
+        # release order must be idle as well: an eviction's rekey goes
+        # straight to the fan-out and must not overtake an op planned
+        # before it that has sealed but not been released yet.
         turnstile = self.server.pipeline.seal_order
         while True:
             if not self._op_lock.acquire(blocking=False):
                 await self._acquire_op_lock()
-            if turnstile.idle:
+            if turnstile.idle and self._release.idle:
                 break
             self._op_lock.release()
             await asyncio.sleep(0.005)
@@ -835,11 +885,15 @@ class ImmediateServingCore(AsyncServingCore):
             # this path, so each seal ticket is drawn and retired
             # under the op lock before the next op plans: the
             # turnstile never actually waits here.
+            ticket = None
+
             def run():
+                nonlocal ticket
                 started = time.perf_counter()
                 with self._op_lock:
                     self._m_op_lock_wait.observe(
                         time.perf_counter() - started)
+                    ticket = self._release.ticket()
                     # Entered on this worker thread, so the rekey
                     # pipeline's spans parent to it thread-locally —
                     # the executor hop stays one connected trace.
@@ -848,13 +902,20 @@ class ImmediateServingCore(AsyncServingCore):
                             self._ensure_enrolled(user_id)
                             return server.join(user_id)
                         return server.leave(user_id)
+            denied = False
             try:
                 outcome = await self._in_executor(run)
+                await self._release.turn(ticket)
+                self._release_op(op, user_id, outcome.all_messages, reply,
+                                 token, trace)
             except ServerError:
+                denied = True
+            finally:
+                self._release.retire(ticket)
+            if denied:
                 await self._deny(op, user_id, reply, token, trace)
-                return
-            self._route(outcome.all_messages, user_id, reply, token, trace)
-            await self._track(op, user_id)
+            else:
+                await self._track(op, user_id)
             return
         # Plan here on the loop, then ship the heavy encrypt/sign/
         # dispatch stages to the pool; the next request plans while
@@ -866,7 +927,7 @@ class ImmediateServingCore(AsyncServingCore):
         # task it then starves of a worker, wedging the server.
         if not self._op_lock.acquire(blocking=False):
             await self._acquire_op_lock_timed(span)
-        staged = None
+        staged = ticket = None
         try:
             with tracer.span("serve.plan", parent=span, op=op):
                 try:
@@ -877,14 +938,24 @@ class ImmediateServingCore(AsyncServingCore):
                         staged = server.begin_leave(user_id)
                 except ServerError:
                     staged = None
+            if staged is not None:
+                ticket = self._release.ticket()
         finally:
             self._op_lock.release()
         if staged is None:
             await self._deny(op, user_id, reply, token, trace)
             return
-        outcome = await self._in_executor(
-            lambda: staged.encrypt().seal().finish())
-        self._route(outcome.all_messages, user_id, reply, token, trace)
+        try:
+            outcome = await self._in_executor(
+                lambda: staged.encrypt().seal().finish())
+            # The pool finishes ops in whatever order it likes (the
+            # seal turn is passed on inside ``finish``); the fan-out
+            # sees them in plan order.
+            await self._release.turn(ticket)
+            self._release_op(op, user_id, outcome.all_messages, reply,
+                             token, trace)
+        finally:
+            self._release.retire(ticket)
         await self._track(op, user_id)
 
     async def _deny(self, op, user_id, reply, token, trace=None):
@@ -892,6 +963,8 @@ class ImmediateServingCore(AsyncServingCore):
         server._m_requests.inc(op=op, status="denied")
         msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
         out = await self._locked(server._control_message, msg_type, user_id)
+        if op == "join":
+            self._forget_denied(user_id)
         reply(attach_trailers(out.encoded or out.message.encode(),
                               trace, token))
 
@@ -918,6 +991,7 @@ class CoalescingServingCore(AsyncServingCore):
         super().__init__(
             config if config is not None else ServeConfig(coalesce=True),
             server.instrumentation, workers, recovery_policy)
+        server.pipeline.transport_resolves_groups = True
         registry = self.instrumentation.registry
         self._m_pending = registry.gauge(
             "serve_coalesce_pending",
@@ -1002,6 +1076,10 @@ class CoalescingServingCore(AsyncServingCore):
     async def _deny(self, op, user_id, reply, token, trace=None):
         msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
         payload = await self._in_executor(self._control, msg_type, user_id)
+        # A duplicate of a join still queued for the flush is refused
+        # too, but that joiner's path is about to be needed.
+        if op == "join" and user_id not in self.server._pending_joins:
+            self._forget_denied(user_id)
         reply(attach_trailers(payload, trace, token))
 
     async def _rekey(self, op, user_id, payload, reply, token, span):
@@ -1095,6 +1173,14 @@ class CoalescingServingCore(AsyncServingCore):
                     acks[(op, user_id)] = self._control(msg_type, user_id)
             return acks
         acks = await self._in_executor(build_acks)
+        # The flushed tree is the audience of its own rekey: it holds
+        # this batch's joiners and none of its leavers.
+        for _op, user_id, _reply, _token, _trace, _future in waiters:
+            audiences = self._audiences(user_id)
+            if audiences:
+                self.fanout.enroll(user_id, audiences)
+            else:
+                self.fanout.detach(user_id)
         if result.rekey_message is not None:
             self.fanout.send(result.rekey_message)
         joins: List[str] = []
@@ -1114,8 +1200,6 @@ class CoalescingServingCore(AsyncServingCore):
             for user_id in leaves:
                 self.recovery.untrack(user_id)
         await self._locked(apply_tracking)
-        for user_id in leaves:
-            self.fanout.detach(user_id)
 
 
 class ClusterServingCore(AsyncServingCore):
@@ -1137,9 +1221,18 @@ class ClusterServingCore(AsyncServingCore):
         super().__init__(
             config if config is not None else ServeConfig(),
             coordinator.instrumentation, workers, recovery_policy)
+        for shard in coordinator.shards:
+            shard.server.pipeline.transport_resolves_groups = True
+        coordinator.root_layer.pipeline.transport_resolves_groups = True
 
     def _recovery_backend(self):
         return ClusterBackend(self.coordinator)
+
+    def _audiences(self, user_id: str) -> tuple:
+        # The whole group (root-layer rekeys) plus the owning shard's
+        # own audience (the coordinator tags shard rekeys with it).
+        shard = self.coordinator.shard_of(user_id)
+        return (None, shard.name) if shard.server.is_member(user_id) else ()
 
     def _subcast_backend(self):
         return self.coordinator
@@ -1161,10 +1254,14 @@ class ClusterServingCore(AsyncServingCore):
         tracer = self.instrumentation.tracer
         trace = span.context if span.trace_id else None
 
+        ticket = None
+
         def run():
+            nonlocal ticket
             started = time.perf_counter()
             with self._op_lock:
                 self._m_op_lock_wait.observe(time.perf_counter() - started)
+                ticket = self._release.ticket()
                 # Entered on this worker thread: the coordinator's
                 # ``cluster.{op}`` span (and below it the shard and
                 # root-layer rekey spans) parent to it thread-locally,
@@ -1173,12 +1270,22 @@ class ClusterServingCore(AsyncServingCore):
                     if op == "join":
                         self._ensure_enrolled(user_id)
                     return coordinator.handle_datagram(payload)
+        ack_type = MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK
+        applied = False
         try:
             outputs = await self._in_executor(run)
+            applied = any(out.message.msg_type == ack_type
+                          for out in outputs)
+            await self._release.turn(ticket)
+            if applied:
+                self._release_op(op, user_id, outputs, reply, token, trace)
+            else:
+                self._route(outputs, user_id, reply, token, trace)
         except ClusterError:
             self._m_errors.inc(op=op)
-            return
-        self._route(outputs, user_id, reply, token, trace)
-        ack_type = MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK
-        if any(out.message.msg_type == ack_type for out in outputs):
+        finally:
+            self._release.retire(ticket)
+        if applied:
             await self._track(op, user_id)
+        elif op == "join":
+            self._forget_denied(user_id)

@@ -58,6 +58,48 @@ def test_fixed_point_handles_any_item_order():
     assert client.stats.decryptions == 2
 
 
+def test_fixed_point_follows_a_chain_in_reverse_order():
+    """Every item waits on the next one; each is opened exactly once."""
+    client = make_client()
+    chain = [bytes(8)] + [bytes([65 + i]) * 8 for i in range(5)]
+    items = [encrypt_records(PAPER_SUITE_NO_SIG, chain[i], bytes(8),
+                             [KeyRecord(i + 1, 7, chain[i + 1])],
+                             0xFFFFFFFF if i == 0 else i, 7)
+             for i in range(5)]
+    foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8, bytes(8),
+                              [KeyRecord(3, 9, b"S" * 8)], 77, 0)
+    message = wire_rekey(list(reversed(items)) + [foreign], (5, 7))
+    assert client.process_message(message) == 5
+    assert client.group_key() == chain[5]
+    assert client.stats.decryptions == 5
+    assert not client.desynced
+
+
+def test_item_waiting_on_a_key_installed_at_another_version():
+    """The awaited node arrives, but not the referenced version."""
+    client = make_client()
+    locked = encrypt_records(PAPER_SUITE_NO_SIG, b"K" * 8, bytes(8),
+                             [KeyRecord(1, 4, b"R" * 8)], 2, 6)
+    unlock = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+                             [KeyRecord(2, 5, b"J" * 8)], 0xFFFFFFFF, 0)
+    assert client.process_message(wire_rekey([locked, unlock], (2, 5))) == 1
+    assert client.holds(2, 5) and not client.holds(1, 4)
+    assert client.stats.decryptions == 1
+    # ...and a leftover naming a newer version of a held key is a gap.
+    assert client.desynced
+
+
+def test_parsed_message_is_charged_its_wire_bytes():
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+                           [KeyRecord(1, 0, b"A" * 8)], 0xFFFFFFFF, 0)
+    message = wire_rekey([item], (1, 0))
+    parsed, raw = make_client(), make_client()
+    parsed.process_message(message)
+    raw.process_message(message.encode())
+    assert parsed.stats.rekey_bytes == raw.stats.rekey_bytes \
+        == len(message.encode())
+
+
 def test_undecryptable_items_are_skipped():
     client = make_client()
     foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8, bytes(8),

@@ -100,6 +100,26 @@ def test_header_field_roundtrip(seq, group_id, body):
     assert decoded.body == body
 
 
+_blob = st.binary(max_size=40)
+
+
+@given(items=st.lists(st.builds(EncryptedItem, st.integers(0, 2**32 - 1),
+                                st.integers(0, 2**32 - 1), _blob, _blob,
+                                st.integers(0, 2**16 - 1)), max_size=6),
+       body=_blob,
+       auth=st.one_of(st.none(), st.builds(
+           AuthBlock, digest=_blob,
+           scheme=st.sampled_from([SIG_NONE, SIG_PER_MESSAGE, SIG_MERKLE]),
+           signature=_blob, merkle_index=st.integers(0, 2**32 - 1),
+           merkle_path=st.lists(_blob, max_size=5))))
+@settings(max_examples=100)
+def test_wire_size_is_the_encoded_length(items, body, auth):
+    message = Message(msg_type=MSG_REKEY, items=items, body=body, auth=auth)
+    assert message.wire_size() == len(message.encode())
+    if auth is not None:
+        assert auth.wire_size() == len(auth.encode())
+
+
 # -- key records -----------------------------------------------------------------
 
 

@@ -54,6 +54,25 @@ def test_des_rounds_match_reference(key, block):
     assert fast.decrypt_block(encrypted) == block
 
 
+@settings(max_examples=200)
+@given(key=BLOCK8)
+def test_des_key_schedule_matches_bitwise_reference(key):
+    """The oracle for any faster schedule: the reference's round keys."""
+    assert DES._key_schedule(key) == ReferenceDES._key_schedule(key)
+    assert DES(key)._round_keys_dec == tuple(
+        reversed(ReferenceDES._key_schedule(key)))
+
+
+def test_des_key_schedule_published_round_keys():
+    # The FIPS walk-through key's K1 and K16, as printed in every
+    # textbook derivation of 133457799BBCDFF1.
+    schedule = DES._key_schedule(bytes.fromhex("133457799BBCDFF1"))
+    assert schedule[0] == 0b000110110000001011101111111111000111000001110010
+    assert schedule[15] == 0b110010110011110110001011000011100001011111110101
+    # Parity bits (bit 0 of every byte) never reach a round key.
+    assert schedule == DES._key_schedule(bytes.fromhex("123456789ABCDEF0"))
+
+
 @settings(max_examples=25)
 @given(key=st.binary(min_size=24, max_size=24), block=BLOCK8)
 def test_3des_matches_reference_composition(key, block):
