@@ -10,9 +10,18 @@ S-box pair tables (two classic 6-bit S/P lookups fused per read), and the
 16 rounds are inlined into one loop over the schedule — no per-round
 function call.  The decryption schedule is precomputed once per key, and
 ``encrypt_block_int``/``decrypt_block_int`` expose an integer API so CBC
-can chain whole messages without per-block byte churn.  The pre-fast-path
-round structure is preserved in :mod:`repro.crypto.reference` and pinned
-equal on random blocks by the test suite.
+can chain whole messages without per-block byte churn.
+
+The key schedule is table-driven too.  PC1, the cumulative rotation of
+round r and PC2 do not depend on the key, so they compose into one fixed
+selection of 16 x 48 = 768 key bits (round 1 most significant): PC2
+position p of round r reads ``PC1[28*half + (j + rot_r) % 28]`` with
+``half, j = divmod(p - 1, 28)``.  A selection moves each input bit
+independently, so the packed schedule is the OR of eight per-key-byte
+table entries: eight lookups, sixteen shift-and-mask splits.  Indexing
+by ``byte >> 1`` is exact, since PC1 never selects a parity bit (bit 0).
+The pre-fast-path rounds and the bitwise schedule are preserved in
+:mod:`repro.crypto.reference` and pinned equal by the test suite.
 
 Only the raw 64-bit block operations live here; chaining modes and padding
 are in :mod:`repro.crypto.modes`.
@@ -219,12 +228,29 @@ _SP12 = tuple(tuple(_SP[2 * pair][i >> 6] | _SP[2 * pair + 1][i & 0x3F]
               for pair in range(4))
 
 
-def _fast_permute(value: int, tables, n_bytes: int, in_width: int) -> int:
-    out = 0
-    for byte_index in range(n_bytes):
-        shift = in_width - 8 * (byte_index + 1)
-        out |= tables[byte_index][(value >> shift) & 0xFF]
-    return out
+def _build_schedule_tables():
+    """``[i][v]``: what key byte ``i`` with top seven bits ``v`` contributes
+    to the 16 round keys packed into one 768-bit int (module docstring)."""
+    bit_masks = [0] * 65                 # by 1-indexed key bit, as PC1 counts
+    out_bit, rotation = 768, 0
+    for shift in _SHIFTS:
+        rotation += shift
+        for pos in _PC2:
+            half, j = divmod(pos - 1, 28)
+            out_bit -= 1
+            bit_masks[_PC1[28 * half + (j + rotation) % 28]] |= 1 << out_bit
+    tables = []
+    for byte_index in range(8):
+        entries = [0]
+        # Double per index bit, LSB first; bit 6 is key bit 8*byte_index + 1.
+        for bit in range(7):
+            mask = bit_masks[8 * byte_index + 7 - bit]
+            entries += [entry | mask for entry in entries]
+        tables.append(tuple(entries))
+    return tuple(tables)
+
+
+_KS_TABLES = _build_schedule_tables()
 
 
 # The four weak keys (self-inverse schedules) and six semi-weak key
@@ -307,20 +333,20 @@ class DES:
         self._round_keys = self._key_schedule(key)
         # Decryption walks the schedule backwards; reverse it once per
         # key instead of per block.
-        self._round_keys_dec = tuple(reversed(self._round_keys))
+        self._round_keys_dec = self._round_keys[::-1]
 
     @staticmethod
     def _key_schedule(key: bytes):
-        key_int = int.from_bytes(key, "big")
-        permuted = _permute(key_int, 64, _PC1)
-        c = (permuted >> 28) & 0xFFFFFFF
-        d = permuted & 0xFFFFFFF
-        round_keys = []
-        for shift in _SHIFTS:
-            c = _rotl28(c, shift)
-            d = _rotl28(d, shift)
-            round_keys.append(_permute((c << 28) | d, 56, _PC2))
-        return tuple(round_keys)
+        k0, k1, k2, k3, k4, k5, k6, k7 = key
+        t0, t1, t2, t3, t4, t5, t6, t7 = _KS_TABLES
+        p = (t0[k0 >> 1] | t1[k1 >> 1] | t2[k2 >> 1] | t3[k3 >> 1]
+             | t4[k4 >> 1] | t5[k5 >> 1] | t6[k6 >> 1] | t7[k7 >> 1])
+        m = 0xFFFFFFFFFFFF
+        return (p >> 720, (p >> 672) & m, (p >> 624) & m, (p >> 576) & m,
+                (p >> 528) & m, (p >> 480) & m, (p >> 432) & m,
+                (p >> 384) & m, (p >> 336) & m, (p >> 288) & m,
+                (p >> 240) & m, (p >> 192) & m, (p >> 144) & m,
+                (p >> 96) & m, (p >> 48) & m, p & m)
 
     def _crypt_int(self, value: int, round_keys) -> int:
         ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TABLES

@@ -1,18 +1,22 @@
 """LRU cache of expanded key schedules (constructed cipher objects).
 
-Key-schedule expansion dominates small-message cost for the pure-Python
-ciphers: a DES construction (PC-1/PC-2 permutations for 16 round keys)
-costs ~10 encrypted blocks, an AES-128 construction ~3 blocks — and a
-rekey payload item is only two blocks long.  The server re-encrypts
-under the *same* keys constantly (every key on a leaving member's path
-is used once per item, the group key on every item of a star rekey), so
-caching the constructed cipher converts the dominant per-item cost into
-a dict hit.
+Key-schedule expansion is a large share of small-message cost for the
+pure-Python ciphers whose set-up is still a loop (an AES-128
+construction costs ~3 encrypted blocks) — and a rekey payload item is
+only two blocks long.  The server re-encrypts under the *same* keys
+constantly (every key on a leaving member's path is used once per item,
+the group key on every item of a star rekey), so caching the constructed
+cipher converts that per-item cost into a dict hit.  Single DES no longer
+profits: its table-driven schedule makes a construction cost ~0.3 blocks,
+about what a miss adds here (DESIGN.md §9, "Key-schedule cache").
 
-Cipher objects here are pure functions of ``(cipher_name, key)``: they
-hold only the derived schedules and never mutate after ``__init__``, so
-sharing one instance across call sites is safe.  Invalidation therefore
-has exactly two rules:
+Cipher objects here are pure functions of ``(cipher_name, key)``: the
+schedules derived in ``__init__`` never change, so sharing one instance
+across call sites is safe.  The one later write is a memo —
+``batchenc._des_schedule`` / ``_aes_schedule`` attach numpy copies of
+the schedules (``_np_rk*``) to the shared object — and its race is
+benign: both threads compute the same array from the same immutable
+schedule.  Invalidation therefore has exactly two rules:
 
 * capacity — least-recently-used entries are evicted at ``capacity``;
 * explicit ``clear()`` — used by tests and by anyone rotating away from

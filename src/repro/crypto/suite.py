@@ -139,10 +139,10 @@ class CipherSuite:
 
         Instances come from :data:`repro.crypto.keycache.SHARED_CACHE`, so
         repeated encryptions under the same key (the common case during a
-        rekey) skip key-schedule expansion.  Cipher objects are immutable
-        after construction, so sharing is safe; distinct key bytes always
-        map to distinct cache entries.  ``XorCipher`` (test-only, trivial
-        constructor) bypasses the cache.
+        rekey) skip key-schedule expansion.  A cipher's schedules never
+        change after construction, so sharing is safe; distinct key bytes
+        always map to distinct cache entries.  ``XorCipher`` (test-only,
+        trivial constructor) bypasses the cache.
         """
         cipher_cls, key_size = _CIPHERS[self.cipher_name]
         if len(key) != key_size:

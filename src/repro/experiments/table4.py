@@ -24,8 +24,8 @@ def run(scale: Scale = QUICK, degree: int = 4,
     ``signature_bits`` defaults to the paper's RSA-512.  Substrate note:
     the paper's premise is "a digital signature operation is around two
     orders of magnitude slower than a key encryption" — true for C
-    DES vs RSA-512 in 1998, but pure-Python DES is slow relative to
-    Python's bignum RSA-512, which compresses the measured speedup.
+    DES vs RSA-512 in 1998, but here one bignum RSA-512 signature costs
+    only ~7 fresh-key rekey-item encryptions, compressing the speedup.
     Running with ``signature_bits=2048`` restores the paper's relative
     cost structure (RSA sign ~ 100x a rekey-item encryption here) and
     with it the ~10x Merkle speedup.

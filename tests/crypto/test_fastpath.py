@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import batchenc, modes, reference, rsa
+from repro.crypto import batchenc, des, modes, reference, rsa
 from repro.crypto.aes import AES
-from repro.crypto.des import DES
+from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS
 from repro.crypto.des3 import TripleDES
+from repro.crypto.keycache import SHARED_CACHE
 from repro.crypto.reference import ReferenceAES, ReferenceDES
+from repro.crypto.suite import CipherSuite
 
 BLOCK8 = st.binary(min_size=8, max_size=8)
 BLOCK16 = st.binary(min_size=16, max_size=16)
@@ -71,6 +73,68 @@ def test_des_key_schedule_published_round_keys():
     assert schedule[15] == 0b110010110011110110001011000011100001011111110101
     # Parity bits (bit 0 of every byte) never reach a round key.
     assert schedule == DES._key_schedule(bytes.fromhex("123456789ABCDEF0"))
+
+
+@settings(max_examples=100)
+@given(key=BLOCK8, parity=st.integers(min_value=0, max_value=255))
+def test_des_key_schedule_ignores_any_parity_subset(key, parity):
+    """Flipping any subset of the eight parity bits moves no round key."""
+    flipped = bytes(b ^ ((parity >> i) & 1) for i, b in enumerate(key))
+    assert DES._key_schedule(flipped) == DES._key_schedule(key)
+
+
+def test_des_weak_key_lists_match_what_the_schedule_does():
+    """Ties the lists ``safe_key`` screens with to the schedule itself."""
+    for key in WEAK_KEYS:
+        assert len(set(DES._key_schedule(key))) == 1, key.hex()
+    assert len(SEMI_WEAK_KEYS) == 12
+    for one, other in zip(SEMI_WEAK_KEYS[::2], SEMI_WEAK_KEYS[1::2]):
+        assert DES(one)._round_keys == DES(other)._round_keys_dec, one.hex()
+        assert DES(other)._round_keys == DES(one)._round_keys_dec
+        # ... and neither half of a pair is itself weak.
+        assert len(set(DES._key_schedule(one))) > 1
+
+
+@settings(max_examples=25)
+@given(key=BLOCK8)
+def test_des_key_schedule_accepts_any_bytes_like(key):
+    expected = ReferenceDES._key_schedule(key)
+    assert DES._key_schedule(bytearray(key)) == expected
+    assert DES._key_schedule(memoryview(key)) == expected
+    assert DES(memoryview(key))._round_keys == expected
+
+
+@pytest.mark.parametrize("length", [0, 7, 9, 16])
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_des_rejects_wrong_key_length(kind, length):
+    with pytest.raises(ValueError, match="DES key must be 8 bytes"):
+        DES(kind(bytes(length)))
+
+
+def test_des_schedule_tables_are_derived_not_transcribed():
+    tables = des._KS_TABLES
+    assert len(tables) == 8 and all(len(t) == 128 for t in tables)
+    occurrences = []
+    for table in tables:
+        assert table[0] == 0
+        singles = [table[1 << bit] for bit in range(7)]
+        for value, entry in enumerate(table):
+            expected = 0
+            for bit in range(7):
+                if (value >> bit) & 1:
+                    expected |= singles[bit]
+            assert entry == expected
+        for single in singles:
+            # One key bit lands at most once per round key ...
+            rounds = [(single >> 48 * r) & 0xFFFFFFFFFFFF for r in range(16)]
+            assert all(bin(rk).count("1") <= 1 for rk in rounds)
+            occurrences.append(sum(1 for rk in rounds if rk))
+    # ... and in 12 to 15 of the 16 (the textbook DES property); the
+    # 56 key bits fill all 16 x 48 round-key positions between them.
+    assert len(occurrences) == 56
+    assert min(occurrences) >= 12 and max(occurrences) <= 15
+    assert sum(occurrences) == 768
+    assert DES._key_schedule(b"\xfe" * 8) == (0xFFFFFFFFFFFF,) * 16
 
 
 @settings(max_examples=25)
@@ -167,6 +231,44 @@ def test_batch_engine_matches_scalar_cbc(seed):
     expected = [modes.cbc_encrypt_nopad(cipher, padded, iv)
                 for cipher, padded, iv in jobs]
     assert batchenc.cbc_encrypt_nopad_many(jobs) == expected
+
+
+class ReferenceEDE:
+    """EDE2 / EDE3 composed from :class:`ReferenceDES`."""
+
+    block_size = 8
+
+    def __init__(self, key):
+        k1, k2, k3 = key[:8], key[8:16], key[16:] or key[:8]
+        self._stages = ReferenceDES(k1), ReferenceDES(k2), ReferenceDES(k3)
+
+    def encrypt_block(self, block):
+        first, second, third = self._stages
+        return third.encrypt_block(
+            second.decrypt_block(first.encrypt_block(block)))
+
+
+@pytest.mark.parametrize("cipher_name", ["des", "des3-2key", "des3"])
+def test_des_family_fresh_keys_with_cold_cache(cipher_name):
+    """DES / EDE2 / EDE3 through the suite, scalar and numpy, against the
+    reference on fresh random keys; the shared cache is cleared between
+    cases so a stale cached object cannot mask a schedule bug."""
+    import random
+    suite = CipherSuite(cipher_name)
+    oracle = ReferenceDES if suite.key_size == 8 else ReferenceEDE
+    rng = random.Random(cipher_name)
+    for _ in range(3):
+        SHARED_CACHE.clear()
+        misses = SHARED_CACHE.misses
+        jobs = [(rng.randbytes(suite.key_size), rng.randbytes(16),
+                 rng.randbytes(8)) for _ in range(20)]
+        # The reference pads; the two data blocks come first.
+        expected = [reference.reference_cbc_encrypt(
+            oracle(key), padded, iv)[:16] for key, padded, iv in jobs]
+        assert [modes.cbc_encrypt_nopad(suite.new_cipher(key), padded, iv)
+                for key, padded, iv in jobs] == expected
+        assert SHARED_CACHE.misses == misses + len(jobs)
+        assert batchenc.cbc_encrypt_keys_many(suite, jobs) == expected
 
 
 @pytest.mark.skipif(not batchenc.HAVE_NUMPY, reason="numpy unavailable")
