@@ -8,9 +8,10 @@ Per tick it:
 
 1. marks members silent for more than ``dead_after`` ticks as dead and
    queues them for eviction;
-2. sends every due resync push (a fresh reply is built per attempt, so
-   retries always carry *current* keys), backing off exponentially and
-   escalating to eviction when the per-member delivery budget runs out;
+2. sends the due resync pushes, at most :data:`MAX_PUSHES_PER_TICK` of
+   them (a fresh reply is built per attempt, so retries always carry
+   *current* keys), backing off exponentially and escalating to
+   eviction when the per-member delivery budget runs out;
 3. drains the eviction queue — one leave rekey per member, or, when the
    backend batches (:class:`~repro.recovery.backends.BatchBackend`) and
    the queue is at least ``shed_threshold`` deep, **one** collapsed
@@ -19,6 +20,10 @@ Per tick it:
 
 Resyncs are also served pull-style: a member that detected its own gap
 sends ``MSG_RESYNC_REQUEST`` and gets an immediate reply.
+
+A heartbeat schedules a push for *staleness*, not latency: a ref that
+was still current at the end of the previous tick may belong to a
+rekey on its way and is left alone (:meth:`RecoveryManager.heartbeat`).
 """
 
 from __future__ import annotations
@@ -29,8 +34,12 @@ from typing import Callable, Dict, List, Optional
 from ..core.messages import (MSG_HEARTBEAT, MSG_RESYNC_REQUEST,
                              MSG_RESYNC_REPLY, Message, OutboundMessage,
                              WireError)
-from ..core.resync import RESYNC_NOT_MEMBER, parse_resync_body
 from ..observability import Instrumentation
+
+
+#: Resync replies built per tick (each is a signed message); what does
+#: not fit waits for the next tick.  ``tick(push_budget=...)`` overrides.
+MAX_PUSHES_PER_TICK = 64
 
 
 class RecoveryError(ValueError):
@@ -122,6 +131,9 @@ class RecoveryManager:
             "Members under heartbeat surveillance.").labels()
 
         self.now = 0
+        #: Group-key ref as of the end of the previous tick (None before
+        #: the first): the floor of the heartbeat grace window.
+        self._ref_at_tick = None
         self._last_seen: Dict[str, int] = {}
         self._pending: Dict[str, _Pending] = {}
         self._evict_queue: List[str] = []
@@ -180,24 +192,44 @@ class RecoveryManager:
             f"unexpected message type {message.msg_type}")
 
     def heartbeat(self, user_id: str, root_ref) -> None:
-        """Fold one heartbeat in: liveness plus group-key staleness."""
-        self._last_seen[user_id] = self.now
-        self._m_tracked.set(len(self._last_seen))
-        if user_id in self._evict_queue and self.backend.is_member(user_id):
+        """Fold one heartbeat in: liveness plus group-key staleness.
+
+        A ref that is not current but was at the end of the previous
+        tick or since (same root node, version no older than the one
+        remembered then) may belong to a rekey still in flight: it
+        neither schedules nor cancels a push.  Ticks and versions, not
+        milliseconds — the manager has no clock; the price is that a
+        genuinely lost rekey is pushed one tick later.  Before the
+        first tick nothing is remembered and every mismatch schedules.
+        """
+        backend = self.backend
+        if not backend.is_member(user_id):
+            # Evicted while it was down, or never joined: one notice
+            # (RESYNC_NOT_MEMBER) if the tick's budget has room, and no
+            # surveillance state — bogus ids must not grow the tables.
+            self._schedule(user_id)
+            return
+        last_seen = self._last_seen
+        first = user_id not in last_seen
+        last_seen[user_id] = self.now
+        if first:
+            self._m_tracked.set(len(last_seen))
+        if user_id in self._evict_queue:
             # Went silent, came back before the eviction fired.
             self._evict_queue.remove(user_id)
             self._evict_attempts.pop(user_id, None)
-        if not self.backend.is_member(user_id):
-            # Not a member (evicted while it was down, or never joined):
-            # one push tells it so (RESYNC_NOT_MEMBER, no retries).
-            self._schedule(user_id)
-            return
-        if tuple(root_ref) != tuple(self.backend.group_key_ref()):
-            self._schedule(user_id)
-        else:
+        root_id, version = root_ref
+        current_id, current_version = backend.group_key_ref()
+        if root_id == current_id and version == current_version:
             # Confirmed current: cancel any outstanding push.
             if self._pending.pop(user_id, None) is not None:
                 self._m_pending.set(len(self._pending))
+            return
+        floor = self._ref_at_tick
+        if (floor is not None and root_id == current_id == floor[0]
+                and floor[1] <= version < current_version):
+            return  # current within the last tick: rekey in flight
+        self._schedule(user_id)
 
     def serve_request(self, user_id: str) -> Optional[OutboundMessage]:
         """Answer a member-initiated resync request immediately."""
@@ -226,12 +258,21 @@ class RecoveryManager:
 
     # -- the tick loop -----------------------------------------------------
 
-    def tick(self) -> None:
-        """Advance one logical round: silence, pushes, evictions."""
+    def tick(self, push_budget: int = MAX_PUSHES_PER_TICK) -> None:
+        """Advance one logical round: silence, pushes, evictions.
+
+        ``push_budget`` bounds the resync replies built this round; 0
+        is what a lagging event loop asks for — the pushes wait,
+        dead-detection and evictions still run.
+        """
         self.now += 1
         self._detect_dead()
-        self._push_due()
+        self._push_due(push_budget)
         self._drain_evictions()
+        try:
+            self._ref_at_tick = self.backend.group_key_ref()
+        except Exception:  # empty group: nothing to be stale against
+            self._ref_at_tick = None
 
     def _detect_dead(self) -> None:
         for user_id, last in list(self._last_seen.items()):
@@ -246,34 +287,52 @@ class RecoveryManager:
         self._m_tracked.set(len(self._last_seen))
         self._m_pending.set(len(self._pending))
 
-    def _push_due(self) -> None:
-        tracer = self.instrumentation.tracer
-        for user_id, entry in list(self._pending.items()):
+    def _push_due(self, budget: int) -> None:
+        """Send up to ``budget`` due pushes, in schedule order.
+
+        Members go first; one that does not fit stays pending with
+        ``due`` and ``attempts`` untouched — waiting is not a delivery
+        attempt and must not walk it toward budget eviction.  What is
+        left of the budget goes to not-member notices, and a notice is
+        never carried over (its sender is re-queued if it heartbeats
+        again): bogus ids hold no state beyond the tick.
+        """
+        pending = self._pending
+        is_member = self.backend.is_member
+        notices = []
+        for user_id, entry in list(pending.items()):
             if entry.due > self.now:
                 continue
-            with tracer.span("resync.push", user=user_id,
-                             attempt=entry.attempts + 1):
-                reply = self._build_reply(user_id, trigger="push")
-            if entry.attempts:
-                self._m_retries.inc()
-            entry.attempts += 1
-            if reply is not None:
-                self.transport.send(reply)
-                status, _leaf = parse_resync_body(reply.message.body)
-                if status == RESYNC_NOT_MEMBER:
-                    # Nothing to converge to; no point retrying.
-                    del self._pending[user_id]
-                    continue
-            if entry.attempts >= self.policy.max_attempts:
-                del self._pending[user_id]
-                if self.policy.evict_on_budget_exhausted \
-                        and self.backend.is_member(user_id) \
-                        and user_id not in self._evict_queue:
-                    self._evict_queue.append(user_id)
-                    self._m_evictions.inc(reason="budget")
-                continue
-            entry.due = self.now + self.policy.backoff(entry.attempts)
-        self._m_pending.set(len(self._pending))
+            if not is_member(user_id):
+                notices.append(user_id)
+            elif budget > 0:
+                budget -= 1
+                self._push(user_id, entry)
+                if entry.attempts < self.policy.max_attempts:
+                    entry.due = self.now + self.policy.backoff(
+                        entry.attempts)
+                else:
+                    del pending[user_id]
+                    if self.policy.evict_on_budget_exhausted \
+                            and user_id not in self._evict_queue:
+                        self._evict_queue.append(user_id)
+                        self._m_evictions.inc(reason="budget")
+        for user_id in notices[:budget]:
+            # Nothing to converge to: told once, never retried.
+            self._push(user_id, pending[user_id])
+        for user_id in notices:
+            del pending[user_id]
+        self._m_pending.set(len(pending))
+
+    def _push(self, user_id: str, entry: _Pending) -> None:
+        with self.instrumentation.tracer.span(
+                "resync.push", user=user_id, attempt=entry.attempts + 1):
+            reply = self._build_reply(user_id, trigger="push")
+        if entry.attempts:
+            self._m_retries.inc()
+        entry.attempts += 1
+        if reply is not None:
+            self.transport.send(reply)
 
     def _drain_evictions(self) -> None:
         if not self._evict_queue:
@@ -330,5 +389,6 @@ class RecoveryManager:
         self._evict_attempts.pop(user_id, None)
         self._pending.pop(user_id, None)
         self._last_seen.pop(user_id, None)
+        self._m_tracked.set(len(self._last_seen))
         if self.on_evicted is not None:
             self.on_evicted(user_id)

@@ -79,7 +79,8 @@ from ..observability.flight import FlightRecorder, NULL_FLIGHT
 from ..observability.instrumentation import Instrumentation
 from ..observability.slo import evaluate as evaluate_slos
 from ..recovery.backends import BatchBackend, ClusterBackend, ServerBackend
-from ..recovery.manager import RecoveryManager, RecoveryPolicy
+from ..recovery.manager import (MAX_PUSHES_PER_TICK, RecoveryManager,
+                                RecoveryPolicy)
 from .config import DEFAULT_WORKERS, ServeConfig, worker_count
 from .fanout import GROUP, SocketFanout
 from .health import InstrumentedExecutor, LoopHealthMonitor, WAIT_BUCKETS_S
@@ -97,6 +98,10 @@ _TYPE_NAMES = {
 #: Stats-reply size budget: one UDP datagram, with headroom under the
 #: 65,507-byte payload ceiling for trailers and kernel quirks.
 _MAX_STATS_BODY = 60_000
+
+#: Event-loop lag (seconds) above which the recovery tick sheds its
+#: resync pushes; dead-detection and evictions still run.
+TICK_SHED_LAG_S = 0.1
 
 #: Reply types that go straight back on the requester's socket (with
 #: the request's correlation token echoed) instead of the fan-out.
@@ -524,8 +529,16 @@ class AsyncServingCore:
             else:
                 self.fanout.send(out, payload=payload)
 
+    def _push_budget(self) -> int:
+        """The tick's resync-push budget: 0 while the event loop lags —
+        housekeeping is shed before membership ops wait."""
+        health = self.loop_health
+        if health is not None and health.last_lag > TICK_SHED_LAG_S:
+            return 0
+        return MAX_PUSHES_PER_TICK
+
     async def _tick_once(self) -> None:
-        await self._locked(self.recovery.tick)
+        await self._locked(self.recovery.tick, self._push_budget())
 
     async def _tick_loop(self) -> None:
         while True:
@@ -863,7 +876,7 @@ class ImmediateServingCore(AsyncServingCore):
             self._op_lock.release()
             await asyncio.sleep(0.005)
         try:
-            self.recovery.tick()
+            self.recovery.tick(self._push_budget())
         finally:
             self._op_lock.release()
 

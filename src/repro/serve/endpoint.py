@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import socket
 import threading
 from typing import List, Optional, Tuple
 
@@ -80,6 +81,29 @@ class _UdpProtocol(asyncio.DatagramProtocol):
         pass
 
 
+#: ``SO_RCVBUF`` asked for on every UDP socket.  The OS default (208 KiB)
+#: overflows behind one long loop iteration at a 1 kHz heartbeat rate,
+#: and a dropped request is a client retry seconds later.  A request:
+#: the kernel caps it at ``net.core.rmem_max``.  Kernel memory, not RSS.
+UDP_RCVBUF = 4 << 20
+
+
+async def _open_udp(core: AsyncServingCore, config: ServeConfig,
+                    port: int):
+    """Bind one UDP endpoint for ``core`` and size its receive buffer;
+    what the kernel granted is gauge ``serve_udp_rcvbuf_bytes``."""
+    transport, _protocol = await \
+        asyncio.get_running_loop().create_datagram_endpoint(
+            lambda: _UdpProtocol(core), local_addr=(config.host, port))
+    sock = transport.get_extra_info("socket")
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, UDP_RCVBUF)
+    core.instrumentation.registry.gauge(
+        "serve_udp_rcvbuf_bytes",
+        "SO_RCVBUF the kernel granted the UDP endpoint(s).").labels().set(
+            sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+    return transport
+
+
 async def _serve_tcp_connection(core: AsyncServingCore, reader,
                                 writer) -> None:
     loop = asyncio.get_running_loop()
@@ -113,11 +137,8 @@ class AsyncKeyService:
         self._tcp_server = None
 
     async def start(self) -> "AsyncKeyService":
-        loop = asyncio.get_running_loop()
         config = self.config
-        transport, _protocol = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self.core),
-            local_addr=(config.host, config.udp_port))
+        transport = await _open_udp(self.core, config, config.udp_port)
         self._udp_transport = transport
         self.udp_address = transport.get_extra_info("sockname")
         if config.tcp_port is not None:
@@ -161,13 +182,10 @@ class AsyncClusterService:
         self._tcp_servers = []
 
     async def start(self) -> "AsyncClusterService":
-        loop = asyncio.get_running_loop()
         config = self.config
         for index, _shard in enumerate(self.core.coordinator.shards):
             udp_port = config.udp_port + index if config.udp_port else 0
-            transport, _protocol = await loop.create_datagram_endpoint(
-                lambda: _UdpProtocol(self.core),
-                local_addr=(config.host, udp_port))
+            transport = await _open_udp(self.core, config, udp_port)
             self._udp_transports.append(transport)
             self.udp_addresses.append(
                 transport.get_extra_info("sockname"))
