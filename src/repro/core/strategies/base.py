@@ -166,12 +166,19 @@ def fixed_receivers(*user_ids: str) -> Callable[[], Tuple[str, ...]]:
 
 def subtree_receivers(tree: KeyTree, node: TreeNode,
                       exclude: str = None) -> Callable[[], Tuple[str, ...]]:
-    """Lazy enumeration of the users below ``node`` (minus ``exclude``)."""
+    """Lazy enumeration of the users below ``node`` (minus ``exclude``).
+
+    ``userset`` returns a fresh list, so the excluded user is dropped
+    with one ``list.remove`` (order kept) instead of a per-member filter.
+    """
     def resolve() -> Tuple[str, ...]:
         users = tree.userset(node)
-        if exclude is None:
-            return tuple(users)
-        return tuple(user for user in users if user != exclude)
+        if exclude is not None:
+            try:
+                users.remove(exclude)
+            except ValueError:
+                pass
+        return tuple(users)
     return resolve
 
 

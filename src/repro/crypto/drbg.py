@@ -44,6 +44,9 @@ class HmacDrbg:
     def _hmac(self, key: bytes, data: bytes) -> bytes:
         if self._scratch:
             return _hmac.new(key, data, sha1).digest()
+        # Not hmac.digest(): its one-shot C path drops the GIL on every
+        # call, and a served core's other threads then keep it for a
+        # whole switch interval (~5 ms per HMAC instead of ~2 µs).
         return _stdlib_hmac.new(key, data, hashlib.sha256).digest()
 
     def _update(self, provided: bytes = b"") -> None:

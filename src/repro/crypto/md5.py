@@ -3,8 +3,18 @@
 The paper computes MD5 digests of rekey messages.  The per-step constants
 are derived from ``int(abs(sin(i+1)) * 2**32)`` exactly as RFC 1321
 specifies, so no 64-entry table needs transcribing.  Validated against
-``hashlib.md5`` in the test suite (including a hypothesis property test
-over arbitrary inputs).
+``hashlib.md5`` and the loop formulation kept in
+:func:`repro.crypto.reference.reference_md5_compress` in the test suite
+(including hypothesis property tests over arbitrary inputs).
+
+The compression function is generated at import as one straight-line
+function: the 64 steps with their constants, message-word order and
+rotations baked in, the round functions in their xor form, and a loop
+over every 64-byte block of its input so one ``struct`` pass unpacks the
+whole message.  Only ``t`` (the pre-rotation sum) is masked per step:
+the working variables may carry bits above 32 between steps, which
+``and`` / ``or`` / ``xor`` and ``+`` leave harmless modulo 2**32, and are
+masked once per block when folded into the chaining state.
 """
 
 from __future__ import annotations
@@ -23,11 +33,65 @@ _S = (
     6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
 )
 
-_MASK = 0xFFFFFFFF
+_INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+
+# Round functions F, G, H, I in xor form (no ``~``, one operator fewer).
+_ROUND_F = (
+    "{d} ^ ({b} & ({c} ^ {d}))",
+    "{c} ^ ({d} & ({b} ^ {c}))",
+    "{b} ^ {c} ^ {d}",
+    "{c} ^ ({b} | ({d} ^ 0xFFFFFFFF))",
+)
 
 
-def _rotl32(value: int, amount: int) -> int:
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
+def _word_index(i: int) -> int:
+    """Message word consumed by step ``i`` (RFC 1321 section 3.4)."""
+    return (i, 5 * i + 1, 3 * i + 5, 7 * i)[i // 16] % 16
+
+
+def _compress_source() -> str:
+    """Source text of the unrolled multi-block compression function."""
+    words = ", ".join(f"m{j}" for j in range(16))
+    lines = [
+        "def _compress(state, data, _blocks=_BLOCKS):",
+        '    """Fold every 64-byte block of ``data`` into ``state``."""',
+        "    a0, b0, c0, d0 = state",
+        f"    for {words} in _blocks(data):",
+        "        a, b, c, d = a0, b0, c0, d0",
+    ]
+    for i in range(64):
+        # Step i updates the variable that sits in position "a" after i
+        # right-rotations of (a, b, c, d); renaming replaces the shuffle.
+        a, b, c, d = ("abcd"[(j - i) % 4] for j in range(4))
+        f = _ROUND_F[i // 16].format(b=b, c=c, d=d)
+        s = _S[i]
+        lines.append(f"        t = ({a} + ({f}) + {_K[i]:#010x}"
+                     f" + m{_word_index(i)}) & 0xFFFFFFFF")
+        lines.append(f"        {a} = {b} + ((t << {s}) | (t >> {32 - s}))")
+    for v in "abcd":
+        lines.append(f"        {v}0 = ({v}0 + {v}) & 0xFFFFFFFF")
+    lines.append("    return a0, b0, c0, d0")
+    return "\n".join(lines) + "\n"
+
+
+def _build_compress():
+    namespace = {"_BLOCKS": struct.Struct("<16I").iter_unpack}
+    exec(compile(_compress_source(), "<md5-compress>", "exec"), namespace)
+    return namespace["_compress"]
+
+
+# (state, data) -> state: ``data`` is any buffer of whole 64-byte blocks,
+# the states are 4-tuples of 32-bit ints.
+_compress = _build_compress()
+
+_pack_digest = struct.Struct("<4I").pack
+_pack_length = struct.Struct("<Q").pack
+
+
+def _padding(length: int) -> bytes:
+    """RFC 1321 padding for a message of ``length`` bytes."""
+    return (b"\x80" + bytes((55 - length) % 64)
+            + _pack_length((length << 3) & 0xFFFFFFFFFFFFFFFF))
 
 
 class MD5:
@@ -38,7 +102,7 @@ class MD5:
     name = "md5"
 
     def __init__(self, data: bytes = b""):
-        self._state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+        self._state = _INITIAL_STATE
         self._buffer = b""
         self._length = 0
         if data:
@@ -53,47 +117,23 @@ class MD5:
         return clone
 
     def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= BLOCK_SIZE:
-            self._state = self._compress(self._state, self._buffer[:BLOCK_SIZE])
-            self._buffer = self._buffer[BLOCK_SIZE:]
+        """Absorb more message bytes.
 
-    @staticmethod
-    def _compress(state, block: bytes):
-        a0, b0, c0, d0 = state
-        m = struct.unpack("<16I", block)
-        a, b, c, d = a0, b0, c0, d0
-        for i in range(64):
-            if i < 16:
-                f = (b & c) | (~b & d)
-                g = i
-            elif i < 32:
-                f = (d & b) | (~d & c)
-                g = (5 * i + 1) % 16
-            elif i < 48:
-                f = b ^ c ^ d
-                g = (3 * i + 5) % 16
-            else:
-                f = c ^ (b | (~d & _MASK))
-                g = (7 * i) % 16
-            f = (f + a + _K[i] + m[g]) & _MASK
-            a, d, c = d, c, b
-            b = (b + _rotl32(f, _S[i])) & _MASK
-        return ((a0 + a) & _MASK, (b0 + b) & _MASK,
-                (c0 + c) & _MASK, (d0 + d) & _MASK)
+        All whole blocks are compressed in one pass (through a
+        ``memoryview``, no per-block slicing); only the tail is kept.
+        """
+        self._length += len(data)
+        buffer = self._buffer + data
+        whole = len(buffer) - len(buffer) % BLOCK_SIZE
+        if whole:
+            self._state = _compress(self._state, memoryview(buffer)[:whole])
+            buffer = buffer[whole:]
+        self._buffer = buffer
 
     def digest(self) -> bytes:
-        # Pad a copy so update() can continue afterwards.
         """Digest of everything absorbed so far (state preserved)."""
-        length_bits = (self._length * 8) & 0xFFFFFFFFFFFFFFFF
-        padding = b"\x80" + b"\x00" * ((55 - self._length) % 64)
-        tail = self._buffer + padding + struct.pack("<Q", length_bits)
-        state = self._state
-        for offset in range(0, len(tail), BLOCK_SIZE):
-            state = self._compress(state, tail[offset:offset + BLOCK_SIZE])
-        return struct.pack("<4I", *state)
+        return _pack_digest(*_compress(
+            self._state, self._buffer + _padding(self._length)))
 
     def hexdigest(self) -> str:
         """Hex form of :meth:`digest`."""

@@ -1,8 +1,8 @@
 """Frozen pre-optimization crypto reference implementations.
 
 The crypto fast path (T-table AES, pair-table DES, int-based CBC,
-cached-CRT RSA) replaced the byte-at-a-time implementations this module
-preserves.  They exist for two reasons:
+cached-CRT RSA, unrolled MD5) replaced the byte-at-a-time
+implementations this module preserves.  They exist for two reasons:
 
 * **Equivalence testing** — `tests/crypto/test_fastpath.py` drives the
   fast path and these references with the same random inputs and
@@ -22,9 +22,12 @@ up" or speed up this module; its slowness is the point.
 
 from __future__ import annotations
 
+import struct
+
 from .aes import _INV_MUL, _INV_SBOX, _MUL2, _MUL3, _RCON, _SBOX
 from .des import (_E_TABLES, _FP_TABLES, _IP_TABLES, _PC1, _PC2, _SHIFTS,
                   _SP, _permute, _rotl28)
+from .md5 import _K as _MD5_K, _S as _MD5_S
 from .modes import pad, unpad
 
 
@@ -236,6 +239,43 @@ def reference_cbc_decrypt(cipher, ciphertext: bytes, iv: bytes) -> bytes:
         out.extend(_xor_bytes(cipher.decrypt_block(chunk), previous))
         previous = chunk
     return unpad(bytes(out), block)
+
+
+# -- MD5: one looped step with a four-way round branch ----------------------
+
+
+def _rotl32(value: int, amount: int) -> int:
+    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
+
+
+def reference_md5_compress(state, block: bytes):
+    """One MD5 block, the 64-pass loop the unrolled compress replaced.
+
+    ``state`` is the 4-tuple chaining value, ``block`` exactly 64 bytes;
+    returns the next chaining value.
+    """
+    mask = 0xFFFFFFFF
+    a0, b0, c0, d0 = state
+    m = struct.unpack("<16I", block)
+    a, b, c, d = a0, b0, c0, d0
+    for i in range(64):
+        if i < 16:
+            f = (b & c) | (~b & d)
+            g = i
+        elif i < 32:
+            f = (d & b) | (~d & c)
+            g = (5 * i + 1) % 16
+        elif i < 48:
+            f = b ^ c ^ d
+            g = (3 * i + 5) % 16
+        else:
+            f = c ^ (b | (~d & mask))
+            g = (7 * i) % 16
+        f = (f + a + _MD5_K[i] + m[g]) & mask
+        a, d, c = d, c, b
+        b = (b + _rotl32(f, _MD5_S[i])) & mask
+    return ((a0 + a) & mask, (b0 + b) & mask,
+            (c0 + c) & mask, (d0 + d) & mask)
 
 
 # -- RSA: full-exponent (non-CRT) signing -----------------------------------

@@ -58,7 +58,7 @@ class TreeBackend(Protocol):
     def nodes(self) -> Iterable: ...
     def nodes_with_depth(self) -> Iterable[Tuple[object, int]]: ...
     def height(self) -> int: ...
-    def userset(self, node) -> List[str]: ...
+    def userset(self, node) -> List[str]: ...  # a fresh list, caller-owned
     def subtree_size(self, node) -> int: ...
     def validate(self) -> None: ...
 

@@ -12,8 +12,10 @@ from repro.core.messages import DEST_ALL, DEST_SUBGROUP, DEST_USER
 from repro.core.strategies import (GroupOrientedStrategy, HybridStrategy,
                                    KeyOrientedStrategy, RekeyContext,
                                    UserOrientedStrategy)
+from repro.core.strategies.base import subtree_receivers
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.suite import PAPER_SUITE
+from repro.keygraph.backend import build_tree
 from repro.keygraph.tree import KeyTree
 
 
@@ -204,3 +206,33 @@ class TestSplitJoin:
                     if item.enc_node_id == result.split_leaf.node_id:
                         covered = True
         assert covered
+
+
+class TestSubtreeReceivers:
+    """The resolver drops the excluded user with ``list.remove``; it must
+    return exactly what a per-member filter over ``userset`` returned,
+    order included, without touching the tree."""
+
+    @pytest.mark.parametrize("backend", ["object", "flat"])
+    def test_matches_per_member_filter(self, backend):
+        source = HmacDrbg(b"receivers-" + backend.encode())
+        keygen = lambda: source.generate(8)
+        tree = build_tree(backend, [(f"u{i}", keygen()) for i in range(40)],
+                          4, keygen)
+        tree.join("joiner", keygen())
+        users_before = list(tree.users())
+        root = tree.group_key_node()
+        nodes = [root] + [node for node in tree.nodes() if node != root]
+        for node in nodes:
+            below = tree.userset(node)
+            present = below[len(below) // 2]
+            absent = next(u for u in users_before if u not in below) \
+                if len(below) < len(users_before) else "nobody"
+            for exclude in ("joiner", present, absent, "nobody", None):
+                old = tuple(u for u in tree.userset(node) if u != exclude)
+                resolve = subtree_receivers(tree, node, exclude=exclude)
+                assert resolve() == old
+                assert resolve() == old          # resolving twice: same tuple
+                assert tree.userset(node) == below
+        assert list(tree.users()) == users_before
+        tree.validate()

@@ -40,9 +40,42 @@ def test_sha1_vectors(message, expected):
     assert sha1(message).hexdigest() == expected
 
 
-@given(data=st.binary(max_size=512))
+# 4096 bytes covers a whole group rekey (845 bytes at the paper's
+# configuration) several times over.
+@given(data=st.binary(max_size=4096))
 def test_md5_matches_hashlib(data):
     assert md5(data).digest() == hashlib.md5(data).digest()
+
+
+def test_md5_accepts_any_buffer():
+    data = b"rekey message" * 9
+    expected = hashlib.md5(data).digest()
+    assert md5(bytearray(data)).digest() == expected
+    assert md5(memoryview(data)).digest() == expected
+
+
+def test_md5_large_input():
+    data = bytes(range(256)) * 4096      # 1 MiB
+    assert md5(data).digest() == hashlib.md5(data).digest()
+
+
+@pytest.mark.parametrize("first", [0, 1, 55, 56, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("chunk", [1, 55, 56, 63, 64, 128])
+def test_md5_chunkings_across_block_boundaries(first, chunk):
+    data = bytes((7 * i + 3) & 0xFF for i in range(300))
+    h = MD5(data[:first])
+    for offset in range(first, len(data), chunk):
+        h.update(data[offset:offset + chunk])
+    assert h.digest() == hashlib.md5(data).digest()
+
+
+def test_md5_copy_mid_block_is_independent():
+    h = MD5(b"x" * 100)                  # one block compressed, 36 buffered
+    clone = h.copy()
+    h.update(b"y" * 70)
+    clone.update(b"z" * 3)
+    assert h.digest() == hashlib.md5(b"x" * 100 + b"y" * 70).digest()
+    assert clone.digest() == hashlib.md5(b"x" * 100 + b"z" * 3).digest()
 
 
 @given(data=st.binary(max_size=512))
@@ -69,10 +102,11 @@ def test_sha1_incremental_equals_oneshot(chunks):
 @pytest.mark.parametrize("factory,reference",
                          [(md5, hashlib.md5), (sha1, hashlib.sha1)])
 def test_boundary_lengths(factory, reference):
-    # Exercise the padding logic around the 55/56/63/64-byte boundaries.
-    for length in (54, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 129):
-        data = bytes(range(256))[:length] * 1
-        assert factory(data).digest() == reference(data).digest()
+    # Exercise the padding logic at every length from 0 to 130, across
+    # the 55/56/63/64-byte boundaries of the first two blocks.
+    for length in range(131):
+        data = bytes(range(256))[:length]
+        assert factory(data).digest() == reference(data).digest(), length
 
 
 def test_digest_does_not_consume_state():

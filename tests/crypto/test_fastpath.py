@@ -1,6 +1,7 @@
 """Fast path vs frozen reference: the optimized round functions, chaining
-modes, batch engine and CRT signing must be bit-identical to the
-pre-optimization formulations preserved in :mod:`repro.crypto.reference`."""
+modes, batch engine, CRT signing and unrolled MD5 compress must be
+bit-identical to the pre-optimization formulations preserved in
+:mod:`repro.crypto.reference`."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.crypto.aes import AES
 from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS
 from repro.crypto.des3 import TripleDES
 from repro.crypto.keycache import SHARED_CACHE
+from repro.crypto.md5 import _compress as md5_compress
 from repro.crypto.reference import ReferenceAES, ReferenceDES
 from repro.crypto.suite import CipherSuite
 
@@ -285,6 +287,25 @@ def test_batch_engine_small_groups_and_empty_jobs():
 def test_batch_engine_rejects_misaligned_plaintext():
     with pytest.raises(ValueError):
         batchenc.cbc_encrypt_nopad_many([(DES(b"k" * 8), b"odd", b"i" * 8)])
+
+
+# -- MD5: unrolled multi-block compress vs the looped reference -------------
+
+
+WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+@settings(max_examples=200)
+@given(state=st.tuples(WORD, WORD, WORD, WORD),
+       blocks=st.lists(st.binary(min_size=64, max_size=64),
+                       min_size=1, max_size=4))
+def test_md5_compress_matches_reference(state, blocks):
+    # One call over several blocks must equal the reference chained
+    # block by block, so every chained state is compared too.
+    expected = state
+    for index, block in enumerate(blocks):
+        expected = reference.reference_md5_compress(expected, block)
+        assert md5_compress(state, b"".join(blocks[:index + 1])) == expected
 
 
 # -- RSA: cached CRT vs full exponentiation ---------------------------------

@@ -2,11 +2,13 @@
 
 import hashlib
 import hmac as stdlib_hmac
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.crypto.drbg as drbg_module
 import repro.crypto.hmac as our_hmac
 from repro.crypto.drbg import HmacDrbg, SystemRandomSource, make_source
 from repro.crypto.md5 import md5
@@ -79,6 +81,20 @@ def test_drbg_deterministic():
     b = HmacDrbg(b"seed")
     assert a.generate(64) == b.generate(64)
     assert a.generate(5) == b.generate(5)
+
+
+def test_drbg_hmac_goes_through_hmac_new(monkeypatch):
+    """A served core draws keys while its other threads compute, and
+    ``hmac.digest`` drops the GIL on every call: the DRBG must keep to
+    ``hmac.new``."""
+    expected = HmacDrbg(b"structural").generate(16)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HmacDrbg called hmac.digest")
+
+    monkeypatch.setattr(drbg_module, "_stdlib_hmac", types.SimpleNamespace(
+        new=stdlib_hmac.new, digest=refuse))
+    assert HmacDrbg(b"structural").generate(16) == expected
 
 
 def test_drbg_seed_sensitivity():
