@@ -10,7 +10,7 @@ shard's O(log shard_size) path plus the O(log n_shards) root layer —
 per-operation cost is bounded by the shard size, not the group size.
 
 The demo then kills a shard mid-workload and promotes its warm standby
-(checkpoint + journal replay): members keep decrypting with the keys
+(a follower of the shard's op journal): members keep decrypting with the keys
 they already hold, no out-of-band recovery.  Finally one stats request
 returns a single cluster-wide ``repro-metrics/1`` snapshot merging
 every shard's telemetry.
@@ -59,9 +59,9 @@ def main():
           f"({coordinator.n_users} members total)")
 
     print("\n== 3. kill a shard, promote the warm standby ==")
-    coordinator.enable_standbys(checkpoint_interval=8)
+    coordinator.enable_standbys()
     victim = coordinator.shard_of("user-05").shard_id
-    # More churn after the checkpoint, so promotion must replay a journal.
+    # More churn after arming: the standby follows each op as it commits.
     for index in range(24, 28):
         user_id = f"user-{index:02d}"
         member = ClusterMember(user_id, PAPER_SUITE,

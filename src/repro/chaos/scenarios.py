@@ -67,9 +67,9 @@ class ScenarioConfig:
     #: default ``kill-torn`` two-thirds through the workload.
     crash_plan: Mapping[int, str] = field(default_factory=dict)
     #: serve-crash stack only: recovery substrate, ``"journal"``
-    #: (restart by strict journal replay) or ``"standby"`` (warm-standby
-    #: promotion; the in-memory journal is complete, so only ``"kill"``
-    #: crashes apply).
+    #: (restart by strict journal replay) or ``"standby"`` (promotion of
+    #: the in-memory follower of the same journal frames; nothing is
+    #: written to disk, so only ``"kill"`` crashes apply).
     serve_recovery: str = "journal"
 
     def fault_profile(self) -> FaultProfile:
@@ -98,8 +98,8 @@ class ScenarioConfig:
                 raise ChaosError(f"unknown crash kind {kind!r}")
             if kind == "kill-torn" and self.serve_recovery == "standby":
                 raise ChaosError(
-                    "kill-torn needs the on-disk journal (standby keeps "
-                    "its journal in memory; nothing tears)")
+                    "kill-torn needs the on-disk journal (a standby "
+                    "applies frames in memory; nothing tears)")
         self.fault_profile().validate()
 
 

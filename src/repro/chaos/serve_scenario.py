@@ -237,11 +237,12 @@ def run_crash_scenario(config) -> "ScenarioReport":
     additionally tears the journal tail, losing the just-applied op's
     record the way a crash between apply and fsync would.  The
     supervisor then restarts the shard from its recovery substrate
-    (strict journal replay, or warm-standby promotion with
-    ``serve_recovery="standby"``), two members stay partitioned through
-    the restart window, and a torn-away op is retried by the client —
-    twice with the same correlation token, proving the server-side
-    idempotency cache absorbs the duplicate instead of double-applying.
+    (strict journal replay, or promotion of the journal-following warm
+    standby with ``serve_recovery="standby"``), two members stay
+    partitioned through the restart window, and a torn-away op is
+    retried by the client — twice with the same correlation token,
+    proving the server-side idempotency cache absorbs the duplicate
+    instead of double-applying.
 
     The control run is fault-free but replicates the restart's DRBG
     reseed boundary at the same op index (a restored server draws

@@ -4,8 +4,8 @@
 * :mod:`~repro.cluster.coordinator` — per-shard
   :class:`~repro.core.server.GroupKeyServer` subtrees composed under a
   root key layer, one group-oriented multicast per operation;
-* :mod:`~repro.cluster.failover` — warm standby: checkpoint + journaled
-  key-material draws, byte-identical promotion;
+* :mod:`~repro.cluster.failover` — warm standby: a follower of the
+  shard's op journal, byte-identical O(1) promotion;
 * :mod:`~repro.cluster.routing` — the members' single front-end plus the
   cluster-wide stats scrape.
 """
@@ -14,7 +14,7 @@ from .coordinator import (MAX_SHARDS, ROOT_LAYER_BASE, SHARD_ID_SPACE,
                           ClusterConfig, ClusterCoordinator, ClusterError,
                           ClusterRecord, ClusterRekeyOutcome, RootKeyLayer,
                           Shard, namespace_tree, shard_id_base)
-from .failover import JOURNAL_FORMAT, FailoverError, WarmStandby
+from .failover import FailoverError, WarmStandby
 from .partition import (DEFAULT_VNODES, HashRing, PartitionError, ShardId,
                         ring_point)
 from .routing import ClusterFrontEnd, ClusterMember, RoutingError
@@ -34,7 +34,6 @@ __all__ = [
     "MAX_SHARDS",
     "WarmStandby",
     "FailoverError",
-    "JOURNAL_FORMAT",
     "HashRing",
     "PartitionError",
     "ShardId",

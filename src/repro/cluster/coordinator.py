@@ -380,10 +380,6 @@ class ClusterCoordinator:
         self._m_failovers = registry.counter(
             "cluster_failovers_total", "Standby promotions per shard.",
             labels=("shard",))
-        self._m_journal = registry.gauge(
-            "cluster_journal_entries",
-            "Operations journaled since the shard's last checkpoint.",
-            labels=("shard",))
         self._m_seconds = registry.histogram(
             "cluster_request_seconds",
             "End-to-end cluster request time (shard + root layer).",
@@ -543,8 +539,12 @@ class ClusterCoordinator:
         for shard in self.shards:
             shard.server.bootstrap(by_shard[shard.shard_id])
             # bootstrap() rebuilt the tree from id 0: renumber it back
-            # into this shard's window.
+            # into this shard's window, and re-checkpoint any journal or
+            # standby (bootstrap's own checkpoint predates the renumber).
             namespace_tree(shard.server.tree, shard_id_base(shard.shard_id))
+            if shard.server._journal is not None:
+                shard.server._journal.checkpoint(
+                    shard.server._checkpoint_blob())
             leaves[shard.name] = self._shard_leaf_state(shard)
             self._m_members.labels(shard=str(shard.shard_id)).set(
                 shard.server.n_users)
@@ -595,8 +595,7 @@ class ClusterCoordinator:
         def op() -> RekeyOutcome:
             return shard.server.join(user_id, individual_key, ticket=ticket)
 
-        return self._run("join", user_id, shard, op,
-                         journal_key=individual_key)
+        return self._run("join", user_id, shard, op)
 
     def leave(self, user_id: str) -> ClusterRekeyOutcome:
         """Expel/release a user: shard-local rekey + root-layer rekey."""
@@ -623,8 +622,7 @@ class ClusterCoordinator:
         return shard
 
     def _run(self, op: str, user_id: str, shard: Shard,
-             perform: Callable[[], RekeyOutcome],
-             journal_key: Optional[bytes] = None) -> ClusterRekeyOutcome:
+             perform: Callable[[], RekeyOutcome]) -> ClusterRekeyOutcome:
         tracer = self.instrumentation.tracer
         label = str(shard.shard_id)
         started = time.perf_counter()
@@ -636,14 +634,7 @@ class ClusterCoordinator:
                 # its own per-shard instrumentation, so its rekey
                 # pipeline spans land in the shard registry, not here.
                 with tracer.span(f"shard.{op}", shard=shard.shard_id):
-                    if shard.standby is not None:
-                        with shard.standby.recording(op, user_id,
-                                                     journal_key):
-                            outcome = perform()
-                        self._m_journal.labels(shard=label).set(
-                            shard.standby.journal_size)
-                    else:
-                        outcome = perform()
+                    outcome = perform()
             except (ServerError, AccessDenied):
                 self._m_requests.inc(shard=label, op=op, status="denied")
                 raise
@@ -819,21 +810,17 @@ class ClusterCoordinator:
 
     # -- failover ----------------------------------------------------------
 
-    def enable_standbys(self, storage_key: Optional[bytes] = None,
-                        checkpoint_interval: Optional[int] = None) -> None:
-        """Arm a warm standby (snapshot + journal) on every shard."""
+    def enable_standbys(self) -> None:
+        """Arm a warm standby (a journal follower) on every shard."""
         for shard in self.shards:
             if shard.standby is None:
-                shard.standby = WarmStandby(
-                    shard.server, storage_key=storage_key,
-                    checkpoint_interval=checkpoint_interval)
-                self._m_journal.labels(shard=str(shard.shard_id)).set(0)
+                shard.standby = WarmStandby(shard.server)
 
     def fail_shard(self, shard_id: int) -> GroupKeyServer:
         """Simulate a shard crash; requests for its users now raise.
 
         Returns the dead server (tests compare against it); the warm
-        standby keeps its snapshot + journal and can be promoted.
+        standby holds its follower and can be promoted.
         """
         shard = self._shard_slot(shard_id)
         if shard.failed:
@@ -844,8 +831,8 @@ class ClusterCoordinator:
     def promote_standby(self, shard_id: int) -> GroupKeyServer:
         """Promote the shard's warm standby and resume service.
 
-        The promoted server is rebuilt from the latest snapshot plus a
-        replay of the operation journal, which regenerates key state
+        The promoted server is the standby's follower, which applied
+        every journal record the primary committed, so its key state is
         byte-identical to the failed primary — members keep decrypting
         with the keys they already hold (no out-of-band recovery).
         """
@@ -873,12 +860,8 @@ class ClusterCoordinator:
                 shard.server.pipeline.transport_resolves_groups
             shard.server = promoted
             shard.failed = False
-            shard.standby = WarmStandby(
-                promoted, storage_key=shard.standby.storage_key,
-                checkpoint_interval=shard.standby.checkpoint_interval)
-        label = str(shard_id)
-        self._m_failovers.inc(shard=label)
-        self._m_journal.labels(shard=label).set(0)
+            shard.standby = WarmStandby(promoted)
+        self._m_failovers.inc(shard=str(shard_id))
         return promoted
 
     def _shard_slot(self, shard_id: int) -> Shard:

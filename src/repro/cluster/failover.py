@@ -1,312 +1,106 @@
-"""Warm-standby failover: snapshot + operation-journal replay.
+"""Hot-standby failover: a follower of the primary's op journal.
 
 The paper's reliability note ("the key server may be replicated for
 reliability/performance enhancement") needs more than the snapshots in
 :mod:`repro.core.persistence`: a snapshot taken every operation would
 serialize the whole tree on the hot path, while a stale snapshot alone
-loses the operations after it.  The standard warm-standby answer is a
-**checkpoint plus a journal**: snapshot occasionally, journal each
-join/leave since, and promote by restoring the checkpoint and replaying
-the journal.
+loses the operations after it.
 
-The subtlety is key material.  A replayed join draws fresh keys from
-the server's DRBG — and a restored server's DRBG is *reseeded* (running
-primary and standby from one stream is a key-reuse hazard), so a naïve
-replay would regenerate *different* keys than the primary already
-multicast to members, silently partitioning them.  Each journal entry
-therefore records the exact key/IV draws the primary made during the
-operation (:class:`_RecordingSource`), and :meth:`WarmStandby.promote`
-replays the operation with those draws fed back verbatim
-(:class:`_ReplaySource`).  The promoted server's key state is
-**byte-identical** to the failed primary's — members keep decrypting
-with the keys they already hold and never need out-of-band recovery —
-while all *post*-promotion draws come from the reseeded DRBG.
+:class:`WarmStandby` is attached to the primary exactly like the
+on-disk :class:`~repro.keygraph.journal.TreeJournal` and receives the
+same CRC-framed records: a checkpoint at attach (and at ``bootstrap``),
+then one record per committed state change — join, leave, refresh,
+registered key, and the sequence counter of every signed control reply,
+resync reply and subcast.  Each frame is decoded with the journal's own
+reader and applied at once to a *follower* server with
+:func:`~repro.core.persistence.apply_record`, the replay step
+``restore_from_journal`` uses.  Promotion hands the follower over: O(1),
+nothing left to replay, and byte-identical to the primary at its last
+committed record — members keep decrypting with the keys they hold.
+Future draws come from the checkpoint snapshot's reseed, exactly like a
+restart from the journal file.
 
-Journal entries carry the joiner's individual key and the draw bytes,
-so the journal is as secret as a snapshot; ``storage_key`` encrypts
-checkpoints at rest (:func:`~repro.core.persistence.snapshot_encrypted`)
-for deployments that need it.
+A frame the follower cannot decode or apply poisons it; the primary's
+op still succeeds, and :meth:`WarmStandby.promote` raises
+:class:`FailoverError`.  After promotion the standby is detached, so a
+zombie op still finishing on the dead primary never reaches the
+promoted server.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import List, Optional, Tuple
+import io
+import threading
+from typing import Optional
 
 from ..core import persistence
-from ..core.pipeline import KeyMaterialSource
 from ..core.server import GroupKeyServer
-
-JOURNAL_FORMAT = 1
+from ..keygraph.journal import JournalError, JournalWriter, read_records
 
 
 class FailoverError(ValueError):
-    """Raised on invalid standby state or a diverging replay."""
+    """Raised on invalid standby state or an unusable follower."""
 
 
-class _RecordingSource:
-    """Wraps a :class:`KeyMaterialSource`, mirroring draws into a sink.
+class WarmStandby(JournalWriter):
+    """Follows one shard server's journal; promotes on demand.
 
-    Installed permanently on the primary (both ``server.material`` and
-    ``server.pipeline.material`` — the strategies draw keys through the
-    former, the pipeline draws IVs through the latter); with no sink
-    armed it is a pure pass-through.
+    Construction attaches the standby as the server's journal, which
+    ships the initial checkpoint, so the standby can be promoted at any
+    instant.
     """
 
-    __slots__ = ("inner", "sink")
+    def __init__(self, server: GroupKeyServer):
+        if server.tree is None:
+            raise FailoverError("a warm standby requires a tree-based server")
+        if server._journal is not None:
+            raise FailoverError("server already has a journal or standby")
+        # The follower's own lock: it orders appends against each other
+        # and against ``promote``, and is never held while calling back
+        # into the primary.
+        self._lock = threading.Lock()
+        self._follower: Optional[GroupKeyServer] = None
+        self._error: Optional[BaseException] = None
+        self._detached = False
+        server.attach_journal(self)
 
-    def __init__(self, inner: KeyMaterialSource):
-        self.inner = inner
-        self.sink: Optional[List[Tuple[str, bytes]]] = None
+    def write(self, frame: bytes) -> None:
+        """Decode one frame and apply it to the follower.
 
-    @property
-    def suite(self):
-        return self.inner.suite
-
-    def _record(self, kind: str, value: bytes) -> bytes:
-        if self.sink is not None:
-            self.sink.append((kind, value))
-        return value
-
-    def new_key(self) -> bytes:
-        return self._record("key", self.inner.new_key())
-
-    def new_iv(self) -> bytes:
-        return self._record("iv", self.inner.new_iv())
-
-    def new_individual_key(self) -> bytes:
-        return self._record("key", self.inner.new_individual_key())
-
-
-class _ReplaySource:
-    """Feeds recorded draws back to a replayed operation, in order.
-
-    A kind mismatch or an exhausted journal means the replayed code
-    path diverged from what the primary executed — that must fail loud,
-    not fall back to fresh randomness (members hold the primary's keys).
-    """
-
-    __slots__ = ("suite", "_draws")
-
-    def __init__(self, suite, draws: List[Tuple[str, bytes]]):
-        self.suite = suite
-        self._draws = list(draws)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._draws)
-
-    def _pop(self, kind: str) -> bytes:
-        if not self._draws:
-            raise FailoverError(
-                f"replay diverged: drew an extra {kind} past the journal")
-        recorded_kind, value = self._draws[0]
-        if recorded_kind != kind:
-            raise FailoverError(
-                f"replay diverged: drew a {kind} where the primary "
-                f"drew a {recorded_kind}")
-        self._draws.pop(0)
-        return value
-
-    def new_key(self) -> bytes:
-        return self._pop("key")
-
-    def new_iv(self) -> bytes:
-        return self._pop("iv")
-
-    def new_individual_key(self) -> bytes:
-        return self._pop("key")
-
-
-class _JournalEntry:
-    """One journaled operation with its recorded material draws."""
-
-    __slots__ = ("op", "user_id", "individual_key", "draws")
-
-    def __init__(self, op: str, user_id: str,
-                 individual_key: Optional[bytes],
-                 draws: List[Tuple[str, bytes]]):
-        self.op = op
-        self.user_id = user_id
-        self.individual_key = individual_key
-        self.draws = draws
-
-    def to_dict(self) -> dict:
-        return {"op": self.op, "user": self.user_id,
-                "key": (self.individual_key.hex()
-                        if self.individual_key is not None else None),
-                "draws": [[kind, value.hex()] for kind, value in self.draws]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_JournalEntry":
-        return cls(data["op"], data["user"],
-                   bytes.fromhex(data["key"]) if data["key"] else None,
-                   [(kind, bytes.fromhex(value))
-                    for kind, value in data["draws"]])
-
-
-class _Recording:
-    """Context manager for journaling one operation on the primary."""
-
-    __slots__ = ("_standby", "_entry", "_sink")
-
-    def __init__(self, standby: "WarmStandby", op: str, user_id: str,
-                 individual_key: Optional[bytes]):
-        self._standby = standby
-        self._entry = _JournalEntry(op, user_id, individual_key, [])
-        self._sink = self._entry.draws
-
-    def __enter__(self) -> "_Recording":
-        recorder = self._standby._recorder
-        if recorder.sink is not None:
-            raise FailoverError("operation recording already active")
-        recorder.sink = self._sink
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._standby._recorder.sink = None
-        if exc_type is None:
-            self._standby._commit(self._entry)
-        # A failed operation left no member-visible state: discard.
-
-
-class WarmStandby:
-    """Checkpoint + journal for one shard server; promotes on demand.
-
-    Construction wraps the primary's key-material source with a
-    recorder and takes an immediate checkpoint, so the standby can be
-    promoted at any instant.  Wrap each join/leave in
-    :meth:`recording`; promote with :meth:`promote`.
-
-    ``storage_key`` switches checkpoints to encrypted-at-rest snapshots
-    (a fresh random IV per checkpoint).  ``checkpoint_interval`` bounds
-    the journal: after that many journaled operations the standby
-    re-checkpoints and truncates the journal, keeping both promote time
-    and journal exposure O(interval) instead of O(history).
-    """
-
-    def __init__(self, server: GroupKeyServer, *,
-                 storage_key: Optional[bytes] = None,
-                 checkpoint_interval: Optional[int] = None):
-        if isinstance(server.material, _RecordingSource):
-            raise FailoverError("server already has a standby recorder")
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise FailoverError("checkpoint_interval must be >= 1")
-        if storage_key is not None and (
-                len(storage_key) != server.suite.key_size):
-            raise FailoverError(
-                f"storage key must be {server.suite.key_size} bytes")
-        self.server = server
-        self.suite = server.suite
-        self.storage_key = storage_key
-        self.checkpoint_interval = checkpoint_interval
-        self._recorder = _RecordingSource(server.material)
-        server.material = self._recorder
-        server.pipeline.material = self._recorder
-        self._journal: List[_JournalEntry] = []
-        self._checkpoint_blob: bytes = b""
-        self._checkpoint_iv: Optional[bytes] = None
-        self.checkpoints_taken = 0
-        self.checkpoint()
-
-    # -- checkpointing -----------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Snapshot the primary now and truncate the journal."""
-        if self.storage_key is not None:
-            iv = os.urandom(self.suite.block_size)
-            self._checkpoint_blob = persistence.snapshot_encrypted(
-                self.server, self.storage_key, iv)
-            self._checkpoint_iv = iv
-        else:
-            self._checkpoint_blob = persistence.snapshot(self.server)
-            self._checkpoint_iv = None
-        self._journal.clear()
-        self.checkpoints_taken += 1
-
-    @property
-    def journal_size(self) -> int:
-        """Journaled operations since the latest checkpoint."""
-        return len(self._journal)
-
-    def journal_blob(self) -> bytes:
-        """The journal serialized for shipping to a standby host."""
-        return json.dumps(
-            {"format": JOURNAL_FORMAT,
-             "entries": [entry.to_dict() for entry in self._journal]},
-            sort_keys=True).encode("utf-8")
-
-    @staticmethod
-    def parse_journal(blob: bytes) -> List[_JournalEntry]:
-        """Decode :meth:`journal_blob` output (format-checked)."""
-        try:
-            doc = json.loads(blob.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FailoverError(f"malformed journal: {exc}") from None
-        if doc.get("format") != JOURNAL_FORMAT:
-            raise FailoverError(
-                f"unsupported journal format {doc.get('format')!r}")
-        return [_JournalEntry.from_dict(entry) for entry in doc["entries"]]
-
-    # -- journaling --------------------------------------------------------
-
-    def recording(self, op: str, user_id: str,
-                  individual_key: Optional[bytes] = None) -> _Recording:
-        """Journal one operation: ``with standby.recording("join", u, k):``.
-
-        Commits the entry (with every key/IV the operation drew) only on
-        clean exit; an operation that raised changed no member-visible
-        state and is not journaled.
+        Never raises: the primary's op has already committed, and a
+        standby must not fail it.  A bad frame poisons the follower.
         """
-        if op not in ("join", "leave"):
-            raise FailoverError(f"cannot journal operation {op!r}")
-        if op == "join" and individual_key is None:
-            raise FailoverError("a join entry needs the individual key")
-        return _Recording(self, op, user_id, individual_key)
-
-    def _commit(self, entry: _JournalEntry) -> None:
-        self._journal.append(entry)
-        if (self.checkpoint_interval is not None
-                and len(self._journal) >= self.checkpoint_interval):
-            self.checkpoint()
-
-    # -- promotion ---------------------------------------------------------
-
-    def promote(self, reseed: Optional[bytes] = None) -> GroupKeyServer:
-        """Build the successor server: restore + replay, byte-identical.
-
-        Restores the latest checkpoint, then re-runs each journaled
-        operation with the primary's recorded draws fed back in place of
-        the DRBG, so every key the replay generates matches what members
-        already received.  The replayed operations' rekey messages are
-        discarded — members processed the primary's copies.  Future
-        draws come from the reseeded DRBG (``reseed`` overrides the
-        snapshot's default), so primary and successor diverge from the
-        promotion point onward.
-        """
-        if self.storage_key is not None:
-            promoted = persistence.restore_encrypted(
-                self._checkpoint_blob, self.storage_key,
-                self._checkpoint_iv, self.suite, seed=reseed)
-        else:
-            promoted = persistence.restore(self._checkpoint_blob,
-                                           seed=reseed)
-        fresh_material = promoted.material
-        for entry in self._journal:
-            replay = _ReplaySource(self.suite, entry.draws)
-            promoted.material = replay
-            promoted.pipeline.material = replay
+        with self._lock:
+            if self._detached or self._error is not None:
+                return
             try:
-                if entry.op == "join":
-                    promoted.join(entry.user_id, entry.individual_key)
-                else:
-                    promoted.leave(entry.user_id)
-            finally:
-                promoted.material = fresh_material
-                promoted.pipeline.material = fresh_material
-            if replay.remaining:
-                raise FailoverError(
-                    f"replay diverged: {entry.op} of {entry.user_id!r} "
-                    f"left {replay.remaining} recorded draws unused")
-        return promoted
+                stream = io.BytesIO(frame)
+                record = next(read_records(stream, strict=True), None)
+                if record is None or stream.tell() != len(frame):
+                    raise JournalError("frame is torn or has trailing bytes")
+                self._follower = persistence.apply_record(self._follower,
+                                                          record)
+            except Exception as exc:
+                self._error = exc
+
+    def _live_follower(self) -> GroupKeyServer:
+        if self._detached:
+            raise FailoverError("standby already promoted")
+        if self._error is not None:
+            raise FailoverError(
+                f"standby poisoned by a bad journal frame: {self._error}"
+            ) from self._error
+        return self._follower
+
+    def snapshot(self) -> bytes:
+        """A persistence snapshot of the follower (verification)."""
+        with self._lock:
+            return persistence.snapshot(self._live_follower())
+
+    def promote(self) -> GroupKeyServer:
+        """Detach and return the follower as the successor server."""
+        with self._lock:
+            follower = self._live_follower()
+            self._detached = True
+            self._follower = None
+            return follower

@@ -23,7 +23,7 @@ from ..crypto import modes
 from ..crypto.rsa import RsaPrivateKey
 from ..crypto.suite import CipherSuite
 from ..keygraph.backend import make_tree
-from ..keygraph.journal import ReplayKeySource, TreeJournal
+from ..keygraph.journal import CHECKPOINT, ReplayKeySource, TreeJournal
 from .server import GroupKeyServer, ServerConfig
 
 FORMAT_VERSION = 1
@@ -184,8 +184,8 @@ def restore_from_journal(path: str,
                          strict: bool = False) -> GroupKeyServer:
     """Rebuild a server byte-identically by replaying its journal.
 
-    Restores the last checkpoint, then re-applies each op record as a
-    pure tree edit with the *recorded* key material — no DRBG draws, no
+    Restores the last checkpoint, then re-applies each op record with
+    :func:`apply_record` — recorded key material, no DRBG draws, no
     strategy planning, no encryption — so a restart at n = 1M costs one
     snapshot load plus O(ops · log n) array edits instead of re-running
     the rekey pipeline over the whole history.
@@ -201,43 +201,62 @@ def restore_from_journal(path: str,
     if blob is None:
         raise PersistenceError(f"{path}: no checkpoint record to restore")
     server = restore(blob, seed=seed)
+    for record in ops:
+        apply_record(server, record)
+    return server
+
+
+def apply_record(server: Optional[GroupKeyServer],
+                 record: dict) -> GroupKeyServer:
+    """Apply one decoded journal record; returns the server to continue.
+
+    The single replay step shared by :func:`restore_from_journal` and
+    the warm standby's follower.  A checkpoint record rebuilds the
+    server from its snapshot (:func:`restore`, so future draws come
+    from the snapshot's reseed); an op record is a pure tree edit that
+    installs the *recorded* keys through a
+    :class:`~repro.keygraph.journal.ReplayKeySource`, so no DRBG draw
+    happens and no rekey message is produced.  The sequence counter
+    takes the record's final value.
+    """
+    op = record.get("op")
+    if op == CHECKPOINT:
+        return restore(bytes.fromhex(record["blob"]))
+    if server is None:
+        raise PersistenceError("no checkpoint record to restore")
+    if op == "register":
+        server._registered_keys[record["user_id"]] = \
+            bytes.fromhex(record["individual_key"])
+    elif op != "seq":
+        _apply_tree_edit(server, op, record)
+    if "seq" in record:
+        server._seq = record["seq"]
+    return server
+
+
+def _apply_tree_edit(server: GroupKeyServer, op: str, record: dict) -> None:
     tree = server.tree
     if tree is None:
         raise PersistenceError("journal replay requires a tree server")
-    seq = server._seq
+    source = ReplayKeySource(
+        [bytes.fromhex(k) for k in record.get("keys", [])])
     original_keygen = tree._keygen
+    tree._keygen = source
     try:
-        for record in ops:
-            op = record.get("op")
-            if "seq" in record:
-                seq = record["seq"]
-            if op == "seq":
-                continue
-            if op == "register":
-                server._registered_keys[record["user_id"]] = \
-                    bytes.fromhex(record["individual_key"])
-                continue
-            source = ReplayKeySource(
-                [bytes.fromhex(k) for k in record.get("keys", [])])
-            tree._keygen = source
-            if op == "join":
-                # The original join may have consumed a registered key.
-                server._registered_keys.pop(record["user_id"], None)
-                tree.join(record["user_id"],
-                          bytes.fromhex(record["individual_key"]))
-            elif op == "leave":
-                tree.leave(record["user_id"])
-            elif op == "refresh":
-                if tree.root is None:
-                    raise PersistenceError(
-                        "refresh record on an empty tree")
-                tree.root.replace_key(source())
-            else:
-                raise PersistenceError(f"unknown journal op {op!r}")
-            if not source.exhausted:
-                raise PersistenceError(
-                    f"op {op!r} drew fewer keys than recorded")
+        if op == "join":
+            # The original join may have consumed a registered key.
+            server._registered_keys.pop(record["user_id"], None)
+            tree.join(record["user_id"],
+                      bytes.fromhex(record["individual_key"]))
+        elif op == "leave":
+            tree.leave(record["user_id"])
+        elif op == "refresh":
+            if tree.root is None:
+                raise PersistenceError("refresh record on an empty tree")
+            tree.root.replace_key(source())
+        else:
+            raise PersistenceError(f"unknown journal op {op!r}")
     finally:
         tree._keygen = original_keygen
-    server._seq = seq
-    return server
+    if not source.exhausted:
+        raise PersistenceError(f"op {op!r} drew fewer keys than recorded")

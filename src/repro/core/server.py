@@ -554,13 +554,15 @@ class GroupKeyServer:
 
         def planner(ctx: RekeyContext) -> List[PlannedMessage]:
             self._check_acl(user_id, ticket)
+            # Refuse before consuming a registered key: a denied join
+            # must leave no state change the journal does not record.
+            if self.is_member(user_id):
+                raise ServerError(f"user {user_id!r} is already a member")
             key = individual_key
             if key is None:
                 key = self._registered_keys.pop(user_id, None)
                 if key is None:
                     raise ServerError(f"no individual key for {user_id!r}")
-            if self.is_member(user_id):
-                raise ServerError(f"user {user_id!r} is already a member")
             state["individual_key"] = key
             if self.tree is not None:
                 result = self.tree.join(user_id, key)

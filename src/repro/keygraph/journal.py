@@ -27,6 +27,11 @@ Record framing (binary, little-endian):
 preceded by an 8-byte file magic ``b"KGJRNL1\\n"``.  A torn final
 record (crash mid-append) is detected by the CRC/length check and
 dropped; everything before it replays normally.
+
+Encoding (:class:`JournalWriter`) is separate from where the frames go:
+:class:`TreeJournal` appends them to a file, and the warm standby
+(:mod:`repro.cluster.failover`) applies them to a follower server as
+they are committed.  Both decode with :func:`read_records`.
 """
 
 from __future__ import annotations
@@ -48,37 +53,61 @@ class JournalError(ValueError):
     """Raised on malformed journal files."""
 
 
-class TreeJournal:
-    """Writer/reader for the append-only op journal."""
+def encode_record(doc: dict) -> bytes:
+    """One frame: payload length, payload CRC32, compact JSON payload."""
+    payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = None
 
-    # -- writing -----------------------------------------------------------
+def read_records(fh, strict: bool = False,
+                 name: str = "journal") -> Iterator[dict]:
+    """Yield every intact record framed in the binary stream ``fh``.
 
-    def _ensure_open(self):
-        if self._fh is None:
-            fresh = not os.path.exists(self.path) \
-                or os.path.getsize(self.path) == 0
-            self._fh = open(self.path, "ab")
-            if fresh:
-                self._fh.write(MAGIC)
-                self._fh.flush()
-        return self._fh
+    A *torn* tail — the stream ends mid-record, the signature of a
+    crash between ``write`` and the final flush — is always tolerated:
+    everything before it is yielded.  A *corrupt* record — all its
+    bytes are present but the CRC disagrees, the signature of bit rot
+    or tampering rather than a crash — silently ends the stream by
+    default, or raises :class:`JournalError` with ``strict=True``.
+    This is the only frame decoder: the file reader and the warm
+    standby's follower both go through it.
+    """
+    while True:
+        header = fh.read(_FRAME.size)
+        if len(header) < _FRAME.size:
+            return  # clean EOF or torn header: stop
+        length, crc = _FRAME.unpack(header)
+        payload = fh.read(length)
+        if len(payload) < length:
+            return  # torn record (crash mid-append): drop
+        if zlib.crc32(payload) != crc:
+            if strict:
+                raise JournalError(
+                    f"{name}: CRC mismatch on a complete record "
+                    f"({length} bytes): corrupt, not torn")
+            return
+        try:
+            yield json.loads(payload.decode("utf-8"))
+        except ValueError as exc:
+            raise JournalError(f"{name}: corrupt record: {exc}") from None
 
-    def _write_record(self, payload: bytes) -> None:
-        fh = self._ensure_open()
-        fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        fh.write(payload)
-        fh.flush()
+
+class JournalWriter:
+    """Encodes journal records into frames; subclasses ship the frames.
+
+    The server talks to its journal through :meth:`checkpoint` and
+    :meth:`append` only, so the on-disk :class:`TreeJournal` and the
+    in-memory warm standby (:class:`repro.cluster.failover.WarmStandby`)
+    receive byte-identical frames.
+    """
+
+    def write(self, frame: bytes) -> None:
+        """Ship one encoded frame (file append, follower apply, ...)."""
+        raise NotImplementedError
 
     def checkpoint(self, blob: bytes) -> None:
         """Append a checkpoint record; replay resumes from the last one."""
-        payload = json.dumps(
-            {"op": CHECKPOINT, "blob": blob.hex()},
-            separators=(",", ":")).encode("utf-8")
-        self._write_record(payload)
+        self.write(encode_record({"op": CHECKPOINT, "blob": blob.hex()}))
 
     def append(self, op: str, **fields) -> None:
         """Append one op record.
@@ -96,8 +125,32 @@ class TreeJournal:
                 doc[name] = [bytes(v).hex() for v in value]
             else:
                 doc[name] = value
-        payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        self._write_record(payload)
+        self.write(encode_record(doc))
+
+
+class TreeJournal(JournalWriter):
+    """File writer/reader for the append-only op journal."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = None
+
+    # -- writing -----------------------------------------------------------
+
+    def _ensure_open(self):
+        if self._fh is None:
+            fresh = not os.path.exists(self.path) \
+                or os.path.getsize(self.path) == 0
+            self._fh = open(self.path, "ab")
+            if fresh:
+                self._fh.write(MAGIC)
+                self._fh.flush()
+        return self._fh
+
+    def write(self, frame: bytes) -> None:
+        fh = self._ensure_open()
+        fh.write(frame)
+        fh.flush()
 
     def close(self) -> None:
         """Close the underlying file (appends reopen it)."""
@@ -113,65 +166,35 @@ class TreeJournal:
 
     # -- reading -----------------------------------------------------------
 
+    def _open_checked(self):
+        fh = open(self.path, "rb")
+        if fh.read(len(MAGIC)) != MAGIC:
+            fh.close()
+            raise JournalError(f"{self.path}: not a key-graph journal")
+        return fh
+
     def records(self, strict: bool = False) -> Iterator[dict]:
         """Yield every intact record; stops cleanly at a torn tail.
 
-        A *torn* tail — the file ends mid-record, the signature of a
-        crash between ``write`` and the final flush — is always
-        tolerated: everything before it replays.  A *corrupt* record —
-        all its bytes are present but the CRC disagrees, the signature
-        of bit rot or tampering rather than a crash — is silently
-        dropped (with everything after it) by default, or raises
-        :class:`JournalError` with ``strict=True``.  Supervised
+        See :func:`read_records` for the damage classes.  Supervised
         restarts use strict mode: restarting a key server from a
         journal that failed its integrity check would hand members
         keys nobody can vouch for.
         """
-        with open(self.path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise JournalError(
-                    f"{self.path}: not a key-graph journal")
-            while True:
-                header = fh.read(_FRAME.size)
-                if len(header) < _FRAME.size:
-                    return  # clean EOF or torn header: stop
-                length, crc = _FRAME.unpack(header)
-                payload = fh.read(length)
-                if len(payload) < length:
-                    return  # torn record (crash mid-append): drop
-                if zlib.crc32(payload) != crc:
-                    if strict:
-                        raise JournalError(
-                            f"{self.path}: CRC mismatch on a complete "
-                            f"record ({length} bytes): corrupt, not torn")
-                    return
-                try:
-                    yield json.loads(payload.decode("utf-8"))
-                except ValueError as exc:  # pragma: no cover - crc guards
-                    raise JournalError(
-                        f"{self.path}: corrupt record: {exc}") from None
+        with self._open_checked() as fh:
+            yield from read_records(fh, strict, self.path)
 
     def intact_length(self) -> int:
         """Byte offset just past the last intact record.
 
-        Walks the framing without decoding payloads; a torn or
-        CRC-failing tail is excluded.  Raises on a missing magic.
+        A torn or CRC-failing tail is excluded.  Raises on a missing
+        magic.
         """
-        with open(self.path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise JournalError(f"{self.path}: not a key-graph journal")
-            offset = len(MAGIC)
-            while True:
-                header = fh.read(_FRAME.size)
-                if len(header) < _FRAME.size:
-                    return offset
-                length, crc = _FRAME.unpack(header)
-                payload = fh.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    return offset
-                offset += _FRAME.size + length
+        with self._open_checked() as fh:
+            offset = fh.tell()
+            for _record in read_records(fh, name=self.path):
+                offset = fh.tell()
+            return offset
 
     def repair(self) -> int:
         """Truncate a torn/damaged tail so future appends stay readable.
@@ -220,44 +243,3 @@ class ReplayKeySource:
     def exhausted(self) -> bool:
         """True iff every recorded key was consumed."""
         return self._cursor == len(self._keys)
-
-
-def replay_into_tree(tree, ops: List[dict]) -> int:
-    """Re-apply op records to ``tree``; returns the final seq (or -1).
-
-    Only the tree-editing part of each op runs: recorded keys are
-    installed through a :class:`ReplayKeySource` swapped in for the
-    tree's keygen, so no DRBG draws happen and no rekey messages are
-    produced.  ``register``/``seq`` records are skipped here (the
-    server-level replay in ``core.persistence`` consumes them).
-    """
-    seq = -1
-    original_keygen = tree._keygen
-    try:
-        for record in ops:
-            op = record.get("op")
-            if "seq" in record:
-                seq = record["seq"]
-            if op in ("register", "seq"):
-                continue
-            source = ReplayKeySource(
-                [bytes.fromhex(k) for k in record.get("keys", [])])
-            tree._keygen = source
-            if op == "join":
-                tree.join(record["user_id"],
-                          bytes.fromhex(record["individual_key"]))
-            elif op == "leave":
-                tree.leave(record["user_id"])
-            elif op == "refresh":
-                root = tree.root
-                if root is None:
-                    raise JournalError("refresh record on an empty tree")
-                root.replace_key(source())
-            else:
-                raise JournalError(f"unknown journal op {op!r}")
-            if not source.exhausted:
-                raise JournalError(
-                    f"op {op!r} drew fewer keys than recorded")
-    finally:
-        tree._keygen = original_keygen
-    return seq

@@ -39,7 +39,7 @@ from .wire import (CORR_TRAILER_SIZE, FramingError, attach_corr_trailer,
 #: repro.serve.supervise`` does not import the module twice.
 _SUPERVISE_NAMES = frozenset({
     "SupervisedShard", "SupervisePolicy", "Supervisor",
-    "SupervisorError", "arm_standby",
+    "SupervisorError",
 })
 
 
@@ -57,7 +57,7 @@ __all__ = [
     "ResilientRpc", "RetryPolicy", "RpcError", "RpcOutcome",
     "ServeConfig", "ServeError", "SocketFanout", "SupervisedShard",
     "SupervisePolicy", "Supervisor", "SupervisorError",
-    "arm_standby", "attach_corr_trailer",
+    "attach_corr_trailer",
     "attach_trailers", "default_server_config", "frame", "from_spec_file",
     "read_frame", "split_corr_trailer", "split_trailers", "worker_count",
 ]

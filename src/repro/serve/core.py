@@ -843,11 +843,6 @@ class ImmediateServingCore(AsyncServingCore):
         server.pipeline.seal_order.wait_observer = \
             self._m_turnstile_wait.observe
         server.pipeline.transport_resolves_groups = True
-        #: Force the whole-op serialized path even without a journal.
-        #: The supervisor sets this for standby-recorded shards: the
-        #: WarmStandby's single recording sink must see one op's draws
-        #: at a time, which the overlapped staged path cannot promise.
-        self.serialize_ops = False
 
     def _recovery_backend(self):
         return ServerBackend(self.server)
@@ -891,8 +886,8 @@ class ImmediateServingCore(AsyncServingCore):
         server = self.server
         tracer = self.instrumentation.tracer
         trace = span.context if span.trace_id else None
-        if getattr(server, "_journal", None) is not None or self.serialize_ops:
-            # A journaled (or standby-recorded) server must append ops
+        if getattr(server, "_journal", None) is not None:
+            # A journaled server (file or warm standby) must append ops
             # in plan order, which the overlapped path cannot
             # guarantee — serialize the whole op on a worker.  Every op on this server takes
             # this path, so each seal ticket is drawn and retired

@@ -3,10 +3,10 @@
 The paper treats the key server as a single trusted process and notes
 only that it "may be replicated for reliability".  PR6 built the two
 recovery substrates — the on-disk op journal (restart by replay,
-:mod:`repro.core.persistence`) and the in-memory warm standby
-(checkpoint + draw-replay, :mod:`repro.cluster.failover`) — but both
-waited for someone to *notice* the crash and drive the recovery by
-hand.  This module is that someone.
+:mod:`repro.core.persistence`) and the in-memory warm standby (a
+follower of the same journal frames, :mod:`repro.cluster.failover`) —
+but both waited for someone to *notice* the crash and drive the
+recovery by hand.  This module is that someone.
 
 A :class:`Supervisor` owns N independent shard serving cores (one
 :class:`~repro.serve.core.ImmediateServingCore` + UDP endpoint each)
@@ -23,15 +23,17 @@ and runs one watchdog task per shard:
   :func:`~repro.core.persistence.restore_from_journal` (strict CRC
   checking: a *torn* tail from the crash is dropped, a *corrupt*
   complete record refuses the restart loudly); in ``standby`` mode its
-  :class:`~repro.cluster.failover.WarmStandby` is promoted.  Either
-  way the revived server is byte-identical to the pre-crash one —
-  members keep their keys — and rebinds the shard's original UDP port
-  so client affinity survives.
+  :class:`~repro.cluster.failover.WarmStandby` hands over its
+  follower.  The two modes differ only in where the journal frames
+  went.  Either way the revived server is byte-identical to the
+  pre-crash one — members keep their keys — and rebinds the shard's
+  original UDP port so client affinity survives.
 
 Restart attempts are budgeted (``max_restarts``) and backed off; a
 shard that exhausts the budget, or whose journal fails its integrity
-check, is marked ``failed`` and left down for an operator.  Every
-transition is published: ``supervisor_restarts_total`` /
+check or whose standby was poisoned by a bad frame, is marked
+``failed`` and left down for an operator.  Every transition is
+published: ``supervisor_restarts_total`` /
 ``supervisor_promotions_total`` / ``supervisor_probe_failures_total``
 counters, a ``supervisor_shard_up`` gauge, a
 ``supervisor_restart_seconds`` histogram, ``supervise.restart`` spans
@@ -93,11 +95,8 @@ class SupervisePolicy:
     restart_backoff: float = 0.25
     restart_backoff_cap: float = 2.0
     #: Recovery substrate: ``journal`` replays the shard's on-disk op
-    #: journal; ``standby`` promotes its in-memory warm standby.
+    #: journal; ``standby`` promotes the in-memory follower of it.
     mode: str = "journal"
-    #: Standby mode only: re-checkpoint after this many journaled ops
-    #: (None keeps the whole journal until promotion).
-    standby_checkpoint_interval: Optional[int] = None
 
     def validate(self) -> None:
         """Check field consistency; raises SupervisorError."""
@@ -138,43 +137,6 @@ class SupervisedShard:
     address: Optional[Tuple[str, int]] = None
     last_error: Optional[BaseException] = None
     _consecutive_failures: int = field(default=0, repr=False)
-
-
-def arm_standby(server: GroupKeyServer, *,
-                checkpoint_interval: Optional[int] = None,
-                storage_key: Optional[bytes] = None) -> WarmStandby:
-    """Attach a :class:`WarmStandby` and journal every join/leave.
-
-    Wraps ``server.join``/``server.leave`` so each successful op is
-    recorded with its exact key/IV draws — the coordinator does this
-    explicitly per call; a supervised shard gets it transparently.  The
-    serving core must run ops one at a time (``serialize_ops``): the
-    standby has a single recording sink and interleaved draws from
-    overlapped staged ops would corrupt the journal.
-    """
-    standby = WarmStandby(server, storage_key=storage_key,
-                          checkpoint_interval=checkpoint_interval)
-    orig_join, orig_leave = server.join, server.leave
-
-    def join(user_id, individual_key=None, ticket=None):
-        # The join consumes the registered key, so capture it first —
-        # the journal entry must carry it for the replay.
-        key = individual_key
-        if key is None:
-            key = server._registered_keys.get(user_id)
-        if key is None:
-            # No key means the join will be denied; nothing to record.
-            return orig_join(user_id, individual_key, ticket)
-        with standby.recording("join", user_id, key):
-            return orig_join(user_id, individual_key, ticket)
-
-    def leave(user_id):
-        with standby.recording("leave", user_id):
-            return orig_leave(user_id)
-
-    server.join = join
-    server.leave = leave
-    return standby
 
 
 def tear_journal_tail(path: str, nbytes: int) -> int:
@@ -306,16 +268,12 @@ class Supervisor:
             shard.journal = persistence.attach_journal(server, path)
         else:
             server = GroupKeyServer(shard.config)
-            shard.standby = arm_standby(
-                server,
-                checkpoint_interval=self.policy.standby_checkpoint_interval)
+            shard.standby = WarmStandby(server)
         return server
 
     async def _launch(self, shard: SupervisedShard) -> None:
         """Bind the shard's endpoint (retrying a just-freed port)."""
         core = ImmediateServingCore(shard.server, shard.serve_config)
-        if self.policy.mode == "standby":
-            core.serialize_ops = True
         service = AsyncKeyService(core)
         for attempt in range(20):
             try:
@@ -458,7 +416,7 @@ class Supervisor:
         Raises :class:`SupervisorError` once the restart budget is
         exhausted, and marks the shard ``failed`` (no further attempts)
         when the recovery substrate itself is unusable — a CRC-corrupt
-        journal or a diverging standby replay.
+        journal or a poisoned standby.
         """
         shard = self.shard(shard_id)
         if shard.state == "failed":
@@ -484,11 +442,9 @@ class Supervisor:
                 standby = shard.standby
                 if standby is None:
                     raise SupervisorError(f"{shard.name} has no standby")
-                server = await loop.run_in_executor(None, standby.promote)
+                server = standby.promote()
                 self._m_promotions.inc(shard=shard.name)
-                shard.standby = arm_standby(
-                    server, checkpoint_interval=(
-                        self.policy.standby_checkpoint_interval))
+                shard.standby = WarmStandby(server)
             else:
                 server = await loop.run_in_executor(
                     None, partial(persistence.restore_from_journal,
@@ -507,7 +463,7 @@ class Supervisor:
             shard._consecutive_failures += 1
             if isinstance(exc, (JournalError, PersistenceError,
                                 FailoverError)):
-                # The recovery substrate is corrupt or diverging:
+                # The recovery substrate is corrupt or poisoned:
                 # retrying cannot help, and serving from it would hand
                 # members keys nobody can vouch for.  Refuse loudly.
                 shard.state = "failed"
@@ -560,22 +516,28 @@ class Supervisor:
     # -- verification ------------------------------------------------------
 
     def verify_shard(self, shard_id: int) -> bool:
-        """Journal mode: does a fresh replay match the live server?
+        """Does the shard's recovery log reproduce the live server?
 
-        Replays the shard's journal into a brand-new server and
-        compares full snapshots — the byte-identity acceptance check,
-        taken under the shard's op lock so no op lands mid-compare.
+        Journal mode replays the journal file into a brand-new server;
+        standby mode snapshots the follower.  Either is compared with
+        the live server's full snapshot — the byte-identity acceptance
+        check, taken under the shard's op lock so no op lands
+        mid-compare.
         """
         shard = self.shard(shard_id)
-        if shard.journal_path is None or shard.server is None:
+        if shard.server is None:
             raise SupervisorError(f"{shard.name}: nothing to verify")
-        replayed = persistence.restore_from_journal(shard.journal_path)
+        if self.policy.mode == "standby":
+            replica = shard.standby.snapshot()
+        else:
+            replica = persistence.snapshot(
+                persistence.restore_from_journal(shard.journal_path))
         if shard.core is not None:
             with shard.core._op_lock:
                 live = persistence.snapshot(shard.server)
         else:
             live = persistence.snapshot(shard.server)
-        return persistence.snapshot(replayed) == live
+        return replica == live
 
     def describe(self) -> List[dict]:
         """One status document per shard (CLI / test introspection)."""
@@ -646,12 +608,11 @@ async def _run_smoke(args) -> int:
             failures.append("load never reached steady state")
         if "recover_seconds" not in crash:
             failures.append("victim shard never recovered")
-        if policy.mode == "journal":
-            for shard in supervisor.shards:
-                if not supervisor.verify_shard(shard.shard_id):
-                    failures.append(
-                        f"{shard.name}: journal replay diverged from "
-                        f"the live server")
+        for shard in supervisor.shards:
+            if not supervisor.verify_shard(shard.shard_id):
+                failures.append(
+                    f"{shard.name}: {policy.mode} diverged from the "
+                    f"live server")
         snapshots = []
         for shard in supervisor.shards:
             document = await scrape(shard.address)

@@ -12,10 +12,9 @@ import os
 import pytest
 
 from repro.core import persistence
-from repro.core.server import GroupKeyServer, ServerConfig
+from repro.core.server import GroupKeyServer, ServerConfig, ServerError
 from repro.keygraph.backend import build_tree
-from repro.keygraph.journal import (JournalError, TreeJournal,
-                                    replay_into_tree)
+from repro.keygraph.journal import JournalError, TreeJournal
 
 
 def churn(server, joins=6, leaves=3, refresh=True):
@@ -136,8 +135,8 @@ def test_append_hex_encodes_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("backend", ["object", "flat"])
-def test_replay_into_tree_low_level(tmp_path, backend):
-    """Tree-level replay applies recorded ops as pure edits."""
+def test_apply_record_low_level(backend):
+    """Hand-built op records apply as pure tree edits, seq included."""
     recorded = []
 
     class Recorder:
@@ -160,15 +159,38 @@ def test_replay_into_tree_low_level(tmp_path, backend):
     ops.append({"op": "leave", "user_id": "a",
                 "keys": [k.hex() for k in recorded[op_draws:]], "seq": 2})
 
-    # Twin: rebuild with the same build-time draws, then replay the op
+    # Twin: rebuild with the same build-time draws, then apply the op
     # records — no keygen is consulted during replay.
-    twin = build_tree(backend, members, 3,
-                      _replay_list(recorded[:build_draws]))
-    assert replay_into_tree(twin, ops) == 2
+    twin = GroupKeyServer(ServerConfig(degree=3, signing="none",
+                                       backend=backend))
+    twin.tree = build_tree(backend, members, 3,
+                           _replay_list(recorded[:build_draws]))
+    for record in ops:
+        assert persistence.apply_record(twin, record) is twin
+    assert twin._seq == 2
     assert [(n.node_id, n.version, n.user_id, n.key)
             for n in tree.nodes()] == \
            [(n.node_id, n.version, n.user_id, n.key)
-            for n in twin.nodes()]
+            for n in twin.tree.nodes()]
+    with pytest.raises(persistence.PersistenceError, match="fewer keys"):
+        persistence.apply_record(twin, {"op": "leave", "user_id": "b",
+                                        "keys": ["00" * 8] * 9, "seq": 3})
+
+
+def test_denied_duplicate_join_keeps_registration(tmp_path):
+    """A member's repeated join is refused before it consumes a freshly
+    registered key, so the journal (which records the registration but
+    not the refusal) still replays to the live state."""
+    path = str(tmp_path / "ops.journal")
+    server = GroupKeyServer(ServerConfig(seed=b"dup", backend="flat"))
+    with persistence.attach_journal(server, path):
+        server.bootstrap([("a", b"\x01" * 8), ("b", b"\x02" * 8)])
+        server.register_individual_key("a", server.new_individual_key())
+        with pytest.raises(ServerError, match="already a member"):
+            server.join("a")
+    assert "a" in server._registered_keys
+    replayed = persistence.restore_from_journal(path)
+    assert persistence.snapshot(replayed) == persistence.snapshot(server)
 
 
 def _replay_list(keys):

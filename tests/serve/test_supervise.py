@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.cluster import FailoverError
 from repro.core import persistence
 from repro.core.messages import MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST, Message
 from repro.core.server import ServerConfig
@@ -40,14 +41,17 @@ def _supervisor(tmp_path, n_shards=1, **policy_overrides):
         policy=SupervisePolicy(**policy))
 
 
-async def _join(shard, user, token):
-    shard.server.register_individual_key(user, KEY)
+async def _submit(shard, msg_type, user, token):
     request = attach_corr_trailer(
-        Message(msg_type=MSG_JOIN_REQUEST, body=user.encode()).encode(),
-        token)
+        Message(msg_type=msg_type, body=user.encode()).encode(), token)
     box = []
     await shard.core.submit(request, box.append, path_id=None)
     return box
+
+
+async def _join(shard, user, token):
+    shard.server.register_individual_key(user, KEY)
+    return await _submit(shard, MSG_JOIN_REQUEST, user, token)
 
 
 def test_policy_validation():
@@ -165,15 +169,18 @@ def test_standby_promotion_restart(tmp_path):
         supervisor = await _supervisor(tmp_path, mode="standby").start()
         shard = supervisor.shard(0)
         try:
-            assert shard.standby is not None
-            assert shard.core.serialize_ops  # single recording sink
+            # The standby is the server's journal, so the core takes the
+            # serialized whole-op path for it.
+            assert shard.server._journal is shard.standby
             for index in range(5):
                 await _join(shard, f"u{index}", index)
+            assert supervisor.verify_shard(0)
             before = persistence.snapshot(shard.server)
             await supervisor.kill(0)
             await supervisor.restart(0)
             assert shard.state == "up"
             assert persistence.snapshot(shard.server) == before
+            assert supervisor.verify_shard(0)
             promotions = supervisor._m_promotions.labels(shard="shard-0")
             assert promotions.value == 1
             # The promoted server was re-armed: survive a second cycle.
@@ -182,6 +189,78 @@ def test_standby_promotion_restart(tmp_path):
             await supervisor.restart(0)
             assert shard.server.is_member("u5")
             assert promotions.value == 2
+        finally:
+            await supervisor.aclose()
+    _run(scenario())
+
+
+async def _resync(shard):
+    shard.server.resync("u0")
+
+
+async def _denied_join(shard):
+    # No registered key: the core answers JOIN_DENIED with a fresh seq.
+    await _submit(shard, MSG_JOIN_REQUEST, "no-key", 50)
+
+
+async def _refresh(shard):
+    shard.server.refresh()
+
+
+async def _register(shard):
+    shard.server.register_individual_key("pending", KEY)
+
+
+async def _subcast(shard):
+    shard.server.subcast(["u0", "u2"], b"to two")
+
+
+async def _nothing(shard):
+    pass
+
+
+#: State changes besides join/leave; each must survive a restart.
+EXTRA_OPS = {"join+leave": _nothing, "resync": _resync,
+             "denied-join": _denied_join, "refresh": _refresh,
+             "register": _register, "subcast": _subcast}
+
+
+@pytest.mark.parametrize("mode", ["journal", "standby"])
+@pytest.mark.parametrize("extra", sorted(EXTRA_OPS))
+def test_restart_keeps_every_state_change(tmp_path, mode, extra):
+    async def scenario():
+        supervisor = await _supervisor(tmp_path, mode=mode).start()
+        shard = supervisor.shard(0)
+        try:
+            for index in range(3):
+                await _join(shard, f"u{index}", index)
+            await _submit(shard, MSG_LEAVE_REQUEST, "u1", 10)
+            await EXTRA_OPS[extra](shard)
+            assert supervisor.verify_shard(0)
+            before = persistence.snapshot(shard.server)
+            await supervisor.kill(0)
+            await supervisor.restart(0)
+            # Tree, keys, sequence counter and registered keys.
+            assert persistence.snapshot(shard.server) == before
+        finally:
+            await supervisor.aclose()
+    _run(scenario())
+
+
+def test_poisoned_standby_marks_shard_failed(tmp_path):
+    async def scenario():
+        supervisor = await _supervisor(tmp_path, mode="standby").start()
+        shard = supervisor.shard(0)
+        try:
+            await _join(shard, "u0", 0)
+            shard.standby.write(b"\x05\x00\x00\x00not a frame")
+            # The primary keeps serving; only the standby is unusable.
+            await _join(shard, "u1", 1)
+            assert shard.server.is_member("u1")
+            await supervisor.kill(0)
+            with pytest.raises(FailoverError):
+                await supervisor.restart(0)
+            assert shard.state == "failed"
         finally:
             await supervisor.aclose()
     _run(scenario())
