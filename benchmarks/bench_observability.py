@@ -59,8 +59,8 @@ for _path in (os.path.join(_ROOT, "src"), _HERE):
         sys.path.insert(0, _path)
 
 import bench_io  # noqa: E402
-from repro.core.messages import (Destination, KeyRecord,  # noqa: E402
-                                 OutboundMessage)
+from repro.core.messages import (DEST_ALL, Destination,  # noqa: E402
+                                 KeyRecord, OutboundMessage)
 from repro.core.pipeline import (KeyMaterialSource,  # noqa: E402
                                  PipelineRun, RekeyPipeline)
 from repro.core.strategies.base import PlannedMessage  # noqa: E402
@@ -81,8 +81,6 @@ _RECORDS_PER_MESSAGE = 2
 
 def _make_planner(material):
     """A plan stage shaped like a tree join: real keys, real encrypts."""
-    receivers = tuple(f"u{i}" for i in range(8))
-
     def planner(ctx):
         plans = []
         for index in range(_N_MESSAGES):
@@ -91,8 +89,7 @@ def _make_planner(material):
                 for offset in range(_RECORDS_PER_MESSAGE)]
             item = ctx.encrypt(material.new_key(), records,
                                50 + index, 1)
-            plans.append(PlannedMessage(Destination.to_all(), [item],
-                                        lambda: receivers))
+            plans.append(PlannedMessage(Destination.to_all(), [item]))
         return plans
 
     return planner
@@ -133,7 +130,8 @@ def control_run(pipeline, op, planner, *, strategy_code=0, root_ref=None,
     run.seconds = clock.stop()
 
     for outbound, plan in zip(run.messages, run.plans):
-        outbound.receivers = plan.resolve_receivers()
+        if plan.destination.kind != DEST_ALL:
+            outbound.receivers = plan.resolve_receivers()
     pipeline._fire("dispatch", run)
 
     run.stage_seconds = dict(clock.stages)

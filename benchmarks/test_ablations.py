@@ -3,6 +3,7 @@
 from conftest import BENCH_SCALE, populated_server
 
 from repro.batch import BatchRekeyServer
+from repro.core.messages import DEST_ALL
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 from repro.experiments import ablations
@@ -44,7 +45,7 @@ def test_iolus_data_message(benchmark):
 def test_lkh_data_message(benchmark):
     server = populated_server(n=64)
     outbound = benchmark(server.seal_group_message, b"payload")
-    assert outbound.receivers
+    assert outbound.destination.kind == DEST_ALL
     benchmark.extra_info["crypto_ops"] = 1  # one group-key encryption
 
 

@@ -12,6 +12,7 @@ Run:  python examples/batch_rekeying_demo.py
 from repro.batch import BatchRekeyServer
 from repro.core import GroupClient
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
+from repro.transport import InMemoryNetwork
 
 
 def main():
@@ -56,11 +57,12 @@ def main():
         client = GroupClient(uid, SUITE, verify=False)
         client.set_individual_key(key)
         clients[uid] = client
-    for uid in result.rekey_message.receivers:
-        if uid in clients:
-            clients[uid].process_message(result.rekey_message.encoded)
-    for message in result.joiner_messages:
-        clients[message.receivers[0]].process_message(message.encoded)
+    # The network: the flushed group is subscribed, the leavers are not.
+    network = InMemoryNetwork()
+    for uid, client in clients.items():
+        network.attach(uid, client.process_message)
+    network.send(result.rekey_message)
+    network.send_all(result.joiner_messages)
 
     group_key = server.tree.root.key
     in_sync = sum(1 for client in clients.values()

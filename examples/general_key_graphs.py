@@ -19,6 +19,7 @@ Run:  python examples/general_key_graphs.py
 
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
 from repro.crypto.drbg import HmacDrbg
+from repro.transport import InMemoryNetwork
 from repro.keygraph import (MaterializedKeyGraph, exact_cover,
                             figure1_example, greedy_cover)
 
@@ -48,13 +49,19 @@ def main():
     material, individual = MaterializedKeyGraph.figure1(
         SUITE, lambda: source.generate(8))
 
+    # The network resolves the rekey's group address to its subscribers.
+    network = InMemoryNetwork()
+    for user in material.users():
+        network.attach(user, lambda payload: None)
+
     print("\nu1 leaves; covering drives the rekey:")
     outcome = material.leave("u1")
+    network.detach("u1")
     print(f"  replaced keys : {sorted(outcome.replaced)}")
     print(f"  encryptions   : {outcome.encryptions} "
           "(k12' under k2; k1234' under k234 — the minimal covers)")
     print(f"  rekey message : {len(outcome.messages[0].encoded)} bytes to "
-          f"{len(outcome.messages[0].receivers)} users")
+          f"{network.audience.count(outcome.messages[0])} users")
 
     print("\nu5 joins holding k234; its closure is rekeyed:")
     outcome = material.join("u5", source.generate(8), ["k234"])

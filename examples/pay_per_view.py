@@ -18,6 +18,7 @@ Run:  python examples/pay_per_view.py
 from repro import GroupClient, GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
 from repro.simulation.workload import initial_members
+from repro.transport import InMemoryNetwork
 
 
 class Broadcaster:
@@ -26,6 +27,9 @@ class Broadcaster:
             strategy="group", degree=4, suite=SUITE, signing="none",
             seed=b"ppv-demo"))
         self.viewers = {}
+        # The broadcast network: each rekey is sent once, to the group
+        # address, and reaches whoever is subscribed.
+        self.network = InMemoryNetwork()
         # Bulk-admit the opening audience.
         names = initial_members(audience_size, prefix="viewer")
         enrollment = [(name, self.server.new_individual_key())
@@ -38,6 +42,7 @@ class Broadcaster:
         viewer = GroupClient(name, SUITE, verify=False)
         viewer.set_individual_key(key)
         self.viewers[name] = viewer
+        self.network.attach(name, viewer.process_message)
         if primed:
             # Initial key distribution (the bootstrap's equivalent of the
             # paper's initial n joins).
@@ -53,19 +58,16 @@ class Broadcaster:
         viewer = self._make_viewer(name, key)
         outcome = self.server.join(name, key)
         viewer.process_control(outcome.control_messages[0].encoded)
-        self._deliver(outcome)
+        self.network.send_all(outcome.rekey_messages)
         return outcome.record
 
     def unsubscribe(self, name):
         outcome = self.server.leave(name)
         self.viewers.pop(name)
-        self._deliver(outcome)
+        # Off the group before the leave's rekey goes out.
+        self.network.detach(name)
+        self.network.send_all(outcome.rekey_messages)
         return outcome.record
-
-    def _deliver(self, outcome):
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                self.viewers[receiver].process_message(message.encoded)
 
     def broadcast(self, segment_bytes):
         return self.server.seal_group_message(segment_bytes)

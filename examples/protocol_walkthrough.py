@@ -11,10 +11,10 @@ line.
 Run:  python examples/protocol_walkthrough.py
 """
 
-from repro.core import GroupClient
 from repro.core.messages import DEST_ALL, DEST_SUBGROUP, DEST_USER
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
+from repro.transport import InMemoryNetwork
 
 
 def build_figure5(strategy):
@@ -40,6 +40,11 @@ def label_for(server, node_id):
 
 
 def describe(server, outcome):
+    # A group address names no member: the network resolves it to
+    # whoever is subscribed once the op is applied.
+    network = InMemoryNetwork()
+    for user in server.members():
+        network.attach(user, lambda payload: None)
     for message in outcome.rekey_messages:
         destination = message.destination
         if destination.kind == DEST_ALL:
@@ -50,7 +55,7 @@ def describe(server, outcome):
             where = f"unicast to {destination.user_id}"
         else:
             where = f"to {destination.user_ids}"
-        audience = ",".join(sorted(message.receivers))
+        audience = ",".join(sorted(network.audience.receivers(message)))
         print(f"    -> {where}  ({message.size} bytes, "
               f"receivers: {audience})")
         for item in message.message.items:

@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import GroupClient, GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE
+from repro.transport import InMemoryNetwork
 
 
 def main():
@@ -24,6 +25,9 @@ def main():
     ))
 
     clients = {}
+    # The network: the server sends each rekey once, to the group
+    # address, and the network works out who is subscribed.
+    network = InMemoryNetwork()
 
     def join(name):
         # In deployment the individual key comes from an authentication
@@ -33,20 +37,13 @@ def main():
         client.set_individual_key(individual_key)
         clients[name] = client
         outcome = server.join(name, individual_key)
-        deliver(outcome)
+        client.process_control(outcome.control_messages[0].encoded)
+        # Subscribed before the join's rekeys go out.
+        network.attach(name, client.process_message)
+        network.send_all(outcome.rekey_messages)
         print(f"  {name} joined: {outcome.record.n_rekey_messages} rekey "
               f"message(s), {outcome.record.encryptions} key encryptions, "
               f"{outcome.record.rekey_bytes} bytes")
-
-    def deliver(outcome):
-        """Play the network: hand every message to its receivers."""
-        for message in outcome.control_messages:
-            for receiver in message.receivers:
-                if receiver in clients:
-                    clients[receiver].process_control(message.encoded)
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
 
     print("== three members join ==")
     for name in ("alice", "bob", "carol"):
@@ -62,7 +59,8 @@ def main():
     bob = clients.pop("bob")
     bobs_old_group_key = bob.group_key()
     outcome = server.leave("bob")
-    deliver(outcome)
+    network.detach("bob")  # off the group before its rekey goes out
+    network.send_all(outcome.rekey_messages)
     print(f"  leave: {outcome.record.n_rekey_messages} rekey message(s), "
           f"{outcome.record.encryptions} key encryptions")
 

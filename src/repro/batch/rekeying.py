@@ -310,9 +310,7 @@ class BatchRekeyServer:
                                          child.node_id, child.version))
         state["has_multicast"] = bool(items and self.tree.root is not None)
         if state["has_multicast"]:
-            plans.append(PlannedMessage(
-                Destination.to_all(), items,
-                lambda: tuple(self.tree.users())))
+            plans.append(PlannedMessage(Destination.to_all(), items))
         # 5. Unicast each joiner its full path.
         for user_id, leaf in new_leaves.items():
             if not self.tree.has_user(user_id):
@@ -431,8 +429,8 @@ class BatchRekeyServer:
                           root_node_id=root_id, root_version=root_version,
                           items=[item])
         self._signer.seal([message])
-        return OutboundMessage(Destination.to_all(), message,
-                               tuple(self.tree.users()), message.encode())
+        return OutboundMessage(Destination.to_all(), message, (),
+                               message.encode())
 
     def subcast(self, targets, payload: bytes) -> OutboundMessage:
         """Seal ``payload`` to exactly ``targets`` via a key cover.

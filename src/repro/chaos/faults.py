@@ -11,7 +11,8 @@ InMemoryNetwork`-style inner transport (anything exposing ``attach`` /
   overtake each other, which is how *reordering* arises (exactly as in a
   real multicast fabric: reordering is differential delay);
 * **crash/restart** — a crashed member's copies are lost without
-  detaching its handler, so :meth:`restart` resumes delivery instantly;
+  detaching its handler or leaving its audiences, so :meth:`restart`
+  resumes delivery instantly;
 * **partition** — a set of members is unreachable until :meth:`heal`.
 
 Every decision comes from one seeded HMAC-DRBG, so a chaos run is a pure
@@ -19,7 +20,8 @@ function of ``(profile, workload)`` — rerunning a failing scenario
 reproduces it bit-for-bit.  ``ChaosTransport`` itself exposes
 ``deliver_to``, so :class:`~repro.transport.reliable.ReliableDelivery`
 can sit *on top of* chaos (retransmit through it) while chaos sits on
-the raw bus.
+the raw bus.  The whole stack shares the raw bus's audience index, so a
+group address fans out to its subscribers in subscription order.
 """
 
 from __future__ import annotations
@@ -96,11 +98,9 @@ class ChaosTransport(Transport):
         self.profile = profile if profile is not None else FaultProfile()
         self.profile.validate()
         self._network = network
+        self.audience = network.audience
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._random = drbg.make_source(self.profile.seed, b"chaos-faults")
-        # All ever-attached handlers; crash keeps the entry so restart
-        # can re-attach without the member re-registering.
-        self._handlers: Dict[str, Callable[[bytes], None]] = {}
         self._crashed: Set[str] = set()
         self._partitioned: Set[str] = set()
         # Delayed copies: (due tick, insertion order, user, payload).
@@ -118,26 +118,23 @@ class ChaosTransport(Transport):
 
     def attach(self, user_id: str, handler: Callable[[bytes], None]) -> None:
         """Register a receiver (delivers unless crashed/partitioned)."""
-        self._handlers[user_id] = handler
         self._crashed.discard(user_id)
         self._network.attach(user_id, handler)
 
     def detach(self, user_id: str) -> None:
         """Remove a receiver for good (a clean leave, not a crash)."""
-        self._handlers.pop(user_id, None)
         self._crashed.discard(user_id)
         self._partitioned.discard(user_id)
         self._network.detach(user_id)
 
     def crash(self, user_id: str) -> None:
         """Crash a member: all its copies are lost until :meth:`restart`."""
-        if user_id not in self._handlers:
+        if not self.audience.known(user_id):
             raise ChaosError(f"unknown member {user_id!r}")
         if user_id in self._crashed:
             raise ChaosError(f"member {user_id!r} already crashed")
         with self._tracer.span("chaos.crash", user=user_id):
             self._crashed.add(user_id)
-            self._network.detach(user_id)
 
     def restart(self, user_id: str) -> None:
         """Restart a crashed member (its handler and key state survive,
@@ -147,7 +144,6 @@ class ChaosTransport(Transport):
             raise ChaosError(f"member {user_id!r} is not crashed")
         with self._tracer.span("chaos.restart", user=user_id):
             self._crashed.discard(user_id)
-            self._network.attach(user_id, self._handlers[user_id])
 
     def partition(self, user_ids: Iterable[str]) -> None:
         """Cut the given members off from all delivery until healed."""
@@ -190,7 +186,7 @@ class ChaosTransport(Transport):
         else:
             self.stats.multicast_sends += 1
         self.stats.bytes_sent += len(payload)
-        for user_id in outbound.receivers:
+        for user_id in self.audience.receivers(outbound):
             self.deliver_to(user_id, payload)
 
     def deliver_to(self, user_id: str, payload: bytes) -> bool:

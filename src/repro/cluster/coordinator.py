@@ -198,8 +198,8 @@ class RootKeyLayer:
     # -- rekeying ----------------------------------------------------------
 
     def rekey(self, updates: Iterable[Tuple[str, Optional[Tuple[int, int]],
-                                            Optional[bytes]]],
-              receivers: Callable[[], tuple]) -> PipelineRun:
+                                            Optional[bytes]]]
+              ) -> PipelineRun:
         """Fold shard-root changes into the layer and rekey the paths.
 
         ``updates`` is ``(shard name, shard root (id, version) or None,
@@ -238,7 +238,7 @@ class RootKeyLayer:
                     enc_key, (enc_id, enc_version) = self._child_handle(child)
                     items.append(ctx.encrypt(enc_key, [record],
                                              enc_id, enc_version))
-            return [PlannedMessage(Destination.to_all(), items, receivers)]
+            return [PlannedMessage(Destination.to_all(), items)]
 
         root = tree.group_key_node()
         return self.pipeline.run(
@@ -487,9 +487,6 @@ class ClusterCoordinator:
         """The shard owning ``user_id`` (pure ring lookup)."""
         return self.shards[self.ring.shard_for(user_id)]
 
-    def _all_members(self) -> tuple:
-        return tuple(self.members())
-
     def new_individual_key(self) -> bytes:
         """Generate an individual key (stands in for the auth exchange)."""
         return self.material.new_individual_key()
@@ -610,7 +607,7 @@ class ClusterCoordinator:
     def refresh(self) -> PipelineRun:
         """Rotate the cluster group key (root-layer refresh only)."""
         self._require_bootstrap()
-        return self.root_layer.rekey([], self._all_members)
+        return self.root_layer.rekey([])
 
     def _live_shard(self, user_id: str, op: str) -> Shard:
         shard = self.shard_of(user_id)
@@ -644,8 +641,7 @@ class ClusterCoordinator:
                 if out.destination.kind == DEST_ALL:
                     out.audience = shard.name
             ref, key = self._shard_leaf_state(shard)
-            root_run = self.root_layer.rekey([(shard.name, ref, key)],
-                                             self._all_members)
+            root_run = self.root_layer.rekey([(shard.name, ref, key)])
         seconds = time.perf_counter() - started
 
         record = ClusterRecord(
@@ -741,8 +737,8 @@ class ClusterCoordinator:
             timestamp_us=time.time_ns() // 1000,
             root_node_id=root_id, root_version=root_version, items=[item])
         self.root_layer._signer.seal([message])
-        return OutboundMessage(Destination.to_all(), message,
-                               self._all_members(), message.encode())
+        return OutboundMessage(Destination.to_all(), message, (),
+                               message.encode())
 
     def subcast(self, targets: Iterable[str],
                 payload: bytes) -> OutboundMessage:
@@ -856,8 +852,6 @@ class ClusterCoordinator:
                         f"standby for shard {shard_id} diverged from the "
                         f"root layer; members would need out-of-band "
                         f"recovery")
-            promoted.pipeline.transport_resolves_groups = \
-                shard.server.pipeline.transport_resolves_groups
             shard.server = promoted
             shard.failed = False
             shard.standby = WarmStandby(promoted)

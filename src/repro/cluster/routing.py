@@ -9,8 +9,9 @@ scrape covers the whole fleet.
 
 Delivery runs over the existing transport stack (default: an
 :class:`~repro.transport.inmemory.InMemoryNetwork` in non-strict mode —
-a cluster multicast legitimately reaches users the simulation has not
-attached).  :class:`ClusterMember` is the matching member-side shim: a
+a reply may be addressed to a user the simulation has not attached);
+members subscribe to the whole group and their shard's audience.
+:class:`ClusterMember` is the matching member-side shim: a
 :class:`~repro.core.client.GroupClient` plus the datagram dispatch the
 UDP member loop performs, reusable from tests and examples.
 """
@@ -43,6 +44,8 @@ class ClusterFrontEnd:
         self.coordinator = coordinator
         self.transport = (transport if transport is not None
                           else InMemoryNetwork(strict=False))
+        from ..recovery import ClusterBackend
+        self._backend = ClusterBackend(coordinator)
         #: Optional :class:`~repro.recovery.manager.RecoveryManager`
         #: consuming heartbeats and driving resync pushes/evictions.
         self.recovery = None
@@ -58,9 +61,9 @@ class ClusterFrontEnd:
         (and ``track()`` members as they join) to get resync pushes,
         dead-member eviction and overload shedding.
         """
-        from ..recovery import ClusterBackend, RecoveryManager
-        self.recovery = RecoveryManager(
-            ClusterBackend(self.coordinator), self.transport, policy=policy)
+        from ..recovery import RecoveryManager
+        self.recovery = RecoveryManager(self._backend, self.transport,
+                                        policy=policy)
         return self.recovery
 
     # -- membership of the delivery fabric ---------------------------------
@@ -68,6 +71,8 @@ class ClusterFrontEnd:
     def attach_member(self, member: "ClusterMember") -> None:
         """Subscribe a member's handler to the delivery fabric."""
         self.transport.attach(member.user_id, member.handle)
+        self.transport.enroll(member.user_id,
+                              self._backend.audiences(member.user_id))
 
     def detach_member(self, user_id: str) -> None:
         """Unsubscribe a member."""
@@ -81,7 +86,9 @@ class ClusterFrontEnd:
         Stats requests are answered locally (returned, not transported —
         the scraper is not a group member).  Join/leave requests are
         routed to the owning shard via the coordinator and every
-        resulting control/rekey message is pushed onto the transport.
+        resulting control/rekey message is pushed onto the transport,
+        once the requester's audiences follow its op (joiner in, leaver
+        out).
         """
         try:
             message = Message.decode(data)
@@ -107,6 +114,7 @@ class ClusterFrontEnd:
             outputs = self.recovery.receive(data)
         else:
             outputs = self.coordinator.handle_datagram(data)
+            self.transport.enroll(user_id, self._backend.audiences(user_id))
         for outbound in outputs:
             self.transport.send(outbound)
         return outputs

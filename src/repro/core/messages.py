@@ -415,17 +415,16 @@ class Destination:
 
 @dataclass
 class OutboundMessage:
-    """A message plus its destination and resolved receiver list.
+    """A message plus its destination and, if explicit, its receivers.
 
-    ``receivers`` is filled in by the server (which knows usersets) so
-    transports and the client simulator need no tree access.  A
-    group-addressed message (``DEST_ALL``) handed to a transport that
-    resolves group addresses itself — the serving layer's
-    :class:`~repro.serve.fanout.SocketFanout` — carries no enumerated
-    receivers: the server names the group, the transport knows its
-    reply paths.  ``audience`` says *which* group when one transport
+    A group-addressed message (``DEST_ALL``) names the group, never its
+    members: ``receivers`` is always ``()`` and every transport resolves
+    the address from its audience index (:mod:`repro.transport.
+    audience`).  ``audience`` says *which* group when one transport
     carries several (a cluster tags each shard's multicasts with the
-    shard's name); ``None`` is the transport's whole population.
+    shard's name); ``None`` is the whole group.  Any other address
+    lists its ``receivers``, filled in by the server after the
+    processing clock stops.
     """
 
     destination: Destination

@@ -23,12 +23,11 @@ through four explicit stages:
     one per message, or none.
 ``dispatch``
     Messages are encoded and wrapped in :class:`~repro.core.messages.
-    OutboundMessage`; receiver lists are resolved *after* the
-    processing clock stops (a real server multicasts to group
-    addresses without enumerating members) — and, for group-addressed
-    messages, not at all once a transport that resolves group addresses
-    itself drives the pipeline
-    (:attr:`RekeyPipeline.transport_resolves_groups`).
+    OutboundMessage`.  A group-addressed message names the group and
+    never its members — every transport resolves that address from its
+    audience index (:mod:`repro.transport.audience`); explicit
+    addresses get their receiver lists *after* the processing clock
+    stops.
 
 Each stage has a hook point (:meth:`RekeyPipeline.add_hook`) so future
 optimisations — key caches, parallel signing, async dispatch — plug
@@ -330,10 +329,10 @@ class StagedRun:
         :meth:`finish` / :meth:`abort`), letting a caller draw this
         op's ack sequence number before the next op seals.
     :meth:`finish`
-        Resolves receiver lists (outside the timed region; group
-        addresses stay unresolved when the transport resolves them),
-        fires the dispatch hook and records the run's metrics.  Returns
-        the completed :class:`PipelineRun`.
+        Resolves the receiver lists of explicitly addressed plans
+        (outside the timed region; a group address has none), fires the
+        dispatch hook and records the run's metrics.  Returns the
+        completed :class:`PipelineRun`.
 
     Any stage that raises records the partial timings as an errored
     run (mirroring the synchronous path) before propagating.  The
@@ -413,12 +412,11 @@ class StagedRun:
             self.pipeline.seal_order.retire(ticket)
 
     def finish(self) -> PipelineRun:
-        """Resolve receivers, fire the dispatch hook, record the run."""
+        """Resolve explicit receivers, fire the dispatch hook, record."""
         self.release_turn()
         run = self.run
-        skip_groups = self.pipeline.transport_resolves_groups
         for outbound, plan in zip(run.messages, run.plans):
-            if not (skip_groups and plan.destination.kind == DEST_ALL):
+            if plan.destination.kind != DEST_ALL:
                 outbound.receivers = plan.resolve_receivers()
         self.pipeline._fire(STAGE_DISPATCH, run)
         run.stage_seconds = dict(self.clock.stages)
@@ -473,13 +471,6 @@ class RekeyPipeline:
         # pool interleaves the encrypt stages.
         self.seal_lock = threading.Lock()
         self.seal_order = SealTurnstile()
-        #: True once a transport that resolves group addresses itself
-        #: (the serving layer's ``SocketFanout``) carries this
-        #: pipeline's output: ``DEST_ALL`` messages then leave with no
-        #: enumerated receivers, so no per-op work grows with the group.
-        #: The synchronous simulation API keeps the default and gets
-        #: every receiver tuple resolved.
-        self.transport_resolves_groups = False
 
     # -- hooks -------------------------------------------------------------
 
@@ -514,9 +505,8 @@ class RekeyPipeline:
         legacy paths (an empty outcome never touches the root).
 
         The returned run's ``seconds`` covers plan through dispatch
-        encoding; receiver resolution runs after the clock stops, as
-        the paper's server excludes membership enumeration from its
-        processing time.
+        encoding; explicit receiver lists are resolved after the clock
+        stops, and group addresses are resolved by the transport.
 
         A planner (or stage) that raises still gets its elapsed time
         recorded, flagged as an error, before the exception propagates —

@@ -591,10 +591,8 @@ class GroupKeyServer:
         if rekey.multicast_under_old_group_key:
             item = ctx.encrypt(rekey.multicast_under_old_group_key, [record],
                                STAR_GROUP_NODE, rekey.old_version)
-            resolve = (lambda: tuple(u for u in self.star.members()
-                                     if u != user_id))
             plans.append(PlannedMessage(
-                Destination.to_all(exclude=user_id), [item], resolve))
+                Destination.to_all(exclude=user_id), [item]))
         item = ctx.encrypt(individual_key, [record], INDIVIDUAL_KEY, 0)
         plans.append(PlannedMessage(Destination.to_user(user_id), [item],
                                     lambda: (user_id,)))
@@ -693,9 +691,7 @@ class GroupKeyServer:
                 record_key = KeyRecord(root.node_id, root.version, root.key)
                 item = ctx.encrypt(old_key, [record_key], root.node_id,
                                    old_version)
-                return [PlannedMessage(
-                    Destination.to_all(), [item],
-                    lambda: tuple(self.tree.users()))]
+                return [PlannedMessage(Destination.to_all(), [item])]
             old_key = self.star.group_key
             old_version = self.star.group_key_version
             self.star.group_key = self._new_key()
@@ -705,9 +701,7 @@ class GroupKeyServer:
                                    self.star.group_key)
             item = ctx.encrypt(old_key, [record_key], STAR_GROUP_NODE,
                                old_version)
-            return [PlannedMessage(
-                Destination.to_all(), [item],
-                lambda: tuple(self.star.members()))]
+            return [PlannedMessage(Destination.to_all(), [item])]
 
         if self._journal is not None:
             self._journal_tap = []
@@ -772,8 +766,8 @@ class GroupKeyServer:
         message.items = [item]
         self._signer.seal([message])
         self._journal_op("seq")
-        return OutboundMessage(Destination.to_all(), message,
-                               tuple(self.members()), message.encode())
+        return OutboundMessage(Destination.to_all(), message, (),
+                               message.encode())
 
     def subcast(self, targets: Iterable[str],
                 payload: bytes) -> OutboundMessage:

@@ -2,20 +2,17 @@
 
 A strategy turns a key-tree edit (:class:`~repro.keygraph.tree.JoinResult`
 or :class:`~repro.keygraph.tree.LeaveResult`) into *planned messages*:
-destination + encrypted items + a *lazy* receiver resolver.  The server
-wraps the plans into wire messages, signs and sends them.
+destination + encrypted items.  The server wraps the plans into wire
+messages, signs and sends them.
 
-Who enumerates.  The destination is the address; the resolver exists
-for consumers that deliver per member.  The synchronous
-``GroupKeyServer.join``/``leave`` API calls every resolver (after the
-processing clock stops, before the next tree edit) because the
-simulation transports, the chaos fault injector and the Table 6 byte
-accounting walk the tuple.  A serving core's transport resolves group
-addresses itself (:mod:`repro.serve.fanout`), so there the resolver of
-a ``Destination.to_all()`` plan is never called and no per-op work
-grows with the group — the paper's "one multicast per request".
-Explicitly addressed plans (unicast, the key-/user-oriented subgroups)
-are resolved on every path: their receivers *are* their address.
+Who enumerates.  Nobody, for a group address: a
+``Destination.to_all()`` plan carries no receiver resolver, and every
+transport resolves the address from its audience index
+(:mod:`repro.transport.audience`) — the paper's "one multicast per
+request", with no per-op work that grows with the group.  Explicitly
+addressed plans (unicast, the key-/user-oriented and hybrid subgroups)
+carry a *lazy* resolver, called after the processing clock stops: their
+receivers *are* their address.
 
 The :class:`RekeyContext` carries the cipher suite, the IV source and the
 encryption counters the experiments report (number of key-encryptions,
@@ -142,20 +139,16 @@ class RekeyContext:
 class PlannedMessage:
     """A strategy's output unit, pre-wire-format.
 
-    ``resolve_receivers`` enumerates the concrete user ids the simulation
-    must deliver to.  It is a *lazy* callable: a real server multicasts to
-    a (sub)group address without enumerating members, so enumeration is
-    accounting work that the server excludes from its timed region — and,
-    for a group-addressed plan behind a transport that resolves group
-    addresses, skips altogether (see the module docstring).  The
-    strategy guarantees the audience is non-empty via cheap structural
-    checks; when invoked, the closure runs after the processing clock
-    stops and before any further tree edit.
+    ``resolve_receivers`` lists the user ids an *explicit* address names
+    (``None`` for a group address, which the transport resolves).  It
+    is lazy: the pipeline calls it after the processing clock stops and
+    before any further tree edit.  The strategy guarantees the audience
+    is non-empty via cheap structural checks.
     """
 
     destination: Destination
     items: List[EncryptedItem]
-    resolve_receivers: Callable[[], Tuple[str, ...]]
+    resolve_receivers: Optional[Callable[[], Tuple[str, ...]]] = None
 
 
 def fixed_receivers(*user_ids: str) -> Callable[[], Tuple[str, ...]]:
@@ -164,22 +157,10 @@ def fixed_receivers(*user_ids: str) -> Callable[[], Tuple[str, ...]]:
     return lambda: receivers
 
 
-def subtree_receivers(tree: KeyTree, node: TreeNode,
-                      exclude: str = None) -> Callable[[], Tuple[str, ...]]:
-    """Lazy enumeration of the users below ``node`` (minus ``exclude``).
-
-    ``userset`` returns a fresh list, so the excluded user is dropped
-    with one ``list.remove`` (order kept) instead of a per-member filter.
-    """
-    def resolve() -> Tuple[str, ...]:
-        users = tree.userset(node)
-        if exclude is not None:
-            try:
-                users.remove(exclude)
-            except ValueError:
-                pass
-        return tuple(users)
-    return resolve
+def subtree_receivers(tree: KeyTree,
+                      node: TreeNode) -> Callable[[], Tuple[str, ...]]:
+    """Lazy enumeration of the users below ``node``."""
+    return lambda: tuple(tree.userset(node))
 
 
 def frontier_receivers(tree: KeyTree, node: TreeNode, below: TreeNode,

@@ -14,8 +14,7 @@ from typing import List
 from ...keygraph.tree import JoinResult, KeyTree, LeaveResult
 from ..messages import STRATEGY_GROUP_ORIENTED, Destination, EncryptedItem
 from .base import (PlannedMessage, RekeyContext, join_cover_key,
-                   new_key_record, requesting_user_message,
-                   subtree_receivers)
+                   new_key_record, requesting_user_message)
 
 
 class GroupOrientedStrategy:
@@ -38,8 +37,7 @@ class GroupOrientedStrategy:
         # anyone besides the joiner.
         if items and tree.n_users > 1:
             plans.append(PlannedMessage(
-                Destination.to_all(exclude=result.user_id), items,
-                subtree_receivers(tree, tree.root, exclude=result.user_id)))
+                Destination.to_all(exclude=result.user_id), items))
         plans.append(requesting_user_message(result, ctx))
         return plans
 
@@ -64,5 +62,4 @@ class GroupOrientedStrategy:
                                              child.node_id, child.version))
         if not items or tree.root is None or not tree.n_users:
             return []
-        return [PlannedMessage(Destination.to_all(), items,
-                               subtree_receivers(tree, tree.root))]
+        return [PlannedMessage(Destination.to_all(), items)]

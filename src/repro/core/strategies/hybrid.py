@@ -20,8 +20,8 @@ from typing import Dict, List
 
 from ...keygraph.tree import JoinResult, KeyTree, LeaveResult, TreeNode
 from ..messages import STRATEGY_HYBRID, Destination, EncryptedItem
-from .base import (PlannedMessage, RekeyContext, join_cover_key,
-                   new_key_record, requesting_user_message,
+from .base import (PlannedMessage, RekeyContext, frontier_receivers,
+                   join_cover_key, new_key_record, requesting_user_message,
                    subtree_receivers)
 
 
@@ -67,8 +67,8 @@ class HybridStrategy:
                     useful = items[:1]  # only the new group key
                 plans.append(PlannedMessage(
                     Destination.to_subgroup(top_child.node_id), list(useful),
-                    subtree_receivers(tree, top_child,
-                                      exclude=result.user_id)))
+                    frontier_receivers(tree, top_child, result.leaf,
+                                       result.user_id)))
         plans.append(requesting_user_message(result, ctx))
         return plans
 

@@ -290,7 +290,7 @@ def fec_vs_retransmission(scale: Scale = QUICK,
         message = Message(msg_type=MSG_REKEY, seq=index)
         NullSigner(PAPER_SUITE_NO_SIG).seal([message])
         payload_messages.append(OutboundMessage(
-            Destination.to_all(), message, receivers, message.encode()))
+            Destination.to_all(), message, (), message.encode()))
     payload_bytes = len(payload_messages[0].encoded)
 
     rows = []

@@ -249,9 +249,7 @@ class MaterializedKeyGraph:
             state["replaced"] = replaced
             if not items:
                 return []
-            return [PlannedMessage(
-                Destination.to_all(), items,
-                lambda: tuple(sorted(self.graph.u_nodes)))]
+            return [PlannedMessage(Destination.to_all(), items)]
 
         run = self.pipeline.run("leave", planner, root_ref=self._root_ref,
                                 user_id=user)
@@ -313,8 +311,7 @@ class MaterializedKeyGraph:
             plans = []
             if items:
                 plans.append(PlannedMessage(
-                    Destination.to_all(exclude=user), items,
-                    lambda: tuple(sorted(self.graph.u_nodes - {user}))))
+                    Destination.to_all(exclude=user), items))
             # Joiner bundle: the new keys of its entire closure.
             bundle = ctx.encrypt(individual_key,
                                  self.key_records(sorted(gained)),

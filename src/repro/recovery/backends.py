@@ -7,13 +7,19 @@ resync reply, and evicting a batch of dead members.  ``supports_batch``
 tells the manager whether a deep eviction queue collapses into one
 group-oriented flush (the overload-shedding path) or is processed as
 individual leave rekeys.
+
+Each backend also answers, once for every front end, which transport
+audiences (:mod:`repro.transport.audience`) a user is in right now —
+the question a serving core, a cluster front end, a chaos harness and
+the simulation runner ask whenever an op changes membership.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from ..core.messages import OutboundMessage
+from ..transport.audience import GROUP
 
 
 class ServerBackend:
@@ -28,8 +34,12 @@ class ServerBackend:
     def is_member(self, user_id: str) -> bool:
         return self.server.is_member(user_id)
 
+    def audiences(self, user_id: str) -> Tuple[Hashable, ...]:
+        """The whole group for a member, no audience otherwise."""
+        return GROUP if self.server.is_member(user_id) else ()
+
     def members(self) -> List[str]:
-        return self.server.members()
+        return list(self.server.members())
 
     def group_key_ref(self) -> Tuple[int, int]:
         return self.server.group_key_ref()
@@ -41,12 +51,11 @@ class ServerBackend:
         """One leave rekey per dead member, in order."""
         messages: List[OutboundMessage] = []
         for user_id in user_ids:
-            outcome = self.server.leave(user_id)
-            messages.extend(outcome.rekey_messages)
+            messages.extend(self.server.leave(user_id).rekey_messages)
         return messages
 
 
-class BatchBackend:
+class BatchBackend(ServerBackend):
     """Adapter over a :class:`~repro.batch.rekeying.BatchRekeyServer`.
 
     Evictions — however many — fold into *one* flush: this is the
@@ -55,21 +64,6 @@ class BatchBackend:
     """
 
     supports_batch = True
-
-    def __init__(self, server):
-        self.server = server
-
-    def is_member(self, user_id: str) -> bool:
-        return self.server.is_member(user_id)
-
-    def members(self) -> List[str]:
-        return list(self.server.members())
-
-    def group_key_ref(self) -> Tuple[int, int]:
-        return self.server.group_key_ref()
-
-    def resync(self, user_id: str) -> OutboundMessage:
-        return self.server.resync(user_id)
 
     def evict(self, user_ids: Sequence[str]) -> List[OutboundMessage]:
         """Queue every dead member, rekey once."""
@@ -83,31 +77,18 @@ class BatchBackend:
         return messages
 
 
-class ClusterBackend:
+class ClusterBackend(ServerBackend):
     """Adapter over a sharded :class:`~repro.cluster.coordinator.
     ClusterCoordinator` (resync served by the owning shard + root
     layer; evictions are cluster leaves)."""
 
-    supports_batch = False
-
     def __init__(self, coordinator):
+        super().__init__(coordinator)
         self.coordinator = coordinator
 
-    def is_member(self, user_id: str) -> bool:
-        return self.coordinator.is_member(user_id)
-
-    def members(self) -> List[str]:
-        return self.coordinator.members()
-
-    def group_key_ref(self) -> Tuple[int, int]:
-        return self.coordinator.group_key_ref()
-
-    def resync(self, user_id: str) -> OutboundMessage:
-        return self.coordinator.resync(user_id)
-
-    def evict(self, user_ids: Sequence[str]) -> List[OutboundMessage]:
-        messages: List[OutboundMessage] = []
-        for user_id in user_ids:
-            outcome = self.coordinator.leave(user_id)
-            messages.extend(outcome.rekey_messages)
-        return messages
+    def audiences(self, user_id: str) -> Tuple[Hashable, ...]:
+        """A member is in the whole group (root-layer rekeys) and in
+        its owning shard's audience (the coordinator tags shard rekeys
+        with it)."""
+        shard = self.coordinator.shard_of(user_id)
+        return (None, shard.name) if shard.server.is_member(user_id) else ()

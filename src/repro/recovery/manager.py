@@ -96,12 +96,13 @@ class RecoveryManager:
         self.backend = backend
         self.transport = transport
         #: Called with each evicted member's id *before* its eviction
-        #: rekey is sent.  The serving layer drops the member's reply
-        #: path here: a transport that resolves group addresses itself
-        #: must stop counting the member into the group it just left.
-        #: (The simulation transports keep the handler — an evicted
-        #: member that comes back is owed a ``RESYNC_NOT_MEMBER``.)
-        self.on_evicted = on_evicted
+        #: rekey is sent, so the transport stops counting the member
+        #: into the group it just left.  By default the member leaves
+        #: its audiences and keeps its path: if it comes back it is
+        #: owed a ``RESYNC_NOT_MEMBER``.  The serving layer drops the
+        #: path instead (the next heartbeat re-registers it).
+        self.on_evicted = (on_evicted if on_evicted is not None
+                           else lambda user_id: transport.enroll(user_id, ()))
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.policy.validate()
         self.instrumentation = (instrumentation if instrumentation is not None
@@ -390,5 +391,4 @@ class RecoveryManager:
         self._pending.pop(user_id, None)
         self._last_seen.pop(user_id, None)
         self._m_tracked.set(len(self._last_seen))
-        if self.on_evicted is not None:
-            self.on_evicted(user_id)
+        self.on_evicted(user_id)

@@ -37,13 +37,12 @@ Admission control:
   (join/leave/resync).  Heartbeats are never capped: punishing
   liveness signals under load would manufacture false evictions.
 
-Fan-out (see :mod:`repro.serve.fanout`): a serving core tells its
-backend's pipelines that the transport resolves group addresses
-(``transport_resolves_groups``), so a group rekey arrives at the
-fan-out naming its audience and no member; the core keeps the
-fan-out's audiences equal to the backend's membership by applying each
-op's membership change at the moment the op's outputs are released —
-and releases them strictly in plan order (:mod:`repro.serve.release`).
+Fan-out (see :mod:`repro.serve.fanout`): a group rekey arrives at the
+fan-out naming its audience and no member, as it does on every
+transport; the core keeps the fan-out's audiences equal to the
+backend's membership (``backend.audiences``) by applying each op's
+membership change at the moment the op's outputs are released — and
+releases them strictly in plan order (:mod:`repro.serve.release`).
 
 Three flavors share the skeleton: :class:`ImmediateServingCore` (one
 :class:`~repro.core.server.GroupKeyServer`, staged per-request
@@ -82,7 +81,7 @@ from ..recovery.backends import BatchBackend, ClusterBackend, ServerBackend
 from ..recovery.manager import (MAX_PUSHES_PER_TICK, RecoveryManager,
                                 RecoveryPolicy)
 from .config import DEFAULT_WORKERS, ServeConfig, worker_count
-from .fanout import GROUP, SocketFanout
+from .fanout import SocketFanout
 from .health import InstrumentedExecutor, LoopHealthMonitor, WAIT_BUCKETS_S
 from .release import ReleaseOrder
 from .rpc import IdempotencyCache
@@ -213,15 +212,6 @@ class AsyncServingCore:
     async def _rekey(self, op: str, user_id: str, payload: bytes,
                      reply, token: Optional[int], span) -> None:
         raise NotImplementedError
-
-    def _audiences(self, user_id: str) -> tuple:
-        """The fan-out audiences ``user_id`` is a member of right now.
-
-        ``()`` for a non-member: it may hold a reply path (it is owed
-        direct replies and ``RESYNC_NOT_MEMBER`` pushes) but no group
-        rekey is addressed to it.
-        """
-        return GROUP if self.recovery.backend.is_member(user_id) else ()
 
     def _stats_document(self) -> dict:
         tracer = self.instrumentation.tracer
@@ -491,11 +481,11 @@ class AsyncServingCore:
         """Register the requester's reply path (None = one-shot tool)."""
         if path_id is not None:
             self.fanout.attach(user_id, reply, path_id,
-                               self._audiences(user_id))
+                               self.recovery.backend.audiences(user_id))
 
     def _forget_denied(self, user_id: str) -> None:
         """Drop the reply path a refused joiner registered on arrival."""
-        if not self._audiences(user_id):
+        if not self.recovery.backend.audiences(user_id):
             self.fanout.detach(user_id)
 
     def _release_op(self, op: str, user_id: str,
@@ -510,7 +500,8 @@ class AsyncServingCore:
         the audiences as its plan left the tree.
         """
         if op == "join":
-            self.fanout.enroll(user_id, self._audiences(user_id))
+            self.fanout.enroll(user_id,
+                               self.recovery.backend.audiences(user_id))
         else:
             self.fanout.detach(user_id)
         self._route(outputs, user_id, reply, token, trace)
@@ -842,7 +833,6 @@ class ImmediateServingCore(AsyncServingCore):
             recovery_policy)
         server.pipeline.seal_order.wait_observer = \
             self._m_turnstile_wait.observe
-        server.pipeline.transport_resolves_groups = True
 
     def _recovery_backend(self):
         return ServerBackend(self.server)
@@ -999,7 +989,6 @@ class CoalescingServingCore(AsyncServingCore):
         super().__init__(
             config if config is not None else ServeConfig(coalesce=True),
             server.instrumentation, workers, recovery_policy)
-        server.pipeline.transport_resolves_groups = True
         registry = self.instrumentation.registry
         self._m_pending = registry.gauge(
             "serve_coalesce_pending",
@@ -1184,7 +1173,7 @@ class CoalescingServingCore(AsyncServingCore):
         # The flushed tree is the audience of its own rekey: it holds
         # this batch's joiners and none of its leavers.
         for _op, user_id, _reply, _token, _trace, _future in waiters:
-            audiences = self._audiences(user_id)
+            audiences = self.recovery.backend.audiences(user_id)
             if audiences:
                 self.fanout.enroll(user_id, audiences)
             else:
@@ -1229,18 +1218,9 @@ class ClusterServingCore(AsyncServingCore):
         super().__init__(
             config if config is not None else ServeConfig(),
             coordinator.instrumentation, workers, recovery_policy)
-        for shard in coordinator.shards:
-            shard.server.pipeline.transport_resolves_groups = True
-        coordinator.root_layer.pipeline.transport_resolves_groups = True
 
     def _recovery_backend(self):
         return ClusterBackend(self.coordinator)
-
-    def _audiences(self, user_id: str) -> tuple:
-        # The whole group (root-layer rekeys) plus the owning shard's
-        # own audience (the coordinator tags shard rekeys with it).
-        shard = self.coordinator.shard_of(user_id)
-        return (None, shard.name) if shard.server.is_member(user_id) else ()
 
     def _subcast_backend(self):
         return self.coordinator

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.client import ClientStats, GroupClient
-from ..core.messages import KeyRecord, OutboundMessage
+from ..core.messages import KeyRecord
 from ..core.server import GroupKeyServer
 
 
@@ -94,21 +94,6 @@ class ClientSimulator:
             if client is not None:
                 client.process_message(payload)
         return handle
-
-    def deliver(self, outbound: OutboundMessage) -> None:
-        """Direct (transport-less) delivery to each receiver."""
-        payload = outbound.encoded or outbound.message.encode()
-        for user_id in outbound.receivers:
-            client = self.clients.get(user_id)
-            if client is None:
-                raise SimulatorError(
-                    f"message addressed to unknown client {user_id!r}")
-            client.process_message(payload)
-
-    def deliver_all(self, messages: Iterable[OutboundMessage]) -> None:
-        """Deliver a batch of outbound messages."""
-        for outbound in messages:
-            self.deliver(outbound)
 
     # -- verification ---------------------------------------------------------------
 

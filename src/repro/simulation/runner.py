@@ -12,7 +12,8 @@ and client-side statistics.
   small-scale runs; the simulator's synchrony is asserted at the end);
 * ``"accounting"`` — rekey messages are generated and sized exactly as in
   full mode but client decryption is skipped; client-side metrics come
-  from per-message receiver counts (how the big Table 5/6 sweeps run);
+  from the copy counts of an in-memory network the group stays
+  subscribed to (how the big Table 5/6 sweeps run);
 * ``"none"``      — server-side metrics only (fastest, Figure 10/11).
 """
 
@@ -27,6 +28,7 @@ from ..crypto.keycache import SHARED_CACHE
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..observability import Instrumentation, Stopwatch
 from ..observability.export import build_snapshot
+from ..transport.inmemory import InMemoryNetwork
 from .clients import ClientSimulator
 from .metrics import ClientMetrics, ServerMetrics
 from .workload import JOIN, Request, generate_workload, initial_members
@@ -110,6 +112,16 @@ def run_experiment(config: ExperimentConfig,
         for user_id, key in member_keys:
             simulator.add_member(user_id, key)
         simulator.prime_from_server(server)
+    # Copies are counted (O(1) for a group address) and, in full mode,
+    # delivered by the network: no plan names the group's members.
+    network = InMemoryNetwork()
+
+    def subscribe(user_id: str) -> None:
+        network.attach(user_id, simulator.handler_for(user_id)
+                       if simulator is not None else _discard)
+
+    for user_id, _key in member_keys:
+        subscribe(user_id)
 
     if requests is None:
         requests = generate_workload(members, config.n_requests,
@@ -128,19 +140,21 @@ def run_experiment(config: ExperimentConfig,
             if simulator is not None:
                 client = simulator.add_member(request.user_id, key)
             outcome = server.join(request.user_id, key)
+            subscribe(request.user_id)
             if simulator is not None:
                 for control in outcome.control_messages:
                     client.process_control(control.encoded)
         else:
             outcome = server.leave(request.user_id)
-        if simulator is not None:
-            simulator.deliver_all(outcome.rekey_messages)
-            if request.op != JOIN:
-                simulator.remove_member(request.user_id)
+            network.detach(request.user_id)
         for message in outcome.rekey_messages:
-            client_metrics.record_message(request.op, message.size,
-                                          len(message.receivers))
-            m_copies.inc(len(message.receivers), op=request.op)
+            copies = network.audience.count(message)
+            client_metrics.record_message(request.op, message.size, copies)
+            m_copies.inc(copies, op=request.op)
+            if simulator is not None:
+                network.send(message)
+        if simulator is not None and request.op != JOIN:
+            simulator.remove_member(request.user_id)
         client_metrics.record_request(outcome.record)
         records.append(outcome.record)
 
@@ -169,6 +183,10 @@ def run_experiment(config: ExperimentConfig,
         instrumentation=server.instrumentation,
         metrics_snapshot=snapshot,
     )
+
+
+def _discard(payload: bytes) -> None:
+    """The receiver of a mode that only counts copies."""
 
 
 def run_sequences(config: ExperimentConfig, n_sequences: int = 3) -> List[ExperimentResult]:

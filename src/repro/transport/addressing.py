@@ -85,6 +85,7 @@ class AddressedTransport(Transport):
 
     def __init__(self, inner: Transport, pool: MulticastAddressPool):
         super().__init__()
+        self.audience = inner.audience
         self._inner = inner
         self.pool = pool
         self.addressing = AddressingStats()
@@ -100,7 +101,6 @@ class AddressedTransport(Transport):
     def send(self, outbound: OutboundMessage) -> None:
         """Deliver, accounting multicast-address use and fallbacks."""
         destination = outbound.destination
-        n_receivers = len(outbound.receivers)
         if destination.kind == DEST_ALL:
             # The group address always exists: one network send.
             self.addressing.multicast_sends += 1
@@ -116,8 +116,8 @@ class AddressedTransport(Transport):
             else:
                 # Pool exhausted: per-member unicast.
                 self.addressing.unicast_fallbacks += 1
-                self.addressing.copies_sent += n_receivers
+                self.addressing.copies_sent += len(outbound.receivers)
         else:
             # Plain unicast destinations.
-            self.addressing.copies_sent += n_receivers
+            self.addressing.copies_sent += len(outbound.receivers)
         self._inner.send(outbound)

@@ -5,7 +5,8 @@ between a server and a client-simulator, with rekey messages going out
 via group or subgroup multicast.  This package models that as:
 
 * :class:`Transport` — the interface: deliver an
-  :class:`~repro.core.messages.OutboundMessage` to its receivers;
+  :class:`~repro.core.messages.OutboundMessage` to whom its address
+  reaches (a group address through :mod:`repro.transport.audience`);
 * :mod:`repro.transport.inmemory` — deterministic in-process bus with
   byte accounting and loss injection (default for experiments);
 * :mod:`repro.transport.reliable` — ack/retransmit reliable delivery on
@@ -17,11 +18,12 @@ via group or subgroup multicast.  This package models that as:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Hashable, List, Optional, Sequence
 
 from ..core.messages import OutboundMessage
 from ..observability.metrics import NULL_REGISTRY, MetricRegistry
+from .audience import GROUP, AudienceIndex
 
 
 @dataclass
@@ -46,10 +48,14 @@ class Transport(ABC):
     snapshot-time collector folds the deltas into the registry (same
     deferred pattern as the key-schedule cache, so the per-datagram
     path stays registry-free).
+
+    ``audience`` is the index group addresses resolve from; a wrapping
+    transport shares the inner one's.
     """
 
     def __init__(self, registry: Optional[MetricRegistry] = None):
         self.stats = TransportStats()
+        self.audience = AudienceIndex()
         self.registry = registry if registry is not None else NULL_REGISTRY
         transport = type(self).__name__
         sends = self.registry.counter(
@@ -98,9 +104,14 @@ class Transport(ABC):
     def detach(self, user_id: str) -> None:
         """Remove a receiver."""
 
+    def enroll(self, user_id: str,
+               audiences: Sequence[Hashable] = GROUP) -> None:
+        """Make an attached receiver a member of exactly ``audiences``."""
+        self.audience.enroll(user_id, audiences)
+
     @abstractmethod
     def send(self, outbound: OutboundMessage) -> None:
-        """Deliver ``outbound`` to each of its receivers."""
+        """Deliver ``outbound`` to whom its address reaches."""
 
     def send_all(self, messages: List[OutboundMessage]) -> None:
         """Send a batch of outbound messages."""

@@ -15,7 +15,7 @@ the trade the FEC ablation benchmark quantifies.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..core.messages import OutboundMessage
 from .base import Transport
@@ -34,6 +34,7 @@ class FecMulticast(Transport):
         if k < 1 or r < 0:
             raise ValueError("need k >= 1 and r >= 0")
         self._network = network
+        self.audience = network.audience
         self._k = k
         self._r = r
         self._seq = 0
@@ -93,7 +94,7 @@ class FecMulticast(Transport):
         packets = encode_packets(payload, self._k, self._r)
         self.stats.multicast_sends += 1
         self.stats.bytes_sent += sum(len(p) for p in packets)
-        for user_id in outbound.receivers:
+        for user_id in self.audience.receivers(outbound):
             delivered = 0
             for packet in packets:
                 envelope = _ENVELOPE.pack(self._seq, self._k) + packet

@@ -3,7 +3,9 @@
 One multicast send counts once on the sender side (the paper's server
 sends each rekey message exactly once, via group or subgroup multicast)
 but is delivered to every receiver; per-receiver byte accounting feeds
-the client-side tables (Table 6).
+the client-side tables (Table 6).  Every user is its own reply path,
+so a group address reaches each subscribed member once, in subscription
+order (:mod:`repro.transport.audience`).
 
 Loss injection (``drop_rate``) drops individual *deliveries* (as real
 multicast does — different receivers can lose different copies), driven
@@ -13,11 +15,11 @@ by a seeded DRBG so experiments stay reproducible.  Pair with
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..core.messages import DEST_USER, OutboundMessage
 from ..crypto import drbg
-from .base import Transport, TransportStats
+from .base import Transport
 
 
 class UnknownReceiverError(KeyError):
@@ -32,7 +34,6 @@ class InMemoryNetwork(Transport):
         super().__init__(registry)
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError("drop_rate must be in [0, 1)")
-        self._handlers: Dict[str, Callable[[bytes], None]] = {}
         self._drop_rate = drop_rate
         self._random = drbg.make_source(seed or b"inmemory-network")
         self._strict = strict
@@ -40,12 +41,12 @@ class InMemoryNetwork(Transport):
         self.undeliverable: int = 0
 
     def attach(self, user_id: str, handler: Callable[[bytes], None]) -> None:
-        """Register a receiver handler."""
-        self._handlers[user_id] = handler
+        """Register a receiver handler (subscribed to the whole group)."""
+        self.audience.attach(user_id, handler, user_id)
 
     def detach(self, user_id: str) -> None:
         """Remove a receiver handler."""
-        self._handlers.pop(user_id, None)
+        self.audience.detach(user_id)
 
     def _should_drop(self) -> bool:
         if not self._drop_rate:
@@ -55,26 +56,19 @@ class InMemoryNetwork(Transport):
         return self._random.randint_below(1 << 20) < threshold
 
     def send(self, outbound: OutboundMessage) -> None:
-        """Deliver to every receiver (loss applied per copy)."""
+        """Deliver to whom the address reaches (loss applied per copy)."""
         payload = outbound.encoded or outbound.message.encode()
         self.stats.bytes_sent += len(payload)
         if outbound.destination.kind == DEST_USER:
             self.stats.unicast_sends += 1
-            for user_id in outbound.receivers:
-                self.deliver_to(user_id, payload)
-            return
-        self.stats.multicast_sends += 1
-        # A multicast racing a just-detached member must not abort the
-        # fan-out: that copy is undeliverable, the rest still go out.
-        for user_id in outbound.receivers:
-            try:
-                self.deliver_to(user_id, payload)
-            except UnknownReceiverError:
-                self.undeliverable += 1
+        else:
+            self.stats.multicast_sends += 1
+        for user_id in self.audience.receivers(outbound):
+            self.deliver_to(user_id, payload)
 
     def deliver_to(self, user_id: str, payload: bytes) -> bool:
         """Deliver one copy; returns False if dropped or unaddressable."""
-        handler = self._handlers.get(user_id)
+        handler = self.audience.send_fn(user_id)
         if handler is None:
             if self._strict:
                 raise UnknownReceiverError(user_id)

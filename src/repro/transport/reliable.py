@@ -16,8 +16,9 @@ retransmission has long been superseded — so memory stays O(window) per
 receiver over an unbounded workload.
 
 The underlying transport only needs ``attach``/``detach``/``deliver_to``
-(duck-typed), so a :class:`~repro.chaos.faults.ChaosTransport` can sit
-between this layer and the raw bus.
+and an ``audience`` index (duck-typed), so a
+:class:`~repro.chaos.faults.ChaosTransport` can sit between this layer
+and the raw bus.  Group addresses resolve from that shared index.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class ReliableDelivery(Transport):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self._network = network
+        self.audience = network.audience
         self._max_attempts = max_attempts
         self._dedup_window = dedup_window
         self._seq = 0
@@ -112,7 +114,7 @@ class ReliableDelivery(Transport):
         self._seq += 1
         seq = self._seq
         self.stats.bytes_sent += len(payload)
-        for user_id in outbound.receivers:
+        for user_id in self.audience.receivers(outbound):
             self._send_copy(user_id, seq, payload)
 
     def _send_copy(self, user_id: str, seq: int, payload: bytes) -> None:

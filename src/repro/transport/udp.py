@@ -7,9 +7,10 @@ datagrams.  Here both ends live on 127.0.0.1:
 * :class:`UdpKeyServer` — binds a socket, serves join/leave requests in
   a background thread by delegating to a
   :class:`~repro.core.server.GroupKeyServer`, and "multicasts" rekey
-  messages by fanning datagrams out to each receiver's registered
-  address (subgroup multicast emulation; the paper's experiments also
-  sent each rekey message once per destination subgroup).
+  messages by fanning datagrams out to the registered addresses its
+  :class:`~repro.transport.audience.AudienceIndex` resolves (group
+  multicast emulation; the paper's experiments also sent each rekey
+  message once per destination subgroup).
 * :class:`UdpGroupMember` — one socket per client; sends requests,
   receives acks and rekey messages, feeds a
   :class:`~repro.core.client.GroupClient`.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.client import GroupClient
 from ..core.messages import (MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
@@ -43,6 +44,7 @@ from ..core.server import GroupKeyServer
 from ..observability.export import build_snapshot, validate_snapshot
 from ..observability.spans import (SpanContext, attach_trace_trailer,
                                    split_trace_trailer)
+from .audience import GROUP, AudienceIndex
 
 _BUFFER = 65535
 
@@ -61,7 +63,8 @@ class UdpKeyServer:
         self._sock.bind((host, port))
         self._sock.settimeout(0.2)
         self.address: Tuple[str, int] = self._sock.getsockname()
-        self._members: Dict[str, Tuple[str, int]] = {}
+        # Reply paths keyed by source address; members subscribed.
+        self._paths = AudienceIndex()
         self._running = False
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -114,17 +117,24 @@ class UdpKeyServer:
         tracer = self.server.instrumentation.tracer
         with self._lock:
             if message.msg_type == MSG_JOIN_REQUEST:
-                self._members[user_id] = source
+                self._paths.attach(
+                    user_id, lambda payload: self._sock.sendto(payload,
+                                                               source),
+                    source, audiences=())
             with tracer.span("udp.request", msg_type=message.msg_type,
                              user=user_id) as span:
                 outbound = self.server.handle_datagram(data)
+                # A joiner is subscribed, a leaver unsubscribed, before
+                # the op's rekeys go out.
+                self._paths.enroll(
+                    user_id, GROUP if self.server.is_member(user_id) else ())
                 trace = span.context if span.trace_id else None
                 for out in outbound:
                     self._fan_out(out, trace)
                 span.set("messages", len(outbound))
             if message.msg_type == MSG_LEAVE_REQUEST:
                 # Send the leave ack before dropping the address.
-                self._members.pop(user_id, None)
+                self._paths.detach(user_id)
 
     def _fan_out(self, out: OutboundMessage,
                  trace: Optional[SpanContext] = None) -> None:
@@ -133,10 +143,8 @@ class UdpKeyServer:
             # Out-of-band: appended after the encoded message, which
             # decodes identically with or without the trailer.
             payload = attach_trace_trailer(payload, trace)
-        for user_id in out.receivers:
-            address = self._members.get(user_id)
-            if address is not None:
-                self._sock.sendto(payload, address)
+        for _user_id, send_fn in self._paths.copies(out):
+            send_fn(payload)
 
     def stats_document(self) -> dict:
         """The live ``repro-metrics/1`` snapshot of the served group."""
@@ -152,9 +160,6 @@ class UdpKeyServer:
                               sort_keys=True).encode("utf-8")
         response = Message(msg_type=MSG_STATS_RESPONSE, body=body)
         self._sock.sendto(response.encode(), source)
-
-    # A leave ack must still reach the departing user, so receivers of
-    # control messages are resolved before the membership update above.
 
 
 class UdpGroupMember:

@@ -7,6 +7,8 @@ from repro.core.client import GroupClient
 from repro.core.messages import INDIVIDUAL_KEY, decrypt_records
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 def make_server(n=27, degree=3, seed=b"batch-tests"):
     server = BatchRekeyServer(degree=degree, suite=PAPER_SUITE_NO_SIG,
@@ -30,13 +32,9 @@ def make_clients(server, members):
     return clients
 
 
-def apply_flush(result, clients):
-    if result.rekey_message is not None:
-        for uid in result.rekey_message.receivers:
-            if uid in clients:
-                clients[uid].process_message(result.rekey_message.encoded)
-    for message in result.joiner_messages:
-        clients[message.receivers[0]].process_message(message.encoded)
+def apply_flush(server, result, clients):
+    head = [result.rekey_message] if result.rekey_message else []
+    deliver(server, clients, head + result.joiner_messages)
 
 
 def test_flush_synchronizes_everyone():
@@ -56,7 +54,7 @@ def test_flush_synchronizes_everyone():
         client = GroupClient(uid, PAPER_SUITE_NO_SIG, verify=False)
         client.set_individual_key(key)
         clients[uid] = client
-    apply_flush(result, clients)
+    apply_flush(server, result, clients)
     group_key = server.tree.root.key
     for uid, client in clients.items():
         assert client.group_key() == group_key, uid
@@ -141,7 +139,7 @@ def test_flush_backward_secrecy():
     # Reconstruct the joiner's keyset from its unicast.
     client = GroupClient("late", PAPER_SUITE_NO_SIG, verify=False)
     client.set_individual_key(joiner_key)
-    apply_flush(result, {"late": client})
+    apply_flush(server, result, {"late": client})
     for item in old_result.rekey_message.message.items:
         held = client.keys.get(item.enc_node_id)
         assert held is None or held[0] != item.enc_version

@@ -115,7 +115,10 @@ def test_evicted_dead_member_is_forward_secure():
     assert not old_keys & live_keys
 
     # And it cannot open post-eviction traffic.
+    # Evicted, it keeps its path (it is owed a RESYNC_NOT_MEMBER) but
+    # sits in no audience: group traffic no longer reaches it.
     sealed = harness.server.seal_group_message(b"after eviction")
-    assert "u2" not in sealed.receivers
+    assert harness.chaos.audience.known("u2")
+    assert "u2" not in harness.chaos.audience.receivers(sealed)
     with pytest.raises(StaleKeyError):
         dead.open_data(sealed.encoded)

@@ -16,6 +16,8 @@ from repro.core.client import GroupClient
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 def _build_stream():
     """A fixed workload; returns (messages for 'w', w's key, server)."""
@@ -31,9 +33,8 @@ def _build_stream():
         verb, uid = op.split(":")
         outcome = (server.leave(uid) if verb == "leave"
                    else server.join(uid, server.new_individual_key()))
-        for outbound in outcome.rekey_messages:
-            if "w" in outbound.receivers:
-                stream.append(outbound.encoded)
+        deliver(server, {"w": stream}, outcome.rekey_messages,
+                handler=lambda box: box.append)
     return stream, w_key, server
 
 

@@ -7,6 +7,8 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.client import GroupClient
 from repro.crypto.suite import PAPER_SUITE
+from repro.recovery import ClusterBackend
+from repro.transport.inmemory import InMemoryNetwork
 
 
 def prime_clients(coordinator, members) -> Dict[str, GroupClient]:
@@ -24,16 +26,25 @@ def prime_clients(coordinator, members) -> Dict[str, GroupClient]:
     return clients
 
 
-def deliver(outcome, clients) -> None:
-    """Feed an outcome's messages to every addressed simulated client."""
+def subscribed(coordinator, clients) -> InMemoryNetwork:
+    """A network with every simulated client subscribed to the audiences
+    its membership puts it in right now (after the op: a joiner in, a
+    leaver out — the order every front end keeps)."""
+    network = InMemoryNetwork(strict=False)
+    audiences = ClusterBackend(coordinator).audiences
+    for user_id, client in clients.items():
+        network.attach(user_id, client.process_message)
+        network.enroll(user_id, audiences(user_id))
+    return network
+
+
+def deliver(coordinator, outcome, clients) -> None:
+    """Feed an outcome's acks, then its rekeys through a transport."""
     for outbound in outcome.control_messages:
         for user_id in outbound.receivers:
             if user_id in clients:
                 clients[user_id].process_control(outbound.message)
-    for outbound in outcome.rekey_messages:
-        for user_id in outbound.receivers:
-            if user_id in clients:
-                clients[user_id].process_message(outbound.message)
+    subscribed(coordinator, clients).send_all(outcome.rekey_messages)
 
 
 def cluster_join(coordinator, clients, user_id) -> None:
@@ -42,13 +53,13 @@ def cluster_join(coordinator, clients, user_id) -> None:
     client = GroupClient(user_id, coordinator.suite, verify=False)
     client.set_individual_key(individual_key)
     clients[user_id] = client
-    deliver(coordinator.join(user_id, individual_key), clients)
+    deliver(coordinator, coordinator.join(user_id, individual_key), clients)
 
 
 def cluster_leave(coordinator, clients, user_id) -> GroupClient:
     """Leave a user; returns its (now stale) simulated client."""
     departed = clients.pop(user_id)
-    deliver(coordinator.leave(user_id), clients)
+    deliver(coordinator, coordinator.leave(user_id), clients)
     return departed
 
 

@@ -12,6 +12,7 @@ from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster import RootKeyLayer, namespace_tree, shard_id_base
 from repro.core.client import GroupClient
 from repro.crypto.suite import PAPER_SUITE
+from repro.transport.inmemory import InMemoryNetwork
 
 SHARD_USERS = {
     "batch-a": [f"a{index}" for index in range(8)],
@@ -61,14 +62,22 @@ def prime_batch_clients(shards, layer, keys):
     return clients
 
 
-def deliver_flush(result, clients):
+def subscribe(shards, clients):
+    """Each flushed member in the whole group and its shard's audience."""
+    network = InMemoryNetwork()
+    for name, server in shards.items():
+        for user in server.tree.users():
+            network.attach(user, clients[user].process_message)
+            network.enroll(user, (None, name))
+    return network
+
+
+def deliver_flush(network, result, audience=None):
     if result.rekey_message is not None:
-        for user in result.rekey_message.receivers:
-            if user in clients:
-                clients[user].process_message(result.rekey_message.message)
-    for outbound in result.joiner_messages:
-        for user in outbound.receivers:
-            clients[user].process_message(outbound.message)
+        # A shard's "whole group" is its own members only.
+        result.rekey_message.audience = audience
+        network.send(result.rekey_message)
+    network.send_all(result.joiner_messages)
 
 
 def test_cross_shard_flush_matches_sequential_single_server():
@@ -92,21 +101,18 @@ def test_cross_shard_flush_matches_sequential_single_server():
 
     shard_results = {name: server.flush()
                      for name, server in sorted(shards.items())}
-    for result in shard_results.values():
-        deliver_flush(result, clients)
+    network = subscribe(shards, clients)
+    for name, result in shard_results.items():
+        deliver_flush(network, result, audience=name)
 
     # The joiners' unicasts carry only their shard path: the root-layer
     # multicast below must hand them (and everyone else) the layer keys.
-    all_members = tuple(user for server in shards.values()
-                        for user in server.tree.users())
     run = layer.rekey(
         [(name, (server.tree.root.node_id, server.tree.root.version),
           server.tree.root.key)
-         for name, server in sorted(shards.items())],
-        receivers=lambda: all_members)
+         for name, server in sorted(shards.items())])
     assert len(run.messages) == 1  # one cluster-wide multicast
-    for user in run.messages[0].receivers:
-        clients[user].process_message(run.messages[0].message)
+    network.send(run.messages[0])
 
     # -- sequential control: one server, same requests, one flush.
     control = BatchRekeyServer(degree=3, suite=PAPER_SUITE,
@@ -142,7 +148,10 @@ def test_cross_shard_flush_matches_sequential_single_server():
             control_departed[user] = control_clients.pop(user)
             control.request_leave(user)
     control_result = control.flush()
-    deliver_flush(control_result, control_clients)
+    control_network = InMemoryNetwork()
+    for user, client in control_clients.items():
+        control_network.attach(user, client.process_message)
+    deliver_flush(control_network, control_result)
 
     # -- member-visible equivalence.
     assert sorted(clients) == sorted(control_clients)
@@ -164,7 +173,8 @@ def test_cross_shard_flush_matches_sequential_single_server():
     # members.
     for name, result in shard_results.items():
         shard_members = set(shards[name].tree.users())
-        assert set(result.rekey_message.receivers) <= shard_members
+        reached = network.audience.receivers(result.rekey_message)
+        assert set(reached) == shard_members
         assert len(shard_members) < len(clients)
 
 
@@ -173,10 +183,8 @@ def test_root_layer_refresh_between_flushes():
     shards, layer, keys = build_sharded()
     clients = prime_batch_clients(shards, layer, keys)
     before = layer.group_key()
-    all_members = tuple(clients)
-    run = layer.rekey([], receivers=lambda: all_members)
-    for user in run.messages[0].receivers:
-        clients[user].process_message(run.messages[0].message)
+    run = layer.rekey([])
+    subscribe(shards, clients).send_all(run.messages)
     assert layer.group_key() != before
     for user in clients:
         assert clients[user].group_key() == layer.group_key()

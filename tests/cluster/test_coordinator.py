@@ -10,7 +10,7 @@ from repro.cluster import (ROOT_LAYER_BASE, SHARD_ID_SPACE, ClusterConfig,
 from repro.keygraph.tree import KeyTree
 
 from .conftest import (assert_consistent, cluster_join, cluster_leave,
-                       deliver, prime_clients)
+                       deliver, prime_clients, subscribed)
 
 
 def test_bootstrap_all_shards_hold_members(cluster):
@@ -92,14 +92,16 @@ def test_shard_local_rekeys_stay_shard_local(cluster):
     clients.pop("user-010")
     shard = coordinator.shards[outcome.shard_id]
     shard_members = set(shard.server.members())
+    network = subscribed(coordinator, clients)
+    reached = network.audience.receivers
     # Shard-layer messages go only to the owning shard's members...
     for outbound in outcome.shard_outcome.rekey_messages:
-        assert set(outbound.receivers) <= shard_members | {"user-010"}
+        assert set(reached(outbound)) == shard_members
     # ...while exactly one root-layer multicast goes cluster-wide.
     assert len(outcome.root_messages) == 1
-    assert set(outcome.root_messages[0].receivers) == set(
+    assert set(reached(outcome.root_messages[0])) == set(
         coordinator.members())
-    deliver(outcome, clients)
+    network.send_all(outcome.rekey_messages)
     assert_consistent(coordinator, clients)
 
 
@@ -129,9 +131,7 @@ def test_refresh_rotates_only_the_cluster_key(cluster):
     after_ref = coordinator.group_key_ref()
     assert after_ref[0] == before_ref[0]
     assert after_ref[1] == before_ref[1] + 1
-    for outbound in run.messages:
-        for user_id in outbound.receivers:
-            clients[user_id].process_message(outbound.message)
+    subscribed(coordinator, clients).send_all(run.messages)
     assert_consistent(coordinator, clients)
 
 
@@ -144,7 +144,7 @@ def test_registered_keys_feed_joins(cluster):
     client = GroupClient("reg-user", coordinator.suite, verify=False)
     client.set_individual_key(key)
     clients["reg-user"] = client
-    deliver(outcome, clients)
+    deliver(coordinator, outcome, clients)
     assert_consistent(coordinator, clients)
     with pytest.raises(ClusterError):
         coordinator.join("unregistered-user")

@@ -8,6 +8,8 @@ from repro.core.client import GroupClient
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_ENC_ONLY, PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 def make_world(n=4, suite=PAPER_SUITE_NO_SIG):
     server = GroupKeyServer(ServerConfig(
@@ -22,9 +24,7 @@ def make_world(n=4, suite=PAPER_SUITE_NO_SIG):
         clients[uid] = client
         outcome = server.join(uid, key)
         client.process_control(outcome.control_messages[0].encoded)
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
+        deliver(server, clients, outcome.rekey_messages)
     return server, clients
 
 
@@ -142,9 +142,7 @@ def test_epoch_binding_after_rekey():
     departed = clients.pop("u3")
     channels.pop("u3")
     outcome = server.leave("u3")
-    for message in outcome.rekey_messages:
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(server, clients, outcome.rekey_messages)
 
     # A fresh receiver channel (current epoch only) rejects the stale frame.
     fresh = SecureGroupChannel.for_client(clients["u1"])
@@ -171,9 +169,7 @@ def test_grace_epoch_accepts_in_flight_frames():
     clients["u9"] = newcomer
     outcome = server.join("u9", key)
     newcomer.process_control(outcome.control_messages[0].encoded)
-    for message in outcome.rekey_messages:
-        for receiver_id in message.receivers:
-            clients[receiver_id].process_message(message.encoded)
+    deliver(server, clients, outcome.rekey_messages)
     # The in-flight frame from the previous epoch is still accepted...
     payload, _sender, _seq = receiver.open(in_flight)
     assert payload == b"racing the rekey"
@@ -185,9 +181,7 @@ def test_departed_member_cannot_read_new_frames():
     departed = clients.pop("u2")
     departed_channel = SecureGroupChannel.for_client(departed)
     outcome = server.leave("u2")
-    for message in outcome.rekey_messages:
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(server, clients, outcome.rekey_messages)
     sender = SecureGroupChannel.for_client(clients["u0"])
     frame = sender.seal(b"post-departure secret")
     with pytest.raises(ChannelError):

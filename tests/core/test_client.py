@@ -10,6 +10,8 @@ from repro.core.server import GroupKeyServer, ServerConfig
 from repro.core.signing import SigningError
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 def wire_rekey(items, root_ref=(0, 0)):
     message = Message(msg_type=MSG_REKEY, root_node_id=root_ref[0],
@@ -213,9 +215,7 @@ def test_open_data_end_to_end():
     client.set_individual_key(key)
     outcome = server.join("a", key)
     client.process_control(outcome.control_messages[0].encoded)
-    for message in outcome.rekey_messages:
-        if "a" in message.receivers:
-            client.process_message(message.encoded)
+    deliver(server, {"a": client}, outcome.rekey_messages)
     sealed = server.seal_group_message(b"hello group")
     assert client.open_data(sealed.encoded) == b"hello group"
 

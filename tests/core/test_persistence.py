@@ -11,6 +11,8 @@ from repro.core.persistence import (PersistenceError, restore,
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 def populated(graph="tree", signing="none", suite=PAPER_SUITE_NO_SIG, n=20):
     server = GroupKeyServer(ServerConfig(
@@ -48,17 +50,13 @@ def test_failover_is_transparent_to_clients():
     client.set_individual_key(key)
     outcome = primary.join("alice", key)
     client.process_control(outcome.control_messages[0].encoded)
-    for message in outcome.rekey_messages:
-        if "alice" in message.receivers:
-            client.process_message(message.encoded)
+    deliver(primary, {"alice": client}, outcome.rekey_messages)
     assert client.group_key() == primary.group_key()
 
     standby = restore(snapshot(primary))
     # The standby serves a leave; alice follows it seamlessly.
     outcome = standby.leave("u3")
-    for message in outcome.rekey_messages:
-        if "alice" in message.receivers:
-            client.process_message(message.encoded)
+    deliver(standby, {"alice": client}, outcome.rekey_messages)
     assert client.group_key() == standby.group_key()
     assert client.group_key() != primary.group_key()
 
@@ -83,9 +81,8 @@ def test_signing_keypair_survives():
     client.set_individual_key(key)
     outcome = standby.join("bob", key)
     client.process_control(outcome.control_messages[0].encoded)
-    for message in outcome.rekey_messages:
-        if "bob" in message.receivers:
-            client.process_message(message.encoded)  # signature verifies
+    deliver(standby, {"bob": client},
+            outcome.rekey_messages)  # signature verifies
     assert client.group_key() == standby.group_key()
 
 

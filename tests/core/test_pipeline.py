@@ -20,13 +20,13 @@ def make_material(seed=b"pipeline-test"):
 
 
 def simple_planner(material):
-    """A planner scheduling one single-record multicast encryption."""
+    """A planner scheduling one single-record subgroup encryption."""
     key = material.new_key()
 
     def planner(ctx):
         record = KeyRecord(7, 2, material.new_key())
         item = ctx.encrypt(key, [record], 7, 1)
-        return [PlannedMessage(Destination.to_all(), [item],
+        return [PlannedMessage(Destination.to_subgroup(7), [item],
                                lambda: ("u0", "u1"))]
     return planner
 

@@ -11,16 +11,25 @@ perturbs the wire bytes or the paper-facing counters fails loudly.
 
 Timestamps are the only nondeterminism in the wire format; the
 scenarios pin ``time.time_ns`` to a constant.
+
+A group-addressed message no longer carries a receiver list: the
+transport resolves it.  For those, the digest hashes the expression the
+deleted server-side resolver evaluated, kept here as the reference and
+evaluated right after each op — and every message is also sent through
+an in-memory network subscribed as the group stands, which must reach
+exactly that set.
 """
 
 import hashlib
 from unittest import mock
 
 from repro.batch.rekeying import BatchRekeyServer
+from repro.core.messages import DEST_ALL
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto import drbg
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 from repro.keygraph.materialized import MaterializedKeyGraph
+from repro.transport.inmemory import InMemoryNetwork
 
 FIXED_TIME_NS = 893_520_000_000_000_000  # 1998-04-26, fixed for all runs
 
@@ -29,10 +38,52 @@ def _freeze_time():
     return mock.patch("time.time_ns", return_value=FIXED_TIME_NS)
 
 
-def _hash_messages(h, messages):
+class _Wire:
+    """An in-memory network subscribed as the group stands, recording
+    whom each message reached.  A leaver keeps its path for its ack but
+    leaves the group first (the order every front end keeps)."""
+
+    def __init__(self, members):
+        self.network = InMemoryNetwork(strict=False)
+        self._reached = []
+        for user in members:
+            self.join(user)
+
+    def join(self, user):
+        self.network.attach(
+            user, lambda payload, user=user: self._reached.append(user))
+
+    def leave(self, user):
+        self.network.enroll(user, ())
+
+    def reach(self, message):
+        del self._reached[:]
+        self.network.send(message)
+        return set(self._reached)
+
+
+def _hash_messages(h, messages, wire, group_receivers=None):
+    """Digest one op's messages; ``group_receivers(exclude)`` is the
+    deleted resolver of a group address, evaluated now."""
     for message in messages:
         h.update(message.encoded)
-        h.update(repr(tuple(message.receivers)).encode())
+        receivers = message.receivers
+        if message.destination.kind == DEST_ALL:
+            assert receivers == ()
+            receivers = group_receivers(message.destination.exclude)
+        h.update(repr(tuple(receivers)).encode())
+        assert wire.reach(message) == set(receivers)
+
+
+def _tree_group(tree):
+    """Group-oriented join/leave: ``subtree_receivers(tree, tree.root,
+    exclude=...)``, which dropped the joiner with ``list.remove``."""
+    def resolve(exclude):
+        users = tree.userset(tree.root)
+        if exclude is not None:
+            users.remove(exclude)
+        return tuple(users)
+    return resolve
 
 
 SERVER_SCRIPT = (("join", "n0"), ("leave", "u2"), ("join", "n1"),
@@ -49,15 +100,29 @@ def run_server_scenario(graph, strategy, signing, suite):
     server.bootstrap(members)
     h = hashlib.sha256()
     counters = []
+    wire = _Wire(user for user, _key in members)
     with _freeze_time():
         for op, user in SERVER_SCRIPT:
             if op == "join":
                 outcome = server.join(user, server.new_individual_key())
+                wire.join(user)
             elif op == "leave":
                 outcome = server.leave(user)
+                wire.leave(user)
             else:
                 outcome = server.refresh()
-            _hash_messages(h, outcome.all_messages)
+            if graph == "star":
+                # Star join: ``u != user_id`` over ``star.members()``;
+                # refresh: ``star.members()``.
+                def resolve(exclude):
+                    return tuple(u for u in server.star.members()
+                                 if u != exclude)
+            elif op == "refresh":
+                def resolve(exclude):
+                    return tuple(server.tree.users())
+            else:
+                resolve = _tree_group(server.tree)
+            _hash_messages(h, outcome.all_messages, wire, resolve)
             record = outcome.record
             counters.append((record.encryptions, record.signatures,
                              record.n_rekey_messages, record.rekey_bytes,
@@ -75,6 +140,9 @@ def run_batch_scenario(signing, suite):
                       for i in range(9)])
     h = hashlib.sha256()
     counters = []
+    wire = _Wire(f"u{i}" for i in range(9))
+    # The flush's group rekey: ``tuple(self.tree.users())``.
+    resolve = lambda exclude: tuple(server.tree.users())
     with _freeze_time():
         for round_requests in (
                 (("leave", "u0"), ("leave", "u1"), ("join", "n0"),
@@ -86,9 +154,11 @@ def run_batch_scenario(signing, suite):
                 else:
                     server.request_leave(user)
             result = server.flush()
+            for op, user in round_requests:
+                getattr(wire, op)(user)
             if result.rekey_message is not None:
-                _hash_messages(h, [result.rekey_message])
-            _hash_messages(h, result.joiner_messages)
+                _hash_messages(h, [result.rekey_message], wire, resolve)
+            _hash_messages(h, result.joiner_messages, wire)
             counters.append((result.n_joins, result.n_leaves,
                              result.encryptions,
                              result.individual_cost_estimate))
@@ -103,11 +173,19 @@ def run_materialized_scenario():
     group, _individual = MaterializedKeyGraph.figure1(suite, keygen)
     h = hashlib.sha256()
     counters = []
+    wire = _Wire(group.users())
+    # ``sorted(u_nodes)`` on a leave, ``sorted(u_nodes - {user})`` on a
+    # join: the joiner is the group message's ``exclude``.
+    resolve = lambda exclude: tuple(sorted(group.graph.u_nodes - {exclude}))
     with _freeze_time():
-        for outcome in (group.leave("u2"),
-                        group.join("u5", keygen(), ["k3", "k234"]),
-                        group.leave("u4")):
-            _hash_messages(h, outcome.messages)
+        for op, user, run in (
+                ("leave", "u2", lambda: group.leave("u2")),
+                ("join", "u5", lambda: group.join("u5", keygen(),
+                                                  ["k3", "k234"])),
+                ("leave", "u4", lambda: group.leave("u4"))):
+            outcome = run()
+            getattr(wire, op)(user)
+            _hash_messages(h, outcome.messages, wire, resolve)
             counters.append((outcome.op, outcome.encryptions,
                              tuple(outcome.replaced)))
     return h.hexdigest(), counters

@@ -6,6 +6,8 @@ from repro.core.client import GroupClient
 from repro.core.server import GroupKeyServer, ServerConfig, ServerError
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver, subscribed
+
 
 def make_world(graph="tree", n=12):
     server = GroupKeyServer(ServerConfig(
@@ -20,9 +22,7 @@ def make_world(graph="tree", n=12):
         clients[uid] = client
         outcome = server.join(uid, key)
         client.process_control(outcome.control_messages[0].encoded)
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
+        deliver(server, clients, outcome.rekey_messages)
     return server, clients
 
 
@@ -35,10 +35,10 @@ def test_refresh_rotates_and_everyone_follows(graph):
     assert outcome.record.op == "refresh"
     assert outcome.record.encryptions == 1       # one {new}_{old}
     assert outcome.record.n_rekey_messages == 1  # one multicast
+    network = subscribed(server, clients)
     for message in outcome.rekey_messages:
-        assert set(message.receivers) == set(clients)
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+        assert set(network.audience.receivers(message)) == set(clients)
+        network.send(message)
     for uid, client in clients.items():
         assert client.group_key() == server.group_key(), uid
 
@@ -64,9 +64,7 @@ def test_refresh_interleaves_with_membership_changes():
     server, clients = make_world()
     for round_index in range(3):
         outcome = server.refresh()
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
+        deliver(server, clients, outcome.rekey_messages)
         uid = f"extra{round_index}"
         key = server.new_individual_key()
         client = GroupClient(uid, PAPER_SUITE_NO_SIG, verify=False)
@@ -74,9 +72,7 @@ def test_refresh_interleaves_with_membership_changes():
         clients[uid] = client
         outcome = server.join(uid, key)
         client.process_control(outcome.control_messages[0].encoded)
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
+        deliver(server, clients, outcome.rekey_messages)
     for uid, client in clients.items():
         assert client.group_key() == server.group_key(), uid
 
@@ -85,14 +81,13 @@ def test_departed_user_cannot_follow_refresh():
     server, clients = make_world()
     departed = clients.pop("u4")
     outcome = server.leave("u4")
-    for message in outcome.rekey_messages:
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(server, clients, outcome.rekey_messages)
     outcome = server.refresh()
     # The refresh item is encrypted under the post-leave group key,
     # which the departed user never obtained.
+    network = subscribed(server, {**clients, "u4": departed})
     for message in outcome.rekey_messages:
-        assert "u4" not in message.receivers
+        assert "u4" not in network.audience.receivers(message)
         for item in message.message.items:
             held = departed.keys.get(item.enc_node_id)
             assert held is None or held[0] != item.enc_version

@@ -23,6 +23,8 @@ from repro.core.messages import INDIVIDUAL_KEY, decrypt_records
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 STRATEGIES = ("user", "key", "group", "hybrid")
 
 
@@ -54,10 +56,8 @@ class World:
         return outcome, departed
 
     def deliver(self, outcome):
-        for message in outcome.rekey_messages:
-            self.captured.append(message)
-            for receiver in message.receivers:
-                self.clients[receiver].process_message(message.encoded)
+        self.captured.extend(outcome.rekey_messages)
+        deliver(self.server, self.clients, outcome.rekey_messages)
 
     def assert_synchronized(self):
         group_key = self.server.group_key()
@@ -230,10 +230,8 @@ def test_star_forward_and_backward_secrecy(graph):
         clients[uid] = client
         outcome = server.join(uid, key)
         client.process_control(outcome.control_messages[0].encoded)
-        for message in outcome.rekey_messages:
-            captured.append(message)
-            for receiver in message.receivers:
-                clients[receiver].process_message(message.encoded)
+        captured.extend(outcome.rekey_messages)
+        deliver(server, clients, outcome.rekey_messages)
 
     for i in range(6):
         join(f"u{i}")
@@ -248,10 +246,8 @@ def test_star_forward_and_backward_secrecy(graph):
     captured.clear()
     departed = clients.pop("u2")
     outcome = server.leave("u2")
-    for message in outcome.rekey_messages:
-        captured.append(message)
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    captured.extend(outcome.rekey_messages)
+    deliver(server, clients, outcome.rekey_messages)
     learned, _ = attacker_can_decrypt(
         PAPER_SUITE_NO_SIG, dict(departed.keys), captured)
     assert not learned

@@ -11,12 +11,22 @@ from repro.core.server import (AccessDenied, GroupKeyServer, ServerConfig,
 from repro.crypto.suite import (PAPER_SUITE, PAPER_SUITE_ENC_ONLY,
                                 PAPER_SUITE_NO_SIG)
 
+from ..delivery import subscribed
+
 
 def make_server(**overrides):
     defaults = dict(strategy="group", degree=3, suite=PAPER_SUITE_NO_SIG,
                     signing="none", seed=b"server-tests")
     defaults.update(overrides)
     return GroupKeyServer(ServerConfig(**defaults))
+
+
+def reach(server, user_ids):
+    """Who each message reaches on a network where ``user_ids`` are
+    attached, subscribed as the server's membership stands."""
+    network = subscribed(server, dict.fromkeys(user_ids),
+                         handler=lambda _client: (lambda payload: None))
+    return lambda message: set(network.audience.receivers(message))
 
 
 def populated_server(n=8, **overrides):
@@ -122,13 +132,14 @@ class TestOutcomes:
         assert leaf_id == server.tree.leaf_of("u8").node_id
 
     def test_leave_outcome_shape(self):
-        server, _ = populated_server(8)
+        server, members = populated_server(8)
         outcome = server.leave("u5")
         assert outcome.record.op == "leave"
         assert outcome.record.n_users_after == 7
         assert outcome.control_messages[0].message.msg_type == MSG_LEAVE_ACK
+        reached = reach(server, members)
         for message in outcome.rekey_messages:
-            assert "u5" not in message.receivers
+            assert "u5" not in reached(message)
 
     def test_history_accumulates(self):
         server, _ = populated_server(4)
@@ -137,12 +148,15 @@ class TestOutcomes:
         assert [r.op for r in server.history] == ["join", "leave"]
 
     def test_rekey_messages_have_resolved_receivers(self):
-        server, _ = populated_server(9)
+        # Resolved by the transport: every message reaches someone, and
+        # together they reach exactly the remaining members.
+        server, members = populated_server(9)
         outcome = server.leave("u4")
+        reached = reach(server, members)
         all_receivers = set()
         for message in outcome.rekey_messages:
-            assert message.receivers
-            all_receivers.update(message.receivers)
+            assert reached(message)
+            all_receivers.update(reached(message))
         assert all_receivers == set(server.members())
 
 
@@ -172,7 +186,7 @@ class TestGroupData:
         server, members = populated_server(5)
         outbound = server.seal_group_message(b"attack at dawn")
         assert outbound.message.msg_type == MSG_DATA
-        assert set(outbound.receivers) == set(server.members())
+        assert reach(server, members)(outbound) == set(server.members())
         # Decryptable under the group key.
         from repro.core.client import GroupClient
         uid, key = next(iter(members.items()))

@@ -24,6 +24,8 @@ from repro.core.persistence import restore, snapshot
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import FAST_TEST_SUITE, PAPER_SUITE_NO_SIG
 
+from ..delivery import deliver
+
 
 class KeyManagementMachine(RuleBasedStateMachine):
     def __init__(self):
@@ -75,11 +77,19 @@ class KeyManagementMachine(RuleBasedStateMachine):
         self.server = restore(snapshot(self.server))
 
     def _deliver(self, outcome):
-        for message in outcome.rekey_messages:
-            for receiver in message.receivers:
-                assert receiver in self.clients, \
-                    f"message addressed to non-member {receiver}"
-                self.clients[receiver].process_message(message.encoded)
+        # Departed members stay attached, so a copy reaching one of
+        # them fails the step.
+        deliver(self.server, {**self.departed, **self.clients},
+                outcome.rekey_messages, handler=self._receiver)
+
+    def _receiver(self, client):
+        if client.user_id in self.clients:
+            return client.process_message
+
+        def refuse(_payload):
+            raise AssertionError(
+                f"message addressed to non-member {client.user_id}")
+        return refuse
 
     # -- invariants ------------------------------------------------------------
 

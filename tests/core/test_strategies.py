@@ -8,7 +8,9 @@ checked against the exact numbers in §3.3 and §3.4.
 
 import pytest
 
-from repro.core.messages import DEST_ALL, DEST_SUBGROUP, DEST_USER
+from repro.core.messages import (DEST_ALL, DEST_SUBGROUP, DEST_USER,
+                                 MSG_REKEY, Destination, Message,
+                                 OutboundMessage)
 from repro.core.strategies import (GroupOrientedStrategy, HybridStrategy,
                                    KeyOrientedStrategy, RekeyContext,
                                    UserOrientedStrategy)
@@ -17,6 +19,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.suite import PAPER_SUITE
 from repro.keygraph.backend import build_tree
 from repro.keygraph.tree import KeyTree
+from repro.transport.inmemory import InMemoryNetwork
 
 
 def figure5_tree(seed=b"fig5"):
@@ -53,8 +56,29 @@ def run_leave(strategy):
     return tree, result, ctx, plans
 
 
-def receivers_of(plans):
-    return [tuple(sorted(plan.resolve_receivers())) for plan in plans]
+def subscribed(users):
+    """An in-memory network with ``users`` in the whole group."""
+    network = InMemoryNetwork()
+    for user in users:
+        network.attach(user, lambda payload: None)
+    return network
+
+
+def group_outbound(destination):
+    return OutboundMessage(destination, Message(msg_type=MSG_REKEY))
+
+
+def receivers(tree, plan):
+    """Whom a plan reaches: its listed receivers, or — a group address
+    carries none — the members a transport resolves it to."""
+    if plan.destination.kind != DEST_ALL:
+        return tuple(plan.resolve_receivers())
+    network = subscribed(tree.users())
+    return tuple(network.audience.receivers(group_outbound(plan.destination)))
+
+
+def receivers_of(tree, plans):
+    return [tuple(sorted(receivers(tree, plan))) for plan in plans]
 
 
 ALL_USERS = tuple(f"u{i}" for i in range(1, 9))
@@ -66,7 +90,7 @@ class TestUserOrientedJoin:
         # §3.3: h = 3 -> 3 rekey messages; cost h(h+1)/2 - 1 = 5.
         assert len(plans) == 3
         assert ctx.encryptions == 5
-        audiences = receivers_of(plans)
+        audiences = receivers_of(tree, plans)
         assert ("u1", "u2", "u3", "u4", "u5", "u6") in audiences
         assert ("u7", "u8") in audiences
         assert ("u9",) in audiences
@@ -83,7 +107,7 @@ class TestUserOrientedLeave:
         # §3.4: (d-1)(h-1) = 4 messages; cost (d-1)h(h-1)/2 = 6.
         assert len(plans) == 4
         assert ctx.encryptions == 6
-        audiences = receivers_of(plans)
+        audiences = receivers_of(tree, plans)
         assert ("u1", "u2", "u3") in audiences
         assert ("u4", "u5", "u6") in audiences
         assert ("u7",) in audiences
@@ -118,7 +142,7 @@ class TestKeyOrientedLeave:
         # Figure 8: 4 messages; cost ~d(h-1): here (d-1)(h-1)+(h-2) = 5.
         assert len(plans) == 4
         assert 5 <= ctx.encryptions <= 6
-        audiences = receivers_of(plans)
+        audiences = receivers_of(tree, plans)
         assert ("u1", "u2", "u3") in audiences
         assert ("u7",) in audiences and ("u8",) in audiences
         # u7's message: {k78}_{k7} then {k1-8}_{k78} — the §3.4 chain.
@@ -138,7 +162,8 @@ class TestGroupOrientedJoin:
         assert kinds.count(DEST_USER) == 1
         multicast = next(plan for plan in plans
                          if plan.destination.kind == DEST_ALL)
-        assert tuple(sorted(multicast.resolve_receivers())) == ALL_USERS
+        assert multicast.resolve_receivers is None  # no plan enumerates
+        assert tuple(sorted(receivers(tree, multicast))) == ALL_USERS
         assert len(multicast.items) == 2  # {k1-9}_{k1-8}, {k789}_{k78}
 
 
@@ -148,7 +173,7 @@ class TestGroupOrientedLeave:
         # Figure 9: a single multicast; cost d(h-1) ~ 5 here.
         assert len(plans) == 1
         assert plans[0].destination.kind == DEST_ALL
-        assert tuple(sorted(plans[0].resolve_receivers())) == ALL_USERS
+        assert tuple(sorted(receivers(tree, plans[0]))) == ALL_USERS
         # L_0 has 3 items (k123, k456, k78 children), L_1 has 2 (k7, k8).
         assert len(plans[0].items) == 5
         assert ctx.encryptions == 5
@@ -201,7 +226,7 @@ class TestSplitJoin:
         # include one encrypted under its individual (leaf) key.
         covered = False
         for plan in plans:
-            if displaced in plan.resolve_receivers():
+            if displaced in receivers(tree, plan):
                 for item in plan.items:
                     if item.enc_node_id == result.split_leaf.node_id:
                         covered = True
@@ -209,9 +234,10 @@ class TestSplitJoin:
 
 
 class TestSubtreeReceivers:
-    """The resolver drops the excluded user with ``list.remove``; it must
-    return exactly what a per-member filter over ``userset`` returned,
-    order included, without touching the tree."""
+    """Excluding a joiner moved to the transport: a group address with
+    ``exclude`` must reach exactly what a per-member filter over the
+    membership returned, order included; a subtree resolver returns
+    ``userset`` as it is, without touching the tree."""
 
     @pytest.mark.parametrize("backend", ["object", "flat"])
     def test_matches_per_member_filter(self, backend):
@@ -221,18 +247,18 @@ class TestSubtreeReceivers:
                           4, keygen)
         tree.join("joiner", keygen())
         users_before = list(tree.users())
+        index = subscribed(users_before).audience
+        for exclude in ("joiner", users_before[17], "nobody", None):
+            old = tuple(u for u in users_before if u != exclude)
+            outbound = group_outbound(Destination.to_all(exclude=exclude))
+            assert tuple(index.receivers(outbound)) == old
+            assert index.count(outbound) == len(old)
         root = tree.group_key_node()
-        nodes = [root] + [node for node in tree.nodes() if node != root]
-        for node in nodes:
+        for node in [root] + [node for node in tree.nodes() if node != root]:
             below = tree.userset(node)
-            present = below[len(below) // 2]
-            absent = next(u for u in users_before if u not in below) \
-                if len(below) < len(users_before) else "nobody"
-            for exclude in ("joiner", present, absent, "nobody", None):
-                old = tuple(u for u in tree.userset(node) if u != exclude)
-                resolve = subtree_receivers(tree, node, exclude=exclude)
-                assert resolve() == old
-                assert resolve() == old          # resolving twice: same tuple
-                assert tree.userset(node) == below
+            resolve = subtree_receivers(tree, node)
+            assert resolve() == tuple(below)
+            assert resolve() == tuple(below)     # resolving twice: same tuple
+            assert tree.userset(node) == below
         assert list(tree.users()) == users_before
         tree.validate()

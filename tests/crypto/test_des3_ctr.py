@@ -9,6 +9,8 @@ from repro.crypto.des import DES
 from repro.crypto.des3 import TripleDES
 from repro.crypto.suite import CipherSuite
 
+from ..delivery import deliver
+
 
 def test_3des_known_answer():
     # NIST example: "The qufc" under the 24-byte sample key.
@@ -78,9 +80,7 @@ def test_3des_suite_runs_the_protocol():
     client.set_individual_key(key)
     outcome = server.join("a", key)
     client.process_control(outcome.control_messages[0].encoded)
-    for message in outcome.rekey_messages:
-        if "a" in message.receivers:
-            client.process_message(message.encoded)
+    deliver(server, {"a": client}, outcome.rekey_messages)
     assert client.group_key() == server.group_key()
 
 

@@ -1,0 +1,32 @@
+"""Test delivery the way the network does it: through a transport.
+
+No rekey plan enumerates the group; a group address is resolved by the
+transport's audience index.  Tests that hand-feed simulated clients
+therefore subscribe them on an in-memory network as the server's
+membership stands *after* the op — a joiner in, a leaver out, the order
+every front end keeps — and send the op's messages through it.
+"""
+
+from repro.recovery import ServerBackend
+from repro.transport.inmemory import InMemoryNetwork
+
+
+def subscribed(server, clients, handler=None):
+    """An in-memory network with every client in the audiences its
+    membership puts it in right now.  ``handler(client)`` picks the
+    receive callable (default: ``client.process_message``)."""
+    network = InMemoryNetwork(strict=False)
+    audiences = ServerBackend(server).audiences
+    for user_id, client in clients.items():
+        receive = (handler(client) if handler is not None
+                   else client.process_message)
+        network.attach(user_id, receive)
+        network.enroll(user_id, audiences(user_id))
+    return network
+
+
+def deliver(server, clients, messages, handler=None):
+    """Send ``messages`` to ``clients`` through :func:`subscribed`."""
+    network = subscribed(server, clients, handler)
+    network.send_all(messages)
+    return network

@@ -15,15 +15,15 @@ from repro.crypto.suite import PAPER_SUITE_NO_SIG as SUITE
 from repro.multigroup import MultiGroupService
 from repro.transport import FecMulticast, InMemoryNetwork
 
+from ..delivery import deliver
 
-def deliver(outcome, clients):
+
+def deliver_outcome(server, outcome, clients):
     for message in outcome.control_messages:
         for receiver in message.receivers:
             if receiver in clients:
                 clients[receiver].process_control(message.encoded)
-    for message in outcome.rekey_messages:
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(server, clients, outcome.rekey_messages)
 
 
 class TestMultigroupChannels:
@@ -45,10 +45,11 @@ class TestMultigroupChannels:
                 self.clients[(room, user)] = client
                 outcome = self.service.join(room, user)
                 client.process_control(outcome.control_messages[0].encoded)
-                for message in outcome.rekey_messages:
-                    for receiver in message.receivers:
-                        self.clients[(room, receiver)].process_message(
-                            message.encoded)
+                deliver(self.service.group(room),
+                        {member: self.clients[(room, member)]
+                         for member in self.members[room]
+                         if (room, member) in self.clients},
+                        outcome.rekey_messages)
         self.channels = {key: SecureGroupChannel.for_client(client)
                          for key, client in self.clients.items()}
 
@@ -137,16 +138,13 @@ class TestRefreshThroughChannel:
             client = GroupClient(uid, SUITE, verify=False)
             client.set_individual_key(key)
             clients[uid] = client
-            deliver(server.join(uid, key), clients)
+            deliver_outcome(server, server.join(uid, key), clients)
         channels = {uid: SecureGroupChannel.for_client(client,
                                                        accept_previous_epochs=1)
                     for uid, client in clients.items()}
         channels["u0"].seal(b"warm-up")
         for _round in range(3):
-            outcome = server.refresh()
-            for message in outcome.rekey_messages:
-                for receiver in message.receivers:
-                    clients[receiver].process_message(message.encoded)
+            deliver(server, clients, server.refresh().rekey_messages)
             frame = channels["u0"].seal(f"round".encode())
             for uid in ("u1", "u2", "u3"):
                 payload, _s, _q = channels[uid].open(frame)

@@ -12,6 +12,7 @@ from repro.keygraph.materialized import (GraphRekeyOutcome,
                                          MaterializedGraphError,
                                          MaterializedKeyGraph)
 from repro.crypto.suite import PAPER_SUITE_NO_SIG as SUITE
+from repro.transport.inmemory import InMemoryNetwork
 
 
 def make_figure1(seed=b"materialized"):
@@ -30,6 +31,16 @@ def make_client(user, individual_key, group):
     if group_key is not None:
         client.root_ref = group.wire_ref(group_key)
     return client
+
+
+def deliver(group, clients, messages):
+    """Send through a network on which the graph's members are
+    subscribed as they stand after the op (a leaver already out)."""
+    network = InMemoryNetwork(strict=False)
+    for user in group.users():
+        if user in clients:
+            network.attach(user, clients[user].process_message)
+    network.send_all(messages)
 
 
 def test_figure1_materializes():
@@ -65,9 +76,7 @@ def test_leave_remaining_users_can_follow():
     clients = {user: make_client(user, individual[user], group)
                for user in ("u2", "u3", "u4")}
     outcome = group.leave("u1")
-    for message in outcome.messages:
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(group, clients, outcome.messages)
     new_group_ref = group.wire_ref("k1234")
     new_group_key = group.key_bytes("k1234")
     for user, client in clients.items():
@@ -104,10 +113,7 @@ def test_join_rekeys_gained_closure():
     assert sorted(outcome.replaced) == ["k1234", "k234"]
     assert group.wire_ref("k234")[1] == old_k234_version + 1
     # Existing users follow via old-key encryptions.
-    for message in outcome.messages:
-        for receiver in message.receivers:
-            if receiver in clients:
-                clients[receiver].process_message(message.encoded)
+    deliver(group, clients, outcome.messages)
     # The joiner learns exactly its closure from its bundle.
     joiner = GroupClient("u5", SUITE, verify=False)
     joiner.set_individual_key(new_key)
@@ -204,8 +210,7 @@ def test_random_graph_leave_properties(data):
     for message in outcome.messages:
         for item in message.message.items:
             assert (item.enc_node_id, item.enc_version) not in victim_refs
-        for receiver in message.receivers:
-            clients[receiver].process_message(message.encoded)
+    deliver(group, clients, outcome.messages)
     for user, client in clients.items():
         for name in group.keyset(user):
             wire_id, version = group.wire_ref(name)

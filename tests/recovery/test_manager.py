@@ -237,6 +237,10 @@ class FakeBackend:
 class FakeTransport:
     def __init__(self):
         self.sent = []
+        self.enrolled = []
+
+    def enroll(self, user_id, audiences):
+        self.enrolled.append((user_id, tuple(audiences)))
 
     def send(self, reply):
         self.sent.append(reply)
@@ -393,6 +397,7 @@ def test_zero_budget_tick_sends_nothing_and_still_evicts_the_silent():
     assert transport.sent == [] and backend.resyncs == []
     assert manager._pending["a"].attempts == 0
     assert manager.evicted == ["b"]
+    assert transport.enrolled == [("b", ())]   # out of every audience
     manager.heartbeat("a", stale)
     manager.tick()
     assert transport.sent == ["a"]

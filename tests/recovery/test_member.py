@@ -5,6 +5,8 @@ from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
 from repro.recovery import ResilientMember
 
+from ..delivery import deliver
+
 
 def make_pair(n=9):
     server = GroupKeyServer(ServerConfig(
@@ -24,9 +26,8 @@ def test_handle_dispatches_all_types():
     member.handle(server.resync("u0").encoded)
     assert member.group_key() == server.group_key()
     outcome = server.leave("u5")
-    for outbound in outcome.rekey_messages:
-        if "u0" in outbound.receivers:
-            member.handle(outbound.encoded)
+    deliver(server, {"u0": member}, outcome.rekey_messages,
+            handler=lambda member: member.handle)
     assert member.group_key() == server.group_key()
     member.handle(server.seal_group_message(b"hello").encoded)
     assert member.received == [b"hello"]

@@ -39,12 +39,12 @@ def test_detach_stops_delivery():
     fanout = SocketFanout()
     got = []
     fanout.attach("a", got.append)
-    assert fanout.known("a")
+    assert fanout.audience.known("a")
     fanout.detach("a")
-    assert not fanout.known("a")
+    assert not fanout.audience.known("a")
     fanout.send(_outbound(["a"]))
     assert got == []
-    assert len(fanout) == 0
+    assert len(fanout.audience) == 0
 
 
 def test_drop_filter_loses_whole_path():
@@ -124,7 +124,7 @@ def test_group_address_reaches_every_path_of_members_once():
     fanout.send(_group())
     assert (len(shared), len(own), outsider) == (1, 1, [])
     assert fanout.stats.multicast_sends == 1
-    assert fanout.audience_paths() == {"sock-1": 3, "sock-2": 1}
+    assert fanout.audience.paths() == {"sock-1": 3, "sock-2": 1}
 
 
 def test_joiner_alone_on_its_path_gets_no_copy_of_its_own_rekey():
@@ -158,9 +158,9 @@ def test_enroll_makes_an_attached_user_count():
     fanout.send(_group())
     assert len(got) == 1
     fanout.enroll("nobody")                 # no reply path: no-op
-    assert len(fanout) == 1
+    assert len(fanout.audience) == 1
     fanout.detach("j")
-    assert fanout.audience_paths() == {} and len(fanout) == 0
+    assert fanout.audience.paths() == {} and len(fanout.audience) == 0
 
 
 def test_audiences_keep_shard_rekeys_off_other_shards_paths():
@@ -185,7 +185,7 @@ def test_reattach_moves_the_member_between_paths():
     fanout.attach("a", new.append, path_id="new")
     fanout.send(_group())
     assert old == [] and len(new) == 1
-    assert fanout.audience_paths() == {"new": 1}
+    assert fanout.audience.paths() == {"new": 1}
 
 
 def test_group_drop_filter_asked_once_per_path_with_earliest_member():

@@ -1,10 +1,10 @@
-"""Model test: the fan-out's audience index against a brute-force scan.
+"""Model test: the audience index against a brute-force scan.
 
-The serving layer resolves a group address from an index it maintains
-incrementally (``path -> members attached behind it``, per audience).
-Before the index existed, ``SocketFanout.send`` walked the enumerated
-receiver tuple of every group rekey; that scan survives here, as the
-oracle::
+Every transport resolves a group address from one index it maintains
+incrementally (``path -> members attached behind it``, per audience;
+:mod:`repro.transport.audience`).  Before the index existed, the
+server enumerated the group and transports walked that receiver tuple;
+the scan survives here, as the oracle::
 
     paths(A) = { path(u) : u in userset(A) and u is attached }
 
@@ -17,6 +17,11 @@ one audience per shard plus their union), and after every step
   oracle's paths, and the index's member counts equal the oracle's;
 * the group rekeys a join or leave actually emitted reached exactly
   the paths the old scan would have found for them.
+
+A third machine walks the simulation stack — ``ClusterFrontEnd`` over a
+``ChaosTransport`` (crash, restart, partition) over an
+``InMemoryNetwork`` — and checks every group-addressed message it sends
+against ``userset(audience) - {exclude}`` among the attached users.
 """
 
 import asyncio
@@ -27,15 +32,18 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
+from repro.chaos.faults import ChaosTransport
 from repro.cluster.coordinator import (ROOT_LAYER_BASE, SHARD_ID_SPACE,
                                        ClusterConfig, ClusterCoordinator)
-from repro.core.messages import (INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT,
-                                 MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST,
-                                 MSG_REKEY, Destination, Message,
-                                 OutboundMessage)
+from repro.cluster.routing import ClusterFrontEnd, ClusterMember
+from repro.core.messages import (DEST_ALL, INDIVIDUAL_KEY, MSG_DATA,
+                                 MSG_HEARTBEAT, MSG_JOIN_REQUEST,
+                                 MSG_LEAVE_REQUEST, MSG_REKEY, Destination,
+                                 Message, OutboundMessage)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.recovery.manager import RecoveryPolicy
 from repro.serve import ClusterServingCore, ImmediateServingCore, ServeConfig
+from repro.transport.inmemory import InMemoryNetwork
 
 ROSTER = [f"b{i}" for i in range(6)]          # bootstrapped, never joined
 USERS = ROSTER + [f"n{i}" for i in range(6)]
@@ -237,10 +245,10 @@ class FanoutIndexMachine(RuleBasedStateMachine):
     @invariant()
     def index_equals_brute_force(self):
         fanout = self.core.fanout
-        assert len(fanout) == len(self.attached)
+        assert len(fanout.audience) == len(self.attached)
         for audience, userset in self.audiences().items():
             expected = self.oracle_paths(userset)
-            assert fanout.audience_paths(audience) == dict(expected)
+            assert fanout.audience.paths(audience) == dict(expected)
             self.clear_wire()
             probe = Message(msg_type=MSG_DATA, body=b"probe")
             fanout.send(OutboundMessage(Destination.to_all(), probe, (),
@@ -290,9 +298,162 @@ class ClusterFanoutIndexMachine(FanoutIndexMachine):
             message.root_node_id // SHARD_ID_SPACE - 1].name
 
 
+class _OracleChaos(ChaosTransport):
+    """Chaos that checks each group send against the brute-force scan."""
+
+    def __init__(self, network, expected, delivered):
+        super().__init__(network)
+        self._expected = expected
+        self._delivered = delivered
+
+    def send(self, outbound):
+        if outbound.destination.kind != DEST_ALL:
+            super().send(outbound)
+            return
+        expected = self._expected(outbound)
+        # Resolution ignores faults: a crashed or cut-off member keeps
+        # its subscription; only its copy is lost.
+        assert set(self.audience.receivers(outbound)) == expected
+        self._delivered.clear()
+        super().send(outbound)
+        assert self._delivered == expected - self.crashed \
+            - self._partitioned
+
+
+class FrontEndAudienceMachine(RuleBasedStateMachine):
+    """``ClusterFrontEnd`` -> ``ChaosTransport`` -> ``InMemoryNetwork``."""
+
+    def __init__(self):
+        super().__init__()
+        self.coordinator = ClusterCoordinator(ClusterConfig(
+            n_shards=3, signing="none", seed=b"front-end-model", degree=3))
+        self.coordinator.bootstrap(
+            [(user, self.coordinator.new_individual_key())
+             for user in ROSTER])
+        self.delivered = set()
+        self.chaos = _OracleChaos(InMemoryNetwork(strict=False),
+                                  self.expected, self.delivered)
+        self.front_end = ClusterFrontEnd(self.coordinator, self.chaos)
+        self.recovery = self.front_end.enable_recovery(
+            RecoveryPolicy(dead_after=1))
+        #: The model: who is attached, and who is cut off.
+        self.attached = set()
+        self.fresh = 0
+
+    # -- the oracle --------------------------------------------------------------
+
+    def userset(self, audience):
+        if audience is None:
+            return set(self.coordinator.members())
+        shard = next(shard for shard in self.coordinator.shards
+                     if shard.name == audience)
+        return set(shard.server.members())
+
+    def expected(self, outbound):
+        return ((self.userset(outbound.audience) & self.attached)
+                - {outbound.destination.exclude})
+
+    # -- rules ------------------------------------------------------------------
+
+    def _sink(self, user):
+        member = ClusterMember(user, self.coordinator.suite, verify=False)
+        member.handle = lambda payload: self.delivered.add(user)
+        return member
+
+    @rule(user=users)
+    def attach(self, user):
+        self.front_end.attach_member(self._sink(user))
+        self.attached.add(user)
+
+    @rule(user=users)
+    def detach(self, user):
+        self.front_end.detach_member(user)
+        self.attached.discard(user)
+
+    def _join(self, user):
+        if not self.coordinator.is_member(user):
+            self.coordinator.register_individual_key(
+                user, self.coordinator.new_individual_key())
+        self.front_end.submit(_request(MSG_JOIN_REQUEST, user))
+        assert self.coordinator.is_member(user)
+
+    @rule(user=users)
+    def join(self, user):
+        self._join(user)
+
+    @rule(shard=st.integers(0, 2), attach_first=st.booleans())
+    def shard_routed_join(self, shard, attach_first):
+        """A fresh user the ring routes to ``shard``, attached before
+        its request (as a member process would be) or never."""
+        while True:
+            self.fresh += 1
+            user = f"s{shard}-{self.fresh}"
+            if self.coordinator.ring.shard_for(user) == shard:
+                break
+        if attach_first:
+            self.attach(user)
+        self._join(user)
+
+    @rule(user=users)
+    def leave(self, user):
+        self.front_end.submit(_request(MSG_LEAVE_REQUEST, user))
+        assert not self.coordinator.is_member(user)
+
+    @precondition(lambda self: any(self.coordinator.is_member(user)
+                                   for user in USERS))
+    @rule(data=st.data())
+    def evict(self, data):
+        """One member falls silent and is evicted by the recovery loop;
+        it keeps its path (owed a RESYNC_NOT_MEMBER) but no audience."""
+        victim = data.draw(st.sampled_from(sorted(
+            user for user in USERS if self.coordinator.is_member(user))))
+        self.recovery.track(victim)
+        for _round in range(3):
+            self.recovery.tick()
+        assert not self.coordinator.is_member(victim)
+        assert self.chaos.audience.known(victim) == (victim in self.attached)
+
+    @rule(user=users)
+    def crash(self, user):
+        if user in self.attached and user not in self.chaos.crashed:
+            self.chaos.crash(user)
+
+    @rule(user=users)
+    def restart(self, user):
+        if user in self.chaos.crashed:
+            self.chaos.restart(user)
+
+    @rule(cut=st.sets(users, max_size=3))
+    def partition(self, cut):
+        self.chaos.partition(cut)
+
+    @rule()
+    def heal(self):
+        self.chaos.heal()
+
+    # -- the invariant ----------------------------------------------------------
+
+    @invariant()
+    def index_equals_brute_force(self):
+        index = self.chaos.audience
+        assert len(index) == len(self.attached)
+        audiences = [None] + [shard.name for shard in self.coordinator.shards]
+        for audience in audiences:
+            members = self.userset(audience) & self.attached
+            assert index.paths(audience) == dict.fromkeys(members, 1)
+            probe = Message(msg_type=MSG_DATA, body=b"probe")
+            self.chaos.send(OutboundMessage(
+                Destination.to_all(), probe, (), probe.encode(),
+                audience=audience))
+
+
 _SETTINGS = settings(max_examples=100, stateful_step_count=30, deadline=None)
 
 TestFanoutIndex = FanoutIndexMachine.TestCase
 TestFanoutIndex.settings = _SETTINGS
 TestClusterFanoutIndex = ClusterFanoutIndexMachine.TestCase
 TestClusterFanoutIndex.settings = _SETTINGS
+TestFrontEndAudience = FrontEndAudienceMachine.TestCase
+TestFrontEndAudience.settings = settings(max_examples=60,
+                                         stateful_step_count=30,
+                                         deadline=None)

@@ -54,19 +54,19 @@ def test_join_then_eviction_returns_to_baseline():
         try:
             await core.submit(_request(MSG_JOIN_REQUEST, "keeper"),
                               wire.append, path_id="sock-k")
-            baseline = (len(core.fanout), core.fanout.audience_paths())
+            baseline = (len(core.fanout.audience), core.fanout.audience.paths())
             await core.submit(_request(MSG_JOIN_REQUEST, "silent"),
                               wire.append, path_id="sock-s")
-            assert len(core.fanout) == 2
-            assert core.fanout.audience_paths() == {"sock-k": 1, "sock-s": 1}
+            assert len(core.fanout.audience) == 2
+            assert core.fanout.audience.paths() == {"sock-k": 1, "sock-s": 1}
             for _tick in range(3):
                 assert core.submit_nowait(
                     _request(MSG_HEARTBEAT, "keeper"), wire.append, "sock-k")
                 await core._tick_once()
             assert core.recovery.evicted == ["silent"]
             assert not core.server.is_member("silent")
-            assert (len(core.fanout),
-                    core.fanout.audience_paths()) == baseline
+            assert (len(core.fanout.audience),
+                    core.fanout.audience.paths()) == baseline
         finally:
             await core.aclose()
     _run(scenario)
@@ -79,18 +79,18 @@ def test_denied_join_leaves_no_path_behind():
         try:
             await core.submit(_request(MSG_JOIN_REQUEST, "member"),
                               wire.append, path_id="sock-m")
-            baseline = (len(core.fanout), core.fanout.audience_paths())
+            baseline = (len(core.fanout.audience), core.fanout.audience.paths())
             await core.submit(_request(MSG_JOIN_REQUEST, "intruder"),
                               wire.append, path_id="sock-i")
             assert _types(wire)[-1] == MSG_JOIN_DENIED
-            assert (len(core.fanout),
-                    core.fanout.audience_paths()) == baseline
+            assert (len(core.fanout.audience),
+                    core.fanout.audience.paths()) == baseline
             # A member's duplicate join is refused too, but a member
             # keeps its (newest) path.
             await core.submit(_request(MSG_JOIN_REQUEST, "member"),
                               wire.append, path_id="sock-m2")
             assert _types(wire)[-1] == MSG_JOIN_DENIED
-            assert core.fanout.audience_paths() == {"sock-m2": 1}
+            assert core.fanout.audience.paths() == {"sock-m2": 1}
         finally:
             await core.aclose()
     _run(scenario)
@@ -106,8 +106,8 @@ def test_non_member_heartbeat_holds_a_path_but_no_audience():
             assert core.submit_nowait(
                 _request(MSG_HEARTBEAT, "stranger"), stranger.append,
                 "sock-x")
-            assert core.fanout.known("stranger")
-            assert core.fanout.audience_paths() == {"sock-m": 1}
+            assert core.fanout.audience.known("stranger")
+            assert core.fanout.audience.paths() == {"sock-m": 1}
             await core.submit(_request(MSG_JOIN_REQUEST, "second"),
                               member.append, path_id="sock-m")
             assert _group_rekeys(member) and not _group_rekeys(stranger)
@@ -144,7 +144,7 @@ def test_joiner_exclusion_through_the_core():
             await core.submit(_request(MSG_LEAVE_REQUEST, "solo"),
                               alone.append, path_id=None)
             assert not _group_rekeys(alone)
-            assert not core.fanout.known("solo")
+            assert not core.fanout.audience.known("solo")
         finally:
             await core.aclose()
     _run(scenario)
@@ -192,7 +192,7 @@ def test_shard_rekey_stays_off_other_shards_paths():
             # socket), but the root-layer rekey it needs.
             assert [message.root_node_id >= ROOT_LAYER_BASE
                     for message in _group_rekeys(wire[joiner])] == [True]
-            assert core.fanout.audience_paths("shard-0") == {
+            assert core.fanout.audience.paths("shard-0") == {
                 f"sock-{user}": 1 for user in by_shard[0][:3]}
         finally:
             await core.aclose()

@@ -8,6 +8,7 @@ from repro.simulation.runner import (ExperimentConfig, ExperimentResult,
                                      merged_records, run_experiment,
                                      run_sequences)
 from repro.simulation.workload import Request
+from repro.transport.inmemory import InMemoryNetwork
 
 
 def config(**overrides):
@@ -129,7 +130,10 @@ def test_simulator_total_stats_include_departed():
     key = server.new_individual_key()
     sim.add_member("a", key)
     outcome = server.join("a", key)
-    sim.deliver_all(outcome.rekey_messages)
+    network = InMemoryNetwork()
+    network.attach("a", sim.handler_for("a"))
+    network.send_all(outcome.rekey_messages)
     before = sim.total_stats().rekey_messages
+    assert before == 1                      # the joiner's own unicast
     sim.remove_member("a")
     assert sim.total_stats().rekey_messages == before

@@ -46,18 +46,21 @@ def test_detach_and_strictness():
 
 
 def test_strict_multicast_survives_detached_receiver():
-    # A multicast racing a just-detached member must not abort the
-    # fan-out: the dead copy counts as undeliverable, the rest deliver.
+    # A group address resolves from the subscriptions at send time: a
+    # detached member is in no audience, so the fan-out never tries it.
     network = InMemoryNetwork()
     inboxes = {u: [] for u in "abc"}
     for user in inboxes:
         network.attach(user, inboxes[user].append)
-    network.detach("b")  # leaves between receiver resolution and send
-    network.send(outbound(("a", "b", "c")))
+    network.detach("b")
+    message = Message(msg_type=MSG_REKEY)
+    network.send(OutboundMessage(Destination.to_all(), message, (),
+                                 b"x" * 40))
     assert len(inboxes["a"]) == 1
     assert len(inboxes["c"]) == 1
-    assert network.undeliverable == 1
+    assert network.undeliverable == 0
     assert network.stats.deliveries == 2
+    assert network.stats.multicast_sends == 1
     # Direct unicast to the departed member still fails loud.
     with pytest.raises(UnknownReceiverError):
         network.deliver_to("b", b"late")
