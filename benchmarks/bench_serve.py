@@ -39,8 +39,8 @@ for _path in (os.path.join(_ROOT, "src"), _HERE):
 
 import bench_io  # noqa: E402
 from repro.serve.loadgen import (ClientPool, LoadProfile,  # noqa: E402
-                                 LoadStats, run_load, scrape,
-                                 self_hosted_cluster)
+                                 LoadStats, run_load, self_hosted_cluster)
+from repro.transport.udp import scrape_stats  # noqa: E402
 
 DEFAULT_OUT = os.path.join(_ROOT, "BENCH_PR7.json")
 
@@ -93,8 +93,6 @@ def _stage_latency(documents) -> dict:
     merged = {}
     bounds = None
     for document in documents:
-        if document is None:
-            continue
         entry = document["metrics"]["histograms"].get("rekey_stage_seconds")
         if entry is None:
             continue
@@ -148,9 +146,9 @@ async def _overload_probe(n_requests: int = 96) -> dict:
             pool.rpc(index, MSG_JOIN_REQUEST, f"burst-{index:05d}")
             for index in range(n_requests)))
         busy = pool.stats.busy
-        document = await scrape(service.udp_addresses[0], timeout=10.0)
-        sheds = _shed_total(document) if document else 0.0
-        return {"busy": busy, "sheds": sheds}
+        document = await asyncio.to_thread(
+            scrape_stats, service.udp_addresses[0], timeout=10.0)
+        return {"busy": busy, "sheds": _shed_total(document)}
     finally:
         await pool.aclose()
         await service.aclose()
@@ -173,11 +171,10 @@ async def _run(quick: bool, log) -> dict:
         docs = []
         for address in service.udp_addresses:
             before = time.monotonic()
-            document = await scrape(address)
+            document = await asyncio.to_thread(scrape_stats, address)
             after = time.monotonic()
             docs.append(document)
-            samples.append(((before + after) / 2,
-                            _served_total(document) if document else None))
+            samples.append(((before + after) / 2, _served_total(document)))
         marks[label] = samples
         documents[label] = docs
 
@@ -190,8 +187,6 @@ async def _run(quick: bool, log) -> dict:
         rate = 0.0
         for (t0, c0), (t1, c1) in zip(marks["steady-start"],
                                       marks["steady-end"]):
-            if c0 is None or c1 is None:
-                continue
             rate += (c1 - c0) / max(t1 - t0, 1e-9)
         results["server_steady_req_per_s"] = rate
         results["stage_latency"] = _stage_latency(

@@ -85,7 +85,7 @@ def main():
           f"{departed.group_key != group_key}")
 
     print("\n== 4. one scrape, cluster-wide ==")
-    document = front_end.scrape()
+    document = front_end.stats_document()
     validate_snapshot(document)
     lines = to_prometheus(document).splitlines()
     print(f"  snapshot valid ({len(document['metrics']['counters'])} counter "

@@ -3,8 +3,9 @@
 
 Runs the Figure 10 workload — a degree-4 key tree with group-oriented
 rekeying, DES-CBC + MD5 + RSA-signed rekey messages, clients joining
-and leaving over real loopback sockets — while the main thread
-periodically sends ``MSG_STATS_REQUEST`` datagrams and redraws a
+and leaving the async key service over real loopback sockets — while
+a second thread beside the service's event loop periodically sends
+``MSG_STATS_REQUEST`` datagrams and redraws a
 per-operation latency/percentile table from the server's live
 ``repro-metrics/1`` snapshot.  Nothing is shared in process: every
 number on screen crossed the wire.
@@ -13,6 +14,8 @@ Run:  python examples/metrics_dashboard.py [--seconds 12] [--refresh 0.5]
 """
 
 import argparse
+import asyncio
+import os
 import random
 import sys
 import threading
@@ -21,15 +24,15 @@ import time
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE
 from repro.observability import Instrumentation, Tracer
-from repro.transport.udp import UdpGroupMember, UdpKeyServer, scrape_stats
+from repro.serve import AsyncKeyService, ImmediateServingCore
+from repro.transport.udp import UdpGroupMember, scrape_stats
 
 MAX_MEMBERS = 24
 
 
-def churn(endpoint, stop):
+def churn(server, address, stop):
     """Figure 10-shaped churn: biased-random joins and leaves."""
     rng = random.Random(10)  # Figure 10
-    core = endpoint.server
     members = {}
     counter = 0
     while not stop.is_set():
@@ -38,10 +41,12 @@ def churn(endpoint, stop):
         if joining:
             name = f"user{counter}"
             counter += 1
-            key = core.new_individual_key()
-            core.register_individual_key(name, key)
-            member = UdpGroupMember(name, PAPER_SUITE, endpoint.address,
-                                    server_public_key=core.public_key,
+            # The client's half of the authentication exchange; the
+            # server's key source belongs to its serving threads.
+            key = os.urandom(server.suite.key_size)
+            server.register_individual_key(name, key)
+            member = UdpGroupMember(name, PAPER_SUITE, address,
+                                    server_public_key=server.public_key,
                                     timeout=10.0)
             member.join(key)
             members[name] = member
@@ -132,22 +137,22 @@ def main(argv=None):
                         help="scrape/redraw interval")
     args = parser.parse_args(argv)
 
-    core = GroupKeyServer(
+    server = GroupKeyServer(
         ServerConfig(strategy="group", degree=4, suite=PAPER_SUITE,
                      signing="merkle", seed=b"metrics-dashboard"),
         instrumentation=Instrumentation("dashboard", tracer=Tracer()))
 
-    stop = threading.Event()
-    with UdpKeyServer(core) as endpoint:
-        worker = threading.Thread(target=churn, args=(endpoint, stop),
-                                  daemon=True)
+    def dashboard(address):
+        stop = threading.Event()
+        worker = threading.Thread(target=churn,
+                                  args=(server, address, stop), daemon=True)
         worker.start()
         interactive = sys.stdout.isatty()
         deadline = time.monotonic() + args.seconds
         try:
             while time.monotonic() < deadline:
                 time.sleep(args.refresh)
-                frame = render(scrape_stats(endpoint.address))
+                frame = render(scrape_stats(address))
                 if interactive:
                     sys.stdout.write("\x1b[2J\x1b[H")
                 sys.stdout.write(frame + "\n")
@@ -156,6 +161,12 @@ def main(argv=None):
             stop.set()
             worker.join()
 
+    async def serve():
+        async with AsyncKeyService(ImmediateServingCore(server)) as service:
+            # The blocking clients and scrapes run beside the event loop.
+            await asyncio.to_thread(dashboard, service.udp_address)
+
+    asyncio.run(serve())
     print("\nfinal scrape rendered above — done")
     return 0
 

@@ -17,24 +17,24 @@ datagram socket:
   through the same front end;
 * a deliberate request flood from one client draws ``MSG_BUSY`` — the
   per-client token bucket sheds instead of queueing without bound;
-* a stats scrape over the same socket shows the serving counters.
+* a stats scrape (:func:`repro.transport.udp.scrape_stats`) shows the
+  serving counters.
 
 Run:  python examples/serve_demo.py
 """
 
 import asyncio
-import json
 
 from repro.core.client import GroupClient
 from repro.core.messages import (MSG_BUSY, MSG_JOIN_ACK, MSG_JOIN_DENIED,
                                  MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
                                  MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
                                  MSG_REKEY, MSG_RESYNC_REPLY,
-                                 MSG_RESYNC_REQUEST, MSG_STATS_REQUEST,
-                                 Message)
+                                 MSG_RESYNC_REQUEST, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.serve import (AsyncKeyService, ImmediateServingCore, ServeConfig,
                          default_server_config)
+from repro.transport.udp import scrape_stats
 
 _CONTROL = (MSG_JOIN_ACK, MSG_LEAVE_ACK, MSG_JOIN_DENIED, MSG_LEAVE_DENIED)
 
@@ -167,14 +167,8 @@ async def main():
         print(f"admission control shed {members[0].busy} of them "
               "with MSG_BUSY (per-client token bucket)")
 
-        # Stats scrape on a throwaway socket: one request, one reply.
-        loop = asyncio.get_running_loop()
-        transport, inbox = await loop.create_datagram_endpoint(
-            _Inbox, remote_addr=service.udp_address)
-        transport.sendto(Message(msg_type=MSG_STATS_REQUEST).encode())
-        data = await asyncio.wait_for(inbox.queue.get(), timeout=5.0)
-        stats = json.loads(Message.decode(data).body.decode("utf-8"))
-        transport.close()
+        # The one stats scraper, run beside the event loop.
+        stats = await asyncio.to_thread(scrape_stats, service.udp_address)
         served = stats["metrics"]["counters"]["serve_requests_total"]
         print("\nscraped serving counters:")
         for series in served["series"]:

@@ -1,77 +1,53 @@
-"""Command line interface: run a UDP key server or drive a client.
+"""Command line interface: drive a UDP client or run a local demo.
 
 Mirrors the paper's deployment: the key server process initialized from
-a specification file, with clients exchanging request/rekey datagrams
-over UDP.
+a specification file (``python -m repro.serve``), with clients
+exchanging request/rekey datagrams over UDP.
 
 Usage::
 
-    # Terminal 1: serve (prints the bound port and a demo member key)
-    python -m repro serve keyserver.spec --port 9500
+    # Terminal 1: serve (prints the bound port, the server's public key
+    # and one member key)
+    python -m repro.serve keyserver.spec --udp-port 9500 --preregister 1
 
     # Terminal 2: join, receive rekeys, leave
-    python -m repro client --port 9500 --user alice --key <hex from serve>
+    python -m repro client --port 9500 --user user0 --key <hex> \\
+        --server-key <n:e from serve> --leave
 
-    # One-shot local demo (server + N clients in-process over UDP)
+    # One-shot local demo (async service + N blocking clients over UDP)
     python -m repro demo --members 6
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 import time
 
 from .core.server import GroupKeyServer, ServerConfig
-from .crypto.suite import PAPER_SUITE_NO_SIG
-from .specfile import SpecError, config_from_spec, load_spec
-from .transport.udp import UdpGroupMember, UdpKeyServer
+from .crypto.rsa import RsaPublicKey
+from .crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
+from .serve import AsyncKeyService, ImmediateServingCore
+from .transport.udp import UdpGroupMember
 
 
-def cmd_serve(args) -> int:
-    """Run a UDP key server from a specification file."""
+def _public_key(text: str) -> RsaPublicKey:
+    """Parse the ``n:e`` hex pair ``python -m repro.serve`` prints."""
+    modulus, _, exponent = text.partition(":")
     try:
-        if args.spec:
-            config, initial_size = load_spec(args.spec)
-        else:
-            config, initial_size = config_from_spec("")
-    except (OSError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    server = GroupKeyServer(config)
-    if initial_size:
-        server.bootstrap([(f"m{i:05d}", server.new_individual_key())
-                          for i in range(initial_size)])
-    endpoint = UdpKeyServer(server, port=args.port)
-    endpoint.start()
-    host, port = endpoint.address
-    print(f"group key server on {host}:{port} "
-          f"(graph={config.graph}, strategy={config.strategy}, "
-          f"d={config.degree}, n={server.n_users})")
-    # Pre-register some individual keys so clients can join (stands in
-    # for the out-of-band authentication exchange).
-    for index in range(args.preregister):
-        user = f"user{index}"
-        key = server.new_individual_key()
-        server.register_individual_key(user, key)
-        print(f"  registered {user} individual-key={key.hex()}")
-    print("serving; Ctrl-C to stop")
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        endpoint.stop()
-    processed = len(server.history)
-    print(f"\nstopped after {processed} requests")
-    return 0
+        return RsaPublicKey(int(modulus, 16), int(exponent, 16))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected the server key as hex n:e") from None
 
 
 def cmd_client(args) -> int:
     """Join a running server, pump rekeys, optionally leave."""
-    member = UdpGroupMember(args.user, PAPER_SUITE_NO_SIG,
-                            ("127.0.0.1", args.port), timeout=args.timeout)
+    member = UdpGroupMember(args.user, PAPER_SUITE,
+                            ("127.0.0.1", args.port),
+                            server_public_key=args.server_key,
+                            timeout=args.timeout)
     try:
         member.join(bytes.fromhex(args.key))
         print(f"{args.user} joined; leaf node {member.client.leaf_node_id}")
@@ -79,7 +55,7 @@ def cmd_client(args) -> int:
         while time.time() < deadline:
             got = member.pump(timeout=0.5)
             if got:
-                print(f"  processed {got} rekey message(s); "
+                print(f"  processed {got} message(s); "
                       f"holding {member.client.key_count()} keys")
         if args.leave:
             member.leave()
@@ -89,24 +65,15 @@ def cmd_client(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
-    """Self-contained UDP demo: one server, several members."""
-    server = GroupKeyServer(ServerConfig(
-        strategy="group", degree=4, suite=PAPER_SUITE_NO_SIG,
-        signing="none", seed=b"cli-demo"))
-    endpoint = UdpKeyServer(server)
-    endpoint.start()
+def _demo_members(server: GroupKeyServer, keys: dict, address) -> None:
+    """The blocking half of the demo: members join, one leaves."""
     members = []
     try:
-        print(f"demo server on {endpoint.address}")
-        for index in range(args.members):
-            user = f"demo{index}"
-            key = server.new_individual_key()
-            server.register_individual_key(user, key)
-            member = UdpGroupMember(user, PAPER_SUITE_NO_SIG,
-                                    endpoint.address, timeout=10.0)
-            member.join(key)
+        for user, key in keys.items():
+            member = UdpGroupMember(user, PAPER_SUITE_NO_SIG, address,
+                                    timeout=10.0)
             members.append(member)
+            member.join(key)
             print(f"  {user} joined over UDP")
         for member in members:
             member.pump()
@@ -121,11 +88,30 @@ def cmd_demo(args) -> int:
         in_sync = sum(1 for member in members[1:]
                       if member.client.group_key() == new_key)
         print(f"after one leave: {in_sync}/{len(members) - 1} rekeyed")
-        return 0
     finally:
         for member in members:
             member.close()
-        endpoint.stop()
+
+
+def cmd_demo(args) -> int:
+    """Self-contained UDP demo: one async service, several members."""
+    server = GroupKeyServer(ServerConfig(
+        strategy="group", degree=4, suite=PAPER_SUITE_NO_SIG,
+        signing="none", seed=b"cli-demo"))
+    keys = {f"demo{index}": server.new_individual_key()
+            for index in range(args.members)}
+    for user, key in keys.items():
+        server.register_individual_key(user, key)
+
+    async def serve() -> None:
+        async with AsyncKeyService(ImmediateServingCore(server)) as service:
+            print(f"demo server on {service.udp_address}")
+            # The blocking clients run beside the service's event loop.
+            await asyncio.to_thread(_demo_members, server, keys,
+                                    service.udp_address)
+
+    asyncio.run(serve())
+    return 0
 
 
 def main(argv=None) -> int:
@@ -135,18 +121,15 @@ def main(argv=None) -> int:
         description="SIGCOMM '98 key-graphs group key management")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    serve = subparsers.add_parser("serve", help="run a UDP key server")
-    serve.add_argument("spec", nargs="?", help="specification file path")
-    serve.add_argument("--port", type=int, default=0)
-    serve.add_argument("--preregister", type=int, default=4,
-                       help="individual keys to mint for demo clients")
-    serve.set_defaults(func=cmd_serve)
-
     client = subparsers.add_parser("client", help="join a running server")
     client.add_argument("--port", type=int, required=True)
     client.add_argument("--user", required=True)
     client.add_argument("--key", required=True,
                         help="individual key (hex) from the server")
+    client.add_argument("--server-key", type=_public_key, default=None,
+                        help="the server's public key (hex n:e, printed "
+                             "by python -m repro.serve) to verify "
+                             "signed rekeys")
     client.add_argument("--listen", type=float, default=5.0,
                         help="seconds to keep processing rekey messages")
     client.add_argument("--timeout", type=float, default=5.0)

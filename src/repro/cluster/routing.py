@@ -119,9 +119,9 @@ class ClusterFrontEnd:
             self.transport.send(outbound)
         return outputs
 
-    # -- scraping ----------------------------------------------------------
+    # -- stats -------------------------------------------------------------
 
-    def scrape(self) -> dict:
+    def stats_document(self) -> dict:
         """One validated cluster-wide snapshot, as a scraper would see it."""
         outputs = self.submit(
             Message(msg_type=MSG_STATS_REQUEST).encode())

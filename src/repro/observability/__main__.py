@@ -12,7 +12,7 @@ Usage::
 ``report`` renders the paper-shaped measurement tables (processing-time
 percentiles per op, rekey cost per request, client-side cost) from one
 ``repro-metrics/1`` snapshot; ``--scrape`` pulls a live snapshot from a
-running :class:`~repro.transport.udp.UdpKeyServer` instead of a file.
+running key service (``python -m repro.serve``) instead of a file.
 ``validate`` checks a snapshot against the schema (used by CI);
 ``prom`` prints the Prometheus text exposition.  ``slo`` grades the
 spec file's ``slo-*`` objectives against a snapshot (``--old`` adds
@@ -28,8 +28,7 @@ import argparse
 import json
 import sys
 
-from .export import (load_snapshot, render_report, to_prometheus,
-                     validate_snapshot)
+from .export import load_snapshot, render_report, to_prometheus
 from .slo import burn_rate, evaluate, render_slo_report, slos_from_spec_text
 from .timeline import render_timeline, render_trace_index
 
@@ -38,9 +37,7 @@ def _obtain(args) -> dict:
     if getattr(args, "scrape", None):
         from ..transport.udp import scrape_stats
         host, _, port = args.scrape.rpartition(":")
-        document = scrape_stats((host or "127.0.0.1", int(port)))
-        validate_snapshot(document)
-        return document
+        return scrape_stats((host or "127.0.0.1", int(port)))
     if not args.snapshot:
         raise SystemExit("error: provide a snapshot path or --scrape")
     return load_snapshot(args.snapshot)
@@ -57,7 +54,8 @@ def main(argv=None) -> int:
     report.add_argument("snapshot", nargs="?",
                         help="path to a repro-metrics/1 JSON snapshot")
     report.add_argument("--scrape", metavar="HOST:PORT",
-                        help="scrape a live UdpKeyServer instead of a file")
+                        help="scrape a live key service (python -m "
+                             "repro.serve) instead of a file")
 
     validate = sub.add_parser("validate",
                               help="check a snapshot against the schema")

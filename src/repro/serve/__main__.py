@@ -1,13 +1,16 @@
-"""CLI for the async serving layer.
+"""The serving command: one spec-configured key server over UDP/TCP.
 
     python -m repro.serve keyserver.spec [--host H] [--udp-port P]
         [--tcp-port P] [--coalesce] [--max-inflight N] [--rate R]
-        [--trace]
+        [--trace] [--preregister N]
 
 Runs one spec-configured group key server behind the asyncio front
 end until interrupted.  Unknown joiners are enrolled on first contact
-(``--closed`` disables that and requires pre-registered keys, like
-``python -m repro serve``).
+(``--closed`` disables that and requires pre-registered keys).
+``--preregister N`` mints and prints individual keys for ``user0`` ..
+``user<N-1>``, and a signing server prints its public key as hex
+``n:e``; both go to ``python -m repro client --key ... --server-key
+...``.
 
 ``slo-*`` keys in the spec file become live objectives: the core
 evaluates them periodically, counts breaches, and dumps the flight
@@ -59,6 +62,11 @@ async def _amain(args) -> int:
             roster = [(f"user-{index:04d}", server.new_individual_key())
                       for index in range(initial_size)]
             server.bootstrap(roster)
+    # Stands in for the out-of-band authentication exchange.
+    register = (core if args.coalesce else server).register_individual_key
+    keys = [server.new_individual_key() for _ in range(args.preregister)]
+    for index, key in enumerate(keys):
+        register(f"user{index}", key)
     async with AsyncKeyService(core) as service:
         print(f"async key server on udp {service.udp_address}"
               + (f", tcp {service.tcp_address}"
@@ -67,8 +75,14 @@ async def _amain(args) -> int:
               f"backend={config.backend} "
               f"open-enroll={serve_config.open_enroll}"
               + (f" slos={len(slos)}" if slos else ""))
+        if server.signing_keypair is not None:
+            public = server.signing_keypair.public_key
+            print(f"  server-key={public.n:x}:{public.e:x}")
+        for index, key in enumerate(keys):
+            print(f"  registered user{index} individual-key={key.hex()}")
         print("  scrape: python -m repro.observability report --scrape "
-              f"{service.udp_address[0]}:{service.udp_address[1]}")
+              f"{service.udp_address[0]}:{service.udp_address[1]}",
+              flush=True)
         if hasattr(signal, "SIGUSR1"):
             try:
                 asyncio.get_running_loop().add_signal_handler(
@@ -103,6 +117,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="require pre-registered individual keys")
     parser.add_argument("--trace", action="store_true",
                         help="enable span tracing")
+    parser.add_argument("--preregister", type=int, default=0,
+                        help="individual keys to mint and print for "
+                             "python -m repro client")
     parser.add_argument("--flight-dir", default=None,
                         help="directory for automatic flight-recorder "
                              "dumps (error / SLO breach)")

@@ -40,10 +40,10 @@ from ..core.messages import (MSG_BUSY, MSG_HEARTBEAT, MSG_JOIN_ACK,
                              MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
                              MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST, MSG_REKEY,
                              MSG_RESYNC_REPLY, MSG_RESYNC_REQUEST,
-                             MSG_STATS_REQUEST, MSG_STATS_RESPONSE,
                              MSG_SUBCAST, MSG_SUBCAST_REQUEST,
                              Message, WireError)
 from ..subcast.wire import encode_subcast_request
+from ..transport.udp import scrape_stats
 from .rpc import ResilientRpc, RetryPolicy
 from .wire import attach_corr_trailer, split_corr_trailer
 
@@ -416,22 +416,6 @@ async def run_load(addresses: Sequence[Tuple[str, int]],
     return stats
 
 
-async def scrape(address: Tuple[str, int],
-                 timeout: float = 5.0) -> Optional[dict]:
-    """One async stats scrape (correlated, single attempt)."""
-    profile = LoadProfile(clients=1, sockets=1, request_timeout=timeout,
-                          request_deadline=timeout, retry_budget=0)
-    pool = ClientPool([address], profile, LoadStats())
-    await pool.start()
-    try:
-        reply = await pool.rpc(0, MSG_STATS_REQUEST, "")
-    finally:
-        await pool.aclose()
-    if reply is None or reply.msg_type != MSG_STATS_RESPONSE:
-        return None
-    return json.loads(reply.body.decode("utf-8"))
-
-
 # -- self-hosted target --------------------------------------------------------
 
 
@@ -507,15 +491,12 @@ async def _amain(args) -> int:
         stats = await run_load(addresses, profile, log=log)
         document = stats.as_dict()
         document["clients"] = profile.clients
-        snapshot = await scrape(addresses[0])
-        if snapshot is not None:
-            from ..observability.export import validate_snapshot
-            validate_snapshot(snapshot)
-            document["server_snapshot_label"] = snapshot.get("label")
-            if args.snapshot_out:
-                from ..observability.export import write_snapshot
-                write_snapshot(args.snapshot_out, snapshot)
-                log(f"wrote metrics snapshot to {args.snapshot_out}")
+        snapshot = await asyncio.to_thread(scrape_stats, addresses[0])
+        document["server_snapshot_label"] = snapshot.get("label")
+        if args.snapshot_out:
+            from ..observability.export import write_snapshot
+            write_snapshot(args.snapshot_out, snapshot)
+            log(f"wrote metrics snapshot to {args.snapshot_out}")
         if service is not None and args.trace_out:
             from ..observability.spans import TRACE_SCHEMA
             spans = service.core.instrumentation.tracer.export()

@@ -555,8 +555,8 @@ class Supervisor:
 # -- smoke CLI -------------------------------------------------------------
 
 async def _run_smoke(args) -> int:
-    from .loadgen import LoadProfile, run_load, scrape
-    from ..observability.export import validate_snapshot
+    from .loadgen import LoadProfile, run_load
+    from ..transport.udp import scrape_stats
 
     journal_dir = args.journal_dir or tempfile.mkdtemp(
         prefix="supervise-smoke-")
@@ -613,11 +613,8 @@ async def _run_smoke(args) -> int:
                 failures.append(
                     f"{shard.name}: {policy.mode} diverged from the "
                     f"live server")
-        snapshots = []
-        for shard in supervisor.shards:
-            document = await scrape(shard.address)
-            validate_snapshot(document)
-            snapshots.append(document)
+        snapshots = [await asyncio.to_thread(scrape_stats, shard.address)
+                     for shard in supervisor.shards]
         if args.snapshot_out:
             with open(args.snapshot_out, "w", encoding="utf-8") as handle:
                 json.dump(snapshots[victim.shard_id], handle)

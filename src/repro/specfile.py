@@ -138,8 +138,3 @@ def config_from_spec(text: str) -> Tuple[ServerConfig, int]:
         raise SpecError(str(exc)) from None
     return config, _parse_int(values, "initial-size", 0)
 
-
-def load_spec(path: str) -> Tuple[ServerConfig, int]:
-    """Read and parse a specification file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return config_from_spec(handle.read())

@@ -7,7 +7,7 @@ from .fec import FecError, ReedSolomonCode, decode_packets, encode_packets
 from .fecmulticast import FecMulticast
 from .inmemory import InMemoryNetwork, UnknownReceiverError
 from .reliable import DeliveryFailure, ReliableDelivery
-from .udp import UdpGroupMember, UdpKeyServer, UdpTransportError
+from .udp import UdpGroupMember, UdpTransportError
 
 __all__ = [
     "Transport", "TransportStats",
@@ -16,5 +16,5 @@ __all__ = [
     "ReliableDelivery", "DeliveryFailure",
     "FecMulticast", "FecError", "ReedSolomonCode",
     "encode_packets", "decode_packets",
-    "UdpKeyServer", "UdpGroupMember", "UdpTransportError",
+    "UdpGroupMember", "UdpTransportError",
 ]

@@ -12,7 +12,8 @@ via group or subgroup multicast.  This package models that as:
 * :mod:`repro.transport.reliable` — ack/retransmit reliable delivery on
   top of a lossy transport (the paper assumes "a reliable message
   delivery system, for both unicast and multicast");
-* :mod:`repro.transport.udp` — real loopback UDP sockets.
+* :mod:`repro.transport.udp` — the blocking client of the async key
+  service (:mod:`repro.serve`) over real UDP sockets.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def test_stats_request_returns_merged_snapshot(front_end):
         Message(msg_type=MSG_STATS_REQUEST).encode())
     assert len(outputs) == 1
     assert outputs[0].message.msg_type == MSG_STATS_RESPONSE
-    document = front_end.scrape()
+    document = front_end.stats_document()
     validate_snapshot(document)
     counters = document["metrics"]["counters"]
     assert "cluster_routed_datagrams_total" in counters
@@ -85,7 +85,7 @@ def test_stats_request_returns_merged_snapshot(front_end):
 
 def test_routed_counter_labels_by_shard(front_end):
     members = [join_member(front_end, f"r{index}") for index in range(12)]
-    document = front_end.scrape()
+    document = front_end.stats_document()
     routed = document["metrics"]["counters"][
         "cluster_routed_datagrams_total"]
     by_shard = {series["labels"]["shard"]: series["value"]

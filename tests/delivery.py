@@ -4,10 +4,15 @@ No rekey plan enumerates the group; a group address is resolved by the
 transport's audience index.  Tests that hand-feed simulated clients
 therefore subscribe them on an in-memory network as the server's
 membership stands *after* the op — a joiner in, a leaver out, the order
-every front end keeps — and send the op's messages through it.
+every front end keeps — and send the op's messages through it.  Over
+real sockets, :func:`serve_beside` runs blocking UDP clients beside a
+live async key service.
 """
 
+import asyncio
+
 from repro.recovery import ServerBackend
+from repro.serve import AsyncKeyService, ImmediateServingCore, ServeConfig
 from repro.transport.inmemory import InMemoryNetwork
 
 
@@ -30,3 +35,18 @@ def deliver(server, clients, messages, handler=None):
     network = subscribed(server, clients, handler)
     network.send_all(messages)
     return network
+
+
+def serve_beside(server, drive, **config):
+    """Serve ``server`` from an :class:`~repro.serve.AsyncKeyService`
+    on loopback UDP and run the blocking ``drive(address)`` beside its
+    event loop; returns what ``drive`` returns.  ``config`` overrides
+    :class:`~repro.serve.ServeConfig` (default: closed enrolment, no
+    recovery ticker)."""
+    core = ImmediateServingCore(server, ServeConfig(
+        **{"open_enroll": False, "tick_interval": 0, **config}))
+
+    async def run():
+        async with AsyncKeyService(core) as service:
+            return await asyncio.to_thread(drive, service.udp_address)
+    return asyncio.run(run())

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.server import GroupKeyServer
-from repro.specfile import (SpecError, config_from_spec, load_spec,
-                            parse_spec)
+from repro.serve.config import from_spec_file
+from repro.specfile import SpecError, config_from_spec, parse_spec
 
 PAPER_SPEC = """
 # the paper's experimental configuration
@@ -95,9 +95,10 @@ def test_backend_selection():
     assert sorted(server.members()) == ["alice", "bob"]
 
 
-def test_load_spec_from_disk(tmp_path):
+def test_spec_file_from_disk(tmp_path):
     path = tmp_path / "keyserver.spec"
     path.write_text(PAPER_SPEC)
-    config, initial_size = load_spec(str(path))
+    config, initial_size = from_spec_file(str(path))
     assert initial_size == 8192
     assert config.suite.signature_bits == 512
+    assert config.signing == "merkle"
