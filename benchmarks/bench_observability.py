@@ -199,9 +199,9 @@ def _serve_imports():
 def serve_ab_compare(n_ops, n_batches):
     """A/B the serve request path; returns (control_s, real_s, per_batch).
 
-    ``control`` replays the submit/rekey loop frozen at its PR7 shape:
-    corr-trailer split, untimed op-lock acquire, plan on the loop,
-    staged encrypt/seal/finish on the pool, ``_corr``-only routing — no
+    ``control`` replays the submit/rekey loop frozen at its PR7 shape,
+    inline on the loop as the core now serves it: corr-trailer split,
+    plan, staged encrypt/seal/finish, ``_corr``-only routing — no
     ``split_trailers``, no spans, no flight events, no wait histograms.
     ``treatment`` is the real :meth:`ImmediateServingCore.submit` with
     the shipping defaults (null tracer, flight recorder enabled).  Both
@@ -226,15 +226,9 @@ def serve_ab_compare(n_ops, n_batches):
         core._m_inflight.set(core._inflight)
         try:
             server = core.server
-            if not core._op_lock.acquire(blocking=False):
-                await core._acquire_op_lock()
-            try:
-                staged = (server.begin_join(user_id) if op == "join"
-                          else server.begin_leave(user_id))
-            finally:
-                core._op_lock.release()
-            outcome = await core._in_executor(
-                lambda: staged.encrypt().seal().finish())
+            staged = (server.begin_join(user_id) if op == "join"
+                      else server.begin_leave(user_id))
+            outcome = staged.encrypt().seal().finish()
             # PR7 routing: direct acks back on the reply path, the
             # rest to the fan-out (same split the real _route makes).
             for out in outcome.all_messages:
@@ -245,7 +239,7 @@ def serve_ab_compare(n_ops, n_batches):
                     reply(_corr(wire, token))
                 else:
                     core.fanout.send(out, payload=wire)
-            await core._track(op, user_id)
+            core._track(op, user_id)
         finally:
             core._inflight -= 1
             core._m_inflight.set(core._inflight)

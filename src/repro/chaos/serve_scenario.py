@@ -8,7 +8,7 @@ claim is stronger than "it recovers": a second, in-memory *control*
 server with the same seed is driven through the identical op sequence
 with no serving layer at all, and the live server's final group key
 must match the control's **byte for byte** — the async front end
-(event-loop planning, executor encrypt/seal, admission control) must
+(every op served on the event loop, admission control) must
 not perturb a single DRBG draw.
 
 Clients replay exactly what their reply path received (acks and

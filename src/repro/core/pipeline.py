@@ -316,8 +316,7 @@ class StagedRun:
     :meth:`encrypt`
         Materializes this run's scheduled encryptions.  Touches only
         per-run state, so independent runs may encrypt concurrently on
-        worker threads — this is the stage the async serving layer
-        offloads via ``run_in_executor``.
+        worker threads.
     :meth:`seal`
         Assembles wire messages (drawing sequence numbers) and signs
         them.  Seals are admitted strictly in plan order by the

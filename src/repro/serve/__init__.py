@@ -1,9 +1,8 @@
 """Async concurrent serving: event-loop front end over pipelined rekeying.
 
 The PR2 UDP layer serves one request at a time on a thread; this
-package is the concurrent successor — an asyncio front end that parses
-and *plans* on the event loop, ships the expensive encrypt/sign stages
-to a worker pool (:class:`~repro.core.server.StagedRekeyOp`), applies
+package is the concurrent successor — an asyncio front end that serves
+every op on the event-loop thread in one synchronous step, applies
 admission control (bounded in-flight budget, per-client rate caps,
 ``MSG_BUSY`` shedding), and optionally coalesces concurrent
 joins/leaves into one batch rekey.

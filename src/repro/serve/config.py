@@ -16,9 +16,9 @@ from typing import Optional, Tuple
 
 from ..core.server import ServerConfig
 
-#: Worker threads used when ``ServerConfig.workers`` is 0 (auto).  The
-#: encrypt stage is pure-Python crypto, so past a handful of threads
-#: the GIL caps the win; 4 keeps request overlap without churn.
+#: Worker threads used when ``ServerConfig.workers`` is 0 (auto).  Ops
+#: run on the event loop; the pool only builds stats replies and SLO
+#: snapshots.
 DEFAULT_WORKERS = 4
 
 

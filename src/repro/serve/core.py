@@ -7,32 +7,34 @@ dispatches, and routes the outputs — direct replies back through the
 callable, group traffic through a :class:`~repro.serve.fanout.
 SocketFanout`.
 
-Concurrency model (one process, GIL, possibly one core):
+Concurrency model: **one thread serves every op.**  The paper's key
+server handles one request at a time, and so does this one.  A join,
+leave, resync, subcast, heartbeat, recovery tick or coalesced flush
+runs on the event-loop thread in one synchronous step: plan, encrypt,
+seal, finish, release to the wire, start or stop heartbeat tracking.
+Nothing awaits between an op's plan and its release, so
 
-* **Parsing, admission and rekey *planning* run on the event loop.**
-  Planning must be serialized anyway (it reads and edits the key tree),
-  and it is cheap — the tree edit plus key draws.  Keeping it on the
-  loop costs nothing and needs no locks against other loop work.
-* **Encrypt/sign/dispatch stages run on a worker pool** via
-  ``run_in_executor`` as a :class:`~repro.core.server.StagedRekeyOp`.
-  The expensive stages of request *N* overlap the planning and parsing
-  of request *N+1* — the paper's observation that rekey encryption
-  dominates server cost, turned into pipeline overlap.
-* **One op lock** (a plain ``threading.Lock``) guards every tree/DRBG
-  mutation: planning, recovery ticks, batch flushes.  The loop only
-  ever *tries* the lock; when an executor thread holds it (a tick, a
-  flush), a rekey op waits for the lock *on a worker* and then still
-  plans on the loop — planning anywhere else would draw seal tickets
-  out of executor-submission order and void the
-  :class:`~repro.core.pipeline.SealTurnstile`'s no-deadlock
-  invariant.  Lock-only helpers (heartbeats, recovery) fall back to
-  the executor wholesale instead.
+* no other op can touch the key tree, the DRBG or the recovery tables
+  in between — there is no op lock;
+* ops reach the wire in plan order by construction — there is no
+  release re-ordering;
+* staged ops still draw and retire a
+  :class:`~repro.core.pipeline.SealTurnstile` ticket, but never wait
+  on one.
+
+Two threads on one GIL added no throughput, only turn-taking.  The
+worker pool survives for the two jobs that read and never mutate: the
+stats reply and the SLO evaluator's registry snapshot.
 
 Admission control:
 
-* a bounded in-flight budget for rekey operations — beyond it the
-  server sheds with an immediate (unsigned — shedding must be cheap)
-  ``MSG_BUSY`` reply instead of queueing unboundedly;
+* a bounded budget for rekey operations (join, leave, subcast):
+  ``max_inflight`` bounds the requests accepted but not yet served.
+  It is checked when the datagram is read (:meth:`submit_nowait`), and
+  the UDP endpoint reads every queued datagram on one readiness event,
+  so a burst is a queue the server can see and shed from — with an
+  immediate (unsigned — shedding must be cheap) ``MSG_BUSY`` reply —
+  rather than a backlog waiting in the kernel's buffer;
 * an optional per-client token bucket over state-changing requests
   (join/leave/resync).  Heartbeats are never capped: punishing
   liveness signals under load would manufacture false evictions.
@@ -41,8 +43,7 @@ Fan-out (see :mod:`repro.serve.fanout`): a group rekey arrives at the
 fan-out naming its audience and no member, as it does on every
 transport; the core keeps the fan-out's audiences equal to the
 backend's membership (``backend.audiences``) by applying each op's
-membership change at the moment the op's outputs are released — and
-releases them strictly in plan order (:mod:`repro.serve.release`).
+membership change at the moment the op's outputs are released.
 
 Three flavors share the skeleton: :class:`ImmediateServingCore` (one
 :class:`~repro.core.server.GroupKeyServer`, staged per-request
@@ -57,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,7 +83,6 @@ from ..recovery.manager import (MAX_PUSHES_PER_TICK, RecoveryManager,
 from .config import DEFAULT_WORKERS, ServeConfig, worker_count
 from .fanout import SocketFanout
 from .health import InstrumentedExecutor, LoopHealthMonitor, WAIT_BUCKETS_S
-from .release import ReleaseOrder
 from .rpc import IdempotencyCache
 from .wire import (attach_corr_trailer, attach_trailers, split_corr_trailer,
                    split_trailers)
@@ -107,6 +106,11 @@ TICK_SHED_LAG_S = 0.1
 _DIRECT_TYPES = frozenset({
     MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_LEAVE_ACK, MSG_LEAVE_DENIED,
     MSG_BUSY,
+})
+
+#: Request types that ``max_inflight`` bounds.
+_BOUNDED_TYPES = frozenset({
+    MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST, MSG_SUBCAST_REQUEST,
 })
 
 
@@ -147,7 +151,9 @@ class AsyncServingCore:
             "serve_rate_limited_total",
             "Requests rejected by the per-client token bucket, by type.",
             labels=("type",))
-        self._m_op_lock_wait = registry.histogram(
+        # Registered for the benchmark report, which reads it; no op
+        # lock exists any more, so it stays empty.
+        registry.histogram(
             "serve_op_lock_wait_seconds",
             "Time spent waiting for the op lock (contended paths only).",
             bounds=WAIT_BUCKETS_S).labels()
@@ -177,20 +183,17 @@ class AsyncServingCore:
         self.loop_health = (
             LoopHealthMonitor(registry, config.loop_probe_interval)
             if config.loop_probe_interval > 0 else None)
+        # Stats replies and SLO snapshots only: no op runs here.
         self.executor = InstrumentedExecutor(
             registry, max_workers=max(1, workers),
             thread_name_prefix="repro-serve")
-        # Guards every tree/DRBG mutation across loop and executor:
-        # plan, whole-op fallback, recovery tick, batch flush.
-        self._op_lock = threading.Lock()
-        # Tickets are drawn under the op lock; outputs reach the
-        # fan-out in ticket order whatever order the pool finishes in.
-        self._release = ReleaseOrder()
+        # Bounded ops being served, and bounded ops accepted when read
+        # but not yet started (see submit_nowait).
         self._inflight = 0
+        self._queued = 0
         self._closing = False
         # The server half of the ResilientRpc contract: retried ops
         # replay their original reply instead of double-executing.
-        # Mutated only on the event loop — no lock.
         self._idem = (IdempotencyCache(config.idempotency_entries,
                                        config.idempotency_per_client)
                       if config.idempotency_entries > 0 else None)
@@ -237,13 +240,13 @@ class AsyncServingCore:
         """Wait (bounded) for admitted ops to finish before teardown.
 
         ``_closing`` is already set, so every new arrival sheds with
-        ``MSG_BUSY`` — the in-flight count can only fall.  Stragglers
-        past the deadline are abandoned to the executor shutdown's
-        ``cancel_futures``, which sheds them through the ordinary
-        error path.
+        ``MSG_BUSY`` — the in-flight count can only fall.  Ops accepted
+        but not yet started are served (and shed ``closing``) on the
+        next loop pass.
         """
         deadline = time.monotonic() + self.config.drain_deadline
-        while self._inflight > 0 and time.monotonic() < deadline:
+        while (self._inflight > 0 or self._queued > 0) \
+                and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
 
     async def aclose(self) -> None:
@@ -266,60 +269,9 @@ class AsyncServingCore:
     # -- helpers -----------------------------------------------------------
 
     async def _in_executor(self, fn, *args):
+        """Run a read-only job (a snapshot) on the worker pool."""
         return await asyncio.get_running_loop().run_in_executor(
             self.executor, fn, *args)
-
-    async def _locked(self, fn, *args):
-        """Run ``fn`` under the op lock without ever blocking the loop.
-
-        Free lock: run inline (the common case — ticks and flushes are
-        rare).  Held lock: run on the executor, where waiting is fine.
-        """
-        if self._op_lock.acquire(blocking=False):
-            try:
-                return fn(*args)
-            finally:
-                self._op_lock.release()
-
-        def call():
-            with self._op_lock:
-                return fn(*args)
-        return await self._in_executor(call)
-
-    async def _acquire_op_lock(self) -> None:
-        """Wait for the op lock on a worker; the caller must release it.
-
-        Lets a coroutine take the lock and then keep working *on the
-        loop* (rekey planning must happen there — see the module doc)
-        without ever blocking the loop on the acquire.  If the await
-        is cancelled after the pool task has started, that task will
-        still acquire the lock eventually; a done-callback hands it
-        straight back so cancellation cannot leak the lock.
-        """
-        future = asyncio.get_running_loop().run_in_executor(
-            self.executor, self._op_lock.acquire)
-        try:
-            await future
-        except asyncio.CancelledError:
-            def release(done):
-                if not done.cancelled():
-                    self._op_lock.release()
-            future.add_done_callback(release)
-            raise
-
-    async def _acquire_op_lock_timed(self, parent=None) -> None:
-        """:meth:`_acquire_op_lock` plus wait attribution.
-
-        Contended acquires (the only callers of this variant) land in
-        the op-lock wait histogram and, when the request is traced, a
-        ``serve.lock_wait`` child span.
-        """
-        span = self.instrumentation.tracer.span("serve.lock_wait",
-                                                parent=parent)
-        started = time.perf_counter()
-        await self._acquire_op_lock()
-        self._m_op_lock_wait.observe(time.perf_counter() - started)
-        span.finish()
 
     # -- flight recorder / SLO ---------------------------------------------
 
@@ -431,10 +383,12 @@ class AsyncServingCore:
         if self._idem is not None and token is not None:
             self._idem.begin(user_id, token)
 
-    def _idem_commit(self, user_id: str, token: Optional[int],
+    def _idem_record(self, user_id: str, token: Optional[int],
                      payload: bytes) -> None:
-        """Cache a direct reply (correlation trailer already stripped)."""
+        """Cache the direct reply of an op served in one step
+        (correlation trailer already stripped)."""
         if self._idem is not None and token is not None:
+            self._idem.begin(user_id, token)
             self._idem.commit(user_id, token, payload)
 
     def _idem_finish(self, user_id: str, token: Optional[int]) -> None:
@@ -493,9 +447,10 @@ class AsyncServingCore:
                     token: Optional[int], trace=None) -> None:
         """Apply a completed op's membership change, then route it.
 
-        One synchronous step, taken in plan order: the joiner counts
-        from its own op on (its join's group rekey excludes it by
-        name, the root-layer rekey of a cluster join must reach it),
+        Taken in the op's own synchronous step, so in plan order: the
+        joiner counts from its own op on (its join's group rekey
+        excludes it by name, the root-layer rekey of a cluster join
+        must reach it),
         the leaver from its own op off, and the next op released finds
         the audiences as its plan left the tree.
         """
@@ -529,7 +484,7 @@ class AsyncServingCore:
         return MAX_PUSHES_PER_TICK
 
     async def _tick_once(self) -> None:
-        await self._locked(self.recovery.tick, self._push_budget())
+        self.recovery.tick(self._push_budget())
 
     async def _tick_loop(self) -> None:
         while True:
@@ -543,44 +498,60 @@ class AsyncServingCore:
     # -- the front door ----------------------------------------------------
 
     def submit_nowait(self, data: bytes, reply, path_id=None) -> bool:
-        """Inline fast path for cheap datagrams; True when fully served.
+        """Take one payload as it is read; True when fully dealt with.
 
         Heartbeats dominate a live group's request mix and touch only
-        the recovery tables, so when the op lock is free they are
-        served synchronously on the calling loop iteration — no task,
-        no executor hop, no await.  Anything else (or a held op lock)
-        returns False and the caller falls back to :meth:`submit` on a
-        task.  Malformed payloads are consumed here too: they deserve
-        a counter bump, not a task.
+        the recovery tables, so they are served right here — no task,
+        no await.  Malformed payloads are consumed too: they deserve a
+        counter bump, not a task.  A join, leave or subcast is
+        admitted here against ``max_inflight``, which counts every
+        bounded op accepted and not yet served; past it the request
+        sheds with ``MSG_BUSY``.  Anything accepted returns False, and
+        the caller serves it through :meth:`submit` on a task.
         """
-        payload, _token = split_corr_trailer(data)
+        payload, token = split_corr_trailer(data)
         try:
             message = Message.decode(payload)
         except WireError:
             self._m_requests.inc(type="malformed")
             return True
-        if message.msg_type != MSG_HEARTBEAT:
-            return False
-        if not self._op_lock.acquire(blocking=False):
-            return False
-        try:
+        msg_type = message.msg_type
+        if msg_type == MSG_HEARTBEAT:
             self._m_heartbeats.inc()
             user_id = message.body.decode("utf-8", errors="replace")
             self._attach(user_id, reply, path_id)
             self.recovery.heartbeat(
                 user_id, (message.root_node_id, message.root_version))
-        finally:
-            self._op_lock.release()
+            return True
+        if msg_type not in _BOUNDED_TYPES:
+            return False
+        if self._inflight + self._queued < self.config.max_inflight:
+            self._queued += 1
+            return False
+        self._m_requests.inc(type=_TYPE_NAMES[msg_type])
+        if msg_type == MSG_SUBCAST_REQUEST:
+            try:
+                user_id = parse_subcast_request(message.body)[0]
+            except SubcastWireError:
+                self._m_requests.inc(type="malformed")
+                return True
+        else:
+            user_id = message.body.decode("utf-8", errors="replace")
+        if not self._idem_handled(user_id, token, reply):
+            self._shed(user_id, reply, token, "saturated",
+                       split_trailers(data)[1])
         return True
 
     async def submit(self, data: bytes, reply,
                      path_id=None) -> None:
         """Serve one inbound payload.
 
-        ``reply`` writes one payload back on the requester's path (it
-        must be loop-thread-safe — see :mod:`repro.serve.endpoint`);
+        ``reply`` writes one payload back on the requester's path;
         ``path_id`` identifies that path for fan-out registration and
         multicast dedup (None = do not register, e.g. one-shot tools).
+        Every op is served in one synchronous step on the loop; only a
+        stats reply and a coalesced op (which waits for its flush)
+        await.
         """
         payload, inbound, token = split_trailers(data)
         try:
@@ -589,6 +560,9 @@ class AsyncServingCore:
             self._m_requests.inc(type="malformed")
             return
         msg_type = message.msg_type
+        if msg_type in _BOUNDED_TYPES and self._queued:
+            self._queued -= 1       # accepted by submit_nowait; started
+
         self._m_requests.inc(type=_TYPE_NAMES.get(msg_type, "other"))
         if msg_type == MSG_STATS_REQUEST:
             body = await self._in_executor(self._stats_body)
@@ -596,20 +570,19 @@ class AsyncServingCore:
             reply(attach_trailers(response.encode(), inbound, token))
             return
         if msg_type == MSG_SUBCAST_REQUEST:
-            await self._subcast(message, reply, inbound, token, path_id)
+            self._subcast(message, reply, inbound, token, path_id)
             return
         user_id = message.body.decode("utf-8", errors="replace")
         if msg_type == MSG_HEARTBEAT:
             self._attach(user_id, reply, path_id)
-            await self._locked(
-                self.recovery.heartbeat, user_id,
-                (message.root_node_id, message.root_version))
+            self.recovery.heartbeat(
+                user_id, (message.root_node_id, message.root_version))
             return
         tracer = self.instrumentation.tracer
         if msg_type == MSG_RESYNC_REQUEST:
             # Duplicate check before admission: a retry already paid
-            # the token bucket once, and a replay is a cheap loop-side
-            # copy that must not be shed.
+            # the token bucket once, and a replay is a cheap copy that
+            # must not be shed.
             if self._idem_handled(user_id, token, reply):
                 return
             if self._closing:
@@ -620,23 +593,18 @@ class AsyncServingCore:
                 self._shed(user_id, reply, token, "rate-cap", inbound)
                 return
             self._attach(user_id, reply, path_id)
-            # Created, never entered: the span must not sit on the
-            # loop thread's active stack across the await below.
             span = tracer.span("serve.request", parent=inbound,
                                op="resync", user=user_id)
             trace = span.context if span.trace_id else None
             self.flight.record("req", trace_id=span.trace_id,
                                op="resync", user=user_id)
-            self._idem_begin(user_id, token)
-            out = await self._locked(self.recovery.serve_request, user_id)
+            out = self.recovery.serve_request(user_id)
             if out is not None:
                 body = out.encoded or out.message.encode()
                 if trace is not None:
                     body = attach_trailers(body, trace)
-                self._idem_commit(user_id, token, body)
+                self._idem_record(user_id, token, body)
                 reply(_corr(body, token))
-            else:
-                self._idem_finish(user_id, token)
             span.finish()
             self.flight.record("done", trace_id=span.trace_id,
                                op="resync", served=out is not None)
@@ -659,10 +627,10 @@ class AsyncServingCore:
                 self._attach(user_id, reply, path_id)
             self._inflight += 1
             self._m_inflight.set(self._inflight)
-            # The request's root span.  Created, never entered — it
-            # spans awaits, and entering would corrupt the loop
-            # thread's active-span stack.  Children attach to it
-            # explicitly (plan on the loop, exec on workers).
+            # The request's root span.  Created, never entered — a
+            # coalesced op awaits its flush, and entering would corrupt
+            # the loop thread's active-span stack.  Children attach to
+            # it explicitly.
             span = tracer.span("serve.request", parent=inbound,
                                op=op, user=user_id)
             self.flight.record("req", trace_id=span.trace_id,
@@ -674,12 +642,6 @@ class AsyncServingCore:
             teed = self._idem_tee(user_id, token, reply)
             try:
                 await self._rekey(op, user_id, payload, teed, token, span)
-            except asyncio.CancelledError:
-                # Executor teardown cancelled the op's future (the
-                # drain deadline passed); the task itself is alive, so
-                # shed instead of vanishing without a reply.
-                span.finish(error=True)
-                self._shed(user_id, teed, token, "closing", span.context)
             except Exception as exc:
                 self._m_errors.inc(op=op)
                 span.finish(error=True)
@@ -707,15 +669,14 @@ class AsyncServingCore:
         """The object exposing ``subcast()``/``is_member()`` (per flavor)."""
         raise NotImplementedError
 
-    async def _subcast(self, message: Message, reply, inbound,
-                       token: Optional[int], path_id) -> None:
+    def _subcast(self, message: Message, reply, inbound,
+                 token: Optional[int], path_id) -> None:
         """Serve one covered-multicast request.
 
-        The whole op (membership check, cover, seal) runs on the
-        executor under the op lock — the cover must see a consistent
-        tree, and must never interleave with a rekey mid-edit.  The
-        sealed message fans out to the target subset; the requester
-        additionally gets a direct correlation-tagged copy as its ack.
+        Membership check, cover and seal see the tree between two ops,
+        never mid-edit.  The sealed message fans out to the target
+        subset; the requester additionally gets a direct
+        correlation-tagged copy as its ack.
         """
         try:
             sender, targets, app_payload = parse_subcast_request(
@@ -736,34 +697,21 @@ class AsyncServingCore:
             self._shed(sender, reply, token, "saturated", inbound)
             return
         self._attach(sender, reply, path_id)
-        self._inflight += 1
-        self._m_inflight.set(self._inflight)
         tracer = self.instrumentation.tracer
-        # Created, never entered (it spans awaits); the exec child is
-        # entered on the worker so backend spans parent to it.
         span = tracer.span("serve.request", parent=inbound,
                            op="subcast", user=sender)
         trace = span.context if span.trace_id else None
         self.flight.record("req", trace_id=span.trace_id, op="subcast",
                            user=sender, targets=len(targets))
         started = time.perf_counter()
-
-        def run():
-            with self._op_lock:
-                self._m_op_lock_wait.observe(time.perf_counter() - started)
-                with tracer.span("serve.exec", parent=span, op="subcast"):
-                    backend = self._subcast_backend()
-                    if not backend.is_member(sender):
-                        raise ServerError(
-                            f"subcast sender {sender!r} is not a member")
-                    return backend.subcast(targets, app_payload)
-
-        self._idem_begin(sender, token)
         try:
-            out = await self._in_executor(run)
-        except asyncio.CancelledError:
-            span.finish(error=True)
-            self._shed(sender, reply, token, "closing", span.context)
+            # Entered, so the backend's spans parent to it.
+            with tracer.span("serve.exec", parent=span, op="subcast"):
+                backend = self._subcast_backend()
+                if not backend.is_member(sender):
+                    raise ServerError(
+                        f"subcast sender {sender!r} is not a member")
+                out = backend.subcast(targets, app_payload)
         except Exception as exc:
             self._m_errors.inc(op="subcast")
             span.finish(error=True)
@@ -771,23 +719,19 @@ class AsyncServingCore:
                                op="subcast", user=sender,
                                cause=type(exc).__name__)
             self._shed(sender, reply, token, "error", span.context)
-        else:
-            payload_out = out.encoded or out.message.encode()
-            if trace is not None:
-                payload_out = attach_trailers(payload_out, trace)
-            self.fanout.send(out, payload=payload_out)
-            # A replayed subcast re-sends only the requester's direct
-            # copy — the original fan-out already reached the targets.
-            self._idem_commit(sender, token, payload_out)
-            reply(_corr(payload_out, token))
-            span.finish()
-            self._m_subcast_seconds.observe(time.perf_counter() - started)
-            self.flight.record("done", trace_id=span.trace_id,
-                               op="subcast", us=span.duration_ns // 1000)
-        finally:
-            self._idem_finish(sender, token)
-            self._inflight -= 1
-            self._m_inflight.set(self._inflight)
+            return
+        payload_out = out.encoded or out.message.encode()
+        if trace is not None:
+            payload_out = attach_trailers(payload_out, trace)
+        self.fanout.send(out, payload=payload_out)
+        # A replayed subcast re-sends only the requester's direct
+        # copy — the original fan-out already reached the targets.
+        self._idem_record(sender, token, payload_out)
+        reply(_corr(payload_out, token))
+        span.finish()
+        self._m_subcast_seconds.observe(time.perf_counter() - started)
+        self.flight.record("done", trace_id=span.trace_id,
+                           op="subcast", us=span.duration_ns // 1000)
 
     def _stats_body(self) -> bytes:
         document = self._stats_document()
@@ -808,12 +752,12 @@ class AsyncServingCore:
                                   sort_keys=True).encode("utf-8")
         return body
 
-    async def _track(self, op: str, user_id: str) -> None:
+    def _track(self, op: str, user_id: str) -> None:
         """Start/stop heartbeat surveillance once an op is released."""
         if op == "join":
-            await self._locked(self.recovery.track, user_id)
+            self.recovery.track(user_id)
         else:
-            await self._locked(self.recovery.untrack, user_id)
+            self.recovery.untrack(user_id)
 
 
 class ImmediateServingCore(AsyncServingCore):
@@ -840,31 +784,6 @@ class ImmediateServingCore(AsyncServingCore):
     def _subcast_backend(self):
         return self.server
 
-    async def _tick_once(self):
-        # The tick's evictions run synchronous leaves that draw a seal
-        # ticket and wait their turn.  With staged request ops still
-        # in flight that wait can starve: the earlier-ticket staged
-        # task may sit queued behind workers blocked on the very op
-        # lock the tick holds.  So take the lock only once the
-        # turnstile is idle — plans (and so ticket draws) happen under
-        # the lock, so idleness holds for as long as we do — and run
-        # the tick inline; its sync leaves then never wait.  The
-        # release order must be idle as well: an eviction's rekey goes
-        # straight to the fan-out and must not overtake an op planned
-        # before it that has sealed but not been released yet.
-        turnstile = self.server.pipeline.seal_order
-        while True:
-            if not self._op_lock.acquire(blocking=False):
-                await self._acquire_op_lock()
-            if turnstile.idle and self._release.idle:
-                break
-            self._op_lock.release()
-            await asyncio.sleep(0.005)
-        try:
-            self.recovery.tick(self._push_budget())
-        finally:
-            self._op_lock.release()
-
     def _ensure_enrolled(self, user_id: str) -> None:
         server = self.server
         if (self.config.open_enroll and not server.is_member(user_id)
@@ -874,93 +793,36 @@ class ImmediateServingCore(AsyncServingCore):
 
     async def _rekey(self, op, user_id, payload, reply, token, span):
         server = self.server
-        tracer = self.instrumentation.tracer
         trace = span.context if span.trace_id else None
-        if getattr(server, "_journal", None) is not None:
-            # A journaled server (file or warm standby) must append ops
-            # in plan order, which the overlapped path cannot
-            # guarantee — serialize the whole op on a worker.  Every op on this server takes
-            # this path, so each seal ticket is drawn and retired
-            # under the op lock before the next op plans: the
-            # turnstile never actually waits here.
-            ticket = None
-
-            def run():
-                nonlocal ticket
-                started = time.perf_counter()
-                with self._op_lock:
-                    self._m_op_lock_wait.observe(
-                        time.perf_counter() - started)
-                    ticket = self._release.ticket()
-                    # Entered on this worker thread, so the rekey
-                    # pipeline's spans parent to it thread-locally —
-                    # the executor hop stays one connected trace.
-                    with tracer.span("serve.exec", parent=span, op=op):
-                        if op == "join":
-                            self._ensure_enrolled(user_id)
-                            return server.join(user_id)
-                        return server.leave(user_id)
-            denied = False
+        with self.instrumentation.tracer.span("serve.plan", parent=span,
+                                              op=op):
             try:
-                outcome = await self._in_executor(run)
-                await self._release.turn(ticket)
-                self._release_op(op, user_id, outcome.all_messages, reply,
-                                 token, trace)
+                if op == "join":
+                    self._ensure_enrolled(user_id)
+                    staged = server.begin_join(user_id)
+                else:
+                    staged = server.begin_leave(user_id)
             except ServerError:
-                denied = True
-            finally:
-                self._release.retire(ticket)
-            if denied:
-                await self._deny(op, user_id, reply, token, trace)
-            else:
-                await self._track(op, user_id)
-            return
-        # Plan here on the loop, then ship the heavy encrypt/sign/
-        # dispatch stages to the pool; the next request plans while
-        # these stages run.  Planning must stay on the loop even when
-        # the op lock is busy: plan + submit with no await between
-        # keeps seal tickets in executor-submission order, which is
-        # the SealTurnstile's no-deadlock invariant — a whole-op
-        # executor fallback here could draw its ticket after a staged
-        # task it then starves of a worker, wedging the server.
-        if not self._op_lock.acquire(blocking=False):
-            await self._acquire_op_lock_timed(span)
-        staged = ticket = None
-        try:
-            with tracer.span("serve.plan", parent=span, op=op):
-                try:
-                    if op == "join":
-                        self._ensure_enrolled(user_id)
-                        staged = server.begin_join(user_id)
-                    else:
-                        staged = server.begin_leave(user_id)
-                except ServerError:
-                    staged = None
-            if staged is not None:
-                ticket = self._release.ticket()
-        finally:
-            self._op_lock.release()
+                staged = None
         if staged is None:
-            await self._deny(op, user_id, reply, token, trace)
+            self._deny(op, user_id, reply, token, trace)
             return
         try:
-            outcome = await self._in_executor(
-                lambda: staged.encrypt().seal().finish())
-            # The pool finishes ops in whatever order it likes (the
-            # seal turn is passed on inside ``finish``); the fan-out
-            # sees them in plan order.
-            await self._release.turn(ticket)
-            self._release_op(op, user_id, outcome.all_messages, reply,
-                             token, trace)
-        finally:
-            self._release.retire(ticket)
-        await self._track(op, user_id)
+            outcome = staged.encrypt().seal().finish()
+        except BaseException:
+            # Retire the seal ticket, or the next op's seal waits on
+            # it forever.
+            staged.abort()
+            raise
+        self._release_op(op, user_id, outcome.all_messages, reply, token,
+                         trace)
+        self._track(op, user_id)
 
-    async def _deny(self, op, user_id, reply, token, trace=None):
+    def _deny(self, op, user_id, reply, token, trace=None):
         server = self.server
         server._m_requests.inc(op=op, status="denied")
         msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
-        out = await self._locked(server._control_message, msg_type, user_id)
+        out = server._control_message(msg_type, user_id)
         if op == "join":
             self._forget_denied(user_id)
         reply(attach_trailers(out.encoded or out.message.encode(),
@@ -970,13 +832,13 @@ class ImmediateServingCore(AsyncServingCore):
 class CoalescingServingCore(AsyncServingCore):
     """Fold concurrent joins/leaves into one batch flush.
 
-    Requests queue into a :class:`BatchRekeyServer` on arrival (cheap,
-    on the loop) and the flush loop rekeys once per
-    ``coalesce_interval`` — or as soon as ``coalesce_max`` requests
-    are pending.  Joiners are answered with their path-keys unicast
-    from the flush; leavers (and joins cancelled by a same-interval
-    leave) get a synthesized signed ack.  ``max_inflight`` should be
-    at least ``coalesce_max`` or admission will cap batch size first.
+    Requests queue into a :class:`BatchRekeyServer` on arrival and the
+    flush loop rekeys once per ``coalesce_interval`` — or as soon as
+    ``coalesce_max`` requests are pending.  Joiners are answered with
+    their path-keys unicast from the flush; leavers (and joins
+    cancelled by a same-interval leave) get a synthesized signed ack.
+    ``max_inflight`` should be at least ``coalesce_max`` or admission
+    will cap batch size first.
     """
 
     flavor = "coalesce"
@@ -1037,12 +899,17 @@ class CoalescingServingCore(AsyncServingCore):
                 pass
             self._flush_task = None
         # Stragglers past the deadline fail fast, not silently.
-        for w_op, w_user, w_reply, w_token, w_trace, future in self._waiters:
-            self._shed(w_user, w_reply, w_token, "closing", w_trace)
-            if not future.done():
-                future.set_result(None)
+        self._fail_waiters(self._waiters, "closing")
         self._waiters = []
         await super().aclose()
+
+    def _fail_waiters(self, waiters, reason: str) -> None:
+        # A busy reply beats leaving the client to tell server failure
+        # from packet loss by timeout.
+        for _op, user_id, reply, token, trace, future in waiters:
+            self._shed(user_id, reply, token, reason, trace)
+            if not future.done():
+                future.set_result(None)
 
     def _enroll_key(self, user_id: str) -> bytes:
         registered = self._registered.pop(user_id, None)
@@ -1050,7 +917,6 @@ class CoalescingServingCore(AsyncServingCore):
             return registered
         if not self.config.open_enroll:
             raise BatchError(f"{user_id}: no registered individual key")
-        # Under the op lock (the DRBG is shared with the flush).
         return self.server.material.new_individual_key()
 
     def _control(self, msg_type: int, user_id: str) -> bytes:
@@ -1070,9 +936,9 @@ class CoalescingServingCore(AsyncServingCore):
             server._signer.seal([message])
         return message.encode()
 
-    async def _deny(self, op, user_id, reply, token, trace=None):
+    def _deny(self, op, user_id, reply, token, trace=None):
         msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
-        payload = await self._in_executor(self._control, msg_type, user_id)
+        payload = self._control(msg_type, user_id)
         # A duplicate of a join still queued for the flush is refused
         # too, but that joiner's path is about to be needed.
         if op == "join" and user_id not in self.server._pending_joins:
@@ -1082,33 +948,20 @@ class CoalescingServingCore(AsyncServingCore):
     async def _rekey(self, op, user_id, payload, reply, token, span):
         server = self.server
         trace = span.context if span.trace_id else None
-        # Enqueue and waiter registration must be one atomic step
-        # under the op lock: the flush consumes the pending set and
-        # the waiter list together (also under the lock), so a flush
-        # landing between them would eat the pending join but find no
-        # waiter — silently dropping the joiner's path-key unicast.
-        # When the lock is busy (a flush, a tick) we wait for it on a
-        # worker and then enqueue here on the loop.
-        if not self._op_lock.acquire(blocking=False):
-            await self._acquire_op_lock_timed(span)
-        future = asyncio.get_running_loop().create_future()
-        denied = False
-        try:
-            with self.instrumentation.tracer.span("serve.enqueue",
-                                                  parent=span, op=op):
+        # Enqueue and waiter registration are one step: the flush
+        # consumes the pending set and the waiter list together.
+        with self.instrumentation.tracer.span("serve.enqueue",
+                                              parent=span, op=op):
+            try:
                 if op == "join":
                     server.request_join(user_id, self._enroll_key(user_id))
                 else:
                     server.request_leave(user_id)
-                self._waiters.append(
-                    (op, user_id, reply, token, trace, future))
-        except BatchError:
-            denied = True
-        finally:
-            self._op_lock.release()
-        if denied:
-            await self._deny(op, user_id, reply, token, trace)
-            return
+            except BatchError:
+                self._deny(op, user_id, reply, token, trace)
+                return
+            future = asyncio.get_running_loop().create_future()
+            self._waiters.append((op, user_id, reply, token, trace, future))
         self._m_pending.set(len(self._waiters))
         if len(self._waiters) >= self.config.coalesce_max:
             self._flush_event.set()
@@ -1122,54 +975,29 @@ class CoalescingServingCore(AsyncServingCore):
             except asyncio.TimeoutError:
                 pass
             self._flush_event.clear()
-            if not self._waiters:
-                continue
-            await self._flush()
+            if self._waiters:
+                self._flush()
 
-    async def _flush(self):
-        server = self.server
-
-        # Snapshot the waiters and flush the pending set in ONE
-        # critical section: a loop-side snapshot would race the
-        # worker-side flush, letting a request enqueued in between be
-        # consumed by a flush that holds no waiter for it.
-        def do_flush():
-            with self._op_lock:
-                waiters, self._waiters = self._waiters, []
-                if not waiters:
-                    return waiters, None, None
-                try:
-                    return waiters, server.flush(), None
-                except Exception as exc:
-                    return waiters, None, exc
-        waiters, result, error = await self._in_executor(do_flush)
-        self._m_pending.set(len(self._waiters))
-        if not waiters:
-            return
-        if error is not None:
-            self._m_errors.inc(op="flush")
-            for w_op, w_user, w_reply, w_token, w_trace, future in waiters:
-                # Fail fast: a busy reply beats leaving the client to
-                # tell server failure from packet loss by timeout.
-                self._shed(w_user, w_reply, w_token, "error", w_trace)
-                if not future.done():
-                    future.set_result(None)
-            return
-        self._m_flushes.inc()
-        joiner_payloads = {
-            out.destination.user_id: out.encoded or out.message.encode()
-            for out in result.joiner_messages
-            if out.destination.kind == DEST_USER}
-
-        def build_acks():
+    def _flush(self):
+        waiters, self._waiters = self._waiters, []
+        self._m_pending.set(0)
+        try:
+            result = self.server.flush()
+            joiner_payloads = {
+                out.destination.user_id: out.encoded or out.message.encode()
+                for out in result.joiner_messages
+                if out.destination.kind == DEST_USER}
             acks = {}
             for op, user_id, _reply, _token, _trace, _future in waiters:
                 if op == "leave" or user_id not in joiner_payloads:
                     msg_type = (MSG_LEAVE_ACK if op == "leave"
                                 else MSG_JOIN_ACK)
                     acks[(op, user_id)] = self._control(msg_type, user_id)
-            return acks
-        acks = await self._in_executor(build_acks)
+        except Exception:
+            self._m_errors.inc(op="flush")
+            self._fail_waiters(waiters, "error")
+            return
+        self._m_flushes.inc()
         # The flushed tree is the audience of its own rekey: it holds
         # this batch's joiners and none of its leavers.
         for _op, user_id, _reply, _token, _trace, _future in waiters:
@@ -1180,32 +1008,21 @@ class CoalescingServingCore(AsyncServingCore):
                 self.fanout.detach(user_id)
         if result.rekey_message is not None:
             self.fanout.send(result.rekey_message)
-        joins: List[str] = []
-        leaves: List[str] = []
         for op, user_id, reply, token, trace, future in waiters:
             payload = joiner_payloads.get(user_id) if op == "join" else None
             if payload is None:
                 payload = acks[(op, user_id)]
             reply(attach_trailers(payload, trace, token))
-            (joins if op == "join" else leaves).append(user_id)
+            self._track(op, user_id)
             if not future.done():
                 future.set_result(None)
-
-        def apply_tracking():
-            for user_id in joins:
-                self.recovery.track(user_id)
-            for user_id in leaves:
-                self.recovery.untrack(user_id)
-        await self._locked(apply_tracking)
 
 
 class ClusterServingCore(AsyncServingCore):
     """The PR4 sharded cluster behind the async front end.
 
-    Cluster ops compose a shard rekey with a root-layer rekey, so the
-    whole request runs on the executor under the op lock — the loop
-    stays free for heartbeats and parsing, and intra-cluster ordering
-    stays exactly the coordinator's.
+    Cluster ops compose a shard rekey with a root-layer rekey; the
+    coordinator runs both in one call, on the loop like every op.
     """
 
     flavor = "cluster"
@@ -1238,42 +1055,23 @@ class ClusterServingCore(AsyncServingCore):
                 user_id, coordinator.new_individual_key())
 
     async def _rekey(self, op, user_id, payload, reply, token, span):
-        coordinator = self.coordinator
-        tracer = self.instrumentation.tracer
         trace = span.context if span.trace_id else None
-
-        ticket = None
-
-        def run():
-            nonlocal ticket
-            started = time.perf_counter()
-            with self._op_lock:
-                self._m_op_lock_wait.observe(time.perf_counter() - started)
-                ticket = self._release.ticket()
-                # Entered on this worker thread: the coordinator's
-                # ``cluster.{op}`` span (and below it the shard and
-                # root-layer rekey spans) parent to it thread-locally,
-                # so the executor hop stays one connected trace.
-                with tracer.span("serve.exec", parent=span, op=op):
-                    if op == "join":
-                        self._ensure_enrolled(user_id)
-                    return coordinator.handle_datagram(payload)
+        # Entered: the coordinator's ``cluster.{op}`` span (and below
+        # it the shard and root-layer rekey spans) parent to it.
+        with self.instrumentation.tracer.span("serve.exec", parent=span,
+                                              op=op):
+            if op == "join":
+                self._ensure_enrolled(user_id)
+            try:
+                outputs = self.coordinator.handle_datagram(payload)
+            except ClusterError:
+                self._m_errors.inc(op=op)
+                outputs = []
         ack_type = MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK
-        applied = False
-        try:
-            outputs = await self._in_executor(run)
-            applied = any(out.message.msg_type == ack_type
-                          for out in outputs)
-            await self._release.turn(ticket)
-            if applied:
-                self._release_op(op, user_id, outputs, reply, token, trace)
-            else:
-                self._route(outputs, user_id, reply, token, trace)
-        except ClusterError:
-            self._m_errors.inc(op=op)
-        finally:
-            self._release.retire(ticket)
-        if applied:
-            await self._track(op, user_id)
-        elif op == "join":
+        if any(out.message.msg_type == ack_type for out in outputs):
+            self._release_op(op, user_id, outputs, reply, token, trace)
+            self._track(op, user_id)
+            return
+        self._route(outputs, user_id, reply, token, trace)
+        if op == "join":
             self._forget_denied(user_id)

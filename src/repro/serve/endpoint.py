@@ -1,15 +1,16 @@
 """Socket endpoints for the async serving core.
 
 * **UDP** — the paper's deployment shape: one datagram per message.
-  Each datagram spawns a task; replies go back to the source address.
+  Each readiness event reads every queued datagram, up to
+  :data:`MAX_DATAGRAMS_PER_READ`, before any of them is served, so the
+  core's admission check sees a burst as a queue it can shed from.
+  Replies go back to the source address.
 * **TCP** — length-prefixed frames (:func:`repro.serve.wire.frame`)
   over one stream per client; frames on one connection are served in
   order, which gives a connected client FIFO semantics for free.
 
-Reply callables handed to the core are **loop-thread-safe**: the
-recovery ticker and batch flushes run on executor threads, and asyncio
-transports must only be written from the loop thread, so off-loop
-writes are marshalled with ``call_soon_threadsafe``.
+Every reply is written on the event-loop thread, where the core serves
+every op, so reply callables write to the transport directly.
 
 :class:`AsyncKeyService` serves one core (immediate or coalescing) on
 one UDP socket plus an optional TCP listener.
@@ -25,31 +26,28 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import socket
-import threading
 from typing import List, Optional, Tuple
 
 from .config import ServeConfig
 from .core import AsyncServingCore, ClusterServingCore
 from .wire import frame, read_frame
 
+#: Datagrams read per readiness event.  asyncio's transport reads one
+#: and leaves the rest of a burst for later loop passes; reading the
+#: burst at once lets admission see it, and bounds how long heartbeats
+#: and timers wait behind one pass.
+MAX_DATAGRAMS_PER_READ = 64
 
-def _loop_safe_writer(loop: asyncio.AbstractEventLoop, write) -> callable:
-    """Wrap a transport write so executor threads can call it."""
-    ident = threading.get_ident()
-
-    def reply(payload: bytes) -> None:
-        if threading.get_ident() == ident:
-            write(payload)
-        else:
-            loop.call_soon_threadsafe(write, payload)
-    return reply
+#: Largest UDP payload.
+_MAX_DATAGRAM = 65535
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):
-    """One datagram in, one serving task; replies to the source addr."""
+    """Datagrams in, served or queued as read; replies to the source."""
 
-    def __init__(self, core: AsyncServingCore):
+    def __init__(self, core: AsyncServingCore, sock: socket.socket):
         self.core = core
+        self.sock = sock
         self.transport = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._tasks = set()
@@ -59,12 +57,25 @@ class _UdpProtocol(asyncio.DatagramProtocol):
         self._loop = asyncio.get_running_loop()
 
     def datagram_received(self, data: bytes, addr) -> None:
+        self._accept(data, addr)
+        recvfrom = self.sock.recvfrom
+        for _ in range(MAX_DATAGRAMS_PER_READ - 1):
+            try:
+                data, addr = recvfrom(_MAX_DATAGRAM)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # an ICMP error for an earlier send
+                continue
+            self._accept(data, addr)
+
+    def _accept(self, data: bytes, addr) -> None:
         transport = self.transport
-        reply = _loop_safe_writer(
-            self._loop, lambda payload: transport.sendto(payload, addr))
+
+        def reply(payload: bytes) -> None:
+            transport.sendto(payload, addr)
         # Heartbeats (the overwhelming majority at scale) are served
-        # synchronously; only datagrams that need staging or the
-        # executor pay for a task.
+        # right here, and a saturated server sheds here; an accepted
+        # op is served on a task, after the rest of the burst is read.
         if self.core.submit_nowait(data, reply, ("udp", addr)):
             return
         task = self._loop.create_task(
@@ -92,11 +103,19 @@ async def _open_udp(core: AsyncServingCore, config: ServeConfig,
                     port: int):
     """Bind one UDP endpoint for ``core`` and size its receive buffer;
     what the kernel granted is gauge ``serve_udp_rcvbuf_bytes``."""
-    transport, _protocol = await \
-        asyncio.get_running_loop().create_datagram_endpoint(
-            lambda: _UdpProtocol(core), local_addr=(config.host, port))
-    sock = transport.get_extra_info("socket")
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, UDP_RCVBUF)
+    loop = asyncio.get_running_loop()
+    family, _type, proto, _name, address = (await loop.getaddrinfo(
+        config.host, port, type=socket.SOCK_DGRAM))[0]
+    sock = socket.socket(family, socket.SOCK_DGRAM, proto)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, UDP_RCVBUF)
+        sock.bind(address)
+        sock.setblocking(False)
+        transport, _protocol = await loop.create_datagram_endpoint(
+            lambda: _UdpProtocol(core, sock), sock=sock)
+    except BaseException:
+        sock.close()
+        raise
     core.instrumentation.registry.gauge(
         "serve_udp_rcvbuf_bytes",
         "SO_RCVBUF the kernel granted the UDP endpoint(s).").labels().set(
@@ -106,10 +125,10 @@ async def _open_udp(core: AsyncServingCore, config: ServeConfig,
 
 async def _serve_tcp_connection(core: AsyncServingCore, reader,
                                 writer) -> None:
-    loop = asyncio.get_running_loop()
     path_id = ("tcp", id(writer))
-    reply = _loop_safe_writer(
-        loop, lambda payload: writer.write(frame(payload)))
+
+    def reply(payload: bytes) -> None:
+        writer.write(frame(payload))
     try:
         while True:
             data = await read_frame(reader)

@@ -12,11 +12,13 @@ A :class:`Supervisor` owns N independent shard serving cores (one
 :class:`~repro.serve.core.ImmediateServingCore` + UDP endpoint each)
 and runs one watchdog task per shard:
 
-* **probe** — every ``probe_interval`` the watchdog submits a no-op to
-  the shard's worker pool under ``probe_deadline`` and cross-checks the
-  :class:`~repro.serve.health.LoopHealthMonitor` beat.  A shard whose
-  executor is gone (the SIGKILL-equivalent teardown used by the chaos
-  harness) or whose beat went stale misses the probe.
+* **probe** — every ``probe_interval`` the watchdog checks, inline on
+  the loop that serves the shard, that its core still serves, that its
+  UDP socket is open and that its
+  :class:`~repro.serve.health.LoopHealthMonitor` beat is fresh.  A
+  shard torn down under the supervisor (the SIGKILL-equivalent
+  teardown used by the chaos harness) or whose beat went stale misses
+  the probe.
 * **declare** — ``probe_misses`` consecutive misses mark the shard
   dead; the watchdog tears down whatever is left of it.
 * **restart** — in ``journal`` mode the shard is rebuilt with
@@ -84,7 +86,8 @@ class SupervisePolicy:
     #: Seconds between health probes per shard.  0 disables the
     #: watchdogs — the supervisor only restarts on explicit request.
     probe_interval: float = 0.25
-    #: Seconds a probe may take before it counts as missed.
+    #: Seconds the shard's loop-health beat may age before a probe
+    #: counts as missed.
     probe_deadline: float = 1.0
     #: Consecutive missed probes before the shard is declared dead.
     probe_misses: int = 2
@@ -329,9 +332,9 @@ class Supervisor:
     def _hard_teardown(self, shard: SupervisedShard) -> None:
         """SIGKILL-equivalent: no drain, no flush, no goodbyes.
 
-        Closes the transport, cancels the background tasks, and yanks
-        the worker pool out from under any in-flight op — exactly what
-        the process's death would do, minus the OS reclaiming the fds.
+        Closes the transport, cancels the background tasks, and shuts
+        the stats pool down — exactly what the process's death would
+        do, minus the OS reclaiming the fds.
         The journal file keeps whatever bytes were flushed (the chaos
         harness tears the tail separately to model an unflushed append).
         """
@@ -397,18 +400,11 @@ class Supervisor:
             if stale > max(self.policy.probe_deadline,
                            3.0 * monitor.interval):
                 return False
-        try:
-            await asyncio.wait_for(core._in_executor(time.monotonic),
-                                   self.policy.probe_deadline)
-        except (asyncio.TimeoutError, RuntimeError):
-            # Timeout: the pool is wedged.  RuntimeError: the executor
-            # was shut down — the shard is dead, not slow.
-            return False
-        except asyncio.CancelledError:
-            if self._closing:
-                raise
-            return False  # the dying executor cancelled our future
-        return True
+        # Every op is served on this loop, so a shard that still owns
+        # an open socket and a running core is serving.
+        transport = shard.service._udp_transport
+        return (not core._closing and transport is not None
+                and not transport.is_closing())
 
     async def restart(self, shard_id: int) -> None:
         """Revive a dead shard from its journal or standby.
@@ -521,8 +517,7 @@ class Supervisor:
         Journal mode replays the journal file into a brand-new server;
         standby mode snapshots the follower.  Either is compared with
         the live server's full snapshot — the byte-identity acceptance
-        check, taken under the shard's op lock so no op lands
-        mid-compare.
+        check.  Ops run on the loop, so none lands mid-compare.
         """
         shard = self.shard(shard_id)
         if shard.server is None:
@@ -532,12 +527,7 @@ class Supervisor:
         else:
             replica = persistence.snapshot(
                 persistence.restore_from_journal(shard.journal_path))
-        if shard.core is not None:
-            with shard.core._op_lock:
-                live = persistence.snapshot(shard.server)
-        else:
-            live = persistence.snapshot(shard.server)
-        return replica == live
+        return replica == persistence.snapshot(shard.server)
 
     def describe(self) -> List[dict]:
         """One status document per shard (CLI / test introspection)."""

@@ -1,16 +1,13 @@
-"""Op-lock contention regressions for the async serving core.
+"""Admission and flush regressions for the async serving core.
 
-The SealTurnstile's no-deadlock argument needs seal tickets drawn in
-executor-submission order, so rekey planning must never migrate off
-the event loop — even when the op lock is held by executor-side work
-(a tick, a flush).  These tests pin the contended paths: single-worker
-progress under a busy lock, the coalescing enqueue/waiter atomicity,
-the tick's quiesce gate, opportunistic rate-bucket pruning, and the
-busy reply for admitted ops that die server-side.
+Every op is served on the event loop, so the op-lock contention these
+tests once pinned is gone.  What is left: the coalescing enqueue/waiter
+atomicity under interleaved flushes, opportunistic rate-bucket pruning,
+the busy reply for admitted ops that die server-side, and admission
+against the ops accepted but not yet served.
 """
 
 import asyncio
-import time
 
 from repro.batch.rekeying import BatchRekeyServer
 from repro.core.messages import (MSG_BUSY, MSG_JOIN_REQUEST, MSG_REKEY,
@@ -30,52 +27,15 @@ def _server(seed):
         ServerConfig(signing="none", seed=seed, backend="flat"))
 
 
-def test_immediate_progress_under_contended_lock_single_worker():
-    """Joins complete with one worker and a repeatedly-busy op lock.
-
-    The old fallback ran the whole op on the executor, drawing its
-    seal ticket after submission; with the pool exhausted by tasks
-    blocked on the op lock, an earlier-ticket staged task could starve
-    and wedge the server.  Now planning always happens on the loop, so
-    this scenario must always make progress.
-    """
-    async def scenario():
-        core = ImmediateServingCore(
-            _server(b"contend-immediate"),
-            ServeConfig(tick_interval=0, max_inflight=256), workers=1)
-        replies = []
-
-        def hold():
-            # A tick/flush stand-in: occupies the only worker while
-            # holding the op lock.
-            with core._op_lock:
-                time.sleep(0.002)
-        try:
-            for round_ in range(8):
-                core.executor.submit(hold)
-                await asyncio.gather(*(
-                    core.submit(
-                        _request(MSG_JOIN_REQUEST, f"u{round_}-{i}"),
-                        replies.append, path_id=None)
-                    for i in range(4)))
-        finally:
-            await core.aclose()
-        return replies, core.server.tree.n_users
-
-    replies, members = asyncio.run(
-        asyncio.wait_for(scenario(), timeout=60))
-    assert members == 32
-    assert len(replies) >= 32
-
-
 def test_coalesce_contended_joiners_still_get_path_keys():
     """Every joiner's reply is its path-keys unicast, never a bare ack.
 
-    Enqueue used to fall back to the executor under a busy op lock,
-    with the waiter appended only after the await resumed — a flush in
-    that window consumed the pending join without a waiter and its
-    path-key unicast was silently dropped.  Enqueue + registration are
-    now one atomic step under the op lock, flush-snapshot included.
+    Enqueue once fell back to the executor, with the waiter appended
+    only after the await resumed — a flush in that window consumed the
+    pending join without a waiter and its path-key unicast was silently
+    dropped.  Enqueue + registration are one step on the loop, and so
+    is the flush; joins arriving between flushes must all keep their
+    path keys.
     """
     users = [f"u{i}" for i in range(24)]
 
@@ -94,19 +54,13 @@ def test_coalesce_contended_joiners_still_get_path_keys():
                 _request(MSG_JOIN_REQUEST, f"seed{i}"),
                 lambda _p: None, path_id=None) for i in range(4)))
 
-            def hold():
-                with core._op_lock:
-                    time.sleep(0.002)
-
             async def join(user):
                 await core.submit(
                     _request(MSG_JOIN_REQUEST, user),
                     lambda p, u=user: replies.setdefault(u, p),
                     path_id=None)
             tasks = []
-            for index, user in enumerate(users):
-                if index % 3 == 0:
-                    core.executor.submit(hold)
+            for user in users:
                 tasks.append(asyncio.ensure_future(join(user)))
                 # Yield so submits interleave with flush wakeups.
                 await asyncio.sleep(0)
@@ -121,39 +75,6 @@ def test_coalesce_contended_joiners_still_get_path_keys():
         message = Message.decode(split_corr_trailer(payload)[0])
         assert message.msg_type == MSG_REKEY, \
             f"{user}: join reply lost its path keys ({message.msg_type})"
-
-
-def test_tick_waits_for_turnstile_quiesce():
-    """The tick defers while a staged op holds an unretired ticket.
-
-    Tick evictions run synchronous leaves that would otherwise wait on
-    the turnstile under the op lock — the same starvation shape as the
-    old executor fallback.
-    """
-    async def scenario():
-        core = ImmediateServingCore(
-            _server(b"tick-quiesce"), ServeConfig(tick_interval=0),
-            workers=1)
-        server = core.server
-        server.register_individual_key("a", server.new_individual_key())
-        staged = server.begin_join("a")
-        tick = asyncio.ensure_future(core._tick_once())
-        await asyncio.sleep(0.05)
-        try:
-            assert not tick.done(), \
-                "tick must not run with a seal ticket outstanding"
-        except BaseException:
-            staged.abort()
-            tick.cancel()
-            raise
-        # Retire the ticket off-loop (not on the core's worker, which
-        # must stay available to the core itself).
-        await asyncio.get_running_loop().run_in_executor(
-            None, lambda: staged.encrypt().seal().finish())
-        await asyncio.wait_for(tick, timeout=10)
-        await core.aclose()
-
-    asyncio.run(asyncio.wait_for(scenario(), timeout=60))
 
 
 def test_rate_buckets_pruned_without_ticker():
@@ -191,5 +112,38 @@ def test_unexpected_rekey_failure_replies_busy():
         assert message.msg_type == MSG_BUSY
         assert core._m_errors.labels(op="join").value == 1
         assert core._m_shed.labels(reason="error").value == 1
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+
+
+def test_admission_counts_ops_read_but_not_yet_served():
+    """``max_inflight`` bounds the ops accepted as read, before any runs.
+
+    Ops are served in one step on the loop, so nothing is ever in
+    flight while the next datagram is read; the bound has to count
+    the accepted queue instead, or a burst is never shed.
+    """
+    async def scenario():
+        core = ImmediateServingCore(
+            _server(b"read-admission"),
+            ServeConfig(tick_interval=0, max_inflight=2))
+        replies = []
+        burst = [_request(MSG_JOIN_REQUEST, f"b{i}") for i in range(5)]
+        try:
+            accepted = [data for data in burst
+                        if not core.submit_nowait(data, replies.append)]
+            assert len(accepted) == 2
+            assert [Message.decode(p).msg_type for p in replies] \
+                == [MSG_BUSY] * 3
+            for data in accepted:
+                await core.submit(data, replies.append)
+            assert core._queued == 0
+            # Served: the next read is admitted again.
+            assert not core.submit_nowait(burst[4], replies.append)
+            await core.submit(burst[4], replies.append)
+            assert core.server.is_member("b4")
+        finally:
+            await core.aclose()
+        assert core._m_shed.labels(reason="saturated").value == 3
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=60))

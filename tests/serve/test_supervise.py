@@ -274,9 +274,9 @@ def test_watchdog_restarts_silent_death(tmp_path):
         shard = supervisor.shard(0)
         try:
             await _join(shard, "u0", 0)
-            # Silent death: the worker pool vanishes but nobody tells
+            # Silent death: the shard's socket closes but nobody tells
             # the supervisor.  The probe must notice and revive.
-            shard.core.executor.shutdown(wait=False, cancel_futures=True)
+            shard.service._udp_transport.close()
             for _ in range(100):
                 if shard.generation >= 1 and shard.state == "up":
                     break

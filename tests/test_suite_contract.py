@@ -22,7 +22,7 @@ import pytest
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.messages import (MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST,
-                                 Message)
+                                 MSG_STATS_REQUEST, Message)
 from repro.core.pipeline import SealTurnstile
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.keycache import SHARED_CACHE
@@ -112,7 +112,8 @@ def test_traced_ops_run_under_the_suites_wrappers():
     moved to a base class; serving a join and a leave under the
     wrappers checks the signatures the wrappers assume, and that a
     group rekey reaches ``SocketFanout.send`` with ``len(receivers)``
-    telling the truth about how many users were scanned.
+    telling the truth about how many users were scanned.  A stats
+    request through each core keeps the executor wrapper exercised.
     """
     trace = _suite_trace()
 
@@ -137,8 +138,10 @@ def test_traced_ops_run_under_the_suites_wrappers():
         signing="merkle", seed=b"contract", backend="flat"))
     cluster.bootstrap([(f"m{i}", cluster.new_individual_key())
                        for i in range(40)])
+    # Ops run on the loop; the stats reply is what still reaches the
+    # worker pool (and so the executor wrapper).
     ops = [(MSG_JOIN_REQUEST, "n0"), (MSG_JOIN_REQUEST, "n1"),
-           (MSG_LEAVE_REQUEST, "n0")]
+           (MSG_LEAVE_REQUEST, "n0"), (MSG_STATS_REQUEST, "")]
 
     recorder = trace.Recorder("contract")
     trace.install_server_side(recorder)
