@@ -26,7 +26,7 @@ measurement path keeps it on — its cost is part of measured server
 processing time only insofar as stage clocks always ran).
 
 A third A/B covers the async serving layer the same way: **control**
-is the ``ImmediateServingCore`` submit/rekey path frozen at its
+is the ``AsyncServingCore`` submit/rekey path frozen at its
 pre-tracing shape (corr trailer only, untimed op lock, no flight
 recorder, no spans), **treatment** is the real ``submit`` with the
 default instrumentation (null tracer, flight recorder ON — the
@@ -188,11 +188,11 @@ def _serve_imports():
     from repro.core.messages import (DEST_USER, MSG_JOIN_REQUEST,
                                      MSG_LEAVE_REQUEST, Message)
     from repro.core.server import GroupKeyServer, ServerConfig
-    from repro.serve import ImmediateServingCore, ServeConfig
+    from repro.serve import AsyncServingCore, ServeConfig
     from repro.serve.core import _DIRECT_TYPES, _corr
     from repro.serve.wire import split_corr_trailer
     return (asyncio, DEST_USER, MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST,
-            Message, GroupKeyServer, ServerConfig, ImmediateServingCore,
+            Message, GroupKeyServer, ServerConfig, AsyncServingCore,
             ServeConfig, _DIRECT_TYPES, _corr, split_corr_trailer)
 
 
@@ -203,13 +203,13 @@ def serve_ab_compare(n_ops, n_batches):
     inline on the loop as the core now serves it: corr-trailer split,
     plan, staged encrypt/seal/finish, ``_corr``-only routing — no
     ``split_trailers``, no spans, no flight events, no wait histograms.
-    ``treatment`` is the real :meth:`ImmediateServingCore.submit` with
+    ``treatment`` is the real :meth:`AsyncServingCore.submit` with
     the shipping defaults (null tracer, flight recorder enabled).  Both
     arms drive leave+join pairs of the *same* members over one live
     core, so tree state cancels out; min-of-batches scores each arm.
     """
     (asyncio, DEST_USER, MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST, Message,
-     GroupKeyServer, ServerConfig, ImmediateServingCore, ServeConfig,
+     GroupKeyServer, ServerConfig, AsyncServingCore, ServeConfig,
      _DIRECT_TYPES, _corr, split_corr_trailer) = _serve_imports()
 
     members = [f"bench-{i:03d}" for i in range(64)]
@@ -225,7 +225,7 @@ def serve_ab_compare(n_ops, n_batches):
         core._inflight += 1
         core._m_inflight.set(core._inflight)
         try:
-            server = core.server
+            server = core.backend
             staged = (server.begin_join(user_id) if op == "join"
                       else server.begin_leave(user_id))
             outcome = staged.encrypt().seal().finish()
@@ -261,7 +261,7 @@ def serve_ab_compare(n_ops, n_batches):
             user = members[(offset + index) % len(members)]
             await submit(core, request(MSG_LEAVE_REQUEST, user),
                          sink.append)
-            core.server.register_individual_key(user, keys[user])
+            core.backend.register_individual_key(user, keys[user])
             await submit(core, request(MSG_JOIN_REQUEST, user),
                          sink.append)
         sink.clear()
@@ -270,7 +270,7 @@ def serve_ab_compare(n_ops, n_batches):
         server = GroupKeyServer(ServerConfig(
             signing="none", seed=b"bench-observability-serve",
             backend="flat"))
-        core = ImmediateServingCore(
+        core = AsyncServingCore(
             server, ServeConfig(tick_interval=0, open_enroll=False))
         try:
             roster = [(uid, server.new_individual_key()) for uid in members]

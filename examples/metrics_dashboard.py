@@ -24,7 +24,7 @@ import time
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE
 from repro.observability import Instrumentation, Tracer
-from repro.serve import AsyncKeyService, ImmediateServingCore
+from repro.serve import AsyncKeyService, AsyncServingCore
 from repro.transport.udp import UdpGroupMember, scrape_stats
 
 MAX_MEMBERS = 24
@@ -162,7 +162,7 @@ def main(argv=None):
             worker.join()
 
     async def serve():
-        async with AsyncKeyService(ImmediateServingCore(server)) as service:
+        async with AsyncKeyService(AsyncServingCore(server)) as service:
             # The blocking clients and scrapes run beside the event loop.
             await asyncio.to_thread(dashboard, service.udp_address)
 

@@ -32,7 +32,7 @@ from repro.core.messages import (MSG_BUSY, MSG_JOIN_ACK, MSG_JOIN_DENIED,
                                  MSG_REKEY, MSG_RESYNC_REPLY,
                                  MSG_RESYNC_REQUEST, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
-from repro.serve import (AsyncKeyService, ImmediateServingCore, ServeConfig,
+from repro.serve import (AsyncKeyService, AsyncServingCore, ServeConfig,
                          default_server_config)
 from repro.transport.udp import scrape_stats
 
@@ -111,7 +111,7 @@ async def main():
     protocol = default_server_config(ServerConfig(
         strategy="group", degree=4, signing="merkle", seed=b"serve-demo"))
     server = GroupKeyServer(protocol)
-    core = ImmediateServingCore(server, ServeConfig(
+    core = AsyncServingCore(server, ServeConfig(
         tick_interval=0, open_enroll=False,
         client_rate=50.0, client_burst=8))
     async with AsyncKeyService(core) as service:

@@ -52,8 +52,8 @@ from repro.core.server import (GroupKeyServer,  # noqa: E402
                                ServerConfig, ServerError)
 from repro.keygraph.covering import tree_subset_cover  # noqa: E402
 from repro.observability.export import validate_snapshot  # noqa: E402
-from repro.serve import (AsyncClusterService,  # noqa: E402
-                         ClusterServingCore, ServeConfig)
+from repro.serve import (AsyncKeyService, AsyncServingCore,  # noqa: E402
+                         ServeConfig)
 from repro.serve.wire import (attach_corr_trailer,  # noqa: E402
                               split_corr_trailer)
 from repro.subcast import encode_subcast_request  # noqa: E402
@@ -260,10 +260,10 @@ async def _run_cluster(n_members: int) -> list:
             client.keys[record.node_id] = (record.version, record.key)
         clients[user] = client
 
-    core = ClusterServingCore(coordinator, ServeConfig(tick_interval=0))
+    core = AsyncServingCore(coordinator, ServeConfig(tick_interval=0))
     root_id, root_version = coordinator.group_key_ref()
     payload = b"cluster subcast over the wire"
-    async with AsyncClusterService(core) as service:
+    async with AsyncKeyService(core) as service:
         sender = _Probe(service.udp_addresses[0])
         probes = {user: _Probe(service.udp_addresses[index % 3])
                   for index, user in enumerate(targets)}

@@ -28,7 +28,7 @@ import time
 from .core.server import GroupKeyServer, ServerConfig
 from .crypto.rsa import RsaPublicKey
 from .crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
-from .serve import AsyncKeyService, ImmediateServingCore
+from .serve import AsyncKeyService, AsyncServingCore
 from .transport.udp import UdpGroupMember
 
 
@@ -104,7 +104,7 @@ def cmd_demo(args) -> int:
         server.register_individual_key(user, key)
 
     async def serve() -> None:
-        async with AsyncKeyService(ImmediateServingCore(server)) as service:
+        async with AsyncKeyService(AsyncServingCore(server)) as service:
             print(f"demo server on {service.udp_address}")
             # The blocking clients run beside the service's event loop.
             await asyncio.to_thread(_demo_members, server, keys,

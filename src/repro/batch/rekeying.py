@@ -33,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.messages import (INDIVIDUAL_KEY, MSG_DATA,
-                             STRATEGY_GROUP_ORIENTED, Destination,
-                             EncryptedItem, KeyRecord, Message,
-                             OutboundMessage)
+from ..core.messages import (INDIVIDUAL_KEY, STRATEGY_GROUP_ORIENTED,
+                             Destination, KeyRecord, OutboundMessage)
 from ..core.pipeline import (KeyMaterialSource, RekeyPipeline, make_signer)
 from ..core.resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
+from ..core.server import KeyServerProtocol, seal_data_message
 from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.backend import build_tree, make_tree
@@ -73,6 +72,15 @@ class BatchResult:
 
 class BatchRekeyServer:
     """A key-tree server that rekeys once per interval."""
+
+    #: Evictions, however many, fold into *one* flush: the recovery
+    #: manager's overload-shedding path turns a deep dead-member queue
+    #: into a single group-oriented rekey instead of N per-leave rekeys.
+    supports_batch = True
+    # The per-request servers' front-end surface; joins and leaves
+    # queue for a flush here, so there is no per-request dispatch.
+    audiences = KeyServerProtocol.audiences
+    stats_document = KeyServerProtocol.stats_document
 
     def __init__(self, degree: int = 4, suite: CipherSuite = PAPER_SUITE,
                  signing: str = "none", seed: Optional[bytes] = None,
@@ -158,6 +166,17 @@ class BatchRekeyServer:
         """(node id, version) of the current group key."""
         root = self.tree.group_key_node()
         return root.node_id, root.version
+
+    def evict(self, user_ids) -> List[OutboundMessage]:
+        """Queue every dead member, rekey once."""
+        for user_id in user_ids:
+            self.request_leave(user_id)
+        result = self.flush()
+        messages: List[OutboundMessage] = []
+        if result.rekey_message is not None:
+            messages.append(result.rekey_message)
+        messages.extend(result.joiner_messages)
+        return messages
 
     # -- request intake ----------------------------------------------------
 
@@ -412,25 +431,10 @@ class BatchRekeyServer:
 
     def seal_group_message(self, payload: bytes) -> OutboundMessage:
         """Encrypt application data under the current group key."""
-        import time
-        from ..crypto import modes
-        root_id, root_version = self.group_key_ref()
-        iv = self.resync_material.new_iv()
-        block = self.suite.block_size
-        padded_len = -(-max(len(payload), 1) // block) * block
-        padded = payload.ljust(padded_len, b"\x00")
-        cipher = self.suite.new_cipher(self.group_key())
-        ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
-        item = EncryptedItem(root_id, root_version, iv, ciphertext,
-                             len(payload))
-        message = Message(msg_type=MSG_DATA, group_id=1,
-                          seq=self.pipeline.sequencer.next(),
-                          timestamp_us=time.time_ns() // 1000,
-                          root_node_id=root_id, root_version=root_version,
-                          items=[item])
-        self._signer.seal([message])
-        return OutboundMessage(Destination.to_all(), message, (),
-                               message.encode())
+        return seal_data_message(
+            self.suite, self._signer, payload, self.group_key(),
+            self.group_key_ref(), self.resync_material.new_iv(),
+            self.pipeline.sequencer.next(), 1)
 
     def subcast(self, targets, payload: bytes) -> OutboundMessage:
         """Seal ``payload`` to exactly ``targets`` via a key cover.

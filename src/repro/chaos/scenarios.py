@@ -28,8 +28,7 @@ from ..cluster.coordinator import ClusterConfig, ClusterCoordinator
 from ..cluster.routing import ClusterFrontEnd, ClusterMember
 from ..core.server import GroupKeyServer, ServerConfig
 from ..crypto.suite import PAPER_SUITE_NO_SIG
-from ..recovery import (BatchBackend, RecoveryManager, RecoveryPolicy,
-                        ResilientMember, ServerBackend)
+from ..recovery import RecoveryManager, RecoveryPolicy, ResilientMember
 from ..transport.inmemory import InMemoryNetwork
 from .faults import PROFILES, ChaosError, ChaosTransport, FaultProfile
 
@@ -159,7 +158,7 @@ class _Harness:
     def _build_stack(self) -> None:
         config = self.config
         if config.stack == "cluster":
-            self.coordinator = ClusterCoordinator(ClusterConfig(
+            self.server = self.coordinator = ClusterCoordinator(ClusterConfig(
                 n_shards=config.n_shards, strategy="group",
                 suite=self.suite, signing="none",
                 seed=config.seed + b"/cluster"))
@@ -170,25 +169,18 @@ class _Harness:
         if config.stack == "batch":
             self.server = BatchRekeyServer(
                 degree=4, suite=self.suite, seed=config.seed + b"/batch")
-            backend = BatchBackend(self.server)
         else:
             self.server = GroupKeyServer(ServerConfig(
                 degree=4, strategy="group", suite=self.suite,
                 signing="none", seed=config.seed + b"/server"))
-            backend = ServerBackend(self.server)
-        self.manager = RecoveryManager(backend, self.chaos,
+        self.manager = RecoveryManager(self.server, self.chaos,
                                        policy=config.policy)
 
     def _bootstrap(self) -> None:
         """Fault-free initial population (the steady state under test)."""
         roster = []
         for i in range(self.config.n_initial):
-            uid = f"u{i}"
-            if self.config.stack == "cluster":
-                key = self.coordinator.new_individual_key()
-            else:
-                key = self.server.new_individual_key()
-            roster.append((uid, key))
+            roster.append((f"u{i}", self.server.new_individual_key()))
         if self.config.stack == "cluster":
             self.coordinator.bootstrap(roster)
             self.coordinator.enable_standbys()
@@ -231,13 +223,9 @@ class _Harness:
     # -- workload ----------------------------------------------------------
 
     def group_key(self) -> bytes:
-        if self.config.stack == "cluster":
-            return self.coordinator.group_key()
         return self.server.group_key()
 
     def is_member(self, uid: str) -> bool:
-        if self.config.stack == "cluster":
-            return self.coordinator.is_member(uid)
         return self.server.is_member(uid)
 
     def _client(self, uid: str):
@@ -245,8 +233,8 @@ class _Harness:
 
     def _join(self, uid: str) -> None:
         if self.config.stack == "cluster":
-            key = self.coordinator.new_individual_key()
-            self.coordinator.register_individual_key(uid, key)
+            key = self.server.new_individual_key()
+            self.server.register_individual_key(uid, key)
             member = ClusterMember(uid, self.suite, verify=False)
             member.client.set_individual_key(key)
             self.members[uid] = member
@@ -362,10 +350,7 @@ class _Harness:
 
     def data_check(self) -> bool:
         """Every survivor must decrypt a fresh group data message."""
-        if self.config.stack == "cluster":
-            sealed = self.coordinator.seal_group_message(b"probe")
-        else:
-            sealed = self.server.seal_group_message(b"probe")
+        sealed = self.server.seal_group_message(b"probe")
         ok = True
         for uid in self._live():
             member = self.members[uid]

@@ -2,7 +2,7 @@
 
 The PR5 scenarios inject faults on an in-memory bus; this module runs
 the same fault profiles against :class:`~repro.serve.core.
-ImmediateServingCore` instead, using the :class:`~repro.serve.fanout.
+AsyncServingCore` instead, using the :class:`~repro.serve.fanout.
 SocketFanout` per-copy ``drop_filter`` as the loss point.  The headline
 claim is stronger than "it recovers": a second, in-memory *control*
 server with the same seed is driven through the identical op sequence
@@ -92,7 +92,7 @@ def run_serve_scenario(config) -> "ScenarioReport":
     """Run one serve-stack chaos scenario; see module docstring."""
     from .scenarios import ScenarioReport  # circular at module load
 
-    from ..serve import ImmediateServingCore, ServeConfig
+    from ..serve import AsyncServingCore, ServeConfig
 
     profile: FaultProfile = config.fault_profile()
     ops = serve_workload(config)
@@ -111,7 +111,7 @@ def run_serve_scenario(config) -> "ScenarioReport":
     random = drbg.make_source(profile.seed, b"serve-chaos")
 
     async def drive():
-        core = ImmediateServingCore(
+        core = AsyncServingCore(
             server, ServeConfig(tick_interval=0, open_enroll=False))
 
         def drop_filter(user_id: str, payload: bytes) -> bool:

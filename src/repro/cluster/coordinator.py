@@ -39,20 +39,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from ..core.messages import (DEST_ALL, MSG_DATA, MSG_HEARTBEAT,
-                             MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
-                             MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
-                             MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST,
-                             STRATEGY_GROUP_ORIENTED, Destination,
-                             EncryptedItem, KeyRecord, Message,
-                             OutboundMessage, WireError)
+from ..core.messages import (DEST_ALL, STRATEGY_GROUP_ORIENTED,
+                             Destination, KeyRecord, OutboundMessage)
 from ..core.pipeline import (KeyMaterialSource, PipelineRun, RekeyPipeline,
                              Sequencer, make_signer)
 from ..core.resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
-from ..core.server import (AccessDenied, GroupKeyServer, RekeyOutcome,
-                           ServerConfig, ServerError)
+from ..core.server import (_DENIALS, GroupKeyServer, KeyServerProtocol,
+                           RekeyOutcome, ServerConfig, ServerError,
+                           seal_data_message)
 from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.backend import BACKENDS, build_tree
@@ -75,8 +72,10 @@ ROOT_LAYER_BASE = 0xF0000000
 MAX_SHARDS = ROOT_LAYER_BASE // SHARD_ID_SPACE - 1
 
 
-class ClusterError(ValueError):
-    """Raised on invalid cluster configuration or operations."""
+class ClusterError(ServerError):
+    """Raised on invalid cluster configuration or operations (a
+    :class:`~repro.core.server.ServerError`: one ``except`` means
+    "refused" on every key server)."""
 
 
 def shard_id_base(shard_id: int) -> int:
@@ -352,8 +351,10 @@ class Shard:
         self.failed = False
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(KeyServerProtocol):
     """Runs one logical secure group across N shard key servers."""
+
+    _error = ClusterError
 
     def __init__(self, config: ClusterConfig,
                  instrumentation: Optional[Instrumentation] = None):
@@ -486,6 +487,13 @@ class ClusterCoordinator:
     def shard_of(self, user_id: str) -> Shard:
         """The shard owning ``user_id`` (pure ring lookup)."""
         return self.shards[self.ring.shard_for(user_id)]
+
+    def audiences(self, user_id: str) -> Tuple[Hashable, ...]:
+        """A member is in the whole group (root-layer rekeys) and in its
+        owning shard's audience (:meth:`_run` tags shard rekeys with
+        it)."""
+        shard = self.shard_of(user_id)
+        return (None, shard.name) if shard.server.is_member(user_id) else ()
 
     def new_individual_key(self) -> bytes:
         """Generate an individual key (stands in for the auth exchange)."""
@@ -632,7 +640,7 @@ class ClusterCoordinator:
                 # pipeline spans land in the shard registry, not here.
                 with tracer.span(f"shard.{op}", shard=shard.shard_id):
                     outcome = perform()
-            except (ServerError, AccessDenied):
+            except ServerError:
                 self._m_requests.inc(shard=label, op=op, status="denied")
                 raise
             # The shard server addressed "its whole group"; cluster-wide
@@ -720,25 +728,10 @@ class ClusterCoordinator:
     def seal_group_message(self, payload: bytes) -> OutboundMessage:
         """Encrypt application data under the cluster group key."""
         self._require_bootstrap()
-        group_key = self.group_key()
-        root_id, root_version = self.group_key_ref()
-        iv = self.resync_material.new_iv()
-        from ..crypto import modes
-        block = self.suite.block_size
-        padded_len = -(-max(len(payload), 1) // block) * block
-        padded = payload.ljust(padded_len, b"\x00")
-        cipher = self.suite.new_cipher(group_key)
-        ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
-        item = EncryptedItem(root_id, root_version, iv, ciphertext,
-                             len(payload))
-        message = Message(
-            msg_type=MSG_DATA, group_id=self.config.group_id,
-            seq=self.root_layer.pipeline.sequencer.next(),
-            timestamp_us=time.time_ns() // 1000,
-            root_node_id=root_id, root_version=root_version, items=[item])
-        self.root_layer._signer.seal([message])
-        return OutboundMessage(Destination.to_all(), message, (),
-                               message.encode())
+        return seal_data_message(
+            self.suite, self.root_layer._signer, payload, self.group_key(),
+            self.group_key_ref(), self.resync_material.new_iv(),
+            self.root_layer.pipeline.sequencer.next(), self.config.group_id)
 
     def subcast(self, targets: Iterable[str],
                 payload: bytes) -> OutboundMessage:
@@ -864,57 +857,13 @@ class ClusterCoordinator:
         except IndexError:
             raise ClusterError(f"unknown shard {shard_id}") from None
 
-    # -- datagram interface ------------------------------------------------
+    # -- request protocol --------------------------------------------------
 
-    def handle_datagram(self, data: bytes) -> List[OutboundMessage]:
-        """Socket-facing entry point: route a request to its shard.
-
-        Join/leave requests carry the UTF-8 user id in the body (the
-        individual key must have been registered beforehand, as with the
-        single-server datagram path).  Stats scrapes are served by the
-        front-end (:mod:`repro.cluster.routing`), which wraps
-        :meth:`stats_document`.
-        """
-        try:
-            message = Message.decode(data)
-        except WireError as exc:
-            raise ClusterError(f"malformed request: {exc}") from None
-        user_id = message.body.decode("utf-8", errors="replace")
-        shard = self.shard_of(user_id)
-        if message.msg_type == MSG_JOIN_REQUEST:
-            try:
-                outcome = self.join(user_id)
-            except (AccessDenied, ServerError, ClusterError):
-                return [shard.server._control_message(MSG_JOIN_DENIED,
-                                                      user_id)]
-            return outcome.all_messages
-        if message.msg_type == MSG_LEAVE_REQUEST:
-            try:
-                outcome = self.leave(user_id)
-            except (ServerError, ClusterError):
-                return [shard.server._control_message(MSG_LEAVE_DENIED,
-                                                      user_id)]
-            return outcome.all_messages
-        if message.msg_type == MSG_RESYNC_REQUEST:
-            return [self.resync(user_id)]
-        if message.msg_type == MSG_SUBCAST_REQUEST:
-            from ..subcast.wire import SubcastWireError, \
-                parse_subcast_request
-            try:
-                sender, targets, payload = parse_subcast_request(
-                    message.body)
-            except SubcastWireError as exc:
-                raise ClusterError(
-                    f"malformed subcast request: {exc}") from None
-            if not self.is_member(sender):
-                raise ClusterError(
-                    f"subcast sender {sender!r} is not a member")
-            return [self.subcast(targets, payload)]
-        if message.msg_type == MSG_HEARTBEAT:
-            # Heartbeats are consumed by a RecoveryManager wired in front
-            # of the coordinator; a bare coordinator ignores them.
-            return []
-        raise ClusterError(f"unexpected message type {message.msg_type}")
+    def _denial(self, op: str, user_id: str) -> OutboundMessage:
+        # Signed by the owning shard, as its own refusals are; counted
+        # in ``cluster_requests_total`` by join/leave themselves.
+        return self.shard_of(user_id).server._control_message(
+            _DENIALS[op], user_id)
 
     # -- telemetry ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ from ..core.messages import (MSG_DATA, MSG_HEARTBEAT, MSG_JOIN_ACK,
                              Destination, Message, OutboundMessage, WireError)
 from ..observability.export import validate_snapshot
 from ..transport.inmemory import InMemoryNetwork
-from .coordinator import ClusterCoordinator, ClusterError
+from .coordinator import ClusterCoordinator
 
 
 class RoutingError(ValueError):
@@ -44,8 +44,6 @@ class ClusterFrontEnd:
         self.coordinator = coordinator
         self.transport = (transport if transport is not None
                           else InMemoryNetwork(strict=False))
-        from ..recovery import ClusterBackend
-        self._backend = ClusterBackend(coordinator)
         #: Optional :class:`~repro.recovery.manager.RecoveryManager`
         #: consuming heartbeats and driving resync pushes/evictions.
         self.recovery = None
@@ -62,7 +60,7 @@ class ClusterFrontEnd:
         dead-member eviction and overload shedding.
         """
         from ..recovery import RecoveryManager
-        self.recovery = RecoveryManager(self._backend, self.transport,
+        self.recovery = RecoveryManager(self.coordinator, self.transport,
                                         policy=policy)
         return self.recovery
 
@@ -72,7 +70,7 @@ class ClusterFrontEnd:
         """Subscribe a member's handler to the delivery fabric."""
         self.transport.attach(member.user_id, member.handle)
         self.transport.enroll(member.user_id,
-                              self._backend.audiences(member.user_id))
+                              self.coordinator.audiences(member.user_id))
 
     def detach_member(self, user_id: str) -> None:
         """Unsubscribe a member."""
@@ -110,11 +108,12 @@ class ClusterFrontEnd:
         if self.recovery is not None and message.msg_type in (
                 MSG_RESYNC_REQUEST, MSG_HEARTBEAT):
             # The recovery manager owns liveness bookkeeping; it serves
-            # resyncs through the same coordinator backend.
+            # resyncs through the same coordinator.
             outputs = self.recovery.receive(data)
         else:
             outputs = self.coordinator.handle_datagram(data)
-            self.transport.enroll(user_id, self._backend.audiences(user_id))
+            self.transport.enroll(user_id,
+                                  self.coordinator.audiences(user_id))
         for outbound in outputs:
             self.transport.send(outbound)
         return outputs

@@ -379,6 +379,10 @@ DEST_SUBGROUP = "subgroup"  # multicast to userset(node_id)
 DEST_USER = "user"          # unicast
 DEST_USERS = "users"        # explicit user list (multi-unicast)
 
+#: The audiences (:mod:`repro.transport.audience`) of a member of a
+#: single group: just the whole group, the audience ``DEST_ALL`` names.
+GROUP: Tuple[Hashable, ...] = (None,)
+
 
 @dataclass
 class Destination:

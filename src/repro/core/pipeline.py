@@ -207,17 +207,13 @@ class SealTurnstile:
     has already started on some worker and will retire its ticket.
     """
 
-    __slots__ = ("_cond", "_next", "_serving", "_retired", "wait_observer")
+    __slots__ = ("_cond", "_next", "_serving", "_retired")
 
     def __init__(self):
         self._cond = threading.Condition()
         self._next = 0
         self._serving = 0
         self._retired = set()
-        #: Optional ``observer(seconds)`` called after a wait that
-        #: actually blocked — the serving layer points it at a wait
-        #: histogram.  Uncontended waits never invoke it.
-        self.wait_observer: Optional[Callable[[float], None]] = None
 
     def ticket(self) -> int:
         """Reserve the next turn (call in plan order)."""
@@ -243,8 +239,7 @@ class SealTurnstile:
         """Block until every ticket before ``ticket`` is retired.
 
         Returns the seconds actually spent blocked — 0.0 on the
-        uncontended fast path, which also skips the clock reads and
-        the :attr:`wait_observer`.
+        uncontended fast path, which also skips the clock reads.
         """
         with self._cond:
             if self._serving >= ticket:
@@ -252,11 +247,7 @@ class SealTurnstile:
             started = time.perf_counter()
             while self._serving < ticket:
                 self._cond.wait()
-            waited = time.perf_counter() - started
-        observer = self.wait_observer
-        if observer is not None:
-            observer(waited)
-        return waited
+            return time.perf_counter() - started
 
     def retire(self, ticket: int) -> None:
         """Pass the turn on; out-of-order retires (aborts) are fine."""

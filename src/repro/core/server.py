@@ -16,15 +16,19 @@ dispatch stages, feeding stage timings into the server's
 The server is transport-agnostic: :meth:`GroupKeyServer.join` /
 :meth:`~GroupKeyServer.leave` return :class:`~repro.core.messages.
 OutboundMessage` batches that a transport (in-memory bus, UDP, ...)
-delivers.  :meth:`~GroupKeyServer.handle_datagram` adapts raw request
-datagrams onto those methods for socket-driven operation.
+delivers.  :class:`KeyServerProtocol` is what every front end asks of a
+key server — this one, the sharded :class:`~repro.cluster.coordinator.
+ClusterCoordinator` and the :class:`~repro.batch.rekeying.
+BatchRekeyServer` — including the one request dispatch,
+:meth:`~KeyServerProtocol.handle_datagram`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.backend import BACKENDS, build_tree, make_tree
@@ -33,12 +37,12 @@ from ..keygraph.star import StarGroup
 from ..keygraph.tree import KeyTree
 from ..observability import (COUNT_BUCKETS, LATENCY_BUCKETS_S,
                              SIZE_BUCKETS_BYTES, Instrumentation)
-from .messages import (INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT, MSG_JOIN_ACK,
-                       MSG_JOIN_DENIED, MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
-                       MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST, MSG_REKEY,
-                       MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST, STRATEGY_STAR,
-                       Destination, EncryptedItem, KeyRecord, Message,
-                       OutboundMessage, WireError)
+from .messages import (GROUP, INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT,
+                       MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
+                       MSG_LEAVE_ACK, MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
+                       MSG_REKEY, MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST,
+                       STRATEGY_STAR, Destination, EncryptedItem, KeyRecord,
+                       Message, OutboundMessage, WireError)
 from .pipeline import (KeyMaterialSource, RekeyPipeline, Sequencer,
                        make_signer, validate_signing)
 from .resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
@@ -72,9 +76,9 @@ class ServerConfig:
     # Tree storage engine: "object" (one Python object per k-node) or
     # "flat" (contiguous arrays + key arena; the million-member engine).
     backend: str = "object"
-    # Worker-pool size for the async serving layer's encrypt/sign
-    # offload (0 = a sensible default chosen by the serving layer).
-    # The synchronous server ignores it.
+    # Worker-pool size for the async serving layer's stats replies and
+    # SLO snapshots (0 = its default; ``python -m repro.serve`` passes
+    # it on).  The server itself ignores it.
     workers: int = 0
     # Public key of a TicketAuthority (footnote 7): when set, joins must
     # present a valid ticket for this group instead of matching the ACL.
@@ -140,11 +144,10 @@ class StagedRekeyOp:
     Produced by :meth:`GroupKeyServer.begin_join` /
     :meth:`~GroupKeyServer.begin_leave`.  The plan stage — access
     control, the key-graph edit, and every DRBG draw — already ran on
-    the calling thread; what remains is per-op work the async serving
-    layer offloads to worker threads:
+    the calling thread; what remains is per-op work:
 
     * :meth:`encrypt` — materialize this op's scheduled encryptions
-      (touches only per-op state; independent ops may overlap),
+      (touches only per-op state),
     * :meth:`seal` — assemble + sign + encode (admitted in plan order
       by the pipeline's seal turnstile and serialized under its seal
       lock, so sequence numbers are drawn exactly as the synchronous
@@ -226,7 +229,129 @@ class StagedRekeyOp:
         self.staged.abort()
 
 
-class GroupKeyServer:
+_DENIALS = {"join": MSG_JOIN_DENIED, "leave": MSG_LEAVE_DENIED}
+
+
+def seal_data_message(suite: CipherSuite, signer, payload: bytes,
+                      group_key: bytes, root_ref: Tuple[int, int],
+                      iv: bytes, seq: int, group_id: int) -> OutboundMessage:
+    """One signed ``MSG_DATA`` message: ``payload`` CBC-encrypted under
+    the group key ``root_ref`` names, addressed to the whole group."""
+    from ..crypto import modes
+    block = suite.block_size
+    padded = payload.ljust(-(-max(len(payload), 1) // block) * block,
+                           b"\x00")
+    ciphertext = modes.cbc_encrypt_nopad(suite.new_cipher(group_key),
+                                         padded, iv)
+    root_id, root_version = root_ref
+    message = Message(
+        msg_type=MSG_DATA, group_id=group_id, seq=seq,
+        timestamp_us=time.time_ns() // 1000,
+        root_node_id=root_id, root_version=root_version,
+        items=[EncryptedItem(root_id, root_version, iv, ciphertext,
+                             len(payload))])
+    signer.seal([message])
+    return OutboundMessage(Destination.to_all(), message, (),
+                           message.encode())
+
+
+class KeyServerProtocol:
+    """What every front end asks of a key server (paper §5).
+
+    A join or leave request comes in; rekey messages and an ack (or a
+    denial) go out.  The serving core, the cluster front end, the
+    recovery manager and the chaos harness all talk to a key server
+    through these methods plus ``is_member``, ``members``,
+    ``group_key_ref``, ``resync`` and ``subcast``, which each server
+    implements itself.  Subclasses that answer join and leave requests
+    provide ``join``, ``leave`` and :meth:`_denial`.
+    """
+
+    #: Whether the recovery manager may fold a deep eviction queue into
+    #: one flush (overload shedding) — only a server that rekeys in
+    #: batches can.
+    supports_batch = False
+
+    #: What :meth:`handle_datagram` raises for a request it refuses to
+    #: parse or serve.
+    _error = ServerError
+
+    def audiences(self, user_id: str) -> Tuple[Hashable, ...]:
+        """The transport audiences (:mod:`repro.transport.audience`)
+        ``user_id`` is in right now: the whole group for a member,
+        none otherwise."""
+        return GROUP if self.is_member(user_id) else ()
+
+    def evict(self, user_ids: Sequence[str]) -> List[OutboundMessage]:
+        """Expel dead members: one leave rekey each, in order."""
+        messages: List[OutboundMessage] = []
+        for user_id in user_ids:
+            messages.extend(self.leave(user_id).rekey_messages)
+        return messages
+
+    def stats_document(self) -> dict:
+        """One ``repro-metrics/1`` snapshot of this server's registry
+        (plus its spans, when tracing)."""
+        from ..observability.export import build_snapshot
+        tracer = self.instrumentation.tracer
+        return build_snapshot(self.instrumentation.registry,
+                              label=self.instrumentation.name,
+                              spans=tracer.export() if tracer.enabled
+                              else None)
+
+    def handle_datagram(self, data: bytes) -> List[OutboundMessage]:
+        """The one request dispatch: parse a request, run the protocol.
+
+        A join request's body is the UTF-8 user id; its individual key
+        must have been registered beforehand (standing in for the
+        authentication exchange, which the paper also excludes from
+        processing-time measurements).  A refused join or leave — any
+        :class:`ServerError` — is answered with a signed denial.
+        Heartbeats are consumed by a
+        :class:`~repro.recovery.manager.RecoveryManager` when one is
+        wired in front of the server; the server itself ignores them.
+        """
+        try:
+            message = Message.decode(data)
+        except WireError as exc:
+            raise self._error(f"malformed request: {exc}") from None
+        msg_type = message.msg_type
+        if msg_type == MSG_SUBCAST_REQUEST:
+            from ..subcast.wire import SubcastWireError, \
+                parse_subcast_request
+            try:
+                sender, targets, payload = parse_subcast_request(
+                    message.body)
+            except SubcastWireError as exc:
+                raise self._error(
+                    f"malformed subcast request: {exc}") from None
+            if not self.is_member(sender):
+                raise self._error(
+                    f"subcast sender {sender!r} is not a member")
+            return [self.subcast(targets, payload)]
+        if msg_type == MSG_HEARTBEAT:
+            return []
+        user_id = message.body.decode("utf-8", errors="replace")
+        if msg_type == MSG_RESYNC_REQUEST:
+            return [self.resync(user_id)]
+        if msg_type == MSG_JOIN_REQUEST:
+            op, run = "join", self.join
+        elif msg_type == MSG_LEAVE_REQUEST:
+            op, run = "leave", self.leave
+        else:
+            raise self._error(f"unexpected message type {msg_type}")
+        try:
+            outcome = run(user_id)
+        except ServerError:
+            return [self._denial(op, user_id)]
+        return outcome.all_messages
+
+    def _denial(self, op: str, user_id: str) -> OutboundMessage:
+        """The signed ``MSG_JOIN_DENIED`` / ``MSG_LEAVE_DENIED`` reply."""
+        raise NotImplementedError
+
+
+class GroupKeyServer(KeyServerProtocol):
     """Trusted key server for one secure group."""
 
     def __init__(self, config: ServerConfig,
@@ -470,18 +595,6 @@ class GroupKeyServer:
 
     # -- message assembly ---------------------------------------------------------
 
-    def _base_message(self, msg_type: int, strategy_code: int) -> Message:
-        root_id, root_version = self.group_key_ref()
-        return Message(
-            msg_type=msg_type,
-            group_id=self.config.group_id,
-            strategy=strategy_code,
-            seq=self._next_seq(),
-            timestamp_us=time.time_ns() // 1000,
-            root_node_id=root_id,
-            root_version=root_version,
-        )
-
     def _key_changes_total(self, changes, requester: str) -> int:
         """Sum over non-requesting users of path keys changed (Fig. 12)."""
         if self.tree is None:
@@ -537,8 +650,8 @@ class GroupKeyServer:
         :class:`~repro.core.tickets.Ticket`) is required when the server
         is configured with a ticket authority (footnote 7).
         """
-        return (self.begin_join(user_id, individual_key, ticket)
-                .encrypt().seal().finish())
+        return self._complete(self.begin_join(user_id, individual_key,
+                                              ticket))
 
     def begin_join(self, user_id: str,
                    individual_key: Optional[bytes] = None,
@@ -547,8 +660,9 @@ class GroupKeyServer:
 
         The graph edit and every DRBG draw happen here, so ``begin_*``
         calls must be serialized by the caller (the async serving layer
-        keeps them on the event loop); the returned op's encrypt stage
-        may then overlap with other ops' on worker threads.
+        runs every op on the event loop).  :meth:`join` is exactly
+        ``begin_join(...).encrypt().seal().finish()``, aborting the op
+        if a stage fails.
         """
         state: Dict[str, object] = {}
 
@@ -602,7 +716,18 @@ class GroupKeyServer:
 
     def leave(self, user_id: str) -> RekeyOutcome:
         """Expel/release a user and rekey (Figures 4, 8, 9)."""
-        return self.begin_leave(user_id).encrypt().seal().finish()
+        return self._complete(self.begin_leave(user_id))
+
+    @staticmethod
+    def _complete(staged: StagedRekeyOp) -> RekeyOutcome:
+        """Run a planned op's remaining stages, or abort it: a failed op
+        must retire its seal ticket, or the next op's seal waits on it
+        forever."""
+        try:
+            return staged.encrypt().seal().finish()
+        except BaseException:
+            staged.abort()
+            raise
 
     def begin_leave(self, user_id: str) -> StagedRekeyOp:
         """Plan a leave now; see :meth:`begin_join` for the contract."""
@@ -751,23 +876,12 @@ class GroupKeyServer:
 
     def seal_group_message(self, payload: bytes) -> OutboundMessage:
         """Encrypt application data under the current group key."""
-        group_key = self.group_key()
-        root_id, root_version = self.group_key_ref()
-        iv = self._new_iv()
-        from ..crypto import modes
-        block = self.suite.block_size
-        padded_len = -(-max(len(payload), 1) // block) * block
-        padded = payload.ljust(padded_len, b"\x00")
-        cipher = self.suite.new_cipher(group_key)
-        ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
-        item = EncryptedItem(root_id, root_version, iv, ciphertext,
-                             len(payload))
-        message = self._base_message(MSG_DATA, 0)
-        message.items = [item]
-        self._signer.seal([message])
+        out = seal_data_message(self.suite, self._signer, payload,
+                                self.group_key(), self.group_key_ref(),
+                                self._new_iv(), self._next_seq(),
+                                self.config.group_id)
         self._journal_op("seq")
-        return OutboundMessage(Destination.to_all(), message, (),
-                               message.encode())
+        return out
 
     def subcast(self, targets: Iterable[str],
                 payload: bytes) -> OutboundMessage:
@@ -861,52 +975,8 @@ class GroupKeyServer:
             self._journal_op("seq")
             return reply
 
-    # -- datagram interface ------------------------------------------------------------
+    # -- request protocol ---------------------------------------------------------
 
-    def handle_datagram(self, data: bytes) -> List[OutboundMessage]:
-        """Socket-facing entry point: parse a request, run the protocol.
-
-        The join request body is the UTF-8 user id; the individual key
-        must have been registered beforehand (standing in for the
-        authentication exchange, which the paper also excludes from
-        processing-time measurements).
-        """
-        try:
-            message = Message.decode(data)
-        except WireError as exc:
-            raise ServerError(f"malformed request: {exc}") from None
-        user_id = message.body.decode("utf-8", errors="replace")
-        if message.msg_type == MSG_JOIN_REQUEST:
-            try:
-                outcome = self.join(user_id)
-            except (AccessDenied, ServerError):
-                self._m_requests.inc(op="join", status="denied")
-                return [self._control_message(MSG_JOIN_DENIED, user_id)]
-            return outcome.all_messages
-        if message.msg_type == MSG_LEAVE_REQUEST:
-            try:
-                outcome = self.leave(user_id)
-            except ServerError:
-                self._m_requests.inc(op="leave", status="denied")
-                return [self._control_message(MSG_LEAVE_DENIED, user_id)]
-            return outcome.all_messages
-        if message.msg_type == MSG_RESYNC_REQUEST:
-            return [self.resync(user_id)]
-        if message.msg_type == MSG_SUBCAST_REQUEST:
-            from ..subcast.wire import SubcastWireError, \
-                parse_subcast_request
-            try:
-                sender, targets, payload = parse_subcast_request(
-                    message.body)
-            except SubcastWireError as exc:
-                raise ServerError(
-                    f"malformed subcast request: {exc}") from None
-            if not self.is_member(sender):
-                raise ServerError(
-                    f"subcast sender {sender!r} is not a member")
-            return [self.subcast(targets, payload)]
-        if message.msg_type == MSG_HEARTBEAT:
-            # Heartbeats are consumed by a RecoveryManager when one is
-            # wired in front of the server; a bare server ignores them.
-            return []
-        raise ServerError(f"unexpected message type {message.msg_type}")
+    def _denial(self, op: str, user_id: str) -> OutboundMessage:
+        self._m_requests.inc(op=op, status="denied")
+        return self._control_message(_DENIALS[op], user_id)

@@ -11,17 +11,14 @@ reliable-delivery assumption:
   heartbeats report a stale group key (with retry/backoff and a
   per-member delivery budget), detects dead members by heartbeat
   silence and escalates to an automatic eviction rekey, and sheds a
-  deep eviction queue as one batch flush when the backend supports it;
-* backends adapting the manager onto :class:`~repro.core.server.
-  GroupKeyServer`, :class:`~repro.batch.rekeying.BatchRekeyServer` and
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+  deep eviction queue as one batch flush when the key server batches.
+  It drives any key server directly (:class:`~repro.core.server.
+  KeyServerProtocol`: :class:`~repro.core.server.GroupKeyServer`,
+  :class:`~repro.batch.rekeying.BatchRekeyServer` or
+  :class:`~repro.cluster.coordinator.ClusterCoordinator`).
 """
 
-from .backends import BatchBackend, ClusterBackend, ServerBackend
 from .manager import RecoveryManager, RecoveryPolicy
 from .member import ResilientMember
 
-__all__ = [
-    "BatchBackend", "ClusterBackend", "ServerBackend",
-    "RecoveryManager", "RecoveryPolicy", "ResilientMember",
-]
+__all__ = ["RecoveryManager", "RecoveryPolicy", "ResilientMember"]

@@ -13,10 +13,14 @@ Per tick it:
    *current* keys), backing off exponentially and escalating to
    eviction when the per-member delivery budget runs out;
 3. drains the eviction queue — one leave rekey per member, or, when the
-   backend batches (:class:`~repro.recovery.backends.BatchBackend`) and
-   the queue is at least ``shed_threshold`` deep, **one** collapsed
-   group-oriented flush (overload shedding: a mass failure costs one
-   rekey, not N).
+   key server batches (``supports_batch``: the :class:`~repro.batch.
+   rekeying.BatchRekeyServer`) and the queue is at least
+   ``shed_threshold`` deep, **one** collapsed group-oriented flush
+   (overload shedding: a mass failure costs one rekey, not N).
+
+The manager drives the key server itself — any
+:class:`~repro.core.server.KeyServerProtocol` — through ``is_member``,
+``group_key_ref``, ``resync`` and ``evict``.
 
 Resyncs are also served pull-style: a member that detected its own gap
 sends ``MSG_RESYNC_REQUEST`` and gets an immediate reply.
@@ -87,7 +91,8 @@ class _Pending:
 
 
 class RecoveryManager:
-    """Heartbeat-driven resynchronization and eviction for one backend."""
+    """Heartbeat-driven resynchronization and eviction for one key
+    server (``backend``)."""
 
     def __init__(self, backend, transport, *,
                  policy: Optional[RecoveryPolicy] = None,

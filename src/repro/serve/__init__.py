@@ -9,9 +9,8 @@ joins/leaves into one batch rekey.
 
 Quick start (a live single-server group on loopback)::
 
-    from repro.serve import (ImmediateServingCore, AsyncKeyService,
-                             ServeConfig)
-    core = ImmediateServingCore(server, ServeConfig())
+    from repro.serve import AsyncKeyService, AsyncServingCore, ServeConfig
+    core = AsyncServingCore(server, ServeConfig())
     async with AsyncKeyService(core) as service:
         print("serving on", service.udp_address)
         ...

@@ -32,7 +32,7 @@ from ..observability.instrumentation import Instrumentation
 from ..observability.slo import slos_from_spec_text
 from ..observability.spans import Tracer
 from .config import ServeConfig, from_spec_file, worker_count
-from .core import CoalescingServingCore, ImmediateServingCore
+from .core import AsyncServingCore, CoalescingServingCore
 from .endpoint import AsyncKeyService
 
 
@@ -57,7 +57,8 @@ async def _amain(args) -> int:
                                      workers=worker_count(config))
     else:
         server = GroupKeyServer(config, instrumentation=instrumentation)
-        core = ImmediateServingCore(server, serve_config)
+        core = AsyncServingCore(server, serve_config,
+                                workers=worker_count(config))
         if initial_size:
             roster = [(f"user-{index:04d}", server.new_individual_key())
                       for index in range(initial_size)]

@@ -45,12 +45,16 @@ transport; the core keeps the fan-out's audiences equal to the
 backend's membership (``backend.audiences``) by applying each op's
 membership change at the moment the op's outputs are released.
 
-Three flavors share the skeleton: :class:`ImmediateServingCore` (one
-:class:`~repro.core.server.GroupKeyServer`, staged per-request
-rekeying), :class:`CoalescingServingCore` (a :class:`~repro.batch.
-rekeying.BatchRekeyServer`; concurrent joins/leaves fold into one
-flush), and :class:`ClusterServingCore` (a PR4 sharded
-:class:`~repro.cluster.coordinator.ClusterCoordinator`).
+One :class:`AsyncServingCore` serves any key server — a
+:class:`~repro.core.server.GroupKeyServer` or a sharded
+:class:`~repro.cluster.coordinator.ClusterCoordinator` — through the
+server's own request dispatch (:meth:`~repro.core.server.
+KeyServerProtocol.handle_datagram`), and drives its recovery manager
+with the server itself.  :class:`CoalescingServingCore` is the one
+subclass: over a :class:`~repro.batch.rekeying.BatchRekeyServer`,
+concurrent joins/leaves wait for one shared flush.
+:data:`ImmediateServingCore` and :data:`ClusterServingCore` are the
+older names of :class:`AsyncServingCore`.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..batch.rekeying import BatchError, BatchRekeyServer
-from ..cluster.coordinator import ClusterCoordinator, ClusterError
 from ..core.messages import (DEST_USER, MSG_BUSY, MSG_HEARTBEAT,
                              MSG_JOIN_ACK, MSG_JOIN_DENIED,
                              MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
@@ -70,17 +73,14 @@ from ..core.messages import (DEST_USER, MSG_BUSY, MSG_HEARTBEAT,
                              MSG_RESYNC_REQUEST, MSG_STATS_REQUEST,
                              MSG_STATS_RESPONSE, MSG_SUBCAST_REQUEST,
                              Message, OutboundMessage, WireError)
-from ..core.server import GroupKeyServer, ServerError
+from ..core.server import ServerError
 from ..observability import LATENCY_BUCKETS_S
-from ..observability.export import build_snapshot
 from ..subcast.wire import SubcastWireError, parse_subcast_request
 from ..observability.flight import FlightRecorder, NULL_FLIGHT
-from ..observability.instrumentation import Instrumentation
 from ..observability.slo import evaluate as evaluate_slos
-from ..recovery.backends import BatchBackend, ClusterBackend, ServerBackend
 from ..recovery.manager import (MAX_PUSHES_PER_TICK, RecoveryManager,
                                 RecoveryPolicy)
-from .config import DEFAULT_WORKERS, ServeConfig, worker_count
+from .config import DEFAULT_WORKERS, ServeConfig
 from .fanout import SocketFanout
 from .health import InstrumentedExecutor, LoopHealthMonitor, WAIT_BUCKETS_S
 from .rpc import IdempotencyCache
@@ -122,17 +122,19 @@ def _corr(payload: bytes, token: Optional[int]) -> bytes:
 
 
 class AsyncServingCore:
-    """Shared skeleton: parse, admit, dispatch, route (see module doc)."""
+    """Serve one key server: parse, admit, dispatch, route (see module
+    doc).  ``backend`` is the key server itself."""
 
-    flavor = "serve"
+    flavor = "immediate"
 
-    def __init__(self, config: ServeConfig,
-                 instrumentation: Instrumentation,
-                 workers: int = DEFAULT_WORKERS,
+    def __init__(self, backend, config: Optional[ServeConfig] = None,
+                 workers: Optional[int] = None,
                  recovery_policy: Optional[RecoveryPolicy] = None):
+        config = config if config is not None else ServeConfig()
         config.validate()
+        self.backend = backend
         self.config = config
-        self.instrumentation = instrumentation
+        self.instrumentation = instrumentation = backend.instrumentation
         registry = instrumentation.registry
         self._m_requests = registry.counter(
             "serve_requests_total",
@@ -151,13 +153,14 @@ class AsyncServingCore:
             "serve_rate_limited_total",
             "Requests rejected by the per-client token bucket, by type.",
             labels=("type",))
-        # Registered for the benchmark report, which reads it; no op
-        # lock exists any more, so it stays empty.
+        # Registered for the benchmark report, which reads them; one
+        # thread serves every op, so no op lock or seal turn is ever
+        # waited for and both stay empty.
         registry.histogram(
             "serve_op_lock_wait_seconds",
             "Time spent waiting for the op lock (contended paths only).",
             bounds=WAIT_BUCKETS_S).labels()
-        self._m_turnstile_wait = registry.histogram(
+        registry.histogram(
             "serve_turnstile_wait_seconds",
             "Time staged seals spent blocked in the SealTurnstile.",
             bounds=WAIT_BUCKETS_S).labels()
@@ -185,7 +188,8 @@ class AsyncServingCore:
             if config.loop_probe_interval > 0 else None)
         # Stats replies and SLO snapshots only: no op runs here.
         self.executor = InstrumentedExecutor(
-            registry, max_workers=max(1, workers),
+            registry, max_workers=max(1, workers if workers is not None
+                                      else DEFAULT_WORKERS),
             thread_name_prefix="repro-serve")
         # Bounded ops being served, and bounded ops accepted when read
         # but not yet started (see submit_nowait).
@@ -203,24 +207,41 @@ class AsyncServingCore:
         self._slo_task: Optional[asyncio.Task] = None
         self._slo_breached: set = set()
         self.recovery = RecoveryManager(
-            self._recovery_backend(), self.fanout,
+            backend, self.fanout,
             policy=recovery_policy, instrumentation=instrumentation,
             on_evicted=self.fanout.detach)
 
-    # -- subclass hooks ----------------------------------------------------
+    # -- joins and leaves --------------------------------------------------
 
-    def _recovery_backend(self):
-        raise NotImplementedError
+    def _ensure_enrolled(self, user_id: str) -> None:
+        """Open enrolment: mint the individual key the authentication
+        exchange would have registered."""
+        backend = self.backend
+        if (self.config.open_enroll
+                and user_id not in backend._registered_keys
+                and not backend.is_member(user_id)):
+            backend.register_individual_key(user_id,
+                                            backend.new_individual_key())
 
     async def _rekey(self, op: str, user_id: str, payload: bytes,
                      reply, token: Optional[int], span) -> None:
-        raise NotImplementedError
-
-    def _stats_document(self) -> dict:
-        tracer = self.instrumentation.tracer
-        spans = tracer.export() if tracer.enabled else None
-        return build_snapshot(self.instrumentation.registry,
-                              label=self.instrumentation.name, spans=spans)
+        """Serve one join or leave through the key server's dispatch."""
+        trace = span.context if span.trace_id else None
+        # Entered: the server's spans (a cluster's ``cluster.{op}`` and
+        # below it the shard and root-layer rekeys) parent to it.
+        with self.instrumentation.tracer.span("serve.exec", parent=span,
+                                              op=op):
+            if op == "join":
+                self._ensure_enrolled(user_id)
+            outputs = self.backend.handle_datagram(payload)
+        if outputs[0].message.msg_type in (MSG_JOIN_DENIED,
+                                           MSG_LEAVE_DENIED):
+            self._route(outputs, user_id, reply, token, trace)
+            if op == "join":
+                self._forget_denied(user_id)
+            return
+        self._release_op(op, user_id, outputs, reply, token, trace)
+        self._track(op, user_id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -422,6 +443,28 @@ class AsyncServingCore:
             reply(payload)
         return tee
 
+    def _admitted(self, op: str, user_id: str, reply,
+                  token: Optional[int], inbound) -> bool:
+        """Admit one request, or answer it here and return False.
+
+        The duplicate check comes first: a retry already paid the
+        token bucket once, and a replay is a cheap copy that must not
+        be shed.  A resync is not bounded by ``max_inflight``.
+        """
+        if self._idem_handled(user_id, token, reply):
+            return False
+        if self._closing:
+            reason = "closing"
+        elif not self._admit_rate(user_id):
+            self._m_rate_limited.inc(type=op)
+            reason = "rate-cap"
+        elif op != "resync" and self._inflight >= self.config.max_inflight:
+            reason = "saturated"
+        else:
+            return True
+        self._shed(user_id, reply, token, reason, inbound)
+        return False
+
     def _shed(self, user_id: str, reply, token: Optional[int],
               reason: str, trace=None) -> None:
         self._m_shed.inc(reason=reason)
@@ -435,11 +478,11 @@ class AsyncServingCore:
         """Register the requester's reply path (None = one-shot tool)."""
         if path_id is not None:
             self.fanout.attach(user_id, reply, path_id,
-                               self.recovery.backend.audiences(user_id))
+                               self.backend.audiences(user_id))
 
     def _forget_denied(self, user_id: str) -> None:
         """Drop the reply path a refused joiner registered on arrival."""
-        if not self.recovery.backend.audiences(user_id):
+        if not self.backend.audiences(user_id):
             self.fanout.detach(user_id)
 
     def _release_op(self, op: str, user_id: str,
@@ -455,8 +498,7 @@ class AsyncServingCore:
         the audiences as its plan left the tree.
         """
         if op == "join":
-            self.fanout.enroll(user_id,
-                               self.recovery.backend.audiences(user_id))
+            self.fanout.enroll(user_id, self.backend.audiences(user_id))
         else:
             self.fanout.detach(user_id)
         self._route(outputs, user_id, reply, token, trace)
@@ -580,17 +622,7 @@ class AsyncServingCore:
             return
         tracer = self.instrumentation.tracer
         if msg_type == MSG_RESYNC_REQUEST:
-            # Duplicate check before admission: a retry already paid
-            # the token bucket once, and a replay is a cheap copy that
-            # must not be shed.
-            if self._idem_handled(user_id, token, reply):
-                return
-            if self._closing:
-                self._shed(user_id, reply, token, "closing", inbound)
-                return
-            if not self._admit_rate(user_id):
-                self._m_rate_limited.inc(type="resync")
-                self._shed(user_id, reply, token, "rate-cap", inbound)
+            if not self._admitted("resync", user_id, reply, token, inbound):
                 return
             self._attach(user_id, reply, path_id)
             span = tracer.span("serve.request", parent=inbound,
@@ -611,17 +643,7 @@ class AsyncServingCore:
             return
         if msg_type in (MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST):
             op = "join" if msg_type == MSG_JOIN_REQUEST else "leave"
-            if self._idem_handled(user_id, token, reply):
-                return
-            if self._closing:
-                self._shed(user_id, reply, token, "closing", inbound)
-                return
-            if not self._admit_rate(user_id):
-                self._m_rate_limited.inc(type=op)
-                self._shed(user_id, reply, token, "rate-cap", inbound)
-                return
-            if self._inflight >= self.config.max_inflight:
-                self._shed(user_id, reply, token, "saturated", inbound)
+            if not self._admitted(op, user_id, reply, token, inbound):
                 return
             if op == "join":
                 self._attach(user_id, reply, path_id)
@@ -657,17 +679,13 @@ class AsyncServingCore:
                 self.flight.record("done", trace_id=span.trace_id, op=op,
                                    us=span.duration_ns // 1000)
             finally:
-                # Ops that never replied directly (cluster routing
-                # errors) must not blackhole their token forever.
+                # An op that never replied directly must not blackhole
+                # its token forever.
                 self._idem_finish(user_id, token)
                 self._inflight -= 1
                 self._m_inflight.set(self._inflight)
             return
         # Known-to-wire but not servable here (MSG_REKEY, MSG_DATA, ...).
-
-    def _subcast_backend(self):
-        """The object exposing ``subcast()``/``is_member()`` (per flavor)."""
-        raise NotImplementedError
 
     def _subcast(self, message: Message, reply, inbound,
                  token: Optional[int], path_id) -> None:
@@ -684,17 +702,7 @@ class AsyncServingCore:
         except SubcastWireError:
             self._m_requests.inc(type="malformed")
             return
-        if self._idem_handled(sender, token, reply):
-            return
-        if self._closing:
-            self._shed(sender, reply, token, "closing", inbound)
-            return
-        if not self._admit_rate(sender):
-            self._m_rate_limited.inc(type="subcast")
-            self._shed(sender, reply, token, "rate-cap", inbound)
-            return
-        if self._inflight >= self.config.max_inflight:
-            self._shed(sender, reply, token, "saturated", inbound)
+        if not self._admitted("subcast", sender, reply, token, inbound):
             return
         self._attach(sender, reply, path_id)
         tracer = self.instrumentation.tracer
@@ -707,11 +715,10 @@ class AsyncServingCore:
         try:
             # Entered, so the backend's spans parent to it.
             with tracer.span("serve.exec", parent=span, op="subcast"):
-                backend = self._subcast_backend()
-                if not backend.is_member(sender):
+                if not self.backend.is_member(sender):
                     raise ServerError(
                         f"subcast sender {sender!r} is not a member")
-                out = backend.subcast(targets, app_payload)
+                out = self.backend.subcast(targets, app_payload)
         except Exception as exc:
             self._m_errors.inc(op="subcast")
             span.finish(error=True)
@@ -734,7 +741,7 @@ class AsyncServingCore:
                            op="subcast", us=span.duration_ns // 1000)
 
     def _stats_body(self) -> bytes:
-        document = self._stats_document()
+        document = self.backend.stats_document()
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         # A stats reply rides one UDP datagram; a full span ring is
         # megabytes and sendto would fail silently.  Keep the newest
@@ -760,75 +767,6 @@ class AsyncServingCore:
             self.recovery.untrack(user_id)
 
 
-class ImmediateServingCore(AsyncServingCore):
-    """Per-request staged rekeying over one :class:`GroupKeyServer`."""
-
-    flavor = "immediate"
-
-    def __init__(self, server: GroupKeyServer,
-                 config: Optional[ServeConfig] = None,
-                 workers: Optional[int] = None,
-                 recovery_policy: Optional[RecoveryPolicy] = None):
-        self.server = server
-        super().__init__(
-            config if config is not None else ServeConfig(),
-            server.instrumentation,
-            workers if workers is not None else worker_count(server.config),
-            recovery_policy)
-        server.pipeline.seal_order.wait_observer = \
-            self._m_turnstile_wait.observe
-
-    def _recovery_backend(self):
-        return ServerBackend(self.server)
-
-    def _subcast_backend(self):
-        return self.server
-
-    def _ensure_enrolled(self, user_id: str) -> None:
-        server = self.server
-        if (self.config.open_enroll and not server.is_member(user_id)
-                and user_id not in server._registered_keys):
-            server.register_individual_key(
-                user_id, server.new_individual_key())
-
-    async def _rekey(self, op, user_id, payload, reply, token, span):
-        server = self.server
-        trace = span.context if span.trace_id else None
-        with self.instrumentation.tracer.span("serve.plan", parent=span,
-                                              op=op):
-            try:
-                if op == "join":
-                    self._ensure_enrolled(user_id)
-                    staged = server.begin_join(user_id)
-                else:
-                    staged = server.begin_leave(user_id)
-            except ServerError:
-                staged = None
-        if staged is None:
-            self._deny(op, user_id, reply, token, trace)
-            return
-        try:
-            outcome = staged.encrypt().seal().finish()
-        except BaseException:
-            # Retire the seal ticket, or the next op's seal waits on
-            # it forever.
-            staged.abort()
-            raise
-        self._release_op(op, user_id, outcome.all_messages, reply, token,
-                         trace)
-        self._track(op, user_id)
-
-    def _deny(self, op, user_id, reply, token, trace=None):
-        server = self.server
-        server._m_requests.inc(op=op, status="denied")
-        msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
-        out = server._control_message(msg_type, user_id)
-        if op == "join":
-            self._forget_denied(user_id)
-        reply(attach_trailers(out.encoded or out.message.encode(),
-                              trace, token))
-
-
 class CoalescingServingCore(AsyncServingCore):
     """Fold concurrent joins/leaves into one batch flush.
 
@@ -843,14 +781,14 @@ class CoalescingServingCore(AsyncServingCore):
 
     flavor = "coalesce"
 
-    def __init__(self, server: BatchRekeyServer,
+    def __init__(self, backend: BatchRekeyServer,
                  config: Optional[ServeConfig] = None,
-                 workers: int = DEFAULT_WORKERS,
+                 workers: Optional[int] = None,
                  recovery_policy: Optional[RecoveryPolicy] = None):
-        self.server = server
         super().__init__(
+            backend,
             config if config is not None else ServeConfig(coalesce=True),
-            server.instrumentation, workers, recovery_policy)
+            workers, recovery_policy)
         registry = self.instrumentation.registry
         self._m_pending = registry.gauge(
             "serve_coalesce_pending",
@@ -862,14 +800,6 @@ class CoalescingServingCore(AsyncServingCore):
         self._waiters: List[tuple] = []
         self._flush_event = asyncio.Event()
         self._flush_task: Optional[asyncio.Task] = None
-
-    def _recovery_backend(self):
-        return BatchBackend(self.server)
-
-    def _subcast_backend(self):
-        # Covers address the flushed tree; users still queued for the
-        # next flush hold no tree keys and cannot be targeted yet.
-        return self.server
 
     def register_individual_key(self, user_id: str, key: bytes) -> None:
         """Pre-register a joiner's key (the auth-exchange stand-in)."""
@@ -917,11 +847,11 @@ class CoalescingServingCore(AsyncServingCore):
             return registered
         if not self.config.open_enroll:
             raise BatchError(f"{user_id}: no registered individual key")
-        return self.server.material.new_individual_key()
+        return self.backend.material.new_individual_key()
 
     def _control(self, msg_type: int, user_id: str) -> bytes:
         """A synthesized signed control reply against the batch tree."""
-        server = self.server
+        server = self.backend
         try:
             root_id, root_version = server.group_key_ref()
         except Exception:
@@ -941,12 +871,12 @@ class CoalescingServingCore(AsyncServingCore):
         payload = self._control(msg_type, user_id)
         # A duplicate of a join still queued for the flush is refused
         # too, but that joiner's path is about to be needed.
-        if op == "join" and user_id not in self.server._pending_joins:
+        if op == "join" and user_id not in self.backend._pending_joins:
             self._forget_denied(user_id)
         reply(attach_trailers(payload, trace, token))
 
     async def _rekey(self, op, user_id, payload, reply, token, span):
-        server = self.server
+        server = self.backend
         trace = span.context if span.trace_id else None
         # Enqueue and waiter registration are one step: the flush
         # consumes the pending set and the waiter list together.
@@ -982,7 +912,7 @@ class CoalescingServingCore(AsyncServingCore):
         waiters, self._waiters = self._waiters, []
         self._m_pending.set(0)
         try:
-            result = self.server.flush()
+            result = self.backend.flush()
             joiner_payloads = {
                 out.destination.user_id: out.encoded or out.message.encode()
                 for out in result.joiner_messages
@@ -1001,7 +931,7 @@ class CoalescingServingCore(AsyncServingCore):
         # The flushed tree is the audience of its own rekey: it holds
         # this batch's joiners and none of its leavers.
         for _op, user_id, _reply, _token, _trace, _future in waiters:
-            audiences = self.recovery.backend.audiences(user_id)
+            audiences = self.backend.audiences(user_id)
             if audiences:
                 self.fanout.enroll(user_id, audiences)
             else:
@@ -1018,60 +948,6 @@ class CoalescingServingCore(AsyncServingCore):
                 future.set_result(None)
 
 
-class ClusterServingCore(AsyncServingCore):
-    """The PR4 sharded cluster behind the async front end.
-
-    Cluster ops compose a shard rekey with a root-layer rekey; the
-    coordinator runs both in one call, on the loop like every op.
-    """
-
-    flavor = "cluster"
-
-    def __init__(self, coordinator: ClusterCoordinator,
-                 config: Optional[ServeConfig] = None,
-                 workers: int = DEFAULT_WORKERS,
-                 recovery_policy: Optional[RecoveryPolicy] = None):
-        self.coordinator = coordinator
-        super().__init__(
-            config if config is not None else ServeConfig(),
-            coordinator.instrumentation, workers, recovery_policy)
-
-    def _recovery_backend(self):
-        return ClusterBackend(self.coordinator)
-
-    def _subcast_backend(self):
-        return self.coordinator
-
-    def _stats_document(self) -> dict:
-        return self.coordinator.stats_document()
-
-    def _ensure_enrolled(self, user_id: str) -> None:
-        coordinator = self.coordinator
-        if (self.config.open_enroll
-                and user_id not in coordinator._registered_keys
-                and not coordinator.shard_of(user_id)
-                        .server.is_member(user_id)):
-            coordinator.register_individual_key(
-                user_id, coordinator.new_individual_key())
-
-    async def _rekey(self, op, user_id, payload, reply, token, span):
-        trace = span.context if span.trace_id else None
-        # Entered: the coordinator's ``cluster.{op}`` span (and below
-        # it the shard and root-layer rekey spans) parent to it.
-        with self.instrumentation.tracer.span("serve.exec", parent=span,
-                                              op=op):
-            if op == "join":
-                self._ensure_enrolled(user_id)
-            try:
-                outputs = self.coordinator.handle_datagram(payload)
-            except ClusterError:
-                self._m_errors.inc(op=op)
-                outputs = []
-        ack_type = MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK
-        if any(out.message.msg_type == ack_type for out in outputs):
-            self._release_op(op, user_id, outputs, reply, token, trace)
-            self._track(op, user_id)
-            return
-        self._route(outputs, user_id, reply, token, trace)
-        if op == "join":
-            self._forget_denied(user_id)
+#: Older names of :class:`AsyncServingCore`, kept importable for the
+#: frozen benchmark suite.
+ImmediateServingCore = ClusterServingCore = AsyncServingCore

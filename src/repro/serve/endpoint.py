@@ -12,24 +12,23 @@
 Every reply is written on the event-loop thread, where the core serves
 every op, so reply callables write to the transport directly.
 
-:class:`AsyncKeyService` serves one core (immediate or coalescing) on
-one UDP socket plus an optional TCP listener.
-:class:`AsyncClusterService` serves a :class:`~repro.serve.core.
-ClusterServingCore` on one UDP (and optionally TCP) endpoint *per
-shard* — any endpoint accepts any user's request (the coordinator
-routes), but per-shard ports let load spread across sockets the way
-the PR4 cluster spreads state across shards.
+:class:`AsyncKeyService` serves one core on one UDP endpoint (and
+optionally one TCP listener) per shard of its key server — one for a
+single server.  Any endpoint accepts any user's request (the
+coordinator routes), but per-shard ports let load spread across
+sockets the way the cluster spreads state across shards.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import socket
 from typing import List, Optional, Tuple
 
 from .config import ServeConfig
-from .core import AsyncServingCore, ClusterServingCore
+from .core import AsyncServingCore
 from .wire import frame, read_frame
 
 #: Datagrams read per readiness event.  asyncio's transport reads one
@@ -144,54 +143,10 @@ async def _serve_tcp_connection(core: AsyncServingCore, reader,
 
 
 class AsyncKeyService:
-    """One serving core behind a UDP socket and an optional TCP listener."""
+    """One serving core behind one UDP (and optional TCP) endpoint per
+    shard of its key server, or one for a single server."""
 
     def __init__(self, core: AsyncServingCore,
-                 config: Optional[ServeConfig] = None):
-        self.core = core
-        self.config = config if config is not None else core.config
-        self.udp_address: Optional[Tuple[str, int]] = None
-        self.tcp_address: Optional[Tuple[str, int]] = None
-        self._udp_transport = None
-        self._tcp_server = None
-
-    async def start(self) -> "AsyncKeyService":
-        config = self.config
-        transport = await _open_udp(self.core, config, config.udp_port)
-        self._udp_transport = transport
-        self.udp_address = transport.get_extra_info("sockname")
-        if config.tcp_port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._handle_tcp, config.host, config.tcp_port)
-            self.tcp_address = self._tcp_server.sockets[0].getsockname()
-        await self.core.start()
-        return self
-
-    async def _handle_tcp(self, reader, writer) -> None:
-        await _serve_tcp_connection(self.core, reader, writer)
-
-    async def aclose(self) -> None:
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            with contextlib.suppress(Exception):
-                await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
-        await self.core.aclose()
-
-    async def __aenter__(self) -> "AsyncKeyService":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
-
-
-class AsyncClusterService:
-    """A sharded cluster core behind per-shard UDP/TCP endpoints."""
-
-    def __init__(self, core: ClusterServingCore,
                  config: Optional[ServeConfig] = None):
         self.core = core
         self.config = config if config is not None else core.config
@@ -200,9 +155,20 @@ class AsyncClusterService:
         self._udp_transports = []
         self._tcp_servers = []
 
-    async def start(self) -> "AsyncClusterService":
+    @property
+    def udp_address(self) -> Optional[Tuple[str, int]]:
+        """The first UDP endpoint (the only one for a single server)."""
+        return self.udp_addresses[0] if self.udp_addresses else None
+
+    @property
+    def tcp_address(self) -> Optional[Tuple[str, int]]:
+        """The first TCP endpoint, when one is configured."""
+        return self.tcp_addresses[0] if self.tcp_addresses else None
+
+    async def start(self) -> "AsyncKeyService":
         config = self.config
-        for index, _shard in enumerate(self.core.coordinator.shards):
+        shards = len(getattr(self.core.backend, "shards", ())) or 1
+        for index in range(shards):
             udp_port = config.udp_port + index if config.udp_port else 0
             transport = await _open_udp(self.core, config, udp_port)
             self._udp_transports.append(transport)
@@ -212,15 +178,13 @@ class AsyncClusterService:
                 tcp_port = (config.tcp_port + index
                             if config.tcp_port else 0)
                 server = await asyncio.start_server(
-                    self._handle_tcp, config.host, tcp_port)
+                    functools.partial(_serve_tcp_connection, self.core),
+                    config.host, tcp_port)
                 self._tcp_servers.append(server)
                 self.tcp_addresses.append(
                     server.sockets[0].getsockname())
         await self.core.start()
         return self
-
-    async def _handle_tcp(self, reader, writer) -> None:
-        await _serve_tcp_connection(self.core, reader, writer)
 
     async def aclose(self) -> None:
         for server in self._tcp_servers:
@@ -233,8 +197,13 @@ class AsyncClusterService:
         self._udp_transports = []
         await self.core.aclose()
 
-    async def __aenter__(self) -> "AsyncClusterService":
+    async def __aenter__(self) -> "AsyncKeyService":
         return await self.start()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
+
+
+#: The older name of :class:`AsyncKeyService`, kept importable for the
+#: frozen benchmark suite.
+AsyncClusterService = AsyncKeyService

@@ -18,7 +18,7 @@ Three traffic classes, mixed per the run profile:
 * **resyncs** — occasional client-initiated recovery round-trips.
 
 ``python -m repro.serve.loadgen`` self-hosts a sharded cluster behind
-:class:`~repro.serve.endpoint.AsyncClusterService` and drives it;
+:class:`~repro.serve.endpoint.AsyncKeyService` and drives it;
 ``--udp host:port[,host:port...]`` targets an external service
 instead.  Results print as JSON (req/s, p50/p99 latency, busy/timeout
 counts) for the bench harness to gate on.
@@ -430,8 +430,8 @@ async def self_hosted_cluster(n_shards: int = 3, seed: bytes = b"loadgen",
     """
     from ..cluster.coordinator import ClusterConfig, ClusterCoordinator
     from .config import ServeConfig
-    from .core import ClusterServingCore
-    from .endpoint import AsyncClusterService
+    from .core import AsyncServingCore
+    from .endpoint import AsyncKeyService
     instrumentation = None
     if tracing:
         from ..observability.instrumentation import Instrumentation
@@ -445,8 +445,8 @@ async def self_hosted_cluster(n_shards: int = 3, seed: bytes = b"loadgen",
     coordinator.bootstrap([])
     serve_config = config if config is not None else ServeConfig(
         max_inflight=128, tick_interval=1.0)
-    core = ClusterServingCore(coordinator, serve_config)
-    service = AsyncClusterService(core)
+    core = AsyncServingCore(coordinator, serve_config)
+    service = AsyncKeyService(core)
     await service.start()
     return service
 

@@ -9,7 +9,7 @@ but both waited for someone to *notice* the crash and drive the
 recovery by hand.  This module is that someone.
 
 A :class:`Supervisor` owns N independent shard serving cores (one
-:class:`~repro.serve.core.ImmediateServingCore` + UDP endpoint each)
+:class:`~repro.serve.core.AsyncServingCore` + UDP endpoint each)
 and runs one watchdog task per shard:
 
 * **probe** — every ``probe_interval`` the watchdog checks, inline on
@@ -71,7 +71,7 @@ from ..observability.instrumentation import Instrumentation
 from ..observability.metrics import LATENCY_BUCKETS_S
 from ..observability.spans import Tracer
 from .config import ServeConfig, ServeError
-from .core import ImmediateServingCore
+from .core import AsyncServingCore
 from .endpoint import AsyncKeyService
 
 
@@ -127,7 +127,7 @@ class SupervisedShard:
     serve_config: ServeConfig
     journal_path: Optional[str]
     server: Optional[GroupKeyServer] = None
-    core: Optional[ImmediateServingCore] = None
+    core: Optional[AsyncServingCore] = None
     service: Optional[AsyncKeyService] = None
     journal: Optional[TreeJournal] = None
     standby: Optional[WarmStandby] = None
@@ -276,7 +276,7 @@ class Supervisor:
 
     async def _launch(self, shard: SupervisedShard) -> None:
         """Bind the shard's endpoint (retrying a just-freed port)."""
-        core = ImmediateServingCore(shard.server, shard.serve_config)
+        core = AsyncServingCore(shard.server, shard.serve_config)
         service = AsyncKeyService(core)
         for attempt in range(20):
             try:
@@ -340,12 +340,9 @@ class Supervisor:
         """
         service, core = shard.service, shard.core
         if service is not None:
-            if service._tcp_server is not None:
-                service._tcp_server.close()
-                service._tcp_server = None
-            if service._udp_transport is not None:
-                service._udp_transport.close()
-                service._udp_transport = None
+            for endpoint in service._tcp_servers + service._udp_transports:
+                endpoint.close()
+            service._tcp_servers, service._udp_transports = [], []
         if core is not None:
             core._closing = True
             for attr in ("_tick_task", "_slo_task", "_flush_task"):
@@ -402,9 +399,9 @@ class Supervisor:
                 return False
         # Every op is served on this loop, so a shard that still owns
         # an open socket and a running core is serving.
-        transport = shard.service._udp_transport
-        return (not core._closing and transport is not None
-                and not transport.is_closing())
+        transports = shard.service._udp_transports
+        return (not core._closing and bool(transports)
+                and not any(t.is_closing() for t in transports))
 
     async def restart(self, shard_id: int) -> None:
         """Revive a dead shard from its journal or standby.

@@ -18,13 +18,10 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.messages import DEST_ALL, OutboundMessage
+from ..core.messages import DEST_ALL, GROUP, OutboundMessage
 
 #: Writes one payload to a reply path.
 SendFn = Callable[[bytes], None]
-
-#: The audiences of a member of a single group: just the whole group.
-GROUP: Tuple[Hashable, ...] = (None,)
 
 
 class _Path:

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.client import GroupClient
 from repro.crypto.suite import PAPER_SUITE
-from repro.recovery import ClusterBackend
 from repro.transport.inmemory import InMemoryNetwork
 
 
@@ -31,7 +30,7 @@ def subscribed(coordinator, clients) -> InMemoryNetwork:
     its membership puts it in right now (after the op: a joiner in, a
     leaver out — the order every front end keeps)."""
     network = InMemoryNetwork(strict=False)
-    audiences = ClusterBackend(coordinator).audiences
+    audiences = coordinator.audiences
     for user_id, client in clients.items():
         network.attach(user_id, client.process_message)
         network.enroll(user_id, audiences(user_id))

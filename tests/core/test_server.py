@@ -1,5 +1,7 @@
 """GroupKeyServer behaviour: config, ACL, protocol flows, determinism."""
 
+import threading
+
 import pytest
 
 from repro.core.messages import (MSG_DATA, MSG_JOIN_ACK, MSG_JOIN_DENIED,
@@ -158,6 +160,38 @@ class TestOutcomes:
             assert reached(message)
             all_receivers.update(reached(message))
         assert all_receivers == set(server.members())
+
+
+class TestFailedOps:
+    @pytest.mark.parametrize("op", ["join", "leave"])
+    def test_failed_op_does_not_wedge_the_server(self, monkeypatch, op):
+        """An op that fails after its plan — here while signing its ack,
+        which is built while the op still holds its seal turn — must
+        retire that turn, or every later op's seal waits forever."""
+        server, _keys = populated_server()
+        ack_type = MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK
+        real = server._control_message
+        failed = []
+
+        def ack_fails_once(msg_type, *args, **kwargs):
+            if msg_type == ack_type and not failed:
+                failed.append(msg_type)
+                raise RuntimeError("ack signing failed")
+            return real(msg_type, *args, **kwargs)
+        monkeypatch.setattr(server, "_control_message", ack_fails_once)
+        with pytest.raises(RuntimeError):
+            if op == "join":
+                server.join("n0", server.new_individual_key())
+            else:
+                server.leave("u0")
+        assert server.pipeline.seal_order.idle
+        done = []
+        worker = threading.Thread(target=lambda: done.append(
+            server.join("n1", server.new_individual_key())), daemon=True)
+        worker.start()
+        worker.join(3.0)
+        assert done and done[0].control_messages[0].message.msg_type \
+            == MSG_JOIN_ACK
 
 
 class TestDeterminism:

@@ -11,8 +11,7 @@ live async key service.
 
 import asyncio
 
-from repro.recovery import ServerBackend
-from repro.serve import AsyncKeyService, ImmediateServingCore, ServeConfig
+from repro.serve import AsyncKeyService, AsyncServingCore, ServeConfig
 from repro.transport.inmemory import InMemoryNetwork
 
 
@@ -21,7 +20,7 @@ def subscribed(server, clients, handler=None):
     membership puts it in right now.  ``handler(client)`` picks the
     receive callable (default: ``client.process_message``)."""
     network = InMemoryNetwork(strict=False)
-    audiences = ServerBackend(server).audiences
+    audiences = server.audiences
     for user_id, client in clients.items():
         receive = (handler(client) if handler is not None
                    else client.process_message)
@@ -43,7 +42,7 @@ def serve_beside(server, drive, **config):
     event loop; returns what ``drive`` returns.  ``config`` overrides
     :class:`~repro.serve.ServeConfig` (default: closed enrolment, no
     recovery ticker)."""
-    core = ImmediateServingCore(server, ServeConfig(
+    core = AsyncServingCore(server, ServeConfig(
         **{"open_enroll": False, "tick_interval": 0, **config}))
 
     async def run():

@@ -9,8 +9,7 @@ from repro.core.client import GroupClient
 from repro.core.messages import MSG_RESYNC_REPLY, Message
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
-from repro.recovery import (BatchBackend, RecoveryManager, RecoveryPolicy,
-                            ServerBackend)
+from repro.recovery import RecoveryManager, RecoveryPolicy
 from repro.recovery.manager import MAX_PUSHES_PER_TICK, RecoveryError
 from repro.transport.inmemory import InMemoryNetwork
 
@@ -19,12 +18,10 @@ def make_stack(n=8, policy=None, batch=False):
     if batch:
         server = BatchRekeyServer(degree=3, suite=PAPER_SUITE_NO_SIG,
                                   seed=b"mgr-tests")
-        backend = BatchBackend(server)
     else:
         server = GroupKeyServer(ServerConfig(
             degree=3, strategy="group", suite=PAPER_SUITE_NO_SIG,
             signing="none", seed=b"mgr-tests"))
-        backend = ServerBackend(server)
     members = [(f"u{i}", server.new_individual_key()) for i in range(n)]
     server.bootstrap(members)
     network = InMemoryNetwork(strict=False)
@@ -32,7 +29,7 @@ def make_stack(n=8, policy=None, batch=False):
     for uid, _key in members:
         inboxes[uid] = []
         network.attach(uid, inboxes[uid].append)
-    manager = RecoveryManager(backend, network, policy=policy)
+    manager = RecoveryManager(server, network, policy=policy)
     for uid, _key in members:
         manager.track(uid)
     return server, manager, network, inboxes, dict(members)

@@ -84,10 +84,10 @@ def test_udp_join_leave_round_trip():
                 # Root version advances once per join.
                 versions = [a.root_version for a in acks]
                 assert versions == sorted(versions)
-                assert core.server.n_users == 4
+                assert core.backend.n_users == 4
                 ack = await probe.rpc(MSG_LEAVE_REQUEST, "u2")
                 assert ack.msg_type == MSG_LEAVE_ACK
-                assert core.server.n_users == 3
+                assert core.backend.n_users == 3
             finally:
                 probe.close()
     asyncio.run(run())

@@ -141,7 +141,7 @@ def test_admission_counts_ops_read_but_not_yet_served():
             # Served: the next read is admitted again.
             assert not core.submit_nowait(burst[4], replies.append)
             await core.submit(burst[4], replies.append)
-            assert core.server.is_member("b4")
+            assert core.backend.is_member("b4")
         finally:
             await core.aclose()
         assert core._m_shed.labels(reason="saturated").value == 3

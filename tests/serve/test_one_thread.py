@@ -20,7 +20,8 @@ from repro.core.messages import (MSG_HEARTBEAT, MSG_JOIN_REQUEST,
                                  MSG_LEAVE_REQUEST, MSG_RESYNC_REQUEST,
                                  MSG_STATS_REQUEST, MSG_SUBCAST_REQUEST,
                                  Message)
-from repro.core.server import GroupKeyServer, ServerConfig, StagedRekeyOp
+from repro.core.server import (GroupKeyServer, KeyServerProtocol,
+                               ServerConfig, StagedRekeyOp)
 from repro.recovery.manager import RecoveryManager
 from repro.serve import (AsyncClusterService, AsyncKeyService,
                          ClusterServingCore, CoalescingServingCore,
@@ -32,19 +33,20 @@ MUTATORS = (
     [(GroupKeyServer, name) for name in ("begin_join", "begin_leave", "join",
                                          "leave", "resync", "subcast")]
     + [(StagedRekeyOp, name) for name in ("encrypt", "seal", "finish")]
-    + [(ClusterCoordinator, "handle_datagram"),
+    + [(KeyServerProtocol, "handle_datagram"),
        (ClusterCoordinator, "subcast"),
        (BatchRekeyServer, "flush"), (BatchRekeyServer, "subcast"),
        (RecoveryManager, "tick")])
 
 #: What each flavour must have been seen doing (beyond replies).
 EXPECTED = {
-    "immediate": {"GroupKeyServer.begin_join", "GroupKeyServer.begin_leave",
+    "immediate": {"KeyServerProtocol.handle_datagram",
+                  "GroupKeyServer.begin_join", "GroupKeyServer.begin_leave",
                   "GroupKeyServer.resync", "GroupKeyServer.subcast",
                   "StagedRekeyOp.encrypt", "StagedRekeyOp.seal",
                   "StagedRekeyOp.finish"},
     "coalesce": {"BatchRekeyServer.flush", "BatchRekeyServer.subcast"},
-    "cluster": {"ClusterCoordinator.handle_datagram",
+    "cluster": {"KeyServerProtocol.handle_datagram",
                 "ClusterCoordinator.subcast", "StagedRekeyOp.finish"},
 }
 

@@ -64,7 +64,7 @@ def test_join_then_eviction_returns_to_baseline():
                     _request(MSG_HEARTBEAT, "keeper"), wire.append, "sock-k")
                 await core._tick_once()
             assert core.recovery.evicted == ["silent"]
-            assert not core.server.is_member("silent")
+            assert not core.backend.is_member("silent")
             assert (len(core.fanout.audience),
                     core.fanout.audience.paths()) == baseline
         finally:

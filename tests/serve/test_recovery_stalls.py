@@ -53,7 +53,7 @@ class _Episode:
         self.core = core
         self.live = [f"m{i:03d}" for i in range(MEMBERS)]
         #: What a live member reports: the newest rekey *delivered*.
-        self.seen_ref = core.server.group_key_ref()
+        self.seen_ref = core.backend.group_key_ref()
         self.frozen = {}        # user -> the ref it is stuck at
         self.repaired = {}      # user -> recovery tick of its repair
         self.op_replies = []    # one list of reply types per op
@@ -269,7 +269,7 @@ def test_udp_socket_asks_for_a_large_receive_buffer():
         config = ServeConfig(tcp_port=None, tick_interval=0)
         async with AsyncKeyService(ImmediateServingCore(server, config)) \
                 as service:
-            sock = service._udp_transport.get_extra_info("socket")
+            sock = service._udp_transports[0].get_extra_info("socket")
             gauge = server.instrumentation.registry.get(
                 "serve_udp_rcvbuf_bytes").labels().value
             return sock.getsockopt(socket.SOL_SOCKET,

@@ -276,7 +276,7 @@ def test_watchdog_restarts_silent_death(tmp_path):
             await _join(shard, "u0", 0)
             # Silent death: the shard's socket closes but nobody tells
             # the supervisor.  The probe must notice and revive.
-            shard.service._udp_transport.close()
+            shard.service._udp_transports[0].close()
             for _ in range(100):
                 if shard.generation >= 1 and shard.state == "up":
                     break

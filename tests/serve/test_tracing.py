@@ -173,8 +173,8 @@ def test_staged_rekey_spans_form_one_connected_trace():
     assert len(roots) == 1
     selected = _assert_connected(spans, roots[0]["trace_id"])
     names = {s["name"] for s in selected}
-    # The loop-side plan and the worker-side stages are all present.
-    assert "serve.plan" in names
+    # The serving step and the pipeline stages under it are all present.
+    assert "serve.exec" in names
     assert "rekey.join" in names
     # The pipeline spans crossed the run_in_executor hop without
     # orphaning: rekey.join's ancestry reaches serve.request.

@@ -190,7 +190,7 @@ def test_metric_families_the_report_reads_are_registered():
         registered = set()
         for snapshot in (
                 single.instrumentation.registry.snapshot(),
-                cluster.coordinator.stats_document()["metrics"],
+                cluster.backend.stats_document()["metrics"],
                 SHARED_CACHE.registry.snapshot()):
             for kind in ("counters", "gauges", "histograms"):
                 registered |= set(snapshot[kind])
