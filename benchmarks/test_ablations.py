@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE, populated_server
 
-from repro.batch import BatchRekeyServer
+from repro.batch import individual_cost_estimate
 from repro.core.messages import DEST_ALL
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG
@@ -70,24 +70,25 @@ def test_hybrid_tradeoff(benchmark):
 
 
 def test_batch_flush(benchmark):
-    server = BatchRekeyServer(degree=4, suite=PAPER_SUITE_NO_SIG,
-                              seed=b"bench-batch")
+    server = GroupKeyServer(ServerConfig(degree=4, suite=PAPER_SUITE_NO_SIG,
+                                         signing="none",
+                                         seed=b"bench-batch"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(256)])
     state = {"next": 0}
 
     def batch_round():
         # Leave the 8 oldest members, admit 8 fresh ones, flush once.
-        for victim in server.tree.users()[:8]:
-            server.request_leave(victim)
+        joins = []
         for _ in range(8):
             state["next"] += 1
-            server.request_join(f"fresh{state['next']}",
-                                server.new_individual_key())
-        return server.flush()
+            joins.append((f"fresh{state['next']}",
+                          server.new_individual_key()))
+        return server.flush(joins, server.tree.users()[:8])
 
-    result = benchmark(batch_round)
-    assert result.encryptions < result.individual_cost_estimate
+    outcome = benchmark(batch_round)
+    assert outcome.record.encryptions \
+        < individual_cost_estimate(server.n_users, 4, 8, 8)
 
 
 def test_batch_saving_table(benchmark):

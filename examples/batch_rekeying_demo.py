@@ -3,20 +3,25 @@
 
 Per-request rekeying changes the group key on *every* join/leave — with
 a flash crowd, the root key is replaced hundreds of times a second and
-most of that work overlaps.  The interval batching extension collects an
-interval's requests and rekeys each affected path once.
+most of that work overlaps.  ``GroupKeyServer.flush`` serves an
+interval's requests as one rekey, replacing each affected key once.
 
 Run:  python examples/batch_rekeying_demo.py
 """
 
-from repro.batch import BatchRekeyServer
-from repro.core import GroupClient
+from repro.batch import individual_cost_estimate
+from repro.core import GroupClient, GroupKeyServer, ServerConfig
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
 from repro.transport import InMemoryNetwork
 
 
+def make_server(seed):
+    return GroupKeyServer(ServerConfig(degree=4, suite=SUITE,
+                                       signing="none", seed=seed))
+
+
 def main():
-    server = BatchRekeyServer(degree=4, suite=SUITE, seed=b"batch-demo")
+    server = make_server(b"batch-demo")
     enrollment = [(f"u{i}", server.new_individual_key())
                   for i in range(256)]
     server.bootstrap(enrollment)
@@ -35,22 +40,20 @@ def main():
         clients[uid] = client
 
     print("flash crowd: 32 leaves + 32 joins arrive within one interval")
-    for i in range(32):
-        server.request_leave(f"u{i}")
-        del clients[f"u{i}"]
-    joiners = {}
-    for i in range(32):
-        key = server.new_individual_key()
-        joiners[f"crowd{i}"] = key
-        server.request_join(f"crowd{i}", key)
+    leavers = [f"u{i}" for i in range(32)]
+    for uid in leavers:
+        del clients[uid]
+    joiners = {f"crowd{i}": server.new_individual_key() for i in range(32)}
 
-    result = server.flush()
-    print(f"  one flush: {result.encryptions} encryptions vs "
-          f"{result.individual_cost_estimate} for per-request rekeying "
-          f"-> {result.saving:.0%} saved")
-    print(f"  one multicast of "
-          f"{len(result.rekey_message.encoded)} bytes + "
-          f"{len(result.joiner_messages)} joiner unicasts")
+    estimate = individual_cost_estimate(server.n_users, 4, len(joiners),
+                                        len(leavers))
+    outcome = server.flush(joiners.items(), leavers)
+    encryptions = outcome.record.encryptions
+    group_rekey, *unicasts = outcome.rekey_messages
+    print(f"  one flush: {encryptions} encryptions vs {estimate} for "
+          f"per-request rekeying -> {1 - encryptions / estimate:.0%} saved")
+    print(f"  one multicast of {len(group_rekey.encoded)} bytes + "
+          f"{len(unicasts)} joiner unicasts")
 
     # Deliver and verify synchrony.
     for uid, key in joiners.items():
@@ -61,8 +64,7 @@ def main():
     network = InMemoryNetwork()
     for uid, client in clients.items():
         network.attach(uid, client.process_message)
-    network.send(result.rekey_message)
-    network.send_all(result.joiner_messages)
+    network.send_all(outcome.rekey_messages)
 
     group_key = server.tree.root.key
     in_sync = sum(1 for client in clients.values()
@@ -71,21 +73,17 @@ def main():
 
     print("\nsaving vs batch size (same total churn):")
     for batch_size in (1, 4, 16, 64):
-        probe = BatchRekeyServer(degree=4, suite=SUITE, seed=b"probe")
+        probe = make_server(b"probe")
         probe.bootstrap([(f"u{i}", probe.new_individual_key())
                          for i in range(256)])
         batched = individual = 0
-        leaver = joiner = 0
-        for _ in range(64 // batch_size):
-            for _ in range(batch_size):
-                probe.request_leave(f"u{leaver}")
-                leaver += 1
-                probe.request_join(f"j{joiner}",
-                                   probe.new_individual_key())
-                joiner += 1
-            flush = probe.flush()
-            batched += flush.encryptions
-            individual += flush.individual_cost_estimate
+        for start in range(0, 64, batch_size):
+            window = range(start, start + batch_size)
+            individual += individual_cost_estimate(
+                probe.n_users, 4, batch_size, batch_size)
+            batched += probe.flush(
+                [(f"j{i}", probe.new_individual_key()) for i in window],
+                [f"u{i}" for i in window]).record.encryptions
         print(f"  batch={batch_size:3d}: {batched:5d} encryptions "
               f"({1 - batched / individual:.0%} saved)")
 

@@ -1,5 +1,8 @@
-"""Interval batch rekeying extension (future-work direction of the paper)."""
+"""Interval batch rekeying: the window planner behind
+:meth:`~repro.core.server.GroupKeyServer.flush`."""
 
-from .rekeying import BatchError, BatchRekeyServer, BatchResult
+from .planner import (WindowEdit, apply_window, individual_cost_estimate,
+                      plan_window)
 
-__all__ = ["BatchRekeyServer", "BatchResult", "BatchError"]
+__all__ = ["WindowEdit", "apply_window", "plan_window",
+           "individual_cost_estimate"]

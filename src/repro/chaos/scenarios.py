@@ -1,15 +1,15 @@
 """Chaos scenarios: Figure-10-style workloads under named fault profiles.
 
-A scenario drives one of the three server stacks (immediate-mode
-:class:`~repro.core.server.GroupKeyServer`, interval-batched
-:class:`~repro.batch.rekeying.BatchRekeyServer`, or the sharded
-:class:`~repro.cluster.coordinator.ClusterCoordinator` behind its front
-end) through rounds of joins and leaves while a
-:class:`~repro.chaos.faults.ChaosTransport` drops, duplicates and
-reorders the rekey traffic — optionally crashing members, restarting
-them, and failing/promoting whole shards mid-run.  The
-:class:`~repro.recovery.manager.RecoveryManager` and the members' own
-gap detection are the only repair mechanisms allowed: the scenario
+A scenario drives one of the server stacks (a
+:class:`~repro.core.server.GroupKeyServer` serving each request
+immediately or as a :meth:`~repro.core.server.GroupKeyServer.flush`,
+the sharded :class:`~repro.cluster.coordinator.ClusterCoordinator`
+behind its front end, or the async serving core) through rounds of
+joins and leaves while a :class:`~repro.chaos.faults.ChaosTransport`
+drops, duplicates and reorders the rekey traffic — optionally crashing
+members, restarting them, and failing/promoting whole shards mid-run.
+The :class:`~repro.recovery.manager.RecoveryManager` and the members'
+own gap detection are the only repair mechanisms allowed: the scenario
 **passes** iff every surviving member converges back to the server's
 group key and decrypts a post-recovery data message, with zero manual
 intervention.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from ..batch.rekeying import BatchRekeyServer
 from ..cluster.coordinator import ClusterConfig, ClusterCoordinator
 from ..cluster.routing import ClusterFrontEnd, ClusterMember
 from ..core.server import GroupKeyServer, ServerConfig
@@ -166,13 +165,10 @@ class _Harness:
                                              transport=self.chaos)
             self.manager = self.front_end.enable_recovery(config.policy)
             return
-        if config.stack == "batch":
-            self.server = BatchRekeyServer(
-                degree=4, suite=self.suite, seed=config.seed + b"/batch")
-        else:
-            self.server = GroupKeyServer(ServerConfig(
-                degree=4, strategy="group", suite=self.suite,
-                signing="none", seed=config.seed + b"/server"))
+        self.server = GroupKeyServer(ServerConfig(
+            degree=4, strategy="group", suite=self.suite, signing="none",
+            seed=config.seed + (b"/batch" if config.stack == "batch"
+                                else b"/server")))
         self.manager = RecoveryManager(self.server, self.chaos,
                                        policy=config.policy)
 
@@ -248,8 +244,8 @@ class _Harness:
             self.members[uid] = member
             self.chaos.attach(uid, member.handle)
             if self.config.stack == "batch":
-                self.server.request_join(uid, key)
-                self._flush()
+                outcome = self.server.flush([(uid, key)])
+                self.chaos.send_all(outcome.rekey_messages)
             else:
                 outcome = self.server.join(uid, key)
                 self.chaos.send_all(outcome.all_messages)
@@ -262,22 +258,13 @@ class _Harness:
             self.front_end.detach_member(uid)
         elif self.config.stack == "batch":
             self.chaos.detach(uid)
-            self.server.request_leave(uid)
-            self._flush()
+            self.chaos.send_all(self.server.flush((), [uid]).rekey_messages)
         else:
             self.chaos.detach(uid)
             outcome = self.server.leave(uid)
             self.chaos.send_all(outcome.rekey_messages)
         del self.members[uid]
         self._left.append(uid)
-
-    def _flush(self) -> None:
-        if self.server.pending == (0, 0):
-            return
-        result = self.server.flush()
-        if result.rekey_message is not None:
-            self.chaos.send(result.rekey_message)
-        self.chaos.send_all(result.joiner_messages)
 
     def _workload_op(self, round_index: int) -> None:
         if self.config.stack == "cluster" and any(

@@ -109,8 +109,9 @@ class RootKeyLayer:
     kept equal to that shard's current subtree root key, so members of a
     shard can always decrypt the lowest root-layer item with the shard
     root key they already hold.  The layer is usable standalone (the
-    batch-boundary tests drive it over :class:`~repro.batch.rekeying.
-    BatchRekeyServer` shards) as well as under the coordinator.
+    batch-boundary tests drive it over shards that each
+    :meth:`~repro.core.server.GroupKeyServer.flush`) as well as under
+    the coordinator.
     """
 
     def __init__(self, suite: CipherSuite, shard_names: Sequence[str], *,

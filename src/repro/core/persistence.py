@@ -168,8 +168,8 @@ def attach_journal(server: GroupKeyServer, path: str) -> TreeJournal:
     """Journal every state-changing op of ``server`` to ``path``.
 
     Writes an initial checkpoint snapshot, then the server appends one
-    op record per join/leave/refresh/register (plus sequence-counter
-    markers) until the journal is detached.  Restart with
+    op record per join/leave/refresh/flush/register (plus
+    sequence-counter markers) until the journal is detached.  Restart with
     :func:`restore_from_journal`.
     """
     if server.tree is None:
@@ -254,6 +254,13 @@ def _apply_tree_edit(server: GroupKeyServer, op: str, record: dict) -> None:
             if tree.root is None:
                 raise PersistenceError("refresh record on an empty tree")
             tree.root.replace_key(source())
+        elif op == "flush":
+            from ..batch.planner import apply_window
+            for user_id in record["joins"]:
+                server._registered_keys.pop(user_id, None)
+            joins = zip(record["joins"],
+                        map(bytes.fromhex, record["individual_keys"]))
+            apply_window(tree, list(joins), record["leaves"], source)
         else:
             raise PersistenceError(f"unknown journal op {op!r}")
     finally:

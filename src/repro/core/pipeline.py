@@ -1,12 +1,11 @@
 """The staged rekey pipeline shared by every rekey path.
 
-The paper's server (§3, §5) is *one* rekey engine measured three ways;
-this module is that engine's single implementation.  A rekey operation
-— an immediate join/leave/refresh (:class:`~repro.core.server.
-GroupKeyServer`), an interval batch flush (:class:`~repro.batch.
-rekeying.BatchRekeyServer`), or a covering-based key-graph edit
-(:class:`~repro.keygraph.materialized.MaterializedKeyGraph`) — runs
-through four explicit stages:
+The paper's server (§3, §5) is *one* rekey engine; this module is that
+engine's single implementation.  A rekey operation — a join, leave,
+refresh or batch flush of :class:`~repro.core.server.GroupKeyServer`,
+or a covering-based key-graph edit (:class:`~repro.keygraph.
+materialized.MaterializedKeyGraph`) — runs through four explicit
+stages:
 
 ``plan``
     The path-specific planner edits the key graph and schedules
@@ -19,8 +18,8 @@ through four explicit stages:
 ``sign``
     Plans become wire :class:`~repro.core.messages.Message` objects
     (sequence numbers, timestamps, the current root reference) and the
-    signer seals them — one signature over the whole batch (Merkle),
-    one per message, or none.
+    signer seals them as one batch — one signature over all of the
+    op's messages (Merkle, paper §4), one per message, or none.
 ``dispatch``
     Messages are encoded and wrapped in :class:`~repro.core.messages.
     OutboundMessage`.  A group-addressed message names the group and
@@ -31,15 +30,15 @@ through four explicit stages:
 
 Each stage has a hook point (:meth:`RekeyPipeline.add_hook`) so future
 optimisations — key caches, parallel signing, async dispatch — plug
-into one pipeline instead of three copies.  Per-stage timings flow into
-the shared :mod:`repro.observability` core; ``PipelineRun.seconds`` is
-the timed region the paper reports as server processing time.
+into one pipeline instead of one copy per rekey path.  Per-stage
+timings flow into the shared :mod:`repro.observability` core;
+``PipelineRun.seconds`` is the timed region the paper reports as server
+processing time.
 
-The module also centralises what the three paths used to copy-paste:
+The module also centralises what the rekey paths used to copy-paste:
 :class:`KeyMaterialSource` (key/IV sourcing from one seeded DRBG),
 :func:`make_signer` (signer selection + keypair construction) and
-:func:`validate_signing` (the signing-mode validation previously
-duplicated between ``ServerConfig.validate`` and ``BatchRekeyServer``).
+:func:`validate_signing` (the signing-mode validation).
 """
 
 from __future__ import annotations
@@ -430,25 +429,23 @@ class StagedRun:
 class RekeyPipeline:
     """plan -> encrypt -> sign -> dispatch, with per-stage hook points.
 
-    One instance per server; :meth:`run` executes one rekey operation.
-    ``seal_individually`` selects the batch path's historic behaviour
-    (each message sealed on its own) over the immediate server's (one
-    seal over the whole batch — amortised for Merkle signing).
-    ``signer=None`` skips sealing entirely (messages carry no auth
-    block), which is what the materialized key-graph path ships.
+    One instance per server; :meth:`run` executes one rekey operation,
+    sealing all of its messages as one batch (one signature for Merkle
+    signing).  ``signer=None`` skips sealing entirely (messages carry
+    no auth block), which is what the materialized key-graph path
+    ships.
     """
 
     def __init__(self, suite, material: KeyMaterialSource, *,
                  signer=None, sequencer: Optional[Sequencer] = None,
                  group_id: int = 1, msg_type: int = MSG_REKEY,
-                 seal_individually: bool = False, instrumentation=None):
+                 instrumentation=None):
         self.suite = suite
         self.material = material
         self.signer = signer
         self.sequencer = sequencer if sequencer is not None else Sequencer()
         self.group_id = group_id
         self.msg_type = msg_type
-        self.seal_individually = seal_individually
         self.instrumentation = (instrumentation if instrumentation is not None
                                 else NULL_INSTRUMENTATION)
         self._hooks: Dict[str, List[PipelineHook]] = {
@@ -581,9 +578,5 @@ class RekeyPipeline:
         if self.signer is None or not messages:
             return 0
         before = self.signer.signatures_performed
-        if self.seal_individually:
-            for message in messages:
-                self.signer.seal([message])
-        else:
-            self.signer.seal(messages)
+        self.signer.seal(messages)
         return self.signer.signatures_performed - before

@@ -16,19 +16,20 @@ dispatch stages, feeding stage timings into the server's
 The server is transport-agnostic: :meth:`GroupKeyServer.join` /
 :meth:`~GroupKeyServer.leave` return :class:`~repro.core.messages.
 OutboundMessage` batches that a transport (in-memory bus, UDP, ...)
-delivers.  :class:`KeyServerProtocol` is what every front end asks of a
-key server — this one, the sharded :class:`~repro.cluster.coordinator.
-ClusterCoordinator` and the :class:`~repro.batch.rekeying.
-BatchRekeyServer` — including the one request dispatch,
-:meth:`~KeyServerProtocol.handle_datagram`.
+delivers.  :meth:`GroupKeyServer.flush` serves a whole window of joins
+and leaves as one rekey (batch LKH, planned by :mod:`repro.batch`),
+journaled as one record like any other op.  :class:`KeyServerProtocol`
+is what every front end asks of a key server — this one and the sharded
+:class:`~repro.cluster.coordinator.ClusterCoordinator` — including the
+one request dispatch, :meth:`~KeyServerProtocol.handle_datagram`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Container, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.backend import BACKENDS, build_tree, make_tree
@@ -41,8 +42,9 @@ from .messages import (GROUP, INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT,
                        MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
                        MSG_LEAVE_ACK, MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
                        MSG_REKEY, MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST,
-                       STRATEGY_STAR, Destination, EncryptedItem, KeyRecord,
-                       Message, OutboundMessage, WireError)
+                       STRATEGY_GROUP_ORIENTED, STRATEGY_STAR, Destination,
+                       EncryptedItem, KeyRecord, Message, OutboundMessage,
+                       WireError)
 from .pipeline import (KeyMaterialSource, RekeyPipeline, Sequencer,
                        make_signer, validate_signing)
 from .resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
@@ -269,7 +271,7 @@ class KeyServerProtocol:
 
     #: Whether the recovery manager may fold a deep eviction queue into
     #: one flush (overload shedding) — only a server that rekeys in
-    #: batches can.
+    #: windows can.
     supports_batch = False
 
     #: What :meth:`handle_datagram` raises for a request it refuses to
@@ -828,19 +830,123 @@ class GroupKeyServer(KeyServerProtocol):
                                old_version)
             return [PlannedMessage(Destination.to_all(), [item])]
 
+        run = self._run_journaled("refresh", planner, self._strategy_code)
+        record = self._record_from_run(run, key_changes_total=self.n_users)
+        return RekeyOutcome(record, run.messages, [])
+
+    def _run_journaled(self, op: str, planner, strategy_code: int,
+                       **fields):
+        """One whole-op pipeline run whose journal record carries the
+        keys the tree edit drew (plus ``fields``)."""
         if self._journal is not None:
             self._journal_tap = []
         try:
-            run = self.pipeline.run("refresh", planner,
-                                    strategy_code=self._strategy_code,
+            run = self.pipeline.run(op, planner, strategy_code=strategy_code,
                                     root_ref=self.group_key_ref)
         except Exception:
             self._journal_tap = None
             raise
         if self._journal is not None:
             keys, self._journal_tap = self._journal_tap, None
-            self._journal_op("refresh", keys=keys)
-        record = self._record_from_run(run, key_changes_total=self.n_users)
+            self._journal_op(op, keys=keys, **fields)
+        return run
+
+    # -- batch rekeying (one window, one rekey) ----------------------------------
+
+    @property
+    def supports_batch(self) -> bool:
+        """A tree server serves a window of requests as one flush."""
+        return self.tree is not None
+
+    def evict(self, user_ids: Sequence[str]) -> List[OutboundMessage]:
+        """Expel dead members; two or more share one flush."""
+        if self.supports_batch and len(user_ids) >= 2:
+            return self.flush((), user_ids).rekey_messages
+        return super().evict(user_ids)
+
+    def check_window(self, op: str, user_id: str, joining: Container,
+                     leaving: Container) -> None:
+        """Raise :class:`ServerError` unless ``op`` ("join"/"leave") of
+        ``user_id`` may enter a flush window that already holds the
+        joiners ``joining`` and the leavers ``leaving``.
+
+        A member may leave and rejoin in one window (with a fresh
+        individual key); a non-member's join and leave in one window
+        cancel.
+        """
+        if op == "join":
+            if user_id in joining:
+                raise ServerError(f"user {user_id!r} already joins")
+            self._check_acl(user_id)
+            if self.is_member(user_id) and user_id not in leaving:
+                raise ServerError(f"user {user_id!r} is already a member")
+        else:
+            if user_id in leaving:
+                raise ServerError(f"user {user_id!r} already leaves")
+            if not self.is_member(user_id) and user_id not in joining:
+                raise ServerError(f"user {user_id!r} is not a member")
+
+    def flush(self, joins: Iterable[Tuple[str, Optional[bytes]]] = (),
+              leaves: Iterable[str] = ()) -> RekeyOutcome:
+        """Serve a window of joins and leaves with one rekey.
+
+        Batch insertion and deletion in LKH: the leavers are detached,
+        the joiners attached (into vacated spots first), and every key
+        on an edited path is replaced once; one group-oriented message
+        carries all new keys and each joiner gets its path by unicast
+        (:mod:`repro.batch`).  A joiner's individual key may be ``None``
+        when registered beforehand.  A bad window raises
+        :class:`ServerError` before the tree is touched.  The flush is
+        one pipeline run (one Merkle signature) and one journal record.
+        The outcome carries no acks: the caller answers each request of
+        the window.
+        """
+        from ..batch.planner import apply_window, plan_window
+        if self.tree is None:
+            raise ServerError("flush requires a tree key graph")
+        leaves = list(leaves)
+        window_leaves = set(leaves)
+        joining: Dict[str, Optional[bytes]] = {}
+        for user_id, key in joins:
+            self.check_window("join", user_id, joining, window_leaves)
+            joining[user_id] = key
+        leaving: Set[str] = set()
+        for user_id in leaves:
+            self.check_window("leave", user_id, joining, leaving)
+            leaving.add(user_id)
+        admitted = []
+        for user_id, key in joining.items():
+            if user_id in leaving and not self.is_member(user_id):
+                continue            # joined and left in one window
+            if key is None:
+                key = self._registered_keys.get(user_id)
+                if key is None:
+                    raise ServerError(f"no individual key for {user_id!r}")
+            admitted.append((user_id, key))
+        # Sorted: the edit must not depend on the caller's order.
+        departed = sorted(u for u in leaving if self.is_member(u))
+        state: Dict[str, object] = {}
+
+        def planner(ctx: RekeyContext) -> List[PlannedMessage]:
+            for user_id, _key in admitted:
+                self._registered_keys.pop(user_id, None)
+            state["edit"] = apply_window(self.tree, admitted, departed,
+                                         self._new_key)
+            return plan_window(self.tree, state["edit"], ctx)
+
+        run = self._run_journaled(
+            "flush", planner, STRATEGY_GROUP_ORIENTED,
+            joins=[user_id for user_id, _key in admitted],
+            individual_keys=[key for _user_id, key in admitted],
+            leaves=departed)
+        edit = state["edit"]
+        # Each replaced key changes for everyone under it except the
+        # window's joiners, whose paths are all replaced keys.
+        key_changes = (
+            sum(self.tree.subtree_size(node) for node in edit.replaced)
+            - sum(len(leaf.path_to_root()) - 1
+                  for leaf in edit.joined.values()))
+        record = self._record_from_run(run, key_changes_total=key_changes)
         return RekeyOutcome(record, run.messages, [])
 
     def _control_message(self, msg_type: int, user_id: str,

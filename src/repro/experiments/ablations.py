@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..batch import BatchRekeyServer
+from ..batch import individual_cost_estimate
 from ..iolus import IolusSystem
 from ..simulation.runner import ExperimentConfig, run_experiment
 from .common import QUICK, Scale, TableData, strategy_experiment
@@ -474,27 +474,26 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
 def batch_saving(scale: Scale = QUICK,
                  batch_sizes: List[int] = (1, 4, 16, 64)) -> TableData:
     """Extension: encryption saving of interval batch rekeying."""
+    from ..core.server import GroupKeyServer, ServerConfig
     rows = []
     for batch_size in batch_sizes:
-        server = BatchRekeyServer(degree=4, seed=b"ablate-batch")
+        server = GroupKeyServer(ServerConfig(degree=4, signing="none",
+                                             seed=b"ablate-batch"))
         n = scale.initial_size
         server.bootstrap([(f"u{i}", server.new_individual_key())
                           for i in range(n)])
         total_batched = 0
         total_individual = 0
         rounds = max(1, 32 // batch_size)
-        leaver = 0
-        joiner = 0
-        for _ in range(rounds):
-            for _ in range(batch_size):
-                server.request_leave(f"u{leaver}")
-                leaver += 1
-                key = server.new_individual_key()
-                server.request_join(f"j{joiner}", key)
-                joiner += 1
-            result = server.flush()
-            total_batched += result.encryptions
-            total_individual += result.individual_cost_estimate
+        for round_index in range(rounds):
+            window = range(round_index * batch_size,
+                           (round_index + 1) * batch_size)
+            total_individual += individual_cost_estimate(
+                server.n_users, 4, batch_size, batch_size)
+            outcome = server.flush(
+                [(f"j{i}", server.new_individual_key()) for i in window],
+                [f"u{i}" for i in window])
+            total_batched += outcome.record.encryptions
         rows.append([batch_size, total_batched, total_individual,
                      1 - total_batched / total_individual])
     return TableData(

@@ -1,6 +1,6 @@
 """Tree backend selection: the ``TreeBackend`` protocol and registry.
 
-The tree-consuming layers (``core.server``, ``batch.rekeying``,
+The tree-consuming layers (``core.server``, ``batch.planner``,
 ``cluster.coordinator``, ``core.persistence``) construct their key tree
 through :func:`make_tree` / :func:`build_tree` with a backend *name*
 from config, instead of importing a concrete node class.  Two backends

@@ -406,7 +406,7 @@ class KeyTree:
     # -- surgery primitives (the TreeBackend protocol surface) -------------
     #
     # Callers that edit the tree (the per-request join/leave below, the
-    # batch flush in ``batch.rekeying``, cluster namespacing) go through
+    # batch flush in ``batch.planner``, cluster namespacing) go through
     # these named operations instead of reaching into node internals, so
     # an array-backed tree (``flat.FlatKeyTree``) can implement the same
     # surface over indices instead of objects.

@@ -4,9 +4,9 @@ Two granularities:
 
 * :class:`StageClock` — per-operation: one rekey pipeline run opens a
   clock, times each stage (plan/encrypt/sign/dispatch) and the total
-  timed region.  ``RequestRecord.seconds`` / ``BatchResult.seconds``
-  are read off a StageClock, replacing the ad-hoc ``time.perf_counter``
-  pairs the server/batch/materialized paths used to carry.
+  timed region.  ``RequestRecord.seconds`` is read off a StageClock,
+  replacing the ad-hoc ``time.perf_counter`` pairs the server/batch/
+  materialized paths used to carry.
 * :class:`StageTimers` — aggregate: count/total/min/max per stage name
   across many runs, readable after the fact
   (``server.instrumentation.timers.stat("join.plan")``).

@@ -13,8 +13,7 @@ reliable-delivery assumption:
   silence and escalates to an automatic eviction rekey, and sheds a
   deep eviction queue as one batch flush when the key server batches.
   It drives any key server directly (:class:`~repro.core.server.
-  KeyServerProtocol`: :class:`~repro.core.server.GroupKeyServer`,
-  :class:`~repro.batch.rekeying.BatchRekeyServer` or
+  KeyServerProtocol`: :class:`~repro.core.server.GroupKeyServer` or
   :class:`~repro.cluster.coordinator.ClusterCoordinator`).
 """
 

@@ -13,10 +13,11 @@ Per tick it:
    *current* keys), backing off exponentially and escalating to
    eviction when the per-member delivery budget runs out;
 3. drains the eviction queue — one leave rekey per member, or, when the
-   key server batches (``supports_batch``: the :class:`~repro.batch.
-   rekeying.BatchRekeyServer`) and the queue is at least
-   ``shed_threshold`` deep, **one** collapsed group-oriented flush
-   (overload shedding: a mass failure costs one rekey, not N).
+   key server batches (``supports_batch``: a tree
+   :class:`~repro.core.server.GroupKeyServer`, whose ``evict`` is one
+   :meth:`~repro.core.server.GroupKeyServer.flush`) and the queue is at
+   least ``shed_threshold`` deep, **one** collapsed group-oriented
+   flush (overload shedding: a mass failure costs one rekey, not N).
 
 The manager drives the key server itself — any
 :class:`~repro.core.server.KeyServerProtocol` — through ``is_member``,

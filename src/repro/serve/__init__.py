@@ -5,7 +5,7 @@ package is the concurrent successor — an asyncio front end that serves
 every op on the event-loop thread in one synchronous step, applies
 admission control (bounded in-flight budget, per-client rate caps,
 ``MSG_BUSY`` shedding), and optionally coalesces concurrent
-joins/leaves into one batch rekey.
+joins/leaves into one flush of the key server.
 
 Quick start (a live single-server group on loopback)::
 

@@ -43,31 +43,21 @@ async def _amain(args) -> int:
     serve_config = ServeConfig(
         host=args.host, udp_port=args.udp_port, tcp_port=args.tcp_port,
         max_inflight=args.max_inflight, client_rate=args.rate,
-        coalesce=args.coalesce, open_enroll=not args.closed,
-        slos=tuple(slos), flight_dump_dir=args.flight_dir)
+        open_enroll=not args.closed, slos=tuple(slos),
+        flight_dump_dir=args.flight_dir)
     instrumentation = Instrumentation(
         "serve", tracer=Tracer() if args.trace else None)
-    if args.coalesce:
-        from ..batch.rekeying import BatchRekeyServer
-        server = BatchRekeyServer(
-            degree=config.degree, suite=config.suite, seed=config.seed,
-            signing=config.signing, instrumentation=instrumentation,
-            backend=config.backend)
-        core = CoalescingServingCore(server, serve_config,
-                                     workers=worker_count(config))
-    else:
-        server = GroupKeyServer(config, instrumentation=instrumentation)
-        core = AsyncServingCore(server, serve_config,
-                                workers=worker_count(config))
-        if initial_size:
-            roster = [(f"user-{index:04d}", server.new_individual_key())
-                      for index in range(initial_size)]
-            server.bootstrap(roster)
+    server = GroupKeyServer(config, instrumentation=instrumentation)
+    core_class = CoalescingServingCore if args.coalesce else AsyncServingCore
+    core = core_class(server, serve_config, workers=worker_count(config))
+    if initial_size:
+        roster = [(f"user-{index:04d}", server.new_individual_key())
+                  for index in range(initial_size)]
+        server.bootstrap(roster)
     # Stands in for the out-of-band authentication exchange.
-    register = (core if args.coalesce else server).register_individual_key
     keys = [server.new_individual_key() for _ in range(args.preregister)]
     for index, key in enumerate(keys):
-        register(f"user{index}", key)
+        server.register_individual_key(f"user{index}", key)
     async with AsyncKeyService(core) as service:
         print(f"async key server on udp {service.udp_address}"
               + (f", tcp {service.tcp_address}"
@@ -112,8 +102,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rate", type=float, default=0.0,
                         help="per-client state-change rate cap (0 = off)")
     parser.add_argument("--coalesce", action="store_true",
-                        help="fold concurrent joins/leaves into batch "
-                             "flushes")
+                        help="fold concurrent joins/leaves into one "
+                             "flush of the key server")
     parser.add_argument("--closed", action="store_true",
                         help="require pre-registered individual keys")
     parser.add_argument("--trace", action="store_true",

@@ -46,11 +46,10 @@ class ServeConfig:
     #: liveness signals under load would manufacture false evictions.
     client_rate: float = 0.0
     client_burst: int = 8
-    #: Coalescing mode: queue joins/leaves into a
-    #: :class:`~repro.batch.rekeying.BatchRekeyServer` and flush every
-    #: ``coalesce_interval`` seconds (or sooner at ``coalesce_max``
-    #: pending requests), folding a concurrent burst into one rekey.
-    coalesce: bool = False
+    #: :class:`~repro.serve.core.CoalescingServingCore` only: flush the
+    #: window of joins/leaves every ``coalesce_interval`` seconds (or
+    #: sooner at ``coalesce_max`` pending requests), folding a
+    #: concurrent burst into one rekey.
     coalesce_interval: float = 0.05
     coalesce_max: int = 256
     #: Seconds between recovery ticks (heartbeat silence detection,

@@ -51,8 +51,8 @@ One :class:`AsyncServingCore` serves any key server — a
 server's own request dispatch (:meth:`~repro.core.server.
 KeyServerProtocol.handle_datagram`), and drives its recovery manager
 with the server itself.  :class:`CoalescingServingCore` is the one
-subclass: over a :class:`~repro.batch.rekeying.BatchRekeyServer`,
-concurrent joins/leaves wait for one shared flush.
+subclass: concurrent joins/leaves of one ``GroupKeyServer`` wait for
+one shared :meth:`~repro.core.server.GroupKeyServer.flush`.
 :data:`ImmediateServingCore` and :data:`ClusterServingCore` are the
 older names of :class:`AsyncServingCore`.
 """
@@ -65,7 +65,6 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..batch.rekeying import BatchError, BatchRekeyServer
 from ..core.messages import (DEST_USER, MSG_BUSY, MSG_HEARTBEAT,
                              MSG_JOIN_ACK, MSG_JOIN_DENIED,
                              MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
@@ -768,27 +767,26 @@ class AsyncServingCore:
 
 
 class CoalescingServingCore(AsyncServingCore):
-    """Fold concurrent joins/leaves into one batch flush.
+    """Fold concurrent joins/leaves into one flush of the key server.
 
-    Requests queue into a :class:`BatchRekeyServer` on arrival and the
-    flush loop rekeys once per ``coalesce_interval`` — or as soon as
-    ``coalesce_max`` requests are pending.  Joiners are answered with
-    their path-keys unicast from the flush; leavers (and joins
-    cancelled by a same-interval leave) get a synthesized signed ack.
-    ``max_inflight`` should be at least ``coalesce_max`` or admission
-    will cap batch size first.
+    Requests are checked against the window on arrival
+    (:meth:`~repro.core.server.GroupKeyServer.check_window`; a refused
+    one gets the server's signed denial at once) and wait for the next
+    :meth:`~repro.core.server.GroupKeyServer.flush`, which runs once
+    per ``coalesce_interval`` — or as soon as ``coalesce_max`` requests
+    are pending.  Each request is then released like an immediate op:
+    every joiner gets its ``MSG_JOIN_ACK`` directly and its path keys
+    through the fan-out, every leaver (and each half of a cancelled
+    join/leave pair) its ack.  ``max_inflight`` should be at least
+    ``coalesce_max`` or admission will cap the window first.
     """
 
     flavor = "coalesce"
 
-    def __init__(self, backend: BatchRekeyServer,
-                 config: Optional[ServeConfig] = None,
+    def __init__(self, backend, config: Optional[ServeConfig] = None,
                  workers: Optional[int] = None,
                  recovery_policy: Optional[RecoveryPolicy] = None):
-        super().__init__(
-            backend,
-            config if config is not None else ServeConfig(coalesce=True),
-            workers, recovery_policy)
+        super().__init__(backend, config, workers, recovery_policy)
         registry = self.instrumentation.registry
         self._m_pending = registry.gauge(
             "serve_coalesce_pending",
@@ -796,14 +794,13 @@ class CoalescingServingCore(AsyncServingCore):
         self._m_flushes = registry.counter(
             "serve_flushes_total",
             "Coalesced rekey flushes executed.").labels()
-        self._registered: Dict[str, bytes] = {}
+        # The window: joiners and leavers in arrival order, and the
+        # requests waiting for its flush.
+        self._joins: Dict[str, None] = {}
+        self._leaves: Dict[str, None] = {}
         self._waiters: List[tuple] = []
         self._flush_event = asyncio.Event()
         self._flush_task: Optional[asyncio.Task] = None
-
-    def register_individual_key(self, user_id: str, key: bytes) -> None:
-        """Pre-register a joiner's key (the auth-exchange stand-in)."""
-        self._registered[user_id] = key
 
     async def start(self):
         await super().start()
@@ -812,7 +809,7 @@ class CoalescingServingCore(AsyncServingCore):
                 self._flush_loop())
 
     async def aclose(self):
-        # Final drain: ops already accepted into the batch get their
+        # Final drain: ops already accepted into the window get their
         # flush under the drain deadline (new arrivals shed with
         # MSG_BUSY via the closing gate), so an accepted op is never
         # silently dropped by shutdown.
@@ -829,8 +826,7 @@ class CoalescingServingCore(AsyncServingCore):
                 pass
             self._flush_task = None
         # Stragglers past the deadline fail fast, not silently.
-        self._fail_waiters(self._waiters, "closing")
-        self._waiters = []
+        self._fail_waiters(self._take_window()[2], "closing")
         await super().aclose()
 
     def _fail_waiters(self, waiters, reason: str) -> None:
@@ -841,54 +837,32 @@ class CoalescingServingCore(AsyncServingCore):
             if not future.done():
                 future.set_result(None)
 
-    def _enroll_key(self, user_id: str) -> bytes:
-        registered = self._registered.pop(user_id, None)
-        if registered is not None:
-            return registered
-        if not self.config.open_enroll:
-            raise BatchError(f"{user_id}: no registered individual key")
-        return self.backend.material.new_individual_key()
-
-    def _control(self, msg_type: int, user_id: str) -> bytes:
-        """A synthesized signed control reply against the batch tree."""
-        server = self.backend
-        try:
-            root_id, root_version = server.group_key_ref()
-        except Exception:
-            root_id, root_version = 0, 0
-        message = Message(
-            msg_type=msg_type, group_id=1,
-            seq=server.pipeline.sequencer.next(),
-            timestamp_us=time.time_ns() // 1000,
-            root_node_id=root_id, root_version=root_version,
-            body=user_id.encode("utf-8"))
-        with server.pipeline.seal_lock:
-            server._signer.seal([message])
-        return message.encode()
-
-    def _deny(self, op, user_id, reply, token, trace=None):
-        msg_type = MSG_JOIN_DENIED if op == "join" else MSG_LEAVE_DENIED
-        payload = self._control(msg_type, user_id)
-        # A duplicate of a join still queued for the flush is refused
-        # too, but that joiner's path is about to be needed.
-        if op == "join" and user_id not in self.backend._pending_joins:
-            self._forget_denied(user_id)
-        reply(attach_trailers(payload, trace, token))
+    def _enqueue(self, op: str, user_id: str) -> None:
+        """Admit one request to the window, or raise ServerError."""
+        backend = self.backend
+        backend.check_window(op, user_id, self._joins, self._leaves)
+        if op == "join" and user_id not in backend._registered_keys:
+            if not self.config.open_enroll:
+                raise ServerError(f"no individual key for {user_id!r}")
+            backend.register_individual_key(user_id,
+                                            backend.new_individual_key())
+        (self._joins if op == "join" else self._leaves)[user_id] = None
 
     async def _rekey(self, op, user_id, payload, reply, token, span):
-        server = self.backend
         trace = span.context if span.trace_id else None
         # Enqueue and waiter registration are one step: the flush
-        # consumes the pending set and the waiter list together.
+        # consumes the window and the waiter list together.
         with self.instrumentation.tracer.span("serve.enqueue",
                                               parent=span, op=op):
             try:
-                if op == "join":
-                    server.request_join(user_id, self._enroll_key(user_id))
-                else:
-                    server.request_leave(user_id)
-            except BatchError:
-                self._deny(op, user_id, reply, token, trace)
+                self._enqueue(op, user_id)
+            except ServerError:
+                self._route([self.backend._denial(op, user_id)], user_id,
+                            reply, token, trace)
+                # A duplicate of a join still in the window is refused
+                # too, but that joiner's path is about to be needed.
+                if op == "join" and user_id not in self._joins:
+                    self._forget_denied(user_id)
                 return
             future = asyncio.get_running_loop().create_future()
             self._waiters.append((op, user_id, reply, token, trace, future))
@@ -908,44 +882,60 @@ class CoalescingServingCore(AsyncServingCore):
             if self._waiters:
                 self._flush()
 
-    def _flush(self):
-        waiters, self._waiters = self._waiters, []
+    def _take_window(self):
+        window = self._joins, self._leaves, self._waiters
+        self._joins, self._leaves, self._waiters = {}, {}, []
         self._m_pending.set(0)
+        return window
+
+    def _flush(self):
+        joins, leaves, waiters = self._take_window()
+        backend = self.backend
+        # A recovery tick may have evicted a leaver since it queued.
+        leaves = [user_id for user_id in leaves
+                  if user_id in joins or backend.is_member(user_id)]
         try:
-            result = self.backend.flush()
-            joiner_payloads = {
-                out.destination.user_id: out.encoded or out.message.encode()
-                for out in result.joiner_messages
-                if out.destination.kind == DEST_USER}
-            acks = {}
-            for op, user_id, _reply, _token, _trace, _future in waiters:
-                if op == "leave" or user_id not in joiner_payloads:
-                    msg_type = (MSG_LEAVE_ACK if op == "leave"
-                                else MSG_JOIN_ACK)
-                    acks[(op, user_id)] = self._control(msg_type, user_id)
+            outcome = backend.flush([(user_id, None) for user_id in joins],
+                                    leaves)
+            paths = {out.destination.user_id: out
+                     for out in outcome.rekey_messages
+                     if out.destination.kind == DEST_USER}
+            gone, joined = [], []
+            for waiter in waiters:
+                op, user_id = waiter[0], waiter[1]
+                if op == "join" and user_id in paths:
+                    leaf_id = backend.tree.leaf_of(user_id).node_id
+                    ack = backend._control_message(
+                        MSG_JOIN_ACK, user_id,
+                        body=leaf_id.to_bytes(4, "big"))
+                    joined.append((waiter, [ack, paths[user_id]]))
+                else:
+                    # A leaver, or one half of a cancelled join/leave.
+                    ack = backend._control_message(
+                        MSG_JOIN_ACK if op == "join" else MSG_LEAVE_ACK,
+                        user_id)
+                    gone.append((waiter, [ack]))
         except Exception:
             self._m_errors.inc(op="flush")
             self._fail_waiters(waiters, "error")
             return
         self._m_flushes.inc()
-        # The flushed tree is the audience of its own rekey: it holds
-        # this batch's joiners and none of its leavers.
-        for _op, user_id, _reply, _token, _trace, _future in waiters:
-            audiences = self.backend.audiences(user_id)
-            if audiences:
-                self.fanout.enroll(user_id, audiences)
-            else:
-                self.fanout.detach(user_id)
-        if result.rekey_message is not None:
-            self.fanout.send(result.rekey_message)
-        for op, user_id, reply, token, trace, future in waiters:
-            payload = joiner_payloads.get(user_id) if op == "join" else None
-            if payload is None:
-                payload = acks[(op, user_id)]
-            reply(attach_trailers(payload, trace, token))
-            self._track(op, user_id)
-            if not future.done():
-                future.set_result(None)
+        # Leavers go first, so the group rekey misses them; joiners
+        # after it, as it carries nothing their own path does not.
+        for waiter, outputs in gone:
+            self._release_waiter(waiter, "leave", outputs)
+        for out in outcome.rekey_messages:
+            if out.destination.kind != DEST_USER:
+                self.fanout.send(out)
+        for waiter, outputs in joined:
+            self._release_waiter(waiter, "join", outputs)
+
+    def _release_waiter(self, waiter, op: str, outputs) -> None:
+        _op, user_id, reply, token, trace, future = waiter
+        self._release_op(op, user_id, outputs, reply, token, trace)
+        self._track(op, user_id)
+        if not future.done():
+            future.set_result(None)
 
 
 #: Older names of :class:`AsyncServingCore`, kept importable for the

@@ -16,10 +16,9 @@ Layers:
 * :mod:`repro.subcast.wire` — the ``MSG_SUBCAST_REQUEST`` body codec
   for the async front-end path;
 * server entry points — ``subcast()`` on
-  :class:`~repro.core.server.GroupKeyServer`, :class:`~repro.batch.
-  rekeying.BatchRekeyServer` and :class:`~repro.cluster.coordinator.
-  ClusterCoordinator` (per-shard covers plus root-layer keys for
-  fully-covered shards);
+  :class:`~repro.core.server.GroupKeyServer` and
+  :class:`~repro.cluster.coordinator.ClusterCoordinator` (per-shard
+  covers plus root-layer keys for fully-covered shards);
 * client decrypt — :meth:`repro.core.client.GroupClient.open_subcast`.
 """
 

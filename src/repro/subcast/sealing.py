@@ -11,7 +11,7 @@ members outside the target subset — holds none of the referenced
 Determinism contract: all key/IV draws come from the sealer's own
 :class:`~repro.core.pipeline.KeyMaterialSource`, built with a
 *dedicated DRBG personalization* per hosting server (``subcast-seal``,
-``batch-subcast``, ``cluster-subcast``) — sealing a subcast never
+``cluster-subcast``) — sealing a subcast never
 perturbs the rekey key stream, so a run with interleaved subcasts
 stays byte-identical to its subcast-free control on every rekey
 message.  The subcast bytes themselves are pinned by golden digests

@@ -1,18 +1,28 @@
-"""Interval batch rekeying: correctness, security, savings."""
+"""Interval batch rekeying: correctness, security, savings.
+
+A window of joins and leaves is one :meth:`GroupKeyServer.flush`.
+"""
 
 import pytest
 
-from repro.batch.rekeying import BatchError, BatchRekeyServer
+from repro.batch import individual_cost_estimate
 from repro.core.client import GroupClient
-from repro.core.messages import INDIVIDUAL_KEY, decrypt_records
-from repro.crypto.suite import PAPER_SUITE_NO_SIG
+from repro.core.messages import DEST_ALL
+from repro.core.server import GroupKeyServer, ServerConfig, ServerError
+from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 
 from ..delivery import deliver
 
 
+def new_server(degree=3, seed=b"batch-tests", **overrides):
+    overrides.setdefault("signing", "none")
+    overrides.setdefault("suite", PAPER_SUITE_NO_SIG)
+    return GroupKeyServer(ServerConfig(degree=degree, seed=seed,
+                                       **overrides))
+
+
 def make_server(n=27, degree=3, seed=b"batch-tests"):
-    server = BatchRekeyServer(degree=degree, suite=PAPER_SUITE_NO_SIG,
-                              seed=seed)
+    server = new_server(degree, seed)
     members = [(f"u{i}", server.new_individual_key()) for i in range(n)]
     server.bootstrap(members)
     return server, dict(members)
@@ -32,29 +42,28 @@ def make_clients(server, members):
     return clients
 
 
-def apply_flush(server, result, clients):
-    head = [result.rekey_message] if result.rekey_message else []
-    deliver(server, clients, head + result.joiner_messages)
+def group_rekey(outcome):
+    """The flush's one group-addressed message (None when it has none)."""
+    group = [out for out in outcome.rekey_messages
+             if out.destination.kind == DEST_ALL]
+    assert len(group) <= 1
+    return group[0] if group else None
 
 
 def test_flush_synchronizes_everyone():
     server, members = make_server()
     clients = make_clients(server, members)
-    for i in range(5):
-        server.request_leave(f"u{i}")
-        del clients[f"u{i}"]
-    joiners = {}
-    for i in range(5):
-        key = server.new_individual_key()
-        joiners[f"n{i}"] = key
-        server.request_join(f"n{i}", key)
-    result = server.flush()
+    leavers = [f"u{i}" for i in range(5)]
+    for uid in leavers:
+        del clients[uid]
+    joiners = {f"n{i}": server.new_individual_key() for i in range(5)}
+    outcome = server.flush(joiners.items(), leavers)
     server.tree.validate()
     for uid, key in joiners.items():
         client = GroupClient(uid, PAPER_SUITE_NO_SIG, verify=False)
         client.set_individual_key(key)
         clients[uid] = client
-    apply_flush(server, result, clients)
+    deliver(server, clients, outcome.rekey_messages)
     group_key = server.tree.root.key
     for uid, client in clients.items():
         assert client.group_key() == group_key, uid
@@ -62,55 +71,60 @@ def test_flush_synchronizes_everyone():
 
 def test_batch_is_cheaper_than_individual():
     server, members = make_server(n=64, degree=4)
-    for i in range(16):
-        server.request_leave(f"u{i}")
-        server.request_join(f"n{i}", server.new_individual_key())
-    result = server.flush()
-    assert result.n_joins == 16 and result.n_leaves == 16
-    assert result.encryptions < result.individual_cost_estimate
-    assert 0.0 < result.saving < 1.0
+    estimate = individual_cost_estimate(server.n_users, 4, 16, 16)
+    outcome = server.flush(
+        [(f"n{i}", server.new_individual_key()) for i in range(16)],
+        [f"u{i}" for i in range(16)])
+    assert server.n_users == 64
+    assert 0 < outcome.record.encryptions < estimate
 
 
 def test_join_then_leave_cancels():
     server, _ = make_server(n=8)
-    server.request_join("fleeting", server.new_individual_key())
-    server.request_leave("fleeting")
-    assert server.pending == (0, 0)
-    result = server.flush()
-    assert result.n_joins == 0 and result.n_leaves == 0
-    assert result.rekey_message is None
+    before = server.group_key_ref()
+    outcome = server.flush([("fleeting", server.new_individual_key())],
+                           ["fleeting"])
+    assert outcome.record.encryptions == 0
+    assert outcome.rekey_messages == []
     assert not server.tree.has_user("fleeting")
+    assert server.group_key_ref() == before
 
 
 def test_leave_then_rejoin_in_same_interval():
     server, members = make_server(n=8)
-    server.request_leave("u3")
     new_key = server.new_individual_key()
-    server.request_join("u3", new_key)
-    result = server.flush()
+    server.flush([("u3", new_key)], ["u3"])
     server.tree.validate()
     assert server.tree.has_user("u3")
     assert server.tree.leaf_of("u3").key == new_key
-    assert result.n_joins == 1 and result.n_leaves == 1
+    assert server.n_users == 8
 
 
 def test_request_validation():
+    """A bad window is refused before the tree is touched."""
     server, _ = make_server(n=4)
-    with pytest.raises(BatchError):
-        server.request_join("u0", bytes(8))         # already a member
-    with pytest.raises(BatchError):
-        server.request_leave("ghost")
-    server.request_leave("u1")
-    with pytest.raises(BatchError):
-        server.request_leave("u1")                  # already leaving
-    server.request_join("x", bytes(8))
-    with pytest.raises(BatchError):
-        server.request_join("x", bytes(8))          # already pending
+    before = server.group_key_ref()
+    bad_windows = [
+        ([("u0", bytes(8))], []),                     # already a member
+        ([], ["ghost"]),                              # not a member
+        ([], ["u1", "u1"]),                           # leaves twice
+        ([("x", bytes(8)), ("x", bytes(8))], []),     # joins twice
+        ([("y", None)], []),                          # no individual key
+        ([("x", bytes(8)), ("u0", bytes(8))], ["u1"]),
+    ]
+    for joins, leaves in bad_windows:
+        with pytest.raises(ServerError):
+            server.flush(joins, leaves)
+        assert server.group_key_ref() == before
+        assert server.n_users == 4 and not server.is_member("x")
+    with pytest.raises(ServerError):
+        server.check_window("join", "u2", {}, {})
+    server.check_window("join", "u2", {}, {"u2": None})
 
 
 def test_bootstrap_guard():
     server, _ = make_server(n=4)
-    with pytest.raises(BatchError):
+    with pytest.raises(ServerError):
         server.bootstrap([("y", bytes(8))])
 
 
@@ -119,11 +133,9 @@ def test_flush_forward_secrecy():
     server, members = make_server(n=27, degree=3)
     victim_path = server.tree.user_key_path("u5")
     victim_refs = {(node.node_id, node.version) for node in victim_path}
-    server.request_leave("u5")
-    server.request_leave("u6")
-    result = server.flush()
-    assert result.rekey_message is not None
-    for item in result.rekey_message.message.items:
+    rekey = group_rekey(server.flush((), ["u5", "u6"]))
+    assert rekey is not None
+    for item in rekey.message.items:
         assert (item.enc_node_id, item.enc_version) not in victim_refs
 
 
@@ -131,70 +143,93 @@ def test_flush_backward_secrecy():
     """A batch joiner's keys decrypt nothing from before the flush."""
     server, members = make_server(n=16, degree=4)
     # Pre-flush "captured traffic": one flush rekeying u0's departure.
-    server.request_leave("u0")
-    old_result = server.flush()
+    old_rekey = group_rekey(server.flush((), ["u0"]))
     joiner_key = server.new_individual_key()
-    server.request_join("late", joiner_key)
-    result = server.flush()
+    outcome = server.flush([("late", joiner_key)])
     # Reconstruct the joiner's keyset from its unicast.
     client = GroupClient("late", PAPER_SUITE_NO_SIG, verify=False)
     client.set_individual_key(joiner_key)
-    apply_flush(server, result, {"late": client})
-    for item in old_result.rekey_message.message.items:
+    deliver(server, {"late": client}, outcome.rekey_messages)
+    for item in old_rekey.message.items:
         held = client.keys.get(item.enc_node_id)
         assert held is None or held[0] != item.enc_version
 
 
 def test_empty_flush():
     server, _ = make_server(n=4)
-    result = server.flush()
-    assert result.encryptions == 0
-    assert result.rekey_message is None
-    assert result.saving == 0.0
+    outcome = server.flush()
+    assert outcome.record.encryptions == 0
+    assert outcome.rekey_messages == []
 
 
 def test_flush_drains_whole_group_and_refills():
     server, members = make_server(n=4, degree=2)
-    for uid in list(members):
-        server.request_leave(uid)
-    result = server.flush()
+    server.flush((), list(members))
     assert server.tree.n_users == 0
     assert server.tree.root is None
-    key = server.new_individual_key()
-    server.request_join("phoenix", key)
-    result = server.flush()
+    server.flush([("phoenix", server.new_individual_key())])
     assert server.tree.has_user("phoenix")
     server.tree.validate()
 
 
 def test_signing_mode():
-    server = BatchRekeyServer(degree=3, signing="merkle", seed=b"signed")
+    server = new_server(signing="merkle", seed=b"signed",
+                        suite=PAPER_SUITE)
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(9)])
-    server.request_leave("u0")
-    result = server.flush()
-    assert result.rekey_message.message.auth.signature
-    with pytest.raises(BatchError):
-        BatchRekeyServer(signing="carrier-pigeon")
+    outcome = server.flush([("n0", server.new_individual_key())], ["u0"])
+    signatures = {out.message.auth.signature
+                  for out in outcome.rekey_messages}
+    assert len(outcome.rekey_messages) == 2 and len(signatures) == 1
+    assert signatures.pop()
+    assert outcome.record.signatures == 1
 
 
 def test_flush_joins_into_empty_bootstrap():
     """Joins-only flush on a never-bootstrapped server builds the tree."""
-    server = BatchRekeyServer(degree=3, suite=PAPER_SUITE_NO_SIG,
-                              seed=b"empty-boot")
-    keys = {}
-    for i in range(5):
-        keys[f"u{i}"] = server.new_individual_key()
-        server.request_join(f"u{i}", keys[f"u{i}"])
-    result = server.flush()
+    server = new_server(seed=b"empty-boot")
+    keys = {f"u{i}": server.new_individual_key() for i in range(5)}
+    outcome = server.flush(keys.items())
     server.tree.validate()
     assert server.tree.n_users == 5
-    assert len(result.joiner_messages) == 5
+    assert len(outcome.rekey_messages) == 1 + 5  # + one unicast each
     # Everyone can reconstruct the group key from their bundle.
     for uid, key in keys.items():
         client = GroupClient(uid, PAPER_SUITE_NO_SIG, verify=False)
         client.set_individual_key(key)
-        bundle = next(m for m in result.joiner_messages
+        bundle = next(m for m in outcome.rekey_messages
                       if m.receivers == (uid,))
         client.process_message(bundle.encoded)
         assert client.group_key() == server.tree.root.key
+
+
+def test_flush_honours_access_list():
+    server = new_server(access_list={"u0", "u1", "n0"})
+    server.bootstrap([("u0", server.new_individual_key())])
+    with pytest.raises(ServerError):
+        server.flush([("n0", server.new_individual_key()),
+                      ("mallory", server.new_individual_key())])
+    assert server.n_users == 1
+    server.flush([("n0", server.new_individual_key())])
+    assert server.is_member("n0")
+
+
+def test_flush_uses_registered_keys():
+    server, _ = make_server(n=4)
+    key = server.new_individual_key()
+    server.register_individual_key("n0", key)
+    server.flush([("n0", None)])
+    assert server.tree.leaf_of("n0").key == key
+    assert "n0" not in server._registered_keys
+
+
+def test_evict_folds_into_one_flush():
+    server, _ = make_server(n=9)
+    assert server.supports_batch
+    messages = server.evict(["u0", "u1", "u2"])
+    assert [record.op for record in server.history] == ["flush"]
+    assert len(messages) == 1 and not server.is_member("u1")
+    server.evict(["u3"])
+    assert server.history[-1].op == "leave"
+    star = new_server(graph="star")
+    assert not star.supports_batch

@@ -1,6 +1,6 @@
 """Batch rekeying across a shard boundary (satellite of the cluster PR).
 
-Two :class:`BatchRekeyServer` shards flush independently, then one
+Two :class:`GroupKeyServer` shards flush independently, then one
 root-layer rekey folds both new shard roots in.  The member-visible
 outcome — who can read group traffic afterwards — must be exactly what
 sequential single-server processing of the same requests produces.
@@ -8,9 +8,10 @@ sequential single-server processing of the same requests produces.
 
 from typing import Dict
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster import RootKeyLayer, namespace_tree, shard_id_base
 from repro.core.client import GroupClient
+from repro.core.messages import DEST_ALL
+from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE
 from repro.transport.inmemory import InMemoryNetwork
 
@@ -22,12 +23,16 @@ JOINS = {"batch-a": ["a-new0", "a-new1"], "batch-b": ["b-new0"]}
 LEAVES = {"batch-a": ["a2"], "batch-b": ["b5", "b6"]}
 
 
+def new_server(seed):
+    return GroupKeyServer(ServerConfig(degree=3, suite=PAPER_SUITE,
+                                       signing="none", seed=seed))
+
+
 def build_sharded():
-    shards: Dict[str, BatchRekeyServer] = {}
+    shards: Dict[str, GroupKeyServer] = {}
     keys: Dict[str, bytes] = {}
     for index, (name, users) in enumerate(sorted(SHARD_USERS.items())):
-        server = BatchRekeyServer(degree=3, suite=PAPER_SUITE,
-                                  seed=b"batch-shard-" + name.encode())
+        server = new_server(b"batch-shard-" + name.encode())
         members = []
         for user in users:
             key = server.new_individual_key()
@@ -72,12 +77,15 @@ def subscribe(shards, clients):
     return network
 
 
-def deliver_flush(network, result, audience=None):
-    if result.rekey_message is not None:
-        # A shard's "whole group" is its own members only.
-        result.rekey_message.audience = audience
-        network.send(result.rekey_message)
-    network.send_all(result.joiner_messages)
+def group_rekey(outcome):
+    return next(out for out in outcome.rekey_messages
+                if out.destination.kind == DEST_ALL)
+
+
+def deliver_flush(network, outcome, audience=None):
+    # A shard's "whole group" is its own members only.
+    group_rekey(outcome).audience = audience
+    network.send_all(outcome.rekey_messages)
 
 
 def test_cross_shard_flush_matches_sequential_single_server():
@@ -87,20 +95,19 @@ def test_cross_shard_flush_matches_sequential_single_server():
     group_key_before = layer.group_key()
 
     departed = {}
+    shard_results = {}
     for name, server in sorted(shards.items()):
+        joins = []
         for user in JOINS[name]:
             key = server.new_individual_key()
             keys[user] = key
             client = GroupClient(user, PAPER_SUITE, verify=False)
             client.set_individual_key(key)
             clients[user] = client
-            server.request_join(user, key)
+            joins.append((user, key))
         for user in LEAVES[name]:
             departed[user] = clients.pop(user)
-            server.request_leave(user)
-
-    shard_results = {name: server.flush()
-                     for name, server in sorted(shards.items())}
+        shard_results[name] = server.flush(joins, LEAVES[name])
     network = subscribe(shards, clients)
     for name, result in shard_results.items():
         deliver_flush(network, result, audience=name)
@@ -115,8 +122,7 @@ def test_cross_shard_flush_matches_sequential_single_server():
     network.send(run.messages[0])
 
     # -- sequential control: one server, same requests, one flush.
-    control = BatchRekeyServer(degree=3, suite=PAPER_SUITE,
-                               seed=b"batch-control")
+    control = new_server(b"batch-control")
     control_keys = {}
     control_members = []
     for name in sorted(SHARD_USERS):
@@ -137,17 +143,18 @@ def test_cross_shard_flush_matches_sequential_single_server():
                            control.tree.root.version)
         control_clients[user] = client
     control_departed = {}
+    control_joins, control_leaves = [], []
     for name in sorted(SHARD_USERS):
         for user in JOINS[name]:
             key = control.new_individual_key()
             client = GroupClient(user, PAPER_SUITE, verify=False)
             client.set_individual_key(key)
             control_clients[user] = client
-            control.request_join(user, key)
+            control_joins.append((user, key))
         for user in LEAVES[name]:
             control_departed[user] = control_clients.pop(user)
-            control.request_leave(user)
-    control_result = control.flush()
+            control_leaves.append(user)
+    control_result = control.flush(control_joins, control_leaves)
     control_network = InMemoryNetwork()
     for user, client in control_clients.items():
         control_network.attach(user, client.process_message)
@@ -173,7 +180,7 @@ def test_cross_shard_flush_matches_sequential_single_server():
     # members.
     for name, result in shard_results.items():
         shard_members = set(shards[name].tree.users())
-        reached = network.audience.receivers(result.rekey_message)
+        reached = network.audience.receivers(group_rekey(result))
         assert set(reached) == shard_members
         assert len(shard_members) < len(clients)
 

@@ -15,7 +15,6 @@ import asyncio
 
 import pytest
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.messages import (DEST_ALL, MSG_JOIN_REQUEST,
                                  MSG_LEAVE_REQUEST, Message)
@@ -33,7 +32,7 @@ ENUMERATORS = (
     (KeyTree, "userset"), (KeyTree, "users"),
     (FlatKeyTree, "userset"), (FlatKeyTree, "users"),
     (StarGroup, "members"), (GroupKeyServer, "members"),
-    (BatchRekeyServer, "members"), (ClusterCoordinator, "members"),
+    (ClusterCoordinator, "members"),
     (KeyGraph, "u_nodes"),
 )
 
@@ -127,19 +126,19 @@ def test_star_join_refresh_and_data(enumerations):
 
 
 def test_batch_flush_and_data(enumerations):
-    server = BatchRekeyServer(degree=3, suite=PAPER_SUITE_NO_SIG,
-                              seed=b"no-enumeration")
+    server = GroupKeyServer(ServerConfig(
+        degree=3, suite=PAPER_SUITE_NO_SIG, signing="none",
+        seed=b"no-enumeration"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(20)])
+    joins = [(user, server.new_individual_key()) for user in ("n0", "n1")]
     with enumerations:
-        for user in ("u1", "u7"):
-            server.request_leave(user)
-        for user in ("n0", "n1"):
-            server.request_join(user, server.new_individual_key())
-        result = server.flush()
+        outcome = server.flush(joins, ["u1", "u7"])
+        evicted = server.evict(["u2", "u9"])
         sealed = server.seal_group_message(b"data")
     assert enumerations.calls == []
-    assert len(group_sends([result.rekey_message, sealed])) == 2
+    assert len(group_sends(outcome.rekey_messages + evicted
+                           + [sealed])) == 3
 
 
 def test_cluster_join_leave_refresh_and_data(enumerations):

@@ -202,26 +202,16 @@ class TestRekeyPipeline:
                            root_ref=lambda: (1, 1))
         assert run.messages[0].message.seq == 2
 
-    def test_seal_whole_batch_vs_individually(self):
-        def two_plan_planner(material):
-            inner = simple_planner(material)
-
-            def planner(ctx):
-                return inner(ctx) + inner(ctx)
-            return planner
-
-        runs = {}
-        for individually in (False, True):
-            material = make_material()
-            signer, _ = make_signer(PAPER_SUITE, "merkle", b"seed")
-            pipeline = RekeyPipeline(PAPER_SUITE, material, signer=signer,
-                                     seal_individually=individually)
-            runs[individually] = pipeline.run(
-                "leave", two_plan_planner(material), root_ref=lambda: (1, 1))
-        # One Merkle signature covers both messages; individual sealing
-        # signs each message on its own (the batch server's behaviour).
-        assert runs[False].signatures == 1
-        assert runs[True].signatures == 2
+    def test_seal_whole_batch(self):
+        material = make_material()
+        inner = simple_planner(material)
+        signer, _ = make_signer(PAPER_SUITE, "merkle", b"seed")
+        pipeline = RekeyPipeline(PAPER_SUITE, material, signer=signer)
+        run = pipeline.run("leave", lambda ctx: inner(ctx) + inner(ctx),
+                           root_ref=lambda: (1, 1))
+        # One Merkle signature covers both messages (paper §4).
+        assert len(run.messages) == 2
+        assert run.signatures == 1
 
     def test_no_signer_means_no_auth_blocks(self):
         material = make_material()

@@ -1,13 +1,14 @@
 """Equivalence goldens: the staged pipeline reproduces the legacy bytes.
 
 The PR that introduced :mod:`repro.core.pipeline` replaced three
-hand-rolled rekey paths (``GroupKeyServer``, ``BatchRekeyServer``,
-``MaterializedKeyGraph``) with one staged plan -> encrypt -> sign ->
-dispatch pipeline.  These tests pin the observable output of seeded
-join/leave sequences — every outbound message byte, every receiver
-list, every encryption/signature count — to digests captured from the
-pre-refactor implementation, so any later change to the pipeline that
-perturbs the wire bytes or the paper-facing counters fails loudly.
+hand-rolled rekey paths (the per-request server, the interval batch
+server — now ``GroupKeyServer.flush`` — and ``MaterializedKeyGraph``)
+with one staged plan -> encrypt -> sign -> dispatch pipeline.  These
+tests pin the observable output of seeded join/leave sequences — every
+outbound message byte, every receiver list, every encryption/signature
+count — to digests captured from the pre-refactor implementation, so
+any later change to the pipeline that perturbs the wire bytes or the
+paper-facing counters fails loudly.
 
 Timestamps are the only nondeterminism in the wire format; the
 scenarios pin ``time.time_ns`` to a constant.
@@ -23,8 +24,8 @@ exactly that set.
 import hashlib
 from unittest import mock
 
-from repro.batch.rekeying import BatchRekeyServer
-from repro.core.messages import DEST_ALL
+from repro.batch import individual_cost_estimate
+from repro.core.messages import DEST_ALL, INDIVIDUAL_KEY, decrypt_records
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto import drbg
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
@@ -132,10 +133,21 @@ def run_server_scenario(graph, strategy, signing, suite):
     return h.hexdigest(), counters
 
 
-def run_batch_scenario(signing, suite):
-    """Two seeded flushes; digest + counters."""
-    server = BatchRekeyServer(degree=3, suite=suite, signing=signing,
-                              seed=b"equivalence-batch")
+BATCH_WINDOWS = (
+    ([("join", "n0"), ("join", "n1"), ("join", "n2")], ["u0", "u1"]),
+    ([("join", "n3")], ["n0", "u4"]),
+)
+
+
+def run_batch_scenario(signing, suite, observe=None):
+    """Two seeded flushes; digest + counters.
+
+    ``observe(server, window_keys, messages)`` sees each flush's rekey
+    messages, with every key the server held before and after it.
+    """
+    server = GroupKeyServer(ServerConfig(degree=3, suite=suite,
+                                         signing=signing,
+                                         seed=b"equivalence-batch"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(9)])
     h = hashlib.sha256()
@@ -144,25 +156,53 @@ def run_batch_scenario(signing, suite):
     # The flush's group rekey: ``tuple(self.tree.users())``.
     resolve = lambda exclude: tuple(server.tree.users())
     with _freeze_time():
-        for round_requests in (
-                (("leave", "u0"), ("leave", "u1"), ("join", "n0"),
-                 ("join", "n1"), ("join", "n2")),
-                (("leave", "n0"), ("leave", "u4"), ("join", "n3"))):
-            for op, user in round_requests:
-                if op == "join":
-                    server.request_join(user, server.new_individual_key())
-                else:
-                    server.request_leave(user)
-            result = server.flush()
-            for op, user in round_requests:
-                getattr(wire, op)(user)
-            if result.rekey_message is not None:
-                _hash_messages(h, [result.rekey_message], wire, resolve)
-            _hash_messages(h, result.joiner_messages, wire)
-            counters.append((result.n_joins, result.n_leaves,
-                             result.encryptions,
-                             result.individual_cost_estimate))
+        for joins, leaves in BATCH_WINDOWS:
+            keys = {(node.node_id, node.version): node.key
+                    for node in server.tree.nodes()}
+            joins = [(user, server.new_individual_key())
+                     for _op, user in joins]
+            estimate = individual_cost_estimate(
+                server.n_users, 3, len(joins), len(leaves))
+            outcome = server.flush(joins, leaves)
+            for user in leaves:
+                wire.leave(user)
+            for user, _key in joins:
+                wire.join(user)
+            _hash_messages(h, outcome.all_messages, wire, resolve)
+            counters.append((len(joins), len(leaves),
+                             outcome.record.encryptions, estimate))
+            if observe is not None:
+                keys.update(((node.node_id, node.version), node.key)
+                            for node in server.tree.nodes())
+                keys.update(joins)
+                observe(server, keys, outcome.rekey_messages)
     return h.hexdigest(), counters
+
+
+def batch_structure(signing, suite):
+    """Per flush, per message: the destination, and per item the key it
+    is encrypted under and the (node id, version) of each key record it
+    carries — everything but key bytes, IVs, signatures and times."""
+    flushes = []
+
+    def observe(server, keys, messages):
+        shape = []
+        for out in messages:
+            dest = out.destination
+            items = []
+            for item in out.message.items:
+                ref = (item.enc_node_id, item.enc_version)
+                key = keys[dest.user_id if ref == (INDIVIDUAL_KEY, 0)
+                           else ref]
+                records = decrypt_records(server.suite, key, item)
+                items.append((ref, tuple((record.node_id, record.version)
+                                         for record in records)))
+            shape.append(((dest.kind, dest.user_id, dest.exclude),
+                          tuple(items)))
+        flushes.append(tuple(shape))
+
+    run_batch_scenario(signing, suite, observe)
+    return tuple(flushes)
 
 
 def run_materialized_scenario():
@@ -221,12 +261,35 @@ GOLDEN_SERVER_COUNTS = {
         (1, 0, 1, 97, 97, 8, 8), (6, 0, 4, 420, 113, 9, 7),
         (5, 0, 3, 323, 113, 9, 8)],
 }
+# Re-pinned once when the batch server became ``GroupKeyServer.flush``:
+# the flush draws from the server's one key stream, and the merkle
+# flush carries one signature over all its messages.  The structure
+# below and the counts were unchanged by that move.
 GOLDEN_BATCH = {
-    "merkle": "0351d53afa6d5e228f292608575836c2c3be343ffd587c8d6a68a7d2692bf5c2",
-    "none": "fcea7b6f0b4ab13cecd0c00a896b7609f95386544425a6071515b6494b35c820",
+    "merkle": "e0f404a8882a9c7427bc4ca9172387d753435a2d24582fe9365b9c7eee9bf0d3",
+    "none": "6223b614956a2ed52a59cdd152779e4b1ad27df0955a4cc8ae149c69dae221e5",
 }
 # (n_joins, n_leaves, encryptions, individual_cost_estimate) per flush.
 GOLDEN_BATCH_COUNTS = [(3, 2, 15, 24), (1, 2, 10, 24)]
+# ``batch_structure`` of the two flushes, as the batch server produced
+# them: the group rekey, then one path unicast per joiner
+# (INDIVIDUAL_KEY = 4294967295).
+_ALL = ("all", None, None)
+_IND = (4294967295, 0)
+GOLDEN_BATCH_STRUCTURE = (
+    ((_ALL, (((10, 1), ((9, 1),)), ((11, 0), ((9, 1),)),
+             ((12, 0), ((9, 1),)), ((16, 1), ((10, 1),)),
+             ((13, 0), ((10, 1),)), ((14, 0), ((10, 1),)),
+             ((2, 0), ((16, 1),)), ((15, 0), ((16, 1),)))),
+     (("user", "n0", None), ((_IND, ((10, 1), (9, 1))),)),
+     (("user", "n1", None), ((_IND, ((10, 1), (9, 1))),)),
+     (("user", "n2", None), ((_IND, ((16, 1), (10, 1), (9, 1))),))),
+    ((_ALL, (((10, 2), ((9, 2),)), ((11, 1), ((9, 2),)),
+             ((12, 0), ((9, 2),)), ((3, 0), ((11, 1),)),
+             ((5, 0), ((11, 1),)), ((17, 0), ((11, 1),)),
+             ((16, 1), ((10, 2),)), ((14, 0), ((10, 2),)))),
+     (("user", "n3", None), ((_IND, ((11, 1), (9, 2))),))),
+)
 GOLDEN_MATERIALIZED = (
     "e92a471b7969880947bd593253d086bec6e3730a31ec0e074899df05511bd0dd")
 GOLDEN_MATERIALIZED_COUNTS = [
@@ -255,6 +318,12 @@ def test_batch_path_matches_seed_bytes():
         digest, counters = run_batch_scenario(signing, _suite_for(signing))
         assert digest == expected, signing
         assert counters == GOLDEN_BATCH_COUNTS, signing
+
+
+def test_batch_flush_keeps_the_batch_servers_structure():
+    for signing in GOLDEN_BATCH:
+        assert batch_structure(signing, _suite_for(signing)) \
+            == GOLDEN_BATCH_STRUCTURE, signing
 
 
 def test_materialized_path_matches_seed_bytes():

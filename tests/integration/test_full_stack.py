@@ -7,10 +7,10 @@ persistence + multigroup.
 
 import pytest
 
-from repro.batch import BatchRekeyServer
 from repro.core.channel import ChannelError, SecureGroupChannel
 from repro.core.client import GroupClient
 from repro.core.persistence import restore, snapshot
+from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG as SUITE
 from repro.multigroup import MultiGroupService
 from repro.transport import FecMulticast, InMemoryNetwork
@@ -78,7 +78,9 @@ class TestBatchOverFec:
     """A batch flush delivered over a lossy network via FEC."""
 
     def test_flush_via_fec(self):
-        server = BatchRekeyServer(degree=4, suite=SUITE, seed=b"batch-fec")
+        server = GroupKeyServer(ServerConfig(degree=4, suite=SUITE,
+                                             signing="none",
+                                             seed=b"batch-fec"))
         members = [(f"u{i}", server.new_individual_key()) for i in range(64)]
         server.bootstrap(members)
         network = InMemoryNetwork(drop_rate=0.15, seed=b"batch-fec-loss")
@@ -94,12 +96,11 @@ class TestBatchOverFec:
                                server.tree.root.version)
             clients[uid] = client
             fec.attach(uid, client.process_message)
-        for i in range(12):
-            server.request_leave(f"u{i}")
-            fec.detach(f"u{i}")
-            del clients[f"u{i}"]
-        result = server.flush()
-        fec.send(result.rekey_message)
+        leavers = [f"u{i}" for i in range(12)]
+        for uid in leavers:
+            fec.detach(uid)
+            del clients[uid]
+        fec.send_all(server.flush((), leavers).rekey_messages)
         group_key = server.tree.root.key
         synchronized = sum(1 for client in clients.values()
                            if client.group_key() == group_key)

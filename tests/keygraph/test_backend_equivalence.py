@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.drbg import HmacDrbg
@@ -158,25 +157,24 @@ def test_server_wire_bytes_identical(data):
 
 
 def test_batch_flush_wire_bytes_identical():
-    """BatchRekeyServer: queued joins/leaves flush to identical bytes."""
+    """GroupKeyServer.flush: windows of joins/leaves flush to identical
+    bytes on both tree backends."""
     members = [(f"b{i}", bytes([i + 1]) * 8) for i in range(17)]
     wires = {}
     with frozen_clock():
         for backend in ("object", "flat"):
-            server = BatchRekeyServer(degree=3, seed=b"batch-equiv",
-                                      backend=backend)
+            server = GroupKeyServer(ServerConfig(
+                degree=3, seed=b"batch-equiv", backend=backend))
             server.bootstrap(members)
             wire = []
             for interval in range(4):
-                for k in range(3):
-                    server.request_join(f"j{interval}-{k}",
-                                        server.new_individual_key())
-                server.request_leave(f"b{interval * 3}")
-                server.request_leave(f"j{interval}-1")  # cancels its join
-                result = server.flush()
-                if result.rekey_message is not None:
-                    wire.append(result.rekey_message.encoded)
-                wire.extend(m.encoded for m in result.joiner_messages)
+                joins = [(f"j{interval}-{k}", server.new_individual_key())
+                         for k in range(3)]
+                # j<interval>-1 joins and leaves: the two cancel.
+                outcome = server.flush(
+                    joins, [f"b{interval * 3}", f"j{interval}-1"])
+                wire.extend(m.encoded for m in outcome.rekey_messages)
+            wire.extend(m.encoded for m in server.evict(["b1", "b2"]))
             wires[backend] = wire
     assert wires["object"] == wires["flat"]
     assert wires["object"]  # the comparison actually saw traffic

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.core.client import GroupClient
 from repro.core.messages import MSG_RESYNC_REPLY, Message
 from repro.core.server import GroupKeyServer, ServerConfig
@@ -14,14 +13,10 @@ from repro.recovery.manager import MAX_PUSHES_PER_TICK, RecoveryError
 from repro.transport.inmemory import InMemoryNetwork
 
 
-def make_stack(n=8, policy=None, batch=False):
-    if batch:
-        server = BatchRekeyServer(degree=3, suite=PAPER_SUITE_NO_SIG,
-                                  seed=b"mgr-tests")
-    else:
-        server = GroupKeyServer(ServerConfig(
-            degree=3, strategy="group", suite=PAPER_SUITE_NO_SIG,
-            signing="none", seed=b"mgr-tests"))
+def make_stack(n=8, policy=None):
+    server = GroupKeyServer(ServerConfig(
+        degree=3, strategy="group", suite=PAPER_SUITE_NO_SIG,
+        signing="none", seed=b"mgr-tests"))
     members = [(f"u{i}", server.new_individual_key()) for i in range(n)]
     server.bootstrap(members)
     network = InMemoryNetwork(strict=False)
@@ -127,16 +122,15 @@ def test_comeback_heartbeat_cancels_queued_eviction():
 
 def test_deep_queue_sheds_to_one_batch_flush():
     policy = RecoveryPolicy(dead_after=2, shed_threshold=3)
-    server, manager, _network, inboxes, _ = make_stack(policy=policy,
-                                                       batch=True)
-    flushes_before = len(server.flushes)
+    server, manager, _network, inboxes, _ = make_stack(policy=policy)
     for _ in range(10):
         for i in range(4, 8):
             manager.heartbeat(f"u{i}", server.group_key_ref())
         manager.tick()
     assert sorted(manager.evicted) == ["u0", "u1", "u2", "u3"]
     assert manager.sheds == 1
-    assert len(server.flushes) == flushes_before + 1  # one flush, not 4
+    # One flush, not 4 leaves.
+    assert [record.op for record in server.history] == ["flush"]
     for i in range(4):
         assert not server.is_member(f"u{i}")
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster.coordinator import (ClusterConfig, ClusterCoordinator,
                                        ClusterError)
 from repro.core.client import ClientError, GroupClient
@@ -58,12 +57,12 @@ def test_star_resync_reply():
 
 
 def test_batch_resync_reply():
-    server = BatchRekeyServer(degree=3, suite=PAPER_SUITE_NO_SIG,
-                              seed=b"resync-batch")
-    members = [(f"u{i}", server.new_individual_key()) for i in range(9)]
-    server.bootstrap(members)
-    client = make_client("u3", dict(members)["u3"])
-    client.process_resync(server.resync("u3").encoded)
+    """A member flushed in by a window resyncs like any other."""
+    server, members = make_server()
+    key = server.new_individual_key()
+    server.flush([("n0", key)], ["u3", "u4"])
+    client = make_client("n0", key)
+    client.process_resync(server.resync("n0").encoded)
     assert client.group_key() == server.group_key()
 
 

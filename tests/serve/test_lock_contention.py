@@ -9,9 +9,8 @@ against the ops accepted but not yet served.
 
 import asyncio
 
-from repro.batch.rekeying import BatchRekeyServer
-from repro.core.messages import (MSG_BUSY, MSG_JOIN_REQUEST, MSG_REKEY,
-                                 Message)
+from repro.core.messages import (INDIVIDUAL_KEY, MSG_BUSY, MSG_JOIN_ACK,
+                                 MSG_JOIN_REQUEST, MSG_REKEY, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.serve import (CoalescingServingCore, ImmediateServingCore,
                          ServeConfig)
@@ -28,7 +27,7 @@ def _server(seed):
 
 
 def test_coalesce_contended_joiners_still_get_path_keys():
-    """Every joiner's reply is its path-keys unicast, never a bare ack.
+    """Every joiner gets its ack and its path-keys unicast.
 
     Enqueue once fell back to the executor, with the waiter appended
     only after the await resumed — a flush in that window consumed the
@@ -40,15 +39,15 @@ def test_coalesce_contended_joiners_still_get_path_keys():
     users = [f"u{i}" for i in range(24)]
 
     async def scenario():
-        server = BatchRekeyServer(seed=b"contend-batch", signing="none")
+        server = _server(b"contend-batch")
         core = CoalescingServingCore(server, ServeConfig(
-            coalesce=True, coalesce_interval=0.01, coalesce_max=4,
+            coalesce_interval=0.01, coalesce_max=4,
             max_inflight=256, tick_interval=0))
         await core.start()
-        replies = {}
+        received = {}
         try:
-            # Seed the group so a fresh joiner's flush reply must be a
-            # path-keys unicast (MSG_REKEY) rather than a first-member
+            # Seed the group so a fresh joiner's path-keys unicast
+            # follows a real flush rather than a first-member
             # degenerate case.
             await asyncio.gather(*(core.submit(
                 _request(MSG_JOIN_REQUEST, f"seed{i}"),
@@ -57,8 +56,9 @@ def test_coalesce_contended_joiners_still_get_path_keys():
             async def join(user):
                 await core.submit(
                     _request(MSG_JOIN_REQUEST, user),
-                    lambda p, u=user: replies.setdefault(u, p),
-                    path_id=None)
+                    lambda p, u=user: received.setdefault(u, []).append(
+                        Message.decode(split_corr_trailer(p)[0])),
+                    path_id=user)
             tasks = []
             for user in users:
                 tasks.append(asyncio.ensure_future(join(user)))
@@ -67,14 +67,16 @@ def test_coalesce_contended_joiners_still_get_path_keys():
             await asyncio.gather(*tasks)
         finally:
             await core.aclose()
-        return replies
+        return received
 
-    replies = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
-    assert set(replies) == set(users)
-    for user, payload in replies.items():
-        message = Message.decode(split_corr_trailer(payload)[0])
-        assert message.msg_type == MSG_REKEY, \
-            f"{user}: join reply lost its path keys ({message.msg_type})"
+    received = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+    assert set(received) == set(users)
+    for user, messages in received.items():
+        assert messages[0].msg_type == MSG_JOIN_ACK, user
+        assert any(message.msg_type == MSG_REKEY
+                   and message.items[0].enc_node_id == INDIVIDUAL_KEY
+                   for message in messages[1:]), \
+            f"{user}: join lost its path keys"
 
 
 def test_rate_buckets_pruned_without_ticker():

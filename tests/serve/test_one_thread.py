@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.batch.rekeying import BatchRekeyServer
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.messages import (MSG_HEARTBEAT, MSG_JOIN_REQUEST,
                                  MSG_LEAVE_REQUEST, MSG_RESYNC_REQUEST,
@@ -31,11 +30,11 @@ from repro.subcast.wire import encode_subcast_request
 
 MUTATORS = (
     [(GroupKeyServer, name) for name in ("begin_join", "begin_leave", "join",
-                                         "leave", "resync", "subcast")]
+                                         "leave", "flush", "resync",
+                                         "subcast")]
     + [(StagedRekeyOp, name) for name in ("encrypt", "seal", "finish")]
     + [(KeyServerProtocol, "handle_datagram"),
        (ClusterCoordinator, "subcast"),
-       (BatchRekeyServer, "flush"), (BatchRekeyServer, "subcast"),
        (RecoveryManager, "tick")])
 
 #: What each flavour must have been seen doing (beyond replies).
@@ -45,7 +44,8 @@ EXPECTED = {
                   "GroupKeyServer.resync", "GroupKeyServer.subcast",
                   "StagedRekeyOp.encrypt", "StagedRekeyOp.seal",
                   "StagedRekeyOp.finish"},
-    "coalesce": {"BatchRekeyServer.flush", "BatchRekeyServer.subcast"},
+    "coalesce": {"GroupKeyServer.flush", "GroupKeyServer.resync",
+                 "GroupKeyServer.subcast"},
     "cluster": {"KeyServerProtocol.handle_datagram",
                 "ClusterCoordinator.subcast", "StagedRekeyOp.finish"},
 }
@@ -102,15 +102,13 @@ class _Client:
 
 def _service(flavour):
     config = ServeConfig(tcp_port=None, tick_interval=0.05,
-                         coalesce=flavour == "coalesce",
                          coalesce_interval=0.01)
-    if flavour == "immediate":
+    if flavour in ("immediate", "coalesce"):
         server = GroupKeyServer(ServerConfig(
             signing="none", seed=b"one-thread", backend="flat"))
-        return AsyncKeyService(ImmediateServingCore(server, config))
-    if flavour == "coalesce":
-        server = BatchRekeyServer(seed=b"one-thread", signing="none")
-        return AsyncKeyService(CoalescingServingCore(server, config))
+        core = (ImmediateServingCore if flavour == "immediate"
+                else CoalescingServingCore)
+        return AsyncKeyService(core(server, config))
     coordinator = ClusterCoordinator(ClusterConfig(
         n_shards=3, signing="none", seed=b"one-thread", backend="flat"))
     coordinator.bootstrap([])

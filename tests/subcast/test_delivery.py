@@ -8,7 +8,6 @@ key versions all fail closed with :class:`SubcastNotAddressed`.
 
 import pytest
 
-from repro.batch.rekeying import BatchError, BatchRekeyServer
 from repro.core.client import GroupClient, SubcastNotAddressed
 from repro.core.messages import MSG_SUBCAST_REQUEST, Message
 from repro.core.server import GroupKeyServer, ServerConfig, ServerError
@@ -142,8 +141,9 @@ def test_datagram_entry_point():
 
 
 def test_batch_server_subcast():
-    server = BatchRekeyServer(degree=4, signing="per-message",
-                              seed=b"batch-deliver", backend="flat")
+    server = GroupKeyServer(ServerConfig(
+        degree=4, signing="per-message", seed=b"batch-deliver",
+        backend="flat"))
     server.bootstrap([(user, server.new_individual_key())
                       for user in MEMBERS])
     targets = MEMBERS[4:14]
@@ -163,7 +163,8 @@ def test_batch_server_subcast():
         except SubcastNotAddressed:
             pass
     assert delivered == targets
-    # A queued joiner holds no tree keys yet and cannot be targeted.
-    server.request_join("pending", server.new_individual_key())
-    with pytest.raises(BatchError):
+    # A joiner waiting for the next flush holds no tree keys yet and
+    # cannot be targeted.
+    server.register_individual_key("pending", server.new_individual_key())
+    with pytest.raises(ServerError):
         server.subcast(["pending"], b"early")
