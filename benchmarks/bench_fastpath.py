@@ -3,10 +3,12 @@
 Measures the motivated workload — a rekey-item stream: many independent
 two-block CBC items under a rotating working set of keys, exactly the
 shape the pipeline's encrypt stage sees during star rekeys and interval
-batch flushes — through both the fast path (key-schedule cache + table
-rounds + batch engine) and the pre-optimization formulations preserved
-in :mod:`repro.crypto.reference` (per-item cipher construction +
-byte-wise chaining, as shipped before the fast path), plus RSA signing
+batch flushes — through both the path that ships (key-schedule cache +
+table rounds + integer CBC chaining, one item at a time, as
+``RekeyContext.materialize`` runs it) and the pre-optimization
+formulations preserved in :mod:`repro.crypto.reference` (per-item
+cipher construction + byte-wise chaining, as shipped before the fast
+path), plus RSA signing
 (cached-CRT vs textbook full exponentiation) and end-to-end server
 rekey throughput (star vs tree at n=1024).
 
@@ -37,7 +39,7 @@ for _path in (os.path.join(_ROOT, "src"), _HERE):
 
 import bench_io  # noqa: E402
 from repro.core.server import GroupKeyServer, ServerConfig  # noqa: E402
-from repro.crypto import batchenc, modes, reference, rsa  # noqa: E402
+from repro.crypto import modes, reference, rsa  # noqa: E402
 from repro.crypto.keycache import SHARED_CACHE  # noqa: E402
 from repro.crypto.reference import ReferenceAES, ReferenceDES  # noqa: E402
 from repro.crypto.suite import (CipherSuite,  # noqa: E402
@@ -53,7 +55,6 @@ SPEEDUP_FLOORS = {
 }
 
 _WORKING_SET = 32          # distinct keys rotating through the stream
-_BATCH = 256               # encrypt-stage batch size for the fast path
 
 
 def _baseline_cbc_nopad(cipher, padded: bytes, iv: bytes) -> bytes:
@@ -84,16 +85,12 @@ def _bench_cipher_stream(report, name, suite, reference_cls, n_items, rng):
     items = _rekey_stream(rng, suite.key_size, suite.block_size, n_items)
     total_bytes = sum(len(payload) for _, payload, _ in items)
 
-    # Fast path: cached schedules + the batch engine, exactly as the
-    # pipeline encrypt stage consumes a batch (chunks of _BATCH items).
+    # Fast path: cached schedules + integer chaining, item by item,
+    # exactly as the pipeline encrypt stage materializes a rekey.
     SHARED_CACHE.clear()
     start = time.perf_counter()
-    fast_out = []
-    for chunk_start in range(0, len(items), _BATCH):
-        chunk = items[chunk_start:chunk_start + _BATCH]
-        jobs = [(suite.new_cipher(key), payload, iv)
-                for key, payload, iv in chunk]
-        fast_out.extend(batchenc.cbc_encrypt_nopad_many(jobs))
+    fast_out = [modes.cbc_encrypt_nopad(suite.new_cipher(key), payload, iv)
+                for key, payload, iv in items]
     fast_seconds = time.perf_counter() - start
 
     # Baseline: per-item construction + byte-wise chaining (pre-PR shape:

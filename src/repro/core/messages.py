@@ -173,30 +173,22 @@ class EncryptedItem:
         return cls(enc_node_id, enc_version, iv, ciphertext, plaintext_len), offset
 
 
-def padded_records_plaintext(suite, records: Sequence[KeyRecord]):
-    """Zero-padded item plaintext; returns ``(padded, plaintext_len)``.
-
-    Zero padding with explicit length keeps single-key items to exactly
-    two cipher blocks (matching the paper's compact rekey messages).
-    Shared by the scalar path below and the batch encrypt stage
-    (:meth:`repro.core.strategies.base.RekeyContext.materialize`).
-    """
-    plaintext = b"".join(record.encode() for record in records)
-    block = suite.block_size
-    padded_len = -(-len(plaintext) // block) * block
-    return plaintext.ljust(padded_len, b"\x00"), len(plaintext)
-
-
 def encrypt_records(suite, key: bytes, iv: bytes,
                     records: Sequence[KeyRecord],
                     enc_node_id: int, enc_version: int) -> EncryptedItem:
-    """Encrypt key records under ``key`` into an :class:`EncryptedItem`."""
-    padded, plaintext_len = padded_records_plaintext(suite, records)
+    """Encrypt key records under ``key`` into an :class:`EncryptedItem`.
+
+    Zero padding with explicit length keeps single-key items to exactly
+    two cipher blocks (matching the paper's compact rekey messages).
+    """
+    plaintext = b"".join(record.encode() for record in records)
+    block = suite.block_size
+    padded = plaintext.ljust(-(-len(plaintext) // block) * block, b"\x00")
     cipher = suite.new_cipher(key)
     from ..crypto import modes
     ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
     return EncryptedItem(enc_node_id, enc_version, iv, ciphertext,
-                         plaintext_len)
+                         len(plaintext))
 
 
 def decrypt_records(suite, key: bytes, item: EncryptedItem) -> List[KeyRecord]:

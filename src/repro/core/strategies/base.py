@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ...crypto import batchenc
 from ...keygraph.tree import JoinResult, KeyTree, LeaveResult, PathChange, TreeNode
 from ..messages import (INDIVIDUAL_KEY, Destination, EncryptedItem,
-                        KeyRecord, encrypt_records, padded_records_plaintext)
+                        KeyRecord, encrypt_records)
 
 
 @dataclass
@@ -105,33 +104,12 @@ class RekeyContext:
     def materialize(self) -> None:
         """Execute every deferred encryption (the pipeline encrypt stage).
 
-        Large batches (a star rekey, a wide interval flush) go through
-        :mod:`repro.crypto.batchenc`, which runs the cipher rounds
-        vectorized across the independent items; small batches and
-        unsupported ciphers take the per-item path.  Both produce
-        byte-identical items (pinned by the batch equivalence tests),
-        so this is purely an encrypt-stage throughput decision.
+        One item at a time, through the same :func:`encrypt_records`
+        path an immediate encryption takes.  A rekey's items number
+        d(h-1) at most for a group leave (Table 2), too few for any
+        across-items batching to pay for itself.
         """
-        pending = [item for item in self.pending if item.value is None]
-        if (len(pending) >= batchenc.MIN_BATCH_JOBS
-                and batchenc.available(self.suite)):
-            jobs = []
-            lengths = []
-            for item in pending:
-                padded, plaintext_len = padded_records_plaintext(
-                    self.suite, item.records)
-                jobs.append((item.key, padded, item.iv))
-                lengths.append(plaintext_len)
-            # Raw-key jobs: AES suites vectorize the key expansion too
-            # (no per-item cipher objects); others build ciphers inside.
-            ciphertexts = batchenc.cbc_encrypt_keys_many(self.suite, jobs)
-            for item, ciphertext, plaintext_len in zip(pending, ciphertexts,
-                                                       lengths):
-                item.value = EncryptedItem(item.enc_node_id,
-                                           item.enc_version, item.iv,
-                                           ciphertext, plaintext_len)
-            return
-        for item in pending:
+        for item in self.pending:
             item.materialize(self.suite)
 
 

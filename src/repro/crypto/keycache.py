@@ -11,12 +11,10 @@ profits: its table-driven schedule makes a construction cost ~0.3 blocks,
 about what a miss adds here (DESIGN.md §9, "Key-schedule cache").
 
 Cipher objects here are pure functions of ``(cipher_name, key)``: the
-schedules derived in ``__init__`` never change, so sharing one instance
-across call sites is safe.  The one later write is a memo —
-``batchenc._des_schedule`` / ``_aes_schedule`` attach numpy copies of
-the schedules (``_np_rk*``) to the shared object — and its race is
-benign: both threads compute the same array from the same immutable
-schedule.  Invalidation therefore has exactly two rules:
+schedules derived in ``__init__`` never change and nothing writes to a
+shared cipher object after construction, so sharing one instance
+across call sites and threads is safe.  Invalidation therefore has
+exactly two rules:
 
 * capacity — least-recently-used entries are evicted at ``capacity``;
 * explicit ``clear()`` — used by tests and by anyone rotating away from

@@ -2,17 +2,16 @@
 
 The paper encrypts rekey payloads with DES-CBC.  This module provides
 PKCS#7 padding, ECB (for tests/known-answer work) and CBC with an
-explicit IV, generic over any block cipher object exposing
-``block_size`` / ``encrypt_block`` / ``decrypt_block``.
+explicit IV.
 
-Fast path: when the cipher also exposes ``encrypt_block_int`` /
-``decrypt_block_int`` (AES, DES, TripleDES do), the CBC/CTR loops chain
-whole messages as integers — one ``int.from_bytes`` per input block, an
-integer XOR for the chaining step, one ``to_bytes`` per output block —
-instead of building intermediate byte strings and XOR-ing byte by byte.
-The output is bit-identical to the generic path (the chaining math is
-the same); :mod:`tests.crypto.test_fastpath` pins the two paths equal
-against the byte-wise reference implementations.
+Cipher contract: a block cipher object exposes ``block_size``, the
+byte API ``encrypt_block`` / ``decrypt_block`` (ECB), and the int block
+API ``encrypt_block_int`` / ``decrypt_block_int`` over big-endian block
+integers, which every cipher in :mod:`repro.crypto` provides.  The
+CBC/CTR loops chain whole messages as integers — one ``int.from_bytes``
+per input block, an integer XOR for the chaining step, one ``to_bytes``
+per output block.  :mod:`tests.crypto.test_fastpath` pins them against
+the byte-wise chaining of :mod:`repro.crypto.reference`.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ def unpad(data: bytes, block_size: int) -> bytes:
     return data[:-pad_len]
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def ecb_encrypt(cipher, plaintext: bytes) -> bytes:
     """ECB encryption of PKCS#7 padded ``plaintext``."""
     block = cipher.block_size
@@ -66,48 +61,31 @@ def ecb_decrypt(cipher, ciphertext: bytes) -> bytes:
 def _cbc_encrypt_aligned(cipher, padded: bytes, iv: bytes) -> bytes:
     """CBC-encrypt block-aligned data (shared by both CBC entry points)."""
     block = cipher.block_size
-    encrypt_int = getattr(cipher, "encrypt_block_int", None)
-    if encrypt_int is not None:
-        from_bytes = int.from_bytes
-        view = memoryview(padded)
-        previous = from_bytes(iv, "big")
-        out = []
-        for i in range(0, len(padded), block):
-            previous = encrypt_int(from_bytes(view[i:i + block], "big")
-                                   ^ previous)
-            out.append(previous.to_bytes(block, "big"))
-        return b"".join(out)
-    out = bytearray()
-    previous = iv
+    encrypt_int = cipher.encrypt_block_int
+    from_bytes = int.from_bytes
+    view = memoryview(padded)
+    previous = from_bytes(iv, "big")
+    out = []
     for i in range(0, len(padded), block):
-        encrypted = cipher.encrypt_block(_xor_bytes(padded[i:i + block],
-                                                    previous))
-        out.extend(encrypted)
-        previous = encrypted
-    return bytes(out)
+        previous = encrypt_int(from_bytes(view[i:i + block], "big")
+                               ^ previous)
+        out.append(previous.to_bytes(block, "big"))
+    return b"".join(out)
 
 
 def _cbc_decrypt_aligned(cipher, ciphertext: bytes, iv: bytes) -> bytes:
     """CBC-decrypt block-aligned data, padding left in place."""
     block = cipher.block_size
-    decrypt_int = getattr(cipher, "decrypt_block_int", None)
-    if decrypt_int is not None:
-        from_bytes = int.from_bytes
-        view = memoryview(ciphertext)
-        previous = from_bytes(iv, "big")
-        out = []
-        for i in range(0, len(ciphertext), block):
-            chunk = from_bytes(view[i:i + block], "big")
-            out.append((decrypt_int(chunk) ^ previous).to_bytes(block, "big"))
-            previous = chunk
-        return b"".join(out)
-    out = bytearray()
-    previous = iv
+    decrypt_int = cipher.decrypt_block_int
+    from_bytes = int.from_bytes
+    view = memoryview(ciphertext)
+    previous = from_bytes(iv, "big")
+    out = []
     for i in range(0, len(ciphertext), block):
-        chunk = ciphertext[i:i + block]
-        out.extend(_xor_bytes(cipher.decrypt_block(chunk), previous))
+        chunk = from_bytes(view[i:i + block], "big")
+        out.append((decrypt_int(chunk) ^ previous).to_bytes(block, "big"))
         previous = chunk
-    return bytes(out)
+    return b"".join(out)
 
 
 def cbc_encrypt(cipher, plaintext: bytes, iv: bytes) -> bytes:
@@ -157,30 +135,22 @@ def ctr_transform(cipher, data: bytes, nonce: bytes) -> bytes:
     if len(nonce) != block - 4:
         raise ValueError(f"nonce must be {block - 4} bytes")
     n_blocks = -(-len(data) // block) if data else 0
-    encrypt_int = getattr(cipher, "encrypt_block_int", None)
-    if encrypt_int is not None:
-        from_bytes = int.from_bytes
-        view = memoryview(data)
-        nonce_high = from_bytes(nonce, "big") << 32
-        out = []
-        for counter in range(n_blocks):
-            chunk = bytes(view[counter * block:(counter + 1) * block])
-            keystream = encrypt_int(nonce_high | counter)
-            if len(chunk) == block:
-                out.append((from_bytes(chunk, "big") ^ keystream)
-                           .to_bytes(block, "big"))
-            else:
-                partial = keystream >> (8 * (block - len(chunk)))
-                out.append((from_bytes(chunk, "big") ^ partial)
-                           .to_bytes(len(chunk), "big"))
-        return b"".join(out)
-    out = bytearray()
+    encrypt_int = cipher.encrypt_block_int
+    from_bytes = int.from_bytes
+    view = memoryview(data)
+    nonce_high = from_bytes(nonce, "big") << 32
+    out = []
     for counter in range(n_blocks):
-        keystream = cipher.encrypt_block(
-            nonce + counter.to_bytes(4, "big"))
-        chunk = data[counter * block:(counter + 1) * block]
-        out.extend(_xor_bytes(chunk, keystream[:len(chunk)]))
-    return bytes(out)
+        chunk = bytes(view[counter * block:(counter + 1) * block])
+        keystream = encrypt_int(nonce_high | counter)
+        if len(chunk) == block:
+            out.append((from_bytes(chunk, "big") ^ keystream)
+                       .to_bytes(block, "big"))
+        else:
+            partial = keystream >> (8 * (block - len(chunk)))
+            out.append((from_bytes(chunk, "big") ^ partial)
+                       .to_bytes(len(chunk), "big"))
+    return b"".join(out)
 
 
 def cbc_decrypt(cipher, ciphertext: bytes, iv: bytes) -> bytes:

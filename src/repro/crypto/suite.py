@@ -39,18 +39,20 @@ class XorCipher:
     def __init__(self, key: bytes):
         if len(key) != self.key_size:
             raise ValueError(f"Xor key must be {self.key_size} bytes")
-        self._key = key
+        self._key = int.from_bytes(key, "big")
 
-    def _crypt(self, block: bytes) -> bytes:
-        return bytes(b ^ k for b, k in zip(block, self._key))
+    def encrypt_block_int(self, value: int) -> int:
+        """XOR with the key (self-inverse; NOT secure)."""
+        return value ^ self._key
+
+    decrypt_block_int = encrypt_block_int
 
     def encrypt_block(self, block: bytes) -> bytes:
         """XOR with the key (self-inverse; NOT secure)."""
-        return self._crypt(block)
+        return (int.from_bytes(block, "big") ^ self._key).to_bytes(
+            self.block_size, "big")
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """XOR with the key (self-inverse; NOT secure)."""
-        return self._crypt(block)
+    decrypt_block = encrypt_block
 
 
 _CIPHERS = {

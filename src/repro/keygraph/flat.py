@@ -10,8 +10,7 @@ same tree-backend surface over contiguous storage instead:
   ``next_sibling``, ``n_children``) indexed by slot;
 * identity and freshness in ``node_id`` / ``version`` int arrays;
 * key material in a :class:`KeyArena` — one flat byte buffer with a
-  fixed per-slot stride — so a whole rekey plan's key bytes are a
-  gather away from the vectorized batch-CBC path;
+  fixed per-slot stride;
 * subtree sizes and two *relative-depth aggregates* per slot
   (``open_d``: depth of the shallowest non-full interior in the slot's
   subtree; ``leaf_d``: depth of the shallowest leaf) that turn the

@@ -19,6 +19,7 @@ and client-side statistics.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -133,6 +134,9 @@ def run_experiment(config: ExperimentConfig,
         "client_copies_total",
         "Rekey message copies delivered to clients (Table 6 measure).",
         labels=("op",))
+    # A full collection of garbage left by earlier work (other runs in
+    # the process) would otherwise land inside one measured request.
+    gc.collect()
     records: List[RequestRecord] = []
     for request in requests:
         if request.op == JOIN:

@@ -1,37 +1,23 @@
 """Fast path vs frozen reference: the optimized round functions, chaining
-modes, batch engine, CRT signing and unrolled MD5 compress must be
-bit-identical to the pre-optimization formulations preserved in
+modes, CRT signing and unrolled MD5 compress must be bit-identical to
+the pre-optimization formulations preserved in
 :mod:`repro.crypto.reference`."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import batchenc, des, modes, reference, rsa
+from repro.crypto import des, modes, reference, rsa
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS
 from repro.crypto.des3 import TripleDES
 from repro.crypto.keycache import SHARED_CACHE
 from repro.crypto.md5 import _compress as md5_compress
 from repro.crypto.reference import ReferenceAES, ReferenceDES
-from repro.crypto.suite import CipherSuite
+from repro.crypto.suite import CipherSuite, XorCipher
 
 BLOCK8 = st.binary(min_size=8, max_size=8)
 BLOCK16 = st.binary(min_size=16, max_size=16)
-
-
-class NoIntPath:
-    """Wrapper hiding the int-block API, forcing the generic mode paths."""
-
-    def __init__(self, cipher):
-        self._cipher = cipher
-        self.block_size = cipher.block_size
-
-    def encrypt_block(self, block):
-        return self._cipher.encrypt_block(block)
-
-    def decrypt_block(self, block):
-        return self._cipher.decrypt_block(block)
 
 
 # -- block fast paths vs reference rounds -----------------------------------
@@ -171,7 +157,7 @@ def test_des_int_api_matches_byte_api(key, value):
             == cipher.decrypt_block(block))
 
 
-# -- chaining-mode fast paths vs byte-wise chaining -------------------------
+# -- int chaining loops vs byte-wise reference chaining ---------------------
 
 
 @settings(max_examples=25)
@@ -189,50 +175,38 @@ def test_cbc_int_path_matches_reference_chaining(key, plaintext, iv):
 @settings(max_examples=25)
 @given(key=BLOCK16, plaintext=st.binary(max_size=64), iv=BLOCK16)
 def test_cbc_int_path_matches_generic_path(key, plaintext, iv):
-    """The int chaining loop and the byte-wise generic loop agree."""
-    fast = AES(key)
-    generic = NoIntPath(fast)
-    assert (modes.cbc_encrypt(fast, plaintext, iv)
-            == modes.cbc_encrypt(generic, plaintext, iv))
-    ciphertext = modes.cbc_encrypt(fast, plaintext, iv)
-    assert (modes.cbc_decrypt(fast, ciphertext, iv)
-            == modes.cbc_decrypt(generic, ciphertext, iv))
+    """The int chaining loop equals byte-wise chaining over the
+    reference rounds."""
+    ciphertext = modes.cbc_encrypt(AES(key), plaintext, iv)
+    assert ciphertext == reference.reference_cbc_encrypt(
+        ReferenceAES(key), plaintext, iv)
+    assert modes.cbc_decrypt(AES(key), ciphertext, iv) == plaintext
+    assert reference.reference_cbc_decrypt(
+        ReferenceAES(key), ciphertext, iv) == plaintext
+
+
+@settings(max_examples=25)
+@given(key=BLOCK8, plaintext=st.binary(max_size=64), iv=BLOCK8)
+def test_xor_cipher_cbc_matches_reference_chaining(key, plaintext, iv):
+    """The test-suite cipher runs the same int chaining loop."""
+    cipher = XorCipher(key)
+    ciphertext = modes.cbc_encrypt(cipher, plaintext, iv)
+    assert ciphertext == reference.reference_cbc_encrypt(
+        cipher, plaintext, iv)
+    assert modes.cbc_decrypt(cipher, ciphertext, iv) == plaintext
 
 
 @settings(max_examples=25)
 @given(key=BLOCK8, data=st.binary(max_size=64),
        nonce=st.binary(min_size=4, max_size=4))
 def test_ctr_int_path_matches_generic_path(key, data, nonce):
-    fast = DES(key)
-    generic = NoIntPath(fast)
-    assert (modes.ctr_transform(fast, data, nonce)
-            == modes.ctr_transform(generic, data, nonce))
-
-
-# -- batch engine vs scalar CBC ---------------------------------------------
-
-
-@pytest.mark.skipif(not batchenc.HAVE_NUMPY, reason="numpy unavailable")
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2 ** 32))
-def test_batch_engine_matches_scalar_cbc(seed):
-    import random
-    rng = random.Random(seed)
-
-    def rb(n):
-        return bytes(rng.randrange(256) for _ in range(n))
-
-    jobs = []
-    for _ in range(12):
-        jobs.append((AES(rb(16)), rb(32), rb(16)))
-        jobs.append((AES(rb(32)), rb(32), rb(16)))
-        jobs.append((DES(rb(8)), rb(16), rb(8)))
-        jobs.append((TripleDES(rb(24)), rb(16), rb(8)))
-        jobs.append((TripleDES(rb(16)), rb(24), rb(8)))
-    rng.shuffle(jobs)
-    expected = [modes.cbc_encrypt_nopad(cipher, padded, iv)
-                for cipher, padded, iv in jobs]
-    assert batchenc.cbc_encrypt_nopad_many(jobs) == expected
+    """CTR equals data XOR a keystream of reference-DES counter blocks."""
+    oracle = ReferenceDES(key)
+    keystream = b"".join(
+        oracle.encrypt_block(nonce + counter.to_bytes(4, "big"))
+        for counter in range(-(-len(data) // 8)))
+    expected = bytes(x ^ y for x, y in zip(data, keystream))
+    assert modes.ctr_transform(DES(key), data, nonce) == expected
 
 
 class ReferenceEDE:
@@ -250,43 +224,32 @@ class ReferenceEDE:
             second.decrypt_block(first.encrypt_block(block)))
 
 
-@pytest.mark.parametrize("cipher_name", ["des", "des3-2key", "des3"])
+ORACLES = {"des": ReferenceDES, "des3-2key": ReferenceEDE,
+           "des3": ReferenceEDE, "aes128": ReferenceAES,
+           "aes256": ReferenceAES}
+
+
+@pytest.mark.parametrize("cipher_name", list(ORACLES))
 def test_des_family_fresh_keys_with_cold_cache(cipher_name):
-    """DES / EDE2 / EDE3 through the suite, scalar and numpy, against the
-    reference on fresh random keys; the shared cache is cleared between
-    cases so a stale cached object cannot mask a schedule bug."""
+    """Every suite cipher against the reference on fresh random keys;
+    the shared cache is cleared between cases so a stale cached object
+    cannot mask a key-schedule bug (AES expansion included)."""
     import random
     suite = CipherSuite(cipher_name)
-    oracle = ReferenceDES if suite.key_size == 8 else ReferenceEDE
+    oracle = ORACLES[cipher_name]
+    block = suite.block_size
     rng = random.Random(cipher_name)
     for _ in range(3):
         SHARED_CACHE.clear()
         misses = SHARED_CACHE.misses
-        jobs = [(rng.randbytes(suite.key_size), rng.randbytes(16),
-                 rng.randbytes(8)) for _ in range(20)]
+        jobs = [(rng.randbytes(suite.key_size), rng.randbytes(2 * block),
+                 rng.randbytes(block)) for _ in range(20)]
         # The reference pads; the two data blocks come first.
         expected = [reference.reference_cbc_encrypt(
-            oracle(key), padded, iv)[:16] for key, padded, iv in jobs]
+            oracle(key), padded, iv)[:2 * block] for key, padded, iv in jobs]
         assert [modes.cbc_encrypt_nopad(suite.new_cipher(key), padded, iv)
                 for key, padded, iv in jobs] == expected
         assert SHARED_CACHE.misses == misses + len(jobs)
-        assert batchenc.cbc_encrypt_keys_many(suite, jobs) == expected
-
-
-@pytest.mark.skipif(not batchenc.HAVE_NUMPY, reason="numpy unavailable")
-def test_batch_engine_small_groups_and_empty_jobs():
-    """Below-threshold groups and zero-block jobs take the scalar path."""
-    jobs = [(DES(b"k" * 8), b"p" * 16, b"i" * 8),
-            (AES(b"k" * 16), b"", b"i" * 16)]
-    expected = [modes.cbc_encrypt_nopad(cipher, padded, iv)
-                for cipher, padded, iv in jobs]
-    assert batchenc.cbc_encrypt_nopad_many(jobs) == expected
-    assert batchenc.cbc_encrypt_nopad_many([]) == []
-
-
-def test_batch_engine_rejects_misaligned_plaintext():
-    with pytest.raises(ValueError):
-        batchenc.cbc_encrypt_nopad_many([(DES(b"k" * 8), b"odd", b"i" * 8)])
 
 
 # -- MD5: unrolled multi-block compress vs the looped reference -------------
