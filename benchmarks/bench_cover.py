@@ -43,11 +43,11 @@ for _path in (os.path.join(_ROOT, "src"), _HERE):
         sys.path.insert(0, _path)
 
 import bench_io  # noqa: E402
-from repro.keygraph.backend import build_tree  # noqa: E402
 from repro.keygraph.covering import (exact_cover,  # noqa: E402
                                      greedy_cover, greedy_tree_cover,
                                      group_from_set_cover, is_cover,
                                      partition_cover, tree_subset_cover)
+from repro.keygraph.flat import FlatKeyTree  # noqa: E402
 
 DEFAULT_OUT = os.path.join(_ROOT, "BENCH_PR9.json")
 DEGREE = 4
@@ -122,8 +122,8 @@ def _bench_set_cover(report, rng):
 def _bench_medium_tree(report, rng):
     """n=4096 tree: greedy vs structural, three subset shapes."""
     users = [f"m{index:05d}" for index in range(MEDIUM_N)]
-    tree = build_tree("flat", [(u, bytes(8)) for u in users], DEGREE,
-                      _counter_keygen())
+    tree = FlatKeyTree.build([(u, bytes(8)) for u in users], DEGREE,
+                             _counter_keygen())
     ratios = {}
     for shape in ("random", "clustered", "adversarial"):
         subset = _subset(shape, users, 512, rng)
@@ -154,8 +154,8 @@ def _bench_flat_scale(report, n_members: int, rng):
     users = [f"u{index:07d}" for index in range(n_members)]
     print(f"  building flat tree n={n_members} ...", end="", flush=True)
     start = time.perf_counter()
-    tree = build_tree("flat", [(u, bytes(8)) for u in users], DEGREE,
-                      _counter_keygen())
+    tree = FlatKeyTree.build([(u, bytes(8)) for u in users], DEGREE,
+                             _counter_keygen())
     build_s = time.perf_counter() - start
     print(f" {build_s:.1f} s")
     bench_io.add_metric(report, f"flat_build_n{n_members}", "s", build_s)

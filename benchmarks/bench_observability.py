@@ -268,8 +268,7 @@ def serve_ab_compare(n_ops, n_batches):
 
     async def run():
         server = GroupKeyServer(ServerConfig(
-            signing="none", seed=b"bench-observability-serve",
-            backend="flat"))
+            signing="none", seed=b"bench-observability-serve"))
         core = AsyncServingCore(
             server, ServeConfig(tick_interval=0, open_enroll=False))
         try:

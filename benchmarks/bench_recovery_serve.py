@@ -112,8 +112,7 @@ async def _run(quick: bool, log) -> dict:
                              mode="journal")
     supervisor = Supervisor(
         3,
-        server_config=ServerConfig(signing="none", backend="flat",
-                                   seed=b"bench-recovery"),
+        server_config=ServerConfig(signing="none", seed=b"bench-recovery"),
         serve_config=ServeConfig(tcp_port=None, max_inflight=256,
                                  tick_interval=0.5),
         journal_dir=journal_dir, policy=policy)

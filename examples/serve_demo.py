@@ -32,8 +32,7 @@ from repro.core.messages import (MSG_BUSY, MSG_JOIN_ACK, MSG_JOIN_DENIED,
                                  MSG_REKEY, MSG_RESYNC_REPLY,
                                  MSG_RESYNC_REQUEST, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
-from repro.serve import (AsyncKeyService, AsyncServingCore, ServeConfig,
-                         default_server_config)
+from repro.serve import AsyncKeyService, AsyncServingCore, ServeConfig
 from repro.transport.udp import scrape_stats
 
 _CONTROL = (MSG_JOIN_ACK, MSG_LEAVE_ACK, MSG_JOIN_DENIED, MSG_LEAVE_DENIED)
@@ -108,17 +107,15 @@ async def _settle(predicate, timeout=5.0):
 
 
 async def main():
-    protocol = default_server_config(ServerConfig(
+    server = GroupKeyServer(ServerConfig(
         strategy="group", degree=4, signing="merkle", seed=b"serve-demo"))
-    server = GroupKeyServer(protocol)
     core = AsyncServingCore(server, ServeConfig(
         tick_interval=0, open_enroll=False,
         client_rate=50.0, client_burst=8))
     async with AsyncKeyService(core) as service:
         host, port = service.udp_address
         print(f"async key service on {host}:{port} "
-              f"(backend={protocol.backend}, "
-              f"workers={core.executor._max_workers})")
+              f"(workers={core.executor._max_workers})")
 
         members = [Member(f"client{i}", server) for i in range(8)]
         for member in members:

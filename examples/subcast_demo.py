@@ -61,7 +61,7 @@ def tree_shapes():
     banner("subset shape drives cover size (n=4096 tree)")
     server = GroupKeyServer(ServerConfig(
         degree=4, strategy="group", signing="none",
-        seed=b"subcast-demo", backend="flat"))
+        seed=b"subcast-demo"))
     members = [f"u{index:04d}" for index in range(4096)]
     server.bootstrap([(user, server.new_individual_key())
                       for user in members])
@@ -106,8 +106,7 @@ def sealed_delivery(server, members):
 def cluster_lift():
     banner("cluster: a fully-targeted shard lifts to the root layer")
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=4, degree=4, signing="none", seed=b"subcast-demo-cl",
-        backend="flat"))
+        n_shards=4, degree=4, signing="none", seed=b"subcast-demo-cl"))
     members = [f"c{index:03d}" for index in range(128)]
     coordinator.bootstrap([(user, coordinator.new_individual_key())
                            for user in members])

@@ -48,8 +48,7 @@ async def main():
     journal_dir = tempfile.mkdtemp(prefix="supervise-demo-")
     supervisor = Supervisor(
         2,
-        server_config=ServerConfig(signing="none", backend="flat",
-                                   seed=b"supervise-demo"),
+        server_config=ServerConfig(signing="none", seed=b"supervise-demo"),
         serve_config=ServeConfig(tcp_port=None, tick_interval=0),
         journal_dir=journal_dir,
         policy=SupervisePolicy(probe_interval=0, mode="journal"))

@@ -1,7 +1,7 @@
 """Subcast at scale: sealed subgroup delivery in a million-member group.
 
 The headline claim of the subcast subsystem (PR 9): addressing an
-arbitrary 10k-member subset of an n=1,000,000 flat-backend group costs
+arbitrary 10k-member subset of an n=1,000,000 member group costs
 one structural-cover computation over the array tree — no usersets are
 ever materialized — plus one sealed message, and **exactly** the
 targets can open it.  This experiment proves the claim live:
@@ -79,7 +79,7 @@ def run_local(n_members: int, check: bool) -> list:
     print(f"subcast scale experiment: n={n_members}, |S|={SUBSET_SIZE}")
     server = GroupKeyServer(ServerConfig(
         degree=4, strategy="group", signing="none",
-        seed=b"subcast-scale", backend="flat"))
+        seed=b"subcast-scale"))
     members = [f"u{index:07d}" for index in range(n_members)]
     started = time.perf_counter()
     server.bootstrap([(user, server.new_individual_key())
@@ -243,8 +243,7 @@ async def _run_cluster(n_members: int) -> list:
     failures = []
     print(f"cluster leg: 3 shards, n={n_members}, async front end")
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=3, degree=4, signing="none", seed=b"subcast-scale-cl",
-        backend="flat"))
+        n_shards=3, degree=4, signing="none", seed=b"subcast-scale-cl"))
     members = [f"c{index:06d}" for index in range(n_members)]
     coordinator.bootstrap([(user, coordinator.new_individual_key())
                            for user in members])

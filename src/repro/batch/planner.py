@@ -49,9 +49,9 @@ def apply_window(tree, joins: Sequence[Tuple[str, bytes]],
                  new_key: Callable[[], bytes]) -> WindowEdit:
     """Apply a window's leaves then joins, and replace each dirty key once.
 
-    All tree surgery goes through the backend's named primitives
+    All tree surgery goes through the tree's named primitives
     (detach/attach/split/splice), so the same edit runs unchanged over
-    the object tree and the flat array tree.  ``new_key`` draws the
+    the served flat tree and the ``KeyTree`` reference.  ``new_key`` draws the
     replacement keys in the order the tree draws its own, so a replay
     that feeds the recorded keys back reproduces the tree exactly.
     """

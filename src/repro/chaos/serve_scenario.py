@@ -64,7 +64,7 @@ def serve_workload(config) -> List[Tuple[str, str]]:
 
 
 def _server_config(config) -> ServerConfig:
-    return ServerConfig(signing="none", seed=config.seed, backend="flat")
+    return ServerConfig(signing="none", seed=config.seed)
 
 
 def _individual_keys(ops, suite) -> Dict[str, bytes]:
@@ -270,8 +270,7 @@ def run_crash_scenario(config) -> "ScenarioReport":
     # The supervisor derives per-shard seeds; the control must match
     # the shard's derived stream, not the base seed.
     shard_seed = config.seed + b"/shard-0"
-    control_config = _ServerConfig(signing="none", seed=shard_seed,
-                                   backend="flat")
+    control_config = _ServerConfig(signing="none", seed=shard_seed)
     keys = _individual_keys(ops, control_config.suite)
 
     control = GroupKeyServer(control_config)
@@ -300,8 +299,7 @@ def run_crash_scenario(config) -> "ScenarioReport":
     async def drive():
         supervisor = Supervisor(
             1,
-            server_config=_ServerConfig(signing="none", seed=config.seed,
-                                        backend="flat"),
+            server_config=_ServerConfig(signing="none", seed=config.seed),
             serve_config=ServeConfig(tick_interval=0, open_enroll=False,
                                      tcp_port=None),
             journal_dir=journal_dir,

@@ -52,9 +52,8 @@ from ..core.server import (_DENIALS, GroupKeyServer, KeyServerProtocol,
                            seal_data_message)
 from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..crypto.suite import PAPER_SUITE, CipherSuite
-from ..keygraph.backend import BACKENDS, build_tree
 from ..keygraph.covering import tree_subset_cover
-from ..keygraph.tree import KeyTree, TreeNode
+from ..keygraph.flat import FlatKeyTree, FlatNode
 from ..observability import LATENCY_BUCKETS_S, Instrumentation
 from ..observability.export import build_snapshot
 from .failover import WarmStandby
@@ -88,8 +87,7 @@ def namespace_tree(tree, base: int) -> None:
 
     Applied once, right after a tree is (re)built, so shard trees and
     the root-layer tree never collide in the members' flat key map.
-    Future allocations continue inside the window.  Works on any
-    :class:`~repro.keygraph.backend.TreeBackend` via ``shift_node_ids``.
+    Future allocations continue inside the window.
     """
     if base <= 0:
         return
@@ -117,7 +115,6 @@ class RootKeyLayer:
     def __init__(self, suite: CipherSuite, shard_names: Sequence[str], *,
                  degree: int = 4, seed: Optional[bytes] = None,
                  signing: str = "none", group_id: int = 1,
-                 backend: str = "object",
                  instrumentation: Optional[Instrumentation] = None):
         if not shard_names:
             raise ClusterError("root layer needs at least one shard")
@@ -125,7 +122,6 @@ class RootKeyLayer:
             raise ClusterError("duplicate shard names")
         self.suite = suite
         self.degree = degree
-        self.backend = backend
         self.material = KeyMaterialSource(suite, seed, b"cluster-root-layer")
         self._signer, self.signing_keypair = make_signer(
             suite, signing, seed, error=ClusterError)
@@ -136,7 +132,7 @@ class RootKeyLayer:
             sequencer=Sequencer(), group_id=group_id,
             instrumentation=self.instrumentation)
         self._names = list(shard_names)
-        self._tree: Optional[KeyTree] = None
+        self._tree: Optional[FlatKeyTree] = None
         # shard name -> live (node id, version) of that shard's subtree
         # root, or None while the shard is empty (placeholder leaf key).
         self._shard_refs: Dict[str, Optional[Tuple[int, int]]] = {}
@@ -154,8 +150,7 @@ class RootKeyLayer:
         # An empty shard has no subtree root yet: its leaf gets an
         # undecryptable placeholder key (held by nobody) until the
         # shard's first member arrives and rekey() installs the real one.
-        self._tree = build_tree(
-            self.backend,
+        self._tree = FlatKeyTree.build(
             [(name, leaves[name][1] if leaves[name][1] is not None
               else self.material.new_key()) for name in self._names],
             self.degree, self.material.new_key)
@@ -164,13 +159,13 @@ class RootKeyLayer:
             name: leaves[name][0] if leaves[name][1] is not None else None
             for name in self._names}
 
-    def _require_tree(self) -> KeyTree:
+    def _require_tree(self) -> FlatKeyTree:
         if self._tree is None:
             raise ClusterError("root layer not bootstrapped")
         return self._tree
 
     @property
-    def tree(self) -> KeyTree:
+    def tree(self) -> FlatKeyTree:
         """The root-layer key tree (raises until bootstrapped)."""
         return self._require_tree()
 
@@ -213,7 +208,7 @@ class RootKeyLayer:
         tree = self._require_tree()
 
         def planner(ctx: RekeyContext) -> List[PlannedMessage]:
-            dirty: List[TreeNode] = []
+            dirty: List[FlatNode] = []
             seen = set()
             for name, ref, key in updates:
                 leaf = tree.leaf_of(name)
@@ -245,7 +240,7 @@ class RootKeyLayer:
             "root-rekey", planner, strategy_code=STRATEGY_GROUP_ORIENTED,
             root_ref=lambda: (root.node_id, root.version))
 
-    def _child_handle(self, child: TreeNode) -> Tuple[bytes,
+    def _child_handle(self, child: FlatNode) -> Tuple[bytes,
                                                       Tuple[int, int]]:
         """(encrypting key, wire reference) for one root-layer child.
 
@@ -277,7 +272,13 @@ class ClusterConfig:
     signing: str = "none"
     seed: Optional[bytes] = None
     group_id: int = 1
-    backend: str = "object"           # tree storage, "object" or "flat"
+    # Every shard and the root layer run FlatKeyTree, so "flat" is the
+    # only legal value; the field stays for callers that name it.
+    backend: str = "flat"
+
+    def __post_init__(self) -> None:
+        if self.backend != "flat":
+            raise ClusterError(f"unknown tree backend {self.backend!r}")
 
     def validate(self) -> None:
         """Check field consistency; raises ClusterError."""
@@ -288,8 +289,6 @@ class ClusterConfig:
             raise ClusterError("vnodes must be >= 1")
         if self.root_degree < 2:
             raise ClusterError("root_degree must be >= 2")
-        if self.backend not in BACKENDS:
-            raise ClusterError(f"unknown tree backend {self.backend!r}")
 
 
 @dataclass
@@ -395,8 +394,7 @@ class ClusterCoordinator(KeyServerProtocol):
             server = GroupKeyServer(
                 ServerConfig(group_id=config.group_id, degree=config.degree,
                              strategy=config.strategy, suite=config.suite,
-                             signing=config.signing, seed=seed,
-                             backend=config.backend),
+                             signing=config.signing, seed=seed),
                 instrumentation=Instrumentation(f"shard-{shard_id}"))
             namespace_tree(server.tree, shard_id_base(shard_id))
             self.shards.append(Shard(shard_id, server))
@@ -406,7 +404,6 @@ class ClusterCoordinator(KeyServerProtocol):
             seed=(config.seed + b"/root" if config.seed is not None
                   else None),
             signing=config.signing, group_id=config.group_id,
-            backend=config.backend,
             instrumentation=self.instrumentation)
         if config.signing != "none":
             self._share_signing_identity()

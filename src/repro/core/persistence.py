@@ -22,7 +22,7 @@ from typing import Optional
 from ..crypto import modes
 from ..crypto.rsa import RsaPrivateKey
 from ..crypto.suite import CipherSuite
-from ..keygraph.backend import make_tree
+from ..keygraph.flat import FlatKeyTree
 from ..keygraph.journal import CHECKPOINT, ReplayKeySource, TreeJournal
 from .server import GroupKeyServer, ServerConfig
 
@@ -48,9 +48,9 @@ def _tree_to_dict(tree) -> dict:
             "nodes": nodes}
 
 
-def _tree_from_dict(data: dict, keygen, backend: str = "object"):
-    """Rebuild a tree on the named backend from snapshot entries."""
-    tree = make_tree(backend, data["degree"], keygen)
+def _tree_from_dict(data: dict, keygen) -> FlatKeyTree:
+    """Rebuild the key tree from snapshot entries."""
+    tree = FlatKeyTree(data["degree"], keygen)
     tree.load_nodes(data["nodes"], data["root"], data["next_id"])
     return tree
 
@@ -76,7 +76,6 @@ def snapshot(server: GroupKeyServer, reseed: bytes = b"failover") -> bytes:
             "signing": config.signing,
             "access_list": (sorted(config.access_list)
                             if config.access_list is not None else None),
-            "backend": config.backend,
         },
         "seq": server._seq,
         "reseed": reseed.hex(),
@@ -111,6 +110,8 @@ def restore(blob: bytes, seed: Optional[bytes] = None) -> GroupKeyServer:
             f"unsupported snapshot format {doc.get('format')!r}")
     cfg = doc["config"]
     suite = CipherSuite(cfg["cipher"], cfg["digest"], cfg["signature_bits"])
+    # Older snapshots also name a tree backend; it is ignored, since
+    # every server restores onto FlatKeyTree.
     config = ServerConfig(
         group_id=cfg["group_id"], graph=cfg["graph"], degree=cfg["degree"],
         strategy=cfg["strategy"], suite=suite, signing=cfg["signing"],
@@ -118,8 +119,6 @@ def restore(blob: bytes, seed: Optional[bytes] = None) -> GroupKeyServer:
               else bytes.fromhex(doc["reseed"])),
         access_list=(set(cfg["access_list"])
                      if cfg["access_list"] is not None else None),
-        # Snapshots from before the flat backend carry no backend key.
-        backend=cfg.get("backend", "object"),
     )
     server = GroupKeyServer(config)
     server._seq = doc["seq"]
@@ -132,8 +131,7 @@ def restore(blob: bytes, seed: Optional[bytes] = None) -> GroupKeyServer:
         # Re-point the signer at the restored keypair.
         server._signer.private_key = server.signing_keypair
     if "tree" in doc:
-        server.tree = _tree_from_dict(doc["tree"], server._new_key,
-                                      backend=config.backend)
+        server.tree = _tree_from_dict(doc["tree"], server._new_key)
     else:
         star = doc["star"]
         server.star._members = {user: bytes.fromhex(key)

@@ -32,10 +32,9 @@ from typing import (Container, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 from ..crypto.suite import PAPER_SUITE, CipherSuite
-from ..keygraph.backend import BACKENDS, build_tree, make_tree
-from ..keygraph.covering import greedy_tree_cover, tree_subset_cover
+from ..keygraph.covering import tree_subset_cover
+from ..keygraph.flat import FlatKeyTree
 from ..keygraph.star import StarGroup
-from ..keygraph.tree import KeyTree
 from ..observability import (COUNT_BUCKETS, LATENCY_BUCKETS_S,
                              SIZE_BUCKETS_BYTES, Instrumentation)
 from .messages import (GROUP, INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT,
@@ -75,9 +74,9 @@ class ServerConfig:
     signing: str = "merkle"           # none | per-message | merkle
     seed: Optional[bytes] = None      # deterministic DRBG seed
     access_list: Optional[Set[str]] = None  # None = open group
-    # Tree storage engine: "object" (one Python object per k-node) or
-    # "flat" (contiguous arrays + key arena; the million-member engine).
-    backend: str = "object"
+    # Tree storage engine.  Every server runs FlatKeyTree, so "flat" is
+    # the only legal value; the field stays for callers that name it.
+    backend: str = "flat"
     # Worker-pool size for the async serving layer's stats replies and
     # SLO snapshots (0 = its default; ``python -m repro.serve`` passes
     # it on).  The server itself ignores it.
@@ -85,11 +84,10 @@ class ServerConfig:
     # Public key of a TicketAuthority (footnote 7): when set, joins must
     # present a valid ticket for this group instead of matching the ACL.
     ticket_authority: Optional[object] = None
-    # Covering algorithm for subcasts: "tree" (the O(|S| log n)
-    # structural cover, optimal on a key tree) or "greedy" (classic
-    # greedy set cover over materialized usersets — the ablation
-    # fallback; same cover on a tree, linear-in-n compute).
-    subcast_cover: str = "tree"
+
+    def __post_init__(self) -> None:
+        if self.backend != "flat":
+            raise ServerError(f"unknown tree backend {self.backend!r}")
 
     def validate(self) -> None:
         """Check field consistency; raises ServerError."""
@@ -97,11 +95,6 @@ class ServerConfig:
             raise ServerError(f"unknown graph class {self.graph!r}")
         if self.graph == "tree" and self.strategy not in STRATEGIES:
             raise ServerError(f"unknown strategy {self.strategy!r}")
-        if self.backend not in BACKENDS:
-            raise ServerError(f"unknown tree backend {self.backend!r}")
-        if self.subcast_cover not in ("tree", "greedy"):
-            raise ServerError(
-                f"unknown subcast cover mode {self.subcast_cover!r}")
         if self.workers < 0:
             raise ServerError("workers must be >= 0")
         validate_signing(self.signing, self.suite, error=ServerError)
@@ -378,8 +371,8 @@ class GroupKeyServer(KeyServerProtocol):
         self._journal_tap: Optional[List[bytes]] = None
 
         if config.graph == "tree":
-            self.tree: Optional[KeyTree] = make_tree(
-                config.backend, config.degree, self._new_key)
+            self.tree: Optional[FlatKeyTree] = FlatKeyTree(
+                config.degree, self._new_key)
             self.star: Optional[StarGroup] = None
             self._strategy = STRATEGIES[config.strategy]()
             self._strategy_code = self._strategy.wire_code
@@ -568,8 +561,8 @@ class GroupKeyServer(KeyServerProtocol):
                 raise AccessDenied(
                     f"user {user_id!r} not in access control list")
         if self.tree is not None:
-            self.tree = build_tree(self.config.backend, members,
-                                   self.config.degree, self._new_key)
+            self.tree = FlatKeyTree.build(members, self.config.degree,
+                                          self._new_key)
         else:
             for user_id, key in members:
                 self.star.join(user_id, key)
@@ -993,13 +986,11 @@ class GroupKeyServer(KeyServerProtocol):
                 payload: bytes) -> OutboundMessage:
         """Seal ``payload`` to exactly ``targets`` via a key cover (§2.1).
 
-        Computes a minimum key cover of the target subset on the key
-        tree (``config.subcast_cover`` selects the O(|S| log n)
-        structural cover or the classic greedy ablation — same cover on
-        a tree), then seals one payload ciphertext plus one sealed
-        message-key copy per cover key.  Only current members can be
-        addressed; evicted members hold stale key versions and fail
-        closed at the client.
+        Computes the minimum key cover of the target subset on the key
+        tree (the O(|S| log n) structural cover), then seals one payload
+        ciphertext plus one sealed message-key copy per cover key.  Only
+        current members can be addressed; evicted members hold stale key
+        versions and fail closed at the client.
         """
         if self.tree is None:
             raise ServerError("subcast requires a tree key graph "
@@ -1013,12 +1004,8 @@ class GroupKeyServer(KeyServerProtocol):
                     f"subcast target {user_id!r} is not a member")
         started = time.perf_counter()
         with self.instrumentation.tracer.span(
-                "subcast.cover", targets=len(target_list),
-                mode=self.config.subcast_cover) as span:
-            if self.config.subcast_cover == "greedy":
-                cover_nodes = greedy_tree_cover(self.tree, target_list)
-            else:
-                cover_nodes = tree_subset_cover(self.tree, target_list)
+                "subcast.cover", targets=len(target_list)) as span:
+            cover_nodes = tree_subset_cover(self.tree, target_list)
             span.set("cover", len(cover_nodes))
         cover = [(node.node_id, node.version, node.key)
                  for node in cover_nodes]

@@ -23,29 +23,13 @@ from ..simulation.runner import ExperimentConfig, run_experiment
 from .common import QUICK, Scale, TableData, strategy_experiment
 
 #: Optional subsystems the ablations can switch on against the same
-#: deterministic workload.  Each entry carries the config override that
-#: enables the feature on a :class:`~repro.core.server.ServerConfig`
-#: (``server_config``) and/or a behavioural switch the harness
-#: understands (``journal``).  :func:`feature_flags` runs every entry.
-FEATURE_FLAGS: Dict[str, Dict[str, object]] = {
-    "flat-backend": {
-        "description": ("array-backed FlatKeyTree storage engine "
-                        "(ServerConfig.backend='flat')"),
-        "server_config": {"backend": "flat"},
-        "journal": False,
-    },
+#: deterministic workload.  :func:`feature_flags` runs every entry with
+#: the op journal attached and checks both the live and the replayed
+#: server against the baseline.
+FEATURE_FLAGS: Dict[str, Dict[str, str]] = {
     "tree-journal": {
         "description": ("append-only op journal with restart-by-replay "
                         "(core.persistence.attach_journal)"),
-        "server_config": {},
-        "journal": True,
-    },
-    "subcast-cover": {
-        "description": ("greedy fallback for the subcast covering engine "
-                        "(ServerConfig.subcast_cover='greedy'; the "
-                        "structural cover is the default)"),
-        "server_config": {"subcast_cover": "greedy"},
-        "journal": False,
     },
 }
 
@@ -351,13 +335,13 @@ def tree_drift(scale: Scale = QUICK, n_operations: int = 2000,
     """
     from ..crypto import drbg
     from ..keygraph.analysis import measure
-    from ..keygraph.tree import KeyTree
+    from ..keygraph.flat import FlatKeyTree
     from ..simulation.workload import JOIN, generate_workload, initial_members
 
     source = drbg.make_source(b"drift")
     keygen = lambda: source.generate(8)
     members = initial_members(scale.initial_size)
-    tree = KeyTree.build([(m, keygen()) for m in members], 4, keygen)
+    tree = FlatKeyTree.build([(m, keygen()) for m in members], 4, keygen)
     requests = generate_workload(members, n_operations, seed=b"drift-load")
 
     rows = []
@@ -391,8 +375,8 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
     Each flag runs the identical seeded workload on a baseline server
     and on a flagged server and must land in the *same cryptographic
     state* (group key, root reference, key count, membership) — the
-    features are storage/durability engines, not protocol changes.  The
-    journal flag additionally restarts from its journal and checks the
+    features are durability engines, not protocol changes.  The flagged
+    server additionally restarts from its journal and checks the
     replayed server is snapshot-identical.
     """
     import os
@@ -406,9 +390,9 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
     n = min(scale.initial_size, 128)
     n_requests = min(scale.n_requests, 60)
 
-    def run(overrides: Dict[str, object], journal_path=None):
+    def run(journal_path=None):
         config = ServerConfig(degree=4, strategy="group", signing="none",
-                              seed=b"ablate-flags", **overrides)
+                              seed=b"ablate-flags")
         server = GroupKeyServer(config)
         members = initial_members(n)
         member_keys = [(m, server.new_individual_key()) for m in members]
@@ -425,9 +409,8 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
                 server.leave(request.user_id)
         seconds = _time.perf_counter() - started
         # One subcast to a deterministic subset: its cover references
-        # are part of the compared state, so the subcast-cover flag
-        # must pick the same (node id, version) cover the structural
-        # default does.
+        # are part of the compared state, and its sequence bump is
+        # journaled like any op.
         survivors = sorted(server.members())
         out = server.subcast(survivors[:max(1, len(survivors) // 3)],
                              b"ablate-subcast")
@@ -438,23 +421,17 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
         return server, state, seconds
 
     rows = []
-    for name, flag in FEATURE_FLAGS.items():
-        _base_server, base_state, base_s = run({})
-        journal_path = None
-        replay_ok = "n/a"
+    for name in FEATURE_FLAGS:
+        _base_server, base_state, base_s = run()
+        fd, journal_path = tempfile.mkstemp(suffix=".kgj")
+        os.close(fd)
         try:
-            if flag["journal"]:
-                fd, journal_path = tempfile.mkstemp(suffix=".kgj")
-                os.close(fd)
-            server, state, flag_s = run(dict(flag["server_config"]),
-                                        journal_path=journal_path)
-            if flag["journal"]:
-                replayed = persistence.restore_from_journal(journal_path)
-                replay_ok = (persistence.snapshot(replayed)
-                             == persistence.snapshot(server))
+            server, state, flag_s = run(journal_path=journal_path)
+            replayed = persistence.restore_from_journal(journal_path)
+            replay_ok = (persistence.snapshot(replayed)
+                         == persistence.snapshot(server))
         finally:
-            if journal_path is not None:
-                os.unlink(journal_path)
+            os.unlink(journal_path)
         rows.append([name, n_requests, state == base_state, replay_ok,
                      round(base_s * 1000, 1), round(flag_s * 1000, 1)])
     return TableData(
@@ -463,11 +440,10 @@ def feature_flags(scale: Scale = QUICK) -> TableData:
         headers=["flag", "requests", "state identical", "replay identical",
                  "baseline ms", "flagged ms"],
         rows=rows,
-        notes=("Expected shape: both flags land in exactly the baseline "
-               "cryptographic state (they change storage/durability, "
-               "never protocol bytes); journaling adds write overhead, "
-               "the flat backend tracks the baseline closely at small n "
-               "and pulls ahead as n grows."),
+        notes=("Expected shape: the journal lands in exactly the "
+               "baseline cryptographic state (it changes durability, "
+               "never protocol bytes) and its replay is snapshot-"
+               "identical; journaling adds write overhead."),
     )
 
 

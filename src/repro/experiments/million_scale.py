@@ -1,9 +1,9 @@
-"""Million-member scaling sweep for the flat tree backend.
+"""Million-member scaling sweep for the flat key tree.
 
 The paper's evaluation stops at n = 8192 (Figure 10); the flat
 array-backed storage engine exists to push the same server three
 orders of magnitude further.  This harness measures, at each group
-size on the ``flat`` backend:
+size on :class:`~repro.keygraph.flat.FlatKeyTree`:
 
 * bulk-build throughput (members/s) and storage bytes per member,
 * steady-state churn throughput (leave+join rekeys/s at size n),
@@ -11,7 +11,8 @@ size on the ``flat`` backend:
 
 plus three one-off comparisons:
 
-* flat vs object backend build memory (tracemalloc, moderate n),
+* flat vs ``KeyTree`` (the one-object-per-node reference) build memory
+  (tracemalloc, moderate n),
 * ``TreeNode`` per-instance size with ``__slots__`` vs the same
   fields on a ``__dict__`` class (the before/after for the slots
   satellite),
@@ -47,8 +48,8 @@ from typing import Callable, List, Tuple
 
 from ..core import persistence
 from ..core.server import GroupKeyServer, ServerConfig
-from ..keygraph.backend import build_tree
-from ..keygraph.tree import TreeNode
+from ..keygraph.flat import FlatKeyTree
+from ..keygraph.tree import KeyTree, TreeNode
 
 DEGREE = 4
 KEY_LEN = 16
@@ -90,7 +91,7 @@ def sweep_size(n: int, churn_ops: int) -> dict:
     members = _members(n)
     gc.collect()
     start = time.perf_counter()
-    tree = build_tree("flat", members, DEGREE, _keygen(b"sweep-build"))
+    tree = FlatKeyTree.build(members, DEGREE, _keygen(b"sweep-build"))
     build_s = time.perf_counter() - start
     storage = tree.storage_bytes()
 
@@ -119,16 +120,16 @@ def sweep_size(n: int, churn_ops: int) -> dict:
 
 
 def backend_memory(n: int) -> dict:
-    """tracemalloc'd build footprint: flat vs object backend at size n."""
+    """tracemalloc'd build footprint: flat vs the KeyTree reference."""
     members = _members(n)
     sizes = {}
-    for backend in ("flat", "object"):
+    for name, tree_class in (("flat", FlatKeyTree), ("object", KeyTree)):
         gc.collect()
         tracemalloc.start()
-        tree = build_tree(backend, members, DEGREE, _keygen(b"mem"))
+        tree = tree_class.build(members, DEGREE, _keygen(b"mem"))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        sizes[backend] = peak / n
+        sizes[name] = peak / n
         del tree
         gc.collect()
     return {"n": n,
@@ -158,7 +159,7 @@ def slots_note() -> dict:
 def journal_restart(n: int, ops: int) -> dict:
     """Restart-by-replay vs rebuild-by-bootstrap, with identity check."""
     config = ServerConfig(degree=DEGREE, strategy="group",
-                          seed=b"million-journal", backend="flat")
+                          seed=b"million-journal")
     members = [(f"j{i:05d}", b"\x00" * 8) for i in range(n)]
     fd, path = tempfile.mkstemp(suffix=".journal")
     os.close(fd)
@@ -225,7 +226,7 @@ def run(quick: bool) -> dict:
     sizes = QUICK_SIZES if quick else FULL_SIZES
     for n in sizes:
         churn_ops = 2_000 if n >= 100_000 else 1_000
-        print(f"[sweep] flat backend, n={n:,} ...")
+        print(f"[sweep] flat tree, n={n:,} ...")
         row = sweep_size(n, churn_ops)
         tag = f"n{n // 1000}k" if n < 1_000_000 else f"n{n // 1_000_000}m"
         metric(f"flat_build_{tag}", "members/s", row["build_members_per_s"])
@@ -233,7 +234,7 @@ def run(quick: bool) -> dict:
                row["storage_bytes_per_member"])
         metric(f"flat_rekeys_{tag}", "rekeys/s", row["rekeys_per_s"])
 
-    print("[memory] flat vs object backend build footprint ...")
+    print("[memory] flat vs KeyTree build footprint ...")
     mem = backend_memory(20_000 if quick else 100_000)
     metric(f"build_mem_n{mem['n'] // 1000}k", "bytes/member",
            mem["flat_bytes_per_member"],

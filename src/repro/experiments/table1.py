@@ -9,8 +9,8 @@ from __future__ import annotations
 from ..core import costs
 from ..crypto import drbg
 from ..keygraph.complete import CompleteGroup
+from ..keygraph.flat import FlatKeyTree
 from ..keygraph.star import StarGroup
-from ..keygraph.tree import KeyTree
 from .common import QUICK, Scale, TableData
 
 
@@ -29,8 +29,8 @@ def run(scale: Scale = QUICK, n_users: int = 81, degree: int = 3,
     for i in range(n_users):
         star.join(f"u{i}", keygen())
 
-    tree = KeyTree.build([(f"u{i}", keygen()) for i in range(n_users)],
-                         degree, keygen)
+    tree = FlatKeyTree.build([(f"u{i}", keygen()) for i in range(n_users)],
+                             degree, keygen)
     height = tree.height()
 
     complete = CompleteGroup([f"u{i}" for i in range(complete_n)], keygen)

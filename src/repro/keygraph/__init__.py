@@ -2,16 +2,17 @@
 
 * :class:`~repro.keygraph.graph.KeyGraph` — generic DAG key graphs and
   their ``(U, K, R)`` semantics (:class:`~repro.keygraph.graph.SecureGroup`);
-* :class:`~repro.keygraph.tree.KeyTree` — the operational LKH key tree
-  with the full/balanced maintenance heuristic;
+* :class:`~repro.keygraph.flat.FlatKeyTree` — the operational LKH key
+  tree with the full/balanced maintenance heuristic, over flat arrays;
+  every server builds it;
+* :class:`~repro.keygraph.tree.KeyTree` — the same tree as one object
+  per k-node: the reference the lockstep tests hold the flat engine to;
 * :class:`~repro.keygraph.star.StarGroup` — the conventional baseline;
 * :class:`~repro.keygraph.complete.CompleteGroup` — one key per subset;
 * :mod:`~repro.keygraph.covering` — the (NP-hard) key-covering problem.
 """
 
 from .analysis import TreeShape, assert_balanced, leaf_depth_histogram, measure
-from .backend import (BACKENDS, DEFAULT_BACKEND, TreeBackend, build_tree,
-                      make_tree, resolve_backend)
 from .complete import CompleteGroup, CompleteGroupError
 from .flat import FlatKeyTree, FlatNode, KeyArena
 from .covering import (CoverError, complement_cover, exact_cover,
@@ -31,8 +32,6 @@ __all__ = [
     "KeyTree", "KeyTreeError", "TreeNode", "PathChange",
     "JoinResult", "LeaveResult",
     "FlatKeyTree", "FlatNode", "KeyArena",
-    "TreeBackend", "BACKENDS", "DEFAULT_BACKEND",
-    "make_tree", "build_tree", "resolve_backend",
     "StarGroup", "StarError", "StarRekey",
     "CompleteGroup", "CompleteGroupError",
     "CoverError", "exact_cover", "greedy_cover", "is_cover", "tree_cover",

@@ -29,11 +29,12 @@ technical report TR 97-23).  This module provides:
 * :func:`complement_cover` — its generalization to "everyone except
   X" by subtree subtraction (evicted/ineligible exclusion lists);
 * :func:`tree_subset_cover` — the optimal cover of an *arbitrary*
-  subset on a key tree in ``O(|S| · log n)``, with a dedicated fast
-  path over :class:`~repro.keygraph.flat.FlatKeyTree`'s arrays that
-  never materializes a userset (the million-member subcast engine);
+  subset on a key tree in ``O(|S| · log n)``, walking
+  :class:`~repro.keygraph.flat.FlatKeyTree`'s arrays without ever
+  materializing a userset (the million-member subcast engine);
 * :func:`greedy_tree_cover` — :func:`greedy_cover` semantics directly
-  on a tree backend (the subcast ablation fallback).
+  on a key tree (the reference the structural cover is tested
+  against).
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def complement_cover(tree, excluded: Iterable) -> List:
     members": mark every node on an excluded user's path *tainted*,
     then take each untainted child of a tainted node — each is a
     maximal subtree containing no excluded user.  ``O(|X| · d · h)``,
-    independent of group size; works on either tree backend.  Excluding
+    independent of group size; works on either tree class.  Excluding
     nobody covers with the group key alone; excluding everybody yields
     the empty cover.
     """
@@ -270,7 +271,7 @@ def complement_cover(tree, excluded: Iterable) -> List:
     return cover
 
 
-def tree_subset_cover(tree, users: Iterable) -> List:
+def tree_subset_cover(tree: FlatKeyTree, users: Iterable) -> List[FlatNode]:
     """Optimal cover of an arbitrary subset on a key tree, O(|S|·log n).
 
     Walks each selected leaf's root path accumulating per-node counts
@@ -279,41 +280,15 @@ def tree_subset_cover(tree, users: Iterable) -> List:
     whose parents are not (the maximal fully-selected subtrees) —
     minimum for a tree, since any admissible key is such a subtree.
 
-    On :class:`~repro.keygraph.flat.FlatKeyTree` the walk runs directly
-    over the parent/size arrays — integer slots in, integer slots out,
-    no node handles, no userset materialization — which is what keeps
-    a 10k-member cover of a million-member group in milliseconds.
-    Both backends return identical covers (same node ids, same order)
-    on lockstep trees.
+    The walk runs directly over the parent/size arrays — integer slots
+    in, integer slots out, no node handles, no userset materialization
+    — which is what keeps a 10k-member cover of a million-member group
+    in milliseconds.  :func:`greedy_tree_cover` returns the same cover
+    (same node ids, same order) on a lockstep ``KeyTree``.
     """
     subset = set(users)
     if not subset:
         raise CoverError("empty subcast target")
-    if isinstance(tree, FlatKeyTree):
-        return _flat_subset_cover(tree, subset)
-    counts: Dict = {}
-    for user in subset:
-        try:
-            node = tree.leaf_of(user)
-        except Exception:
-            raise CoverError(f"target user {user!r} is not in the tree") \
-                from None
-        while node is not None:
-            counts[node] = counts.get(node, 0) + 1
-            node = node.parent
-    cover = []
-    for node, count in counts.items():
-        if count != node.size:
-            continue
-        parent = node.parent
-        if parent is None or counts[parent] != parent.size:
-            cover.append(node)
-    cover.sort(key=lambda node: node.node_id)
-    return cover
-
-
-def _flat_subset_cover(tree: FlatKeyTree, subset: Set) -> List:
-    """The array fast path of :func:`tree_subset_cover`."""
     leaves = tree._leaves
     parent = tree._parent
     size = tree._size
@@ -338,15 +313,16 @@ def _flat_subset_cover(tree: FlatKeyTree, subset: Set) -> List:
 
 
 def greedy_tree_cover(tree, users: Iterable) -> List:
-    """:func:`greedy_cover` semantics directly on a tree backend.
+    """:func:`greedy_cover` semantics directly on a key tree.
 
     Materializes the userset of every admissible node and runs the
-    classic greedy selection with incremental residuals — the subcast
-    ablation fallback.  On a tree the admissible nodes are the fully-
-    selected subtrees and greedy keeps exactly the maximal ones, so
-    the chosen *set* equals :func:`tree_subset_cover`'s (the result is
-    node-id sorted to make that identity literal); the difference the
-    ablation attributes is the ``Σ|userset|`` materialization cost.
+    classic greedy selection with incremental residuals — the reference
+    :func:`tree_subset_cover` is tested against.  On a tree the
+    admissible nodes are the fully-selected subtrees and greedy keeps
+    exactly the maximal ones, so the chosen *set* equals
+    :func:`tree_subset_cover`'s (the result is node-id sorted to make
+    that identity literal), at ``Σ|userset|`` materialization cost.
+    Walks node handles, so it runs on ``KeyTree`` and ``FlatKeyTree``.
     """
     subset = set(users)
     if not subset:

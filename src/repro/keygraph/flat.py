@@ -4,7 +4,7 @@
 several million heap objects, each with pointer-chased parent/child
 links, which caps group size on memory and traversal cost long before
 the paper's O(log n) rekeying does.  :class:`FlatKeyTree` implements the
-same tree-backend surface over contiguous storage instead:
+same surface over contiguous storage instead:
 
 * topology in flat integer arrays (``parent``, ``first_child``,
   ``next_sibling``, ``n_children``) indexed by slot;
@@ -17,15 +17,15 @@ same tree-backend surface over contiguous storage instead:
   paper's breadth-first joining-point search from O(n) into an
   O(log n) root-to-target descent.
 
-Byte-identity with the object backend is the contract: both backends
+Byte-identity with the ``KeyTree`` reference is the contract: both
 draw keys from the shared keygen in exactly the same order, assign the
 same node ids, and pick the same joining points, so rekey messages are
 bit-for-bit identical (pinned by the lockstep equivalence suite and the
 golden digests).
 
 Slots freed by leaves/splices are recycled through a free list while
-``node_id`` allocation stays strictly increasing, mirroring the object
-backend's id sequence.  Handles (:class:`FlatNode`) are cheap ephemeral
+``node_id`` allocation stays strictly increasing, mirroring ``KeyTree``'s
+id sequence.  Handles (:class:`FlatNode`) are cheap ephemeral
 views; a handle to a detached node is valid until the next mutation.
 Detached nodes that leave the tree for good (a departed member's leaf,
 a spliced interior) are returned as plain :class:`TreeNode` snapshots so
@@ -106,7 +106,7 @@ class FlatNode:
     ``key``, ``version``, ``user_id``, ``size``, ``is_leaf``,
     ``parent``, ``children``, ``replace_key``, ``path_to_root``) so the
     strategies, persistence, analysis and observability layers work
-    unchanged over either backend.
+    unchanged over either tree.
     """
 
     __slots__ = ("_tree", "index")
@@ -186,8 +186,6 @@ class FlatNode:
 
 class FlatKeyTree:
     """Single-root key tree over flat arrays; same surface as KeyTree."""
-
-    backend_name = "flat"
 
     def __init__(self, degree: int, keygen: Callable[[], bytes]):
         if degree < 2:
@@ -351,7 +349,8 @@ class FlatKeyTree:
         """Bulk-build a full, balanced tree over ``(user, key)`` pairs.
 
         Same top-down division, node-id assignment and keygen draw order
-        as :meth:`KeyTree.build` — the built trees are byte-identical.
+        as the ``KeyTree`` reference's ``build`` — the built trees are
+        byte-identical.
         """
         tree = cls(degree, keygen)
         members = list(members)
@@ -426,7 +425,7 @@ class FlatKeyTree:
             self._root = by_id[root_id]
             self._refresh_subtree(self._root)
             # Rebuild the member registry in DFS pre-order, matching the
-            # object backend's restore order exactly.
+            # ``KeyTree``'s restore order exactly.
             stack = [self._root]
             while stack:
                 i = stack.pop()
@@ -492,7 +491,7 @@ class FlatKeyTree:
 
     @property
     def n_keys(self) -> int:
-        """Total number of keys held by the server (O(1) on this backend)."""
+        """Total number of keys held by the server (O(1) here)."""
         return len(self._parent) - len(self._free) if self._root >= 0 else 0
 
     def nodes_with_depth(self) -> Iterable[Tuple[FlatNode, int]]:
@@ -559,7 +558,7 @@ class FlatKeyTree:
         """Number of users below ``node`` (O(1): maintained per slot)."""
         return self._size[node.index]
 
-    # -- surgery primitives (TreeBackend protocol surface) -----------------
+    # -- surgery primitives (batch flush, cluster namespacing) --------------
 
     def new_leaf(self, user_id: str, key: bytes) -> FlatNode:
         """Allocate and register a (detached) leaf for ``user_id``."""
@@ -662,8 +661,8 @@ class FlatKeyTree:
 
         Follows the ``open_d``/``leaf_d`` aggregates from the root,
         taking the leftmost child that achieves the minimum depth at
-        each level.  The reached node is exactly the one the object
-        backend's breadth-first scan returns: minimum depth first, and
+        each level.  The reached node is exactly the one ``KeyTree``'s
+        breadth-first scan returns: minimum depth first, and
         leftmost (lexicographically smallest root path) among ties —
         which is BFS visit order.
         """

@@ -84,8 +84,8 @@ class MaterializedKeyGraph:
         self.graph = KeyGraph()
         self.group_id = group_id
         # k-node name -> (integer wire id, version); the key bytes live
-        # in a flat arena indexed by wire id (same storage engine as the
-        # flat tree backend), not as per-key heap objects.
+        # in a flat arena indexed by wire id (same storage engine as
+        # FlatKeyTree), not as per-key heap objects.
         self._material: Dict[str, Tuple[int, int]] = {}
         self._arena = KeyArena()
         self._next_wire_id = 1

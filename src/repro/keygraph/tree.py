@@ -16,6 +16,13 @@ out interior nodes left with a single child.
 Key material lives on the nodes; every node carries a stable integer id
 and a version number that increments on each key replacement, so rekey
 messages can reference keys unambiguously.
+
+No server builds this class: every server runs
+:class:`~repro.keygraph.flat.FlatKeyTree`, the same tree over flat
+arrays.  ``KeyTree`` is its reference implementation — one plain object
+per k-node — and the lockstep tests hold the flat engine to it node id
+for node id and byte for byte (the role :mod:`repro.crypto.reference`
+plays for the ciphers).
 """
 
 from __future__ import annotations
@@ -73,9 +80,9 @@ class TreeNode:
 
     def __eq__(self, other: object) -> bool:
         # Node ids are unique within a tree, so id equality is node
-        # equality; handle-based backends (FlatKeyTree) produce fresh
-        # handle objects per access, which makes identity useless as an
-        # equality test across the tree-consuming code.
+        # equality; FlatKeyTree hands out a fresh handle (FlatNode)
+        # per access, which makes identity useless as an equality test
+        # across the tree-consuming code.
         if isinstance(other, TreeNode):
             return self.node_id == other.node_id
         return NotImplemented
@@ -178,8 +185,6 @@ class LeaveResult:
 
 class KeyTree:
     """Single-root key tree with bounded degree and balance maintenance."""
-
-    backend_name = "object"
 
     def __init__(self, degree: int, keygen: Callable[[], bytes]):
         if degree < 2:
@@ -349,7 +354,7 @@ class KeyTree:
         queue-driven pass hands every node its depth, so callers never
         re-walk a root path per leaf (O(n·h)) nor recurse (a height-h
         call stack overflows CPython's recursion limit long before the
-        million-member trees the flat backend targets).
+        million-member trees the flat engine targets).
         """
         if self.root is None:
             return
@@ -403,7 +408,7 @@ class KeyTree:
         """Number of users below ``node`` (O(1): maintained on the node)."""
         return node.size
 
-    # -- surgery primitives (the TreeBackend protocol surface) -------------
+    # -- surgery primitives (batch flush, cluster namespacing) --------------
     #
     # Callers that edit the tree (the per-request join/leave below, the
     # batch flush in ``batch.planner``, cluster namespacing) go through

@@ -21,7 +21,7 @@ clients.
 """
 
 from .config import (DEFAULT_WORKERS, ServeConfig, ServeError,
-                     default_server_config, from_spec_file, worker_count)
+                     from_spec_file, worker_count)
 from .core import (AsyncServingCore, ClusterServingCore,
                    CoalescingServingCore, ImmediateServingCore)
 from .endpoint import AsyncClusterService, AsyncKeyService
@@ -56,6 +56,6 @@ __all__ = [
     "ServeConfig", "ServeError", "SocketFanout", "SupervisedShard",
     "SupervisePolicy", "Supervisor", "SupervisorError",
     "attach_corr_trailer",
-    "attach_trailers", "default_server_config", "frame", "from_spec_file",
+    "attach_trailers", "frame", "from_spec_file",
     "read_frame", "split_corr_trailer", "split_trailers", "worker_count",
 ]

@@ -63,7 +63,6 @@ async def _amain(args) -> int:
               + (f", tcp {service.tcp_address}"
                  if service.tcp_address else ""))
         print(f"  mode={core.flavor} workers={worker_count(config)} "
-              f"backend={config.backend} "
               f"open-enroll={serve_config.open_enroll}"
               + (f" slos={len(slos)}" if slos else ""))
         if server.signing_keypair is not None:

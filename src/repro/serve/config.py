@@ -3,15 +3,12 @@
 :class:`ServeConfig` bundles the socket, concurrency and admission
 knobs; the group-protocol parameters stay in
 :class:`~repro.core.server.ServerConfig` (built from the paper's spec
-file).  ``from_spec``/``from_spec_file`` wire both together, defaulting
-the serving layer to the PR6 ``flat`` tree backend — the array engine
-is the right choice once a live server faces sustained churn — unless
-the spec names a backend explicitly.
+file); :func:`from_spec_file` loads the latter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.server import ServerConfig
@@ -118,32 +115,13 @@ class ServeConfig:
             raise ServeError("drain_deadline must be >= 0")
 
 
-def default_server_config(config: ServerConfig) -> ServerConfig:
-    """The serving layer's defaults applied over a protocol config.
-
-    Live serving defaults to the ``flat`` tree backend; a config that
-    chose a backend other than the dataclass default keeps its choice.
-    """
-    if config.backend == ServerConfig.backend:
-        return replace(config, backend="flat")
-    return config
-
-
 def worker_count(config: ServerConfig) -> int:
     """The executor size for a server config (0 = auto)."""
     return config.workers if config.workers > 0 else DEFAULT_WORKERS
 
 
 def from_spec_file(path: str) -> Tuple[ServerConfig, int]:
-    """Load a spec file with serving defaults applied.
-
-    Returns ``(server_config, initial_size)``; the returned config uses
-    the flat backend unless the spec file named one explicitly.
-    """
-    from ..specfile import parse_spec, config_from_spec
+    """Load a spec file: ``(server_config, initial_size)``."""
+    from ..specfile import config_from_spec
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    config, initial_size = config_from_spec(text)
-    if "backend" not in parse_spec(text):
-        config = replace(config, backend="flat")
-    return config, initial_size
+        return config_from_spec(handle.read())

@@ -439,8 +439,7 @@ async def self_hosted_cluster(n_shards: int = 3, seed: bytes = b"loadgen",
         instrumentation = Instrumentation("cluster",
                                           tracer=Tracer(capacity=8192))
     coordinator = ClusterCoordinator(
-        ClusterConfig(n_shards=n_shards, signing="none", seed=seed,
-                      backend="flat"),
+        ClusterConfig(n_shards=n_shards, signing="none", seed=seed),
         instrumentation=instrumentation)
     coordinator.bootstrap([])
     serve_config = config if config is not None else ServeConfig(

@@ -224,7 +224,7 @@ class Supervisor:
             bounds=LATENCY_BUCKETS_S).labels()
         self.flight = FlightRecorder(1024)
         base_server = (server_config if server_config is not None
-                       else ServerConfig(signing="none", backend="flat"))
+                       else ServerConfig(signing="none"))
         base_serve = (serve_config if serve_config is not None
                       else ServeConfig(tcp_port=None))
         self.shards: List[SupervisedShard] = []
@@ -552,8 +552,7 @@ async def _run_smoke(args) -> int:
         restart_backoff=0.1, mode=args.mode)
     supervisor = Supervisor(
         args.shards,
-        server_config=ServerConfig(signing="none", backend="flat",
-                                   seed=b"supervise-smoke"),
+        server_config=ServerConfig(signing="none", seed=b"supervise-smoke"),
         serve_config=ServeConfig(tcp_port=None, max_inflight=256,
                                  tick_interval=0.5),
         journal_dir=journal_dir, policy=policy)

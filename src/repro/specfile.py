@@ -21,7 +21,6 @@ The format is ``key = value`` lines with ``#`` comments:
     signing           = merkle       # none | per-message | merkle
     seed              = sigcomm98    # deterministic runs; omit for random
     access-list       = alice, bob   # omit for an open group
-    backend           = object       # object | flat (tree storage engine)
     workers           = 0            # serve-layer worker pool (0 = auto)
 
 Keys starting with ``slo-`` declare service-level objectives and are
@@ -46,8 +45,7 @@ class SpecError(ValueError):
 
 _KNOWN_KEYS = {
     "group-id", "graph", "initial-size", "degree", "strategy", "cipher",
-    "digest", "signature", "signing", "seed", "access-list", "backend",
-    "workers",
+    "digest", "signature", "signing", "seed", "access-list", "workers",
 }
 
 _DEFAULTS = {
@@ -60,7 +58,6 @@ _DEFAULTS = {
     "digest": "md5",
     "signature": "rsa-512",
     "signing": "merkle",
-    "backend": "object",
     "workers": "0",
 }
 
@@ -129,7 +126,6 @@ def config_from_spec(text: str) -> Tuple[ServerConfig, int]:
         signing=values["signing"],
         seed=seed.encode("utf-8") if seed is not None else None,
         access_list=access_list,
-        backend=values["backend"],
         workers=_parse_int(values, "workers", 0),
     )
     try:

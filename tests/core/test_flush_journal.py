@@ -8,20 +8,14 @@ on the live server's bytes.
 
 import os
 
-import pytest
-
 from repro.cluster.failover import WarmStandby
 from repro.core import persistence
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.keygraph.journal import TreeJournal
 
-BACKENDS = ("object", "flat")
-
-
-def _server(backend, signing="none"):
+def _server(signing="none"):
     return GroupKeyServer(ServerConfig(degree=3, signing=signing,
-                                       seed=b"flush-journal",
-                                       backend=backend))
+                                       seed=b"flush-journal"))
 
 
 def _key(server, index):
@@ -44,10 +38,9 @@ def _mixed_ops(server):
     server.flush([("n3", _key(server, 25))])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_restart_and_standby_match_the_live_server(tmp_path, backend):
+def test_restart_and_standby_match_the_live_server(tmp_path):
     path = str(tmp_path / "flush.journal")
-    live = _server(backend)
+    live = _server()
     persistence.attach_journal(live, path)
     _mixed_ops(live)
     live._journal.close()
@@ -56,17 +49,16 @@ def test_restart_and_standby_match_the_live_server(tmp_path, backend):
     restored = persistence.restore_from_journal(path, strict=True)
     assert persistence.snapshot(restored) == persistence.snapshot(live)
 
-    followed = _server(backend)
+    followed = _server()
     standby = WarmStandby(followed)
     _mixed_ops(followed)
     assert standby.snapshot() == persistence.snapshot(followed)
     assert standby.snapshot() == persistence.snapshot(live)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_torn_flush_record_loses_the_whole_flush_only(tmp_path, backend):
+def test_torn_flush_record_loses_the_whole_flush_only(tmp_path):
     path = str(tmp_path / "torn.journal")
-    live = _server(backend)
+    live = _server()
     persistence.attach_journal(live, path)
     _mixed_ops(live)
     before = persistence.snapshot(live)
@@ -87,7 +79,7 @@ def test_torn_flush_record_loses_the_whole_flush_only(tmp_path, backend):
 
 def test_join_and_leave_of_a_non_member_cancel(tmp_path):
     path = str(tmp_path / "cancel.journal")
-    server = _server("flat")
+    server = _server()
     server.bootstrap([(f"u{i}", _key(server, i)) for i in range(6)])
     persistence.attach_journal(server, path)
     ref = server.group_key_ref()
@@ -102,7 +94,7 @@ def test_join_and_leave_of_a_non_member_cancel(tmp_path):
 
 
 def test_merkle_flush_costs_one_signature():
-    server = _server("flat", signing="merkle")
+    server = _server(signing="merkle")
     server.bootstrap([(f"u{i}", _key(server, i)) for i in range(12)])
     before = server._signer.signatures_performed
     outcome = server.flush([(f"n{i}", _key(server, 20 + i))

@@ -27,8 +27,7 @@ from repro.serve.supervise import corrupt_journal_tail, tear_journal_tail
 def _build_journal(tmp_path) -> str:
     """A journal with every record type: checkpoint, register, ops, seq."""
     path = str(tmp_path / "shard.journal")
-    server = GroupKeyServer(ServerConfig(signing="none", seed=b"trunc",
-                                         backend="flat"))
+    server = GroupKeyServer(ServerConfig(signing="none", seed=b"trunc"))
     persistence.attach_journal(server, path)
     for i in range(8):
         server.join(f"m{i}", bytes([i + 1]) * server.suite.key_size)

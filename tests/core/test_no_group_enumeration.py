@@ -2,7 +2,7 @@
 
 A group address (``Destination.to_all()``) is resolved by the
 transport's audience index, never by the server.  This test wraps every
-membership enumerator — ``userset`` and ``users`` on both tree backends,
+membership enumerator — ``userset`` and ``users`` on the key tree,
 ``members`` on the star, the key servers and the cluster coordinator,
 and the arbitrary key graph's ``u_nodes`` — with a counter, drives each
 path that sends a group address, and requires the counter to stay at
@@ -25,11 +25,9 @@ from repro.keygraph.flat import FlatKeyTree
 from repro.keygraph.graph import KeyGraph
 from repro.keygraph.materialized import MaterializedKeyGraph
 from repro.keygraph.star import StarGroup
-from repro.keygraph.tree import KeyTree
 from repro.serve import ClusterServingCore, ImmediateServingCore, ServeConfig
 
 ENUMERATORS = (
-    (KeyTree, "userset"), (KeyTree, "users"),
     (FlatKeyTree, "userset"), (FlatKeyTree, "users"),
     (StarGroup, "members"), (GroupKeyServer, "members"),
     (ClusterCoordinator, "members"),
@@ -99,9 +97,8 @@ def bootstrapped_server(**overrides):
     return server
 
 
-@pytest.mark.parametrize("backend", ["object", "flat"])
-def test_group_oriented_join_leave_refresh_and_data(enumerations, backend):
-    server = bootstrapped_server(backend=backend)
+def test_group_oriented_join_leave_refresh_and_data(enumerations):
+    server = bootstrapped_server()
     key = server.new_individual_key()
     with enumerations:
         outcomes = [server.join("n0", key), server.leave("u3"),
@@ -193,7 +190,7 @@ def _serve(core, requests, between=None):
 
 
 def test_immediate_serving_core(enumerations):
-    server = bootstrapped_server(backend="flat")
+    server = bootstrapped_server()
     core = ImmediateServingCore(server, ServeConfig(
         tick_interval=0, open_enroll=True, tcp_port=None))
     sent = []
@@ -207,7 +204,7 @@ def test_immediate_serving_core(enumerations):
 def test_cluster_serving_core_across_a_promotion(enumerations):
     coordinator = ClusterCoordinator(ClusterConfig(
         n_shards=3, degree=3, suite=PAPER_SUITE_NO_SIG,
-        seed=b"no-enumeration", backend="flat"))
+        seed=b"no-enumeration"))
     coordinator.bootstrap([(f"u{i}", coordinator.new_individual_key())
                            for i in range(24)])
     coordinator.enable_standbys()

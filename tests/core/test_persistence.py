@@ -1,6 +1,7 @@
 """Server snapshot/restore and warm-standby failover (paper §6)."""
 
 import json
+import time as _time
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.persistence import (PersistenceError, restore,
                                     snapshot_encrypted)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
+from repro.keygraph.flat import FlatKeyTree
 
 from ..delivery import deliver
 
@@ -40,6 +42,33 @@ def test_snapshot_restores_identical_state():
     standby_nodes = {(n.node_id, n.version, n.key, n.user_id)
                      for n in standby.tree.nodes()}
     assert primary_nodes == standby_nodes
+
+
+def test_restore_ignores_a_parent_format_backend_key(monkeypatch):
+    """Snapshots written while the tree engine was a config option name
+    it (``"backend": "object"``).  Restore ignores the key: it rebuilds
+    the same tree onto FlatKeyTree, and the standby's next join is
+    byte-identical to one restored from the current format."""
+    primary = populated()
+    primary.join("joiner", primary.new_individual_key())
+    doc = json.loads(snapshot(primary))
+    assert "backend" not in doc["config"]
+    doc["config"]["backend"] = "object"
+    standby = restore(json.dumps(doc).encode("utf-8"), seed=b"standby")
+    assert type(standby.tree) is FlatKeyTree
+    assert standby.group_key() == primary.group_key()
+    assert [(n.node_id, n.version, n.key, n.user_id)
+            for n in standby.tree.nodes()] == \
+           [(n.node_id, n.version, n.key, n.user_id)
+            for n in primary.tree.nodes()]
+
+    control = restore(snapshot(primary), seed=b"standby")
+    monkeypatch.setattr(_time, "time_ns", lambda: 1_234_567_891_000)
+    key = bytes([7]) * primary.suite.key_size
+    wires = [[m.encoded for m in server.join("next", key).all_messages]
+             for server in (standby, control)]
+    assert wires[0] == wires[1]
+    assert wires[0]
 
 
 def test_failover_is_transparent_to_clients():

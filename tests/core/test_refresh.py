@@ -53,10 +53,10 @@ def test_refresh_empty_group_rejected():
 def test_refresh_does_not_change_subgroup_keys():
     server, _clients = make_world()
     subgroup_keys = {node.node_id: node.key for node in server.tree.nodes()
-                     if node is not server.tree.root}
+                     if node != server.tree.root}
     server.refresh()
     for node in server.tree.nodes():
-        if node is not server.tree.root:
+        if node != server.tree.root:
             assert node.key == subgroup_keys[node.node_id]
 
 

@@ -17,7 +17,7 @@ from repro.core.strategies import (GroupOrientedStrategy, HybridStrategy,
 from repro.core.strategies.base import subtree_receivers
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.suite import PAPER_SUITE
-from repro.keygraph.backend import build_tree
+from repro.keygraph.flat import FlatKeyTree
 from repro.keygraph.tree import KeyTree
 from repro.transport.inmemory import InMemoryNetwork
 
@@ -239,12 +239,11 @@ class TestSubtreeReceivers:
     membership returned, order included; a subtree resolver returns
     ``userset`` as it is, without touching the tree."""
 
-    @pytest.mark.parametrize("backend", ["object", "flat"])
-    def test_matches_per_member_filter(self, backend):
-        source = HmacDrbg(b"receivers-" + backend.encode())
+    def test_matches_per_member_filter(self):
+        source = HmacDrbg(b"receivers-flat")
         keygen = lambda: source.generate(8)
-        tree = build_tree(backend, [(f"u{i}", keygen()) for i in range(40)],
-                          4, keygen)
+        tree = FlatKeyTree.build([(f"u{i}", keygen()) for i in range(40)],
+                                 4, keygen)
         tree.join("joiner", keygen())
         users_before = list(tree.users())
         index = subscribed(users_before).audience

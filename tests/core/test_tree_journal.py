@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import persistence
 from repro.core.server import GroupKeyServer, ServerConfig, ServerError
-from repro.keygraph.backend import build_tree
+from repro.keygraph.flat import FlatKeyTree
 from repro.keygraph.journal import JournalError, TreeJournal
 
 
@@ -29,12 +29,11 @@ def churn(server, joins=6, leaves=3, refresh=True):
         server.refresh()
 
 
-@pytest.mark.parametrize("backend", ["object", "flat"])
 @pytest.mark.parametrize("seed", [b"journal-seed", None])
-def test_replay_round_trip(tmp_path, backend, seed):
+def test_replay_round_trip(tmp_path, seed):
     path = str(tmp_path / "ops.journal")
     server = GroupKeyServer(ServerConfig(degree=3, strategy="group",
-                                         seed=seed, backend=backend))
+                                         seed=seed))
     persistence.attach_journal(server, path)
     server.bootstrap([(f"m{i}", bytes([i + 1]) * 8) for i in range(9)])
     churn(server)
@@ -53,8 +52,7 @@ def test_replayed_server_diverges_in_future_keys(tmp_path):
     reseed into the standby's DRBG, so future key material diverges —
     running primary and standby in parallel must never reuse keys."""
     path = str(tmp_path / "ops.journal")
-    server = GroupKeyServer(ServerConfig(degree=3, seed=b"continue",
-                                         backend="flat"))
+    server = GroupKeyServer(ServerConfig(degree=3, seed=b"continue"))
     persistence.attach_journal(server, path)
     server.bootstrap([(f"m{i}", bytes([i + 1]) * 8) for i in range(7)])
     churn(server, refresh=False)
@@ -70,7 +68,7 @@ def test_mid_journal_checkpoint_truncates_replay(tmp_path):
     """Snapshotting mid-stream writes a new checkpoint; replay resumes
     from the *last* one and only re-applies ops recorded after it."""
     path = str(tmp_path / "ops.journal")
-    server = GroupKeyServer(ServerConfig(seed=b"ckpt", backend="flat"))
+    server = GroupKeyServer(ServerConfig(seed=b"ckpt"))
     journal = persistence.attach_journal(server, path)
     server.bootstrap([("a", b"\x01" * 8), ("b", b"\x02" * 8)])
     server.join("c", server.new_individual_key())
@@ -90,7 +88,7 @@ def test_torn_tail_is_dropped(tmp_path):
     """A crash mid-append leaves a torn record; replay keeps everything
     before it and drops only the tail."""
     path = str(tmp_path / "ops.journal")
-    server = GroupKeyServer(ServerConfig(seed=b"torn", backend="flat"))
+    server = GroupKeyServer(ServerConfig(seed=b"torn"))
     persistence.attach_journal(server, path)
     server.bootstrap([("a", b"\x01" * 8), ("b", b"\x02" * 8)])
     server.join("c", server.new_individual_key())
@@ -134,8 +132,7 @@ def test_append_hex_encodes_bytes(tmp_path):
                       "seq": 7}
 
 
-@pytest.mark.parametrize("backend", ["object", "flat"])
-def test_apply_record_low_level(backend):
+def test_apply_record_low_level():
     """Hand-built op records apply as pure tree edits, seq included."""
     recorded = []
 
@@ -146,7 +143,7 @@ def test_apply_record_low_level(backend):
             return key
 
     members = [("a", b"\xaa" * 8), ("b", b"\xbb" * 8)]
-    tree = build_tree(backend, members, 3, Recorder())
+    tree = FlatKeyTree.build(members, 3, Recorder())
     build_draws = len(recorded)
     ops = []
     tree.join("c", b"\xcc" * 8)
@@ -161,10 +158,9 @@ def test_apply_record_low_level(backend):
 
     # Twin: rebuild with the same build-time draws, then apply the op
     # records — no keygen is consulted during replay.
-    twin = GroupKeyServer(ServerConfig(degree=3, signing="none",
-                                       backend=backend))
-    twin.tree = build_tree(backend, members, 3,
-                           _replay_list(recorded[:build_draws]))
+    twin = GroupKeyServer(ServerConfig(degree=3, signing="none"))
+    twin.tree = FlatKeyTree.build(members, 3,
+                                  _replay_list(recorded[:build_draws]))
     for record in ops:
         assert persistence.apply_record(twin, record) is twin
     assert twin._seq == 2
@@ -182,7 +178,7 @@ def test_denied_duplicate_join_keeps_registration(tmp_path):
     registered key, so the journal (which records the registration but
     not the refusal) still replays to the live state."""
     path = str(tmp_path / "ops.journal")
-    server = GroupKeyServer(ServerConfig(seed=b"dup", backend="flat"))
+    server = GroupKeyServer(ServerConfig(seed=b"dup"))
     with persistence.attach_journal(server, path):
         server.bootstrap([("a", b"\x01" * 8), ("b", b"\x02" * 8)])
         server.register_individual_key("a", server.new_individual_key())
@@ -200,7 +196,7 @@ def _replay_list(keys):
 
 def test_journal_file_grows_append_only(tmp_path):
     path = str(tmp_path / "grow.journal")
-    server = GroupKeyServer(ServerConfig(seed=b"grow", backend="flat"))
+    server = GroupKeyServer(ServerConfig(seed=b"grow"))
     persistence.attach_journal(server, path)
     server.bootstrap([("a", b"\x01" * 8)])
     sizes = [os.path.getsize(path)]

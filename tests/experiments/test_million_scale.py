@@ -14,12 +14,8 @@ class TestFeatureFlagsAblation:
         names = [name for name, _ in ALL_EXPERIMENTS]
         assert "Ablation: feature flags" in names
 
-    def test_flags_cover_backend_and_journal(self):
-        assert set(ablations.FEATURE_FLAGS) >= {"flat-backend",
-                                                "tree-journal"}
-        flat = ablations.FEATURE_FLAGS["flat-backend"]
-        assert flat["server_config"] == {"backend": "flat"}
-        assert ablations.FEATURE_FLAGS["tree-journal"]["journal"] is True
+    def test_flags_cover_the_journal(self):
+        assert set(ablations.FEATURE_FLAGS) == {"tree-journal"}
 
     def test_every_flag_state_identical(self):
         table = ablations.feature_flags(TINY)

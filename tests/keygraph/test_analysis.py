@@ -8,7 +8,7 @@ from repro.keygraph.analysis import (TreeShape, assert_balanced,
 from repro.keygraph.tree import KeyTree
 
 
-def make_tree(n, degree=4, seed=b"analysis"):
+def sample_tree(n, degree=4, seed=b"analysis"):
     source = HmacDrbg(seed)
     keygen = lambda: source.generate(8)
     return KeyTree.build([(f"u{i}", keygen()) for i in range(n)],
@@ -16,7 +16,7 @@ def make_tree(n, degree=4, seed=b"analysis"):
 
 
 def test_perfect_tree_shape():
-    tree, _ = make_tree(64, 4)
+    tree, _ = sample_tree(64, 4)
     shape = measure(tree)
     assert shape.n_users == 64
     assert shape.height == shape.optimal_height == 4
@@ -28,7 +28,7 @@ def test_perfect_tree_shape():
 
 
 def test_single_user_shape():
-    tree, _ = make_tree(1)
+    tree, _ = sample_tree(1)
     shape = measure(tree)
     assert shape.height == shape.optimal_height == 2
 
@@ -40,19 +40,19 @@ def test_empty_tree_rejected():
 
 
 def test_leaf_depth_histogram():
-    tree, _ = make_tree(64, 4)
+    tree, _ = sample_tree(64, 4)
     assert leaf_depth_histogram(tree) == {4: 64}
-    tree2, _ = make_tree(10, 3)
+    tree2, _ = sample_tree(10, 3)
     histogram = leaf_depth_histogram(tree2)
     assert sum(histogram.values()) == 10
     assert set(histogram) <= {3, 4}
 
 
 def test_assert_balanced_passes_and_fails():
-    tree, keygen = make_tree(27, 3)
+    tree, keygen = sample_tree(27, 3)
     assert_balanced(tree, slack=0)
     # Degenerate tree: chain joins into a 2-ary tree built by splits.
-    skewed, keygen = make_tree(2, 2, seed=b"skew")
+    skewed, keygen = sample_tree(2, 2, seed=b"skew")
     # Force artificial depth by splitting the same branch repeatedly:
     # manual surgery (analysis must catch what edits would never make).
     leaf = skewed.leaf_of("u0")
@@ -70,7 +70,7 @@ def test_assert_balanced_passes_and_fails():
 
 
 def test_heuristic_keeps_balance_under_churn():
-    tree, keygen = make_tree(100, 4, seed=b"churn")
+    tree, keygen = sample_tree(100, 4, seed=b"churn")
     source = HmacDrbg(b"churn-ops")
     alive = [f"u{i}" for i in range(100)]
     for step in range(300):

@@ -1,11 +1,14 @@
-"""Object vs flat backend lockstep: same ids, same keys, same bytes.
+"""FlatKeyTree vs the KeyTree reference in lockstep: same ids, same
+keys, same bytes.
 
-The flat backend's contract is byte-identity, not just behavioural
-equivalence: both backends draw from the keygen in the same order,
-assign the same node ids, and pick the same joining points, so every
-rekey message is bit-for-bit identical.  These properties drive random
-join/leave/refresh histories through both backends in lockstep and
+The served engine's contract is byte-identity with the reference, not
+just behavioural equivalence: both draw from the keygen in the same
+order, assign the same node ids, and pick the same joining points, so
+every rekey message is bit-for-bit identical.  These properties drive
+random join/leave/refresh histories through both trees in lockstep and
 compare topology, versions, key material and wire bytes at every step.
+The server-level tests run a plain (flat) server against one whose trees
+were swapped for ``KeyTree`` twins (:mod:`tests.keygraph.reference`).
 
 Message headers embed a wall-clock timestamp, so the wire-byte tests
 freeze ``time.time_ns`` around both servers.
@@ -20,9 +23,10 @@ from hypothesis import strategies as st
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.drbg import HmacDrbg
-from repro.keygraph.backend import BACKENDS, build_tree, make_tree
 from repro.keygraph.flat import FlatKeyTree
 from repro.keygraph.tree import KeyTree
+
+from .reference import swap_in_reference
 
 
 def make_keygen(seed):
@@ -48,12 +52,6 @@ def frozen_clock(value_ns=1_234_567_891_000):
         _time.time_ns = real
 
 
-def test_backend_registry():
-    assert BACKENDS == {"object": KeyTree, "flat": FlatKeyTree}
-    assert isinstance(make_tree("flat", 3, make_keygen(b"r")), FlatKeyTree)
-    assert isinstance(make_tree(None, 3, make_keygen(b"r")), KeyTree)
-
-
 def test_build_is_byte_identical():
     members = [(f"u{i}", bytes([i]) * 8) for i in range(37)]
     for degree in (2, 3, 4, 7):
@@ -65,14 +63,14 @@ def test_build_is_byte_identical():
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_lockstep_churn_is_byte_identical(data):
-    """Property: any join/leave/refresh history leaves both backends
+    """Property: any join/leave/refresh history leaves both trees
     with identical node ids, versions, key bytes and structure — and
     identical edit results at every single step."""
     degree = data.draw(st.integers(min_value=2, max_value=5))
     n = data.draw(st.integers(min_value=0, max_value=25))
     members = [(f"u{i}", bytes([i]) * 8) for i in range(n)]
-    obj = build_tree("object", members, degree, make_keygen(b"lock"))
-    flat = build_tree("flat", members, degree, make_keygen(b"lock"))
+    obj = KeyTree.build(members, degree, make_keygen(b"lock"))
+    flat = FlatKeyTree.build(members, degree, make_keygen(b"lock"))
     alive = [user_id for user_id, _ in members]
     counter = 0
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
@@ -123,7 +121,7 @@ def drive(server, script):
 @settings(max_examples=10, deadline=None)
 def test_server_wire_bytes_identical(data):
     """Property: a GroupKeyServer emits bit-identical rekey messages on
-    either backend, for every strategy."""
+    FlatKeyTree and on the KeyTree reference, for every strategy."""
     strategy = data.draw(st.sampled_from(["user", "key", "group", "hybrid"]))
     n = data.draw(st.integers(min_value=1, max_value=12))
     members = [(f"m{i}", bytes([40 + i]) * 8) for i in range(n)]
@@ -147,25 +145,28 @@ def test_server_wire_bytes_identical(data):
 
     wires = {}
     with frozen_clock():
-        for backend in ("object", "flat"):
+        for tree in ("object", "flat"):
             server = GroupKeyServer(ServerConfig(
-                degree=3, strategy=strategy, seed=b"wire-equiv",
-                backend=backend))
+                degree=3, strategy=strategy, seed=b"wire-equiv"))
             server.bootstrap(members)
-            wires[backend] = drive(server, script)
+            if tree == "object":
+                swap_in_reference(server)
+            wires[tree] = drive(server, script)
     assert wires["object"] == wires["flat"]
 
 
 def test_batch_flush_wire_bytes_identical():
     """GroupKeyServer.flush: windows of joins/leaves flush to identical
-    bytes on both tree backends."""
+    bytes on FlatKeyTree and on the KeyTree reference."""
     members = [(f"b{i}", bytes([i + 1]) * 8) for i in range(17)]
     wires = {}
     with frozen_clock():
-        for backend in ("object", "flat"):
+        for tree in ("object", "flat"):
             server = GroupKeyServer(ServerConfig(
-                degree=3, seed=b"batch-equiv", backend=backend))
+                degree=3, seed=b"batch-equiv"))
             server.bootstrap(members)
+            if tree == "object":
+                swap_in_reference(server)
             wire = []
             for interval in range(4):
                 joins = [(f"j{interval}-{k}", server.new_individual_key())
@@ -175,36 +176,38 @@ def test_batch_flush_wire_bytes_identical():
                     joins, [f"b{interval * 3}", f"j{interval}-1"])
                 wire.extend(m.encoded for m in outcome.rekey_messages)
             wire.extend(m.encoded for m in server.evict(["b1", "b2"]))
-            wires[backend] = wire
+            wires[tree] = wire
     assert wires["object"] == wires["flat"]
     assert wires["object"]  # the comparison actually saw traffic
 
 
 def test_cluster_wire_bytes_identical():
-    """Sharded cluster: per-shard trees and the root layer both follow
-    the configured backend and emit identical bytes."""
+    """Sharded cluster: with every shard tree and the root-layer tree
+    swapped for the reference, the cluster emits identical bytes."""
     members = [(f"c{i}", bytes([i + 3]) * 8) for i in range(24)]
     wires = {}
     with frozen_clock():
-        for backend in ("object", "flat"):
+        for tree in ("object", "flat"):
             cluster = ClusterCoordinator(ClusterConfig(
-                n_shards=3, degree=3, seed=b"cluster-equiv",
-                backend=backend))
+                n_shards=3, degree=3, seed=b"cluster-equiv"))
             cluster.bootstrap(members)
+            if tree == "object":
+                swap_in_reference(cluster)
             wire = []
             for i in range(6):
                 outcome = cluster.join(f"cx{i}", bytes([100 + i]) * 8)
                 wire.extend(m.encoded for m in outcome.all_messages)
                 outcome = cluster.leave(f"c{i * 2}")
                 wire.extend(m.encoded for m in outcome.all_messages)
-            wires[backend] = wire
+            wires[tree] = wire
     assert wires["object"] == wires["flat"]
     assert wires["object"]
 
 
 def test_flat_backend_golden_digest_inputs():
     """The fingerprint the golden-digest suite hashes (topology + key
-    bytes) is backend-independent even through leaf splits and splices."""
+    bytes) is the same on both trees even through leaf splits and
+    splices."""
     keygen_a, keygen_b = make_keygen(b"gold"), make_keygen(b"gold")
     obj = KeyTree(2, keygen_a)
     flat = FlatKeyTree(2, keygen_b)

@@ -90,7 +90,7 @@ def test_no_cover_exists():
         greedy_cover(secure, ["u1"])
 
 
-def make_tree(n, degree, seed=b"cover-tree"):
+def sample_tree(n, degree, seed=b"cover-tree"):
     source = HmacDrbg(seed)
     keygen = lambda: source.generate(8)
     return KeyTree.build([(f"u{i}", keygen()) for i in range(n)],
@@ -98,7 +98,7 @@ def make_tree(n, degree, seed=b"cover-tree"):
 
 
 def test_tree_cover_structure():
-    tree = make_tree(27, 3)
+    tree = sample_tree(27, 3)
     cover = tree_cover(tree, "u0")
     users_covered = set()
     for node in cover:
@@ -109,7 +109,7 @@ def test_tree_cover_structure():
 
 
 def test_tree_cover_is_disjoint():
-    tree = make_tree(16, 4)
+    tree = sample_tree(16, 4)
     cover = tree_cover(tree, "u7")
     seen = set()
     for node in cover:
@@ -124,7 +124,7 @@ def test_tree_cover_is_disjoint():
 @settings(max_examples=25, deadline=None)
 def test_tree_cover_property(n, degree, victim):
     victim %= n
-    tree = make_tree(n, degree)
+    tree = sample_tree(n, degree)
     cover = tree_cover(tree, f"u{victim}")
     covered = set()
     for node in cover:
@@ -133,7 +133,7 @@ def test_tree_cover_property(n, degree, victim):
 
 
 def test_tree_cover_matches_exact_minimum_small():
-    tree = make_tree(9, 3)
+    tree = sample_tree(9, 3)
     group = tree.to_key_graph().secure_group()
     target = set(tree.users()) - {"u4"}
     structural = tree_cover(tree, "u4")

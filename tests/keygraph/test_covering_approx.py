@@ -6,10 +6,10 @@ Three families of invariants:
   the target, nothing outside it) whenever one exists;
 * at small instance sizes the sizes nest: ``len(exact) <= len(greedy)``
   and greedy respects the classic ``H_k`` approximation bound;
-* on key trees the structural covers agree across backends — the flat
-  array fast path returns the identical (node id, version) cover the
-  object walk does on lockstep trees, and ``tree_cover`` is exactly
-  ``complement_cover({user})``.
+* on key trees the structural cover agrees with the reference — the
+  flat array walk returns the identical (node id, version) cover
+  ``greedy_tree_cover`` picks on a lockstep ``KeyTree``, and
+  ``tree_cover`` is exactly ``complement_cover({user})``.
 """
 
 import math
@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
-from repro.keygraph.backend import build_tree
 from repro.keygraph.covering import (complement_cover, exact_cover,
                                      greedy_cover, greedy_tree_cover,
                                      group_from_set_cover, is_cover,
                                      partition_cover, tree_cover,
                                      tree_subset_cover)
+from repro.keygraph.flat import FlatKeyTree
+from repro.keygraph.tree import KeyTree
 
 
 def make_keygen(seed):
@@ -95,14 +96,14 @@ def test_partition_cover_is_minimum_on_laminar_instances(instance):
     assert len(approx) == len(exact)
 
 
-# -- tree covers across backends -----------------------------------------------
+# -- tree covers: FlatKeyTree against the KeyTree reference -------------------
 
 
 def lockstep_trees(n, degree, seed):
     members = [(f"u{index:03d}", bytes([index % 251]) * 8)
                for index in range(n)]
-    obj = build_tree("object", members, degree, make_keygen(seed))
-    flat = build_tree("flat", members, degree, make_keygen(seed))
+    obj = KeyTree.build(members, degree, make_keygen(seed))
+    flat = FlatKeyTree.build(members, degree, make_keygen(seed))
     return obj, flat, [name for name, _key in members]
 
 
@@ -117,10 +118,10 @@ def refs(cover):
 def test_flat_and_object_subset_covers_are_identical(n, degree, rng):
     obj, flat, users = lockstep_trees(n, degree, b"approx-eq")
     subset = rng.sample(users, rng.randint(1, n))
-    cover_obj = tree_subset_cover(obj, subset)
+    cover_obj = greedy_tree_cover(obj, subset)
     cover_flat = tree_subset_cover(flat, subset)
     assert refs(cover_obj) == refs(cover_flat)
-    covered = [user for node in cover_obj for user in obj.userset(node)]
+    covered = [user for node in cover_flat for user in flat.userset(node)]
     assert sorted(covered) == sorted(subset)
 
 
@@ -131,9 +132,9 @@ def test_flat_and_object_subset_covers_are_identical(n, degree, rng):
 def test_greedy_tree_cover_matches_structural_cover(n, degree, rng):
     obj, flat, users = lockstep_trees(n, degree, b"approx-greedy")
     subset = rng.sample(users, rng.randint(1, n))
+    structural = refs(tree_subset_cover(flat, subset))
     for tree in (obj, flat):
-        assert refs(greedy_tree_cover(tree, subset)) == \
-            refs(tree_subset_cover(tree, subset))
+        assert refs(greedy_tree_cover(tree, subset)) == structural
 
 
 @settings(max_examples=40, deadline=None)

@@ -56,7 +56,7 @@ def test_live_server_key_matches_control_despite_drops():
     config = _config()
     ops = serve_workload(config)
     server = GroupKeyServer(ServerConfig(
-        signing="none", seed=config.seed, backend="flat"))
+        signing="none", seed=config.seed))
     keys = _individual_keys(ops, server.config.suite)
     control = _control_run(config, ops, keys)
 

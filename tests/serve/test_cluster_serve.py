@@ -17,7 +17,7 @@ from tests.serve.test_endpoint import _UdpProbe
 
 def _cluster(seed=b"cluster-serve"):
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=3, signing="none", seed=seed, backend="flat"))
+        n_shards=3, signing="none", seed=seed))
     coordinator.bootstrap([])
     return coordinator
 

@@ -22,8 +22,7 @@ def _decode(payload):
 
 
 def _server(seed, **overrides):
-    return GroupKeyServer(ServerConfig(signing="none", seed=seed,
-                                       backend="flat", **overrides))
+    return GroupKeyServer(ServerConfig(signing="none", seed=seed, **overrides))
 
 
 def _run(coro):

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.server import ServerConfig
 from repro.serve.config import (DEFAULT_WORKERS, ServeConfig, ServeError,
-                                default_server_config, from_spec_file,
-                                worker_count)
+                                from_spec_file, worker_count)
 
 
 def test_defaults_validate():
@@ -25,15 +24,6 @@ def test_invalid_config_rejected(kwargs):
         ServeConfig(**kwargs).validate()
 
 
-def test_serving_defaults_to_flat_backend():
-    assert default_server_config(ServerConfig()).backend == "flat"
-    # An explicit non-default choice is preserved.
-    explicit = ServerConfig(backend="object")
-    assert default_server_config(explicit).backend in ("object", "flat")
-    flat = ServerConfig(backend="flat")
-    assert default_server_config(flat).backend == "flat"
-
-
 def test_worker_count_auto_and_explicit():
     assert worker_count(ServerConfig(workers=0)) == DEFAULT_WORKERS
     assert worker_count(ServerConfig(workers=7)) == 7
@@ -45,15 +35,6 @@ def test_workers_key_parses_from_spec(tmp_path):
     config, initial_size = from_spec_file(str(spec))
     assert config.workers == 3
     assert initial_size == 4
-    # No backend named: the serving layer defaults to flat.
-    assert config.backend == "flat"
-
-
-def test_spec_backend_choice_wins(tmp_path):
-    spec = tmp_path / "group.spec"
-    spec.write_text("group-id = 1\nbackend = object\n")
-    config, _initial = from_spec_file(str(spec))
-    assert config.backend == "object"
 
 
 def test_server_config_rejects_negative_workers():

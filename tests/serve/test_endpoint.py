@@ -20,7 +20,7 @@ _BUFFER = 65535
 
 
 def _server(seed=b"endpoint-test", **overrides):
-    config = ServerConfig(signing="none", seed=seed, backend="flat",
+    config = ServerConfig(signing="none", seed=seed,
                           **overrides)
     return GroupKeyServer(config)
 

@@ -74,7 +74,7 @@ class FanoutIndexMachine(RuleBasedStateMachine):
 
     def build_core(self):
         server = GroupKeyServer(ServerConfig(
-            signing="none", seed=b"fanout-model", backend="flat", degree=3))
+            signing="none", seed=b"fanout-model", degree=3))
         server.bootstrap([(user, server.new_individual_key())
                           for user in ROSTER])
         self.register = server.register_individual_key
@@ -266,8 +266,7 @@ class ClusterFanoutIndexMachine(FanoutIndexMachine):
 
     def build_core(self):
         coordinator = ClusterCoordinator(ClusterConfig(
-            n_shards=3, signing="none", seed=b"fanout-model",
-            backend="flat", degree=3))
+            n_shards=3, signing="none", seed=b"fanout-model", degree=3))
         coordinator.bootstrap([(user, coordinator.new_individual_key())
                                for user in ROSTER])
         self.register = coordinator.register_individual_key

@@ -22,8 +22,7 @@ def _run(coro):
 
 
 def _core(**overrides):
-    server = GroupKeyServer(ServerConfig(signing="none", seed=b"idem-test",
-                                         backend="flat"))
+    server = GroupKeyServer(ServerConfig(signing="none", seed=b"idem-test"))
     base = dict(tick_interval=0, open_enroll=False)
     base.update(overrides)
     return server, ImmediateServingCore(server, ServeConfig(**base))

@@ -23,7 +23,7 @@ def _request(msg_type, user):
 
 def _server(seed):
     return GroupKeyServer(
-        ServerConfig(signing="none", seed=seed, backend="flat"))
+        ServerConfig(signing="none", seed=seed))
 
 
 def test_coalesce_contended_joiners_still_get_path_keys():

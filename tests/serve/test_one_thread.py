@@ -105,12 +105,12 @@ def _service(flavour):
                          coalesce_interval=0.01)
     if flavour in ("immediate", "coalesce"):
         server = GroupKeyServer(ServerConfig(
-            signing="none", seed=b"one-thread", backend="flat"))
+            signing="none", seed=b"one-thread"))
         core = (ImmediateServingCore if flavour == "immediate"
                 else CoalescingServingCore)
         return AsyncKeyService(core(server, config))
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=3, signing="none", seed=b"one-thread", backend="flat"))
+        n_shards=3, signing="none", seed=b"one-thread"))
     coordinator.bootstrap([])
     return AsyncClusterService(ClusterServingCore(coordinator, config))
 

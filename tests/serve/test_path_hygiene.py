@@ -41,7 +41,7 @@ def _run(scenario):
 
 def _core(seed, **server_options):
     server = GroupKeyServer(ServerConfig(
-        signing="none", seed=seed, backend="flat", **server_options))
+        signing="none", seed=seed, **server_options))
     return ImmediateServingCore(
         server, ServeConfig(tick_interval=0),
         recovery_policy=RecoveryPolicy(dead_after=1))
@@ -153,8 +153,7 @@ def test_joiner_exclusion_through_the_core():
 def test_shard_rekey_stays_off_other_shards_paths():
     async def scenario():
         coordinator = ClusterCoordinator(ClusterConfig(
-            n_shards=3, signing="none", seed=b"hygiene-shards",
-            backend="flat"))
+            n_shards=3, signing="none", seed=b"hygiene-shards"))
         coordinator.bootstrap([])
         core = ClusterServingCore(coordinator, ServeConfig(tick_interval=0))
         by_shard = {}

@@ -37,7 +37,7 @@ def _individual_key(user):
 
 async def _drive(ops):
     server = GroupKeyServer(ServerConfig(
-        signing="none", seed=b"pipelined-convergence", backend="flat"))
+        signing="none", seed=b"pipelined-convergence"))
     core = ImmediateServingCore(
         server, ServeConfig(tick_interval=0, max_inflight=64,
                             open_enroll=False))

@@ -39,7 +39,7 @@ STALLS = ((0.2, 0.4, None), (0.6, 0.4, None), (1.5, 0.4, None),
 def _served_core():
     server = GroupKeyServer(ServerConfig(
         degree=4, strategy="group", suite=PAPER_SUITE, signing="merkle",
-        seed=b"recovery-stalls", backend="flat"))
+        seed=b"recovery-stalls"))
     server.bootstrap([(f"m{i:03d}", server.new_individual_key())
                       for i in range(MEMBERS)])
     return ImmediateServingCore(server, ServeConfig(
@@ -264,8 +264,7 @@ def test_udp_socket_asks_for_a_large_receive_buffer():
         granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
 
     async def scenario():
-        server = GroupKeyServer(ServerConfig(signing="none", seed=b"rcvbuf",
-                                             backend="flat"))
+        server = GroupKeyServer(ServerConfig(signing="none", seed=b"rcvbuf"))
         config = ServeConfig(tcp_port=None, tick_interval=0)
         async with AsyncKeyService(ImmediateServingCore(server, config)) \
                 as service:

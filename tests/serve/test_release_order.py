@@ -34,7 +34,7 @@ def test_concurrent_burst_reaches_the_wire_in_plan_order():
     server in sequence-number order, which is plan order."""
     async def scenario():
         server = GroupKeyServer(ServerConfig(
-            signing="none", seed=b"release-order", backend="flat"))
+            signing="none", seed=b"release-order"))
         server.bootstrap([(f"b{i}", server.new_individual_key())
                           for i in range(17)])
         core = ImmediateServingCore(server, ServeConfig(tick_interval=0),
@@ -83,7 +83,7 @@ def test_denied_and_failed_ops_do_not_wedge_the_queue(monkeypatch):
 
     async def scenario(journaled):
         server = GroupKeyServer(ServerConfig(
-            signing="none", seed=b"release-wedge", backend="flat"))
+            signing="none", seed=b"release-wedge"))
         if journaled:
             server.attach_journal(_DiscardJournal())
         core = ImmediateServingCore(server, ServeConfig(tick_interval=0))
@@ -106,8 +106,7 @@ def test_denied_and_failed_ops_do_not_wedge_the_queue(monkeypatch):
 def test_cluster_refusals_retire_their_ticket():
     async def scenario():
         coordinator = ClusterCoordinator(ClusterConfig(
-            n_shards=3, signing="none", seed=b"release-cluster",
-            backend="flat"))
+            n_shards=3, signing="none", seed=b"release-cluster"))
         coordinator.bootstrap([])
         core = ClusterServingCore(
             coordinator, ServeConfig(tick_interval=0, open_enroll=False))

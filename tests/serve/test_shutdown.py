@@ -26,8 +26,7 @@ def _run(coro):
 
 
 def _core(**overrides):
-    server = GroupKeyServer(ServerConfig(signing="none", seed=b"shutdown",
-                                         backend="flat"))
+    server = GroupKeyServer(ServerConfig(signing="none", seed=b"shutdown"))
     base = dict(tick_interval=0, open_enroll=False)
     base.update(overrides)
     return server, ImmediateServingCore(server, ServeConfig(**base))

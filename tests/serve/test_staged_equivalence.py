@@ -26,7 +26,7 @@ _OPS = [("join", f"u{i}") for i in range(8)] + [
 
 
 def _config(signing, seed=b"staged-eq"):
-    return ServerConfig(signing=signing, seed=seed, backend="flat")
+    return ServerConfig(signing=signing, seed=seed)
 
 
 def _wire_bytes(outcome):

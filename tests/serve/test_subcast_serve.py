@@ -23,7 +23,7 @@ def _server(tracing=False):
                                           tracer=Tracer(capacity=4096))
     server = GroupKeyServer(
         ServerConfig(degree=4, strategy="group", signing="none",
-                     seed=b"serve-subcast", backend="flat"),
+                     seed=b"serve-subcast"),
         instrumentation=instrumentation)
     return server
 

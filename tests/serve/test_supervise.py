@@ -32,8 +32,7 @@ def _supervisor(tmp_path, n_shards=1, **policy_overrides):
     policy.update(policy_overrides)
     return Supervisor(
         n_shards,
-        server_config=ServerConfig(signing="none", seed=b"sup-test",
-                                   backend="flat"),
+        server_config=ServerConfig(signing="none", seed=b"sup-test"),
         serve_config=ServeConfig(tick_interval=0, open_enroll=False,
                                  tcp_port=None),
         journal_dir=(str(tmp_path)

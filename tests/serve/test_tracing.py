@@ -29,7 +29,7 @@ _KEY_SIZE = 8  # DES, the paper's suite
 def _traced_server(seed=b"tracing", capacity=4096):
     tracer = Tracer(capacity=capacity)
     server = GroupKeyServer(
-        ServerConfig(signing="none", seed=seed, backend="flat"),
+        ServerConfig(signing="none", seed=seed),
         instrumentation=Instrumentation("serve", tracer=tracer))
     return server, tracer
 
@@ -254,8 +254,7 @@ def test_single_join_traces_across_live_three_shard_cluster():
     # collide on their deterministic integer trace ids.
     tracer = Tracer(capacity=4096)
     coordinator = ClusterCoordinator(
-        ClusterConfig(n_shards=3, signing="none", seed=b"tracing-cluster",
-                      backend="flat"),
+        ClusterConfig(n_shards=3, signing="none", seed=b"tracing-cluster"),
         instrumentation=Instrumentation("cluster", tracer=tracer))
     coordinator.bootstrap([])
 

@@ -23,7 +23,7 @@ SAMPLED_OUTSIDERS = 64
 def group():
     server = GroupKeyServer(ServerConfig(
         degree=4, strategy="group", signing="none",
-        seed=b"acceptance", backend="flat"))
+        seed=b"acceptance"))
     members = [f"a{index:05d}" for index in range(N_MEMBERS)]
     server.bootstrap([(user, server.new_individual_key())
                       for user in members])

@@ -21,8 +21,7 @@ MEMBERS = [f"c{index:03d}" for index in range(96)]
 @pytest.fixture(scope="module")
 def cluster():
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=3, degree=4, signing="per-message", seed=b"subcast-cl",
-        backend="flat"))
+        n_shards=3, degree=4, signing="per-message", seed=b"subcast-cl"))
     coordinator.bootstrap([(user, coordinator.new_individual_key())
                            for user in MEMBERS])
     clients = {}
@@ -117,8 +116,7 @@ def test_cluster_datagram_entry_point(cluster):
 
 def test_subcast_survives_membership_churn():
     coordinator = ClusterCoordinator(ClusterConfig(
-        n_shards=3, degree=4, signing="none", seed=b"churn-cl",
-        backend="flat"))
+        n_shards=3, degree=4, signing="none", seed=b"churn-cl"))
     members = [f"x{index:02d}" for index in range(24)]
     coordinator.bootstrap([(user, coordinator.new_individual_key())
                            for user in members])

@@ -1,7 +1,7 @@
 """End-to-end subcast delivery: exactly the targets decrypt.
 
 Covers the immediate server and the batch server, the datagram entry
-point, the ``subcast_cover`` ablation flag, and the security negatives:
+point, and the security negatives:
 non-members, non-targeted members, and evicted members holding stale
 key versions all fail closed with :class:`SubcastNotAddressed`.
 """
@@ -16,11 +16,9 @@ from repro.subcast import encode_subcast_request
 MEMBERS = [f"m{index:03d}" for index in range(60)]
 
 
-def immediate_server(backend="flat", subcast_cover="tree",
-                     signing="per-message"):
+def immediate_server():
     server = GroupKeyServer(ServerConfig(
-        degree=4, strategy="group", signing=signing, seed=b"deliver",
-        backend=backend, subcast_cover=subcast_cover))
+        degree=4, strategy="group", signing="per-message", seed=b"deliver"))
     server.bootstrap([(user, server.new_individual_key())
                       for user in MEMBERS])
     return server
@@ -50,9 +48,8 @@ def assert_exact_delivery(server, clients, targets, payload):
     return out
 
 
-@pytest.mark.parametrize("backend", ["object", "flat"])
-def test_exactly_the_targets_decrypt(backend):
-    server = immediate_server(backend)
+def test_exactly_the_targets_decrypt():
+    server = immediate_server()
     clients = {user: primed_client(server, user) for user in MEMBERS}
     assert_exact_delivery(server, clients, MEMBERS[10:30] + MEMBERS[50:52],
                           b"subset payload")
@@ -63,22 +60,6 @@ def test_exactly_the_targets_decrypt(backend):
     out = assert_exact_delivery(server, clients, MEMBERS, b"everyone")
     assert len(out.message.items) == 2
     assert out.message.items[1].enc_node_id == server.group_key_ref()[0]
-
-
-def test_greedy_flag_produces_the_same_cover():
-    tree_out = immediate_server().subcast(MEMBERS[5:25], b"flag")
-    greedy_out = immediate_server(
-        subcast_cover="greedy").subcast(MEMBERS[5:25], b"flag")
-    tree_refs = [(item.enc_node_id, item.enc_version)
-                 for item in tree_out.message.items[1:]]
-    greedy_refs = [(item.enc_node_id, item.enc_version)
-                   for item in greedy_out.message.items[1:]]
-    assert tree_refs == greedy_refs
-
-
-def test_subcast_cover_flag_is_validated():
-    with pytest.raises(ServerError):
-        ServerConfig(subcast_cover="exhaustive").validate()
 
 
 def test_non_member_cannot_decrypt():
@@ -142,8 +123,7 @@ def test_datagram_entry_point():
 
 def test_batch_server_subcast():
     server = GroupKeyServer(ServerConfig(
-        degree=4, signing="per-message", seed=b"batch-deliver",
-        backend="flat"))
+        degree=4, signing="per-message", seed=b"batch-deliver"))
     server.bootstrap([(user, server.new_individual_key())
                       for user in MEMBERS])
     targets = MEMBERS[4:14]

@@ -2,8 +2,8 @@
 
 The subcast wire bytes are part of the reproducibility contract: same
 seed, same membership history, same targets, same payload => identical
-``MSG_SUBCAST`` bytes, on either tree backend, pinned by a golden
-digest.  And sealing draws from a dedicated DRBG personalization, so a
+``MSG_SUBCAST`` bytes, on the served tree and on the ``KeyTree``
+reference, pinned by a golden digest.  And sealing draws from a dedicated DRBG personalization, so a
 run with interleaved subcasts keeps every *rekey* message byte-for-byte
 identical to its subcast-free control run.
 """
@@ -14,10 +14,14 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core import server as server_module
 from repro.core.client import GroupClient
 from repro.core.messages import (MSG_SUBCAST, SUBCAST_MESSAGE_KEY, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
+from repro.keygraph.covering import greedy_tree_cover
 from repro.subcast import SubcastError, SubcastSealer
+
+from ..keygraph.reference import swap_in_reference
 
 
 @contextmanager
@@ -35,32 +39,36 @@ TARGETS = MEMBERS[8:24] + MEMBERS[40:43]
 GOLDEN = "4e19a0bb0d5f12a4a9fe127cd72aef7a4cd80ead7de7103702512a0f62f4b6d2"
 
 
-def build_server(backend, seed=b"seal-golden"):
+def build_server(seed=b"seal-golden"):
     server = GroupKeyServer(ServerConfig(
-        degree=4, strategy="group", signing="none", seed=seed,
-        backend=backend))
+        degree=4, strategy="group", signing="none", seed=seed))
     server.bootstrap([(user, server.new_individual_key())
                       for user in MEMBERS])
     return server
 
 
-def test_flat_and_object_backends_seal_identical_bytes():
+def test_flat_and_object_backends_seal_identical_bytes(monkeypatch):
+    """The served server against one on the KeyTree reference, which
+    covers through the reference cover (greedy over node handles)."""
     with frozen_clock():
-        blob_obj = build_server("object").subcast(TARGETS, b"golden").encoded
+        blob_flat = build_server().subcast(TARGETS, b"golden").encoded
+    monkeypatch.setattr(server_module, "tree_subset_cover",
+                        greedy_tree_cover)
+    reference = swap_in_reference(build_server())
     with frozen_clock():
-        blob_flat = build_server("flat").subcast(TARGETS, b"golden").encoded
+        blob_obj = reference.subcast(TARGETS, b"golden").encoded
     assert blob_obj == blob_flat
 
 
 def test_golden_digest_pins_the_wire_bytes():
     with frozen_clock():
-        blob = build_server("flat").subcast(TARGETS, b"golden").encoded
+        blob = build_server().subcast(TARGETS, b"golden").encoded
     assert hashlib.sha256(blob).hexdigest() == GOLDEN
 
 
 def test_message_layout():
     with frozen_clock():
-        out = build_server("flat").subcast(TARGETS, b"layout-check")
+        out = build_server().subcast(TARGETS, b"layout-check")
     message = Message.decode(out.encoded)
     assert message.msg_type == MSG_SUBCAST
     # items[0] is the payload ciphertext under the fresh message key,
@@ -77,7 +85,7 @@ def test_message_layout():
 
 
 def test_sealer_rejects_empty_inputs():
-    server = build_server("flat")
+    server = build_server()
     sealer = server.subcast_sealer
     assert isinstance(sealer, SubcastSealer)
     with pytest.raises(SubcastError):
@@ -87,8 +95,8 @@ def test_sealer_rejects_empty_inputs():
         sealer.seal(cover, b"x", receivers=[], root_ref=(1, 0))
 
 
-def run_history(backend, with_subcasts):
-    server = build_server(backend, seed=b"seal-perturb")
+def run_history(with_subcasts):
+    server = build_server(seed=b"seal-perturb")
     rekey_blobs = []
     with frozen_clock():
         for index in range(5):
@@ -115,23 +123,21 @@ def strip_seq(blobs):
     return stripped
 
 
-@pytest.mark.parametrize("backend", ["object", "flat"])
-def test_subcasts_never_perturb_the_rekey_stream(backend):
-    control = run_history(backend, with_subcasts=False)
-    interleaved = run_history(backend, with_subcasts=True)
+def test_subcasts_never_perturb_the_rekey_stream():
+    control = run_history(with_subcasts=False)
+    interleaved = run_history(with_subcasts=True)
     assert strip_seq(control) == strip_seq(interleaved)
 
 
-def test_open_subcast_round_trip_on_both_backends():
-    for backend in ("object", "flat"):
-        server = build_server(backend)
-        user = TARGETS[0]
-        leaf = server.tree.leaf_of(user)
-        client = GroupClient(user, server.suite)
-        client.set_individual_key(leaf.key)
-        client.set_leaf(leaf.node_id)
-        for node in leaf.path_to_root():
-            client.keys[node.node_id] = (node.version, node.key)
-        out = server.subcast(TARGETS, b"round-trip")
-        assert client.open_subcast(out.encoded) == b"round-trip"
-        assert client.stats.subcasts_opened == 1
+def test_open_subcast_round_trip():
+    server = build_server()
+    user = TARGETS[0]
+    leaf = server.tree.leaf_of(user)
+    client = GroupClient(user, server.suite)
+    client.set_individual_key(leaf.key)
+    client.set_leaf(leaf.node_id)
+    for node in leaf.path_to_root():
+        client.keys[node.node_id] = (node.version, node.key)
+    out = server.subcast(TARGETS, b"round-trip")
+    assert client.open_subcast(out.encoded) == b"round-trip"
+    assert client.stats.subcasts_opened == 1

@@ -84,15 +84,12 @@ def test_rejections(bad, fragment):
     assert fragment.lower() in str(excinfo.value).lower()
 
 
-def test_backend_selection():
-    config, _ = config_from_spec(PAPER_SPEC)
-    assert config.backend == "object"          # the default engine
-    config, _ = config_from_spec(PAPER_SPEC + "backend = flat\n")
-    assert config.backend == "flat"
-    server = GroupKeyServer(config)
-    server.bootstrap([("alice", b"\x01" * 8), ("bob", b"\x02" * 8)])
-    assert server.tree.backend_name == "flat"
-    assert sorted(server.members()) == ["alice", "bob"]
+def test_backend_key_is_rejected():
+    """Every server runs one tree engine: the grammar has no ``backend``
+    key, not even for the engine every server builds."""
+    for value in ("flat", "object"):
+        with pytest.raises(SpecError, match="unknown key 'backend'"):
+            config_from_spec(PAPER_SPEC + f"backend = {value}\n")
 
 
 def test_spec_file_from_disk(tmp_path):
