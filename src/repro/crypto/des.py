@@ -5,10 +5,13 @@ No C crypto library is available in this environment, so the cipher is
 implemented here from the standard tables.
 
 Fast path: every bit permutation is flattened into lookup tables at
-import.  The round function uses 16-bit expansion pair tables and 12-bit
-S-box pair tables (two classic 6-bit S/P lookups fused per read), and the
-16 rounds are inlined into one loop over the schedule — no per-round
-function call.  The decryption schedule is precomputed once per key, and
+import.  A round expands through four 256-entry byte tables and reads four
+12-bit S-box pair tables (two 6-bit S/P lookups fused per read), and the
+16 rounds are one loop over the schedule.  The tables total ~1 MB: 16-bit
+expansion pair tables would save two reads a round but add 5 MB of ints,
+wider than L2, and made random blocks under random keys slower although a
+repeated block ran faster (DESIGN.md §9).  The decryption schedule is
+precomputed once per key, and
 ``encrypt_block_int``/``decrypt_block_int`` expose an integer API so CBC
 can chain whole messages without per-block byte churn.
 
@@ -214,15 +217,7 @@ _IP_TABLES = _byte_tables(64, _IP)
 _FP_TABLES = _byte_tables(64, _FP)
 _E_TABLES = _byte_tables(32, _E)
 
-# Pair tables: fuse two byte/6-bit lookups into one wider read.  The
-# 16-bit expansion tables map each half of the 32-bit Feistel input to
-# its 48-bit expansion contribution; the 12-bit SP tables combine two
-# adjacent S-boxes (with P applied) per read, halving the per-round
-# lookup count.
-_E16_HI = tuple(_E_TABLES[0][i >> 8] | _E_TABLES[1][i & 0xFF]
-                for i in range(65536))
-_E16_LO = tuple(_E_TABLES[2][i >> 8] | _E_TABLES[3][i & 0xFF]
-                for i in range(65536))
+# 12-bit SP pair tables: two adjacent S-boxes (P applied) per read.
 _SP12 = tuple(tuple(_SP[2 * pair][i >> 6] | _SP[2 * pair + 1][i & 0x3F]
                     for i in range(4096))
               for pair in range(4))
@@ -288,7 +283,11 @@ _SCREEN_CACHE_MAX = 4096
 
 
 def _screen_key(key: bytes):
-    """Cached ``(is_weak, is_semi_weak)`` verdict for an 8-byte key."""
+    """Cached ``(is_weak, is_semi_weak)`` verdict for an 8-byte key.
+
+    A bytes-like key is copied to ``bytes``: hashable, and never pinned.
+    """
+    key = memoryview(key).tobytes()
     if len(key) != KEY_SIZE:
         raise ValueError(f"DES key must be {KEY_SIZE} bytes")
     verdict = _SCREEN_CACHE.get(key)
@@ -356,10 +355,11 @@ class DES:
                  | ip6[(value >> 8) & 0xFF] | ip7[value & 0xFF])
         left = (value >> 32) & 0xFFFFFFFF
         right = value & 0xFFFFFFFF
-        e_hi, e_lo = _E16_HI, _E16_LO
+        e0, e1, e2, e3 = _E_TABLES
         sp0, sp1, sp2, sp3 = _SP12
         for round_key in round_keys:
-            x = (e_hi[right >> 16] | e_lo[right & 0xFFFF]) ^ round_key
+            x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
+                 | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ round_key
             left, right = right, left ^ (
                 sp0[(x >> 36) & 0xFFF] | sp1[(x >> 24) & 0xFFF]
                 | sp2[(x >> 12) & 0xFFF] | sp3[x & 0xFFF])

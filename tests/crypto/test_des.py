@@ -1,5 +1,7 @@
 """DES block cipher: known-answer vectors, properties, error handling."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +152,25 @@ def test_suite_safe_key_rejects_weak_material():
 
     key = PAPER_SUITE.safe_key(RiggedSource())
     assert key == bytes.fromhex("133457799BBCDFF1")
+
+
+def _deep_size(value):
+    size = sys.getsizeof(value)
+    if isinstance(value, tuple):
+        size += sum(_deep_size(entry) for entry in value)
+    return size
+
+
+def test_lookup_tables_fit_in_cache():
+    """The module's lookup tables stay under 1.5 MB in total.
+
+    A table wider than L2 costs more in misses than it saves in lookups:
+    16-bit expansion pair tables (5 MB of ints) made random blocks under
+    random keys slower than the four 256-entry byte tables they fused,
+    although a benchmark repeating one block showed them faster.  This
+    keeps a future pair table from quietly bringing the megabytes back.
+    """
+    from repro.crypto import des
+    total = sum(_deep_size(value) for value in vars(des).values()
+                if isinstance(value, tuple))
+    assert total < 1_500_000, f"DES tables hold {total / 1e6:.2f} MB"

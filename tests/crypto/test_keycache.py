@@ -148,6 +148,24 @@ class TestWeakKeyScreeningCache:
             des.is_weak_key(i.to_bytes(8, "big"))
         assert len(des._SCREEN_CACHE) <= des._SCREEN_CACHE_MAX
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_key_gets_the_same_verdict(self, kind):
+        des._SCREEN_CACHE.clear()
+        cases = [(des.WEAK_KEYS[1], (True, False)),
+                 (des.SEMI_WEAK_KEYS[2], (False, True)),
+                 (bytes.fromhex("3b6a1f0c9d2e4857"), (False, False))]
+        for key, verdict in cases:
+            wrapped = kind(key)
+            assert (des.is_weak_key(wrapped),
+                    des.is_semi_weak_key(wrapped)) == verdict
+        # The memo holds plain bytes copies, never the caller's buffer.
+        assert all(type(key) is bytes for key in des._SCREEN_CACHE)
+
+    def test_non_bytes_key_is_rejected(self):
+        # bytes(8) would be eight zero bytes: a weak key, not an error.
+        with pytest.raises(TypeError):
+            des.is_weak_key(8)
+
     def test_wrong_length_still_raises(self):
         with pytest.raises(ValueError):
             des.is_weak_key(b"short")
