@@ -14,7 +14,7 @@ Public API tour
 
 Packages
 --------
-``repro.crypto``      DES/AES/MD5/SHA-1/HMAC/RSA from scratch
+``repro.crypto``      DES/AES/HMAC/RSA from scratch; hashlib MD5/SHA-1
 ``repro.keygraph``    the (U, K, R) model; star/tree/complete graphs
 ``repro.core``        rekeying strategies, server, client, Merkle signing
 ``repro.transport``   in-memory bus, reliable delivery, loopback UDP

@@ -30,6 +30,7 @@ their :class:`~repro.core.client.GroupClient`.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Callable, Dict, Optional, Tuple
 
@@ -55,8 +56,7 @@ def derive_keys(suite, group_key: bytes) -> Tuple[bytes, bytes]:
     """
     digest_factory = suite.digest_factory
     if digest_factory is None:
-        from ..crypto.sha1 import sha1
-        digest_factory = sha1
+        digest_factory = hashlib.sha1
     enc = hmac_module.new(group_key, b"keygraph-channel-encrypt",
                           digest_factory).digest()
     while len(enc) < suite.key_size:
@@ -199,16 +199,12 @@ class SecureGroupChannel:
         return self._mac_digest()(data).digest()
 
     def _rsa_algorithm(self) -> str:
-        if self.suite.digest_name is None:
-            return "sha1"
-        from ..crypto.suite import RSA_DIGEST_NAME
-        return RSA_DIGEST_NAME[self.suite.digest_name]
+        return self.suite.digest_name or "sha1"
 
     def _mac_digest(self):
         factory = self.suite.digest_factory
         if factory is None:
-            from ..crypto.sha1 import sha1
-            factory = sha1
+            factory = hashlib.sha1
         return factory
 
     def _remember_epoch(self, node_id: int, version: int,

@@ -150,19 +150,13 @@ class MerkleSigner:
                    for message in messages]
         tree = MerkleTree(digests, self.suite.digest)
         signature = rsa.sign_digest(
-            self.private_key, tree.root,
-            _rsa_digest_name(self.suite))
+            self.private_key, tree.root, self.suite.digest_name)
         self.signatures_performed += 1
         for index, message in enumerate(messages):
             message.auth = AuthBlock(digest=digests[index], scheme=SIG_MERKLE,
                                      signature=signature,
                                      merkle_index=index,
                                      merkle_path=tree.path(index))
-
-
-def _rsa_digest_name(suite) -> str:
-    from ..crypto.suite import RSA_DIGEST_NAME
-    return RSA_DIGEST_NAME[suite.digest_name]
 
 
 def verify_message(suite, message: Message,
@@ -208,7 +202,7 @@ def verify_message(suite, message: Message,
             position //= 2
         try:
             rsa.verify_digest(public_key, value, auth.signature,
-                              _rsa_digest_name(suite))
+                              suite.digest_name)
         except rsa.SignatureError as exc:
             raise SigningError(str(exc)) from None
     else:

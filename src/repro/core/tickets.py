@@ -18,6 +18,7 @@ followed by an RSA PKCS#1 v1.5 signature over those bytes.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import time
 from dataclasses import dataclass
@@ -100,8 +101,7 @@ class TicketAuthority:
 
     @staticmethod
     def _digest(data: bytes) -> bytes:
-        from ..crypto.sha1 import sha1
-        return sha1(data).digest()
+        return hashlib.sha1(data).digest()
 
     @classmethod
     def verify(cls, public_key: rsa.RsaPublicKey, ticket: Ticket,

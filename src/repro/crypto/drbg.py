@@ -14,36 +14,25 @@ from __future__ import annotations
 import hashlib
 import hmac as _stdlib_hmac
 import os
-from typing import Callable, Optional
-
-from .sha1 import sha1
-from . import hmac as _hmac
+from typing import Optional
 
 
 class HmacDrbg:
-    """HMAC-DRBG instantiated with SHA-1 (sufficient for simulation keys).
+    """HMAC-DRBG instantiated with SHA-256 (sufficient for simulation keys).
 
     Follows the SP 800-90A update/generate structure (without the
     prediction-resistance machinery, which the experiments do not need).
     """
 
-    def __init__(self, seed: bytes, personalization: bytes = b"",
-                 scratch_hash: bool = False):
+    def __init__(self, seed: bytes, personalization: bytes = b""):
         if not seed:
             raise ValueError("HMAC-DRBG requires a non-empty seed")
-        # The DRBG is reproducibility plumbing, not part of the paper's
-        # measured crypto, so it defaults to the C-speed hashlib backend;
-        # scratch_hash=True exercises this package's own SHA-1/HMAC.
-        self._scratch = scratch_hash
-        digest_size = sha1().digest_size if scratch_hash else 32
-        self._key = b"\x00" * digest_size
-        self._value = b"\x01" * digest_size
+        self._key = b"\x00" * 32
+        self._value = b"\x01" * 32
         self._update(seed + personalization)
         self._reseed_counter = 1
 
     def _hmac(self, key: bytes, data: bytes) -> bytes:
-        if self._scratch:
-            return _hmac.new(key, data, sha1).digest()
         # Not hmac.digest(): its one-shot C path drops the GIL on every
         # call, and a served core's other threads then keep it for a
         # whole switch interval (~5 ms per HMAC instead of ~2 µs).

@@ -1,14 +1,17 @@
 """Frozen pre-optimization crypto reference implementations.
 
 The crypto fast path (T-table AES, pair-table DES, int-based CBC,
-cached-CRT RSA, unrolled MD5) replaced the byte-at-a-time
-implementations this module preserves.  They exist for two reasons:
+cached-CRT RSA) replaced the byte-at-a-time implementations this
+module preserves, and the suite digests come from :mod:`hashlib`; the
+from-scratch MD5 and SHA-1 kept here are their oracles.  They exist
+for two reasons:
 
 * **Equivalence testing** — `tests/crypto/test_fastpath.py` drives the
   fast path and these references with the same random inputs and
   asserts bit-identical output, so the optimized round functions can
   never silently diverge from the straightforward transcription of the
-  standards.
+  standards; `tests/crypto/test_digests.py` pins :func:`reference_md5`
+  and :func:`reference_sha1` against :mod:`hashlib`.
 * **Benchmark baselines** — `benchmarks/bench_fastpath.py` measures the
   fast path *against* these functions with one harness, producing the
   `BENCH_*.json` speedup trajectory.
@@ -22,12 +25,12 @@ up" or speed up this module; its slowness is the point.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from .aes import _INV_MUL, _INV_SBOX, _MUL2, _MUL3, _RCON, _SBOX
 from .des import (_E_TABLES, _FP_TABLES, _IP_TABLES, _PC1, _PC2, _SHIFTS,
                   _SP, _permute, _rotl28)
-from .md5 import _K as _MD5_K, _S as _MD5_S
 from .modes import pad, unpad
 
 
@@ -241,15 +244,39 @@ def reference_cbc_decrypt(cipher, ciphertext: bytes, iv: bytes) -> bytes:
     return unpad(bytes(out), block)
 
 
-# -- MD5: one looped step with a four-way round branch ----------------------
+# -- MD5 (RFC 1321): one looped step with a four-way round branch -----------
+
+
+# Per-step constants ``int(abs(sin(i+1)) * 2**32)`` exactly as RFC 1321
+# specifies them, so no 64-entry table needs transcribing.
+_MD5_K = tuple(int(abs(math.sin(i + 1)) * 2**32) & 0xFFFFFFFF
+               for i in range(64))
+_MD5_S = (
+    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20,
+    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+)
+_MD5_INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
 
 
 def _rotl32(value: int, amount: int) -> int:
     return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
 
 
+def _md_padding(length: int, length_format: str) -> bytes:
+    """MD-strengthening padding for a ``length``-byte message.
+
+    A ``0x80`` byte, zeros up to 56 mod 64, then the bit length as a
+    64-bit integer (little-endian ``"<Q"`` for MD5, big-endian ``">Q"``
+    for SHA-1).
+    """
+    return (b"\x80" + bytes((55 - length) % 64)
+            + struct.pack(length_format, (length << 3) & 0xFFFFFFFFFFFFFFFF))
+
+
 def reference_md5_compress(state, block: bytes):
-    """One MD5 block, the 64-pass loop the unrolled compress replaced.
+    """One MD5 block: the 64-pass loop of RFC 1321 section 3.4.
 
     ``state`` is the 4-tuple chaining value, ``block`` exactly 64 bytes;
     returns the next chaining value.
@@ -276,6 +303,47 @@ def reference_md5_compress(state, block: bytes):
         b = (b + _rotl32(f, _MD5_S[i])) & mask
     return ((a0 + a) & mask, (b0 + b) & mask,
             (c0 + c) & mask, (d0 + d) & mask)
+
+
+def reference_md5(data: bytes) -> bytes:
+    """MD5 digest of ``data``, block by block through the looped compress."""
+    message = bytes(data) + _md_padding(len(data), "<Q")
+    state = _MD5_INITIAL_STATE
+    for offset in range(0, len(message), 64):
+        state = reference_md5_compress(state, message[offset:offset + 64])
+    return struct.pack("<4I", *state)
+
+
+# -- SHA-1 (FIPS 180-4): the 80-round loop -----------------------------------
+
+
+def reference_sha1(data: bytes) -> bytes:
+    """SHA-1 digest of ``data``: message schedule and 80 rounds per block."""
+    mask = 0xFFFFFFFF
+    message = bytes(data) + _md_padding(len(data), ">Q")
+    state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+    for offset in range(0, len(message), 64):
+        w = list(struct.unpack(">16I", message[offset:offset + 64]))
+        for i in range(16, 80):
+            w.append(_rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1))
+        a, b, c, d, e = state
+        for i in range(80):
+            if i < 20:
+                f = (b & c) | (~b & d)
+                k = 0x5A827999
+            elif i < 40:
+                f = b ^ c ^ d
+                k = 0x6ED9EBA1
+            elif i < 60:
+                f = (b & c) | (b & d) | (c & d)
+                k = 0x8F1BBCDC
+            else:
+                f = b ^ c ^ d
+                k = 0xCA62C1D6
+            temp = (_rotl32(a, 5) + f + e + k + w[i]) & mask
+            e, d, c, b, a = d, c, _rotl32(b, 30), a, temp
+        state = tuple((x + y) & mask for x, y in zip(state, (a, b, c, d, e)))
+    return struct.pack(">5I", *state)
 
 
 # -- RSA: full-exponent (non-CRT) signing -----------------------------------

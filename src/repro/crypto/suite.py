@@ -19,8 +19,6 @@ from .des import DES, is_semi_weak_key, is_weak_key
 from .des3 import TripleDES
 from . import modes
 from .keycache import SHARED_CACHE
-from .md5 import md5
-from .sha1 import sha1
 from . import rsa
 
 
@@ -64,24 +62,15 @@ _CIPHERS = {
     "xor": (XorCipher, 8),
 }
 
-# Digest name -> (factory, size).  Pure-Python implementations are the
-# default (self-contained reproduction); the hashlib-backed variants allow
-# like-for-like speed comparisons.
+# Digest name -> (factory, size).  Each name is also the RSA DigestInfo
+# algorithm name.  The digests come from the standard library, as the
+# paper's came from a C library (CryptoLib): a pure-Python MD5 made a
+# receiver's verify four fifths MD5.  The from-scratch formulations
+# live on as oracles in ``reference.py``.
 _DIGESTS = {
-    "md5": (md5, 16),
-    "sha1": (sha1, 20),
-    "md5-hashlib": (hashlib.md5, 16),
-    "sha1-hashlib": (hashlib.sha1, 20),
+    "md5": (hashlib.md5, 16),
+    "sha1": (hashlib.sha1, 20),
     "sha256": (hashlib.sha256, 32),
-}
-
-# Map suite digest names onto RSA DigestInfo algorithm names.
-RSA_DIGEST_NAME = {
-    "md5": "md5",
-    "md5-hashlib": "md5",
-    "sha1": "sha1",
-    "sha1-hashlib": "sha1",
-    "sha256": "sha256",
 }
 
 
@@ -209,14 +198,14 @@ class CipherSuite:
         if self.signature_bits is None:
             raise ValueError("suite has no signature algorithm")
         return rsa.sign_digest(private_key, self.digest(data),
-                               RSA_DIGEST_NAME[self.digest_name])
+                               self.digest_name)
 
     def verify(self, public_key, data: bytes, signature: bytes) -> None:
         """Verify a signature; raises :class:`rsa.SignatureError`."""
         if self.signature_bits is None:
             raise ValueError("suite has no signature algorithm")
         rsa.verify_digest(public_key, self.digest(data), signature,
-                          RSA_DIGEST_NAME[self.digest_name])
+                          self.digest_name)
 
 
 # The configurations the paper's experiments exercise.

@@ -1,5 +1,7 @@
 """Merkle trees and the rekey-message signing policies (paper §4)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,11 @@ from repro.core.messages import (MSG_REKEY, SIG_MERKLE, SIG_NONE,
 from repro.core.signing import (MerkleSigner, MerkleTree, NullSigner,
                                 PerMessageSigner, SigningError,
                                 verify_message)
-from repro.crypto.md5 import md5
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 
 
 def digest_fn(data: bytes) -> bytes:
-    return md5(data).digest()
+    return hashlib.md5(data).digest()
 
 
 @pytest.fixture(scope="module")

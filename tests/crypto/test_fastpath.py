@@ -1,7 +1,9 @@
 """Fast path vs frozen reference: the optimized round functions, chaining
-modes, CRT signing and unrolled MD5 compress must be bit-identical to
-the pre-optimization formulations preserved in
-:mod:`repro.crypto.reference`."""
+modes and CRT signing must be bit-identical to the pre-optimization
+formulations preserved in :mod:`repro.crypto.reference`, and the
+reference MD5 to the hashlib digest the suite runs."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from repro.crypto.aes import AES
 from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS
 from repro.crypto.des3 import TripleDES
 from repro.crypto.keycache import SHARED_CACHE
-from repro.crypto.md5 import _compress as md5_compress
 from repro.crypto.reference import ReferenceAES, ReferenceDES
 from repro.crypto.suite import CipherSuite, XorCipher
 
@@ -252,23 +253,20 @@ def test_des_family_fresh_keys_with_cold_cache(cipher_name):
         assert SHARED_CACHE.misses == misses + len(jobs)
 
 
-# -- MD5: unrolled multi-block compress vs the looped reference -------------
-
-
-WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
+# -- MD5: the looped reference compress vs hashlib --------------------------
 
 
 @settings(max_examples=200)
-@given(state=st.tuples(WORD, WORD, WORD, WORD),
-       blocks=st.lists(st.binary(min_size=64, max_size=64),
-                       min_size=1, max_size=4))
-def test_md5_compress_matches_reference(state, blocks):
-    # One call over several blocks must equal the reference chained
-    # block by block, so every chained state is compared too.
-    expected = state
-    for index, block in enumerate(blocks):
-        expected = reference.reference_md5_compress(expected, block)
-        assert md5_compress(state, b"".join(blocks[:index + 1])) == expected
+@given(blocks=st.lists(st.binary(min_size=64, max_size=64),
+                       min_size=1, max_size=4),
+       tail=st.binary(max_size=63))
+def test_md5_compress_matches_reference(blocks, tail):
+    # The suite's MD5 is hashlib's; the reference compress, chained over
+    # whole blocks and a padded tail, must reach the same digest at
+    # every prefix.
+    for index in range(len(blocks)):
+        data = b"".join(blocks[:index + 1]) + tail
+        assert reference.reference_md5(data) == hashlib.md5(data).digest()
 
 
 # -- RSA: cached CRT vs full exponentiation ---------------------------------

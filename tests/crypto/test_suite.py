@@ -1,5 +1,7 @@
 """CipherSuite configuration and behaviour."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from repro.crypto.modes import PaddingError
 from repro.crypto.suite import (FAST_TEST_SUITE, MODERN_SUITE, PAPER_SUITE,
                                 PAPER_SUITE_ENC_ONLY, PAPER_SUITE_NO_SIG,
-                                CipherSuite, XorCipher, suite_from_spec)
+                                CipherSuite, XorCipher, _DIGESTS,
+                                suite_from_spec)
 
 
 def test_paper_suite_shape():
@@ -103,11 +106,17 @@ def test_suite_from_spec():
         suite_from_spec("des", "md5", "dsa-1024")
 
 
-def test_digest_implementations_agree():
-    scratch = CipherSuite("des", "md5")
-    hashlib_backed = CipherSuite("des", "md5-hashlib")
-    data = b"the same input bytes"
-    assert scratch.digest(data) == hashlib_backed.digest(data)
-    scratch_sha = CipherSuite("des", "sha1")
-    hashlib_sha = CipherSuite("des", "sha1-hashlib")
-    assert scratch_sha.digest(data) == hashlib_sha.digest(data)
+def test_every_digest_factory_is_hashlib():
+    # One name per algorithm, and each one the standard library's C
+    # digest; the from-scratch MD5/SHA-1 are oracles in reference.py.
+    assert set(_DIGESTS) == {"md5", "sha1", "sha256"}
+    for name, (factory, size) in _DIGESTS.items():
+        assert factory is getattr(hashlib, name)
+        assert factory().digest_size == size
+        assert CipherSuite("des", name).digest(b"x") == factory(b"x").digest()
+
+
+@pytest.mark.parametrize("name", ["md5", "sha1"])
+def test_hashlib_suffixed_digest_names_are_gone(name):
+    with pytest.raises(ValueError):
+        CipherSuite("des", f"{name}-hashlib")
