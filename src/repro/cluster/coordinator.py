@@ -49,7 +49,7 @@ from ..core.pipeline import (KeyMaterialSource, PipelineRun, RekeyPipeline,
 from ..core.resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
 from ..core.server import (_DENIALS, GroupKeyServer, KeyServerProtocol,
                            RekeyOutcome, ServerConfig, ServerError,
-                           seal_data_message)
+                           require_payload_fits, seal_data_message)
 from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.covering import tree_subset_cover
@@ -726,6 +726,7 @@ class ClusterCoordinator(KeyServerProtocol):
     def seal_group_message(self, payload: bytes) -> OutboundMessage:
         """Encrypt application data under the cluster group key."""
         self._require_bootstrap()
+        require_payload_fits(payload)
         return seal_data_message(
             self.suite, self.root_layer._signer, payload, self.group_key(),
             self.group_key_ref(), self.resync_material.new_iv(),
@@ -760,6 +761,7 @@ class ClusterCoordinator(KeyServerProtocol):
                 raise ClusterError(
                     f"subcast target {user_id!r} is not a member")
             by_shard.setdefault(shard.shard_id, []).append(user_id)
+        require_payload_fits(payload)
         with self.instrumentation.tracer.span(
                 "cluster.subcast", targets=len(target_list),
                 shards=len(by_shard)) as span:

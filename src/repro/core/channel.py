@@ -36,7 +36,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..crypto import hmac as hmac_module
 from ..crypto import modes
-from .messages import MSG_DATA, EncryptedItem, Message, WireError
+from .messages import (MAX_PLAINTEXT, MSG_DATA, EncryptedItem, Message,
+                       WireError, ciphertext_size)
 
 _FRAME = struct.Struct(">B")          # sender length
 _SEQ = struct.Struct(">Q")
@@ -163,6 +164,9 @@ class SecureGroupChannel:
         epoch = self._key_source()
         if epoch is None:
             raise ChannelError("no group key available to seal under")
+        if len(payload) > MAX_PLAINTEXT:
+            raise ChannelError(f"payload of {len(payload)} bytes exceeds "
+                               f"the {MAX_PLAINTEXT}-byte item limit")
         node_id, version, group_key = epoch
         self._remember_epoch(node_id, version, group_key)
         enc_key, mac_key = derive_keys(self.suite, group_key)
@@ -170,8 +174,7 @@ class SecureGroupChannel:
         sender = self.sender_id.encode("utf-8")
         iv = self._iv_source()
         cipher = self.suite.new_cipher(enc_key)
-        block = self.suite.block_size
-        padded_len = -(-max(len(payload), 1) // block) * block
+        padded_len = ciphertext_size(len(payload), self.suite.block_size)
         ciphertext = modes.cbc_encrypt_nopad(
             cipher, payload.ljust(padded_len, b"\x00"), iv)
         item = EncryptedItem(node_id, version, iv, ciphertext, len(payload))

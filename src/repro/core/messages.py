@@ -1,18 +1,45 @@
-"""Wire format for protocol and rekey messages.
+"""Wire format (v2) for protocol and rekey messages.
 
 The paper notes that real rekey messages carry "subgroup labels for new
 keys, server digital signature, message integrity check, timestamp, etc."
-This module defines that format as a compact binary encoding:
+This module defines that format as one compact binary encoding; every
+multi-byte integer is big-endian.
 
-``RekeyMessage``
-    header  : magic, version, type, strategy, flags, group id, sequence
-              number, timestamp, current group-key (root) reference
-    items   : each an :class:`EncryptedItem` — (encrypting-key reference,
-              IV, ciphertext).  The plaintext is one or more
-              :class:`KeyRecord` entries (node id, version, key bytes),
-              zero-padded to the cipher block with an explicit length.
-    auth    : optional message digest, optional signature block (either a
-              per-message RSA signature or a Merkle certificate, §4).
+``Message``
+    header  : magic, version (2), type, strategy, flags, group id,
+              sequence number, timestamp, current group-key (root)
+              reference — 34 bytes
+    items   : a 2-byte count; if nonzero, one byte of cipher block size
+              ``b``, then each :class:`EncryptedItem` as its
+              encrypting-key reference (node id, version), its 2-byte
+              ``plaintext_len``, a ``b``-byte IV and a ciphertext of
+              ``b * max(1, ceil(plaintext_len / b))`` bytes — 10 bytes
+              besides IV and ciphertext, whose lengths do not travel.
+              The plaintext is one or more :class:`KeyRecord` entries
+              (node id, version, key bytes), zero-padded to the block.
+    body    : a 4-byte length, then the bytes
+    auth    : the :class:`AuthBlock` trailer, not covered by the digest.
+              Digest or per-message signature: digest length (1), digest,
+              scheme (1), signature length (2), signature.  A Merkle
+              certificate (§4): ``0`` (no digest: the receiver recomputes
+              it), scheme, then varints (LEB128) of the signature length,
+              the signature, varints of the leaf index and leaf count,
+              one byte of sibling size ``d``, and ``d`` bytes per real
+              sibling from the leaf up.  The leaf index and count say
+              which levels promote their node without a partner, so
+              neither those levels nor any sibling carries a length.
+              With RSA-512 and MD5 a certificate in a batch of fewer
+              than 128 messages is ``70 + 16p`` bytes for ``p`` real
+              siblings.
+
+The trailer is self-delimiting: trace and correlation trailers
+(:mod:`repro.serve.wire`) ride after it and :meth:`Message.decode`
+ignores them.  There is one format and no version knob; a decoder
+refuses every other version, and an encoder refuses a message the
+format cannot carry (a field out of range, an item whose IV is not one
+block or whose ciphertext is not its padded plaintext length, a
+certificate whose siblings do not fit its leaf position) with
+:class:`WireError`.
 
 Control messages (join/leave requests and acks, application data) share
 the same header so one datagram parser handles everything.
@@ -30,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 MAGIC = 0x4B47  # "KG"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 # Message types.
 MSG_JOIN_REQUEST = 1
@@ -92,14 +119,86 @@ INDIVIDUAL_KEY = 0xFFFFFFFF
 SUBCAST_MESSAGE_KEY = 0xFFFFFFFE
 
 _HEADER = struct.Struct(">HBBBBIQQII")  # 34 bytes
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+#: An item's key reference and plaintext length; IV and ciphertext
+#: lengths follow from the message's block size.
 _ITEM_FIXED = struct.Struct(">IIH")
-#: Bytes of an encoded item besides its IV and ciphertext.
-_ITEM_OVERHEAD = _ITEM_FIXED.size + 3
 _RECORD_FIXED = struct.Struct(">II")
+#: Scheme and signature length of a digest or per-message trailer.
+_SCHEME_SIG = struct.Struct(">BH")
+#: A Merkle certificate's first two bytes: no digest, the scheme.
+_CERTIFICATE_LEAD = bytes((0, SIG_MERKLE))
+#: Largest plaintext an item carries (``plaintext_len`` is 16 bits).
+MAX_PLAINTEXT = 0xFFFF
+#: Largest value a Merkle certificate's varints carry (5 bytes).
+_VARINT_MAX = 0xFFFFFFFF
+#: ``_varint`` of every value below 128, prebuilt.
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
 
 
 class WireError(ValueError):
-    """Raised when decoding malformed bytes."""
+    """Raised when decoding malformed bytes, or when encoding a message
+    the wire cannot carry (a field out of range, a non-canonical item
+    or certificate)."""
+
+
+def ciphertext_size(plaintext_len: int, block: int) -> int:
+    """The one ciphertext length an item of ``plaintext_len`` bytes has:
+    zero-padded to whole cipher blocks, and never shorter than one."""
+    return -(-max(plaintext_len, 1) // block) * block
+
+
+def merkle_shape(index: int, leaves: int) -> List[bool]:
+    """Per level from the leaf up: does leaf ``index`` of a Merkle tree
+    over ``leaves`` digests meet a sibling (``False``: the node is the
+    odd one out and is promoted unchanged)?"""
+    if not 0 <= index < leaves:
+        raise WireError(f"Merkle leaf {index} of {leaves}")
+    shape = []
+    while leaves > 1:
+        shape.append(index ^ 1 < leaves)
+        index //= 2
+        leaves = (leaves + 1) // 2
+    return shape
+
+
+def _varint(value: int) -> bytes:
+    """LEB128: seven bits a byte, low group first."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
+    if not 0 <= value <= _VARINT_MAX:
+        raise WireError(f"varint field out of range: {value}")
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _varint_size(value: int) -> int:
+    """``len(_varint(value))``."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
+    """Parse a minimal LEB128 varint at ``offset``: (value, next offset)."""
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
+    value = 0
+    for shift in range(0, 35, 7):
+        if offset >= len(data):
+            raise WireError("truncated varint")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if (byte == 0 and shift) or value > _VARINT_MAX:
+                raise WireError("non-canonical varint")
+            return value, offset
+    raise WireError("varint longer than five bytes")
 
 
 @dataclass(frozen=True)
@@ -134,7 +233,8 @@ class EncryptedItem:
 
     ``enc_node_id``/``enc_version`` reference the key the payload is
     encrypted under; ``plaintext_len`` strips the zero padding after
-    decryption.
+    decryption.  The IV is one cipher block and the ciphertext
+    :func:`ciphertext_size` bytes, so neither length travels.
     """
 
     enc_node_id: int
@@ -142,35 +242,6 @@ class EncryptedItem:
     iv: bytes
     ciphertext: bytes
     plaintext_len: int
-
-    def encode(self) -> bytes:
-        """Binary encoding: refs, lengths, IV, ciphertext."""
-        return b"".join((
-            _ITEM_FIXED.pack(self.enc_node_id, self.enc_version,
-                             self.plaintext_len),
-            struct.pack(">BH", len(self.iv), len(self.ciphertext)),
-            self.iv,
-            self.ciphertext,
-        ))
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> Tuple["EncryptedItem", int]:
-        """Parse one item at ``offset``; returns (item, next offset)."""
-        try:
-            enc_node_id, enc_version, plaintext_len = _ITEM_FIXED.unpack_from(
-                data, offset)
-            offset += _ITEM_FIXED.size
-            iv_len, ct_len = struct.unpack_from(">BH", data, offset)
-            offset += 3
-            iv = data[offset:offset + iv_len]
-            offset += iv_len
-            ciphertext = data[offset:offset + ct_len]
-            offset += ct_len
-        except struct.error as exc:
-            raise WireError(f"truncated item: {exc}") from None
-        if len(iv) != iv_len or len(ciphertext) != ct_len:
-            raise WireError("truncated item body")
-        return cls(enc_node_id, enc_version, iv, ciphertext, plaintext_len), offset
 
 
 def encrypt_records(suite, key: bytes, iv: bytes,
@@ -182,8 +253,8 @@ def encrypt_records(suite, key: bytes, iv: bytes,
     two cipher blocks (matching the paper's compact rekey messages).
     """
     plaintext = b"".join(record.encode() for record in records)
-    block = suite.block_size
-    padded = plaintext.ljust(-(-len(plaintext) // block) * block, b"\x00")
+    padded = plaintext.ljust(ciphertext_size(len(plaintext),
+                                             suite.block_size), b"\x00")
     cipher = suite.new_cipher(key)
     from ..crypto import modes
     ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
@@ -207,9 +278,12 @@ class AuthBlock:
 
     ``digest`` covers the message bytes before the trailer.  The
     signature is either directly over the digest (``SIG_PER_MESSAGE``) or
-    over the root of a Merkle tree of digests (``SIG_MERKLE``), in which
-    case ``merkle_index``/``merkle_path`` authenticate this message's
-    digest against the signed root (paper §4).
+    over the root of a Merkle tree of digests (``SIG_MERKLE``, paper
+    §4), in which case ``merkle_index`` and ``merkle_leaves`` place this
+    message's digest among the batch's ``merkle_leaves`` and
+    ``merkle_path`` holds one sibling per level, empty where the node
+    was promoted.  A Merkle certificate carries no digest: the receiver
+    recomputes it.
     """
 
     digest: bytes = b""
@@ -217,55 +291,91 @@ class AuthBlock:
     signature: bytes = b""
     merkle_index: int = 0
     merkle_path: List[bytes] = field(default_factory=list)
+    merkle_leaves: int = 1
 
     def encode(self) -> bytes:
-        """Binary trailer encoding (digest, scheme, signature, path)."""
-        parts = [struct.pack(">B", len(self.digest)), self.digest,
-                 struct.pack(">BH", self.scheme, len(self.signature)),
-                 self.signature]
-        if self.scheme == SIG_MERKLE:
-            parts.append(struct.pack(">IB", self.merkle_index,
-                                     len(self.merkle_path)))
-            for sibling in self.merkle_path:
-                parts.append(struct.pack(">B", len(sibling)))
-                parts.append(sibling)
-        return b"".join(parts)
+        """Binary trailer encoding (see the module docstring)."""
+        try:
+            if self.scheme != SIG_MERKLE:
+                return b"".join((_U8.pack(len(self.digest)), self.digest,
+                                 _SCHEME_SIG.pack(self.scheme,
+                                                  len(self.signature)),
+                                 self.signature))
+            siblings = self._siblings()
+            return b"".join((
+                _CERTIFICATE_LEAD,
+                _varint(len(self.signature)), self.signature,
+                _varint(self.merkle_index), _varint(self.merkle_leaves),
+                _U8.pack(len(siblings[0]) if siblings else 0), *siblings))
+        except struct.error as exc:
+            raise WireError(f"auth field out of range: {exc}") from None
+
+    def _siblings(self) -> List[bytes]:
+        """The real siblings of a canonical Merkle certificate."""
+        if self.digest:
+            raise WireError("a Merkle certificate carries no digest")
+        shape = merkle_shape(self.merkle_index, self.merkle_leaves)
+        if [bool(sibling) for sibling in self.merkle_path] != shape:
+            raise WireError("sibling path does not fit the leaf position")
+        siblings = [sibling for sibling in self.merkle_path if sibling]
+        if len(set(map(len, siblings))) > 1:
+            raise WireError("siblings differ in length")
+        return siblings
 
     def wire_size(self) -> int:
         """``len(self.encode())`` without building the bytes."""
-        size = 4 + len(self.digest) + len(self.signature)
-        if self.scheme == SIG_MERKLE:
-            size += 5 + len(self.merkle_path) + sum(map(len,
-                                                        self.merkle_path))
-        return size
+        if self.scheme != SIG_MERKLE:
+            return 4 + len(self.digest) + len(self.signature)
+        signature = len(self.signature)
+        return (3 + _varint_size(signature) + signature
+                + _varint_size(self.merkle_index)
+                + _varint_size(self.merkle_leaves)
+                + sum(map(len, self.merkle_path)))
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> Tuple["AuthBlock", int]:
         """Parse the trailer at ``offset``; returns (block, next offset)."""
         try:
-            (digest_len,) = struct.unpack_from(">B", data, offset)
+            (digest_len,) = _U8.unpack_from(data, offset)
             offset += 1
             digest = data[offset:offset + digest_len]
             offset += digest_len
-            scheme, sig_len = struct.unpack_from(">BH", data, offset)
-            offset += 3
-            signature = data[offset:offset + sig_len]
-            offset += sig_len
-            merkle_index = 0
-            merkle_path: List[bytes] = []
-            if scheme == SIG_MERKLE:
-                merkle_index, path_len = struct.unpack_from(">IB", data, offset)
-                offset += 5
-                for _ in range(path_len):
-                    (sibling_len,) = struct.unpack_from(">B", data, offset)
-                    offset += 1
-                    merkle_path.append(data[offset:offset + sibling_len])
-                    offset += sibling_len
+            (scheme,) = _U8.unpack_from(data, offset)
+            offset += 1
+            if scheme != SIG_MERKLE:
+                (sig_len,) = _U16.unpack_from(data, offset)
+                offset += 2
+                signature = data[offset:offset + sig_len]
+                offset += sig_len
+                if len(digest) != digest_len or len(signature) != sig_len:
+                    raise WireError("truncated auth block body")
+                return cls(digest, scheme, signature), offset
         except struct.error as exc:
             raise WireError(f"truncated auth block: {exc}") from None
-        if len(digest) != digest_len or len(signature) != sig_len:
-            raise WireError("truncated auth block body")
-        return cls(digest, scheme, signature, merkle_index, merkle_path), offset
+        if digest_len:
+            raise WireError("a Merkle certificate carries no digest")
+        sig_len, offset = _read_varint(data, offset)
+        signature = data[offset:offset + sig_len]
+        offset += sig_len
+        index, offset = _read_varint(data, offset)
+        leaves, offset = _read_varint(data, offset)
+        shape = merkle_shape(index, leaves)
+        if len(signature) != sig_len or offset >= len(data):
+            raise WireError("truncated Merkle certificate")
+        sibling_len = data[offset]
+        offset += 1
+        if any(shape) and not sibling_len:
+            raise WireError("empty Merkle sibling")
+        path = []
+        for real in shape:
+            if real:
+                path.append(data[offset:offset + sibling_len])
+                offset += sibling_len
+            else:
+                path.append(b"")
+        if offset > len(data):
+            raise WireError("truncated Merkle path")
+        return cls(b"", SIG_MERKLE, signature, index, path, leaves), offset
 
 
 #: Encoded size of the ``AuthBlock()`` an unauthenticated message carries.
@@ -296,14 +406,36 @@ class Message:
 
     def signed_region(self) -> bytes:
         """The bytes covered by the digest/signature (all but the trailer)."""
-        parts = [_HEADER.pack(MAGIC, WIRE_VERSION, self.msg_type,
-                              self.strategy, self.flags, self.group_id,
-                              self.seq, self.timestamp_us,
-                              self.root_node_id, self.root_version)]
-        parts.append(struct.pack(">H", len(self.items)))
-        for item in self.items:
-            parts.append(item.encode())
-        parts.append(struct.pack(">I", len(self.body)))
+        items = self.items
+        try:
+            parts = [_HEADER.pack(MAGIC, WIRE_VERSION, self.msg_type,
+                                  self.strategy, self.flags, self.group_id,
+                                  self.seq, self.timestamp_us,
+                                  self.root_node_id, self.root_version),
+                     _U16.pack(len(items))]
+            if items:
+                block = len(items[0].iv)
+                if not block:
+                    raise WireError("items need a one-block IV")
+                parts.append(_U8.pack(block))
+                pack_item = _ITEM_FIXED.pack
+                append = parts.append
+                for item in items:
+                    iv, ciphertext = item.iv, item.ciphertext
+                    plaintext_len = item.plaintext_len
+                    # ciphertext_size(plaintext_len, block), inline.
+                    if len(iv) != block or len(ciphertext) != (
+                            -(-plaintext_len // block) * block or block):
+                        raise WireError(
+                            "item is not one IV block and a padded "
+                            "ciphertext of its plaintext length")
+                    append(pack_item(item.enc_node_id, item.enc_version,
+                                     plaintext_len))
+                    append(iv)
+                    append(ciphertext)
+            parts.append(_U32.pack(len(self.body)))
+        except struct.error as exc:
+            raise WireError(f"field out of range: {exc}") from None
         parts.append(self.body)
         return b"".join(parts)
 
@@ -320,36 +452,57 @@ class Message:
         instead of re-encoding the message once per member.
         """
         size = _HEADER.size + 6 + len(self.body)
-        for item in self.items:
-            size += _ITEM_OVERHEAD + len(item.iv) + len(item.ciphertext)
+        items = self.items
+        if items:
+            size += 1 + len(items) * (_ITEM_FIXED.size + len(items[0].iv))
+            for item in items:
+                size += len(item.ciphertext)
         return size + (self.auth.wire_size() if self.auth is not None
                        else _EMPTY_AUTH_SIZE)
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
-        """Parse wire bytes; raises WireError on malformed input."""
+        """Parse wire bytes; raises WireError on malformed input.
+
+        Bytes after the trailer (trace and correlation trailers) are
+        ignored."""
         try:
             (magic, wire_version, msg_type, strategy, flags, group_id, seq,
              timestamp_us, root_node_id, root_version) = _HEADER.unpack_from(
                  data, 0)
+            offset = _HEADER.size
+            (n_items,) = _U16.unpack_from(data, offset)
+            offset += 2
+            if n_items:
+                (block,) = _U8.unpack_from(data, offset)
+                offset += 1
         except struct.error as exc:
             raise WireError(f"truncated header: {exc}") from None
         if magic != MAGIC:
             raise WireError(f"bad magic 0x{magic:04x}")
         if wire_version != WIRE_VERSION:
             raise WireError(f"unsupported wire version {wire_version}")
-        offset = _HEADER.size
-        try:
-            (n_items,) = struct.unpack_from(">H", data, offset)
-        except struct.error as exc:
-            raise WireError(f"truncated item count: {exc}") from None
-        offset += 2
         items = []
-        for _ in range(n_items):
-            item, offset = EncryptedItem.decode(data, offset)
-            items.append(item)
+        if n_items:
+            if not block:
+                raise WireError("zero cipher block size")
+            unpack_item = _ITEM_FIXED.unpack_from
+            for _ in range(n_items):
+                try:
+                    enc_node_id, enc_version, plaintext_len = unpack_item(
+                        data, offset)
+                except struct.error as exc:
+                    raise WireError(f"truncated item: {exc}") from None
+                iv_at = offset + _ITEM_FIXED.size
+                ciphertext_at = iv_at + block
+                offset = ciphertext_at + ciphertext_size(plaintext_len, block)
+                if offset > len(data):
+                    raise WireError("truncated item body")
+                items.append(EncryptedItem(
+                    enc_node_id, enc_version, data[iv_at:ciphertext_at],
+                    data[ciphertext_at:offset], plaintext_len))
         try:
-            (body_len,) = struct.unpack_from(">I", data, offset)
+            (body_len,) = _U32.unpack_from(data, offset)
         except struct.error as exc:
             raise WireError(f"truncated body length: {exc}") from None
         offset += 4

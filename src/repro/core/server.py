@@ -37,13 +37,13 @@ from ..keygraph.flat import FlatKeyTree
 from ..keygraph.star import StarGroup
 from ..observability import (COUNT_BUCKETS, LATENCY_BUCKETS_S,
                              SIZE_BUCKETS_BYTES, Instrumentation)
-from .messages import (GROUP, INDIVIDUAL_KEY, MSG_DATA, MSG_HEARTBEAT,
-                       MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_JOIN_REQUEST,
-                       MSG_LEAVE_ACK, MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
-                       MSG_REKEY, MSG_RESYNC_REQUEST, MSG_SUBCAST_REQUEST,
-                       STRATEGY_GROUP_ORIENTED, STRATEGY_STAR, Destination,
-                       EncryptedItem, KeyRecord, Message, OutboundMessage,
-                       WireError)
+from .messages import (GROUP, INDIVIDUAL_KEY, MAX_PLAINTEXT, MSG_DATA,
+                       MSG_HEARTBEAT, MSG_JOIN_ACK, MSG_JOIN_DENIED,
+                       MSG_JOIN_REQUEST, MSG_LEAVE_ACK, MSG_LEAVE_DENIED,
+                       MSG_LEAVE_REQUEST, MSG_REKEY, MSG_RESYNC_REQUEST,
+                       MSG_SUBCAST_REQUEST, STRATEGY_GROUP_ORIENTED,
+                       STRATEGY_STAR, Destination, EncryptedItem, KeyRecord,
+                       Message, OutboundMessage, WireError, ciphertext_size)
 from .pipeline import (KeyMaterialSource, RekeyPipeline, Sequencer,
                        make_signer, validate_signing)
 from .resync import RESYNC_NOT_MEMBER, RESYNC_OK, build_resync_reply
@@ -227,14 +227,21 @@ class StagedRekeyOp:
 _DENIALS = {"join": MSG_JOIN_DENIED, "leave": MSG_LEAVE_DENIED}
 
 
+def require_payload_fits(payload: bytes) -> None:
+    """Refuse, before any sequence number or IV is drawn, a subcast or
+    data payload that one item cannot carry."""
+    if len(payload) > MAX_PLAINTEXT:
+        raise ServerError(f"payload of {len(payload)} bytes exceeds the "
+                          f"{MAX_PLAINTEXT}-byte item limit")
+
+
 def seal_data_message(suite: CipherSuite, signer, payload: bytes,
                       group_key: bytes, root_ref: Tuple[int, int],
                       iv: bytes, seq: int, group_id: int) -> OutboundMessage:
     """One signed ``MSG_DATA`` message: ``payload`` CBC-encrypted under
     the group key ``root_ref`` names, addressed to the whole group."""
     from ..crypto import modes
-    block = suite.block_size
-    padded = payload.ljust(-(-max(len(payload), 1) // block) * block,
+    padded = payload.ljust(ciphertext_size(len(payload), suite.block_size),
                            b"\x00")
     ciphertext = modes.cbc_encrypt_nopad(suite.new_cipher(group_key),
                                          padded, iv)
@@ -975,6 +982,7 @@ class GroupKeyServer(KeyServerProtocol):
 
     def seal_group_message(self, payload: bytes) -> OutboundMessage:
         """Encrypt application data under the current group key."""
+        require_payload_fits(payload)
         out = seal_data_message(self.suite, self._signer, payload,
                                 self.group_key(), self.group_key_ref(),
                                 self._new_iv(), self._next_seq(),
@@ -1002,6 +1010,7 @@ class GroupKeyServer(KeyServerProtocol):
             if not self.tree.has_user(user_id):
                 raise ServerError(
                     f"subcast target {user_id!r} is not a member")
+        require_payload_fits(payload)
         started = time.perf_counter()
         with self.instrumentation.tracer.span(
                 "subcast.cover", targets=len(target_list)) as span:

@@ -153,10 +153,10 @@ class MerkleSigner:
             self.private_key, tree.root, self.suite.digest_name)
         self.signatures_performed += 1
         for index, message in enumerate(messages):
-            message.auth = AuthBlock(digest=digests[index], scheme=SIG_MERKLE,
-                                     signature=signature,
+            message.auth = AuthBlock(scheme=SIG_MERKLE, signature=signature,
                                      merkle_index=index,
-                                     merkle_path=tree.path(index))
+                                     merkle_path=tree.path(index),
+                                     merkle_leaves=len(messages))
 
 
 def verify_message(suite, message: Message,
@@ -165,14 +165,15 @@ def verify_message(suite, message: Message,
 
     Raises :class:`SigningError` if the digest mismatches, a signature is
     present but invalid, or a signature was expected (``public_key``
-    given and suite signs) but absent.
+    given and suite signs) but absent.  A Merkle certificate carries no
+    digest: the path starts from the digest recomputed here.
     """
     auth = message.auth
     if auth is None:
         if suite.digest_name is not None:
             raise SigningError("missing auth block")
         return
-    if suite.digest_name is not None:
+    if suite.digest_name is not None and auth.scheme != SIG_MERKLE:
         digest = suite.digest(message.signed_region())
         if digest != auth.digest:
             raise SigningError("message digest mismatch")
@@ -191,7 +192,10 @@ def verify_message(suite, message: Message,
     elif auth.scheme == SIG_MERKLE:
         # Recompute the root from this message's digest and the attached
         # sibling path, then check the signature over the root.
-        value = auth.digest
+        if suite.digest_name is None:
+            raise SigningError("Merkle certificate but the suite has no "
+                               "digest")
+        value = suite.digest(message.signed_region())
         position = auth.merkle_index
         for sibling in auth.merkle_path:
             if sibling:

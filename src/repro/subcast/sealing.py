@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.messages import (MSG_SUBCAST, SUBCAST_MESSAGE_KEY, Destination,
                              EncryptedItem, KeyRecord, Message,
-                             OutboundMessage, encrypt_records)
+                             OutboundMessage, ciphertext_size,
+                             encrypt_records)
 from ..core.pipeline import KeyMaterialSource, Sequencer
 from ..crypto import modes
 
@@ -80,9 +81,8 @@ class SubcastSealer:
         # key, payload IV, then one IV per cover item in node-id order.
         message_key = self.material.new_key()
         payload_iv = self.material.new_iv()
-        block = self.suite.block_size
-        padded_len = -(-max(len(payload), 1) // block) * block
-        padded = payload.ljust(padded_len, b"\x00")
+        padded = payload.ljust(
+            ciphertext_size(len(payload), self.suite.block_size), b"\x00")
         cipher = self.suite.new_cipher(message_key)
         ciphertext = modes.cbc_encrypt_nopad(cipher, padded, payload_iv)
         items: List[EncryptedItem] = [

@@ -6,12 +6,14 @@ arbitrary exception or silently install wrong keys.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.client import ClientError, GroupClient
-from repro.core.messages import (MSG_REKEY, EncryptedItem, KeyRecord,
-                                 Message, WireError, encrypt_records)
+from repro.core.messages import (MAX_PLAINTEXT, MSG_REKEY,
+                                 MSG_SUBCAST_REQUEST, EncryptedItem,
+                                 KeyRecord, Message, WireError,
+                                 encrypt_records)
 from repro.core.server import GroupKeyServer, ServerConfig, ServerError
 from repro.core.signing import NullSigner, SigningError
 from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
@@ -26,8 +28,17 @@ def test_decode_random_bytes_raises_wire_error_only(data):
         pass  # the only acceptable failure mode
 
 
+def _subcast_request(sender, targets, payload):
+    from repro.subcast.wire import encode_subcast_request
+    return Message(msg_type=MSG_SUBCAST_REQUEST, body=encode_subcast_request(
+        sender, targets, payload)).encode()
+
+
 @given(data=st.binary(max_size=200))
-@settings(max_examples=50)
+@example(data=_subcast_request("a", ["u1", "u2"], b"x" * 65529))
+@example(data=_subcast_request("a", ["a"], b"x" * 65529))
+@example(data=_subcast_request("a", ["a"], b"x" * (MAX_PLAINTEXT + 1)))
+@settings(max_examples=50, deadline=None)  # sealing 64 KiB takes ~0.2 s
 def test_server_datagram_handler_raises_server_error_only(data):
     server = GroupKeyServer(ServerConfig(
         suite=PAPER_SUITE_NO_SIG, signing="none", seed=b"fuzz"))
@@ -36,6 +47,29 @@ def test_server_datagram_handler_raises_server_error_only(data):
         server.handle_datagram(data)
     except ServerError:
         pass
+
+
+@pytest.mark.parametrize("oversized", ["subcast", "datagram", "data"])
+def test_refused_oversized_payload_draws_no_sequence_number(oversized):
+    """An oversized subcast or data payload is refused as a ServerError
+    before any draw: the next op carries the next sequence number."""
+    server = GroupKeyServer(ServerConfig(seed=b"oversized"))
+    server.bootstrap([(f"u{i}", server.new_individual_key())
+                      for i in range(4)])
+    first = server.join("n0", server.new_individual_key())
+    payload = b"x" * (MAX_PLAINTEXT + 1)
+    with pytest.raises(ServerError):
+        if oversized == "subcast":
+            server.subcast(["u1", "u2"], payload)
+        elif oversized == "datagram":
+            server.handle_datagram(
+                _subcast_request("u0", ["u1", "u2"], payload))
+        else:
+            server.seal_group_message(payload)
+    second = server.join("n1", server.new_individual_key())
+    seqs = sorted(out.message.seq for out in first.all_messages
+                  + second.all_messages)
+    assert seqs == list(range(1, len(seqs) + 1))
 
 
 def _valid_rekey_bytes():

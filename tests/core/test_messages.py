@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import (INDIVIDUAL_KEY, MSG_DATA, MSG_JOIN_REQUEST,
-                                 MSG_REKEY, SIG_MERKLE, SIG_NONE,
-                                 SIG_PER_MESSAGE, AuthBlock, Destination,
-                                 EncryptedItem, KeyRecord, Message, WireError,
+from repro.core.messages import (INDIVIDUAL_KEY, MAX_PLAINTEXT, MSG_DATA,
+                                 MSG_JOIN_REQUEST, MSG_REKEY, SIG_MERKLE,
+                                 SIG_NONE, SIG_PER_MESSAGE, AuthBlock,
+                                 Destination, EncryptedItem, KeyRecord,
+                                 Message, WireError, ciphertext_size,
                                  decode_key_records, decrypt_records,
-                                 encrypt_records)
+                                 encrypt_records, merkle_shape)
 from repro.crypto.suite import MODERN_SUITE, PAPER_SUITE
 
 
@@ -41,14 +42,71 @@ def test_message_roundtrip_full():
 
 
 def test_message_roundtrip_merkle_auth():
-    auth = AuthBlock(digest=b"d" * 16, scheme=SIG_MERKLE,
-                     signature=b"s" * 64, merkle_index=5,
-                     merkle_path=[b"p" * 16, b"", b"q" * 16])
+    # Leaf 5 of 6: it meets leaf 4, is promoted past the odd level of
+    # three, and meets the pair (0..3) at the top.
+    auth = AuthBlock(scheme=SIG_MERKLE, signature=b"s" * 64, merkle_index=5,
+                     merkle_path=[b"p" * 16, b"", b"q" * 16],
+                     merkle_leaves=6)
     message = Message(msg_type=MSG_REKEY, items=[sample_item()], auth=auth)
     decoded = Message.decode(message.encode())
-    assert decoded.auth.scheme == SIG_MERKLE
-    assert decoded.auth.merkle_index == 5
-    assert decoded.auth.merkle_path == [b"p" * 16, b"", b"q" * 16]
+    assert decoded.auth == auth
+    assert auth.wire_size() == 70 + 16 * 2
+
+
+def test_merkle_shape_marks_promoted_levels():
+    assert merkle_shape(0, 1) == []
+    assert merkle_shape(5, 6) == [True, False, True]
+    assert merkle_shape(6, 7) == [False, True, True]
+    with pytest.raises(WireError):
+        merkle_shape(3, 3)
+
+
+def test_items_carry_no_lengths():
+    # 10 bytes of reference and plaintext length, then IV and ciphertext;
+    # the message adds one block-size byte for all its items.
+    one = Message(msg_type=MSG_REKEY, items=[sample_item()]).encode()
+    two = Message(msg_type=MSG_REKEY,
+                  items=[sample_item(), sample_item(8, 1)]).encode()
+    bare = Message(msg_type=MSG_REKEY).encode()
+    assert len(two) - len(one) == 10 + 8 + 16
+    assert len(one) - len(bare) == 1 + 10 + 8 + 16
+
+
+@pytest.mark.parametrize("item", [
+    EncryptedItem(1, 0, bytes(8), bytes(8), 9),     # ciphertext too short
+    EncryptedItem(1, 0, bytes(8), bytes(24), 16),   # too long
+    EncryptedItem(1, 0, bytes(8), b"", 0),          # empty plaintext: 1 block
+    EncryptedItem(1, 0, bytes(4), bytes(16), 16),   # IV is not the block
+    EncryptedItem(2**32, 0, bytes(8), bytes(16), 16),
+    EncryptedItem(1, 0, bytes(8), bytes(65536), MAX_PLAINTEXT + 1),
+])
+def test_encoder_refuses_items_the_wire_cannot_carry(item):
+    with pytest.raises(WireError):
+        Message(msg_type=MSG_REKEY, items=[sample_item(), item]).encode()
+
+
+@pytest.mark.parametrize("message", [
+    Message(msg_type=MSG_DATA, seq=2**64),
+    Message(msg_type=256),
+    Message(msg_type=MSG_DATA, items=[sample_item()] * 0x10000),
+    Message(msg_type=MSG_DATA, auth=AuthBlock(digest=bytes(256))),
+    Message(msg_type=MSG_DATA, auth=AuthBlock(
+        scheme=SIG_PER_MESSAGE, signature=bytes(0x10000))),
+    Message(msg_type=MSG_REKEY, auth=AuthBlock(
+        digest=bytes(16), scheme=SIG_MERKLE, signature=bytes(64))),
+    Message(msg_type=MSG_REKEY, auth=AuthBlock(        # a promoted level
+        scheme=SIG_MERKLE, signature=bytes(64), merkle_index=2,
+        merkle_path=[bytes(16)], merkle_leaves=3)),
+    Message(msg_type=MSG_REKEY, auth=AuthBlock(
+        scheme=SIG_MERKLE, signature=bytes(64), merkle_index=2,
+        merkle_leaves=2)),
+    Message(msg_type=MSG_REKEY, auth=AuthBlock(
+        scheme=SIG_MERKLE, signature=bytes(64), merkle_index=0,
+        merkle_path=[bytes(16), bytes(20)], merkle_leaves=4)),
+])
+def test_encoder_refuses_out_of_range_fields(message):
+    with pytest.raises(WireError):
+        message.encode()
 
 
 def test_control_message_with_body():
@@ -103,15 +161,37 @@ def test_header_field_roundtrip(seq, group_id, body):
 _blob = st.binary(max_size=40)
 
 
-@given(items=st.lists(st.builds(EncryptedItem, st.integers(0, 2**32 - 1),
-                                st.integers(0, 2**32 - 1), _blob, _blob,
-                                st.integers(0, 2**16 - 1)), max_size=6),
-       body=_blob,
-       auth=st.one_of(st.none(), st.builds(
-           AuthBlock, digest=_blob,
-           scheme=st.sampled_from([SIG_NONE, SIG_PER_MESSAGE, SIG_MERKLE]),
-           signature=_blob, merkle_index=st.integers(0, 2**32 - 1),
-           merkle_path=st.lists(_blob, max_size=5))))
+@st.composite
+def canonical_items(draw, block):
+    plaintext_len = draw(st.integers(0, 200))
+    return EncryptedItem(draw(st.integers(0, 2**32 - 1)),
+                         draw(st.integers(0, 2**32 - 1)),
+                         draw(st.binary(min_size=block, max_size=block)),
+                         bytes(ciphertext_size(plaintext_len, block)),
+                         plaintext_len)
+
+
+@st.composite
+def certificates(draw):
+    leaves = draw(st.integers(1, 300))
+    index = draw(st.integers(0, leaves - 1))
+    size = draw(st.integers(1, 40))
+    path = [draw(st.binary(min_size=size, max_size=size)) if real else b""
+            for real in merkle_shape(index, leaves)]
+    return AuthBlock(scheme=SIG_MERKLE, signature=draw(_blob),
+                     merkle_index=index, merkle_path=path,
+                     merkle_leaves=leaves)
+
+
+_auth = st.one_of(st.none(), certificates(), st.builds(
+    AuthBlock, digest=_blob, scheme=st.sampled_from([SIG_NONE,
+                                                     SIG_PER_MESSAGE]),
+    signature=_blob))
+
+
+@given(items=st.integers(1, 32).flatmap(
+           lambda block: st.lists(canonical_items(block), max_size=6)),
+       body=_blob, auth=_auth)
 @settings(max_examples=100)
 def test_wire_size_is_the_encoded_length(items, body, auth):
     message = Message(msg_type=MSG_REKEY, items=items, body=body, auth=auth)

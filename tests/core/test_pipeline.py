@@ -123,7 +123,7 @@ class TestPendingItem:
         assert isinstance(pending, PendingItem)
         assert immediate.encryptions == deferred.encryptions == 1
         deferred.materialize()
-        assert resolve_item(pending).encode() == direct.encode()
+        assert resolve_item(pending) == direct
 
     def test_resolve_requires_materialization(self):
         material = make_material()

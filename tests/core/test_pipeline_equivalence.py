@@ -32,6 +32,8 @@ from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 from repro.keygraph.materialized import MaterializedKeyGraph
 from repro.transport.inmemory import InMemoryNetwork
 
+from ..wire_content import update_content
+
 FIXED_TIME_NS = 893_520_000_000_000_000  # 1998-04-26, fixed for all runs
 
 
@@ -63,9 +65,11 @@ class _Wire:
         return set(self._reached)
 
 
-def _hash_messages(h, messages, wire, group_receivers=None):
-    """Digest one op's messages; ``group_receivers(exclude)`` is the
-    deleted resolver of a group address, evaluated now."""
+def _hash_messages(h, content, messages, wire, group_receivers=None):
+    """Digest one op's messages, their bytes into ``h`` and their
+    framing-independent content into ``content``;
+    ``group_receivers(exclude)`` is the deleted resolver of a group
+    address, evaluated now."""
     for message in messages:
         h.update(message.encoded)
         receivers = message.receivers
@@ -73,6 +77,7 @@ def _hash_messages(h, messages, wire, group_receivers=None):
             assert receivers == ()
             receivers = group_receivers(message.destination.exclude)
         h.update(repr(tuple(receivers)).encode())
+        update_content(content, message, receivers)
         assert wire.reach(message) == set(receivers)
 
 
@@ -93,13 +98,14 @@ SERVER_SCRIPT = (("join", "n0"), ("leave", "u2"), ("join", "n1"),
 
 
 def run_server_scenario(graph, strategy, signing, suite):
-    """One seeded join/leave/refresh sequence; digest + counters."""
+    """One seeded join/leave/refresh sequence; byte digest, content
+    digest, counters."""
     config = ServerConfig(graph=graph, degree=3, strategy=strategy,
                           suite=suite, signing=signing, seed=b"equivalence")
     server = GroupKeyServer(config)
     members = [(f"u{i}", server.new_individual_key()) for i in range(8)]
     server.bootstrap(members)
-    h = hashlib.sha256()
+    h, content = hashlib.sha256(), hashlib.sha256()
     counters = []
     wire = _Wire(user for user, _key in members)
     with _freeze_time():
@@ -123,14 +129,14 @@ def run_server_scenario(graph, strategy, signing, suite):
                     return tuple(server.tree.users())
             else:
                 resolve = _tree_group(server.tree)
-            _hash_messages(h, outcome.all_messages, wire, resolve)
+            _hash_messages(h, content, outcome.all_messages, wire, resolve)
             record = outcome.record
             counters.append((record.encryptions, record.signatures,
                              record.n_rekey_messages, record.rekey_bytes,
                              record.max_message_bytes,
                              record.key_changes_total,
                              record.n_users_after))
-    return h.hexdigest(), counters
+    return h.hexdigest(), content.hexdigest(), counters
 
 
 BATCH_WINDOWS = (
@@ -140,7 +146,7 @@ BATCH_WINDOWS = (
 
 
 def run_batch_scenario(signing, suite, observe=None):
-    """Two seeded flushes; digest + counters.
+    """Two seeded flushes; byte digest, content digest, counters.
 
     ``observe(server, window_keys, messages)`` sees each flush's rekey
     messages, with every key the server held before and after it.
@@ -150,7 +156,7 @@ def run_batch_scenario(signing, suite, observe=None):
                                          seed=b"equivalence-batch"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(9)])
-    h = hashlib.sha256()
+    h, content = hashlib.sha256(), hashlib.sha256()
     counters = []
     wire = _Wire(f"u{i}" for i in range(9))
     # The flush's group rekey: ``tuple(self.tree.users())``.
@@ -168,7 +174,7 @@ def run_batch_scenario(signing, suite, observe=None):
                 wire.leave(user)
             for user, _key in joins:
                 wire.join(user)
-            _hash_messages(h, outcome.all_messages, wire, resolve)
+            _hash_messages(h, content, outcome.all_messages, wire, resolve)
             counters.append((len(joins), len(leaves),
                              outcome.record.encryptions, estimate))
             if observe is not None:
@@ -176,7 +182,7 @@ def run_batch_scenario(signing, suite, observe=None):
                             for node in server.tree.nodes())
                 keys.update(joins)
                 observe(server, keys, outcome.rekey_messages)
-    return h.hexdigest(), counters
+    return h.hexdigest(), content.hexdigest(), counters
 
 
 def batch_structure(signing, suite):
@@ -206,12 +212,13 @@ def batch_structure(signing, suite):
 
 
 def run_materialized_scenario():
-    """Figure 1 graph: one leave, one join; digest + counters."""
+    """Figure 1 graph: one leave, one join; byte digest, content
+    digest, counters."""
     source = drbg.make_source(b"equivalence-graph", b"materialized")
     suite = PAPER_SUITE_NO_SIG
     keygen = lambda: suite.safe_key(source)
     group, _individual = MaterializedKeyGraph.figure1(suite, keygen)
-    h = hashlib.sha256()
+    h, content = hashlib.sha256(), hashlib.sha256()
     counters = []
     wire = _Wire(group.users())
     # ``sorted(u_nodes)`` on a leave, ``sorted(u_nodes - {user})`` on a
@@ -225,49 +232,70 @@ def run_materialized_scenario():
                 ("leave", "u4", lambda: group.leave("u4"))):
             outcome = run()
             getattr(wire, op)(user)
-            _hash_messages(h, outcome.messages, wire, resolve)
+            _hash_messages(h, content, outcome.messages, wire, resolve)
             counters.append((outcome.op, outcome.encryptions,
                              tuple(outcome.replaced)))
-    return h.hexdigest(), counters
+    return h.hexdigest(), content.hexdigest(), counters
 
 
 # Captured from the pre-pipeline implementation (seed commit) with the
 # scenarios above.  Do not regenerate casually: a mismatch means the
-# refactor changed observable behaviour.
+# refactor changed observable behaviour.  The byte digests (and the byte
+# columns of the counts) were re-pinned once, for the v2 wire framing,
+# after the content digests below were shown to hold on both framings.
 GOLDEN_SERVER = {
     ("tree", "group", "merkle"):
-        "4678546ad007e3bba5e156000b09e3bee978b8d97739835a2f44d2da2e9c83d8",
+        "111737c8ce9c52dd83852301e876a591f088e41116811bb49167b15498b1ad7d",
     ("tree", "user", "none"):
-        "5d14866bfe4a2985dfc15494652318e0810af2002330658131c3bf7e46c1e251",
+        "3a1df31d716c00efcce3a3bb05fe7d87b3acc53517da8c4c38ec1596cbcd3a55",
     ("tree", "key", "per-message"):
-        "bbcf07b8da8425a3c6f4a0b4f7abeab0786cb74cc066e83fcd5a4c94e1422c3e",
+        "ab0ad4bbe131a3bc82a62d201f654a3be06624ede6131f384367b9a03e67c75b",
     ("tree", "hybrid", "none"):
-        "e470b76634584fa82209b06f1f290fd91faaa5b7971481603f082afa3693faa3",
+        "418f809355bdc315c643e0be4ab522761e5dc46451df5a2172e394aaac9b8354",
     ("star", "group", "merkle"):
-        "ad9f837f17fa1c6ced5b031b5cca5407d51d1e2f7a4567c561751887b9bba068",
+        "e3c96616d4da1f260c2d9ae2908ca03473caabf44c62263ad07ad3455ad1d20e",
+}
+# Framing-independent content (``tests/wire_content.py``) of the same
+# scenarios, computed on the v1 wire before the v2 framing and required
+# of every later framing: what the bytes say must not move.
+GOLDEN_SERVER_CONTENT = {
+    ("tree", "group", "merkle"):
+        "b7d1bbfee546a29710997291a53e77038e1af4b9d43f93118468cc1f3a6e4116",
+    ("tree", "user", "none"):
+        "5c71aa435d86897e22f73ff9981239c1f4bfa8331db1b68d3e9859c5dde0a1e1",
+    ("tree", "key", "per-message"):
+        "ebb63b051006c46a6070f418c096898c5ce0b4dec4957e59ff1638fe3cb61a40",
+    ("tree", "hybrid", "none"):
+        "a5eb98c0421d2ad6f296c54eb6df0a921ec25ba95d7de6593e4e3ccb6dc39c44",
+    ("star", "group", "merkle"):
+        "cb36715a055224219ced6de388a3d190f599c26fd568bc26e76148cb82ffb9c9",
 }
 # Per-request (encryptions, signatures, n_rekey_messages, rekey_bytes,
 # max_message_bytes, key_changes_total, n_users_after); spot-checked for
 # the two signing extremes so counter regressions are readable.
 GOLDEN_SERVER_COUNTS = {
     ("tree", "group", "merkle"): [
-        (4, 1, 2, 419, 220, 10, 9), (5, 1, 1, 314, 314, 10, 8),
-        (4, 1, 2, 419, 220, 10, 9), (5, 1, 1, 314, 314, 10, 8),
-        (1, 1, 1, 166, 166, 8, 8), (5, 1, 1, 314, 314, 9, 7),
-        (4, 1, 2, 419, 220, 9, 8)],
+        (4, 1, 2, 372, 195, 10, 9), (5, 1, 1, 281, 281, 10, 8),
+        (4, 1, 2, 372, 195, 10, 9), (5, 1, 1, 281, 281, 10, 8),
+        (1, 1, 1, 145, 145, 8, 8), (5, 1, 1, 281, 281, 9, 7),
+        (4, 1, 2, 372, 195, 9, 8)],
     ("tree", "user", "none"): [
-        (5, 0, 3, 323, 113, 10, 9), (6, 0, 4, 420, 113, 10, 8),
-        (5, 0, 3, 323, 113, 10, 9), (6, 0, 4, 420, 113, 10, 8),
-        (1, 0, 1, 97, 97, 8, 8), (6, 0, 4, 420, 113, 9, 7),
-        (5, 0, 3, 323, 113, 9, 8)],
+        (5, 0, 3, 317, 111, 10, 9), (6, 0, 4, 412, 111, 10, 8),
+        (5, 0, 3, 317, 111, 10, 9), (6, 0, 4, 412, 111, 10, 8),
+        (1, 0, 1, 95, 95, 8, 8), (6, 0, 4, 412, 111, 9, 7),
+        (5, 0, 3, 317, 111, 9, 8)],
 }
 # Re-pinned once when the batch server became ``GroupKeyServer.flush``:
 # the flush draws from the server's one key stream, and the merkle
 # flush carries one signature over all its messages.  The structure
 # below and the counts were unchanged by that move.
 GOLDEN_BATCH = {
-    "merkle": "e0f404a8882a9c7427bc4ca9172387d753435a2d24582fe9365b9c7eee9bf0d3",
-    "none": "6223b614956a2ed52a59cdd152779e4b1ad27df0955a4cc8ae149c69dae221e5",
+    "merkle": "b710095f29ed87ece3a193673aeaa03159ef0969c2144345866ff77c86888cf5",
+    "none": "57a90afa2c38ccf47bd2e6c919b1baf6cec4633dc62b04b01a97296022dbb5bb",
+}
+GOLDEN_BATCH_CONTENT = {
+    "merkle": "5c0ef1a561b41f999324598d250652865b08f7aeff24869bfa1a3a949b591281",
+    "none": "ee4f5a7a66a1fdc6766ed4e398cdc572859fdb1da1c261a8f4943bd59a677270",
 }
 # (n_joins, n_leaves, encryptions, individual_cost_estimate) per flush.
 GOLDEN_BATCH_COUNTS = [(3, 2, 15, 24), (1, 2, 10, 24)]
@@ -291,7 +319,9 @@ GOLDEN_BATCH_STRUCTURE = (
      (("user", "n3", None), ((_IND, ((11, 1), (9, 2))),))),
 )
 GOLDEN_MATERIALIZED = (
-    "e92a471b7969880947bd593253d086bec6e3730a31ec0e074899df05511bd0dd")
+    "10a134aae056e6f63cd48e2d79185f9a227c8b38cf9ff31d595e3e11787948f3")
+GOLDEN_MATERIALIZED_CONTENT = (
+    "6d12ad9970a2324a0fe9caf3ec1eb90d02df3e38d089943afffbb1641009f7f8")
 GOLDEN_MATERIALIZED_COUNTS = [
     ("leave", 5, ("k12", "k234", "k1234")),
     ("join", 6, ("k3", "k234", "k1234")),
@@ -305,17 +335,21 @@ def _suite_for(signing):
 
 def test_server_paths_match_seed_bytes():
     for (graph, strategy, signing), expected in GOLDEN_SERVER.items():
-        digest, counters = run_server_scenario(
+        digest, content, counters = run_server_scenario(
             graph, strategy, signing, _suite_for(signing))
-        assert digest == expected, (graph, strategy, signing)
-        golden_counts = GOLDEN_SERVER_COUNTS.get((graph, strategy, signing))
+        key = (graph, strategy, signing)
+        assert content == GOLDEN_SERVER_CONTENT[key], key
+        assert digest == expected, key
+        golden_counts = GOLDEN_SERVER_COUNTS.get(key)
         if golden_counts is not None:
-            assert counters == golden_counts, (graph, strategy, signing)
+            assert counters == golden_counts, key
 
 
 def test_batch_path_matches_seed_bytes():
     for signing, expected in GOLDEN_BATCH.items():
-        digest, counters = run_batch_scenario(signing, _suite_for(signing))
+        digest, content, counters = run_batch_scenario(
+            signing, _suite_for(signing))
+        assert content == GOLDEN_BATCH_CONTENT[signing], signing
         assert digest == expected, signing
         assert counters == GOLDEN_BATCH_COUNTS, signing
 
@@ -327,24 +361,29 @@ def test_batch_flush_keeps_the_batch_servers_structure():
 
 
 def test_materialized_path_matches_seed_bytes():
-    digest, counters = run_materialized_scenario()
+    digest, content, counters = run_materialized_scenario()
+    assert content == GOLDEN_MATERIALIZED_CONTENT
     assert digest == GOLDEN_MATERIALIZED
     assert counters == GOLDEN_MATERIALIZED_COUNTS
 
 
 def main():
-    """Print freshly computed goldens (used once, against the seed tree)."""
+    """Print freshly computed goldens (bytes, content, counts)."""
     for (graph, strategy, signing) in GOLDEN_SERVER:
-        digest, counters = run_server_scenario(
+        digest, content, counters = run_server_scenario(
             graph, strategy, signing, _suite_for(signing))
         print(f"SERVER {(graph, strategy, signing)!r}: {digest!r}")
+        print(f"  content: {content!r}")
         print(f"  counts: {counters!r}")
     for signing in GOLDEN_BATCH:
-        digest, counters = run_batch_scenario(signing, _suite_for(signing))
+        digest, content, counters = run_batch_scenario(
+            signing, _suite_for(signing))
         print(f"BATCH {signing!r}: {digest!r}")
+        print(f"  content: {content!r}")
         print(f"  counts: {counters!r}")
-    digest, counters = run_materialized_scenario()
+    digest, content, counters = run_materialized_scenario()
     print(f"MATERIALIZED: {digest!r}")
+    print(f"  content: {content!r}")
     print(f"  counts: {counters!r}")
 
 

@@ -117,12 +117,15 @@ class TestTable4:
             per_message_join, merkle_join = row[1], row[6]
             per_message_leave, merkle_leave = row[2], row[7]
             if strategy == "group":
-                # Leave: a single rekey message -> Merkle adds ~6 bytes of
-                # framing only.  (Join has two messages — multicast plus
-                # the joiner unicast — so one 16-byte sibling digest
-                # appears.)
-                assert merkle_leave == pytest.approx(per_message_leave,
-                                                     abs=10)
+                # Leave: a single rekey message, so its certificate has
+                # no sibling: against the per-message trailer it drops
+                # the 16-byte digest and the 2-byte signature length for
+                # 1-byte varints of signature length, leaf index and
+                # leaf count and a sibling-size byte — 14 bytes fewer.
+                # (Join has two messages — multicast plus the joiner
+                # unicast — so one 16-byte sibling digest appears.)
+                assert merkle_leave == pytest.approx(per_message_leave - 14,
+                                                     abs=1)
                 assert merkle_join < per_message_join + 40
             else:
                 assert merkle_join > per_message_join          # certificate
