@@ -65,7 +65,7 @@ def test_rekey_item_encryption(benchmark):
     record = [KeyRecord(1, 1, bytes(8))]
     item = benchmark(encrypt_records, PAPER_SUITE, bytes(8), bytes(8),
                      record, 2, 0)
-    assert len(item.ciphertext) == 16
+    assert len(item.ciphertext) == 8
 
 
 def test_merkle_seal_20_messages(benchmark):

@@ -63,7 +63,7 @@ def describe(server, outcome):
                 under = "the receiver's individual key"
             else:
                 under = label_for(server, item.enc_node_id)
-            n_keys = item.plaintext_len // (8 + SUITE.key_size)
+            n_keys = len(item.labels)
             plural = "s" if n_keys != 1 else ""
             print(f"         {{{n_keys} new key{plural}}} encrypted under "
                   f"{under}")

@@ -19,8 +19,7 @@ from .messages import (DEST_ALL, DEST_SUBGROUP, DEST_USER, DEST_USERS,
                        STRATEGY_KEY_ORIENTED, STRATEGY_STAR,
                        STRATEGY_USER_ORIENTED, AuthBlock, Destination,
                        EncryptedItem, KeyRecord, Message, OutboundMessage,
-                       WireError, decode_key_records, decrypt_records,
-                       encrypt_records)
+                       WireError, decrypt_records, encrypt_records)
 from .server import (AccessDenied, GroupKeyServer, RekeyOutcome,
                      RequestRecord, ServerConfig, ServerError,
                      STAR_GROUP_NODE)
@@ -41,7 +40,7 @@ __all__ = [
     "RekeyOutcome", "RequestRecord", "STAR_GROUP_NODE",
     "Message", "OutboundMessage", "Destination", "EncryptedItem",
     "KeyRecord", "AuthBlock", "WireError",
-    "decode_key_records", "decrypt_records", "encrypt_records",
+    "decrypt_records", "encrypt_records",
     "INDIVIDUAL_KEY",
     "MSG_JOIN_REQUEST", "MSG_JOIN_ACK", "MSG_JOIN_DENIED",
     "MSG_LEAVE_REQUEST", "MSG_LEAVE_ACK", "MSG_LEAVE_DENIED",

@@ -285,6 +285,6 @@ class SecureGroupChannel:
         item = message.items[0]
         cipher = self.suite.new_cipher(enc_key)
         padded = modes.cbc_decrypt_nopad(cipher, item.ciphertext, item.iv)
-        if item.plaintext_len > len(padded):
+        if item.labels or item.plaintext_len > len(padded):
             raise ChannelError("corrupt frame length")
         return padded[:item.plaintext_len], sender, seq

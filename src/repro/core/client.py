@@ -326,7 +326,7 @@ class GroupClient:
         from ..crypto import modes
         cipher = self.suite.new_cipher(group_key)
         padded = modes.cbc_decrypt_nopad(cipher, item.ciphertext, item.iv)
-        if item.plaintext_len > len(padded):
+        if item.labels or item.plaintext_len > len(padded):
             raise ClientError("corrupt data message length")
         return padded[:item.plaintext_len]
 
@@ -358,7 +358,8 @@ class GroupClient:
         if not message.items:
             raise ClientError("subcast carries no items")
         payload_item = message.items[0]
-        if payload_item.enc_node_id != SUBCAST_MESSAGE_KEY:
+        if payload_item.enc_node_id != SUBCAST_MESSAGE_KEY \
+                or payload_item.labels:
             raise ClientError("subcast payload item missing")
         subcast_id = payload_item.enc_version
         message_key: Optional[bytes] = None

@@ -1,4 +1,4 @@
-"""Wire format (v2) for protocol and rekey messages.
+"""Wire format (v3) for protocol and rekey messages.
 
 The paper notes that real rekey messages carry "subgroup labels for new
 keys, server digital signature, message integrity check, timestamp, etc."
@@ -6,23 +6,31 @@ This module defines that format as one compact binary encoding; every
 multi-byte integer is big-endian.
 
 ``Message``
-    header  : magic, version (2), type, strategy, flags, group id,
+    header  : magic, version (3), type, strategy, flags, group id,
               sequence number, timestamp, current group-key (root)
               reference — 34 bytes
     items   : a 2-byte count; if nonzero, one byte of cipher block size
-              ``b``, then each :class:`EncryptedItem` as its
-              encrypting-key reference (node id, version), its 2-byte
-              ``plaintext_len``, a ``b``-byte IV and a ciphertext of
-              ``b * max(1, ceil(plaintext_len / b))`` bytes — 10 bytes
-              besides IV and ciphertext, whose lengths do not travel.
-              The plaintext is one or more :class:`KeyRecord` entries
-              (node id, version, key bytes), zero-padded to the block.
+              ``b`` and one of key size ``k`` (``0`` when no item
+              carries keys), then each :class:`EncryptedItem` as its
+              encrypting-key reference (node id, version) and a varint
+              (LEB128) count ``n`` of key labels.
+              A key item (``n >= 1``) follows with its ``n`` labels
+              (node id, version) in clear, a ``b``-byte IV and the
+              CBC encryption of the ``n`` key bytes alone,
+              ``b * ceil(n * k / b)`` bytes: 17 bytes besides IV and
+              ciphertext for one key, and one cipher block of DES or
+              AES-128 per key.
+              A payload item (``n = 0``: a subcast payload or
+              application data) follows with its 2-byte
+              ``plaintext_len``, the IV and a ciphertext of
+              ``b * max(1, ceil(plaintext_len / b))`` bytes, zero
+              padded.  Neither IV nor ciphertext length travels.
     body    : a 4-byte length, then the bytes
     auth    : the :class:`AuthBlock` trailer, not covered by the digest.
               Digest or per-message signature: digest length (1), digest,
               scheme (1), signature length (2), signature.  A Merkle
               certificate (§4): ``0`` (no digest: the receiver recomputes
-              it), scheme, then varints (LEB128) of the signature length,
+              it), scheme, then varints of the signature length,
               the signature, varints of the leaf index and leaf count,
               one byte of sibling size ``d``, and ``d`` bytes per real
               sibling from the leaf up.  The leaf index and count say
@@ -32,14 +40,20 @@ multi-byte integer is big-endian.
               than 128 messages is ``70 + 16p`` bytes for ``p`` real
               siblings.
 
+Labels are metadata the header and the encrypting-key references
+already expose; they sit in the signed region, so the digest or
+signature covers them.  :func:`encrypt_records` and
+:func:`decrypt_records` turn :class:`KeyRecord` lists into key items and
+back.
+
 The trailer is self-delimiting: trace and correlation trailers
 (:mod:`repro.serve.wire`) ride after it and :meth:`Message.decode`
 ignores them.  There is one format and no version knob; a decoder
 refuses every other version, and an encoder refuses a message the
 format cannot carry (a field out of range, an item whose IV is not one
-block or whose ciphertext is not its padded plaintext length, a
-certificate whose siblings do not fit its leaf position) with
-:class:`WireError`.
+block or whose ciphertext is not its padded plaintext length, key items
+of different key sizes, a certificate whose siblings do not fit its
+leaf position) with :class:`WireError`.
 
 Control messages (join/leave requests and acks, application data) share
 the same header so one datagram parser handles everything.
@@ -57,7 +71,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 MAGIC = 0x4B47  # "KG"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 # Message types.
 MSG_JOIN_REQUEST = 1
@@ -122,15 +136,20 @@ _HEADER = struct.Struct(">HBBBBIQQII")  # 34 bytes
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-#: An item's key reference and plaintext length; IV and ciphertext
-#: lengths follow from the message's block size.
-_ITEM_FIXED = struct.Struct(">IIH")
-_RECORD_FIXED = struct.Struct(">II")
+#: An item's encrypting-key reference, and a key label.
+_REF = struct.Struct(">II")
+#: The block-size and key-size bytes of a message with items.
+_SIZES = struct.Struct(">BB")
+#: A payload item's reference, zero label count and plaintext length.
+_PAYLOAD_ITEM = struct.Struct(">IIBH")
+#: A one-key item's reference, label count (1) and label.
+_ONE_KEY_ITEM = struct.Struct(">IIBII")
 #: Scheme and signature length of a digest or per-message trailer.
 _SCHEME_SIG = struct.Struct(">BH")
 #: A Merkle certificate's first two bytes: no digest, the scheme.
 _CERTIFICATE_LEAD = bytes((0, SIG_MERKLE))
-#: Largest plaintext an item carries (``plaintext_len`` is 16 bits).
+#: Largest plaintext an item carries (``plaintext_len`` is 16 bits; a
+#: key item's ``n * k`` keeps the same bound).
 MAX_PLAINTEXT = 0xFFFF
 #: Largest value a Merkle certificate's varints carry (5 bytes).
 _VARINT_MAX = 0xFFFFFFFF
@@ -148,6 +167,18 @@ def ciphertext_size(plaintext_len: int, block: int) -> int:
     """The one ciphertext length an item of ``plaintext_len`` bytes has:
     zero-padded to whole cipher blocks, and never shorter than one."""
     return -(-max(plaintext_len, 1) // block) * block
+
+
+def _key_size(items: Sequence["EncryptedItem"]) -> int:
+    """The key size of a message's key items (``0`` if it has none),
+    read off the first; the encoder checks the others against it."""
+    for item in items:
+        if item.labels:
+            key_size = item.plaintext_len // len(item.labels)
+            if not key_size:
+                raise WireError("key item with empty keys")
+            return key_size
+    return 0
 
 
 def merkle_shape(index: int, leaves: int) -> List[bool]:
@@ -203,38 +234,24 @@ def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class KeyRecord:
-    """A (node id, version, key bytes) triple carried inside a ciphertext."""
+    """A new key: its label (node id, version) and its bytes."""
 
     node_id: int
     version: int
     key: bytes
-
-    def encode(self) -> bytes:
-        """Fixed-size binary encoding (id, version, key bytes)."""
-        return _RECORD_FIXED.pack(self.node_id, self.version) + self.key
-
-
-def decode_key_records(plaintext: bytes, key_size: int) -> List[KeyRecord]:
-    """Parse the decrypted payload of an item into key records."""
-    record_size = _RECORD_FIXED.size + key_size
-    if len(plaintext) % record_size:
-        raise WireError("payload is not a whole number of key records")
-    records = []
-    for offset in range(0, len(plaintext), record_size):
-        node_id, version = _RECORD_FIXED.unpack_from(plaintext, offset)
-        key = plaintext[offset + _RECORD_FIXED.size:offset + record_size]
-        records.append(KeyRecord(node_id, version, key))
-    return records
 
 
 @dataclass(frozen=True)
 class EncryptedItem:
     """One encrypted unit of a rekey message.
 
-    ``enc_node_id``/``enc_version`` reference the key the payload is
-    encrypted under; ``plaintext_len`` strips the zero padding after
-    decryption.  The IV is one cipher block and the ciphertext
-    :func:`ciphertext_size` bytes, so neither length travels.
+    ``enc_node_id``/``enc_version`` reference the key the ciphertext is
+    encrypted under.  A key item names its keys in ``labels`` (node id,
+    version per key) and encrypts only their bytes, so its
+    ``plaintext_len`` is the labels' count times the key size.  A
+    payload item has no labels and a ``plaintext_len`` that strips the
+    zero padding after decryption.  The IV is one cipher block and the
+    ciphertext :func:`ciphertext_size` bytes, so neither length travels.
     """
 
     enc_node_id: int
@@ -242,34 +259,45 @@ class EncryptedItem:
     iv: bytes
     ciphertext: bytes
     plaintext_len: int
+    labels: Tuple[Tuple[int, int], ...] = ()
 
 
 def encrypt_records(suite, key: bytes, iv: bytes,
                     records: Sequence[KeyRecord],
                     enc_node_id: int, enc_version: int) -> EncryptedItem:
-    """Encrypt key records under ``key`` into an :class:`EncryptedItem`.
+    """Encrypt key records under ``key`` into a key item.
 
-    Zero padding with explicit length keeps single-key items to exactly
-    two cipher blocks (matching the paper's compact rekey messages).
+    The labels travel in clear and only the key bytes are encrypted:
+    one cipher block per DES or AES-128 key.
     """
-    plaintext = b"".join(record.encode() for record in records)
-    padded = plaintext.ljust(ciphertext_size(len(plaintext),
+    key_bytes = b"".join(record.key for record in records)
+    if not records or len(key_bytes) != len(records) * suite.key_size:
+        raise WireError("a key item carries one or more keys of the suite")
+    padded = key_bytes.ljust(ciphertext_size(len(key_bytes),
                                              suite.block_size), b"\x00")
-    cipher = suite.new_cipher(key)
     from ..crypto import modes
-    ciphertext = modes.cbc_encrypt_nopad(cipher, padded, iv)
+    ciphertext = modes.cbc_encrypt_nopad(suite.new_cipher(key), padded, iv)
     return EncryptedItem(enc_node_id, enc_version, iv, ciphertext,
-                         len(plaintext))
+                         len(key_bytes),
+                         tuple((record.node_id, record.version)
+                               for record in records))
 
 
 def decrypt_records(suite, key: bytes, item: EncryptedItem) -> List[KeyRecord]:
-    """Decrypt an item back into key records."""
+    """Decrypt a key item back into key records."""
+    labels = item.labels
+    key_size = suite.key_size
+    if not labels or item.plaintext_len != len(labels) * key_size:
+        raise WireError("item does not carry keys of this suite")
     from ..crypto import modes
-    cipher = suite.new_cipher(key)
-    padded = modes.cbc_decrypt_nopad(cipher, item.ciphertext, item.iv)
-    if item.plaintext_len > len(padded):
-        raise WireError("plaintext length exceeds ciphertext capacity")
-    return decode_key_records(padded[:item.plaintext_len], suite.key_size)
+    plaintext = modes.cbc_decrypt_nopad(suite.new_cipher(key),
+                                        item.ciphertext, item.iv)
+    if item.plaintext_len > len(plaintext):
+        raise WireError("key labels exceed ciphertext capacity")
+    return [KeyRecord(node_id, version,
+                      plaintext[offset:offset + key_size])
+            for offset, (node_id, version)
+            in zip(range(0, item.plaintext_len, key_size), labels)]
 
 
 @dataclass
@@ -417,11 +445,16 @@ class Message:
                 block = len(items[0].iv)
                 if not block:
                     raise WireError("items need a one-block IV")
-                parts.append(_U8.pack(block))
-                pack_item = _ITEM_FIXED.pack
+                key_size = _key_size(items)
+                parts.append(_SIZES.pack(block, key_size))
+                pack_ref = _REF.pack
+                pack_one_key = _ONE_KEY_ITEM.pack
+                pack_payload = _PAYLOAD_ITEM.pack
                 append = parts.append
                 for item in items:
-                    iv, ciphertext = item.iv, item.ciphertext
+                    iv = item.iv
+                    ciphertext = item.ciphertext
+                    labels = item.labels
                     plaintext_len = item.plaintext_len
                     # ciphertext_size(plaintext_len, block), inline.
                     if len(iv) != block or len(ciphertext) != (
@@ -429,8 +462,26 @@ class Message:
                         raise WireError(
                             "item is not one IV block and a padded "
                             "ciphertext of its plaintext length")
-                    append(pack_item(item.enc_node_id, item.enc_version,
-                                     plaintext_len))
+                    if not labels:
+                        append(pack_payload(item.enc_node_id,
+                                            item.enc_version, 0,
+                                            plaintext_len))
+                    elif plaintext_len != len(labels) * key_size:
+                        raise WireError("key item is not whole keys of "
+                                        "the message's key size")
+                    elif len(labels) == 1:
+                        node_id, version = labels[0]
+                        append(pack_one_key(item.enc_node_id,
+                                            item.enc_version, 1,
+                                            node_id, version))
+                    else:
+                        if plaintext_len > MAX_PLAINTEXT:
+                            raise WireError(
+                                "key item over the plaintext bound")
+                        append(pack_ref(item.enc_node_id, item.enc_version))
+                        append(_varint(len(labels)))
+                        for node_id, version in labels:
+                            append(pack_ref(node_id, version))
                     append(iv)
                     append(ciphertext)
             parts.append(_U32.pack(len(self.body)))
@@ -454,9 +505,15 @@ class Message:
         size = _HEADER.size + 6 + len(self.body)
         items = self.items
         if items:
-            size += 1 + len(items) * (_ITEM_FIXED.size + len(items[0].iv))
+            # Per item: reference, a one-byte label count, IV, ciphertext,
+            # then the labels or a payload's 2-byte plaintext length.
+            size += 2 + len(items) * (_REF.size + 1 + len(items[0].iv))
             for item in items:
-                size += len(item.ciphertext)
+                count = len(item.labels)
+                size += len(item.ciphertext) + (_REF.size * count if count
+                                                else 2)
+                if count > 0x7F:
+                    size += _varint_size(count) - 1
         return size + (self.auth.wire_size() if self.auth is not None
                        else _EMPTY_AUTH_SIZE)
 
@@ -474,8 +531,8 @@ class Message:
             (n_items,) = _U16.unpack_from(data, offset)
             offset += 2
             if n_items:
-                (block,) = _U8.unpack_from(data, offset)
-                offset += 1
+                block, key_size = _SIZES.unpack_from(data, offset)
+                offset += 2
         except struct.error as exc:
             raise WireError(f"truncated header: {exc}") from None
         if magic != MAGIC:
@@ -486,21 +543,54 @@ class Message:
         if n_items:
             if not block:
                 raise WireError("zero cipher block size")
-            unpack_item = _ITEM_FIXED.unpack_from
-            for _ in range(n_items):
-                try:
-                    enc_node_id, enc_version, plaintext_len = unpack_item(
-                        data, offset)
-                except struct.error as exc:
-                    raise WireError(f"truncated item: {exc}") from None
-                iv_at = offset + _ITEM_FIXED.size
-                ciphertext_at = iv_at + block
-                offset = ciphertext_at + ciphertext_size(plaintext_len, block)
-                if offset > len(data):
-                    raise WireError("truncated item body")
-                items.append(EncryptedItem(
-                    enc_node_id, enc_version, data[iv_at:ciphertext_at],
-                    data[ciphertext_at:offset], plaintext_len))
+            end = len(data)
+            keyed = False
+            unpack_ref = _REF.unpack_from
+            unpack_one_key = _ONE_KEY_ITEM.unpack_from
+            try:
+                for _ in range(n_items):
+                    count = data[offset + _REF.size]
+                    if count == 1 and key_size:
+                        (enc_node_id, enc_version, _count, node_id,
+                         version) = unpack_one_key(data, offset)
+                        labels = ((node_id, version),)
+                        plaintext_len = key_size
+                        offset += _ONE_KEY_ITEM.size
+                        keyed = True
+                    else:
+                        enc_node_id, enc_version = unpack_ref(data, offset)
+                        count, offset = _read_varint(data,
+                                                     offset + _REF.size)
+                        if count:
+                            plaintext_len = count * key_size
+                            if not plaintext_len:
+                                raise WireError(
+                                    "key labels under a zero key size")
+                            if plaintext_len > MAX_PLAINTEXT:
+                                raise WireError(
+                                    "key item over the plaintext bound")
+                            flat = struct.unpack_from(f">{2 * count}I",
+                                                      data, offset)
+                            offset += _REF.size * count
+                            labels = tuple(zip(flat[::2], flat[1::2]))
+                            keyed = True
+                        else:
+                            (plaintext_len,) = _U16.unpack_from(data, offset)
+                            offset += 2
+                            labels = ()
+                    ciphertext_at = offset + block
+                    iv = data[offset:ciphertext_at]
+                    offset = ciphertext_at + (
+                        -(-plaintext_len // block) * block or block)
+                    if offset > end:
+                        raise WireError("truncated item body")
+                    items.append(EncryptedItem(
+                        enc_node_id, enc_version, iv,
+                        data[ciphertext_at:offset], plaintext_len, labels))
+            except (IndexError, struct.error) as exc:
+                raise WireError(f"truncated item: {exc}") from None
+            if key_size and not keyed:
+                raise WireError("key size without key items")
         try:
             (body_len,) = _U32.unpack_from(data, offset)
         except struct.error as exc:

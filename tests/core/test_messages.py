@@ -4,18 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
 from repro.core.messages import (INDIVIDUAL_KEY, MAX_PLAINTEXT, MSG_DATA,
                                  MSG_JOIN_REQUEST, MSG_REKEY, SIG_MERKLE,
                                  SIG_NONE, SIG_PER_MESSAGE, AuthBlock,
                                  Destination, EncryptedItem, KeyRecord,
                                  Message, WireError, ciphertext_size,
-                                 decode_key_records, decrypt_records,
-                                 encrypt_records, merkle_shape)
-from repro.crypto.suite import MODERN_SUITE, PAPER_SUITE
+                                 decrypt_records, encrypt_records,
+                                 merkle_shape)
+from repro.crypto.suite import MODERN_SUITE, PAPER_SUITE, CipherSuite
 
 
 def sample_item(enc_node=7, version=3):
     return EncryptedItem(enc_node, version, bytes(8), bytes(16), 16)
+
+
+def key_item(enc_node=7, version=3, labels=((4, 1),)):
+    """A DES key item of ``len(labels)`` keys (ciphertext zeros)."""
+    return EncryptedItem(enc_node, version, bytes(8),
+                         bytes(8 * len(labels)), 8 * len(labels), labels)
 
 
 def test_message_roundtrip_full():
@@ -62,14 +70,21 @@ def test_merkle_shape_marks_promoted_levels():
 
 
 def test_items_carry_no_lengths():
-    # 10 bytes of reference and plaintext length, then IV and ciphertext;
-    # the message adds one block-size byte for all its items.
-    one = Message(msg_type=MSG_REKEY, items=[sample_item()]).encode()
+    # A one-key DES item: 8 bytes of reference, a label count, one
+    # 8-byte label, the IV and one ciphertext block (33 bytes); the
+    # message adds a block-size and a key-size byte for all its items.
+    one = Message(msg_type=MSG_REKEY, items=[key_item()]).encode()
     two = Message(msg_type=MSG_REKEY,
-                  items=[sample_item(), sample_item(8, 1)]).encode()
+                  items=[key_item(), key_item(8, 1)]).encode()
+    three = Message(msg_type=MSG_REKEY, items=[
+        key_item(), key_item(8, 1), key_item(9, 0, ((1, 2), (3, 4)))]).encode()
     bare = Message(msg_type=MSG_REKEY).encode()
-    assert len(two) - len(one) == 10 + 8 + 16
-    assert len(one) - len(bare) == 1 + 10 + 8 + 16
+    assert len(two) - len(one) == 8 + 1 + 8 + 8 + 8 == 33
+    assert len(one) - len(bare) == 2 + 33
+    assert len(three) - len(two) == 8 + 1 + 2 * 8 + 8 + 2 * 8
+    # A payload item keeps its 16-bit plaintext length instead of labels.
+    payload = Message(msg_type=MSG_DATA, items=[sample_item()]).encode()
+    assert len(payload) - len(bare) == 2 + 8 + 1 + 2 + 8 + 16
 
 
 @pytest.mark.parametrize("item", [
@@ -83,6 +98,23 @@ def test_items_carry_no_lengths():
 def test_encoder_refuses_items_the_wire_cannot_carry(item):
     with pytest.raises(WireError):
         Message(msg_type=MSG_REKEY, items=[sample_item(), item]).encode()
+
+
+@pytest.mark.parametrize("items", [
+    [key_item(), EncryptedItem(1, 0, bytes(8), bytes(16), 16, ((1, 0),))],
+    [key_item(), EncryptedItem(1, 0, bytes(8), bytes(24), 24,
+                               ((1, 0), (2, 0)))],
+    [EncryptedItem(1, 0, bytes(8), bytes(8), 0, ((1, 0),))],
+    [key_item(labels=((2**32, 0),))],
+    [EncryptedItem(1, 0, bytes(8), bytes(65544), 65544,
+                   tuple((i, 0) for i in range(8193)))],
+    [EncryptedItem(1, 0, bytes(8), bytes(256), 256, ((1, 0),))],
+])
+def test_encoder_refuses_key_items_the_wire_cannot_carry(items):
+    """Key items of different key sizes, an empty key, a label or
+    ``n * k`` out of range."""
+    with pytest.raises(WireError):
+        Message(msg_type=MSG_REKEY, items=items).encode()
 
 
 @pytest.mark.parametrize("message", [
@@ -162,13 +194,20 @@ _blob = st.binary(max_size=40)
 
 
 @st.composite
-def canonical_items(draw, block):
-    plaintext_len = draw(st.integers(0, 200))
+def canonical_items(draw, block, key_size):
+    if draw(st.booleans()):
+        labels = tuple(draw(st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                               st.integers(0, 2**32 - 1)),
+                                     min_size=1, max_size=200)))
+        plaintext_len = len(labels) * key_size
+    else:
+        labels = ()
+        plaintext_len = draw(st.integers(0, 200))
     return EncryptedItem(draw(st.integers(0, 2**32 - 1)),
                          draw(st.integers(0, 2**32 - 1)),
                          draw(st.binary(min_size=block, max_size=block)),
                          bytes(ciphertext_size(plaintext_len, block)),
-                         plaintext_len)
+                         plaintext_len, labels)
 
 
 @st.composite
@@ -189,8 +228,8 @@ _auth = st.one_of(st.none(), certificates(), st.builds(
     signature=_blob))
 
 
-@given(items=st.integers(1, 32).flatmap(
-           lambda block: st.lists(canonical_items(block), max_size=6)),
+@given(items=st.tuples(st.integers(1, 32), st.integers(1, 32)).flatmap(
+           lambda sizes: st.lists(canonical_items(*sizes), max_size=6)),
        body=_blob, auth=_auth)
 @settings(max_examples=100)
 def test_wire_size_is_the_encoded_length(items, body, auth):
@@ -201,17 +240,6 @@ def test_wire_size_is_the_encoded_length(items, body, auth):
 
 
 # -- key records -----------------------------------------------------------------
-
-
-def test_key_record_codec():
-    records = [KeyRecord(1, 0, bytes(8)), KeyRecord(2**32 - 2, 7, b"A" * 8)]
-    blob = b"".join(record.encode() for record in records)
-    assert decode_key_records(blob, 8) == records
-
-
-def test_key_record_codec_rejects_partial():
-    with pytest.raises(WireError):
-        decode_key_records(bytes(17), 8)
 
 
 @given(keys=st.lists(st.binary(min_size=8, max_size=8), min_size=1,
@@ -227,11 +255,38 @@ def test_encrypt_decrypt_records_roundtrip(keys, key):
 
 
 def test_encrypt_records_sizes_are_paper_like():
-    # One DES-encrypted key record: exactly two cipher blocks.
+    # One DES-encrypted key: exactly one cipher block; its label rides
+    # in clear.
     item = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
                            [KeyRecord(1, 1, bytes(8))], 2, 0)
-    assert len(item.ciphertext) == 16
-    assert item.plaintext_len == 16
+    assert len(item.ciphertext) == 8
+    assert item.plaintext_len == 8
+    assert item.labels == ((1, 1),)
+
+
+@pytest.mark.parametrize("cipher, blocks", [
+    ("des", 1), ("aes128", 1), ("des3", 3)])
+def test_a_one_key_item_is_whole_key_blocks(cipher, blocks):
+    """One key item's ciphertext: one block of DES or AES-128, and the
+    three blocks of a 24-byte 3DES key."""
+    suite = CipherSuite(cipher, None, None)
+    key = bytes(range(suite.key_size))
+    record = KeyRecord(6, 2, bytes(reversed(key)))
+    item = encrypt_records(suite, key, bytes(suite.block_size), [record],
+                           3, 1)
+    assert len(item.ciphertext) == blocks * suite.block_size
+    encoded = Message(msg_type=MSG_REKEY, items=[item]).encode()
+    decoded = Message.decode(encoded).items[0]
+    assert decoded == item
+    assert decrypt_records(suite, key, decoded) == [record]
+
+
+def test_encrypt_records_refuses_what_no_item_carries():
+    with pytest.raises(WireError):
+        encrypt_records(PAPER_SUITE, bytes(8), bytes(8), [], 2, 0)
+    with pytest.raises(WireError):
+        encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+                        [KeyRecord(1, 1, bytes(16))], 2, 0)
 
 
 def test_encrypt_records_aes():
@@ -243,10 +298,13 @@ def test_encrypt_records_aes():
 def test_decrypt_records_rejects_bad_length_claim():
     item = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
                            [KeyRecord(1, 1, bytes(8))], 2, 0)
-    bad = EncryptedItem(item.enc_node_id, item.enc_version, item.iv,
-                        item.ciphertext, 999)
-    with pytest.raises(WireError):
-        decrypt_records(PAPER_SUITE, bytes(8), bad)
+    for bad in (dataclasses.replace(item, plaintext_len=999),
+                dataclasses.replace(item, labels=()),
+                dataclasses.replace(item, labels=((1, 1), (2, 2)))):
+        with pytest.raises(WireError):
+            decrypt_records(PAPER_SUITE, bytes(8), bad)
+    with pytest.raises(WireError):      # a DES item under an AES suite
+        decrypt_records(MODERN_SUITE, bytes(16), item)
 
 
 # -- destinations ---------------------------------------------------------------

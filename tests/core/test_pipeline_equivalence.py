@@ -22,6 +22,7 @@ exactly that set.
 """
 
 import hashlib
+from typing import NamedTuple
 from unittest import mock
 
 from repro.batch import individual_cost_estimate
@@ -32,7 +33,7 @@ from repro.crypto.suite import PAPER_SUITE, PAPER_SUITE_NO_SIG
 from repro.keygraph.materialized import MaterializedKeyGraph
 from repro.transport.inmemory import InMemoryNetwork
 
-from ..wire_content import update_content
+from ..wire_content import tracing_encryptions, update_content, update_keys
 
 FIXED_TIME_NS = 893_520_000_000_000_000  # 1998-04-26, fixed for all runs
 
@@ -65,20 +66,55 @@ class _Wire:
         return set(self._reached)
 
 
-def _hash_messages(h, content, messages, wire, group_receivers=None):
-    """Digest one op's messages, their bytes into ``h`` and their
-    framing-independent content into ``content``;
+class Digests:
+    """One scenario's three digests: the wire bytes, the framing-
+    independent content (``tests/wire_content.py``) and the key level
+    (every ``encrypt_records`` call plus each message above the
+    cipher)."""
+
+    def __init__(self):
+        self.bytes = hashlib.sha256()
+        self.content = hashlib.sha256()
+        self.keys = hashlib.sha256()
+
+    def tracing(self):
+        """Feed every encryption into the key-level digest."""
+        return tracing_encryptions(self.keys)
+
+    def run(self, counters, blocks=()):
+        """The scenario's :class:`Run`."""
+        return Run(self.bytes.hexdigest(), self.content.hexdigest(),
+                   self.keys.hexdigest(), counters, list(blocks))
+
+
+class Run(NamedTuple):
+    digest: str
+    content: str
+    keys: str
+    counters: list
+    #: Per request, the cipher blocks of every item ciphertext it sent.
+    blocks: list
+
+
+def _hash_messages(digests, messages, wire, group_receivers=None):
+    """Digest one op's messages into ``digests``;
     ``group_receivers(exclude)`` is the deleted resolver of a group
     address, evaluated now."""
     for message in messages:
-        h.update(message.encoded)
+        digests.bytes.update(message.encoded)
         receivers = message.receivers
         if message.destination.kind == DEST_ALL:
             assert receivers == ()
             receivers = group_receivers(message.destination.exclude)
-        h.update(repr(tuple(receivers)).encode())
-        update_content(content, message, receivers)
+        digests.bytes.update(repr(tuple(receivers)).encode())
+        update_content(digests.content, message, receivers)
+        update_keys(digests.keys, message, receivers)
         assert wire.reach(message) == set(receivers)
+
+
+def _cipher_blocks(messages, block_size):
+    return sum(len(item.ciphertext) // block_size
+               for out in messages for item in out.message.items)
 
 
 def _tree_group(tree):
@@ -98,17 +134,16 @@ SERVER_SCRIPT = (("join", "n0"), ("leave", "u2"), ("join", "n1"),
 
 
 def run_server_scenario(graph, strategy, signing, suite):
-    """One seeded join/leave/refresh sequence; byte digest, content
-    digest, counters."""
+    """One seeded join/leave/refresh sequence: its :class:`Run`."""
     config = ServerConfig(graph=graph, degree=3, strategy=strategy,
                           suite=suite, signing=signing, seed=b"equivalence")
     server = GroupKeyServer(config)
     members = [(f"u{i}", server.new_individual_key()) for i in range(8)]
     server.bootstrap(members)
-    h, content = hashlib.sha256(), hashlib.sha256()
-    counters = []
+    digests = Digests()
+    counters, blocks = [], []
     wire = _Wire(user for user, _key in members)
-    with _freeze_time():
+    with _freeze_time(), digests.tracing():
         for op, user in SERVER_SCRIPT:
             if op == "join":
                 outcome = server.join(user, server.new_individual_key())
@@ -129,14 +164,16 @@ def run_server_scenario(graph, strategy, signing, suite):
                     return tuple(server.tree.users())
             else:
                 resolve = _tree_group(server.tree)
-            _hash_messages(h, content, outcome.all_messages, wire, resolve)
+            _hash_messages(digests, outcome.all_messages, wire, resolve)
+            blocks.append(_cipher_blocks(outcome.all_messages,
+                                         suite.block_size))
             record = outcome.record
             counters.append((record.encryptions, record.signatures,
                              record.n_rekey_messages, record.rekey_bytes,
                              record.max_message_bytes,
                              record.key_changes_total,
                              record.n_users_after))
-    return h.hexdigest(), content.hexdigest(), counters
+    return digests.run(counters, blocks)
 
 
 BATCH_WINDOWS = (
@@ -146,7 +183,7 @@ BATCH_WINDOWS = (
 
 
 def run_batch_scenario(signing, suite, observe=None):
-    """Two seeded flushes; byte digest, content digest, counters.
+    """Two seeded flushes: their :class:`Run`.
 
     ``observe(server, window_keys, messages)`` sees each flush's rekey
     messages, with every key the server held before and after it.
@@ -156,12 +193,12 @@ def run_batch_scenario(signing, suite, observe=None):
                                          seed=b"equivalence-batch"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(9)])
-    h, content = hashlib.sha256(), hashlib.sha256()
+    digests = Digests()
     counters = []
     wire = _Wire(f"u{i}" for i in range(9))
     # The flush's group rekey: ``tuple(self.tree.users())``.
     resolve = lambda exclude: tuple(server.tree.users())
-    with _freeze_time():
+    with _freeze_time(), digests.tracing():
         for joins, leaves in BATCH_WINDOWS:
             keys = {(node.node_id, node.version): node.key
                     for node in server.tree.nodes()}
@@ -174,7 +211,7 @@ def run_batch_scenario(signing, suite, observe=None):
                 wire.leave(user)
             for user, _key in joins:
                 wire.join(user)
-            _hash_messages(h, content, outcome.all_messages, wire, resolve)
+            _hash_messages(digests, outcome.all_messages, wire, resolve)
             counters.append((len(joins), len(leaves),
                              outcome.record.encryptions, estimate))
             if observe is not None:
@@ -182,7 +219,7 @@ def run_batch_scenario(signing, suite, observe=None):
                             for node in server.tree.nodes())
                 keys.update(joins)
                 observe(server, keys, outcome.rekey_messages)
-    return h.hexdigest(), content.hexdigest(), counters
+    return digests.run(counters)
 
 
 def batch_structure(signing, suite):
@@ -212,19 +249,18 @@ def batch_structure(signing, suite):
 
 
 def run_materialized_scenario():
-    """Figure 1 graph: one leave, one join; byte digest, content
-    digest, counters."""
+    """Figure 1 graph: one leave, one join: its :class:`Run`."""
     source = drbg.make_source(b"equivalence-graph", b"materialized")
     suite = PAPER_SUITE_NO_SIG
     keygen = lambda: suite.safe_key(source)
     group, _individual = MaterializedKeyGraph.figure1(suite, keygen)
-    h, content = hashlib.sha256(), hashlib.sha256()
+    digests = Digests()
     counters = []
     wire = _Wire(group.users())
     # ``sorted(u_nodes)`` on a leave, ``sorted(u_nodes - {user})`` on a
     # join: the joiner is the group message's ``exclude``.
     resolve = lambda exclude: tuple(sorted(group.graph.u_nodes - {exclude}))
-    with _freeze_time():
+    with _freeze_time(), digests.tracing():
         for op, user, run in (
                 ("leave", "u2", lambda: group.leave("u2")),
                 ("join", "u5", lambda: group.join("u5", keygen(),
@@ -232,70 +268,99 @@ def run_materialized_scenario():
                 ("leave", "u4", lambda: group.leave("u4"))):
             outcome = run()
             getattr(wire, op)(user)
-            _hash_messages(h, content, outcome.messages, wire, resolve)
+            _hash_messages(digests, outcome.messages, wire, resolve)
             counters.append((outcome.op, outcome.encryptions,
                              tuple(outcome.replaced)))
-    return h.hexdigest(), content.hexdigest(), counters
+    return digests.run(counters)
 
 
 # Captured from the pre-pipeline implementation (seed commit) with the
 # scenarios above.  Do not regenerate casually: a mismatch means the
 # refactor changed observable behaviour.  The byte digests (and the byte
-# columns of the counts) were re-pinned once, for the v2 wire framing,
-# after the content digests below were shown to hold on both framings.
+# columns of the counts) were re-pinned twice: for the v2 wire framing,
+# after the content digests below were shown to hold on both framings,
+# and for v3, after the key-level digests below held on v2 and v3.
 GOLDEN_SERVER = {
     ("tree", "group", "merkle"):
-        "111737c8ce9c52dd83852301e876a591f088e41116811bb49167b15498b1ad7d",
+        "632a24ee0d85147d0f2be9c25c65b94c0e323fccf990227dcc9bc5d97dd22b70",
     ("tree", "user", "none"):
-        "3a1df31d716c00efcce3a3bb05fe7d87b3acc53517da8c4c38ec1596cbcd3a55",
+        "939bbe6c2919244532caef4811ae962d158d9189088c951ad5ff1d6b7a3cc584",
     ("tree", "key", "per-message"):
-        "ab0ad4bbe131a3bc82a62d201f654a3be06624ede6131f384367b9a03e67c75b",
+        "52661c96db1a9b30977e4eac902771bd15a10e57e07173e96cf00fd75962421c",
     ("tree", "hybrid", "none"):
-        "418f809355bdc315c643e0be4ab522761e5dc46451df5a2172e394aaac9b8354",
+        "34f3c7cfed5e0d6b8df614c43664df2f62adb60470a3dc77cf86ad6a45e05db3",
     ("star", "group", "merkle"):
-        "e3c96616d4da1f260c2d9ae2908ca03473caabf44c62263ad07ad3455ad1d20e",
+        "55f3dde7582802da2248d9386163904b9dc604380818a7283c9e2fb92408f132",
 }
 # Framing-independent content (``tests/wire_content.py``) of the same
-# scenarios, computed on the v1 wire before the v2 framing and required
-# of every later framing: what the bytes say must not move.
+# scenarios, computed on the v1 wire and kept by the v2 framing; re-pinned
+# for v3, which encrypts key bytes only and carries the labels in clear
+# (what each ciphertext holds moved by design; the key level did not).
 GOLDEN_SERVER_CONTENT = {
     ("tree", "group", "merkle"):
-        "b7d1bbfee546a29710997291a53e77038e1af4b9d43f93118468cc1f3a6e4116",
+        "d9b97b2f56a39ad8483420785b3dc893161eed4e447d0d7e77234df289456750",
     ("tree", "user", "none"):
-        "5c71aa435d86897e22f73ff9981239c1f4bfa8331db1b68d3e9859c5dde0a1e1",
+        "7bf56cafdf206b1da819d10f43bafbc53f34819167dd6ad3c76a861e14b78f02",
     ("tree", "key", "per-message"):
-        "ebb63b051006c46a6070f418c096898c5ce0b4dec4957e59ff1638fe3cb61a40",
+        "1718d85c1073fcfaa5598ff8249b12a52a8fbcfefa833a1a564947dde306b9cf",
     ("tree", "hybrid", "none"):
-        "a5eb98c0421d2ad6f296c54eb6df0a921ec25ba95d7de6593e4e3ccb6dc39c44",
+        "3d02d6c6e7c865db698b2108c6fa82c2e9d7fd83cdc8a5ffe8a013726089e641",
     ("star", "group", "merkle"):
-        "cb36715a055224219ced6de388a3d190f599c26fd568bc26e76148cb82ffb9c9",
+        "9788d131b40374f5b1167312907440f279eb632b50640ffd613c3d2c92ac79c5",
+}
+# Key-level digests (``tests/wire_content.py``: every ``encrypt_records``
+# call's key, IV, records and encrypting-key reference, and each message
+# above the cipher) of the same scenarios, computed on the v2 wire before
+# the v3 framing moved key labels out of the ciphertext, and required of
+# every later framing: which key travels under which key to whom.
+GOLDEN_SERVER_KEYS = {
+    ("tree", "group", "merkle"):
+        "f2ae815aec7d22ee2b005a5916565ef231e275d6fe64661f71ea58e449bd4767",
+    ("tree", "user", "none"):
+        "2c4a47891e2452c7a92c83e5f366dc2a59cb9822045bd0f7b22906deed62418f",
+    ("tree", "key", "per-message"):
+        "6052d71cc7de88f6a1d02b54dac08a25c7f563f7361c9c3fe1d3f4d5d4a59238",
+    ("tree", "hybrid", "none"):
+        "13dc55295e20b2cd79cb7ca868f20d945d9441d1fc3d03206f7fac9f0131f811",
+    ("star", "group", "merkle"):
+        "6f4132daf6cd06e5226343127bdd9dabbdea88c2642859f3c45c56b656b23886",
 }
 # Per-request (encryptions, signatures, n_rekey_messages, rekey_bytes,
 # max_message_bytes, key_changes_total, n_users_after); spot-checked for
 # the two signing extremes so counter regressions are readable.
 GOLDEN_SERVER_COUNTS = {
     ("tree", "group", "merkle"): [
-        (4, 1, 2, 372, 195, 10, 9), (5, 1, 1, 281, 281, 10, 8),
-        (4, 1, 2, 372, 195, 10, 9), (5, 1, 1, 281, 281, 10, 8),
-        (1, 1, 1, 145, 145, 8, 8), (5, 1, 1, 281, 281, 9, 7),
-        (4, 1, 2, 372, 195, 9, 8)],
+        (4, 1, 2, 371, 194, 10, 9), (5, 1, 1, 277, 277, 10, 8),
+        (4, 1, 2, 371, 194, 10, 9), (5, 1, 1, 277, 277, 10, 8),
+        (1, 1, 1, 145, 145, 8, 8), (5, 1, 1, 277, 277, 9, 7),
+        (4, 1, 2, 371, 194, 9, 8)],
     ("tree", "user", "none"): [
         (5, 0, 3, 317, 111, 10, 9), (6, 0, 4, 412, 111, 10, 8),
         (5, 0, 3, 317, 111, 10, 9), (6, 0, 4, 412, 111, 10, 8),
         (1, 0, 1, 95, 95, 8, 8), (6, 0, 4, 412, 111, 9, 7),
         (5, 0, 3, 317, 111, 9, 8)],
 }
+# Cipher blocks of every item ciphertext per request of the golden
+# tree/group/merkle scenario: one DES block per key encrypted, equal to
+# its encryptions (v2: [8, 10, 8, 10, 2, 10, 8], a label block per key).
+GOLDEN_SERVER_BLOCKS = {
+    ("tree", "group", "merkle"): [4, 5, 4, 5, 1, 5, 4],
+}
 # Re-pinned once when the batch server became ``GroupKeyServer.flush``:
 # the flush draws from the server's one key stream, and the merkle
 # flush carries one signature over all its messages.  The structure
 # below and the counts were unchanged by that move.
 GOLDEN_BATCH = {
-    "merkle": "b710095f29ed87ece3a193673aeaa03159ef0969c2144345866ff77c86888cf5",
-    "none": "57a90afa2c38ccf47bd2e6c919b1baf6cec4633dc62b04b01a97296022dbb5bb",
+    "merkle": "30bf09f1e2dca854c46a98765d40370dbfb1f63b1ce044d4ccb30b0660a32be1",
+    "none": "a3de4c35fde67413a5e08008e054912e208d4372543f554a1efa55dced9d914b",
+}
+GOLDEN_BATCH_KEYS = {
+    "merkle": "79a04c85454f23b469709fff852088d0052bbf9345d6ee7327aed1d6aa9954a7",
+    "none": "8fb450496d0ff20caa25416f8708835c23a5f2865acc6b09ac6cee594ecc41b7",
 }
 GOLDEN_BATCH_CONTENT = {
-    "merkle": "5c0ef1a561b41f999324598d250652865b08f7aeff24869bfa1a3a949b591281",
-    "none": "ee4f5a7a66a1fdc6766ed4e398cdc572859fdb1da1c261a8f4943bd59a677270",
+    "merkle": "fd65ada04d07226f92d9fff0705c1a3f126f9f51812ac2382e32d02fefe9b9a7",
+    "none": "0d4a15fd9bf5d10b7357451642a8b0b584761ee842963150711e45542a8c8449",
 }
 # (n_joins, n_leaves, encryptions, individual_cost_estimate) per flush.
 GOLDEN_BATCH_COUNTS = [(3, 2, 15, 24), (1, 2, 10, 24)]
@@ -319,9 +384,11 @@ GOLDEN_BATCH_STRUCTURE = (
      (("user", "n3", None), ((_IND, ((11, 1), (9, 2))),))),
 )
 GOLDEN_MATERIALIZED = (
-    "10a134aae056e6f63cd48e2d79185f9a227c8b38cf9ff31d595e3e11787948f3")
+    "451ee61b3d08a0567687059087c1d1e31d5c870986fc3a137575d2037ce319af")
 GOLDEN_MATERIALIZED_CONTENT = (
-    "6d12ad9970a2324a0fe9caf3ec1eb90d02df3e38d089943afffbb1641009f7f8")
+    "eaa936c0c90faf075d6487e47f8c7c339047322367afd375bafa686d25f166f4")
+GOLDEN_MATERIALIZED_KEYS = (
+    "808a7cca88e84f4d12be6168cd4e17d1c195c37814bd39d7f855315b43e600b4")
 GOLDEN_MATERIALIZED_COUNTS = [
     ("leave", 5, ("k12", "k234", "k1234")),
     ("join", 6, ("k3", "k234", "k1234")),
@@ -335,23 +402,29 @@ def _suite_for(signing):
 
 def test_server_paths_match_seed_bytes():
     for (graph, strategy, signing), expected in GOLDEN_SERVER.items():
-        digest, content, counters = run_server_scenario(
-            graph, strategy, signing, _suite_for(signing))
+        run = run_server_scenario(graph, strategy, signing,
+                                  _suite_for(signing))
         key = (graph, strategy, signing)
-        assert content == GOLDEN_SERVER_CONTENT[key], key
-        assert digest == expected, key
+        assert run.keys == GOLDEN_SERVER_KEYS[key], key
+        assert run.content == GOLDEN_SERVER_CONTENT[key], key
+        assert run.digest == expected, key
         golden_counts = GOLDEN_SERVER_COUNTS.get(key)
         if golden_counts is not None:
-            assert counters == golden_counts, key
+            assert run.counters == golden_counts, key
+        golden_blocks = GOLDEN_SERVER_BLOCKS.get(key)
+        if golden_blocks is not None:
+            assert run.blocks == golden_blocks, key
+            assert run.blocks == [encryptions for encryptions, *_rest
+                                  in run.counters], key
 
 
 def test_batch_path_matches_seed_bytes():
     for signing, expected in GOLDEN_BATCH.items():
-        digest, content, counters = run_batch_scenario(
-            signing, _suite_for(signing))
-        assert content == GOLDEN_BATCH_CONTENT[signing], signing
-        assert digest == expected, signing
-        assert counters == GOLDEN_BATCH_COUNTS, signing
+        run = run_batch_scenario(signing, _suite_for(signing))
+        assert run.keys == GOLDEN_BATCH_KEYS[signing], signing
+        assert run.content == GOLDEN_BATCH_CONTENT[signing], signing
+        assert run.digest == expected, signing
+        assert run.counters == GOLDEN_BATCH_COUNTS, signing
 
 
 def test_batch_flush_keeps_the_batch_servers_structure():
@@ -361,30 +434,30 @@ def test_batch_flush_keeps_the_batch_servers_structure():
 
 
 def test_materialized_path_matches_seed_bytes():
-    digest, content, counters = run_materialized_scenario()
-    assert content == GOLDEN_MATERIALIZED_CONTENT
-    assert digest == GOLDEN_MATERIALIZED
-    assert counters == GOLDEN_MATERIALIZED_COUNTS
+    run = run_materialized_scenario()
+    assert run.keys == GOLDEN_MATERIALIZED_KEYS
+    assert run.content == GOLDEN_MATERIALIZED_CONTENT
+    assert run.digest == GOLDEN_MATERIALIZED
+    assert run.counters == GOLDEN_MATERIALIZED_COUNTS
 
 
 def main():
-    """Print freshly computed goldens (bytes, content, counts)."""
+    """Print freshly computed goldens (bytes, content, key level, counts)."""
+    def show(label, run):
+        print(f"{label}: {run.digest!r}")
+        print(f"  content: {run.content!r}")
+        print(f"  keys: {run.keys!r}")
+        print(f"  counts: {run.counters!r}")
+        if run.blocks:
+            print(f"  blocks: {run.blocks!r}")
+
     for (graph, strategy, signing) in GOLDEN_SERVER:
-        digest, content, counters = run_server_scenario(
-            graph, strategy, signing, _suite_for(signing))
-        print(f"SERVER {(graph, strategy, signing)!r}: {digest!r}")
-        print(f"  content: {content!r}")
-        print(f"  counts: {counters!r}")
+        show(f"SERVER {(graph, strategy, signing)!r}", run_server_scenario(
+            graph, strategy, signing, _suite_for(signing)))
     for signing in GOLDEN_BATCH:
-        digest, content, counters = run_batch_scenario(
-            signing, _suite_for(signing))
-        print(f"BATCH {signing!r}: {digest!r}")
-        print(f"  content: {content!r}")
-        print(f"  counts: {counters!r}")
-    digest, content, counters = run_materialized_scenario()
-    print(f"MATERIALIZED: {digest!r}")
-    print(f"  content: {content!r}")
-    print(f"  counts: {counters!r}")
+        show(f"BATCH {signing!r}",
+             run_batch_scenario(signing, _suite_for(signing)))
+    show("MATERIALIZED", run_materialized_scenario())
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""The v2 wire codec against the v1 oracle, under hostile input, and
+"""The v3 wire codec against the v2 oracle, under hostile input, and
 its certificate checks.
 
-``wire_v1.py`` is the codec the v2 framing replaced.  A message built
-once and round-tripped through both codecs must come back the same in
-every field the framing does not own: v1 carried a Merkle digest and
-v2 a leaf count instead, everything else agrees.  Messages from real
-servers cover odd flush windows (promoted Merkle levels), RSA-2048
-(Table 4) and the AES suite.
+``wire_v2.py`` is the codec the v3 framing replaced: it encrypted each
+key's label with the key, where v3 sends the labels in clear and
+encrypts the key bytes alone.  The same records encrypted into both
+codecs must decrypt to the same key records, and a message built once
+in both must come back the same in every field the framing does not
+own.  Messages from real servers cover odd flush windows (promoted
+Merkle levels), RSA-2048 (Table 4) and the AES suite.
 """
 
 import tracemalloc
@@ -15,52 +16,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import (MSG_REKEY, SIG_MERKLE, SIG_NONE,
-                                 SIG_PER_MESSAGE, WIRE_VERSION, AuthBlock,
-                                 EncryptedItem, Message, WireError,
-                                 ciphertext_size, merkle_shape)
+from repro.core.client import ClientError, GroupClient
+from repro.core.messages import (MSG_DATA, MSG_REKEY, MSG_SUBCAST,
+                                 SIG_MERKLE, SIG_NONE,
+                                 SIG_PER_MESSAGE, SUBCAST_MESSAGE_KEY,
+                                 WIRE_VERSION, AuthBlock, EncryptedItem,
+                                 KeyRecord, Message, WireError,
+                                 ciphertext_size, decrypt_records,
+                                 encrypt_records, merkle_shape)
 from repro.core.server import GroupKeyServer, ServerConfig
-from repro.core.signing import MerkleSigner, SigningError, verify_message
-from repro.crypto.suite import MODERN_SUITE, PAPER_SUITE, CipherSuite
+from repro.core.signing import (MerkleSigner, PerMessageSigner,
+                                SigningError, verify_message)
+from repro.crypto.suite import (MODERN_SUITE, PAPER_SUITE,
+                                PAPER_SUITE_NO_SIG, CipherSuite)
 from repro.observability.spans import SpanContext
 from repro.serve.wire import attach_trailers, split_trailers
 
-from . import wire_v1
+from ..wire_content import recording_encryptions
+from . import wire_v2
 
 # -- the differential ---------------------------------------------------------
 
+_u32 = st.integers(0, 2**32 - 1)
+
 
 def _fields(message):
-    """Every field the framing does not own."""
+    """Every field but the items the framing does not own."""
     auth = message.auth
     return (message.msg_type, message.group_id, message.strategy,
             message.flags, message.seq, message.timestamp_us,
             message.root_node_id, message.root_version,
-            [(item.enc_node_id, item.enc_version, item.iv, item.ciphertext,
-              item.plaintext_len) for item in message.items],
             message.body, auth.scheme, auth.signature,
             auth.digest if auth.scheme != SIG_MERKLE else None,
-            auth.merkle_index, list(auth.merkle_path))
+            auth.merkle_index, list(auth.merkle_path), auth.merkle_leaves)
 
 
-def assert_codecs_agree(message):
-    v2 = Message.decode(message.encode())
-    v1 = wire_v1.Message.decode(wire_v1.from_v2(message).encode())
-    assert _fields(v2) == _fields(v1)
-    if message.auth is not None and message.auth.scheme == SIG_MERKLE:
-        assert v2.auth.merkle_leaves == message.auth.merkle_leaves
-    return v2
+def _twin(message, items):
+    """``message`` with v2 ``items``."""
+    return wire_v2.Message(**{**message.__dict__, "items": items})
 
 
-@st.composite
-def items(draw, block):
-    plaintext_len = draw(st.integers(0, 300))
-    return EncryptedItem(
-        draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
-        draw(st.binary(min_size=block, max_size=block)),
-        draw(st.binary(min_size=ciphertext_size(plaintext_len, block),
-                       max_size=ciphertext_size(plaintext_len, block))),
-        plaintext_len)
+def _payload_twin(item):
+    assert not item.labels
+    return wire_v2.EncryptedItem(item.enc_node_id, item.enc_version,
+                                 item.iv, item.ciphertext,
+                                 item.plaintext_len)
+
+
+def assert_codecs_agree(suite, message, keys, twin_items):
+    """``message`` (v3) and its twin with ``twin_items`` (v2) round-trip
+    to the same fields; ``keys[i]`` opens key item ``i`` in both."""
+    v3 = Message.decode(message.encode())
+    v2 = wire_v2.Message.decode(_twin(message, twin_items).encode())
+    assert _fields(v3) == _fields(v2)
+    assert len(v3.items) == len(v2.items) == len(keys)
+    for item, twin, key in zip(v3.items, v2.items, keys):
+        assert (item.enc_node_id, item.enc_version, item.iv) == \
+            (twin.enc_node_id, twin.enc_version, twin.iv)
+        if key is None:
+            assert (item.ciphertext, item.plaintext_len) == \
+                (twin.ciphertext, twin.plaintext_len)
+        else:
+            assert decrypt_records(suite, key, item) == \
+                wire_v2.decrypt_records(suite, key, twin)
+            # One cipher block per key of DES or AES-128.
+            assert len(item.ciphertext) == len(item.labels) * \
+                suite.key_size
+            assert len(twin.ciphertext) > len(item.ciphertext)
+    assert message.wire_size() == len(message.encode())
+    return v3
 
 
 @st.composite
@@ -79,45 +103,75 @@ def auth_blocks(draw):
                      merkle_leaves=leaves)
 
 
+def _headers(draw):
+    return dict(msg_type=draw(st.integers(0, 255)), group_id=draw(_u32),
+                strategy=draw(st.integers(0, 255)),
+                flags=draw(st.integers(0, 255)),
+                seq=draw(st.integers(0, 2**64 - 1)),
+                timestamp_us=draw(st.integers(0, 2**64 - 1)),
+                root_node_id=draw(_u32), root_version=draw(_u32),
+                body=draw(st.binary(max_size=80)),
+                auth=draw(st.one_of(st.none(), auth_blocks())))
+
+
 @st.composite
-def messages(draw):
-    block = draw(st.sampled_from([8, 16]))
-    return Message(
-        msg_type=draw(st.integers(0, 255)),
-        group_id=draw(st.integers(0, 2**32 - 1)),
-        strategy=draw(st.integers(0, 255)),
-        flags=draw(st.integers(0, 255)),
-        seq=draw(st.integers(0, 2**64 - 1)),
-        timestamp_us=draw(st.integers(0, 2**64 - 1)),
-        root_node_id=draw(st.integers(0, 2**32 - 1)),
-        root_version=draw(st.integers(0, 2**32 - 1)),
-        items=draw(st.lists(items(block), max_size=5)),
-        body=draw(st.binary(max_size=80)),
-        auth=draw(st.one_of(st.none(), auth_blocks())))
+def item_specs(draw, suite):
+    """(v3 item, v2 item, key opening them or None for a payload)."""
+    block = suite.block_size
+    iv = draw(st.binary(min_size=block, max_size=block))
+    enc_node_id, enc_version = draw(_u32), draw(_u32)
+    if draw(st.booleans()):
+        key = draw(st.binary(min_size=suite.key_size,
+                             max_size=suite.key_size))
+        records = draw(st.lists(st.builds(
+            KeyRecord, _u32, _u32, st.binary(min_size=suite.key_size,
+                                             max_size=suite.key_size)),
+            min_size=1, max_size=3))
+        return (encrypt_records(suite, key, iv, records, enc_node_id,
+                                enc_version),
+                wire_v2.encrypt_records(suite, key, iv, records,
+                                        enc_node_id, enc_version), key)
+    plaintext_len = draw(st.integers(0, 100))
+    item = EncryptedItem(enc_node_id, enc_version, iv, draw(st.binary(
+        min_size=ciphertext_size(plaintext_len, block),
+        max_size=ciphertext_size(plaintext_len, block))), plaintext_len)
+    return item, _payload_twin(item), None
 
 
-@given(message=messages())
-@settings(max_examples=150)
-def test_v2_round_trip_agrees_with_the_v1_oracle(message):
-    assert_codecs_agree(message)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_v3_round_trip_agrees_with_the_v2_oracle(data):
+    suite = data.draw(st.sampled_from([PAPER_SUITE_NO_SIG, MODERN_SUITE]))
+    specs = data.draw(st.lists(item_specs(suite), max_size=4))
+    message = Message(items=[item for item, _twin, _key in specs],
+                      **_headers(data.draw))
+    assert_codecs_agree(suite, message, [key for *_items, key in specs],
+                        [twin for _item, twin, _key in specs])
 
 
 def _served_batches(suite, signing="merkle"):
     """A server's join, leave and odd flush windows (3, 5 and 7
-    messages: promoted Merkle levels) under ``suite``."""
+    messages: promoted Merkle levels) under ``suite``, and every
+    encryption it made: (encrypting-key ref, IV) -> (key, records)."""
     server = GroupKeyServer(ServerConfig(degree=3, suite=suite,
                                          signing=signing,
                                          seed=b"wire-v2-differential"))
     server.bootstrap([(f"u{i}", server.new_individual_key())
                       for i in range(11)])
-    batches = [server.join("j0", server.new_individual_key()),
-               server.leave("u3")]
-    for window in (2, 4, 6):
-        batches.append(server.flush(
-            [(f"w{window}-{i}", server.new_individual_key())
-             for i in range(window)], [f"u{window}"]))
-    return server, [[out.message for out in outcome.rekey_messages]
-                    for outcome in batches]
+    calls = {}
+
+    def record(key, iv, records, enc_node_id, enc_version):
+        calls[enc_node_id, enc_version, iv] = (key, records)
+
+    with recording_encryptions(record):
+        batches = [server.join("j0", server.new_individual_key()),
+                   server.leave("u3")]
+        for window in (2, 4, 6):
+            batches.append(server.flush(
+                [(f"w{window}-{i}", server.new_individual_key())
+                 for i in range(window)], [f"u{window}"]))
+    return server, calls, [[out.message for out in outcome.rekey_messages]
+                           for outcome in batches]
 
 
 @pytest.fixture(scope="module")
@@ -127,16 +181,27 @@ def rsa2048_suite():
 
 @pytest.mark.parametrize("suite_name", ["paper", "rsa2048", "aes"])
 def test_served_messages_agree_and_verify(suite_name, rsa2048_suite):
+    """Every served key item, encrypted again by the v2 codec from the
+    records the server encrypted, opens to the same records."""
     suite = {"paper": PAPER_SUITE, "rsa2048": rsa2048_suite,
              "aes": MODERN_SUITE}[suite_name]
-    server, batches = _served_batches(suite)
+    server, calls, batches = _served_batches(suite)
     public_key = server.signing_keypair.public_key
     sizes = {len(batch) for batch in batches}
     assert {3, 5, 7} <= sizes
     promoted = 0
     for batch in batches:
         for message in batch:
-            decoded = assert_codecs_agree(message)
+            keys, twins = [], []
+            for item in message.items:
+                key, records = calls[item.enc_node_id, item.enc_version,
+                                     item.iv]
+                assert decrypt_records(suite, key, item) == list(records)
+                keys.append(key)
+                twins.append(wire_v2.encrypt_records(
+                    suite, key, item.iv, records, item.enc_node_id,
+                    item.enc_version))
+            decoded = assert_codecs_agree(suite, message, keys, twins)
             verify_message(suite, decoded, public_key)
             promoted += decoded.auth.merkle_path.count(b"")
     assert promoted > 0
@@ -144,8 +209,7 @@ def test_served_messages_agree_and_verify(suite_name, rsa2048_suite):
 
 def test_certificate_bytes_for_the_paper_suite():
     """RSA-512 and MD5: ``70 + 16p`` bytes for ``p`` real siblings in a
-    batch of fewer than 128 messages (each varint one byte), against
-    v1's ``89 + 17p`` plus a byte per promoted level."""
+    batch of fewer than 128 messages (each varint one byte)."""
     for count in (1, 2, 3, 5, 8, 127):
         server_messages = [Message(msg_type=MSG_REKEY, seq=i)
                            for i in range(count)]
@@ -155,10 +219,6 @@ def test_certificate_bytes_for_the_paper_suite():
             auth = message.auth
             real = sum(1 for sibling in auth.merkle_path if sibling)
             assert len(auth.encode()) == 70 + 16 * real
-            v1 = wire_v1.from_v2(message).auth
-            v1.digest = bytes(16)
-            promoted = len(auth.merkle_path) - real
-            assert len(v1.encode()) == 89 + 17 * real + promoted
 
 
 _KEYPAIR = []
@@ -169,6 +229,40 @@ def _paper_keypair():
         _KEYPAIR.append(PAPER_SUITE.generate_signing_keypair(
             seed=b"wire-v2"))
     return _KEYPAIR[0]
+
+
+@st.composite
+def items(draw, block, key_size):
+    """A canonical v3 item: a key item of ``key_size`` keys or a
+    payload item (ciphertext bytes random)."""
+    if draw(st.booleans()):
+        labels = tuple(draw(st.lists(st.tuples(_u32, _u32), min_size=1,
+                                     max_size=4)))
+        plaintext_len = len(labels) * key_size
+    else:
+        labels = ()
+        plaintext_len = draw(st.integers(0, 300))
+    size = ciphertext_size(plaintext_len, block)
+    return EncryptedItem(draw(_u32), draw(_u32),
+                         draw(st.binary(min_size=block, max_size=block)),
+                         draw(st.binary(min_size=size, max_size=size)),
+                         plaintext_len, labels)
+
+
+@st.composite
+def messages(draw):
+    block = draw(st.sampled_from([8, 16]))
+    key_size = draw(st.sampled_from([8, 16, 24]))
+    return Message(items=draw(st.lists(items(block, key_size), max_size=5)),
+                   **_headers(draw))
+
+
+@given(message=messages())
+@settings(max_examples=100)
+def test_v3_round_trip_is_exact(message):
+    decoded = Message.decode(message.encode())
+    assert decoded.items == message.items
+    assert message.wire_size() == len(message.encode())
 
 
 # -- hostile input (random bytes: test_fuzz.py) --------------------------
@@ -206,15 +300,92 @@ def test_hostile_certificates_fail_small(tail):
     assert peak < 1 << 16
 
 
+def _fails_small(data):
+    """``data`` raises WireError having allocated under 64 KiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(WireError):
+            Message.decode(data)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_claimed_item_count_fails_small():
     header = bytearray(Message(msg_type=MSG_REKEY).signed_region())
     header[34:36] = b"\xff\xff"
-    tracemalloc.start()
-    with pytest.raises(WireError):
-        Message.decode(bytes(header[:36]) + b"\xff" + bytes(64))
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert peak < 1 << 16
+    _fails_small(bytes(header[:36]) + b"\xff\x08" + bytes(64))
+
+
+def _one_item(sizes, item, tail=bytes(64)):
+    """A rekey message whose one item is the raw bytes ``item``, after
+    the block-size and key-size bytes ``sizes``."""
+    header = bytearray(Message(msg_type=MSG_REKEY).signed_region()[:36])
+    header[34:36] = b"\x00\x01"
+    return bytes(header) + sizes + item + tail
+
+
+_REF = bytes(8)
+
+
+@pytest.mark.parametrize("data", [
+    # A label count that runs past the data.
+    _one_item(b"\x08\x08", _REF + b"\x7f", tail=bytes(40)),
+    _one_item(b"\x08\x01", _REF + b"\xff\xff\x03", tail=bytes(40)),
+    # n * key size over 65,535, with every byte it claims present (and
+    # a count of 2**32 - 1).
+    _one_item(b"\x08\xff", _REF + b"\x82\x02", tail=bytes(
+        8 * 258 + 8 + ciphertext_size(258 * 255, 8))
+        + Message(msg_type=MSG_REKEY).encode()[36:]),
+    _one_item(b"\x08\x08", _REF + b"\x81\x40"),
+    _one_item(b"\x08\x08", _REF + b"\xff\xff\xff\xff\x0f"),
+    # A key-size byte of 0 under a labelled item.
+    _one_item(b"\x08\x00", _REF + b"\x01"),
+    # A key size with no key item to use it.
+    _one_item(b"\x08\x08", _REF + b"\x00\x00\x00", tail=bytes(16)
+              + Message(msg_type=MSG_REKEY).encode()[36:]),
+    # A label count past five varint bytes; a padded count.
+    _one_item(b"\x08\x08", _REF + b"\x80\x80\x80\x80\x80\x01"),
+    _one_item(b"\x08\x08", _REF + b"\x81\x00"),
+])
+def test_hostile_key_items_fail_small(data):
+    _fails_small(data)
+
+
+@pytest.mark.parametrize("msg_type", [MSG_DATA, MSG_SUBCAST])
+def test_labels_on_a_payload_item_open_nothing(msg_type):
+    """The codec cannot tell a payload item from a key item but by its
+    labels; a data or subcast payload that carries labels decodes, and
+    the client refuses to open it."""
+    payload = EncryptedItem(
+        SUBCAST_MESSAGE_KEY if msg_type == MSG_SUBCAST else 5, 1,
+        bytes(8), bytes(8), 8, ((1, 0),))
+    encoded = Message(msg_type=msg_type, root_node_id=5, root_version=1,
+                      items=[payload]).encode()
+    assert Message.decode(encoded).items == [payload]
+    client = GroupClient("victim", PAPER_SUITE_NO_SIG, verify=False)
+    client.keys[5] = (1, bytes(8))
+    opener = client.open_data if msg_type == MSG_DATA \
+        else client.open_subcast
+    with pytest.raises(ClientError):
+        opener(encoded)
+
+
+def test_a_key_size_byte_only_with_key_items():
+    """The key-size byte is 0 exactly when no item carries labels."""
+    payload = EncryptedItem(1, 0, bytes(8), bytes(8), 8)
+    key = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+                          [KeyRecord(5, 1, bytes(8))], 2, 0)
+    assert Message(msg_type=MSG_REKEY, items=[payload]).encode()[36:38] \
+        == b"\x08\x00"
+    assert Message(msg_type=MSG_REKEY,
+                   items=[payload, key]).encode()[36:38] == b"\x08\x08"
+    empty_payload = _one_item(b"\x08\x00", _REF + b"\x00\x00\x00",
+                              tail=bytes(16) + Message(
+                                  msg_type=MSG_REKEY).encode()[36:])
+    assert Message.decode(empty_payload).items == [
+        EncryptedItem(0, 0, bytes(8), bytes(8), 0)]
 
 
 @given(message=messages(), trace_id=st.integers(1, 2**64 - 1),
@@ -257,15 +428,48 @@ def test_untouched_certificates_verify(signed_batch):
         assert not _rejects(message.encode())
 
 
-def test_version_splice_between_v1_and_v2(signed_batch):
+def test_version_splice_between_v2_and_v3(signed_batch):
     for message in signed_batch:
-        v2 = bytearray(message.encode())
-        v2[2] = 1
+        v3 = bytearray(message.encode())
+        v3[2] = 2
+        assert _rejects(v3)
+        v2 = bytearray(_twin(message, [_payload_twin(item) for item
+                                       in message.items]).encode())
+        assert v2[2] == 2 and _rejects(v2)
+        v2[2] = WIRE_VERSION
         assert _rejects(v2)
-        v1 = bytearray(wire_v1.from_v2(message).encode())
-        assert v1[2] == 1 and _rejects(v1)
-        v1[2] = WIRE_VERSION
-        assert _rejects(v1)
+
+
+@pytest.fixture(scope="module", params=["merkle", "per-message"])
+def keyed_batch(request):
+    """Three signed messages of one-, two- and three-key items."""
+    batch = [Message(msg_type=MSG_REKEY, seq=i, items=[encrypt_records(
+                 PAPER_SUITE, bytes(8), bytes(8),
+                 [KeyRecord(10 + j, j, bytes([j]) * 8)
+                  for j in range(i + 1)], 2, 0)])
+             for i in range(3)]
+    signer = MerkleSigner if request.param == "merkle" \
+        else PerMessageSigner
+    signer(PAPER_SUITE, _paper_keypair()).seal(batch)
+    return batch
+
+
+def test_rewritten_label_fails_verification(keyed_batch):
+    """Labels travel in clear inside the signed region: rewriting a
+    node id or a version still decodes, and fails the signature."""
+    for message in keyed_batch:
+        encoded = message.encode()
+        assert not _rejects(encoded)
+        labels_at = 38 + 8 + 1          # sizes, reference, label count
+        for index, _label in enumerate(message.items[0].labels):
+            for field_at in (0, 4):      # node id, version
+                tampered = bytearray(encoded)
+                tampered[labels_at + 8 * index + field_at + 3] ^= 0x01
+                decoded = Message.decode(bytes(tampered))
+                assert decoded.items[0].labels != message.items[0].labels
+                with pytest.raises(SigningError):
+                    verify_message(PAPER_SUITE, decoded,
+                                   _paper_keypair().public_key)
 
 
 def _sibling_offsets(message):

@@ -22,7 +22,7 @@ from repro.keygraph.covering import greedy_tree_cover
 from repro.subcast import SubcastError, SubcastSealer
 
 from ..keygraph.reference import swap_in_reference
-from ..wire_content import update_content
+from ..wire_content import tracing_encryptions, update_content, update_keys
 
 
 @contextmanager
@@ -37,13 +37,20 @@ def frozen_clock(value_ns=1_234_567_891_000):
 
 MEMBERS = [f"u{index:03d}" for index in range(48)]
 TARGETS = MEMBERS[8:24] + MEMBERS[40:43]
-# Re-pinned once, for the v2 wire framing, after GOLDEN_CONTENT held on
-# both framings.
-GOLDEN = "95a9064760bee864c1d5b532a2efeae8f4c3d3d27c63850dbdecb307425793c3"
+# Re-pinned twice: for the v2 wire framing, after GOLDEN_CONTENT held on
+# v1 and v2, and for v3, after GOLDEN_KEYS held on v2 and v3.
+GOLDEN = "72be557a9727fdd37f006ff8e2d6867739e2eb476c45d1a03f85ab70da193381"
 # Framing-independent content of the same message (tests/wire_content.py),
-# computed on the v1 wire and kept by the v2 framing.
+# computed on the v1 wire and kept by v2; re-pinned for v3, whose cover
+# items encrypt the message key alone.
 GOLDEN_CONTENT = (
-    "68f3baf05cce5767e3d43c776d0b176a9c395fa3645aff46de2f26798ed0886b")
+    "a6388e88e3bc9cf045866b3e510cad1497f9ced8b187dc1430452d77be39c1e6")
+
+
+# Key-level digest (tests/wire_content.py: the sealing encryptions and the
+# message above the cipher), computed on the v2 wire and kept by v3.
+GOLDEN_KEYS = (
+    "40c4f9f55115624a10db46d93baf52123d4b95b00e853e40d40c2518ed4bf192")
 
 
 def build_server(seed=b"seal-golden"):
@@ -68,8 +75,12 @@ def test_flat_and_object_backends_seal_identical_bytes(monkeypatch):
 
 
 def test_golden_digest_pins_the_wire_bytes():
-    with frozen_clock():
-        out = build_server().subcast(TARGETS, b"golden")
+    server = build_server()
+    keys = hashlib.sha256()
+    with frozen_clock(), tracing_encryptions(keys):
+        out = server.subcast(TARGETS, b"golden")
+    update_keys(keys, out, out.receivers)
+    assert keys.hexdigest() == GOLDEN_KEYS
     content = hashlib.sha256()
     update_content(content, out, out.receivers)
     assert content.hexdigest() == GOLDEN_CONTENT
@@ -128,8 +139,9 @@ def strip_seq(blobs):
     for blob in blobs:
         message = Message.decode(blob)
         stripped.append(tuple(
-            (item.enc_node_id, item.enc_version, item.iv, item.ciphertext,
-             item.plaintext_len) for item in message.items))
+            (item.enc_node_id, item.enc_version, item.labels, item.iv,
+             item.ciphertext, item.plaintext_len)
+            for item in message.items))
     return stripped
 
 
