@@ -1,30 +1,30 @@
 """Benchmark report schema, writer and validator.
 
-Every benchmark emitter (``bench_fastpath.py``, future PR harnesses)
-funnels its numbers through this module so regression tracking has one
-stable on-disk shape.  A report is a JSON object:
+The two scaling experiments (``experiments/cluster_scale.py`` and
+``repro.experiments.million_scale``) write their reports through this
+module, so both have one stable on-disk shape.  A report is a JSON
+object:
 
 .. code-block:: json
 
     {
       "schema": "repro-bench/1",
-      "label": "PR2",
+      "label": "PR6",
       "python": "3.11.7",
       "platform": "Linux-...",
       "quick": false,
       "metrics": {
-        "aes_cbc_rekey_stream": {
-          "unit": "MB/s", "value": 12.3,
-          "baseline": 2.1, "speedup": 5.86
+        "build_mem_n100k": {
+          "unit": "bytes/member", "value": 258.692,
+          "baseline": 381.207, "speedup": 0.68
         }
       }
     }
 
-``value`` is the fast-path measurement; ``baseline``, when present, is
-the same workload through the frozen pre-optimization reference
-implementations (:mod:`repro.crypto.reference`) measured by the same
-harness in the same process, and ``speedup`` is their ratio.  Metrics
-without a ``baseline`` are absolute throughput observations.
+``value`` is the measurement; ``baseline``, when present, is the same
+quantity for the design it replaces, measured by the same harness in
+the same process, and ``speedup`` is their ratio.  Metrics without a
+``baseline`` are absolute observations.
 
 Run ``python benchmarks/bench_io.py <report.json>`` to validate a file
 (CI's bench-smoke job does this for the quick-run output).

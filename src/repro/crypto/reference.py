@@ -3,18 +3,13 @@
 The crypto fast path (T-table AES, pair-table DES, int-based CBC,
 cached-CRT RSA) replaced the byte-at-a-time implementations this
 module preserves, and the suite digests come from :mod:`hashlib`; the
-from-scratch MD5 and SHA-1 kept here are their oracles.  They exist
-for two reasons:
-
-* **Equivalence testing** — `tests/crypto/test_fastpath.py` drives the
-  fast path and these references with the same random inputs and
-  asserts bit-identical output, so the optimized round functions can
-  never silently diverge from the straightforward transcription of the
-  standards; `tests/crypto/test_digests.py` pins :func:`reference_md5`
-  and :func:`reference_sha1` against :mod:`hashlib`.
-* **Benchmark baselines** — `benchmarks/bench_fastpath.py` measures the
-  fast path *against* these functions with one harness, producing the
-  `BENCH_*.json` speedup trajectory.
+from-scratch MD5 and SHA-1 kept here are their oracles.  It is a
+correctness oracle only: `tests/crypto/test_fastpath.py` drives the
+fast path and these references with the same random inputs and asserts
+bit-identical output, so the optimized round functions can never
+silently diverge from the straightforward transcription of the
+standards; `tests/crypto/test_digests.py` pins :func:`reference_md5`
+and :func:`reference_sha1` against :mod:`hashlib`.
 
 The standard tables (S-boxes, permutations, GF(2^8) multiplication
 tables) are shared with the live modules — they are constants of the

@@ -23,7 +23,7 @@ Results land in ``BENCH_PR6.json`` (``repro-bench/1`` schema,
 validated by ``benchmarks/bench_io.py``).  Modes:
 
 ``--quick``
-    Sweep stops at n = 100 000 (CI's million-smoke job).
+    Sweep stops at n = 100 000 (CI's bench-smoke job).
 ``--check``
     Gate peak RSS and minimum rekeys/s, and require the journal
     round-trip to be byte-identical; non-zero exit on violation.

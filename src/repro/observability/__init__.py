@@ -50,9 +50,8 @@ from .metrics import (COUNT_BUCKETS, LATENCY_BUCKETS_S, NULL_REGISTRY,
                       merge_snapshots)
 from .slo import (SLO, SLOError, SLOStatus, burn_rate, evaluate,
                   parse_slo, render_slo_report, slos_from_spec_text)
-from .spans import (NULL_TRACER, TRACE_SCHEMA, NullTracer, Span,
-                    SpanContext, Tracer, attach_trace_trailer,
-                    split_trace_trailer)
+from .spans import (NULL_TRACER, NullTracer, Span, SpanContext, Tracer,
+                    attach_trace_trailer, split_trace_trailer)
 from .timeline import render_timeline, render_trace_index, trace_ids
 from .timers import StageClock, StageTimers, Stopwatch, TimerStat
 from .tracing import NULL_TRACE, NullTraceBuffer, TraceBuffer, TraceEvent
@@ -76,7 +75,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TRACE_SCHEMA",
     "Span",
     "SpanContext",
     "attach_trace_trailer",

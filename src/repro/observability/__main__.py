@@ -18,7 +18,7 @@ running key service (``python -m repro.serve``) instead of a file.
 spec file's ``slo-*`` objectives against a snapshot (``--old`` adds
 burn rates over the window between two snapshots).  ``timeline``
 renders one trace as a text waterfall from exported spans — a
-snapshot's ``spans`` sidecar, a loadgen ``--trace-out`` document, or a
+snapshot's ``spans`` sidecar, any document with a ``spans`` list, or a
 bare span list.
 """
 

@@ -27,9 +27,6 @@ import threading
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
-#: Schema tag for exported trace documents ({"schema": ..., "spans": []}).
-TRACE_SCHEMA = "repro-trace/1"
-
 #: Out-of-band telemetry trailer: magic + trace id + span id.
 TRAILER_MAGIC = b"KGT1"
 _TRAILER = struct.Struct(">QQ")

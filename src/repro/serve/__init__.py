@@ -16,8 +16,7 @@ Quick start (a live single-server group on loopback)::
         ...
 
 ``python -m repro.serve`` runs a service from a spec file;
-``python -m repro.serve.loadgen`` drives one with 10k simulated
-clients.
+``benchmarks/suite/`` drives one with verifying clients.
 """
 
 from .config import (DEFAULT_WORKERS, ServeConfig, ServeError,
@@ -33,8 +32,8 @@ from .wire import (CORR_TRAILER_SIZE, FramingError, attach_corr_trailer,
                    attach_trailers, frame, read_frame, split_corr_trailer,
                    split_trailers)
 
-#: Supervision names resolve lazily (PEP 562) so ``python -m
-#: repro.serve.supervise`` does not import the module twice.
+#: Supervision names resolve lazily (PEP 562), so importing the serving
+#: core does not import the cluster failover modules.
 _SUPERVISE_NAMES = frozenset({
     "SupervisedShard", "SupervisePolicy", "Supervisor",
     "SupervisorError",

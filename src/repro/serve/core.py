@@ -746,7 +746,7 @@ class AsyncServingCore:
         # megabytes and sendto would fail silently.  Keep the newest
         # spans that fit and say how many were cut — truncation must
         # be visible, never silent.  Full exports go through the
-        # in-process tracer (loadgen --trace-out), not the wire.
+        # in-process tracer's ``export()``, not the wire.
         spans = document.get("spans")
         if spans:
             total = len(spans)

@@ -42,20 +42,15 @@ counters, a ``supervisor_shard_up`` gauge, a
 in the supervisor's tracer, and kill/miss/restart events in its flight
 recorder.
 
-``python -m repro.serve.supervise --smoke`` self-hosts a 3-shard
-supervised cluster, runs the PR7 load generator against it, kills one
-shard mid-steady-state, and asserts the watchdog brought it back
-converged — the CI ``supervise-smoke`` job drives exactly this.
+``examples/supervise_demo.py`` walks a kill and restart, a torn
+journal tail, a retry storm and a refused corrupt journal; the tests
+in ``tests/serve/test_supervise.py`` assert each.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import os
-import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -527,7 +522,7 @@ class Supervisor:
         return replica == persistence.snapshot(shard.server)
 
     def describe(self) -> List[dict]:
-        """One status document per shard (CLI / test introspection)."""
+        """One status document per shard (demo and test introspection)."""
         return [{
             "shard": shard.name,
             "state": shard.state,
@@ -537,129 +532,3 @@ class Supervisor:
             "error": (type(shard.last_error).__name__
                       if shard.last_error is not None else None),
         } for shard in self.shards]
-
-
-# -- smoke CLI -------------------------------------------------------------
-
-async def _run_smoke(args) -> int:
-    from .loadgen import LoadProfile, run_load
-    from ..transport.udp import scrape_stats
-
-    journal_dir = args.journal_dir or tempfile.mkdtemp(
-        prefix="supervise-smoke-")
-    policy = SupervisePolicy(
-        probe_interval=0.1, probe_deadline=0.75, probe_misses=1,
-        restart_backoff=0.1, mode=args.mode)
-    supervisor = Supervisor(
-        args.shards,
-        server_config=ServerConfig(signing="none", seed=b"supervise-smoke"),
-        serve_config=ServeConfig(tcp_port=None, max_inflight=256,
-                                 tick_interval=0.5),
-        journal_dir=journal_dir, policy=policy)
-    await supervisor.start()
-    profile = LoadProfile(
-        clients=args.clients, sockets=8, duration=args.duration,
-        churn_clients=max(4, args.clients // 8),
-        heartbeat_interval=0.5, request_timeout=0.5,
-        request_deadline=6.0, retry_budget=8)
-    victim = supervisor.shard(args.kill_shard % args.shards)
-    kill_after = (args.kill_after if args.kill_after is not None
-                  else max(0.5, args.duration * 0.35))
-    crash: dict = {}
-
-    async def chaos() -> None:
-        await asyncio.sleep(kill_after)
-        generation = victim.generation
-        started = time.monotonic()
-        await supervisor.kill(victim.shard_id, tear_tail=args.tear_tail)
-        crash["killed_at"] = started
-        while victim.generation == generation or victim.state != "up":
-            if victim.state == "failed":
-                raise SupervisorError(f"{victim.name} failed to restart")
-            await asyncio.sleep(0.02)
-        crash["recover_seconds"] = time.monotonic() - started
-
-    async def on_phase(phase: str) -> None:
-        if phase == "steady-start" and "task" not in crash:
-            crash["task"] = asyncio.create_task(chaos())
-
-    failures: List[str] = []
-    stats = None
-    try:
-        stats = await run_load(supervisor.addresses, profile,
-                               on_phase=on_phase)
-        if "task" in crash:
-            await crash["task"]
-        else:
-            failures.append("load never reached steady state")
-        if "recover_seconds" not in crash:
-            failures.append("victim shard never recovered")
-        for shard in supervisor.shards:
-            if not supervisor.verify_shard(shard.shard_id):
-                failures.append(
-                    f"{shard.name}: {policy.mode} diverged from the "
-                    f"live server")
-        snapshots = [await asyncio.to_thread(scrape_stats, shard.address)
-                     for shard in supervisor.shards]
-        if args.snapshot_out:
-            with open(args.snapshot_out, "w", encoding="utf-8") as handle:
-                json.dump(snapshots[victim.shard_id], handle)
-        joined = stats.ramp_joined
-        if joined < 0.9 * args.clients:
-            failures.append(
-                f"only {joined}/{args.clients} clients joined")
-        if victim.restarts < 1:
-            failures.append("victim shard records no restart")
-    finally:
-        await supervisor.aclose()
-    report = {
-        "mode": policy.mode,
-        "shards": supervisor.describe(),
-        "recover_seconds": crash.get("recover_seconds"),
-        "load": stats.as_dict() if stats is not None else None,
-        "failures": failures,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for shard in report["shards"]:
-            print(f"{shard['shard']}: {shard['state']} "
-                  f"(restarts={shard['restarts']})")
-        if report["recover_seconds"] is not None:
-            print(f"recovered in {report['recover_seconds'] * 1e3:.0f} ms")
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.supervise",
-        description="Self-healing shard supervision smoke run: serve, "
-                    "load, kill one shard, assert the watchdog revives "
-                    "it converged.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the kill/restart smoke scenario")
-    parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument("--mode", choices=("journal", "standby"),
-                        default="journal")
-    parser.add_argument("--clients", type=int, default=96)
-    parser.add_argument("--duration", type=float, default=4.0)
-    parser.add_argument("--kill-shard", type=int, default=1,
-                        help="index of the shard to crash")
-    parser.add_argument("--kill-after", type=float, default=None,
-                        help="seconds into steady state to crash it")
-    parser.add_argument("--tear-tail", type=int, default=0,
-                        help="bytes to tear off the victim's journal")
-    parser.add_argument("--journal-dir", default=None)
-    parser.add_argument("--snapshot-out", default=None,
-                        help="write the victim's metrics snapshot here")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("only --smoke runs are supported")
-    return asyncio.run(_run_smoke(args))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

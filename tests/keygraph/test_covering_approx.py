@@ -166,3 +166,36 @@ def test_complement_cover_edge_cases():
               tree.group_key_node().version)]
         # Excluding everybody: the empty cover.
         assert complement_cover(tree, users) == []
+
+
+# -- cover size at scale: structural against greedy, per subset shape ---------
+
+
+def _subset_of_shape(shape, users, size, rng):
+    if shape == "random":
+        return rng.sample(users, size)
+    if shape == "clustered":
+        # Contiguous member windows: whole subtrees are selected.
+        width = size // 4
+        picked = set()
+        for _ in range(4):
+            start = rng.randrange(len(users) - width + 1)
+            picked.update(users[start:start + width])
+        return sorted(picked)
+    # Every other leaf: no internal node is ever fully selected.
+    return users[rng.randrange(2)::2][:size]
+
+
+def test_structural_cover_within_twice_greedy_on_4096_members():
+    users = [f"m{index:05d}" for index in range(4096)]
+    tree = FlatKeyTree.build([(user, bytes(8)) for user in users], 4,
+                             make_keygen(b"cover-4096"))
+    rng = random.Random(0x90441)
+    for shape in ("random", "clustered", "adversarial"):
+        subset = _subset_of_shape(shape, users, 512, rng)
+        structural = tree_subset_cover(tree, subset)
+        greedy = greedy_tree_cover(tree, subset)
+        assert len(structural) <= 2.0 * len(greedy), shape
+        covered = [user for node in structural
+                   for user in tree.userset(node)]
+        assert sorted(covered) == sorted(subset), shape

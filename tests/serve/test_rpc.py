@@ -255,32 +255,3 @@ def test_cache_validation():
         IdempotencyCache(max_entries=0)
     with pytest.raises(RpcError):
         IdempotencyCache(per_client=0)
-
-
-# -- the loadgen's use of the policy ------------------------------------------
-
-
-def test_load_profile_maps_to_retry_policy():
-    from repro.serve.loadgen import LoadProfile
-    profile = LoadProfile(request_timeout=0.5, request_deadline=6.0,
-                          retry_budget=8, backoff_base=0.02,
-                          backoff_cap=0.3)
-    policy = profile.retry_policy()
-    assert policy.timeout == 0.5
-    assert policy.deadline == 6.0
-    assert policy.budget == 8
-    assert policy.backoff_base == 0.02
-    assert policy.backoff_cap == 0.3
-    # A deadline shorter than one attempt makes no sense; it is lifted.
-    clipped = LoadProfile(request_timeout=10.0, request_deadline=1.0)
-    assert clipped.retry_policy().deadline == 10.0
-
-
-def test_load_stats_report_retry_accounting():
-    from repro.serve.loadgen import LoadStats
-    stats = LoadStats()
-    stats.retries = 4
-    stats.budget_exhausted = 2
-    document = stats.as_dict()
-    assert document["retries"] == 4
-    assert document["budget_exhausted"] == 2

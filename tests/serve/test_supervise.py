@@ -124,6 +124,40 @@ def test_torn_tail_restart_then_retry(tmp_path):
     _run(scenario())
 
 
+#: Copies of one join in the retry storm, all under one correlation token.
+STORM_DUPLICATES = 32
+
+
+def test_retry_storm_on_revived_shard_applies_once(tmp_path):
+    async def scenario():
+        supervisor = await _supervisor(tmp_path).start()
+        shard = supervisor.shard(0)
+        try:
+            for index in range(4):
+                await _join(shard, f"u{index}", index)
+            await supervisor.kill(0, tear_tail=7)
+            await supervisor.restart(0)
+            first = await _join(shard, "storm-user", 0x57CA11)
+            assert first and shard.server.is_member("storm-user")
+            seq_before = shard.server._seq
+            replies = [
+                await _submit(shard, MSG_JOIN_REQUEST, "storm-user",
+                              0x57CA11)
+                for _ in range(STORM_DUPLICATES)]
+            # The duplicates draw no sequence number and apply nothing:
+            # each one replays the original reply byte for byte.
+            assert shard.server._seq == seq_before
+            assert [reply[:1] for reply in replies] == \
+                [first[:1]] * STORM_DUPLICATES
+            replays = shard.core._m_idempotent.labels(result="replay")
+            assert replays.value == STORM_DUPLICATES
+            # The journal still replays to the live server's bytes.
+            assert supervisor.verify_shard(0)
+        finally:
+            await supervisor.aclose()
+    _run(scenario())
+
+
 def test_corrupt_journal_refused_loudly(tmp_path):
     async def scenario():
         supervisor = await _supervisor(tmp_path).start()

@@ -16,7 +16,8 @@ from repro.core.messages import (MSG_JOIN_ACK, MSG_JOIN_REQUEST,
                                  MSG_LEAVE_REQUEST, Message)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.observability.instrumentation import Instrumentation
-from repro.observability.spans import Tracer, attach_trace_trailer
+from repro.observability.spans import (NULL_TRACER, Span, SpanContext,
+                                       Tracer, attach_trace_trailer)
 from repro.observability.timeline import render_timeline
 from repro.serve import (AsyncClusterService, AsyncKeyService,
                          ImmediateServingCore, ServeConfig, frame,
@@ -186,6 +187,40 @@ def test_staged_rekey_spans_form_one_connected_trace():
         seen.add(node["span_id"])
         node = by_id[node["parent_id"]]
     assert node["name"] == "serve.request"
+
+
+def test_default_null_tracer_records_no_span(monkeypatch):
+    """Tracing is off unless a caller opts in: served ops, one of them
+    carrying a trace trailer, construct no span at all."""
+    created = []
+    span_init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        span_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    server = GroupKeyServer(ServerConfig(signing="none",
+                                         seed=b"tracing-null"))
+    assert server.instrumentation.tracer is NULL_TRACER
+
+    async def drive():
+        core = ImmediateServingCore(
+            server, ServeConfig(tick_interval=0, open_enroll=True))
+        sink = []
+        try:
+            await core.submit(_join_request("n1"), sink.append)
+            await core.submit(attach_trace_trailer(
+                _join_request("n2"), SpanContext(7, 9)), sink.append)
+            await core.submit(Message(
+                msg_type=MSG_LEAVE_REQUEST, body=b"n1").encode(),
+                sink.append)
+        finally:
+            await core.aclose()
+
+    asyncio.run(drive())
+    assert server.is_member("n2") and not server.is_member("n1")
+    assert created == []
 
 
 _USERS = [f"u{i}" for i in range(5)]
