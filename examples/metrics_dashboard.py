@@ -97,7 +97,7 @@ def render(document):
     entry = metrics["histograms"].get("rekey_seconds")
     header = "%-6s %-7s %6s %8s %8s %8s %8s" % (
         "op", "status", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms")
-    lines.append("Server processing time per request (Table 4 / Figure 10)")
+    lines.append("Server processing CPU time per request (Table 4 / Figure 10)")
     lines.append(header)
     lines.append("-" * len(header))
     if entry:

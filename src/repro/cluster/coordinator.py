@@ -37,7 +37,6 @@ processed first.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
@@ -54,7 +53,7 @@ from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..crypto.suite import PAPER_SUITE, CipherSuite
 from ..keygraph.covering import tree_subset_cover
 from ..keygraph.flat import FlatKeyTree, FlatNode
-from ..observability import LATENCY_BUCKETS_S, Instrumentation
+from ..observability import LATENCY_BUCKETS_S, Instrumentation, StageClock
 from ..observability.export import build_snapshot
 from .failover import WarmStandby
 from .partition import DEFAULT_VNODES, HashRing
@@ -298,7 +297,7 @@ class ClusterRecord:
     op: str
     user_id: str
     shard_id: int
-    seconds: float                 # shard + root-layer processing time
+    seconds: float                 # shard + root-layer CPU time
     shard_seconds: float
     root_seconds: float
     shard_encryptions: int
@@ -383,7 +382,7 @@ class ClusterCoordinator(KeyServerProtocol):
             labels=("shard",))
         self._m_seconds = registry.histogram(
             "cluster_request_seconds",
-            "End-to-end cluster request time (shard + root layer).",
+            "End-to-end cluster request CPU time (shard + root layer).",
             labels=("op",), bounds=LATENCY_BUCKETS_S)
 
         self.ring = HashRing(range(config.n_shards), vnodes=config.vnodes)
@@ -628,7 +627,7 @@ class ClusterCoordinator(KeyServerProtocol):
              perform: Callable[[], RekeyOutcome]) -> ClusterRekeyOutcome:
         tracer = self.instrumentation.tracer
         label = str(shard.shard_id)
-        started = time.perf_counter()
+        clock = StageClock()
         with tracer.span(f"cluster.{op}", shard=shard.shard_id,
                          user=user_id):
             try:
@@ -648,7 +647,7 @@ class ClusterCoordinator(KeyServerProtocol):
                     out.audience = shard.name
             ref, key = self._shard_leaf_state(shard)
             root_run = self.root_layer.rekey([(shard.name, ref, key)])
-        seconds = time.perf_counter() - started
+        seconds = clock.stop()
 
         record = ClusterRecord(
             op=op, user_id=user_id, shard_id=shard.shard_id,
@@ -749,7 +748,7 @@ class ClusterCoordinator(KeyServerProtocol):
         target_list = sorted(set(targets))
         if not target_list:
             raise ClusterError("subcast needs at least one target")
-        started = time.perf_counter()
+        clock = StageClock()
         by_shard: Dict[int, List[str]] = {}
         for user_id in target_list:
             shard = self.shard_of(user_id)
@@ -794,7 +793,7 @@ class ClusterCoordinator(KeyServerProtocol):
             self._m_subcast_cover.inc(shard_keys, layer="shard")
         if root_keys:
             self._m_subcast_cover.inc(root_keys, layer="root")
-        self._m_seconds.observe(time.perf_counter() - started, op="subcast")
+        self._m_seconds.observe(clock.stop(), op="subcast")
         return out
 
     # -- failover ----------------------------------------------------------

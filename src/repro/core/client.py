@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..crypto.modes import PaddingError
-from ..observability import Stopwatch
+from ..observability import StageClock
 from .messages import (INDIVIDUAL_KEY, MSG_DATA, MSG_JOIN_ACK,
                        MSG_LEAVE_ACK, MSG_REKEY, MSG_RESYNC_REPLY,
                        MSG_SUBCAST, SUBCAST_MESSAGE_KEY, Message,
@@ -58,7 +58,7 @@ class ClientStats:
     decryptions: int = 0
     keys_changed: int = 0
     verify_failures: int = 0
-    processing_seconds: float = 0.0
+    processing_seconds: float = 0.0    # CPU time (StageClock)
     desyncs_detected: int = 0
     resyncs: int = 0
     subcasts_opened: int = 0
@@ -165,7 +165,7 @@ class GroupClient:
         Raises :class:`SigningError` when verification is enabled and the
         message fails its digest or signature check.
         """
-        watch = Stopwatch()
+        clock = StageClock()
         if isinstance(data, Message):
             message = data
             size = data.wire_size()
@@ -186,7 +186,7 @@ class GroupClient:
         changed, leftovers = self._install_items(message.items)
         self._adopt_root(message.root_node_id, message.root_version)
         self.stats.keys_changed += changed
-        self.stats.processing_seconds += watch.elapsed()
+        self.stats.processing_seconds += clock.stop()
         # Gap detection (the §5 reliable-delivery assumption, relaxed):
         # an undecryptable leftover referencing a *newer* version of a
         # key we hold means we missed the rekey that produced it.

@@ -497,8 +497,8 @@ class RekeyPipeline:
 
         A planner (or stage) that raises still gets its elapsed time
         recorded, flagged as an error, before the exception propagates —
-        failed rekeys are visible in the timing aggregates and
-        histograms rather than silently dropped.
+        failed rekeys are visible in the timing histograms rather than
+        silently dropped.
         """
         staged = self.begin(op, planner, strategy_code=strategy_code,
                             root_ref=root_ref, user_id=user_id)

@@ -36,7 +36,7 @@ from ..keygraph.covering import tree_subset_cover
 from ..keygraph.flat import FlatKeyTree
 from ..keygraph.star import StarGroup
 from ..observability import (COUNT_BUCKETS, LATENCY_BUCKETS_S,
-                             SIZE_BUCKETS_BYTES, Instrumentation)
+                             SIZE_BUCKETS_BYTES, Instrumentation, StageClock)
 from .messages import (GROUP, INDIVIDUAL_KEY, MAX_PLAINTEXT, MSG_DATA,
                        MSG_HEARTBEAT, MSG_JOIN_ACK, MSG_JOIN_DENIED,
                        MSG_JOIN_REQUEST, MSG_LEAVE_ACK, MSG_LEAVE_DENIED,
@@ -106,7 +106,7 @@ class RequestRecord:
 
     op: str                        # "join" or "leave"
     user_id: str
-    seconds: float                 # server processing time
+    seconds: float                 # server processing (CPU) time
     n_rekey_messages: int
     rekey_bytes: int               # total bytes of rekey messages sent
     max_message_bytes: int
@@ -432,7 +432,7 @@ class GroupKeyServer(KeyServerProtocol):
             bounds=COUNT_BUCKETS).labels()
         self._m_subcast_seal = registry.histogram(
             "subcast_seal_seconds",
-            "Cover + seal time per subcast.",
+            "Cover + seal CPU time per subcast.",
             bounds=LATENCY_BUCKETS_S).labels()
         self._sequencer = Sequencer()
         self.pipeline = RekeyPipeline(
@@ -1011,7 +1011,7 @@ class GroupKeyServer(KeyServerProtocol):
                 raise ServerError(
                     f"subcast target {user_id!r} is not a member")
         require_payload_fits(payload)
-        started = time.perf_counter()
+        clock = StageClock()
         with self.instrumentation.tracer.span(
                 "subcast.cover", targets=len(target_list)) as span:
             cover_nodes = tree_subset_cover(self.tree, target_list)
@@ -1027,7 +1027,7 @@ class GroupKeyServer(KeyServerProtocol):
         self._m_subcasts.inc()
         self._m_subcast_bytes.inc(len(out.encoded))
         self._m_subcast_cover.observe(len(cover))
-        self._m_subcast_seal.observe(time.perf_counter() - started)
+        self._m_subcast_seal.observe(clock.stop())
         return out
 
     # -- resynchronization ---------------------------------------------------------

@@ -63,7 +63,7 @@ class GraphRekeyOutcome:
     replaced: List[str]               # k-node names whose keys changed
     encryptions: int
     messages: List[OutboundMessage]
-    seconds: float
+    seconds: float                    # CPU time (StageClock)
     # Per-stage breakdown of ``seconds`` from the pipeline's StageClock.
     stage_seconds: Optional[Dict[str, float]] = None
 

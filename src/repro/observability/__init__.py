@@ -1,4 +1,4 @@
-"""Shared observability core: metrics, spans, timers, counters, exporters.
+"""Shared observability core: metrics, spans, clocks, exporters.
 
 The repo's rekey paths all report through this package so that every
 paper-facing number (processing time, encryption counts, message
@@ -18,18 +18,15 @@ counts/sizes) derives from one instrumentation source:
 * :mod:`~repro.observability.export` — Prometheus text exposition and
   the versioned ``repro-metrics/1`` JSON snapshot, plus the
   ``python -m repro.observability report`` CLI;
-* :class:`~repro.observability.counters.Counters` — named monotonic
-  counters (the flat PR-1 namespace, kept);
-* :class:`~repro.observability.timers.StageClock` /
-  :class:`~repro.observability.timers.StageTimers` — per-run and
-  aggregate stage timings, with failed stages flagged rather than
-  dropped;
-* :class:`~repro.observability.tracing.TraceBuffer` — an optional
-  trace-event ring buffer, with :data:`NULL_TRACE` as the
-  zero-overhead default;
+* :class:`~repro.observability.timers.StageClock` — per-run stage
+  timings on the thread's CPU clock, with failed stages flagged rather
+  than dropped; :class:`~repro.observability.timers.Stopwatch` — wall
+  time for regions that wait;
 * :class:`~repro.observability.instrumentation.Instrumentation` — the
-  facade components take, with :data:`NULL_INSTRUMENTATION` for
-  callers that want no accounting at all;
+  registry + tracer facade components take; its ``record_run`` folds
+  a StageClock into the ``rekey_seconds``/``rekey_stage_seconds``
+  histograms.  :data:`NULL_INSTRUMENTATION` is for callers that want
+  no accounting at all;
 * :class:`~repro.observability.flight.FlightRecorder` — the always-on
   bounded event ring dumped to JSON on error/SLO breach/signal
   (:data:`~repro.observability.flight.NULL_FLIGHT` by default);
@@ -39,7 +36,6 @@ counts/sizes) derives from one instrumentation source:
   over exported spans (``python -m repro.observability timeline``).
 """
 
-from .counters import Counters
 from .flight import (FLIGHT_SCHEMA, NULL_FLIGHT, FlightError,
                      FlightRecorder, validate_flight)
 from .instrumentation import (NULL_INSTRUMENTATION, Instrumentation,
@@ -53,11 +49,9 @@ from .slo import (SLO, SLOError, SLOStatus, burn_rate, evaluate,
 from .spans import (NULL_TRACER, NullTracer, Span, SpanContext, Tracer,
                     attach_trace_trailer, split_trace_trailer)
 from .timeline import render_timeline, render_trace_index, trace_ids
-from .timers import StageClock, StageTimers, Stopwatch, TimerStat
-from .tracing import NULL_TRACE, NullTraceBuffer, TraceBuffer, TraceEvent
+from .timers import StageClock, Stopwatch
 
 __all__ = [
-    "Counters",
     "Instrumentation",
     "NullInstrumentation",
     "NULL_INSTRUMENTATION",
@@ -80,13 +74,7 @@ __all__ = [
     "attach_trace_trailer",
     "split_trace_trailer",
     "StageClock",
-    "StageTimers",
     "Stopwatch",
-    "TimerStat",
-    "TraceBuffer",
-    "NullTraceBuffer",
-    "TraceEvent",
-    "NULL_TRACE",
     "FlightRecorder",
     "FlightError",
     "FLIGHT_SCHEMA",

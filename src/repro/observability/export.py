@@ -312,7 +312,7 @@ def render_report(document: dict) -> str:
                         _ms(view.min), _ms(view.max)])
     if ok_rows:
         sections.append(
-            "Server processing time per request (ms) — Table 4 shape\n"
+            "Server processing time per request (CPU ms) — Table 4 shape\n"
             + _table(["op", "count", "mean", "p50", "p90", "p99", "min",
                       "max"], ok_rows))
     error_rows = []
@@ -337,7 +337,7 @@ def render_report(document: dict) -> str:
                            _ms(view.quantile(0.5)), _ms(view.quantile(0.99)),
                            _ms(view.max)])
     if stage_rows:
-        sections.append("Pipeline stage latency (ms)\n"
+        sections.append("Pipeline stage latency (CPU ms)\n"
                         + _table(["op", "stage", "count", "mean", "p50",
                                   "p99", "max"], stage_rows))
 

@@ -1,130 +1,70 @@
-"""The instrumentation facade bundling counters, timers, metrics, tracing.
+"""The instrumentation facade: one metric registry and one tracer.
 
 Every instrumented component (the rekey pipeline, the servers, the
 transports, the experiment runner) takes an :class:`Instrumentation` and
-reports through it; the component never touches ``time.perf_counter`` or
-ad-hoc integer fields directly.  The facade now carries four organs:
+reports through it:
 
-* ``counters``/``timers`` — the flat PR-1 aggregates (kept as the
-  cheap, always-on API: ``server.instrumentation.timers.stat(...)``);
 * ``registry`` — the labeled :class:`~repro.observability.metrics.
   MetricRegistry` behind snapshots, Prometheus exposition and the
   ``repro-metrics/1`` reports;
 * ``tracer`` — span tracing (default :data:`~repro.observability.spans.
-  NULL_TRACER`: zero overhead unless a caller opts in);
-* ``trace`` — the PR-1 trace-event ring buffer (unchanged).
+  NULL_TRACER`: zero overhead unless a caller opts in).
 
-:data:`NULL_INSTRUMENTATION` swallows everything at near-zero cost for
-hot paths that want no accounting at all; its ``registry``/``tracer``
-are the null implementations, so wiring code can declare metric
-families and open spans unconditionally.
+:meth:`Instrumentation.record_run` folds each pipeline run's
+:class:`~repro.observability.timers.StageClock` (CPU seconds) into the
+``rekey_seconds{op,status}`` and ``rekey_stage_seconds{op,stage}``
+histograms.  :data:`NULL_INSTRUMENTATION` swallows everything for hot
+paths that want no accounting at all; its ``registry``/``tracer`` are
+the null implementations, so wiring code can declare metric families
+and open spans unconditionally.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from .counters import Counters
 from .metrics import (LATENCY_BUCKETS_S, MetricRegistry, NULL_REGISTRY,
                       NullMetricRegistry)
 from .spans import NULL_TRACER, NullTracer, Tracer
-from .timers import StageClock, StageTimers, _TimerSpan
-from .tracing import NULL_TRACE, NullTraceBuffer, TraceBuffer
+from .timers import StageClock
 
 
 class Instrumentation:
-    """Counters + timers + labeled metrics + spans + optional tracing."""
+    """A labeled metric registry plus a span tracer."""
 
-    __slots__ = ("name", "counters", "timers", "trace", "registry", "tracer",
-                 "_run_seconds", "_stage_seconds")
+    __slots__ = ("name", "registry", "tracer", "_run_seconds",
+                 "_stage_seconds")
 
     def __init__(self, name: str = "",
-                 trace: Optional[Union[TraceBuffer, NullTraceBuffer]] = None,
                  registry: Optional[Union[MetricRegistry,
                                           NullMetricRegistry]] = None,
                  tracer: Optional[Union[Tracer, NullTracer]] = None):
         self.name = name
-        self.counters = Counters()
-        self.timers = StageTimers()
-        self.trace = trace if trace is not None else NULL_TRACE
         self.registry = registry if registry is not None else MetricRegistry(
             name)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._run_seconds = self.registry.histogram(
             "rekey_seconds",
-            "End-to-end rekey pipeline run time (server processing time).",
+            "End-to-end rekey pipeline CPU time (server processing time).",
             labels=("op", "status"), bounds=LATENCY_BUCKETS_S)
         self._stage_seconds = self.registry.histogram(
             "rekey_stage_seconds",
-            "Per-stage rekey pipeline time (plan/encrypt/sign/dispatch).",
+            "Per-stage rekey pipeline CPU time (plan/encrypt/sign/dispatch).",
             labels=("op", "stage"), bounds=LATENCY_BUCKETS_S)
 
-    def count(self, counter: str, amount: int = 1) -> None:
-        """Increment a named counter."""
-        self.counters.add(counter, amount)
-
-    def stage(self, stage_name: str) -> _TimerSpan:
-        """Time a region into the aggregate timers."""
-        return self.timers.time(stage_name)
-
     def record_run(self, op: str, clock: StageClock) -> None:
-        """Fold one pipeline run's :class:`StageClock` into the aggregates.
+        """Fold one pipeline run's :class:`StageClock` into the histograms.
 
-        Timings are keyed ``<op>.<stage>`` plus ``<op>.total``; the run
-        count lands in the ``<op>.runs`` counter — or ``<op>.errors``
+        Each stage lands in ``rekey_stage_seconds{op,stage}`` and the
+        total in ``rekey_seconds{op,status}``, with ``status="error"``
         when the clock carries an error flag (a stage body raised), so
-        failed rekeys stay visible.  The same samples feed the labeled
-        ``rekey_seconds``/``rekey_stage_seconds`` histograms, with
-        ``status="error"`` on failed runs.
+        failed rekeys stay visible.
         """
         for stage_name, seconds in clock.stages.items():
-            self.timers.add(f"{op}.{stage_name}", seconds)
             self._stage_seconds.labels(op=op, stage=stage_name).observe(
                 seconds)
-        total = clock.total
-        self.timers.add(f"{op}.total", total)
         status = "error" if clock.error else "ok"
-        self._run_seconds.labels(op=op, status=status).observe(total)
-        self.counters.add(f"{op}.errors" if clock.error else f"{op}.runs")
-        if self.trace.enabled:
-            self.trace.emit(f"{op}.run", total=total,
-                            stages=dict(clock.stages), error=clock.error,
-                            failed_stage=clock.failed_stage)
-
-    def snapshot(self) -> dict:
-        """Copyable view of counters, timers and the metric registry."""
-        return {"name": self.name,
-                "counters": self.counters.snapshot(),
-                "timers": self.timers.snapshot(),
-                "metrics": self.registry.snapshot()}
-
-    def clear(self) -> None:
-        """Reset counters, timers, metrics, spans and the trace buffer.
-
-        Metric series are zeroed *in place* (family/child objects
-        survive), so components holding cached label children keep
-        reporting into the same series afterwards.
-        """
-        self.counters.clear()
-        self.timers.clear()
-        self.trace.clear()
-        self.tracer.clear()
-        self.registry.reset_values()
-
-
-class _NullSpan:
-    """Reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
+        self._run_seconds.labels(op=op, status=status).observe(clock.total)
 
 
 class NullInstrumentation:
@@ -133,27 +73,11 @@ class NullInstrumentation:
     __slots__ = ()
 
     name = ""
-    trace = NULL_TRACE
     registry = NULL_REGISTRY
     tracer = NULL_TRACER
 
-    def count(self, counter: str, amount: int = 1) -> None:
-        """Discard."""
-
-    def stage(self, stage_name: str) -> _NullSpan:
-        """A shared no-op context manager."""
-        return _NULL_SPAN
-
     def record_run(self, op: str, clock: StageClock) -> None:
         """Discard."""
-
-    def snapshot(self) -> dict:
-        """Always empty."""
-        return {"name": "", "counters": {}, "timers": {},
-                "metrics": NULL_REGISTRY.snapshot()}
-
-    def clear(self) -> None:
-        """Nothing to clear."""
 
 
 NULL_INSTRUMENTATION = NullInstrumentation()

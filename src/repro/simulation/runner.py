@@ -73,8 +73,8 @@ class ExperimentResult:
     final_height: int
     # Aggregated real-client counters; None outside "full" client mode.
     client_totals: Optional["ClientStats"] = None
-    # The server's observability core: per-stage timer aggregates and
-    # operation counters accumulated across the whole run.
+    # The server's observability core: its registry holds the whole
+    # run's ``rekey_seconds``/``rekey_stage_seconds`` CPU histograms.
     instrumentation: Optional[Instrumentation] = None
     # ``repro-metrics/1`` document: the server's registry merged with
     # the shared key-schedule cache's, labeled with the configuration.
@@ -135,7 +135,8 @@ def run_experiment(config: ExperimentConfig,
         "Rekey message copies delivered to clients (Table 6 measure).",
         labels=("op",))
     # A full collection of garbage left by earlier work (other runs in
-    # the process) would otherwise land inside one measured request.
+    # the process) would otherwise land inside one measured request;
+    # collection runs on this thread, so the CPU clock charges it too.
     gc.collect()
     records: List[RequestRecord] = []
     for request in requests:

@@ -227,9 +227,11 @@ class TestRekeyPipeline:
         pipeline = RekeyPipeline(PAPER_SUITE, material, instrumentation=inst)
         pipeline.run("join", simple_planner(material),
                      root_ref=lambda: (1, 1))
-        assert inst.counters.get("join.runs") == 1
-        assert inst.timers.stat("join.plan").count == 1
-        assert inst.timers.stat("join.total").count == 1
+        registry = inst.registry
+        assert registry.get("rekey_seconds").labels(
+            op="join", status="ok").count == 1
+        assert registry.get("rekey_stage_seconds").labels(
+            op="join", stage="plan").count == 1
 
     def test_strategy_code_lands_on_wire(self):
         material = make_material()

@@ -6,6 +6,18 @@ from repro.core.server import GroupKeyServer, ServerConfig, ServerError
 from repro.observability import Instrumentation, StageClock
 
 
+def runs(instrumentation, op, status):
+    """Count of ``rekey_seconds{op,status}`` observations."""
+    return instrumentation.registry.get("rekey_seconds").labels(
+        op=op, status=status).count
+
+
+def stage_runs(instrumentation, op, stage):
+    """Count of ``rekey_stage_seconds{op,stage}`` observations."""
+    return instrumentation.registry.get("rekey_stage_seconds").labels(
+        op=op, stage=stage).count
+
+
 class TestStageClockErrors:
     def test_raising_stage_still_records_elapsed_time(self):
         clock = StageClock()
@@ -52,14 +64,14 @@ class TestInstrumentationErrorRuns:
     def test_error_run_counted_separately(self):
         instrumentation = Instrumentation("t")
         instrumentation.record_run("join", self._failed_clock())
-        assert instrumentation.counters.get("join.errors") == 1
-        assert instrumentation.counters.get("join.runs") == 0
+        assert runs(instrumentation, "join", "error") == 1
+        assert runs(instrumentation, "join", "ok") == 0
 
     def test_error_run_timers_still_recorded(self):
         instrumentation = Instrumentation("t")
         instrumentation.record_run("join", self._failed_clock())
-        assert instrumentation.timers.stat("join.encrypt").count == 1
-        assert instrumentation.timers.stat("join.total").count == 1
+        assert stage_runs(instrumentation, "join", "encrypt") == 1
+        assert runs(instrumentation, "join", "error") == 1
 
     def test_error_status_label_on_histogram(self):
         instrumentation = Instrumentation("t")
@@ -78,10 +90,9 @@ class TestServerErrorRuns:
         with pytest.raises(ServerError):
             server.leave("ghost")
         instrumentation = server.instrumentation
-        assert instrumentation.counters.get("leave.errors") == 1
-        assert instrumentation.timers.stat("leave.total").count == 1
+        assert runs(instrumentation, "leave", "error") == 1
         # The successful path stays untouched.
-        assert instrumentation.counters.get("leave.runs") == 0
+        assert runs(instrumentation, "leave", "ok") == 0
 
     def test_error_and_success_histograms_are_disjoint(self):
         server = GroupKeyServer(ServerConfig(signing="none", seed=b"s"))
