@@ -16,6 +16,24 @@ from ..observability import Stopwatch
 from . import ALL_EXPERIMENTS, PAPER, QUICK
 
 
+def _key(text: str) -> str:
+    return (text.lower().replace(" ", "").replace(":", "")
+            .replace("figure", "fig"))
+
+
+def select(names):
+    """The ``(title, runner)`` pairs of ``ALL_EXPERIMENTS`` that any of
+    ``names`` selects, all of them when ``names`` is empty.
+
+    A name selects an experiment when it is a substring of the title,
+    ignoring case, spaces and colons, with ``fig`` standing for
+    ``figure``: ``fig10`` and ``figure10`` both select Figure 10.
+    """
+    keys = [_key(name) for name in names]
+    return [(title, runner) for title, runner in ALL_EXPERIMENTS
+            if not keys or any(key in _key(title) for key in keys)]
+
+
 def main(argv=None) -> int:
     """Parse arguments and dispatch."""
     parser = argparse.ArgumentParser(
@@ -33,12 +51,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scale = PAPER if args.paper else QUICK
 
-    selected = []
-    for title, runner in ALL_EXPERIMENTS:
-        key = title.lower().replace(" ", "").replace(":", "")
-        if not args.names or any(name.lower().replace(" ", "") in key
-                                 for name in args.names):
-            selected.append((title, runner))
+    selected = select(args.names)
     if not selected:
         parser.error(f"no experiment matches {args.names}")
 

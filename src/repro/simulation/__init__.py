@@ -5,8 +5,6 @@ from .metrics import (ClientMetrics, MessageSizeSample, OpMetrics,
                       ServerMetrics, Summary)
 from .runner import (CLIENT_MODES, ExperimentConfig, ExperimentResult,
                      merged_records, run_experiment, run_sequences)
-from .trace import (records_to_csv, result_to_json_lines, sweep_to_csv,
-                    write_trace)
 from .workload import (JOIN, LEAVE, Request, generate_workload,
                        initial_members, paper_sequences)
 
@@ -18,5 +16,4 @@ __all__ = [
     "run_experiment", "run_sequences", "merged_records",
     "JOIN", "LEAVE", "Request", "generate_workload", "initial_members",
     "paper_sequences",
-    "records_to_csv", "result_to_json_lines", "sweep_to_csv", "write_trace",
 ]

@@ -142,6 +142,10 @@ class TestOutcomes:
         reached = reach(server, members)
         for message in outcome.rekey_messages:
             assert "u5" not in reached(message)
+        # Table 2: a star leave encrypts the new group key for each of
+        # the n - 1 remaining members.
+        star, _ = populated_server(8, graph="star")
+        assert star.leave("u5").record.encryptions == 7
 
     def test_history_accumulates(self):
         server, _ = populated_server(4)
@@ -271,17 +275,21 @@ class TestDatagramInterface:
 
 class TestSigningModes:
     def test_merkle_signs_once_per_request(self):
-        server, _ = populated_server(8, suite=PAPER_SUITE, signing="merkle",
-                                     strategy="key")
-        outcome = server.leave("u3")
-        assert outcome.record.signatures == 1
-        assert outcome.record.n_rekey_messages > 1
+        for strategy in ("key", "user"):
+            server, _ = populated_server(8, suite=PAPER_SUITE,
+                                         signing="merkle", strategy=strategy)
+            outcome = server.leave("u3")
+            assert outcome.record.signatures == 1
+            assert outcome.record.n_rekey_messages > 1
 
     def test_per_message_signs_each(self):
-        server, _ = populated_server(8, suite=PAPER_SUITE,
-                                     signing="per-message", strategy="key")
-        outcome = server.leave("u3")
-        assert outcome.record.signatures == outcome.record.n_rekey_messages
+        for strategy in ("key", "user"):
+            server, _ = populated_server(8, suite=PAPER_SUITE,
+                                         signing="per-message",
+                                         strategy=strategy)
+            outcome = server.leave("u3")
+            assert (outcome.record.signatures
+                    == outcome.record.n_rekey_messages > 1)
 
     def test_public_key_exposure(self):
         signed, _ = populated_server(2, suite=PAPER_SUITE, signing="merkle")

@@ -72,3 +72,23 @@ def test_cli_with_plot_flag(capsys):
     out = capsys.readouterr().out
     assert "Figure 12" in out
     assert "key tree degree" in out  # the chart rendered
+
+
+def test_cli_name_selection():
+    """Names select by title without running anything; ``fig`` stands
+    for ``figure``, as the CLI's help advertises."""
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.__main__ import main, select
+
+    def titles(*names):
+        return [title for title, _runner in select(names)]
+
+    assert titles("fig10") == ["Figure 10"]
+    assert titles("figure10") == ["Figure 10"]
+    assert titles("table5", "fig10") == ["Table 5", "Figure 10"]
+    assert titles("table4") == ["Table 4"]
+    assert titles("Table 1", "fig12") == ["Table 1", "Figure 12"]
+    assert len(titles()) == len(ALL_EXPERIMENTS)
+    assert titles("fig99") == []
+    with pytest.raises(SystemExit):
+        main(["fig99"])

@@ -48,6 +48,7 @@ class TestTable1:
         table = table1.run(TINY)
         star, tree, complete = table.rows
         assert star[2] == 82
+        assert star[4] == 2              # individual key + group key
         assert tree[2] == 121            # 81 + 27 + 9 + 3 + 1
         assert tree[4] == 5              # h keys per user
         assert complete[2] == 255
@@ -66,6 +67,13 @@ class TestTable2:
         tree_join_analytic = float(rows["server join"][3].split("= ")[1])
         assert rows["server join"][4] == pytest.approx(tree_join_analytic,
                                                        rel=0.35)
+        # Tree join and leave within a level of the closed forms:
+        # 2(h-2) <= join <= 2h and (d-1)(h-2) <= leave <= dh.
+        degree = 4
+        height = float(rows["server leave"][3].split("= ")[1]) / degree + 1
+        assert 2 * (height - 2) <= rows["server join"][4] <= 2 * height
+        assert ((degree - 1) * (height - 2) <= rows["server leave"][4]
+                <= degree * height)
         # Non-requesting user cost ~ d/(d-1) for the tree, ~1 for star.
         assert rows["non-req. user (avg)"][2] == pytest.approx(1.0, rel=0.1)
         assert rows["non-req. user (avg)"][4] == pytest.approx(4 / 3,
@@ -77,8 +85,12 @@ class TestTable3:
         table = table3.run(TINY)
         server_row = table.rows[0]
         star_measured, tree_measured = server_row[2], server_row[4]
-        assert tree_measured < star_measured / 3
+        assert tree_measured < star_measured / 5
         assert "d = 4" in table.notes
+        # A non-requesting user changes ~1 key (star), ~d/(d-1) (tree).
+        user_row = table.rows[1]
+        assert user_row[2] < 1.4
+        assert 1.0 < user_row[4] < 2.0
 
 
 class TestTable4:
@@ -144,6 +156,7 @@ class TestTable5:
                 # h messages per join, ~(d-1)(h-1) per leave.
                 assert join_msgs_ave > 2
                 assert leave_msgs_ave > join_msgs_ave
+                assert leave_msgs_ave > degree
 
     def test_group_leave_size_grows_with_degree(self, t5):
         leave_sizes = {row[0]: row[5] for row in t5.rows
@@ -232,8 +245,13 @@ class TestFigure11:
 class TestFigure12:
     def test_near_analytic_bound(self):
         table = fig12.run(TINY)
-        for degree, measured, bound in fig12.degree_series(table):
+        by_degree = fig12.degree_series(table)
+        for degree, measured, bound in by_degree:
             assert measured == pytest.approx(bound, rel=0.4), degree
+            assert abs(measured - bound) < 0.45, degree
+        # Falls toward 1 as the degree grows, as d/(d-1) does.
+        values = [measured for _degree, measured, _bound in by_degree]
+        assert values == sorted(values, reverse=True)
         sizes = fig12.size_series(table)
         values = [measured for _size, measured, _bound in sizes]
         # Flat in group size: spread stays tight.

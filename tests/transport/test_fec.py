@@ -94,7 +94,9 @@ def test_any_k_of_n_reconstructs(data):
     blocks = [data.draw(st.binary(min_size=block_size, max_size=block_size))
               for _ in range(k)]
     code = ReedSolomonCode(k, r)
-    all_blocks = blocks + code.encode(blocks)
+    parity = code.encode(blocks)
+    assert len(parity) == r
+    all_blocks = blocks + parity
     survivors = data.draw(st.permutations(range(k + r)))[:k]
     received = {index: all_blocks[index] for index in survivors}
     assert code.decode(received) == blocks
