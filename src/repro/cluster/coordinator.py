@@ -127,7 +127,7 @@ class RootKeyLayer:
         self.instrumentation = (instrumentation if instrumentation is not None
                                 else Instrumentation("cluster-root"))
         self.pipeline = RekeyPipeline(
-            suite, self.material, signer=self._signer,
+            suite, signer=self._signer,
             sequencer=Sequencer(), group_id=group_id,
             instrumentation=self.instrumentation)
         self._names = list(shard_names)
@@ -411,15 +411,13 @@ class ClusterCoordinator(KeyServerProtocol):
             config.seed + b"/coordinator" if config.seed is not None
             else None,
             b"cluster")
-        # Resync replies and sealed data draw IVs here, never from the
-        # shard/root-layer material: serving a resync must not perturb
-        # the rekey key stream (chaos runs stay byte-identical to the
-        # fault-free control run).
-        self.resync_material = KeyMaterialSource(
+        # Sealed data draws its IVs here, never from the shard/root-layer
+        # material: sending data must not perturb the rekey key stream.
+        self.data_material = KeyMaterialSource(
             config.suite,
             config.seed + b"/coordinator" if config.seed is not None
             else None,
-            b"cluster-resync")
+            b"cluster-data")
         self._m_resyncs = registry.counter(
             "resync_replies_total", "Resync replies served, by status.",
             labels=("status",))
@@ -717,8 +715,7 @@ class ClusterCoordinator(KeyServerProtocol):
                 group_id=self.config.group_id, user_id=user_id,
                 status=RESYNC_OK, leaf_node_id=path[0].node_id,
                 records=records, root_ref=self.group_key_ref(),
-                individual_key=path[0].key,
-                iv=self.resync_material.new_iv())
+                individual_key=path[0].key)
 
     # -- application data --------------------------------------------------
 
@@ -728,7 +725,7 @@ class ClusterCoordinator(KeyServerProtocol):
         require_payload_fits(payload)
         return seal_data_message(
             self.suite, self.root_layer._signer, payload, self.group_key(),
-            self.group_key_ref(), self.resync_material.new_iv(),
+            self.group_key_ref(), self.data_material.new_iv(),
             self.root_layer.pipeline.sequencer.next(), self.config.group_id)
 
     def subcast(self, targets: Iterable[str],

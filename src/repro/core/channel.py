@@ -155,7 +155,7 @@ class SecureGroupChannel:
             node_id, version = server.group_key_ref()
             return (node_id, version, server.group_key())
         return cls(server.suite, "@server", source,
-                   iv_source=server._new_iv, **kwargs)
+                   iv_source=server.material.new_iv, **kwargs)
 
     # -- sending -----------------------------------------------------------
 
@@ -283,8 +283,10 @@ class SecureGroupChannel:
         window.check_and_update(seq)
 
         item = message.items[0]
+        if item.labels:
+            raise ChannelError("frame item carries key labels")
         cipher = self.suite.new_cipher(enc_key)
         padded = modes.cbc_decrypt_nopad(cipher, item.ciphertext, item.iv)
-        if item.labels or item.plaintext_len > len(padded):
+        if item.plaintext_len > len(padded):
             raise ChannelError("corrupt frame length")
         return padded[:item.plaintext_len], sender, seq

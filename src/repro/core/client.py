@@ -322,11 +322,13 @@ class GroupClient:
         if len(message.items) != 1:
             raise ClientError("data message must carry exactly one item")
         item = message.items[0]
+        if item.labels:
+            raise ClientError("data message item carries key labels")
         group_key = self.keys[message.root_node_id][1]
         from ..crypto import modes
         cipher = self.suite.new_cipher(group_key)
         padded = modes.cbc_decrypt_nopad(cipher, item.ciphertext, item.iv)
-        if item.labels or item.plaintext_len > len(padded):
+        if item.plaintext_len > len(padded):
             raise ClientError("corrupt data message length")
         return padded[:item.plaintext_len]
 

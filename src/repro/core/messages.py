@@ -1,4 +1,4 @@
-"""Wire format (v3) for protocol and rekey messages.
+"""Wire format (v4) for protocol and rekey messages.
 
 The paper notes that real rekey messages carry "subgroup labels for new
 keys, server digital signature, message integrity check, timestamp, etc."
@@ -6,24 +6,24 @@ This module defines that format as one compact binary encoding; every
 multi-byte integer is big-endian.
 
 ``Message``
-    header  : magic, version (3), type, strategy, flags, group id,
+    header  : magic, version (4), type, strategy, flags, group id,
               sequence number, timestamp, current group-key (root)
               reference — 34 bytes
-    items   : a 2-byte count; if nonzero, one byte of cipher block size
-              ``b`` and one of key size ``k`` (``0`` when no item
+    items   : a 2-byte count; if nonzero, one byte of payload IV size
+              ``b`` (the cipher block; ``0`` when no item is a payload
+              item) and one of key size ``k`` (``0`` when no item
               carries keys), then each :class:`EncryptedItem` as its
               encrypting-key reference (node id, version) and a varint
               (LEB128) count ``n`` of key labels.
               A key item (``n >= 1``) follows with its ``n`` labels
-              (node id, version) in clear, a ``b``-byte IV and the
-              CBC encryption of the ``n`` key bytes alone,
-              ``b * ceil(n * k / b)`` bytes: 17 bytes besides IV and
-              ciphertext for one key, and one cipher block of DES or
-              AES-128 per key.
+              (node id, version) in clear and the CBC encryption of the
+              ``n`` key bytes alone under an IV both sides derive
+              (:func:`key_item_iv`), ``n * k`` bytes: 25 bytes for one
+              DES key.
               A payload item (``n = 0``: a subcast payload or
               application data) follows with its 2-byte
-              ``plaintext_len``, the IV and a ciphertext of
-              ``b * max(1, ceil(plaintext_len / b))`` bytes, zero
+              ``plaintext_len``, a random ``b``-byte IV and a ciphertext
+              of ``b * max(1, ceil(plaintext_len / b))`` bytes, zero
               padded.  Neither IV nor ciphertext length travels.
     body    : a 4-byte length, then the bytes
     auth    : the :class:`AuthBlock` trailer, not covered by the digest.
@@ -42,7 +42,8 @@ multi-byte integer is big-endian.
 
 Labels are metadata the header and the encrypting-key references
 already expose; they sit in the signed region, so the digest or
-signature covers them.  :func:`encrypt_records` and
+signature covers them; DESIGN §18 argues why a key item's IV may be
+derived from them.  :func:`encrypt_records` and
 :func:`decrypt_records` turn :class:`KeyRecord` lists into key items and
 back.
 
@@ -50,10 +51,11 @@ The trailer is self-delimiting: trace and correlation trailers
 (:mod:`repro.serve.wire`) ride after it and :meth:`Message.decode`
 ignores them.  There is one format and no version knob; a decoder
 refuses every other version, and an encoder refuses a message the
-format cannot carry (a field out of range, an item whose IV is not one
-block or whose ciphertext is not its padded plaintext length, key items
-of different key sizes, a certificate whose siblings do not fit its
-leaf position) with :class:`WireError`.
+format cannot carry (a field out of range, a payload item whose IV is
+not the message's one block size or whose ciphertext is not its padded
+plaintext length, a key item with an IV or whose ciphertext is not its
+key bytes, key items of different key sizes, a certificate whose
+siblings do not fit its leaf position) with :class:`WireError`.
 
 Control messages (join/leave requests and acks, application data) share
 the same header so one datagram parser handles everything.
@@ -71,7 +73,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 MAGIC = 0x4B47  # "KG"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 # Message types.
 MSG_JOIN_REQUEST = 1
@@ -138,6 +140,8 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 #: An item's encrypting-key reference, and a key label.
 _REF = struct.Struct(">II")
+#: A label and a reference: a key item's IV under a 16-byte block.
+_LABEL_REF = struct.Struct(">IIII")
 #: The block-size and key-size bytes of a message with items.
 _SIZES = struct.Struct(">BB")
 #: A payload item's reference, zero label count and plaintext length.
@@ -169,16 +173,13 @@ def ciphertext_size(plaintext_len: int, block: int) -> int:
     return -(-max(plaintext_len, 1) // block) * block
 
 
-def _key_size(items: Sequence["EncryptedItem"]) -> int:
-    """The key size of a message's key items (``0`` if it has none),
-    read off the first; the encoder checks the others against it."""
-    for item in items:
-        if item.labels:
-            key_size = item.plaintext_len // len(item.labels)
-            if not key_size:
-                raise WireError("key item with empty keys")
-            return key_size
-    return 0
+def _sizes(items: Sequence["EncryptedItem"]) -> Tuple[int, int]:
+    """A message's payload IV size and key size, read off its first
+    payload and key items (``0`` if none); the encoder checks the rest."""
+    block = next((len(item.iv) for item in items if not item.labels), 0)
+    key_size = next((item.plaintext_len // len(item.labels)
+                     for item in items if item.labels), 0)
+    return block, key_size
 
 
 def merkle_shape(index: int, leaves: int) -> List[bool]:
@@ -247,11 +248,11 @@ class EncryptedItem:
 
     ``enc_node_id``/``enc_version`` reference the key the ciphertext is
     encrypted under.  A key item names its keys in ``labels`` (node id,
-    version per key) and encrypts only their bytes, so its
-    ``plaintext_len`` is the labels' count times the key size.  A
-    payload item has no labels and a ``plaintext_len`` that strips the
-    zero padding after decryption.  The IV is one cipher block and the
-    ciphertext :func:`ciphertext_size` bytes, so neither length travels.
+    version per key) and encrypts only their bytes under a derived IV,
+    so its ``iv`` is empty and its ciphertext and ``plaintext_len`` are
+    the labels' count times the key size.  A payload item has no labels,
+    a one-block ``iv``, a ``plaintext_len`` that strips the zero padding
+    after decryption, and a :func:`ciphertext_size`-byte ciphertext.
     """
 
     enc_node_id: int
@@ -262,42 +263,55 @@ class EncryptedItem:
     labels: Tuple[Tuple[int, int], ...] = ()
 
 
-def encrypt_records(suite, key: bytes, iv: bytes,
-                    records: Sequence[KeyRecord],
+def key_item_iv(block: int, label: Tuple[int, int], enc_node_id: int,
+                enc_version: int) -> bytes:
+    """The IV of a key item whose first label is ``label``: the label,
+    then under a 16-byte block the encrypting-key reference."""
+    if block == _REF.size:
+        return _REF.pack(*label)
+    if block == _LABEL_REF.size:
+        return _LABEL_REF.pack(*label, enc_node_id, enc_version)
+    raise WireError(f"no key-item IV for a {block}-byte block")
+
+
+def encrypt_records(suite, key: bytes, records: Sequence[KeyRecord],
                     enc_node_id: int, enc_version: int) -> EncryptedItem:
     """Encrypt key records under ``key`` into a key item.
 
     The labels travel in clear and only the key bytes are encrypted:
-    one cipher block per DES or AES-128 key.
+    one cipher block per DES or AES-128 key, under the IV the labels
+    give (:func:`key_item_iv`).
     """
     key_bytes = b"".join(record.key for record in records)
     if not records or len(key_bytes) != len(records) * suite.key_size:
         raise WireError("a key item carries one or more keys of the suite")
-    padded = key_bytes.ljust(ciphertext_size(len(key_bytes),
-                                             suite.block_size), b"\x00")
+    labels = tuple((record.node_id, record.version) for record in records)
     from ..crypto import modes
-    ciphertext = modes.cbc_encrypt_nopad(suite.new_cipher(key), padded, iv)
-    return EncryptedItem(enc_node_id, enc_version, iv, ciphertext,
-                         len(key_bytes),
-                         tuple((record.node_id, record.version)
-                               for record in records))
+    ciphertext = modes.cbc_encrypt_nopad(
+        suite.new_cipher(key), key_bytes,
+        key_item_iv(suite.block_size, labels[0], enc_node_id, enc_version))
+    return EncryptedItem(enc_node_id, enc_version, b"", ciphertext,
+                         len(key_bytes), labels)
 
 
 def decrypt_records(suite, key: bytes, item: EncryptedItem) -> List[KeyRecord]:
     """Decrypt a key item back into key records."""
     labels = item.labels
     key_size = suite.key_size
-    if not labels or item.plaintext_len != len(labels) * key_size:
+    plaintext_len = item.plaintext_len
+    if not labels or plaintext_len != len(labels) * key_size or item.iv:
         raise WireError("item does not carry keys of this suite")
     from ..crypto import modes
-    plaintext = modes.cbc_decrypt_nopad(suite.new_cipher(key),
-                                        item.ciphertext, item.iv)
-    if item.plaintext_len > len(plaintext):
-        raise WireError("key labels exceed ciphertext capacity")
+    plaintext = modes.cbc_decrypt_nopad(
+        suite.new_cipher(key), item.ciphertext,
+        key_item_iv(suite.block_size, labels[0], item.enc_node_id,
+                    item.enc_version))
+    if plaintext_len != len(plaintext):
+        raise WireError("key labels do not match the ciphertext")
     return [KeyRecord(node_id, version,
                       plaintext[offset:offset + key_size])
             for offset, (node_id, version)
-            in zip(range(0, item.plaintext_len, key_size), labels)]
+            in zip(range(0, plaintext_len, key_size), labels)]
 
 
 @dataclass
@@ -442,33 +456,35 @@ class Message:
                                   self.root_node_id, self.root_version),
                      _U16.pack(len(items))]
             if items:
-                block = len(items[0].iv)
-                if not block:
-                    raise WireError("items need a one-block IV")
-                key_size = _key_size(items)
+                block, key_size = _sizes(items)
                 parts.append(_SIZES.pack(block, key_size))
                 pack_ref = _REF.pack
                 pack_one_key = _ONE_KEY_ITEM.pack
                 pack_payload = _PAYLOAD_ITEM.pack
                 append = parts.append
                 for item in items:
-                    iv = item.iv
                     ciphertext = item.ciphertext
                     labels = item.labels
                     plaintext_len = item.plaintext_len
-                    # ciphertext_size(plaintext_len, block), inline.
-                    if len(iv) != block or len(ciphertext) != (
-                            -(-plaintext_len // block) * block or block):
-                        raise WireError(
-                            "item is not one IV block and a padded "
-                            "ciphertext of its plaintext length")
                     if not labels:
+                        iv = item.iv
+                        # ciphertext_size(plaintext_len, block), inline.
+                        if not block or len(iv) != block or len(
+                                ciphertext) != (-(-plaintext_len // block)
+                                                * block or block):
+                            raise WireError(
+                                "payload item is not one IV block and a "
+                                "padded ciphertext of its plaintext length")
                         append(pack_payload(item.enc_node_id,
                                             item.enc_version, 0,
                                             plaintext_len))
-                    elif plaintext_len != len(labels) * key_size:
+                        append(iv)
+                    elif (item.iv or not key_size
+                            or plaintext_len != len(ciphertext)
+                            or plaintext_len != len(labels) * key_size):
                         raise WireError("key item is not whole keys of "
-                                        "the message's key size")
+                                        "the message's key size, without "
+                                        "an IV")
                     elif len(labels) == 1:
                         node_id, version = labels[0]
                         append(pack_one_key(item.enc_node_id,
@@ -482,7 +498,6 @@ class Message:
                         append(_varint(len(labels)))
                         for node_id, version in labels:
                             append(pack_ref(node_id, version))
-                    append(iv)
                     append(ciphertext)
             parts.append(_U32.pack(len(self.body)))
         except struct.error as exc:
@@ -505,13 +520,13 @@ class Message:
         size = _HEADER.size + 6 + len(self.body)
         items = self.items
         if items:
-            # Per item: reference, a one-byte label count, IV, ciphertext,
-            # then the labels or a payload's 2-byte plaintext length.
-            size += 2 + len(items) * (_REF.size + 1 + len(items[0].iv))
+            # Per item: reference, a one-byte label count, a payload's IV,
+            # ciphertext, then the labels or a payload's 2-byte length.
+            size += 2 + len(items) * (_REF.size + 1)
             for item in items:
                 count = len(item.labels)
-                size += len(item.ciphertext) + (_REF.size * count if count
-                                                else 2)
+                size += len(item.iv) + len(item.ciphertext) + (
+                    _REF.size * count if count else 2)
                 if count > 0x7F:
                     size += _varint_size(count) - 1
         return size + (self.auth.wire_size() if self.auth is not None
@@ -541,20 +556,19 @@ class Message:
             raise WireError(f"unsupported wire version {wire_version}")
         items = []
         if n_items:
-            if not block:
-                raise WireError("zero cipher block size")
             end = len(data)
-            keyed = False
+            keyed = paid = False
             unpack_ref = _REF.unpack_from
             unpack_one_key = _ONE_KEY_ITEM.unpack_from
             try:
                 for _ in range(n_items):
                     count = data[offset + _REF.size]
+                    iv = b""
                     if count == 1 and key_size:
                         (enc_node_id, enc_version, _count, node_id,
                          version) = unpack_one_key(data, offset)
                         labels = ((node_id, version),)
-                        plaintext_len = key_size
+                        plaintext_len = size = key_size
                         offset += _ONE_KEY_ITEM.size
                         keyed = True
                     else:
@@ -562,7 +576,7 @@ class Message:
                         count, offset = _read_varint(data,
                                                      offset + _REF.size)
                         if count:
-                            plaintext_len = count * key_size
+                            plaintext_len = size = count * key_size
                             if not plaintext_len:
                                 raise WireError(
                                     "key labels under a zero key size")
@@ -575,13 +589,17 @@ class Message:
                             labels = tuple(zip(flat[::2], flat[1::2]))
                             keyed = True
                         else:
+                            if not block:
+                                raise WireError(
+                                    "payload item under a zero block size")
                             (plaintext_len,) = _U16.unpack_from(data, offset)
-                            offset += 2
+                            offset += 2 + block
+                            iv = data[offset - block:offset]
+                            size = -(-plaintext_len // block) * block or block
                             labels = ()
-                    ciphertext_at = offset + block
-                    iv = data[offset:ciphertext_at]
-                    offset = ciphertext_at + (
-                        -(-plaintext_len // block) * block or block)
+                            paid = True
+                    ciphertext_at = offset
+                    offset += size
                     if offset > end:
                         raise WireError("truncated item body")
                     items.append(EncryptedItem(
@@ -591,6 +609,8 @@ class Message:
                 raise WireError(f"truncated item: {exc}") from None
             if key_size and not keyed:
                 raise WireError("key size without key items")
+            if block and not paid:
+                raise WireError("block size without payload items")
         try:
             (body_len,) = _U32.unpack_from(data, offset)
         except struct.error as exc:

@@ -11,8 +11,9 @@ stages:
     The path-specific planner edits the key graph and schedules
     encryptions, returning :class:`~repro.core.strategies.base.
     PlannedMessage` objects whose items are deferred
-    :class:`~repro.core.strategies.base.PendingItem` entries.  IVs are
-    drawn here so the DRBG stream matches immediate encryption.
+    :class:`~repro.core.strategies.base.PendingItem` entries.  Every
+    DRBG draw of the op (its new keys) happens here; encryption draws
+    nothing.
 ``encrypt``
     Every scheduled encryption executes (the CPU-heavy CBC passes).
 ``sign``
@@ -83,36 +84,27 @@ def validate_signing(signing: str, suite,
 
 
 class KeyMaterialSource:
-    """Key and IV sourcing for one server, from one seeded DRBG.
+    """Keys and payload IVs for one server, from one seeded DRBG.
 
     Replaces the ``_new_key``/``_new_iv`` pairs previously copy-pasted
     across the rekey paths.  ``personalization`` keeps the historic
     per-path DRBG domain separation (so seeded outputs are unchanged).
-    Custom ``key_source``/``iv_source`` callables bypass the DRBG —
-    used by :class:`~repro.keygraph.materialized.MaterializedKeyGraph`,
-    whose caller supplies the generators.
     """
 
-    __slots__ = ("suite", "_key_source", "_iv_source")
+    __slots__ = ("suite", "_random")
 
     def __init__(self, suite, seed: Optional[bytes] = None,
-                 personalization: bytes = b"key-material",
-                 key_source: Optional[Callable[[], bytes]] = None,
-                 iv_source: Optional[Callable[[], bytes]] = None):
+                 personalization: bytes = b"key-material"):
         self.suite = suite
-        if key_source is None or iv_source is None:
-            random = drbg.make_source(seed, personalization)
-        self._key_source = key_source or (lambda: suite.safe_key(random))
-        self._iv_source = iv_source or (
-            lambda: random.generate(suite.block_size))
+        self._random = drbg.make_source(seed, personalization)
 
     def new_key(self) -> bytes:
         """Fresh key material sized for the suite."""
-        return self._key_source()
+        return self.suite.safe_key(self._random)
 
     def new_iv(self) -> bytes:
-        """Fresh IV of one cipher block."""
-        return self._iv_source()
+        """Fresh IV of one cipher block, for a payload item."""
+        return self._random.generate(self.suite.block_size)
 
     def new_individual_key(self) -> bytes:
         """An individual key (stands in for the auth exchange)."""
@@ -436,12 +428,11 @@ class RekeyPipeline:
     ships.
     """
 
-    def __init__(self, suite, material: KeyMaterialSource, *,
-                 signer=None, sequencer: Optional[Sequencer] = None,
+    def __init__(self, suite, *, signer=None,
+                 sequencer: Optional[Sequencer] = None,
                  group_id: int = 1, msg_type: int = MSG_REKEY,
                  instrumentation=None):
         self.suite = suite
-        self.material = material
         self.signer = signer
         self.sequencer = sequencer if sequencer is not None else Sequencer()
         self.group_id = group_id
@@ -475,8 +466,8 @@ class RekeyPipeline:
     # -- the staged run ----------------------------------------------------
 
     def new_context(self) -> RekeyContext:
-        """A deferred-mode context wired to this pipeline's IV source."""
-        return RekeyContext(self.suite, self.material.new_iv, defer=True)
+        """A deferred-mode context for one run."""
+        return RekeyContext(self.suite, defer=True)
 
     def run(self, op: str,
             planner: Callable[[RekeyContext], List[PlannedMessage]], *,
@@ -516,7 +507,7 @@ class RekeyPipeline:
         The plan stage is the graph edit, so it must run serialized by
         the caller (the async layer keeps it on the event loop); the
         returned :class:`StagedRun`'s encrypt stage is then free to run
-        on a worker thread.  The DRBG draws (new keys, IVs) all happen
+        on a worker thread.  The DRBG draws (new keys) all happen
         here, so staged runs consume key material in submission order —
         byte-identical to a sequence of synchronous runs.
         """

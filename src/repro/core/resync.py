@@ -18,10 +18,10 @@ unicast:
   the client adopts as authoritative.
 
 The reply is signed like any other server message, so a forged resync
-cannot inject keys.  IVs come from a *dedicated* material source (same
-seed, distinct personalization) so serving resyncs never perturbs the
-main rekey key/IV stream — a chaos run's server-side key state stays
-byte-identical to a fault-free control run's.
+cannot inject keys.  Building one draws nothing (the item's IV comes
+from its first label), so serving resyncs never perturbs the rekey key
+stream — a chaos run's server-side key state stays byte-identical to a
+fault-free control run's.
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ def build_resync_reply(suite, signer, sequencer, *, group_id: int,
                        user_id: str, status: int, leaf_node_id: int,
                        records: Sequence[KeyRecord] = (),
                        root_ref: Tuple[int, int] = (0, 0),
-                       individual_key: bytes = b"",
-                       iv: bytes = b"") -> OutboundMessage:
+                       individual_key: bytes = b"") -> OutboundMessage:
     """Assemble and sign one resync reply unicast for ``user_id``."""
     items = []
     if status == RESYNC_OK and records:
-        items.append(encrypt_records(suite, individual_key, iv, records,
+        items.append(encrypt_records(suite, individual_key, records,
                                      INDIVIDUAL_KEY, 0))
     message = Message(
         msg_type=MSG_RESYNC_REPLY,

@@ -363,11 +363,6 @@ class GroupKeyServer(KeyServerProtocol):
         self.suite = config.suite
         self.material = KeyMaterialSource(config.suite, config.seed,
                                           b"group-key-server")
-        # Dedicated IV stream for resync replies: serving a resync must
-        # not perturb the main rekey key/IV draws, so a chaos run's key
-        # state stays byte-identical to a fault-free control run's.
-        self.resync_material = KeyMaterialSource(config.suite, config.seed,
-                                                 b"resync-replies")
         self.history: List[RequestRecord] = []
         # Individual keys registered by the (out-of-band) authentication
         # exchange, for users not yet members.
@@ -436,7 +431,7 @@ class GroupKeyServer(KeyServerProtocol):
             bounds=LATENCY_BUCKETS_S).labels()
         self._sequencer = Sequencer()
         self.pipeline = RekeyPipeline(
-            config.suite, self.material, signer=self._signer,
+            config.suite, signer=self._signer,
             sequencer=self._sequencer, group_id=config.group_id,
             instrumentation=self.instrumentation)
         # Dedicated DRBG personalization for subcast message keys/IVs:
@@ -456,9 +451,6 @@ class GroupKeyServer(KeyServerProtocol):
         if self._journal_tap is not None:
             self._journal_tap.append(key)
         return key
-
-    def _new_iv(self) -> bytes:
-        return self.material.new_iv()
 
     def new_individual_key(self) -> bytes:
         """Generate an individual key (stands in for the auth exchange)."""
@@ -985,7 +977,7 @@ class GroupKeyServer(KeyServerProtocol):
         require_payload_fits(payload)
         out = seal_data_message(self.suite, self._signer, payload,
                                 self.group_key(), self.group_key_ref(),
-                                self._new_iv(), self._next_seq(),
+                                self.material.new_iv(), self._next_seq(),
                                 self.config.group_id)
         self._journal_op("seq")
         return out
@@ -1072,8 +1064,7 @@ class GroupKeyServer(KeyServerProtocol):
                     group_id=self.config.group_id, user_id=user_id,
                     status=RESYNC_OK, leaf_node_id=leaf_node_id,
                     records=records, root_ref=self.group_key_ref(),
-                    individual_key=individual_key,
-                    iv=self.resync_material.new_iv())
+                    individual_key=individual_key)
             self._journal_op("seq")
             return reply
 

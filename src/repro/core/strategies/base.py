@@ -14,9 +14,9 @@ addressed plans (unicast, the key-/user-oriented and hybrid subgroups)
 carry a *lazy* resolver, called after the processing clock stops: their
 receivers *are* their address.
 
-The :class:`RekeyContext` carries the cipher suite, the IV source and the
-encryption counters the experiments report (number of key-encryptions,
-per Table 2's cost measure).
+The :class:`RekeyContext` carries the cipher suite and the encryption
+counters the experiments report (number of key-encryptions, per Table
+2's cost measure).
 """
 
 from __future__ import annotations
@@ -33,15 +33,12 @@ from ..messages import (INDIVIDUAL_KEY, Destination, EncryptedItem,
 class PendingItem:
     """A deferred encryption: everything needed to build the item later.
 
-    The pipeline's plan stage captures the inputs (including the IV, so
-    the DRBG stream order is identical to immediate encryption) and the
-    encrypt stage materializes :attr:`value`.  Until then the pending
-    item stands in for the :class:`EncryptedItem` inside a plan's item
-    list.
+    The pipeline's plan stage captures the inputs and the encrypt stage
+    materializes :attr:`value`.  Until then the pending item stands in
+    for the :class:`EncryptedItem` inside a plan's item list.
     """
 
     key: bytes
-    iv: bytes
     records: List[KeyRecord]
     enc_node_id: int
     enc_version: int
@@ -50,9 +47,8 @@ class PendingItem:
     def materialize(self, suite) -> EncryptedItem:
         """Perform the captured encryption (idempotent)."""
         if self.value is None:
-            self.value = encrypt_records(suite, self.key, self.iv,
-                                         self.records, self.enc_node_id,
-                                         self.enc_version)
+            self.value = encrypt_records(suite, self.key, self.records,
+                                         self.enc_node_id, self.enc_version)
         return self.value
 
 
@@ -71,14 +67,13 @@ class RekeyContext:
 
     With ``defer=False`` (the default), :meth:`encrypt` performs the
     encryption immediately.  The staged pipeline passes ``defer=True``:
-    the plan stage then only *schedules* encryptions (capturing key, IV
-    and payload) and the pipeline's encrypt stage executes them all via
-    :meth:`materialize`.  Either way the DRBG is consumed in the same
-    order, so both modes produce identical bytes.
+    the plan stage then only *schedules* encryptions (capturing key and
+    records) and the pipeline's encrypt stage executes them all via
+    :meth:`materialize`.  Encryption draws nothing (a key item's IV
+    comes from its labels), so both modes produce identical bytes.
     """
 
     suite: object
-    make_iv: Callable[[], bytes]
     encryptions: int = 0
     defer: bool = False
     pending: List[PendingItem] = field(default_factory=list)
@@ -94,12 +89,11 @@ class RekeyContext:
         """
         self.encryptions += len(records)
         if self.defer:
-            item = PendingItem(key, self.make_iv(), list(records),
-                               enc_node_id, enc_version)
+            item = PendingItem(key, list(records), enc_node_id, enc_version)
             self.pending.append(item)
             return item
-        return encrypt_records(self.suite, key, self.make_iv(), records,
-                               enc_node_id, enc_version)
+        return encrypt_records(self.suite, key, records, enc_node_id,
+                               enc_version)
 
     def materialize(self) -> None:
         """Execute every deferred encryption (the pipeline encrypt stage).

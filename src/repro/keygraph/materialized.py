@@ -42,7 +42,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.messages import (INDIVIDUAL_KEY, Destination, KeyRecord,
                              OutboundMessage)
-from ..core.pipeline import KeyMaterialSource, RekeyPipeline
+from ..core.pipeline import RekeyPipeline
 from ..core.strategies.base import PlannedMessage, RekeyContext
 from ..observability import Instrumentation
 from .covering import CoverError, greedy_cover
@@ -72,15 +72,10 @@ class MaterializedKeyGraph:
     """An operational secure group specified by an arbitrary key graph."""
 
     def __init__(self, suite, keygen: Callable[[], bytes],
-                 iv_source: Optional[Callable[[], bytes]] = None,
                  group_id: int = 1,
                  instrumentation: Optional[Instrumentation] = None):
         self.suite = suite
         self._keygen = keygen
-        if iv_source is None:
-            iv_source = lambda: keygen()[:suite.block_size].ljust(
-                suite.block_size, b"\x00")
-        self._iv = iv_source
         self.graph = KeyGraph()
         self.group_id = group_id
         # k-node name -> (integer wire id, version); the key bytes live
@@ -101,9 +96,7 @@ class MaterializedKeyGraph:
             "group_size", "Current number of group members.").labels()
         # Unsigned path: signer=None ships messages without auth blocks.
         self.pipeline = RekeyPipeline(
-            suite,
-            KeyMaterialSource(suite, key_source=keygen, iv_source=iv_source),
-            signer=None, group_id=group_id,
+            suite, signer=None, group_id=group_id,
             instrumentation=self.instrumentation)
 
     # -- construction ------------------------------------------------------

@@ -16,6 +16,10 @@ perturbs the rekey key stream, so a run with interleaved subcasts
 stays byte-identical to its subcast-free control on every rekey
 message.  The subcast bytes themselves are pinned by golden digests
 (``tests/subcast/test_sealing.py``).
+
+A cover item's IV is derived from its label (``SUBCAST_MESSAGE_KEY``,
+sequence number), which must never repeat: the sealer refuses, before
+any draw, a sequence number past :data:`MAX_SUBCAST_ID`.
 """
 
 from __future__ import annotations
@@ -29,15 +33,20 @@ from ..core.messages import (MSG_SUBCAST, SUBCAST_MESSAGE_KEY, Destination,
                              OutboundMessage, ciphertext_size,
                              encrypt_records)
 from ..core.pipeline import KeyMaterialSource, Sequencer
+from ..core.server import ServerError
 from ..crypto import modes
 
 #: A cover entry: the (node id, version) wire reference members hold
 #: the key under, plus the key bytes to seal with.
 CoverKey = Tuple[int, int, bytes]
 
+#: The largest sequence number a subcast label's version field carries.
+MAX_SUBCAST_ID = 0xFFFFFFFF
 
-class SubcastError(ValueError):
-    """Raised on invalid subcast inputs (empty cover, empty target)."""
+
+class SubcastError(ServerError):
+    """A refused subcast: an empty cover or target, or a sequence
+    number past :data:`MAX_SUBCAST_ID`."""
 
 
 class SubcastSealer:
@@ -75,10 +84,12 @@ class SubcastSealer:
             raise SubcastError("subcast needs a non-empty key cover")
         if not receivers:
             raise SubcastError("subcast needs at least one receiver")
-        seq = self.sequencer.next()
-        subcast_id = seq & 0xFFFFFFFF
+        if self.sequencer.value >= MAX_SUBCAST_ID:
+            raise SubcastError("sequence numbers past the subcast id "
+                               "range: a label would repeat")
+        seq = subcast_id = self.sequencer.next()
         # Draw order is part of the byte-determinism contract: message
-        # key, payload IV, then one IV per cover item in node-id order.
+        # key, then payload IV.
         message_key = self.material.new_key()
         payload_iv = self.material.new_iv()
         padded = payload.ljust(
@@ -91,9 +102,8 @@ class SubcastSealer:
         record = KeyRecord(SUBCAST_MESSAGE_KEY, subcast_id, message_key)
         for node_id, version, key in sorted(cover,
                                             key=lambda entry: entry[0]):
-            items.append(encrypt_records(
-                self.suite, key, self.material.new_iv(), [record],
-                node_id, version))
+            items.append(encrypt_records(self.suite, key, [record],
+                                         node_id, version))
         root_id, root_version = root_ref
         message = Message(
             msg_type=MSG_SUBCAST, group_id=self.group_id, seq=seq,

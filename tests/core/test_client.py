@@ -36,7 +36,7 @@ def test_individual_key_validation():
 def test_install_from_individual_key_sentinel():
     client = make_client()
     records = [KeyRecord(5, 0, b"A" * 8), KeyRecord(9, 2, b"B" * 8)]
-    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8), records,
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), records,
                            0xFFFFFFFF, 0)
     changed = client.process_message(wire_rekey([item], (9, 2)).encode())
     assert changed == 2
@@ -49,9 +49,9 @@ def test_fixed_point_handles_any_item_order():
     client = make_client()
     # key for node 1 encrypted under node 2's key; node 2's key under
     # the individual key.  Deliver in the 'wrong' order.
-    item_locked = encrypt_records(PAPER_SUITE_NO_SIG, b"K" * 8, bytes(8),
+    item_locked = encrypt_records(PAPER_SUITE_NO_SIG, b"K" * 8,
                                   [KeyRecord(1, 4, b"R" * 8)], 2, 1)
-    item_unlock = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    item_unlock = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                                   [KeyRecord(2, 1, b"K" * 8)], 0xFFFFFFFF, 0)
     message = wire_rekey([item_locked, item_unlock], (1, 4))
     changed = client.process_message(message.encode())
@@ -64,11 +64,11 @@ def test_fixed_point_follows_a_chain_in_reverse_order():
     """Every item waits on the next one; each is opened exactly once."""
     client = make_client()
     chain = [bytes(8)] + [bytes([65 + i]) * 8 for i in range(5)]
-    items = [encrypt_records(PAPER_SUITE_NO_SIG, chain[i], bytes(8),
+    items = [encrypt_records(PAPER_SUITE_NO_SIG, chain[i],
                              [KeyRecord(i + 1, 7, chain[i + 1])],
                              0xFFFFFFFF if i == 0 else i, 7)
              for i in range(5)]
-    foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8, bytes(8),
+    foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8,
                               [KeyRecord(3, 9, b"S" * 8)], 77, 0)
     message = wire_rekey(list(reversed(items)) + [foreign], (5, 7))
     assert client.process_message(message) == 5
@@ -80,9 +80,9 @@ def test_fixed_point_follows_a_chain_in_reverse_order():
 def test_item_waiting_on_a_key_installed_at_another_version():
     """The awaited node arrives, but not the referenced version."""
     client = make_client()
-    locked = encrypt_records(PAPER_SUITE_NO_SIG, b"K" * 8, bytes(8),
+    locked = encrypt_records(PAPER_SUITE_NO_SIG, b"K" * 8,
                              [KeyRecord(1, 4, b"R" * 8)], 2, 6)
-    unlock = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    unlock = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                              [KeyRecord(2, 5, b"J" * 8)], 0xFFFFFFFF, 0)
     assert client.process_message(wire_rekey([locked, unlock], (2, 5))) == 1
     assert client.holds(2, 5) and not client.holds(1, 4)
@@ -92,7 +92,7 @@ def test_item_waiting_on_a_key_installed_at_another_version():
 
 
 def test_parsed_message_is_charged_its_wire_bytes():
-    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                            [KeyRecord(1, 0, b"A" * 8)], 0xFFFFFFFF, 0)
     message = wire_rekey([item], (1, 0))
     parsed, raw = make_client(), make_client()
@@ -104,9 +104,9 @@ def test_parsed_message_is_charged_its_wire_bytes():
 
 def test_undecryptable_items_are_skipped():
     client = make_client()
-    foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8, bytes(8),
+    foreign = encrypt_records(PAPER_SUITE_NO_SIG, b"X" * 8,
                               [KeyRecord(3, 0, b"S" * 8)], 77, 0)
-    mine = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    mine = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                            [KeyRecord(4, 0, b"M" * 8)], 0xFFFFFFFF, 0)
     changed = client.process_message(wire_rekey([foreign, mine], (4, 0)).encode())
     assert changed == 1
@@ -117,7 +117,7 @@ def test_undecryptable_items_are_skipped():
 def test_version_mismatch_is_not_decrypted():
     client = make_client()
     client.keys[10] = (3, b"V" * 8)
-    stale = encrypt_records(PAPER_SUITE_NO_SIG, b"V" * 8, bytes(8),
+    stale = encrypt_records(PAPER_SUITE_NO_SIG, b"V" * 8,
                             [KeyRecord(11, 0, b"W" * 8)], 10, 9)  # wrong ver
     changed = client.process_message(wire_rekey([stale]).encode())
     assert changed == 0
@@ -126,7 +126,7 @@ def test_version_mismatch_is_not_decrypted():
 def test_leaf_node_id_matching():
     client = make_client()
     client.set_leaf(123)
-    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                            [KeyRecord(50, 0, b"L" * 8)], 123, 0)
     changed = client.process_message(wire_rekey([item], (50, 0)).encode())
     assert changed == 1
@@ -194,7 +194,7 @@ def test_key_count():
 
 def test_stats_accumulate():
     client = make_client()
-    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                            [KeyRecord(1, 0, b"A" * 8)], 0xFFFFFFFF, 0)
     message = wire_rekey([item], (1, 0)).encode()
     client.process_message(message)

@@ -73,7 +73,7 @@ def test_refused_oversized_payload_draws_no_sequence_number(oversized):
 
 
 def _valid_rekey_bytes():
-    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE_NO_SIG, bytes(8),
                            [KeyRecord(3, 1, b"K" * 8)], 0xFFFFFFFF, 0)
     message = Message(msg_type=MSG_REKEY, root_node_id=3, root_version=1,
                       items=[item])
@@ -141,7 +141,6 @@ def test_arbitrary_valid_items_roundtrip(n_items, data):
                              data.draw(st.binary(min_size=8, max_size=8)))]
         items.append(encrypt_records(
             PAPER_SUITE_NO_SIG,
-            data.draw(st.binary(min_size=8, max_size=8)),
             data.draw(st.binary(min_size=8, max_size=8)),
             records,
             data.draw(st.integers(0, 2**32 - 1)),

@@ -12,7 +12,7 @@ from repro.core.messages import (INDIVIDUAL_KEY, MAX_PLAINTEXT, MSG_DATA,
                                  Destination, EncryptedItem, KeyRecord,
                                  Message, WireError, ciphertext_size,
                                  decrypt_records, encrypt_records,
-                                 merkle_shape)
+                                 key_item_iv, merkle_shape)
 from repro.crypto.suite import MODERN_SUITE, PAPER_SUITE, CipherSuite
 
 
@@ -22,7 +22,7 @@ def sample_item(enc_node=7, version=3):
 
 def key_item(enc_node=7, version=3, labels=((4, 1),)):
     """A DES key item of ``len(labels)`` keys (ciphertext zeros)."""
-    return EncryptedItem(enc_node, version, bytes(8),
+    return EncryptedItem(enc_node, version, b"",
                          bytes(8 * len(labels)), 8 * len(labels), labels)
 
 
@@ -71,7 +71,7 @@ def test_merkle_shape_marks_promoted_levels():
 
 def test_items_carry_no_lengths():
     # A one-key DES item: 8 bytes of reference, a label count, one
-    # 8-byte label, the IV and one ciphertext block (33 bytes); the
+    # 8-byte label and one ciphertext block (25 bytes; no IV); the
     # message adds a block-size and a key-size byte for all its items.
     one = Message(msg_type=MSG_REKEY, items=[key_item()]).encode()
     two = Message(msg_type=MSG_REKEY,
@@ -79,10 +79,11 @@ def test_items_carry_no_lengths():
     three = Message(msg_type=MSG_REKEY, items=[
         key_item(), key_item(8, 1), key_item(9, 0, ((1, 2), (3, 4)))]).encode()
     bare = Message(msg_type=MSG_REKEY).encode()
-    assert len(two) - len(one) == 8 + 1 + 8 + 8 + 8 == 33
-    assert len(one) - len(bare) == 2 + 33
-    assert len(three) - len(two) == 8 + 1 + 2 * 8 + 8 + 2 * 8
-    # A payload item keeps its 16-bit plaintext length instead of labels.
+    assert len(two) - len(one) == 8 + 1 + 8 + 8 == 25
+    assert len(one) - len(bare) == 2 + 25
+    assert len(three) - len(two) == 8 + 1 + 2 * 8 + 2 * 8
+    # A payload item keeps its 16-bit plaintext length instead of labels,
+    # and its IV.
     payload = Message(msg_type=MSG_DATA, items=[sample_item()]).encode()
     assert len(payload) - len(bare) == 2 + 8 + 1 + 2 + 8 + 16
 
@@ -101,18 +102,20 @@ def test_encoder_refuses_items_the_wire_cannot_carry(item):
 
 
 @pytest.mark.parametrize("items", [
-    [key_item(), EncryptedItem(1, 0, bytes(8), bytes(16), 16, ((1, 0),))],
-    [key_item(), EncryptedItem(1, 0, bytes(8), bytes(24), 24,
+    [key_item(), EncryptedItem(1, 0, b"", bytes(16), 16, ((1, 0),))],
+    [key_item(), EncryptedItem(1, 0, b"", bytes(24), 24,
                                ((1, 0), (2, 0)))],
-    [EncryptedItem(1, 0, bytes(8), bytes(8), 0, ((1, 0),))],
+    [EncryptedItem(1, 0, b"", bytes(8), 0, ((1, 0),))],
     [key_item(labels=((2**32, 0),))],
-    [EncryptedItem(1, 0, bytes(8), bytes(65544), 65544,
+    [EncryptedItem(1, 0, b"", bytes(65544), 65544,
                    tuple((i, 0) for i in range(8193)))],
-    [EncryptedItem(1, 0, bytes(8), bytes(256), 256, ((1, 0),))],
+    [EncryptedItem(1, 0, b"", bytes(256), 256, ((1, 0),))],
+    [EncryptedItem(1, 0, bytes(8), bytes(8), 8, ((1, 0),))],
+    [EncryptedItem(1, 0, b"", bytes(16), 8, ((1, 0),))],
 ])
 def test_encoder_refuses_key_items_the_wire_cannot_carry(items):
     """Key items of different key sizes, an empty key, a label or
-    ``n * k`` out of range."""
+    ``n * k`` out of range, an IV, a ciphertext past the key bytes."""
     with pytest.raises(WireError):
         Message(msg_type=MSG_REKEY, items=items).encode()
 
@@ -200,14 +203,15 @@ def canonical_items(draw, block, key_size):
                                                st.integers(0, 2**32 - 1)),
                                      min_size=1, max_size=200)))
         plaintext_len = len(labels) * key_size
+        iv, ciphertext = b"", bytes(plaintext_len)
     else:
         labels = ()
         plaintext_len = draw(st.integers(0, 200))
+        iv = draw(st.binary(min_size=block, max_size=block))
+        ciphertext = bytes(ciphertext_size(plaintext_len, block))
     return EncryptedItem(draw(st.integers(0, 2**32 - 1)),
                          draw(st.integers(0, 2**32 - 1)),
-                         draw(st.binary(min_size=block, max_size=block)),
-                         bytes(ciphertext_size(plaintext_len, block)),
-                         plaintext_len, labels)
+                         iv, ciphertext, plaintext_len, labels)
 
 
 @st.composite
@@ -248,7 +252,7 @@ def test_wire_size_is_the_encoded_length(items, body, auth):
 @settings(max_examples=30)
 def test_encrypt_decrypt_records_roundtrip(keys, key):
     records = [KeyRecord(i, i * 2, k) for i, k in enumerate(keys)]
-    item = encrypt_records(PAPER_SUITE, key, bytes(8), records, 12, 1)
+    item = encrypt_records(PAPER_SUITE, key, records, 12, 1)
     assert item.enc_node_id == 12
     assert item.enc_version == 1
     assert decrypt_records(PAPER_SUITE, key, item) == records
@@ -257,7 +261,7 @@ def test_encrypt_decrypt_records_roundtrip(keys, key):
 def test_encrypt_records_sizes_are_paper_like():
     # One DES-encrypted key: exactly one cipher block; its label rides
     # in clear.
-    item = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE, bytes(8),
                            [KeyRecord(1, 1, bytes(8))], 2, 0)
     assert len(item.ciphertext) == 8
     assert item.plaintext_len == 8
@@ -272,7 +276,7 @@ def test_a_one_key_item_is_whole_key_blocks(cipher, blocks):
     suite = CipherSuite(cipher, None, None)
     key = bytes(range(suite.key_size))
     record = KeyRecord(6, 2, bytes(reversed(key)))
-    item = encrypt_records(suite, key, bytes(suite.block_size), [record],
+    item = encrypt_records(suite, key, [record],
                            3, 1)
     assert len(item.ciphertext) == blocks * suite.block_size
     encoded = Message(msg_type=MSG_REKEY, items=[item]).encode()
@@ -283,28 +287,46 @@ def test_a_one_key_item_is_whole_key_blocks(cipher, blocks):
 
 def test_encrypt_records_refuses_what_no_item_carries():
     with pytest.raises(WireError):
-        encrypt_records(PAPER_SUITE, bytes(8), bytes(8), [], 2, 0)
+        encrypt_records(PAPER_SUITE, bytes(8), [], 2, 0)
     with pytest.raises(WireError):
-        encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+        encrypt_records(PAPER_SUITE, bytes(8),
                         [KeyRecord(1, 1, bytes(16))], 2, 0)
 
 
 def test_encrypt_records_aes():
     record = KeyRecord(3, 1, bytes(16))
-    item = encrypt_records(MODERN_SUITE, bytes(16), bytes(16), [record], 9, 2)
+    item = encrypt_records(MODERN_SUITE, bytes(16), [record], 9, 2)
     assert decrypt_records(MODERN_SUITE, bytes(16), item) == [record]
 
 
 def test_decrypt_records_rejects_bad_length_claim():
-    item = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+    item = encrypt_records(PAPER_SUITE, bytes(8),
                            [KeyRecord(1, 1, bytes(8))], 2, 0)
     for bad in (dataclasses.replace(item, plaintext_len=999),
                 dataclasses.replace(item, labels=()),
-                dataclasses.replace(item, labels=((1, 1), (2, 2)))):
+                dataclasses.replace(item, labels=((1, 1), (2, 2))),
+                dataclasses.replace(item, iv=bytes(8))):
         with pytest.raises(WireError):
             decrypt_records(PAPER_SUITE, bytes(8), bad)
     with pytest.raises(WireError):      # a DES item under an AES suite
         decrypt_records(MODERN_SUITE, bytes(16), item)
+
+
+def test_a_key_item_iv_is_its_first_label():
+    """8-byte block: the first label; 16-byte block: the first label and
+    the encrypting-key reference.  Nothing else has a derived IV."""
+    assert key_item_iv(8, (1, 2), 3, 4) == bytes.fromhex("0000000100000002")
+    assert key_item_iv(16, (1, 2), 3, 4) == bytes.fromhex(
+        "00000001000000020000000300000004")
+    with pytest.raises(WireError):
+        key_item_iv(32, (1, 2), 3, 4)
+    key = bytes(range(8))
+    for records in ([KeyRecord(5, 9, bytes(8))],
+                    [KeyRecord(5, 9, bytes(8)), KeyRecord(6, 1, bytes(8))]):
+        item = encrypt_records(PAPER_SUITE, key, records, 2, 0)
+        assert item.iv == b""
+        assert item.ciphertext[:8] == PAPER_SUITE.new_cipher(
+            key).encrypt_block(key_item_iv(8, (5, 9), 2, 0))
 
 
 # -- destinations ---------------------------------------------------------------

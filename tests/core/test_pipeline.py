@@ -70,14 +70,6 @@ class TestKeyMaterialSource:
         assert len(material.new_iv()) == PAPER_SUITE.block_size
         assert len(material.new_individual_key()) == PAPER_SUITE.key_size
 
-    def test_custom_sources_bypass_drbg(self):
-        keys = iter([b"k" * 8, b"l" * 8])
-        material = KeyMaterialSource(PAPER_SUITE,
-                                     key_source=lambda: next(keys),
-                                     iv_source=lambda: b"i" * 8)
-        assert material.new_key() == b"k" * 8
-        assert material.new_iv() == b"i" * 8
-
 
 class TestMakeSigner:
     def test_modes(self):
@@ -112,13 +104,13 @@ class TestSequencer:
 class TestPendingItem:
     def test_deferred_context_matches_immediate_bytes(self):
         material = make_material()
-        key, iv = material.new_key(), material.new_iv()
+        key = material.new_key()
         records = [KeyRecord(3, 1, material.new_key())]
 
-        immediate = RekeyContext(PAPER_SUITE, lambda: iv)
+        immediate = RekeyContext(PAPER_SUITE)
         direct = immediate.encrypt(key, records, 3, 0)
 
-        deferred = RekeyContext(PAPER_SUITE, lambda: iv, defer=True)
+        deferred = RekeyContext(PAPER_SUITE, defer=True)
         pending = deferred.encrypt(key, records, 3, 0)
         assert isinstance(pending, PendingItem)
         assert immediate.encryptions == deferred.encryptions == 1
@@ -127,7 +119,7 @@ class TestPendingItem:
 
     def test_resolve_requires_materialization(self):
         material = make_material()
-        ctx = RekeyContext(PAPER_SUITE, material.new_iv, defer=True)
+        ctx = RekeyContext(PAPER_SUITE, defer=True)
         pending = ctx.encrypt(material.new_key(),
                               [KeyRecord(1, 1, material.new_key())], 1, 0)
         with pytest.raises(ValueError):
@@ -137,7 +129,7 @@ class TestPendingItem:
 class TestRekeyPipeline:
     def test_run_produces_wire_messages(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material, group_id=9)
+        pipeline = RekeyPipeline(PAPER_SUITE, group_id=9)
         run = pipeline.run("join", simple_planner(material),
                            root_ref=lambda: (5, 3), user_id="u9")
         assert run.op == "join" and run.user_id == "u9"
@@ -153,7 +145,7 @@ class TestRekeyPipeline:
 
     def test_empty_plan_skips_root_ref_and_seq(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material)
+        pipeline = RekeyPipeline(PAPER_SUITE)
 
         def exploding_root_ref():
             raise AssertionError("root_ref must not be called")
@@ -165,7 +157,7 @@ class TestRekeyPipeline:
 
     def test_hooks_fire_in_stage_order(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material)
+        pipeline = RekeyPipeline(PAPER_SUITE)
         fired = []
         for stage in STAGES:
             pipeline.add_hook(stage, lambda run, s=stage: fired.append(s))
@@ -176,7 +168,7 @@ class TestRekeyPipeline:
 
     def test_hook_sees_stage_results(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material)
+        pipeline = RekeyPipeline(PAPER_SUITE)
         seen = {}
         pipeline.add_hook(STAGE_PLAN,
                           lambda run: seen.setdefault("plans", len(run.plans)))
@@ -188,14 +180,14 @@ class TestRekeyPipeline:
         assert seen == {"plans": 1, "messages": 1}
 
     def test_unknown_hook_stage_rejected(self):
-        pipeline = RekeyPipeline(PAPER_SUITE, make_material())
+        pipeline = RekeyPipeline(PAPER_SUITE)
         with pytest.raises(PipelineError):
             pipeline.add_hook("teleport", lambda run: None)
 
     def test_shared_sequencer_spans_runs(self):
         material = make_material()
         sequencer = Sequencer()
-        pipeline = RekeyPipeline(PAPER_SUITE, material, sequencer=sequencer)
+        pipeline = RekeyPipeline(PAPER_SUITE, sequencer=sequencer)
         pipeline.run("join", simple_planner(material),
                      root_ref=lambda: (1, 1))
         run = pipeline.run("join", simple_planner(material),
@@ -206,7 +198,7 @@ class TestRekeyPipeline:
         material = make_material()
         inner = simple_planner(material)
         signer, _ = make_signer(PAPER_SUITE, "merkle", b"seed")
-        pipeline = RekeyPipeline(PAPER_SUITE, material, signer=signer)
+        pipeline = RekeyPipeline(PAPER_SUITE, signer=signer)
         run = pipeline.run("leave", lambda ctx: inner(ctx) + inner(ctx),
                            root_ref=lambda: (1, 1))
         # One Merkle signature covers both messages (paper §4).
@@ -215,7 +207,7 @@ class TestRekeyPipeline:
 
     def test_no_signer_means_no_auth_blocks(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material, signer=None)
+        pipeline = RekeyPipeline(PAPER_SUITE, signer=None)
         run = pipeline.run("join", simple_planner(material),
                            root_ref=lambda: (1, 1))
         assert run.signatures == 0
@@ -224,7 +216,7 @@ class TestRekeyPipeline:
     def test_instrumentation_receives_runs(self):
         material = make_material()
         inst = Instrumentation("pipeline-test")
-        pipeline = RekeyPipeline(PAPER_SUITE, material, instrumentation=inst)
+        pipeline = RekeyPipeline(PAPER_SUITE, instrumentation=inst)
         pipeline.run("join", simple_planner(material),
                      root_ref=lambda: (1, 1))
         registry = inst.registry
@@ -235,7 +227,7 @@ class TestRekeyPipeline:
 
     def test_strategy_code_lands_on_wire(self):
         material = make_material()
-        pipeline = RekeyPipeline(PAPER_SUITE, material)
+        pipeline = RekeyPipeline(PAPER_SUITE)
         run = pipeline.run("join", simple_planner(material),
                            strategy_code=STRATEGY_NONE,
                            root_ref=lambda: (1, 1))

@@ -30,9 +30,8 @@ def figure5_tree(seed=b"fig5"):
     return tree, keygen
 
 
-def make_ctx(seed=b"fig5-ivs"):
-    source = HmacDrbg(seed)
-    return RekeyContext(PAPER_SUITE, lambda: source.generate(8))
+def make_ctx():
+    return RekeyContext(PAPER_SUITE)
 
 
 def run_join(strategy):
@@ -51,7 +50,7 @@ def run_leave(strategy):
     ctx0 = make_ctx()
     join_result = tree.join("u9", keygen())
     result = tree.leave("u9")
-    ctx = make_ctx(b"leave-ivs")
+    ctx = make_ctx()
     plans = strategy.rekey_leave(tree, result, ctx)
     return tree, result, ctx, plans
 
@@ -217,7 +216,7 @@ class TestSplitJoin:
         keygen = lambda: source.generate(8)
         tree = KeyTree.build([(f"u{i}", keygen()) for i in range(9)], 3,
                              keygen)  # perfect 3-ary: full
-        ctx = make_ctx(b"split-ivs")
+        ctx = make_ctx()
         result = tree.join("u9", keygen())
         assert result.split_leaf is not None
         displaced = result.split_leaf.user_id

@@ -1,13 +1,14 @@
-"""The v3 wire codec against the v2 oracle, under hostile input, and
+"""The v4 wire codec against the v3 oracle, under hostile input, and
 its certificate checks.
 
-``wire_v2.py`` is the codec the v3 framing replaced: it encrypted each
-key's label with the key, where v3 sends the labels in clear and
-encrypts the key bytes alone.  The same records encrypted into both
-codecs must decrypt to the same key records, and a message built once
-in both must come back the same in every field the framing does not
-own.  Messages from real servers cover odd flush windows (promoted
-Merkle levels), RSA-2048 (Table 4) and the AES suite.
+``wire_v3.py`` is the codec the v4 framing replaced: it sent a random
+IV with every key item, where v4 derives a key item's IV from its
+first label (and, under a 16-byte block, its encrypting-key reference)
+and sends none.  The same records encrypted into both codecs must
+decrypt to the same key records, and a message built once in both must
+come back the same in every field the framing does not own.  Messages
+from real servers cover odd flush windows (promoted Merkle levels),
+RSA-2048 (Table 4) and the AES suite.
 """
 
 import tracemalloc
@@ -23,7 +24,7 @@ from repro.core.messages import (MSG_DATA, MSG_REKEY, MSG_SUBCAST,
                                  WIRE_VERSION, AuthBlock, EncryptedItem,
                                  KeyRecord, Message, WireError,
                                  ciphertext_size, decrypt_records,
-                                 encrypt_records, merkle_shape)
+                                 encrypt_records, key_item_iv, merkle_shape)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.core.signing import (MerkleSigner, PerMessageSigner,
                                 SigningError, verify_message)
@@ -33,7 +34,7 @@ from repro.observability.spans import SpanContext
 from repro.serve.wire import attach_trailers, split_trailers
 
 from ..wire_content import recording_encryptions
-from . import wire_v2
+from . import wire_v3
 
 # -- the differential ---------------------------------------------------------
 
@@ -52,39 +53,43 @@ def _fields(message):
 
 
 def _twin(message, items):
-    """``message`` with v2 ``items``."""
-    return wire_v2.Message(**{**message.__dict__, "items": items})
+    """``message`` with v3 ``items``."""
+    return wire_v3.Message(**{**message.__dict__, "items": items})
 
 
 def _payload_twin(item):
     assert not item.labels
-    return wire_v2.EncryptedItem(item.enc_node_id, item.enc_version,
+    return wire_v3.EncryptedItem(item.enc_node_id, item.enc_version,
                                  item.iv, item.ciphertext,
                                  item.plaintext_len)
 
 
 def assert_codecs_agree(suite, message, keys, twin_items):
-    """``message`` (v3) and its twin with ``twin_items`` (v2) round-trip
+    """``message`` (v4) and its twin with ``twin_items`` (v3) round-trip
     to the same fields; ``keys[i]`` opens key item ``i`` in both."""
-    v3 = Message.decode(message.encode())
-    v2 = wire_v2.Message.decode(_twin(message, twin_items).encode())
-    assert _fields(v3) == _fields(v2)
-    assert len(v3.items) == len(v2.items) == len(keys)
-    for item, twin, key in zip(v3.items, v2.items, keys):
-        assert (item.enc_node_id, item.enc_version, item.iv) == \
-            (twin.enc_node_id, twin.enc_version, twin.iv)
+    v4 = Message.decode(message.encode())
+    v3 = wire_v3.Message.decode(_twin(message, twin_items).encode())
+    assert _fields(v4) == _fields(v3)
+    assert len(v4.items) == len(v3.items) == len(keys)
+    for item, twin, key in zip(v4.items, v3.items, keys):
+        assert (item.enc_node_id, item.enc_version, item.labels) == \
+            (twin.enc_node_id, twin.enc_version, twin.labels)
         if key is None:
-            assert (item.ciphertext, item.plaintext_len) == \
-                (twin.ciphertext, twin.plaintext_len)
+            assert (item.iv, item.ciphertext, item.plaintext_len) == \
+                (twin.iv, twin.ciphertext, twin.plaintext_len)
         else:
             assert decrypt_records(suite, key, item) == \
-                wire_v2.decrypt_records(suite, key, twin)
-            # One cipher block per key of DES or AES-128.
-            assert len(item.ciphertext) == len(item.labels) * \
-                suite.key_size
-            assert len(twin.ciphertext) > len(item.ciphertext)
+                wire_v3.decrypt_records(suite, key, twin)
+            # No IV travels; the ciphertext is the key bytes' length.
+            assert item.iv == b"" and len(twin.iv) == suite.block_size
+            assert len(item.ciphertext) == len(twin.ciphertext) == \
+                len(item.labels) * suite.key_size
     assert message.wire_size() == len(message.encode())
-    return v3
+    # v4 saves one IV block per key item and nothing else.
+    assert len(_twin(message, twin_items).encode()) - \
+        len(message.encode()) == suite.block_size * sum(
+            1 for item in message.items if item.labels)
+    return v4
 
 
 @st.composite
@@ -116,9 +121,8 @@ def _headers(draw):
 
 @st.composite
 def item_specs(draw, suite):
-    """(v3 item, v2 item, key opening them or None for a payload)."""
+    """(v4 item, v3 item, key opening them or None for a payload)."""
     block = suite.block_size
-    iv = draw(st.binary(min_size=block, max_size=block))
     enc_node_id, enc_version = draw(_u32), draw(_u32)
     if draw(st.booleans()):
         key = draw(st.binary(min_size=suite.key_size,
@@ -127,21 +131,36 @@ def item_specs(draw, suite):
             KeyRecord, _u32, _u32, st.binary(min_size=suite.key_size,
                                              max_size=suite.key_size)),
             min_size=1, max_size=3))
-        return (encrypt_records(suite, key, iv, records, enc_node_id,
-                                enc_version),
-                wire_v2.encrypt_records(suite, key, iv, records,
-                                        enc_node_id, enc_version), key)
+        item = encrypt_records(suite, key, records, enc_node_id,
+                               enc_version)
+        # Under the derived IV the v3 codec encrypts the same bytes.
+        derived = key_item_iv(block, item.labels[0], enc_node_id,
+                              enc_version)
+        assert wire_v3.encrypt_records(
+            suite, key, derived, records, enc_node_id,
+            enc_version).ciphertext == item.ciphertext
+        iv = draw(st.binary(min_size=block, max_size=block))
+        return (item, wire_v3.encrypt_records(suite, key, iv, records,
+                                              enc_node_id, enc_version),
+                key)
     plaintext_len = draw(st.integers(0, 100))
-    item = EncryptedItem(enc_node_id, enc_version, iv, draw(st.binary(
-        min_size=ciphertext_size(plaintext_len, block),
-        max_size=ciphertext_size(plaintext_len, block))), plaintext_len)
+    item = EncryptedItem(
+        enc_node_id, enc_version,
+        draw(st.binary(min_size=block, max_size=block)),
+        draw(st.binary(min_size=ciphertext_size(plaintext_len, block),
+                       max_size=ciphertext_size(plaintext_len, block))),
+        plaintext_len)
     return item, _payload_twin(item), None
+
+
+_3DES = CipherSuite("des3", "md5", None)
 
 
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_v3_round_trip_agrees_with_the_v2_oracle(data):
-    suite = data.draw(st.sampled_from([PAPER_SUITE_NO_SIG, MODERN_SUITE]))
+def test_v4_round_trip_agrees_with_the_v3_oracle(data):
+    suite = data.draw(st.sampled_from([PAPER_SUITE_NO_SIG, _3DES,
+                                       MODERN_SUITE]))
     specs = data.draw(st.lists(item_specs(suite), max_size=4))
     message = Message(items=[item for item, _twin, _key in specs],
                       **_headers(data.draw))
@@ -152,7 +171,8 @@ def test_v3_round_trip_agrees_with_the_v2_oracle(data):
 def _served_batches(suite, signing="merkle"):
     """A server's join, leave and odd flush windows (3, 5 and 7
     messages: promoted Merkle levels) under ``suite``, and every
-    encryption it made: (encrypting-key ref, IV) -> (key, records)."""
+    encryption it made: (encrypting-key ref, ciphertext) -> (key,
+    records)."""
     server = GroupKeyServer(ServerConfig(degree=3, suite=suite,
                                          signing=signing,
                                          seed=b"wire-v2-differential"))
@@ -160,8 +180,10 @@ def _served_batches(suite, signing="merkle"):
                       for i in range(11)])
     calls = {}
 
-    def record(key, iv, records, enc_node_id, enc_version):
-        calls[enc_node_id, enc_version, iv] = (key, records)
+    def record(key, records, enc_node_id, enc_version):
+        item = encrypt_records(suite, key, records, enc_node_id,
+                               enc_version)
+        calls[enc_node_id, enc_version, item.ciphertext] = (key, records)
 
     with recording_encryptions(record):
         batches = [server.join("j0", server.new_individual_key()),
@@ -181,7 +203,7 @@ def rsa2048_suite():
 
 @pytest.mark.parametrize("suite_name", ["paper", "rsa2048", "aes"])
 def test_served_messages_agree_and_verify(suite_name, rsa2048_suite):
-    """Every served key item, encrypted again by the v2 codec from the
+    """Every served key item, encrypted again by the v3 codec from the
     records the server encrypted, opens to the same records."""
     suite = {"paper": PAPER_SUITE, "rsa2048": rsa2048_suite,
              "aes": MODERN_SUITE}[suite_name]
@@ -193,14 +215,14 @@ def test_served_messages_agree_and_verify(suite_name, rsa2048_suite):
     for batch in batches:
         for message in batch:
             keys, twins = [], []
-            for item in message.items:
+            for index, item in enumerate(message.items):
                 key, records = calls[item.enc_node_id, item.enc_version,
-                                     item.iv]
+                                     item.ciphertext]
                 assert decrypt_records(suite, key, item) == list(records)
                 keys.append(key)
-                twins.append(wire_v2.encrypt_records(
-                    suite, key, item.iv, records, item.enc_node_id,
-                    item.enc_version))
+                twins.append(wire_v3.encrypt_records(
+                    suite, key, bytes([index]) * suite.block_size, records,
+                    item.enc_node_id, item.enc_version))
             decoded = assert_codecs_agree(suite, message, keys, twins)
             verify_message(suite, decoded, public_key)
             promoted += decoded.auth.merkle_path.count(b"")
@@ -232,19 +254,20 @@ def _paper_keypair():
 
 
 @st.composite
-def items(draw, block, key_size):
-    """A canonical v3 item: a key item of ``key_size`` keys or a
-    payload item (ciphertext bytes random)."""
+def items_of(draw, block, key_size):
+    """A canonical v4 item: a key item of ``key_size`` keys (no IV) or
+    a payload item (ciphertext bytes random)."""
     if draw(st.booleans()):
         labels = tuple(draw(st.lists(st.tuples(_u32, _u32), min_size=1,
                                      max_size=4)))
-        plaintext_len = len(labels) * key_size
+        plaintext_len = size = len(labels) * key_size
+        iv = b""
     else:
         labels = ()
         plaintext_len = draw(st.integers(0, 300))
-    size = ciphertext_size(plaintext_len, block)
-    return EncryptedItem(draw(_u32), draw(_u32),
-                         draw(st.binary(min_size=block, max_size=block)),
+        size = ciphertext_size(plaintext_len, block)
+        iv = draw(st.binary(min_size=block, max_size=block))
+    return EncryptedItem(draw(_u32), draw(_u32), iv,
                          draw(st.binary(min_size=size, max_size=size)),
                          plaintext_len, labels)
 
@@ -253,14 +276,41 @@ def items(draw, block, key_size):
 def messages(draw):
     block = draw(st.sampled_from([8, 16]))
     key_size = draw(st.sampled_from([8, 16, 24]))
-    return Message(items=draw(st.lists(items(block, key_size), max_size=5)),
+    return Message(items=draw(st.lists(items_of(block, key_size),
+                                       max_size=5)),
                    **_headers(draw))
 
 
 @given(message=messages())
 @settings(max_examples=100)
-def test_v3_round_trip_is_exact(message):
+def test_v4_round_trip_is_exact(message):
     decoded = Message.decode(message.encode())
+    assert decoded.items == message.items
+    assert message.wire_size() == len(message.encode())
+
+
+@st.composite
+def v3_messages(draw):
+    """A canonical v3 message: every item sends a one-block IV."""
+    block = draw(st.sampled_from([8, 16]))
+    key_size = draw(st.sampled_from([8, 16, 24]))
+    items = []
+    for item in draw(st.lists(items_of(block, key_size), max_size=5)):
+        items.append(wire_v3.EncryptedItem(
+            item.enc_node_id, item.enc_version,
+            draw(st.binary(min_size=block, max_size=block)),
+            item.ciphertext.ljust(ciphertext_size(item.plaintext_len,
+                                                  block), b"\x00"),
+            item.plaintext_len, item.labels))
+    return wire_v3.Message(items=items, **_headers(draw))
+
+
+@given(message=v3_messages())
+@settings(max_examples=50)
+def test_v3_round_trip_is_exact(message):
+    """The v3 oracle round-trips on its own, so a disagreement in the
+    differential is v4's."""
+    decoded = wire_v3.Message.decode(message.encode())
     assert decoded.items == message.items
     assert message.wire_size() == len(message.encode())
 
@@ -327,40 +377,65 @@ def _one_item(sizes, item, tail=bytes(64)):
 
 
 _REF = bytes(8)
+_NO_BODY = Message(msg_type=MSG_REKEY).encode()[36:]
 
 
 @pytest.mark.parametrize("data", [
     # A label count that runs past the data.
-    _one_item(b"\x08\x08", _REF + b"\x7f", tail=bytes(40)),
-    _one_item(b"\x08\x01", _REF + b"\xff\xff\x03", tail=bytes(40)),
+    _one_item(b"\x00\x08", _REF + b"\x7f", tail=bytes(40)),
+    _one_item(b"\x00\x01", _REF + b"\xff\xff\x03", tail=bytes(40)),
     # n * key size over 65,535, with every byte it claims present (and
     # a count of 2**32 - 1).
-    _one_item(b"\x08\xff", _REF + b"\x82\x02", tail=bytes(
-        8 * 258 + 8 + ciphertext_size(258 * 255, 8))
-        + Message(msg_type=MSG_REKEY).encode()[36:]),
-    _one_item(b"\x08\x08", _REF + b"\x81\x40"),
-    _one_item(b"\x08\x08", _REF + b"\xff\xff\xff\xff\x0f"),
+    _one_item(b"\x00\xff", _REF + b"\x82\x02",
+              tail=bytes(8 * 258 + 258 * 255) + _NO_BODY),
+    _one_item(b"\x00\x08", _REF + b"\x81\x40"),
+    _one_item(b"\x00\x08", _REF + b"\xff\xff\xff\xff\x0f"),
     # A key-size byte of 0 under a labelled item.
-    _one_item(b"\x08\x00", _REF + b"\x01"),
+    _one_item(b"\x00\x00", _REF + b"\x01"),
     # A key size with no key item to use it.
-    _one_item(b"\x08\x08", _REF + b"\x00\x00\x00", tail=bytes(16)
-              + Message(msg_type=MSG_REKEY).encode()[36:]),
+    _one_item(b"\x08\x08", _REF + b"\x00\x00\x00",
+              tail=bytes(16) + _NO_BODY),
     # A label count past five varint bytes; a padded count.
-    _one_item(b"\x08\x08", _REF + b"\x80\x80\x80\x80\x80\x01"),
-    _one_item(b"\x08\x08", _REF + b"\x81\x00"),
-])
+    _one_item(b"\x00\x08", _REF + b"\x80\x80\x80\x80\x80\x01"),
+    _one_item(b"\x00\x08", _REF + b"\x81\x00"),
+    # A block size with no payload item to use it.
+    _one_item(b"\x08\x08", _REF + b"\x01" + bytes(16), tail=_NO_BODY),
+    # A payload item under a block size of 0.
+    _one_item(b"\x00\x00", _REF + b"\x00\x00\x08",
+              tail=bytes(16) + _NO_BODY),
+], ids=["count-past-data", "long-count-past-data", "over-bound-present",
+        "over-bound", "count-2**32-1", "zero-key-size", "key-size-unused",
+        "six-byte-count", "padded-count", "block-size-unused",
+        "zero-block-size"])
 def test_hostile_key_items_fail_small(data):
     _fails_small(data)
 
 
+@pytest.mark.parametrize("suite", [PAPER_SUITE_NO_SIG, MODERN_SUITE],
+                         ids=["des", "aes"])
+def test_every_truncation_of_key_items_fails_small(suite):
+    """Cut anywhere, a message of IV-less key items (one key, two keys)
+    raises only WireError, having allocated under 64 KiB."""
+    key = bytes(suite.key_size)
+    message = Message(msg_type=MSG_REKEY, seq=7, items=[
+        encrypt_records(suite, key, [KeyRecord(3, 1, key)], 2, 0),
+        encrypt_records(suite, key, [KeyRecord(4, 2, key),
+                                     KeyRecord(5, 3, key)], 3, 1)])
+    encoded = message.encode()
+    assert Message.decode(encoded).items == message.items
+    for cut in range(len(encoded)):
+        _fails_small(encoded[:cut])
+
+
 @pytest.mark.parametrize("msg_type", [MSG_DATA, MSG_SUBCAST])
 def test_labels_on_a_payload_item_open_nothing(msg_type):
-    """The codec cannot tell a payload item from a key item but by its
-    labels; a data or subcast payload that carries labels decodes, and
-    the client refuses to open it."""
+    """The codec tells a payload item from a key item by its labels
+    alone; a data or subcast message whose payload item carries labels
+    decodes, as a key item without an IV, and the client refuses to
+    open it."""
     payload = EncryptedItem(
         SUBCAST_MESSAGE_KEY if msg_type == MSG_SUBCAST else 5, 1,
-        bytes(8), bytes(8), 8, ((1, 0),))
+        b"", bytes(8), 8, ((1, 0),))
     encoded = Message(msg_type=msg_type, root_node_id=5, root_version=1,
                       items=[payload]).encode()
     assert Message.decode(encoded).items == [payload]
@@ -373,17 +448,19 @@ def test_labels_on_a_payload_item_open_nothing(msg_type):
 
 
 def test_a_key_size_byte_only_with_key_items():
-    """The key-size byte is 0 exactly when no item carries labels."""
+    """The key-size byte is 0 exactly when no item carries labels, and
+    the block-size byte exactly when no item is a payload."""
     payload = EncryptedItem(1, 0, bytes(8), bytes(8), 8)
-    key = encrypt_records(PAPER_SUITE, bytes(8), bytes(8),
+    key = encrypt_records(PAPER_SUITE, bytes(8),
                           [KeyRecord(5, 1, bytes(8))], 2, 0)
     assert Message(msg_type=MSG_REKEY, items=[payload]).encode()[36:38] \
         == b"\x08\x00"
     assert Message(msg_type=MSG_REKEY,
                    items=[payload, key]).encode()[36:38] == b"\x08\x08"
+    assert Message(msg_type=MSG_REKEY, items=[key]).encode()[36:38] \
+        == b"\x00\x08"
     empty_payload = _one_item(b"\x08\x00", _REF + b"\x00\x00\x00",
-                              tail=bytes(16) + Message(
-                                  msg_type=MSG_REKEY).encode()[36:])
+                              tail=bytes(16) + _NO_BODY)
     assert Message.decode(empty_payload).items == [
         EncryptedItem(0, 0, bytes(8), bytes(8), 0)]
 
@@ -428,23 +505,11 @@ def test_untouched_certificates_verify(signed_batch):
         assert not _rejects(message.encode())
 
 
-def test_version_splice_between_v2_and_v3(signed_batch):
-    for message in signed_batch:
-        v3 = bytearray(message.encode())
-        v3[2] = 2
-        assert _rejects(v3)
-        v2 = bytearray(_twin(message, [_payload_twin(item) for item
-                                       in message.items]).encode())
-        assert v2[2] == 2 and _rejects(v2)
-        v2[2] = WIRE_VERSION
-        assert _rejects(v2)
-
-
 @pytest.fixture(scope="module", params=["merkle", "per-message"])
 def keyed_batch(request):
     """Three signed messages of one-, two- and three-key items."""
     batch = [Message(msg_type=MSG_REKEY, seq=i, items=[encrypt_records(
-                 PAPER_SUITE, bytes(8), bytes(8),
+                 PAPER_SUITE, bytes(8),
                  [KeyRecord(10 + j, j, bytes([j]) * 8)
                   for j in range(i + 1)], 2, 0)])
              for i in range(3)]
@@ -454,12 +519,45 @@ def keyed_batch(request):
     return batch
 
 
+def _v3_twin(message):
+    """``message`` in the v3 codec, key items under a random-looking IV."""
+    twins = []
+    for item in message.items:
+        if not item.labels:
+            twins.append(_payload_twin(item))
+            continue
+        records = decrypt_records(PAPER_SUITE, bytes(8), item)
+        twins.append(wire_v3.encrypt_records(
+            PAPER_SUITE, bytes(8), b"\xa5" * 8, records, item.enc_node_id,
+            item.enc_version))
+    return _twin(message, twins)
+
+
+def test_version_splice_between_v3_and_v4(signed_batch, keyed_batch):
+    """A v4 message relabelled v3, its v3 twin, and the twin signed as
+    v3 then relabelled v4: none decodes to anything that verifies."""
+    for message in signed_batch + keyed_batch:
+        v4 = bytearray(message.encode())
+        v4[2] = 3
+        assert _rejects(v4)
+        twin = _v3_twin(message)
+        v3 = bytearray(twin.encode())
+        assert v3[2] == 3 and _rejects(v3)
+        PerMessageSigner(PAPER_SUITE, _paper_keypair()).seal([twin])
+        v3 = bytearray(twin.encode())
+        v3[2] = WIRE_VERSION
+        assert _rejects(v3)
+
+
 def test_rewritten_label_fails_verification(keyed_batch):
     """Labels travel in clear inside the signed region: rewriting a
-    node id or a version still decodes, and fails the signature."""
+    node id or a version still decodes, fails the signature, and no
+    longer decrypts to the keys under their labels (the first label is
+    the IV: its key's bytes change too)."""
     for message in keyed_batch:
         encoded = message.encode()
         assert not _rejects(encoded)
+        records = decrypt_records(PAPER_SUITE, bytes(8), message.items[0])
         labels_at = 38 + 8 + 1          # sizes, reference, label count
         for index, _label in enumerate(message.items[0].labels):
             for field_at in (0, 4):      # node id, version
@@ -470,6 +568,10 @@ def test_rewritten_label_fails_verification(keyed_batch):
                 with pytest.raises(SigningError):
                     verify_message(PAPER_SUITE, decoded,
                                    _paper_keypair().public_key)
+                opened = decrypt_records(PAPER_SUITE, bytes(8),
+                                         decoded.items[0])
+                assert opened != records
+                assert (opened[0].key != records[0].key) == (index == 0)
 
 
 def _sibling_offsets(message):
