@@ -18,11 +18,12 @@ every shard's telemetry.
 Run:  python examples/cluster_demo.py
 """
 
-from repro.cluster import (ClusterConfig, ClusterCoordinator,
-                           ClusterFrontEnd, ClusterMember)
+from repro.cluster import ClusterConfig, ClusterCoordinator, ClusterFrontEnd
+from repro.core.messages import MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST
 from repro.crypto import PAPER_SUITE
 from repro.observability import Instrumentation, Tracer
 from repro.observability.export import to_prometheus, validate_snapshot
+from repro.recovery import ResilientMember
 
 
 def main():
@@ -32,24 +33,28 @@ def main():
         instrumentation=Instrumentation("cluster", tracer=Tracer()))
     coordinator.bootstrap([])
     front_end = ClusterFrontEnd(coordinator)
-
-    print("== 1. one endpoint, four shards ==")
     members = {}
-    for index in range(24):
-        user_id = f"user-{index:02d}"
-        member = ClusterMember(user_id, PAPER_SUITE,
-                               server_public_key=coordinator.public_key)
+
+    def join(user_id):
+        member = ResilientMember(user_id, PAPER_SUITE,
+                                 coordinator.public_key,
+                                 uplink=front_end.submit)
         key = coordinator.new_individual_key()
         coordinator.register_individual_key(user_id, key)
         member.client.set_individual_key(key)
-        front_end.attach_member(member)
-        front_end.submit(member.join_request())
+        front_end.attach_member(user_id, member.client.receive)
+        member.request(MSG_JOIN_REQUEST)
         members[user_id] = member
+
+    print("== 1. one endpoint, four shards ==")
+    for index in range(24):
+        join(f"user-{index:02d}")
     for shard in coordinator.shards:
         print(f"  shard {shard.shard_id}: {shard.server.n_users:2d} members "
               f"(node ids {shard.server.tree.root.node_id:#010x}...)")
     group_key = coordinator.group_key()
-    synced = sum(member.group_key == group_key for member in members.values())
+    synced = sum(member.group_key() == group_key
+                 for member in members.values())
     print(f"  {synced}/{len(members)} members hold the cluster group key")
 
     print("\n== 2. per-op cost is shard-local ==")
@@ -63,26 +68,19 @@ def main():
     victim = coordinator.shard_of("user-05").shard_id
     # More churn after arming: the standby follows each op as it commits.
     for index in range(24, 28):
-        user_id = f"user-{index:02d}"
-        member = ClusterMember(user_id, PAPER_SUITE,
-                               server_public_key=coordinator.public_key)
-        key = coordinator.new_individual_key()
-        coordinator.register_individual_key(user_id, key)
-        member.client.set_individual_key(key)
-        front_end.attach_member(member)
-        front_end.submit(member.join_request())
-        members[user_id] = member
+        join(f"user-{index:02d}")
     coordinator.fail_shard(victim)
     coordinator.promote_standby(victim)
     print(f"  shard {victim} failed and was promoted from its standby")
-    front_end.submit(members["user-05"].leave_request())  # through successor
     departed = members.pop("user-05")
+    departed.request(MSG_LEAVE_REQUEST)  # served by the successor
     front_end.detach_member("user-05")
     group_key = coordinator.group_key()
-    synced = sum(member.group_key == group_key for member in members.values())
+    synced = sum(member.group_key() == group_key
+                 for member in members.values())
     print(f"  post-failover leave: {synced}/{len(members)} members "
           f"followed, departed member excluded: "
-          f"{departed.group_key != group_key}")
+          f"{departed.group_key() != group_key}")
 
     print("\n== 4. one scrape, cluster-wide ==")
     document = front_end.stats_document()

@@ -26,16 +26,12 @@ Run:  python examples/serve_demo.py
 import asyncio
 
 from repro.core.client import GroupClient
-from repro.core.messages import (MSG_BUSY, MSG_JOIN_ACK, MSG_JOIN_DENIED,
-                                 MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
-                                 MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
-                                 MSG_REKEY, MSG_RESYNC_REPLY,
-                                 MSG_RESYNC_REQUEST, Message)
+from repro.core.messages import (MSG_BUSY, MSG_JOIN_REQUEST,
+                                 MSG_LEAVE_REQUEST, MSG_RESYNC_REQUEST,
+                                 Message, WireError)
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.serve import AsyncKeyService, AsyncServingCore, ServeConfig
 from repro.transport.udp import scrape_stats
-
-_CONTROL = (MSG_JOIN_ACK, MSG_LEAVE_ACK, MSG_JOIN_DENIED, MSG_LEAVE_DENIED)
 
 
 class _Inbox(asyncio.DatagramProtocol):
@@ -70,20 +66,14 @@ class Member:
         while True:
             data = await self.inbox.queue.get()
             try:
-                message = Message.decode(data)
-            except Exception:
+                msg_type, _plaintext = self.client.receive(data)
+            except WireError:
                 continue
-            try:
-                if message.msg_type == MSG_REKEY:
-                    self.client.process_message(message)
-                elif message.msg_type in _CONTROL:
-                    self.client.process_control(message)
-                elif message.msg_type == MSG_RESYNC_REPLY:
-                    self.client.process_resync(message)
-                elif message.msg_type == MSG_BUSY:
-                    self.busy += 1
             except Exception:
                 self.client.desynced = True
+                continue
+            if msg_type == MSG_BUSY:
+                self.busy += 1
 
     def send(self, msg_type):
         self.transport.sendto(

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..cluster.coordinator import ClusterConfig, ClusterCoordinator
-from ..cluster.routing import ClusterFrontEnd, ClusterMember
+from ..cluster.routing import ClusterFrontEnd
+from ..core.messages import (MSG_DATA, MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST,
+                             KeyRecord)
 from ..core.server import GroupKeyServer, ServerConfig
 from ..crypto.suite import PAPER_SUITE_NO_SIG
 from ..recovery import RecoveryManager, RecoveryPolicy, ResilientMember
@@ -146,7 +148,7 @@ class _Harness:
         self.suite = PAPER_SUITE_NO_SIG
         self.network = InMemoryNetwork(strict=False)
         self.chaos = ChaosTransport(self.network, config.fault_profile())
-        self.members: Dict[str, object] = {}
+        self.members: Dict[str, ResilientMember] = {}
         self._left: List[str] = []
         self._next_join = 0
         self._build_stack()
@@ -180,41 +182,51 @@ class _Harness:
         if self.config.stack == "cluster":
             self.coordinator.bootstrap(roster)
             self.coordinator.enable_standbys()
-            for uid, key in roster:
-                member = ClusterMember(uid, self.suite, verify=False)
-                member.client.set_individual_key(key)
-                leaf_id, records, root_ref = \
-                    self.coordinator.member_records(uid)
-                member.client.set_leaf(leaf_id)
-                for record in records:
-                    member.client.keys[record.node_id] = (record.version,
-                                                          record.key)
-                member.client.root_ref = root_ref
-                self.members[uid] = member
-                self.front_end.attach_member(member)
-                self.manager.track(uid)
-            return
-        self.server.bootstrap(roster)
+        else:
+            self.server.bootstrap(roster)
         for uid, key in roster:
-            member = ResilientMember(uid, self.suite, verify=False,
-                                     uplink=self._uplink)
-            member.client.set_individual_key(key)
-            member.client.set_leaf(self.server.tree.leaf_of(uid).node_id)
-            for node in self.server.tree.user_key_path(uid)[1:]:
-                member.client.keys[node.node_id] = (node.version, node.key)
-            member.client.root_ref = self.server.group_key_ref()
-            self.members[uid] = member
-            self.chaos.attach(uid, member.handle)
+            client = self._new_member(uid, key).client
+            leaf_id, records, root_ref = self._member_records(uid)
+            client.set_leaf(leaf_id)
+            for record in records:
+                client.keys[record.node_id] = (record.version, record.key)
+            client.root_ref = root_ref
             self.manager.track(uid)
 
+    def _member_records(self, uid: str):
+        """(leaf node id, path key records, group-key ref) of a member."""
+        if self.config.stack == "cluster":
+            return self.coordinator.member_records(uid)
+        path = self.server.tree.user_key_path(uid)
+        return (path[0].node_id,
+                [KeyRecord(node.node_id, node.version, node.key)
+                 for node in path[1:]],
+                self.server.group_key_ref())
+
+    def _new_member(self, uid: str, key: bytes) -> ResilientMember:
+        """A member holding ``key``, attached to the delivery fabric."""
+        member = ResilientMember(uid, self.suite, verify=False,
+                                 uplink=self._uplink)
+        member.client.set_individual_key(key)
+        self.members[uid] = member
+        if self.config.stack == "cluster":
+            self.front_end.attach_member(uid, member.client.receive)
+        else:
+            self.chaos.attach(uid, member.client.receive)
+        return member
+
     def _uplink(self, datagram: bytes) -> None:
-        """Member-to-server control channel (heartbeats, resync asks).
+        """Member-to-server control channel (requests, heartbeats,
+        resync asks).
 
         The paper already assumes a reliable unicast registration path,
         so member requests arrive intact; the *replies* go back through
         chaos and take the full fault pipeline.
         """
-        self.chaos.send_all(self.manager.receive(datagram))
+        if self.config.stack == "cluster":
+            self.front_end.submit(datagram)
+        else:
+            self.chaos.send_all(self.manager.receive(datagram))
 
     # -- workload ----------------------------------------------------------
 
@@ -228,33 +240,23 @@ class _Harness:
         return self.members[uid].client
 
     def _join(self, uid: str) -> None:
+        key = self.server.new_individual_key()
+        member = self._new_member(uid, key)
         if self.config.stack == "cluster":
-            key = self.server.new_individual_key()
             self.server.register_individual_key(uid, key)
-            member = ClusterMember(uid, self.suite, verify=False)
-            member.client.set_individual_key(key)
-            self.members[uid] = member
-            self.front_end.attach_member(member)
-            self.front_end.submit(member.join_request())
+            member.request(MSG_JOIN_REQUEST)
+        elif self.config.stack == "batch":
+            outcome = self.server.flush([(uid, key)])
+            self.chaos.send_all(outcome.rekey_messages)
         else:
-            key = self.server.new_individual_key()
-            member = ResilientMember(uid, self.suite, verify=False,
-                                     uplink=self._uplink)
-            member.client.set_individual_key(key)
-            self.members[uid] = member
-            self.chaos.attach(uid, member.handle)
-            if self.config.stack == "batch":
-                outcome = self.server.flush([(uid, key)])
-                self.chaos.send_all(outcome.rekey_messages)
-            else:
-                outcome = self.server.join(uid, key)
-                self.chaos.send_all(outcome.all_messages)
+            outcome = self.server.join(uid, key)
+            self.chaos.send_all(outcome.all_messages)
         self.manager.track(uid)
 
     def _leave(self, uid: str) -> None:
         self.manager.untrack(uid)
         if self.config.stack == "cluster":
-            self.front_end.submit(self.members[uid].leave_request())
+            self.members[uid].request(MSG_LEAVE_REQUEST)
             self.front_end.detach_member(uid)
         elif self.config.stack == "batch":
             self.chaos.detach(uid)
@@ -312,13 +314,8 @@ class _Harness:
         for uid, member in list(self.members.items()):
             if uid in self.chaos.crashed:
                 continue  # a crashed process cannot beat
-            if self.config.stack == "cluster":
-                self.front_end.submit(member.heartbeat())
-                if member.client.desynced and not member.client.evicted:
-                    self.front_end.submit(member.resync_request())
-            else:
-                member.beat()
-                member.maintain()
+            member.beat()
+            member.maintain()
 
     def _live(self) -> List[str]:
         """Members that should converge: attached, alive, still admitted."""
@@ -340,11 +337,8 @@ class _Harness:
         sealed = self.server.seal_group_message(b"probe")
         ok = True
         for uid in self._live():
-            member = self.members[uid]
-            before = len(member.received)
-            member.handle(sealed.encoded)
-            ok &= (len(member.received) == before + 1
-                   and member.received[-1] == b"probe")
+            ok &= (self._client(uid).receive(sealed.encoded)
+                   == (MSG_DATA, b"probe"))
         return ok
 
 

@@ -13,7 +13,7 @@ not perturb a single DRBG draw.
 
 Clients replay exactly what their reply path received (acks and
 multicasts, minus the dropped copies) through the ordinary
-:class:`~repro.core.client.GroupClient` state machine, then repair via
+:class:`~repro.core.client.GroupClient` dispatch, then repair via
 resync requests submitted back through the core — the same path a real
 lossy client takes.
 
@@ -31,10 +31,8 @@ import tempfile
 from typing import Dict, List, Set, Tuple
 
 from ..core.client import GroupClient
-from ..core.messages import (MSG_JOIN_ACK, MSG_JOIN_DENIED,
-                             MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
-                             MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST,
-                             MSG_REKEY, MSG_RESYNC_REQUEST, Message)
+from ..core.messages import (MSG_DATA, MSG_JOIN_REQUEST, MSG_LEAVE_REQUEST,
+                             MSG_RESYNC_REQUEST, Message, WireError)
 from ..core.server import GroupKeyServer, ServerConfig
 from ..crypto import drbg
 from ..observability.instrumentation import Instrumentation
@@ -88,6 +86,63 @@ def _control_run(config, ops, keys):
     return server
 
 
+def _replay(streams, server, suite, keys) -> Dict[str, GroupClient]:
+    """One client per current member, fed what its reply path got.
+
+    A datagram that does not parse is skipped; one the client refuses
+    marks it desynchronized, for the repair loop to resync.
+    """
+    clients: Dict[str, GroupClient] = {}
+    for user, stream in streams.items():
+        if not server.is_member(user):
+            continue
+        client = GroupClient(user, suite)
+        client.set_individual_key(keys[user])
+        for payload in stream:
+            try:
+                client.receive(payload)
+            except WireError:
+                continue
+            except Exception:
+                client.desynced = True
+        clients[user] = client
+    return clients
+
+
+async def _repair(clients, server, submit, max_rounds
+                  ) -> Tuple[int, int, bool]:
+    """Resync stale clients through the core until none is left.
+
+    Returns ``(resyncs applied, rounds run, every client current)``.
+    """
+    expected = server.group_key()
+
+    def pending():
+        return [user for user, client in clients.items()
+                if client.desynced or client.group_key() != expected]
+
+    resyncs = rounds = 0
+    while pending() and rounds < max_rounds:
+        rounds += 1
+        for user in pending():
+            box: list = []
+            request = Message(msg_type=MSG_RESYNC_REQUEST,
+                              body=user.encode()).encode()
+            await submit(request, box.append, path_id=None)
+            if box:
+                clients[user].receive(box[0])
+                resyncs += 1
+    return resyncs, rounds, not pending()
+
+
+def _probe(server, clients) -> bool:
+    """True iff every client opens a fresh group data message."""
+    sealed = server.seal_group_message(b"probe")
+    wire = sealed.encoded or sealed.message.encode()
+    return all(client.receive(wire) == (MSG_DATA, b"probe")
+               for client in clients.values())
+
+
 def run_serve_scenario(config) -> "ScenarioReport":
     """Run one serve-stack chaos scenario; see module docstring."""
     from .scenarios import ScenarioReport  # circular at module load
@@ -137,9 +192,6 @@ def run_serve_scenario(config) -> "ScenarioReport":
             core.fanout.attach(user, streams[user].append,
                                path_id=f"path-{user}")
 
-        resyncs = 0
-        desyncs = 0
-        recovery_rounds = 0
         try:
             # Serial submits: the plan order (and so every DRBG draw)
             # matches the control run; only deliveries differ.
@@ -155,60 +207,16 @@ def run_serve_scenario(config) -> "ScenarioReport":
                 await core.submit(request, streams[user].append,
                                   path_id=None)
 
-            expected = server.group_key()
-            clients: Dict[str, GroupClient] = {}
-            for user in streams:
-                if not server.is_member(user):
-                    continue
-                client = GroupClient(user, server.config.suite)
-                client.set_individual_key(keys[user])
-                for payload in streams[user]:
-                    try:
-                        message = Message.decode(payload)
-                    except Exception:
-                        continue
-                    try:
-                        if message.msg_type == MSG_REKEY:
-                            client.process_message(payload)
-                        elif message.msg_type in (MSG_JOIN_ACK,
-                                                  MSG_LEAVE_ACK,
-                                                  MSG_JOIN_DENIED,
-                                                  MSG_LEAVE_DENIED):
-                            client.process_control(message)
-                    except Exception:
-                        client.desynced = True
-                clients[user] = client
-                if client.desynced:
-                    desyncs += 1
-
-            def pending():
-                return [user for user, client in clients.items()
-                        if client.desynced
-                        or client.group_key() != expected]
-
+            clients = _replay(streams, server, server.config.suite, keys)
+            desyncs = sum(client.desynced for client in clients.values())
             # Repair through the front end: resync requests submitted
             # to the core, replies applied client-side.
-            while pending() and recovery_rounds < config.max_recovery_rounds:
-                recovery_rounds += 1
-                for user in pending():
-                    box: list = []
-                    request = Message(msg_type=MSG_RESYNC_REQUEST,
-                                      body=user.encode()).encode()
-                    await core.submit(request, box.append, path_id=None)
-                    if box:
-                        clients[user].process_resync(box[0])
-                        resyncs += 1
-
-            converged = not pending() \
+            resyncs, recovery_rounds, healed = await _repair(
+                clients, server, core.submit, config.max_recovery_rounds)
+            converged = healed \
                 and server.group_key() == control.group_key() \
                 and server.group_key_ref() == control.group_key_ref()
-            data_ok = False
-            if converged:
-                sealed = server.seal_group_message(b"probe")
-                wire = sealed.encoded or sealed.message.encode()
-                data_ok = all(
-                    clients[user].open_data(wire) == b"probe"
-                    for user in clients)
+            data_ok = converged and _probe(server, clients)
             flight_doc = core.flight.dump("chaos")
             return clients, converged, data_ok, resyncs, desyncs, \
                 recovery_rounds, flight_doc
@@ -352,9 +360,6 @@ def run_crash_scenario(config) -> "ScenarioReport":
             sink = reply if reply is not None else streams[user].append
             await shard.core.submit(request, sink, path_id=None)
 
-        resyncs = 0
-        desyncs = 0
-        recovery_rounds = 0
         clear_partition_next = False
         try:
             for index, (op, user) in enumerate(ops):
@@ -397,58 +402,17 @@ def run_crash_scenario(config) -> "ScenarioReport":
             snapshot_match = persistence.snapshot(shard.server) \
                 == persistence.snapshot(control)
             expected = shard.server.group_key()
-            clients: Dict[str, GroupClient] = {}
-            for user in streams:
-                if not shard.server.is_member(user):
-                    continue
-                client = GroupClient(user, control_config.suite)
-                client.set_individual_key(keys[user])
-                for payload in streams[user]:
-                    try:
-                        message = Message.decode(payload)
-                    except Exception:
-                        continue
-                    try:
-                        if message.msg_type == MSG_REKEY:
-                            client.process_message(payload)
-                        elif message.msg_type in (MSG_JOIN_ACK,
-                                                  MSG_LEAVE_ACK,
-                                                  MSG_JOIN_DENIED,
-                                                  MSG_LEAVE_DENIED):
-                            client.process_control(message)
-                    except Exception:
-                        client.desynced = True
-                clients[user] = client
-                if client.desynced or client.group_key() != expected:
-                    desyncs += 1
-
-            def pending():
-                return [user for user, client in clients.items()
-                        if client.desynced
-                        or client.group_key() != expected]
-
-            while pending() and recovery_rounds < config.max_recovery_rounds:
-                recovery_rounds += 1
-                for user in pending():
-                    box: list = []
-                    request = Message(msg_type=MSG_RESYNC_REQUEST,
-                                      body=user.encode()).encode()
-                    await shard.core.submit(request, box.append,
-                                            path_id=None)
-                    if box:
-                        clients[user].process_resync(box[0])
-                        resyncs += 1
-
-            converged = snapshot_match and not pending() \
+            clients = _replay(streams, shard.server, control_config.suite,
+                              keys)
+            desyncs = sum(client.desynced or client.group_key() != expected
+                          for client in clients.values())
+            resyncs, recovery_rounds, healed = await _repair(
+                clients, shard.server, shard.core.submit,
+                config.max_recovery_rounds)
+            converged = snapshot_match and healed \
                 and shard.server.group_key() == control.group_key() \
                 and shard.server.group_key_ref() == control.group_key_ref()
-            data_ok = False
-            if converged:
-                sealed = shard.server.seal_group_message(b"probe")
-                wire = sealed.encoded or sealed.message.encode()
-                data_ok = all(
-                    clients[user].open_data(wire) == b"probe"
-                    for user in clients)
+            data_ok = converged and _probe(shard.server, clients)
             flight_doc = supervisor.flight.dump("chaos-crash")
             return clients, converged, data_ok, resyncs, desyncs, \
                 recovery_rounds, flight_doc

@@ -17,7 +17,7 @@ from .coordinator import (MAX_SHARDS, ROOT_LAYER_BASE, SHARD_ID_SPACE,
 from .failover import FailoverError, WarmStandby
 from .partition import (DEFAULT_VNODES, HashRing, PartitionError, ShardId,
                         ring_point)
-from .routing import ClusterFrontEnd, ClusterMember, RoutingError
+from .routing import ClusterFrontEnd, RoutingError
 
 __all__ = [
     "ClusterConfig",
@@ -40,6 +40,5 @@ __all__ = [
     "DEFAULT_VNODES",
     "ring_point",
     "ClusterFrontEnd",
-    "ClusterMember",
     "RoutingError",
 ]

@@ -349,6 +349,14 @@ class Shard:
         self.standby: Optional[WarmStandby] = None
         self.failed = False
 
+    def window_full(self) -> bool:
+        """True once a join could allocate a node id past this shard's
+        window (a join takes a leaf id and at most one interior id);
+        past it, ids would name the next shard's nodes.  The end is a
+        function of the shard id, so it holds for a promoted server."""
+        return self.server.tree._next_id + 2 > shard_id_base(
+            self.shard_id + 1)
+
 
 class ClusterCoordinator(KeyServerProtocol):
     """Runs one logical secure group across N shard key servers."""
@@ -587,6 +595,11 @@ class ClusterCoordinator(KeyServerProtocol):
         """Admit a user: shard-local LKH rekey + root-layer rekey."""
         self._require_bootstrap()
         shard = self._live_shard(user_id, "join")
+        if shard.window_full():
+            self._m_requests.inc(shard=str(shard.shard_id), op="join",
+                                 status="denied")
+            raise ClusterError(
+                f"shard {shard.shard_id} has no node ids left in its window")
         if individual_key is None:
             individual_key = self._registered_keys.pop(user_id, None)
             if individual_key is None:

@@ -10,22 +10,18 @@ scrape covers the whole fleet.
 Delivery runs over the existing transport stack (default: an
 :class:`~repro.transport.inmemory.InMemoryNetwork` in non-strict mode —
 a reply may be addressed to a user the simulation has not attached);
-members subscribe to the whole group and their shard's audience.
-:class:`ClusterMember` is the matching member-side shim: a
-:class:`~repro.core.client.GroupClient` plus the datagram dispatch the
-UDP member loop performs, reusable from tests and examples.
+members subscribe to the whole group and their shard's audience.  A
+member's handler is usually its client's one dispatch,
+:meth:`~repro.core.client.GroupClient.receive`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Callable, List
 
-from ..core.client import GroupClient, StaleKeyError
-from ..core.messages import (MSG_DATA, MSG_HEARTBEAT, MSG_JOIN_ACK,
-                             MSG_JOIN_DENIED, MSG_JOIN_REQUEST, MSG_LEAVE_ACK,
-                             MSG_LEAVE_DENIED, MSG_LEAVE_REQUEST, MSG_REKEY,
-                             MSG_RESYNC_REPLY, MSG_RESYNC_REQUEST,
+from ..core.messages import (MSG_HEARTBEAT, MSG_JOIN_REQUEST,
+                             MSG_LEAVE_REQUEST, MSG_RESYNC_REQUEST,
                              MSG_STATS_REQUEST, MSG_STATS_RESPONSE,
                              Destination, Message, OutboundMessage, WireError)
 from ..observability.export import validate_snapshot
@@ -66,11 +62,11 @@ class ClusterFrontEnd:
 
     # -- membership of the delivery fabric ---------------------------------
 
-    def attach_member(self, member: "ClusterMember") -> None:
-        """Subscribe a member's handler to the delivery fabric."""
-        self.transport.attach(member.user_id, member.handle)
-        self.transport.enroll(member.user_id,
-                              self.coordinator.audiences(member.user_id))
+    def attach_member(self, user_id: str,
+                      handler: Callable[[bytes], object]) -> None:
+        """Subscribe a member's datagram handler to the delivery fabric."""
+        self.transport.attach(user_id, handler)
+        self.transport.enroll(user_id, self.coordinator.audiences(user_id))
 
     def detach_member(self, user_id: str) -> None:
         """Unsubscribe a member."""
@@ -128,64 +124,3 @@ class ClusterFrontEnd:
         validate_snapshot(document)
         return document
 
-
-class ClusterMember:
-    """Member-side shim: a :class:`GroupClient` plus datagram dispatch."""
-
-    def __init__(self, user_id: str, suite, server_public_key=None,
-                 verify: bool = True):
-        self.user_id = user_id
-        self.client = GroupClient(user_id, suite,
-                                  server_public_key=server_public_key,
-                                  verify=verify)
-        self.denials = 0
-        self.acks: List[int] = []
-        self.received: List[bytes] = []
-        self.data_failures = 0
-
-    def join_request(self) -> bytes:
-        """The wire join request for this member."""
-        return Message(msg_type=MSG_JOIN_REQUEST,
-                       body=self.user_id.encode("utf-8")).encode()
-
-    def leave_request(self) -> bytes:
-        """The wire leave request for this member."""
-        return Message(msg_type=MSG_LEAVE_REQUEST,
-                       body=self.user_id.encode("utf-8")).encode()
-
-    def resync_request(self) -> bytes:
-        """The wire resync request for this member."""
-        return Message(msg_type=MSG_RESYNC_REQUEST,
-                       body=self.user_id.encode("utf-8")).encode()
-
-    def heartbeat(self) -> bytes:
-        """One heartbeat carrying this member's group-key view."""
-        node_id, version = (self.client.root_ref
-                            if self.client.root_ref is not None else (0, 0))
-        return Message(msg_type=MSG_HEARTBEAT, root_node_id=node_id,
-                       root_version=version,
-                       body=self.user_id.encode("utf-8")).encode()
-
-    def handle(self, payload: bytes) -> None:
-        """Dispatch one delivered datagram onto the client state machine."""
-        message = Message.decode(payload)
-        if message.msg_type == MSG_REKEY:
-            self.client.process_message(message)
-        elif message.msg_type == MSG_RESYNC_REPLY:
-            self.client.process_resync(message)
-        elif message.msg_type == MSG_DATA:
-            try:
-                self.received.append(self.client.open_data(message))
-            except StaleKeyError:
-                self.data_failures += 1
-        elif message.msg_type in (MSG_JOIN_ACK, MSG_LEAVE_ACK):
-            self.client.process_control(message)
-            self.acks.append(message.msg_type)
-        elif message.msg_type in (MSG_JOIN_DENIED, MSG_LEAVE_DENIED):
-            self.denials += 1
-        # Anything else (e.g. stats traffic) is not this shim's concern.
-
-    @property
-    def group_key(self) -> Optional[bytes]:
-        """The member's current view of the cluster group key."""
-        return self.client.group_key()

@@ -10,21 +10,29 @@ decryption iterates to a fixed point.
 The per-message statistics the client layer gathers (bytes received,
 decryptions performed, keys changed) are what Table 6 and Figure 12
 report.
+
+:meth:`GroupClient.receive` is the member side's one datagram
+dispatch: every transport handler, shim and example hands what arrives
+to it, whatever its type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple, Union
 
 from ..crypto.modes import PaddingError
 from ..observability import StageClock
 from .messages import (INDIVIDUAL_KEY, MSG_DATA, MSG_JOIN_ACK,
-                       MSG_LEAVE_ACK, MSG_REKEY, MSG_RESYNC_REPLY,
-                       MSG_SUBCAST, SUBCAST_MESSAGE_KEY, Message,
-                       WireError, decrypt_records)
+                       MSG_JOIN_DENIED, MSG_LEAVE_ACK, MSG_LEAVE_DENIED,
+                       MSG_REKEY, MSG_RESYNC_REPLY, MSG_SUBCAST,
+                       SUBCAST_MESSAGE_KEY, Message, WireError,
+                       decrypt_records)
 from .resync import RESYNC_NOT_MEMBER, RESYNC_OK, parse_resync_body
 from .signing import SigningError, verify_message
+
+_CONTROL_TYPES = (MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_LEAVE_ACK,
+                  MSG_LEAVE_DENIED)
 
 
 class ClientError(ValueError):
@@ -62,14 +70,12 @@ class ClientStats:
     desyncs_detected: int = 0
     resyncs: int = 0
     subcasts_opened: int = 0
+    #: Data messages under a group key we did not hold (see receive).
+    data_failures: int = 0
 
     def snapshot(self) -> "ClientStats":
         """An independent copy of the counters."""
-        return ClientStats(self.rekey_messages, self.rekey_bytes,
-                           self.decryptions, self.keys_changed,
-                           self.verify_failures, self.processing_seconds,
-                           self.desyncs_detected, self.resyncs,
-                           self.subcasts_opened)
+        return replace(self)
 
 
 class GroupClient:
@@ -131,6 +137,37 @@ class GroupClient:
         self.keys.clear()
         self.root_ref = None
         self.desynced = False
+
+    # -- the one dispatch -----------------------------------------------------
+
+    def receive(self, data: bytes) -> Tuple[int, Optional[bytes]]:
+        """Handle one inbound datagram of any type.
+
+        Decodes it once and routes it: rekeys to :meth:`process_message`,
+        resync replies to :meth:`process_resync`, join/leave acks and
+        denials to :meth:`process_control`, data to :meth:`open_data`.
+        Returns ``(message type, plaintext)``; the plaintext is set only
+        for a data message that opened.  A data message under a group key
+        we do not hold is absorbed (gap detection has flagged us, and
+        ``stats.data_failures`` counts it); other types (busy, stats,
+        subcast) come back unprocessed.  Every other error is raised as
+        the ``process_*`` call raised it, so callers on hostile paths
+        wrap this in their own ``try``.
+        """
+        message = Message.decode(data)
+        msg_type = message.msg_type
+        if msg_type == MSG_REKEY:
+            self.process_message(message)
+        elif msg_type == MSG_RESYNC_REPLY:
+            self.process_resync(message)
+        elif msg_type in _CONTROL_TYPES:
+            self.process_control(message)
+        elif msg_type == MSG_DATA:
+            try:
+                return msg_type, self.open_data(message)
+            except StaleKeyError:
+                self.stats.data_failures += 1
+        return msg_type, None
 
     # -- message processing ---------------------------------------------------
 

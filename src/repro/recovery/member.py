@@ -1,12 +1,11 @@
 """Member-side resilience shim around :class:`~repro.core.client.
 GroupClient`.
 
-A :class:`ResilientMember` owns one client and gives it the three
-behaviors a lossy network demands:
+Inbound datagrams go to the client's own dispatch,
+:meth:`~repro.core.client.GroupClient.receive`.  A
+:class:`ResilientMember` owns one client and adds the outbound half a
+lossy network demands, beside plain join/leave requests (:meth:`request`):
 
-* a single :meth:`handle` entry point that dispatches whatever arrives
-  (rekeys, resync replies, acks, data) — under chaos, messages arrive
-  out of order and mis-typed dispatch is itself a failure mode;
 * heartbeats (:meth:`beat`) carrying the member's current group-key
   view in the header root ref, so the server can spot staleness without
   the member even knowing it is stale;
@@ -22,16 +21,10 @@ harness capturing datagrams).
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from ..core.client import GroupClient, StaleKeyError
-from ..core.messages import (MSG_DATA, MSG_HEARTBEAT, MSG_JOIN_ACK,
-                             MSG_JOIN_DENIED, MSG_LEAVE_ACK, MSG_LEAVE_DENIED,
-                             MSG_REKEY, MSG_RESYNC_REPLY, MSG_RESYNC_REQUEST,
-                             Message)
-
-_CONTROL_TYPES = (MSG_JOIN_ACK, MSG_JOIN_DENIED, MSG_LEAVE_ACK,
-                  MSG_LEAVE_DENIED)
+from ..core.client import GroupClient
+from ..core.messages import MSG_HEARTBEAT, MSG_RESYNC_REQUEST, Message
 
 
 class ResilientMember:
@@ -44,10 +37,6 @@ class ResilientMember:
                                   verify=verify)
         self.uplink = uplink
         self._seq = 0
-        #: Plaintexts of successfully opened data messages, in order.
-        self.received: List[bytes] = []
-        #: Data messages we could not open (stale/unheld group key).
-        self.data_failures = 0
         #: Resync requests sent by :meth:`maintain`.
         self.resync_requests = 0
 
@@ -68,65 +57,35 @@ class ResilientMember:
     def group_key(self) -> Optional[bytes]:
         return self.client.group_key()
 
-    def root_ref(self) -> Tuple[int, int]:
-        """The group-key view advertised in heartbeats ((0, 0) = none)."""
-        return self.client.root_ref if self.client.root_ref is not None \
-            else (0, 0)
-
-    # -- inbound dispatch --------------------------------------------------
-
-    def handle(self, data: bytes) -> int:
-        """Process one inbound datagram of any type.
-
-        Returns the message type handled.  Unknown or stale traffic is
-        absorbed, never raised: under chaos, late duplicates of every
-        message class arrive and must not wedge the member.
-        """
-        message = Message.decode(data)
-        if message.msg_type == MSG_REKEY:
-            self.client.process_message(message)
-        elif message.msg_type == MSG_RESYNC_REPLY:
-            self.client.process_resync(message)
-        elif message.msg_type in _CONTROL_TYPES:
-            self.client.process_control(message)
-        elif message.msg_type == MSG_DATA:
-            try:
-                self.received.append(self.client.open_data(message))
-            except StaleKeyError:
-                # Gap detection has flagged the client; maintain() will
-                # request a resync and the payload is lost (the app
-                # layer's retransmission problem, not ours).
-                self.data_failures += 1
-        return message.msg_type
-
     # -- outbound ----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    def _send(self, msg_type: int, stamped: bool = True,
+              **header) -> bytes:
+        """Send one datagram naming us up the uplink; returns it.
 
-    def heartbeat_datagram(self) -> bytes:
-        """One heartbeat carrying our group-key view in the root ref."""
-        node_id, version = self.root_ref()
-        return Message(
-            msg_type=MSG_HEARTBEAT, seq=self._next_seq(),
-            timestamp_us=time.time_ns() // 1000,
-            root_node_id=node_id, root_version=version,
-            body=self.user_id.encode("utf-8")).encode()
-
-    def resync_request_datagram(self) -> bytes:
-        """One explicit resync request."""
-        return Message(
-            msg_type=MSG_RESYNC_REQUEST, seq=self._next_seq(),
-            timestamp_us=time.time_ns() // 1000,
-            body=self.user_id.encode("utf-8")).encode()
-
-    def beat(self) -> bytes:
-        """Send a heartbeat up the uplink; returns the datagram."""
-        datagram = self.heartbeat_datagram()
+        ``stamped`` adds a fresh sequence number and send time.
+        """
+        if stamped:
+            self._seq += 1
+            header.update(seq=self._seq,
+                          timestamp_us=time.time_ns() // 1000)
+        datagram = Message(msg_type=msg_type,
+                           body=self.user_id.encode("utf-8"),
+                           **header).encode()
         if self.uplink is not None:
             self.uplink(datagram)
         return datagram
+
+    def request(self, msg_type: int) -> bytes:
+        """Send a join or leave request; returns it."""
+        return self._send(msg_type, stamped=False)
+
+    def beat(self) -> bytes:
+        """Send a heartbeat carrying our group-key view in the root ref
+        ((0, 0) = none); returns it."""
+        node_id, version = self.client.root_ref or (0, 0)
+        return self._send(MSG_HEARTBEAT, root_node_id=node_id,
+                          root_version=version)
 
     def maintain(self) -> List[bytes]:
         """Run one self-repair round.
@@ -136,8 +95,5 @@ class ResilientMember:
         """
         if self.evicted or not self.desynced:
             return []
-        datagram = self.resync_request_datagram()
         self.resync_requests += 1
-        if self.uplink is not None:
-            self.uplink(datagram)
-        return [datagram]
+        return [self._send(MSG_RESYNC_REQUEST)]

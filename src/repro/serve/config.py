@@ -57,30 +57,19 @@ class ServeConfig:
     #: pre-registration).  The load harness needs this; a closed
     #: deployment pre-registers keys and turns it off.
     open_enroll: bool = True
-    #: Flight-recorder ring capacity (events).  0 disables recording;
-    #: the default keeps the last couple thousand request events, a few
-    #: seconds of history at full load, for pennies per op.
-    flight_capacity: int = 2048
     #: Directory for automatic flight-recorder dumps (error, SLO
     #: breach).  None keeps dumps in-memory only (reachable through
     #: :attr:`AsyncServingCore.flight`).
     flight_dump_dir: Optional[str] = None
-    #: Seconds between event-loop lag probes.  0 disables the probe.
-    loop_probe_interval: float = 0.25
     #: Declared service-level objectives
     #: (:class:`~repro.observability.slo.SLO` tuples, usually from the
     #: spec file's ``slo-*`` keys).
     slos: Tuple = ()
-    #: Seconds between SLO evaluations (needs ``slos``).  0 disables
-    #: the evaluator.
-    slo_interval: float = 5.0
     #: Server-side idempotency cache: total cached direct replies kept
     #: for retried requests (see :mod:`repro.serve.rpc`).  0 disables
     #: replay — a retried op then re-executes (and a duplicate join
     #: earns a denial again).
     idempotency_entries: int = 4096
-    #: Cached replies kept per client user id (oldest evicted first).
-    idempotency_per_client: int = 8
     #: Seconds :meth:`AsyncServingCore.aclose` waits for admitted ops
     #: to complete before tearing down the executor.  New arrivals are
     #: shed with ``MSG_BUSY`` for the whole drain; stragglers past the
@@ -101,16 +90,8 @@ class ServeConfig:
             raise ServeError("coalesce_max must be >= 1")
         if self.tick_interval < 0:
             raise ServeError("tick_interval must be >= 0")
-        if self.flight_capacity < 0:
-            raise ServeError("flight_capacity must be >= 0")
-        if self.loop_probe_interval < 0:
-            raise ServeError("loop_probe_interval must be >= 0")
-        if self.slo_interval < 0:
-            raise ServeError("slo_interval must be >= 0")
         if self.idempotency_entries < 0:
             raise ServeError("idempotency_entries must be >= 0")
-        if self.idempotency_per_client < 1:
-            raise ServeError("idempotency_per_client must be >= 1")
         if self.drain_deadline < 0:
             raise ServeError("drain_deadline must be >= 0")
 

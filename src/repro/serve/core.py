@@ -75,7 +75,7 @@ from ..core.messages import (DEST_USER, MSG_BUSY, MSG_HEARTBEAT,
 from ..core.server import ServerError
 from ..observability import LATENCY_BUCKETS_S
 from ..subcast.wire import SubcastWireError, parse_subcast_request
-from ..observability.flight import FlightRecorder, NULL_FLIGHT
+from ..observability.flight import FlightRecorder
 from ..observability.slo import evaluate as evaluate_slos
 from ..recovery.manager import (MAX_PUSHES_PER_TICK, RecoveryManager,
                                 RecoveryPolicy)
@@ -99,6 +99,21 @@ _MAX_STATS_BODY = 60_000
 #: Event-loop lag (seconds) above which the recovery tick sheds its
 #: resync pushes; dead-detection and evictions still run.
 TICK_SHED_LAG_S = 0.1
+
+#: Flight-recorder ring capacity (events): the last couple thousand
+#: request events, a few seconds of history at full load, for pennies
+#: per op.
+FLIGHT_CAPACITY = 2048
+
+#: Seconds between event-loop lag probes.
+LOOP_PROBE_INTERVAL = 0.25
+
+#: Seconds between SLO evaluations (when ``ServeConfig.slos`` is set).
+SLO_INTERVAL = 5.0
+
+#: Idempotency-cache replies kept per client user id (oldest evicted
+#: first).
+IDEMPOTENCY_PER_CLIENT = 8
 
 #: Reply types that go straight back on the requester's socket (with
 #: the request's correlation token echoed) instead of the fan-out.
@@ -180,11 +195,8 @@ class AsyncServingCore:
         # series once instead of resolving labels per datagram.
         self._m_heartbeats = self._m_requests.labels(type="heartbeat")
         self.fanout = SocketFanout(registry)
-        self.flight = (FlightRecorder(config.flight_capacity)
-                       if config.flight_capacity > 0 else NULL_FLIGHT)
-        self.loop_health = (
-            LoopHealthMonitor(registry, config.loop_probe_interval)
-            if config.loop_probe_interval > 0 else None)
+        self.flight = FlightRecorder(FLIGHT_CAPACITY)
+        self.loop_health = LoopHealthMonitor(registry, LOOP_PROBE_INTERVAL)
         # Stats replies and SLO snapshots only: no op runs here.
         self.executor = InstrumentedExecutor(
             registry, max_workers=max(1, workers if workers is not None
@@ -198,7 +210,7 @@ class AsyncServingCore:
         # The server half of the ResilientRpc contract: retried ops
         # replay their original reply instead of double-executing.
         self._idem = (IdempotencyCache(config.idempotency_entries,
-                                       config.idempotency_per_client)
+                                       IDEMPOTENCY_PER_CLIENT)
                       if config.idempotency_entries > 0 else None)
         self._buckets: Dict[str, Tuple[float, float]] = {}
         self._admits_since_prune = 0
@@ -249,10 +261,8 @@ class AsyncServingCore:
         if self.config.tick_interval > 0 and self._tick_task is None:
             self._tick_task = asyncio.get_running_loop().create_task(
                 self._tick_loop())
-        if self.loop_health is not None:
-            self.loop_health.start()
-        if (self.config.slos and self.config.slo_interval > 0
-                and self._slo_task is None):
+        self.loop_health.start()
+        if self.config.slos and self._slo_task is None:
             self._slo_task = asyncio.get_running_loop().create_task(
                 self._slo_loop())
 
@@ -282,8 +292,7 @@ class AsyncServingCore:
                 except asyncio.CancelledError:
                     pass
                 setattr(self, attr, None)
-        if self.loop_health is not None:
-            await self.loop_health.aclose()
+        await self.loop_health.aclose()
         self.executor.shutdown(wait=True, cancel_futures=True)
 
     # -- helpers -----------------------------------------------------------
@@ -336,7 +345,7 @@ class AsyncServingCore:
 
     async def _slo_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.slo_interval)
+            await asyncio.sleep(SLO_INTERVAL)
             try:
                 await self._slo_once()
             except Exception:
@@ -519,8 +528,7 @@ class AsyncServingCore:
     def _push_budget(self) -> int:
         """The tick's resync-push budget: 0 while the event loop lags —
         housekeeping is shed before membership ops wait."""
-        health = self.loop_health
-        if health is not None and health.last_lag > TICK_SHED_LAG_S:
+        if self.loop_health.last_lag > TICK_SHED_LAG_S:
             return 0
         return MAX_PUSHES_PER_TICK
 

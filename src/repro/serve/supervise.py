@@ -345,8 +345,7 @@ class Supervisor:
                 if task is not None:
                     task.cancel()
                     setattr(core, attr, None)
-            if (core.loop_health is not None
-                    and core.loop_health._task is not None):
+            if core.loop_health._task is not None:
                 core.loop_health._task.cancel()
                 core.loop_health._task = None
             core.executor.shutdown(wait=False, cancel_futures=True)
@@ -387,7 +386,7 @@ class Supervisor:
             return False
         core = shard.core
         monitor = core.loop_health
-        if monitor is not None and monitor.last_beat is not None:
+        if monitor.last_beat is not None:
             stale = time.monotonic() - monitor.last_beat
             if stale > max(self.policy.probe_deadline,
                            3.0 * monitor.interval):

@@ -8,7 +8,8 @@ repro.serve``); this module is the client side:
 * :class:`UdpGroupMember` — one socket around a
   :class:`~repro.recovery.member.ResilientMember`: sends join/leave
   requests and heartbeats, and hands every datagram it receives (acks,
-  rekeys, resync replies, data) to the member's one dispatch.
+  rekeys, resync replies, data) to the client's one dispatch,
+  :meth:`~repro.core.client.GroupClient.receive`.
 * :func:`scrape_stats` — one ``MSG_STATS_REQUEST`` round trip for the
   server's live ``repro-metrics/1`` snapshot;
   ``python -m repro.observability report --scrape HOST:PORT`` renders
@@ -65,13 +66,13 @@ class UdpGroupMember:
 
     def _receive(self, timeout: float) -> int:
         """Hand one datagram, minus any telemetry trailer, to the
-        member; returns its message type."""
+        client; returns its message type."""
         self._sock.settimeout(timeout)
         data, _source = self._sock.recvfrom(_BUFFER)
         payload, trace = split_trace_trailer(data)
         if trace is not None:
             self.last_trace = trace
-        return self.member.handle(payload)
+        return self.client.receive(payload)[0]
 
     def close(self) -> None:
         """Close the client socket."""
@@ -87,8 +88,7 @@ class UdpGroupMember:
 
     def _request(self, msg_type: int) -> int:
         """Send one request; returns the type of the server's answer."""
-        self.member.uplink(Message(msg_type=msg_type,
-                                   body=self.user_id.encode("utf-8")).encode())
+        self.member.request(msg_type)
         while True:
             try:
                 reply = self._receive(self._timeout)

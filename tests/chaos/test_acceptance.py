@@ -16,6 +16,7 @@ from repro.chaos import ScenarioConfig
 from repro.chaos.faults import FaultProfile
 from repro.chaos.scenarios import _execute
 from repro.core.client import StaleKeyError
+from repro.core.messages import MSG_DATA
 from repro.recovery import RecoveryPolicy
 
 #: The mandated fault mix: seeded 10% drop + duplication + reordering.
@@ -90,9 +91,11 @@ def test_acceptance_chaos_run_matches_fault_free_control():
             assert control_client.keys[record.node_id] == expected, uid
 
     # Post-recovery data flows to everyone (checked inside _execute via
-    # data_ok above; assert the probe really reached all survivors).
+    # data_ok above; assert a probe really opens at every survivor).
+    sealed = chaos_run.server.seal_group_message(b"probe")
     for uid in survivors:
-        assert chaos_run.members[uid].received[-1] == b"probe"
+        assert chaos_run._client(uid).receive(sealed.encoded) \
+            == (MSG_DATA, b"probe")
 
 
 def test_evicted_dead_member_is_forward_secure():

@@ -7,6 +7,8 @@ import pytest
 from repro.cluster import (ROOT_LAYER_BASE, SHARD_ID_SPACE, ClusterConfig,
                            ClusterCoordinator, ClusterError, RootKeyLayer,
                            namespace_tree, shard_id_base)
+from repro.core.messages import MSG_JOIN_DENIED, MSG_JOIN_REQUEST, Message
+from repro.core.server import ServerError
 from repro.keygraph.tree import KeyTree
 
 from .conftest import (assert_consistent, cluster_join, cluster_leave,
@@ -34,6 +36,51 @@ def test_node_id_windows_never_collide(cluster):
     for node in coordinator.root_layer.tree.nodes():
         assert node.node_id >= ROOT_LAYER_BASE
         assert node.node_id not in seen
+
+
+def _shard_state(coordinator):
+    """Every shard's (node id, version, key) triples, plus the group key."""
+    return ({shard.shard_id: sorted((node.node_id, node.version, node.key)
+                                    for node in shard.server.tree.nodes())
+             for shard in coordinator.shards},
+            coordinator.group_key(), coordinator.group_key_ref())
+
+
+def test_join_past_the_node_id_window_is_refused(cluster):
+    coordinator, _clients = cluster
+    shard = coordinator.shards[0]
+    window_end = shard_id_base(1)
+    joiners = [user for user in (f"late-{index}" for index in range(64))
+               if coordinator.shard_of(user) is shard][:3]
+    # Two ids left: a join (leaf plus at most one interior) still fits.
+    shard.server.tree._next_id = window_end - 2
+    coordinator.join(joiners[0], coordinator.new_individual_key())
+    assert max(node.node_id for node in shard.server.tree.nodes()) \
+        < window_end
+    # The window's last id: the next join could spill into shard 1's
+    # window, so it is refused before the tree or the DRBG is touched,
+    # directly and through the request dispatch alike.
+    shard.server.tree._next_id = window_end - 1
+    key = coordinator.new_individual_key()
+    before = _shard_state(coordinator)
+    with pytest.raises(ServerError):
+        coordinator.join(joiners[1], key)
+    assert _shard_state(coordinator) == before
+    coordinator.register_individual_key(joiners[2],
+                                        coordinator.new_individual_key())
+    request = Message(msg_type=MSG_JOIN_REQUEST,
+                      body=joiners[2].encode()).encode()
+    [reply] = coordinator.handle_datagram(request)
+    assert reply.message.msg_type == MSG_JOIN_DENIED
+    assert _shard_state(coordinator) == before
+    assert joiners[2] in coordinator._registered_keys  # not consumed
+    assert not any(shard.server.is_member(user) for user in joiners[1:])
+    # No node id names keys in two shards.
+    seen = {}
+    for each in coordinator.shards:
+        for node in each.server.tree.nodes():
+            assert seen.setdefault(node.node_id, each.shard_id) \
+                == each.shard_id
 
 
 def test_namespace_tree_rejects_double_application():

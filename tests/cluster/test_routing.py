@@ -3,11 +3,15 @@
 import pytest
 
 from repro.cluster import (ClusterConfig, ClusterCoordinator, ClusterFrontEnd,
-                           ClusterMember, RoutingError)
-from repro.core.messages import (MSG_DATA, MSG_JOIN_ACK, MSG_STATS_REQUEST,
+                           RoutingError)
+from repro.core.messages import (MSG_DATA, MSG_JOIN_ACK, MSG_JOIN_DENIED,
+                                 MSG_JOIN_REQUEST, MSG_LEAVE_DENIED,
+                                 MSG_LEAVE_REQUEST, MSG_STATS_REQUEST,
                                  MSG_STATS_RESPONSE, Message)
 from repro.crypto.suite import PAPER_SUITE
-from repro.observability.export import validate_snapshot
+from repro.observability import Instrumentation, Tracer
+from repro.observability.export import to_prometheus, validate_snapshot
+from repro.recovery import ResilientMember
 
 
 @pytest.fixture()
@@ -18,15 +22,28 @@ def front_end():
     return ClusterFrontEnd(coordinator)
 
 
-def join_member(front_end, user_id) -> ClusterMember:
+class RecordingMember(ResilientMember):
+    """A verifying member behind the front end that keeps what its
+    client's ``receive`` returned for each delivered datagram."""
+
+    def __init__(self, front_end, user_id):
+        super().__init__(user_id, PAPER_SUITE,
+                         front_end.coordinator.public_key,
+                         uplink=front_end.submit)
+        self.returns = []
+        front_end.attach_member(user_id, self.deliver)
+
+    def deliver(self, payload: bytes) -> None:
+        self.returns.append(self.client.receive(payload))
+
+
+def join_member(front_end, user_id) -> RecordingMember:
     coordinator = front_end.coordinator
-    member = ClusterMember(user_id, PAPER_SUITE,
-                           server_public_key=coordinator.public_key)
+    member = RecordingMember(front_end, user_id)
     individual_key = coordinator.new_individual_key()
     coordinator.register_individual_key(user_id, individual_key)
     member.client.set_individual_key(individual_key)
-    front_end.attach_member(member)
-    front_end.submit(member.join_request())
+    member.request(MSG_JOIN_REQUEST)
     return member
 
 
@@ -35,20 +52,21 @@ def test_members_join_and_leave_through_one_endpoint(front_end):
     members = {user_id: join_member(front_end, user_id)
                for user_id in (f"m{index}" for index in range(24))}
     group_key = coordinator.group_key()
-    assert all(member.group_key == group_key
+    assert all(member.group_key() == group_key
                for member in members.values())
-    assert all(MSG_JOIN_ACK in member.acks for member in members.values())
+    assert all((MSG_JOIN_ACK, None) in member.returns
+               for member in members.values())
     # Users landed on the shards the ring owns them on.
     for user_id in members:
         assert coordinator.shard_of(user_id).server.is_member(user_id)
 
-    front_end.submit(members["m7"].leave_request())
+    members["m7"].request(MSG_LEAVE_REQUEST)
     departed = members.pop("m7")
     front_end.detach_member("m7")
     group_key = coordinator.group_key()
-    assert all(member.group_key == group_key
+    assert all(member.group_key() == group_key
                for member in members.values())
-    assert departed.group_key != group_key
+    assert departed.group_key() != group_key
 
 
 def test_signed_messages_verify_against_the_cluster_key(front_end):
@@ -61,12 +79,11 @@ def test_signed_messages_verify_against_the_cluster_key(front_end):
 
 def test_denials_are_routed_back(front_end):
     member = join_member(front_end, "dup")
-    front_end.submit(member.join_request())  # second join -> denied
-    assert member.denials == 1
-    ghost = ClusterMember("ghost", PAPER_SUITE)
-    front_end.attach_member(ghost)
-    front_end.submit(ghost.leave_request())  # not a member -> denied
-    assert ghost.denials == 1
+    member.request(MSG_JOIN_REQUEST)  # second join -> denied
+    assert member.returns.count((MSG_JOIN_DENIED, None)) == 1
+    ghost = RecordingMember(front_end, "ghost")
+    ghost.request(MSG_LEAVE_REQUEST)  # not a member -> denied
+    assert ghost.returns == [(MSG_LEAVE_DENIED, None)]
 
 
 def test_stats_request_returns_merged_snapshot(front_end):
@@ -99,3 +116,48 @@ def test_unroutable_datagrams_raise(front_end):
         front_end.submit(b"\x00garbage")
     with pytest.raises(RoutingError):
         front_end.submit(Message(msg_type=MSG_DATA, body=b"m0").encode())
+
+
+def test_failover_behind_the_front_end_is_member_invisible():
+    """Churn through one front end on 4 shards, fail a shard and
+    promote its standby mid-workload, keep churning: no member ever
+    falls out of sync, and the scrape counts one failover."""
+    coordinator = ClusterCoordinator(
+        ClusterConfig(n_shards=4, signing="merkle", seed=b"ci"),
+        instrumentation=Instrumentation("cluster", tracer=Tracer()))
+    coordinator.bootstrap([])
+    front_end = ClusterFrontEnd(coordinator)
+    members = {}
+
+    def join(index):
+        user_id = f"user-{index:02d}"
+        members[user_id] = join_member(front_end, user_id)
+
+    def out_of_sync():
+        group_key = coordinator.group_key()
+        return [user_id for user_id, member in members.items()
+                if member.group_key() != group_key]
+
+    for index in range(32):
+        join(index)
+    assert out_of_sync() == []
+
+    coordinator.enable_standbys()
+    for index in range(32, 40):  # churn the standbys follow
+        join(index)
+    victim = coordinator.shard_of("user-00").shard_id
+    coordinator.fail_shard(victim)
+    coordinator.promote_standby(victim)
+    members.pop("user-00").request(MSG_LEAVE_REQUEST)
+    front_end.detach_member("user-00")
+    for index in range(40, 44):  # the successor keeps serving
+        join(index)
+    assert out_of_sync() == []
+
+    document = front_end.stats_document()
+    failovers = document["metrics"]["counters"][
+        "cluster_failovers_total"]["series"]
+    assert sum(series["value"] for series in failovers) == 1
+    validate_snapshot(document)
+    exposition = to_prometheus(document)
+    assert f'cluster_failovers_total{{shard="{victim}"}} 1' in exposition

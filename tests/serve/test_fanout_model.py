@@ -35,7 +35,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 from repro.chaos.faults import ChaosTransport
 from repro.cluster.coordinator import (ROOT_LAYER_BASE, SHARD_ID_SPACE,
                                        ClusterConfig, ClusterCoordinator)
-from repro.cluster.routing import ClusterFrontEnd, ClusterMember
+from repro.cluster.routing import ClusterFrontEnd
 from repro.core.messages import (DEST_ALL, INDIVIDUAL_KEY, MSG_DATA,
                                  MSG_HEARTBEAT, MSG_JOIN_REQUEST,
                                  MSG_LEAVE_REQUEST, MSG_REKEY, Destination,
@@ -354,14 +354,10 @@ class FrontEndAudienceMachine(RuleBasedStateMachine):
 
     # -- rules ------------------------------------------------------------------
 
-    def _sink(self, user):
-        member = ClusterMember(user, self.coordinator.suite, verify=False)
-        member.handle = lambda payload: self.delivered.add(user)
-        return member
-
     @rule(user=users)
     def attach(self, user):
-        self.front_end.attach_member(self._sink(user))
+        self.front_end.attach_member(
+            user, lambda payload: self.delivered.add(user))
         self.attached.add(user)
 
     @rule(user=users)
