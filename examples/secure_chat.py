@@ -6,16 +6,20 @@ Combines everything the library provides:
 * group key management (LKH key tree, group-oriented rekeying),
 * authenticated member-to-group data frames with replay protection
   (``SecureGroupChannel``),
-* FEC-protected multicast over a lossy network (no retransmissions),
+* reliable delivery (ack/retransmit) over a lossy network, the loss
+  injected by a seeded ``ChaosTransport``,
 * a server failover via state snapshot/restore mid-conversation.
+
+Each step asserts what it prints.
 
 Run:  python examples/secure_chat.py
 """
 
-from repro.core import (GroupClient, GroupKeyServer, SecureGroupChannel,
-                        ServerConfig, restore, snapshot)
+from repro.chaos import ChaosTransport, FaultProfile
+from repro.core import (ChannelError, GroupClient, GroupKeyServer,
+                        SecureGroupChannel, ServerConfig, restore, snapshot)
 from repro.crypto import PAPER_SUITE_NO_SIG as SUITE
-from repro.transport import FecMulticast, InMemoryNetwork
+from repro.transport import InMemoryNetwork, ReliableDelivery
 
 
 def main():
@@ -23,10 +27,11 @@ def main():
         strategy="group", degree=3, suite=SUITE, signing="none",
         seed=b"chat-demo"))
 
-    # A 10%-lossy network; rekey messages ride FEC (k=3 data + 3 parity),
-    # so nobody ever asks for a retransmission.
-    network = InMemoryNetwork(drop_rate=0.10, seed=b"chat-loss")
-    fec = FecMulticast(network, k=3, r=3)
+    # A 25%-lossy network; rekey messages ride ack/retransmit, so every
+    # lost copy is resent until it lands.
+    chaos = ChaosTransport(InMemoryNetwork(), FaultProfile(
+        seed=b"chat-loss", drop_rate=0.25))
+    network = ReliableDelivery(chaos)
 
     clients, channels = {}, {}
 
@@ -35,10 +40,10 @@ def main():
         client = GroupClient(name, SUITE, verify=False)
         client.set_individual_key(key)
         clients[name] = client
-        fec.attach(name, client.process_message)
+        network.attach(name, client.receive)
         outcome = server.join(name, key)
-        client.process_control(outcome.control_messages[0].encoded)
-        fec.send_all(outcome.rekey_messages)
+        client.receive(outcome.control_messages[0].encoded)
+        network.send_all(outcome.rekey_messages)
         channels[name] = SecureGroupChannel.for_client(
             client, accept_previous_epochs=1)
 
@@ -46,24 +51,22 @@ def main():
         frame = channels[sender].seal(text.encode())
         heard = []
         for name, channel in channels.items():
-            if name == sender:
-                continue
-            try:
+            if name != sender:
                 payload, who, _seq = channel.open(frame)
+                assert (payload, who) == (text.encode(), sender)
                 heard.append(name)
-            except Exception:
-                pass
         print(f"  <{sender}> {text}   [heard by {', '.join(sorted(heard))}]")
         return frame
 
-    print("== ana, boris, chen join over a 10% lossy network ==")
+    def in_sync():
+        return sum(1 for client in clients.values()
+                   if client.group_key() == server.group_key())
+
+    print("== ana, boris, chen join over a 25% lossy network ==")
     for name in ("ana", "boris", "chen"):
         join(name)
-    in_sync = sum(1 for c in clients.values()
-                  if c.group_key() == server.group_key())
-    print(f"  {in_sync}/3 in sync; FEC recovered "
-          f"{fec.recovered_with_parity} message copies from parity, "
-          f"0 retransmissions")
+    assert in_sync() == 3
+    print("  3/3 in sync")
 
     print("\n== chat ==")
     say("ana", "did everyone get the new build?")
@@ -71,11 +74,11 @@ def main():
 
     print("\n== replay attack ==")
     try:
-        channels["chen"].open(frame)
-        channels["chen"].open(frame)  # replayed
-        print("  REPLAY ACCEPTED (bug!)")
-    except Exception as exc:
+        channels["chen"].open(frame)  # chen already opened it above
+    except ChannelError as exc:
         print(f"  chen's channel rejected the replayed frame: {exc}")
+    else:
+        raise AssertionError("chen accepted a replayed frame")
 
     print("\n== server failover mid-conversation ==")
     blob = snapshot(server)
@@ -83,24 +86,33 @@ def main():
     print(f"  standby restored: {server.n_users} members, "
           "same keys, same sequence numbers")
     join("divya")  # served by the standby
+    assert in_sync() == 4
     say("divya", "hi all, just joined via the standby server")
 
     print("\n== boris is expelled; his channel goes dark ==")
     boris_channel = channels.pop("boris")
     clients.pop("boris")
-    fec.detach("boris")
+    network.detach("boris")
     outcome = server.leave("boris")
-    fec.send_all(outcome.rekey_messages)
+    network.send_all(outcome.rekey_messages)
+    assert in_sync() == 3
     # Rebind remaining channels to the fresh epoch only.
     for name in list(channels):
         channels[name] = SecureGroupChannel.for_client(clients[name])
     frame = say("ana", "boris must not read this")
     try:
         boris_channel.open(frame)
-        print("  BORIS READ IT (bug!)")
-    except Exception:
+    except ChannelError:
         print("  boris's stale keys cannot open post-expulsion frames "
               "(forward secrecy, end to end)")
+    else:
+        raise AssertionError("boris read a post-expulsion frame")
+
+    # Every lost rekey copy was resent once per loss, never given up on.
+    assert network.stats.retransmissions == chaos.injected["drop"] > 0
+    print(f"\n== the lossy network lost {chaos.injected['drop']} of "
+          f"{chaos.stats.deliveries + chaos.stats.drops} rekey copies; "
+          "ack/retransmit resent each one ==")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,11 @@ reproduces it bit-for-bit.  ``ChaosTransport`` itself exposes
 can sit *on top of* chaos (retransmit through it) while chaos sits on
 the raw bus.  The whole stack shares the raw bus's audience index, so a
 group address fans out to its subscribers in subscription order.
+
+This module is the repository's one loss model: :func:`chance` is the
+only draw that decides a copy is lost, here and in the served
+scenarios' drop filters (:func:`repro.chaos.serve_scenario.drop_filter`);
+the raw bus is lossless.
 """
 
 from __future__ import annotations
@@ -37,8 +42,22 @@ from ..transport.base import Transport
 from ..transport.inmemory import UnknownReceiverError
 
 
+#: Rates are compared as 20-bit fixed point: one cheap DRBG draw each.
+_RATE_BITS = 1 << 20
+
+
 class ChaosError(ValueError):
     """Raised on invalid chaos configuration or operations."""
+
+
+def chance(source, rate: float) -> bool:
+    """One seeded fault decision: True with probability ``rate``.
+
+    ``source`` is a DRBG (``randint_below``); a zero rate draws nothing.
+    """
+    if not rate:
+        return False
+    return source.randint_below(_RATE_BITS) < int(rate * _RATE_BITS)
 
 
 @dataclass(frozen=True)
@@ -164,13 +183,7 @@ class ChaosTransport(Transport):
         """Currently crashed members (read-only copy)."""
         return set(self._crashed)
 
-    # -- fault draws -------------------------------------------------------
-
-    def _chance(self, rate: float) -> bool:
-        if not rate:
-            return False
-        # Same 20-bit fixed-point draw as InMemoryNetwork loss injection.
-        return self._random.randint_below(1 << 20) < int(rate * (1 << 20))
+    # -- fault accounting --------------------------------------------------
 
     def _fault(self, kind: str) -> None:
         self.injected[kind] += 1
@@ -198,7 +211,7 @@ class ChaosTransport(Transport):
         duplicate-suppressed original).
         """
         copies = 1
-        if self._chance(self.profile.duplicate_rate):
+        if chance(self._random, self.profile.duplicate_rate):
             copies = 2
             self._fault("duplicate")
         delivered = False
@@ -215,11 +228,11 @@ class ChaosTransport(Transport):
             self._fault("partition_drop")
             self.stats.drops += 1
             return False
-        if self._chance(self.profile.drop_rate):
+        if chance(self._random, self.profile.drop_rate):
             self._fault("drop")
             self.stats.drops += 1
             return False
-        if self._chance(self.profile.delay_rate):
+        if chance(self._random, self.profile.delay_rate):
             delay = 1 + self._random.randint_below(self.profile.max_delay)
             self._order += 1
             heapq.heappush(self._delayed,

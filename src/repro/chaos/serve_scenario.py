@@ -37,10 +37,7 @@ from ..core.server import GroupKeyServer, ServerConfig
 from ..crypto import drbg
 from ..observability.instrumentation import Instrumentation
 from ..observability.spans import Tracer, split_trace_trailer
-from .faults import FaultProfile
-
-#: Rate decisions use the same 20-bit fixed-point draw as ChaosTransport.
-_RATE_BITS = 1 << 20
+from .faults import FaultProfile, chance
 
 
 def serve_workload(config) -> List[Tuple[str, str]]:
@@ -135,6 +132,34 @@ async def _repair(clients, server, submit, max_rounds
     return resyncs, rounds, not pending()
 
 
+def drop_filter(profile: FaultProfile, stream: bytes, injected: dict,
+                tracer, flight, partitioned: Set[str] = frozenset()):
+    """A ``SocketFanout.drop_filter`` losing copies at ``profile.drop_rate``.
+
+    Decisions come from :func:`~repro.chaos.faults.chance` over a DRBG
+    named by ``stream``; copies to ``partitioned`` members are always
+    lost.  Each drop is counted in ``injected``, tagged into the trace
+    of the rekey whose copy it loses (a ``fault.drop`` span) and into
+    ``flight`` — the dump then shows which drop forced each later resync.
+    """
+    random = drbg.make_source(profile.seed, stream)
+
+    def lose(user_id: str, payload: bytes) -> bool:
+        if user_id in partitioned:
+            injected["partition_drop"] += 1
+            return True
+        if not chance(random, profile.drop_rate):
+            return False
+        injected["drop"] += 1
+        _body, ctx = split_trace_trailer(payload)
+        span = tracer.span("fault.drop", parent=ctx, user=user_id)
+        span.finish(error=True)
+        flight.record("fault.drop", trace_id=span.trace_id, user=user_id)
+        return True
+
+    return lose
+
+
 def _probe(server, clients) -> bool:
     """True iff every client opens a fresh group data message."""
     sealed = server.seal_group_message(b"probe")
@@ -163,28 +188,12 @@ def run_serve_scenario(config) -> "ScenarioReport":
     control = _control_run(config, ops, keys)
 
     injected = {"drop": 0}
-    random = drbg.make_source(profile.seed, b"serve-chaos")
 
     async def drive():
         core = AsyncServingCore(
             server, ServeConfig(tick_interval=0, open_enroll=False))
-
-        def drop_filter(user_id: str, payload: bytes) -> bool:
-            hit = random.randint_below(_RATE_BITS) \
-                < int(profile.drop_rate * _RATE_BITS)
-            if hit:
-                injected["drop"] += 1
-                # Tag the fault into the trace of the rekey whose copy
-                # we are dropping, and into the flight recorder — the
-                # dump then shows which drop forced each later resync.
-                _body, ctx = split_trace_trailer(payload)
-                span = tracer.span("fault.drop", parent=ctx, user=user_id)
-                span.finish(error=True)
-                core.flight.record("fault.drop", trace_id=span.trace_id,
-                                   user=user_id)
-            return hit
-
-        core.fanout.drop_filter = drop_filter
+        core.fanout.drop_filter = drop_filter(
+            profile, b"serve-chaos", injected, tracer, core.flight)
         streams: Dict[str, list] = {}
 
         def attach(user):
@@ -300,7 +309,6 @@ def run_crash_scenario(config) -> "ScenarioReport":
     tracer = Tracer(capacity=8192)
     injected = {"kill": 0, "torn": 0, "drop": 0, "partition_drop": 0,
                 "restarts": 0, "dup_absorbed": 0}
-    random = drbg.make_source(profile.seed, b"serve-crash")
     journal_dir = (tempfile.mkdtemp(prefix="chaos-crash-")
                    if mode == "journal" else None)
 
@@ -317,27 +325,13 @@ def run_crash_scenario(config) -> "ScenarioReport":
         shard = supervisor.shard(0)
         streams: Dict[str, list] = {}
         partitioned: Set[str] = set()
-
-        def drop_filter(user_id: str, payload: bytes) -> bool:
-            if user_id in partitioned:
-                injected["partition_drop"] += 1
-                return True
-            hit = random.randint_below(_RATE_BITS) \
-                < int(profile.drop_rate * _RATE_BITS)
-            if hit:
-                injected["drop"] += 1
-                _body, ctx = split_trace_trailer(payload)
-                span = tracer.span("fault.drop", parent=ctx, user=user_id)
-                span.finish(error=True)
-                supervisor.flight.record("fault.drop",
-                                         trace_id=span.trace_id,
-                                         user=user_id)
-            return hit
+        lose = drop_filter(profile, b"serve-crash", injected, tracer,
+                           supervisor.flight, partitioned)
 
         def wire_core():
             # A restart builds a fresh core: re-point the fault filter
             # and re-attach every member's delivery sink to its fanout.
-            shard.core.fanout.drop_filter = drop_filter
+            shard.core.fanout.drop_filter = lose
             for user, box in streams.items():
                 shard.core.fanout.attach(user, box.append,
                                          path_id=f"path-{user}")

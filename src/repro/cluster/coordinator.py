@@ -56,7 +56,7 @@ from ..keygraph.flat import FlatKeyTree, FlatNode
 from ..observability import LATENCY_BUCKETS_S, Instrumentation, StageClock
 from ..observability.export import build_snapshot
 from .failover import WarmStandby
-from .partition import DEFAULT_VNODES, HashRing
+from .partition import HashRing
 
 #: Width of each shard's node-id window.  Shard ``i`` allocates tree
 #: node ids in ``[(i + 1) * SHARD_ID_SPACE, (i + 2) * SHARD_ID_SPACE)``.
@@ -265,7 +265,6 @@ class ClusterConfig:
     n_shards: int = 4
     degree: int = 4                   # shard LKH tree degree
     root_degree: int = 4              # root-layer tree degree
-    vnodes: int = DEFAULT_VNODES      # ring virtual nodes per shard
     strategy: str = "group"           # shard rekeying strategy
     suite: CipherSuite = PAPER_SUITE
     signing: str = "none"
@@ -284,8 +283,6 @@ class ClusterConfig:
         if not 1 <= self.n_shards <= MAX_SHARDS:
             raise ClusterError(
                 f"n_shards must be in [1, {MAX_SHARDS}]")
-        if self.vnodes < 1:
-            raise ClusterError("vnodes must be >= 1")
         if self.root_degree < 2:
             raise ClusterError("root_degree must be >= 2")
 
@@ -393,7 +390,7 @@ class ClusterCoordinator(KeyServerProtocol):
             "End-to-end cluster request CPU time (shard + root layer).",
             labels=("op",), bounds=LATENCY_BUCKETS_S)
 
-        self.ring = HashRing(range(config.n_shards), vnodes=config.vnodes)
+        self.ring = HashRing(range(config.n_shards))
         self.shards: List[Shard] = []
         for shard_id in range(config.n_shards):
             seed = (config.seed + b"/shard-%d" % shard_id

@@ -38,7 +38,6 @@ ALL_EXPERIMENTS = (
     ("Ablation: hybrid (§7)", ablations.hybrid_tradeoff),
     ("Ablation: batch rekeying", ablations.batch_saving),
     ("Ablation: tree drift", ablations.tree_drift),
-    ("Ablation: FEC rekey multicast", ablations.fec_vs_retransmission),
     ("Ablation: client-side work", ablations.client_side_work),
     ("Ablation: multicast addresses (§7)", ablations.multicast_addresses),
     ("Ablation: feature flags", ablations.feature_flags),

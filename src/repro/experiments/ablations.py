@@ -249,80 +249,6 @@ def client_side_work(scale: Scale = QUICK) -> TableData:
     )
 
 
-def fec_vs_retransmission(scale: Scale = QUICK,
-                          loss_rates=(0.0, 0.05, 0.15, 0.30)) -> TableData:
-    """Reliable rekey multicast: FEC (Keystone-style) vs ack/retransmit.
-
-    Sends the same batch of group-oriented rekey messages to a receiver
-    population over increasingly lossy links through both reliability
-    layers and accounts bandwidth: retransmission pays per lost copy
-    (and a round trip each), FEC pays a fixed parity overhead and never
-    retransmits.
-    """
-    from ..core.messages import (MSG_REKEY, Destination, Message,
-                                 OutboundMessage)
-    from ..core.signing import NullSigner
-    from ..crypto.suite import PAPER_SUITE_NO_SIG
-    from ..transport.fecmulticast import FecMulticast
-    from ..transport.inmemory import InMemoryNetwork
-    from ..transport.reliable import ReliableDelivery
-
-    receivers = tuple(f"u{i}" for i in range(32))
-    n_messages = 30
-    payload_messages = []
-    for index in range(n_messages):
-        message = Message(msg_type=MSG_REKEY, seq=index)
-        NullSigner(PAPER_SUITE_NO_SIG).seal([message])
-        payload_messages.append(OutboundMessage(
-            Destination.to_all(), message, (), message.encode()))
-    payload_bytes = len(payload_messages[0].encoded)
-
-    rows = []
-    for loss in loss_rates:
-        # -- ack/retransmit: per-copy retries until delivered ------------
-        arq_network = InMemoryNetwork(drop_rate=loss, seed=b"ablate-arq")
-        arq = ReliableDelivery(arq_network, max_attempts=64)
-        arq_counts = {user: [] for user in receivers}
-        for user in receivers:
-            arq.attach(user, arq_counts[user].append)
-        for outbound in payload_messages:
-            arq.send(outbound)
-        received_arq = sum(len(inbox) for inbox in arq_counts.values())
-        # Offered load: every delivery attempt (successes + drops).
-        arq_attempts = arq_network.stats.deliveries + arq_network.stats.drops
-        arq_bytes = arq_attempts * payload_bytes
-
-        # -- FEC: fixed parity overhead, no retries ----------------------
-        fec_network = InMemoryNetwork(drop_rate=loss, seed=b"ablate-fec")
-        fec = FecMulticast(fec_network, k=4, r=3)
-        fec_counts = {user: [] for user in receivers}
-        for user in receivers:
-            fec.attach(user, fec_counts[user].append)
-        for outbound in payload_messages:
-            fec.send(outbound)
-        received_fec = sum(len(inbox) for inbox in fec_counts.values())
-        fec_attempts = fec_network.stats.deliveries + fec_network.stats.drops
-        fec_bytes = fec_attempts * (payload_bytes // 4 + 17)
-
-        rows.append([loss,
-                     received_arq, arq_network.stats.retransmissions,
-                     arq_bytes,
-                     received_fec, fec.recovered_with_parity,
-                     round(fec.overhead, 2), fec_bytes])
-    return TableData(
-        title=("Ablation (Keystone direction): FEC vs ack/retransmit for "
-               f"rekey multicast ({len(receivers)} receivers, "
-               f"{n_messages} messages)"),
-        headers=["loss", "arq delivered", "arq retransmissions",
-                 "arq bytes", "fec delivered", "fec parity recoveries",
-                 "fec overhead", "fec bytes sent"],
-        rows=rows,
-        notes=("Expected shape: retransmissions grow with the loss rate "
-               "while FEC's cost is the fixed r/k parity overhead; both "
-               "deliver ~everything at these rates."),
-    )
-
-
 def tree_drift(scale: Scale = QUICK, n_operations: int = 2000,
                checkpoints: int = 8) -> TableData:
     """Does the balance heuristic hold up under long random churn?

@@ -28,16 +28,15 @@ counts/sizes) derives from one instrumentation source:
   histograms.  :data:`NULL_INSTRUMENTATION` is for callers that want
   no accounting at all;
 * :class:`~repro.observability.flight.FlightRecorder` — the always-on
-  bounded event ring dumped to JSON on error/SLO breach/signal
-  (:data:`~repro.observability.flight.NULL_FLIGHT` by default);
+  bounded event ring dumped to JSON on error/SLO breach/signal;
 * :mod:`~repro.observability.slo` — declarative latency/availability
   objectives evaluated over metric snapshots, with burn rates;
 * :mod:`~repro.observability.timeline` — the text waterfall renderer
   over exported spans (``python -m repro.observability timeline``).
 """
 
-from .flight import (FLIGHT_SCHEMA, NULL_FLIGHT, FlightError,
-                     FlightRecorder, validate_flight)
+from .flight import (FLIGHT_SCHEMA, FlightError, FlightRecorder,
+                     validate_flight)
 from .instrumentation import (NULL_INSTRUMENTATION, Instrumentation,
                               NullInstrumentation)
 from .metrics import (COUNT_BUCKETS, LATENCY_BUCKETS_S, NULL_REGISTRY,
@@ -78,7 +77,6 @@ __all__ = [
     "FlightRecorder",
     "FlightError",
     "FLIGHT_SCHEMA",
-    "NULL_FLIGHT",
     "validate_flight",
     "SLO",
     "SLOError",

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Union
 
-from .metrics import MetricRegistry, NullMetricRegistry, merge_snapshots
+from .metrics import (Histogram, MetricRegistry, NullMetricRegistry,
+                      merge_snapshots)
 
 SNAPSHOT_SCHEMA = "repro-metrics/1"
 
@@ -211,50 +212,13 @@ def to_prometheus(source: Union[MetricRegistry, NullMetricRegistry, dict]
 # -- report rendering ----------------------------------------------------------
 
 
-class _HistView:
-    """Quantile math over one snapshot histogram series."""
-
-    def __init__(self, bounds: Sequence[float], series: dict):
-        self.bounds = list(bounds)
-        self.counts = list(series["counts"])
-        self.count = series["count"]
-        self.sum = series["sum"]
-        self.min = series["min"]
-        self.max = series["max"]
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if not bucket_count:
-                continue
-            if cumulative + bucket_count >= target:
-                if index >= len(self.bounds):
-                    return self.max
-                upper = self.bounds[index]
-                lower = self.bounds[index - 1] if index else 0.0
-                estimate = lower + (upper - lower) * (
-                    (target - cumulative) / bucket_count)
-                return min(max(estimate, self.min), self.max)
-            cumulative += bucket_count
-        return self.max
-
-
-def _histogram_views(metrics: dict, name: str) -> Dict[tuple, _HistView]:
-    entry = metrics.get("histograms", {}).get(name)
-    if entry is None:
+def _histograms(registry: MetricRegistry, name: str
+                ) -> Dict[tuple, Histogram]:
+    family = registry.get(name)
+    if family is None:
         return {}
-    views = {}
-    for series in entry["series"]:
-        key = tuple(sorted(series["labels"].items()))
-        views[key] = _HistView(entry["bounds"], series)
-    return views
+    return {tuple(sorted(zip(family.labelnames, values))): child
+            for values, child in family.series()}
 
 
 def _counter_values(metrics: dict, name: str) -> Dict[tuple, float]:
@@ -295,12 +259,15 @@ def render_report(document: dict) -> str:
     """Render one snapshot into the paper-shaped measurement report."""
     validate_snapshot(document)
     metrics = document["metrics"]
+    # The report's quantiles are the registry's own bucket math.
+    histograms = MetricRegistry()
+    histograms.merge({"histograms": metrics.get("histograms", {})})
     sections: List[str] = []
     label = document.get("label") or "(unlabeled)"
     sections.append(f"repro-metrics report — {label}")
 
     # Table 4 / Figure 10 shape: server processing time per operation.
-    run_views = _histogram_views(metrics, "rekey_seconds")
+    run_views = _histograms(histograms, "rekey_seconds")
     ok_rows = []
     for key, view in sorted(run_views.items()):
         labels = dict(key)
@@ -326,7 +293,7 @@ def render_report(document: dict) -> str:
                         + _table(["op", "count", "mean ms"], error_rows))
 
     # Per-stage latency histogram table.
-    stage_views = _histogram_views(metrics, "rekey_stage_seconds")
+    stage_views = _histograms(histograms, "rekey_stage_seconds")
     stage_rows = []
     for key, view in sorted(stage_views.items()):
         labels = dict(key)
@@ -351,7 +318,7 @@ def render_report(document: dict) -> str:
     encryptions = _by_label(_counter_values(metrics, "encryptions_total"),
                             "op")
     signatures = _by_label(_counter_values(metrics, "signatures_total"), "op")
-    size_views = _histogram_views(metrics, "rekey_message_bytes")
+    size_views = _histograms(histograms, "rekey_message_bytes")
     table5_rows = []
     for op in sorted(set(requests) | set(messages)):
         n_requests = requests.get(op, 0.0)

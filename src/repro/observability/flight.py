@@ -11,9 +11,6 @@ rate-limits automatic dumps (on error, SLO breach, or operator signal)
 so a crash loop cannot flood the disk.  Documents carry a schema tag and
 are checked by :func:`validate_flight`, which CI runs against live
 dumps.
-
-The default is :data:`NULL_FLIGHT`, a no-op recorder, so nothing pays
-for flight recording unless a serving core enables it.
 """
 
 from __future__ import annotations
@@ -166,45 +163,6 @@ class FlightRecorder:
         """Documents produced by :meth:`dump` so far."""
         with self._lock:
             return self._dump_count
-
-
-class _NullFlightRecorder:
-    """No-op recorder: recording costs one attribute lookup + call."""
-
-    __slots__ = ()
-
-    enabled = False
-    capacity = 0
-    recorded = 0
-    dropped = 0
-    dump_count = 0
-
-    def record(self, kind: str, trace_id: int = 0, **fields: Any) -> None:
-        """Discard."""
-
-    def events(self) -> List[Tuple]:
-        """Always empty."""
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        """Nothing to clear."""
-
-    def dump(self, reason: str, path: Optional[str] = None) -> dict:
-        """An empty but schema-valid document."""
-        return {"schema": FLIGHT_SCHEMA, "reason": reason,
-                "dumped_at_ns": 0, "capacity": 0, "recorded": 0,
-                "dropped": 0, "events": []}
-
-    def maybe_dump(self, reason: str,
-                   path: Optional[str] = None) -> Optional[dict]:
-        """Never dumps."""
-        return None
-
-
-NULL_FLIGHT = _NullFlightRecorder()
 
 
 def validate_flight(document: dict) -> dict:

@@ -13,6 +13,7 @@ via :meth:`prime_member`.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.client import ClientStats, GroupClient
@@ -118,12 +119,7 @@ class ClientSimulator:
         total = ClientStats()
         for stats in list(self._departed_stats) + [
                 client.stats for client in self.clients.values()]:
-            total.rekey_messages += stats.rekey_messages
-            total.rekey_bytes += stats.rekey_bytes
-            total.decryptions += stats.decryptions
-            total.keys_changed += stats.keys_changed
-            total.verify_failures += stats.verify_failures
-            total.processing_seconds += stats.processing_seconds
-            total.desyncs_detected += stats.desyncs_detected
-            total.resyncs += stats.resyncs
+            for field in fields(ClientStats):
+                setattr(total, field.name, getattr(total, field.name)
+                        + getattr(stats, field.name))
         return total

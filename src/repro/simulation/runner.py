@@ -48,10 +48,8 @@ class ExperimentConfig:
     graph: str = "tree"              # tree | star
     suite: CipherSuite = PAPER_SUITE
     signing: str = "merkle"          # none | per-message | merkle
-    join_fraction: float = 0.5
     seed: bytes = b"sigcomm98"
     client_mode: str = "accounting"
-    verify_clients: bool = True
 
     def server_config(self) -> ServerConfig:
         """The ServerConfig this experiment runs with."""
@@ -108,8 +106,7 @@ def run_experiment(config: ExperimentConfig,
 
     simulator: Optional[ClientSimulator] = None
     if config.client_mode == "full":
-        simulator = ClientSimulator(config.suite, server.public_key,
-                                    verify=config.verify_clients)
+        simulator = ClientSimulator(config.suite, server.public_key)
         for user_id, key in member_keys:
             simulator.add_member(user_id, key)
         simulator.prime_from_server(server)
@@ -126,7 +123,6 @@ def run_experiment(config: ExperimentConfig,
 
     if requests is None:
         requests = generate_workload(members, config.n_requests,
-                                     config.join_fraction,
                                      seed=config.seed + b"/requests")
 
     client_metrics = ClientMetrics()

@@ -1,10 +1,8 @@
-"""Transports: in-memory bus, reliable delivery, FEC multicast, UDP."""
+"""Transports: in-memory bus, reliable delivery, UDP."""
 
 from .addressing import (AddressedTransport, AddressingStats,
                          MulticastAddressPool)
 from .base import Transport, TransportStats
-from .fec import FecError, ReedSolomonCode, decode_packets, encode_packets
-from .fecmulticast import FecMulticast
 from .inmemory import InMemoryNetwork, UnknownReceiverError
 from .reliable import DeliveryFailure, ReliableDelivery
 from .udp import UdpGroupMember, UdpTransportError
@@ -14,7 +12,5 @@ __all__ = [
     "AddressedTransport", "AddressingStats", "MulticastAddressPool",
     "InMemoryNetwork", "UnknownReceiverError",
     "ReliableDelivery", "DeliveryFailure",
-    "FecMulticast", "FecError", "ReedSolomonCode",
-    "encode_packets", "decode_packets",
     "UdpGroupMember", "UdpTransportError",
 ]

@@ -7,18 +7,18 @@ the client-side tables (Table 6).  Every user is its own reply path,
 so a group address reaches each subscribed member once, in subscription
 order (:mod:`repro.transport.audience`).
 
-Loss injection (``drop_rate``) drops individual *deliveries* (as real
-multicast does — different receivers can lose different copies), driven
-by a seeded DRBG so experiments stay reproducible.  Pair with
-:mod:`repro.transport.reliable` for guaranteed delivery over a lossy bus.
+The bus is lossless.  For loss, wrap it in a
+:class:`~repro.chaos.faults.ChaosTransport` (seeded per-copy drops, as
+real multicast loses different copies at different receivers), and put
+:class:`~repro.transport.reliable.ReliableDelivery` on top for
+guaranteed delivery over it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.messages import DEST_USER, OutboundMessage
-from ..crypto import drbg
 from .base import Transport
 
 
@@ -29,13 +29,8 @@ class UnknownReceiverError(KeyError):
 class InMemoryNetwork(Transport):
     """Synchronous in-process transport."""
 
-    def __init__(self, drop_rate: float = 0.0, seed: Optional[bytes] = None,
-                 strict: bool = True, registry=None):
+    def __init__(self, strict: bool = True, registry=None):
         super().__init__(registry)
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError("drop_rate must be in [0, 1)")
-        self._drop_rate = drop_rate
-        self._random = drbg.make_source(seed or b"inmemory-network")
         self._strict = strict
         # Messages to users with no handler (when strict=False).
         self.undeliverable: int = 0
@@ -48,15 +43,8 @@ class InMemoryNetwork(Transport):
         """Remove a receiver handler."""
         self.audience.detach(user_id)
 
-    def _should_drop(self) -> bool:
-        if not self._drop_rate:
-            return False
-        # 20-bit fixed point comparison keeps the DRBG draw cheap.
-        threshold = int(self._drop_rate * (1 << 20))
-        return self._random.randint_below(1 << 20) < threshold
-
     def send(self, outbound: OutboundMessage) -> None:
-        """Deliver to whom the address reaches (loss applied per copy)."""
+        """Deliver to whom the address reaches."""
         payload = outbound.encoded or outbound.message.encode()
         self.stats.bytes_sent += len(payload)
         if outbound.destination.kind == DEST_USER:
@@ -67,15 +55,12 @@ class InMemoryNetwork(Transport):
             self.deliver_to(user_id, payload)
 
     def deliver_to(self, user_id: str, payload: bytes) -> bool:
-        """Deliver one copy; returns False if dropped or unaddressable."""
+        """Deliver one copy; returns False if unaddressable."""
         handler = self.audience.send_fn(user_id)
         if handler is None:
             if self._strict:
                 raise UnknownReceiverError(user_id)
             self.undeliverable += 1
-            return False
-        if self._should_drop():
-            self.stats.drops += 1
             return False
         handler(payload)
         self.stats.deliveries += 1

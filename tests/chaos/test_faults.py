@@ -61,6 +61,21 @@ def test_same_seed_same_faults():
     assert counts[0][0]["delay"] > 0
 
 
+def test_drop_is_deterministic_and_partial():
+    def run():
+        chaos, inboxes = make_chaos(
+            FaultProfile(seed=b"loss", drop_rate=0.5), users=("a",))
+        for _ in range(200):
+            chaos.send(outbound(("a",)))
+        return len(inboxes["a"]), chaos.stats.drops
+
+    first, second = run(), run()
+    assert first == second               # seeded determinism
+    delivered, drops = first
+    assert delivered + drops == 200
+    assert 40 <= delivered <= 160        # roughly half, not all-or-nothing
+
+
 def test_delay_reorders_copies():
     profile = FaultProfile(name="delay-only", seed=b"t/delay",
                            delay_rate=0.5, max_delay=4)

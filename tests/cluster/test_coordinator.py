@@ -212,8 +212,6 @@ def test_config_validation():
     with pytest.raises(ClusterError):
         ClusterConfig(n_shards=0).validate()
     with pytest.raises(ClusterError):
-        ClusterConfig(vnodes=0).validate()
-    with pytest.raises(ClusterError):
         ClusterConfig(root_degree=1).validate()
 
 

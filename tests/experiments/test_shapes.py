@@ -302,20 +302,6 @@ class TestNewAblations:
         for row in table.rows:
             assert row[4] == pytest.approx(4 / 3, rel=0.35)
 
-    def test_fec_vs_retransmission(self):
-        table = ablations.fec_vs_retransmission(TINY)
-        retransmissions = [row[2] for row in table.rows]
-        assert retransmissions == sorted(retransmissions)
-        assert retransmissions[-1] > 0
-        fec_bytes = {row[0]: row[7] for row in table.rows}
-        # FEC's offered load is loss-independent (fixed parity overhead).
-        values = list(fec_bytes.values())
-        assert max(values) == min(values)
-        # Both deliver nearly everything at these loss rates.
-        for row in table.rows:
-            assert row[1] >= 0.95 * table.rows[0][1]
-            assert row[4] >= 0.85 * table.rows[0][4]
-
     def test_tree_drift(self):
         table = ablations.tree_drift(TINY, n_operations=300, checkpoints=3)
         for row in table.rows:

@@ -1,19 +1,20 @@
 """Cross-subsystem integration tests.
 
 Each test wires several subsystems together the way a deployment would:
-multigroup + channels, UDP + channels, batch rekeying + FEC transport,
-persistence + multigroup.
+multigroup + channels, UDP + channels, batch rekeying over a lossy
+reliable transport, persistence + multigroup.
 """
 
 import pytest
 
+from repro.chaos import ChaosTransport, FaultProfile
 from repro.core.channel import ChannelError, SecureGroupChannel
 from repro.core.client import GroupClient
 from repro.core.persistence import restore, snapshot
 from repro.core.server import GroupKeyServer, ServerConfig
 from repro.crypto.suite import PAPER_SUITE_NO_SIG as SUITE
 from repro.multigroup import MultiGroupService
-from repro.transport import FecMulticast, InMemoryNetwork
+from repro.transport import InMemoryNetwork, ReliableDelivery
 
 from ..delivery import deliver
 
@@ -74,17 +75,18 @@ class TestMultigroupChannels:
             eng_frame)[0] == b"to eng"
 
 
-class TestBatchOverFec:
-    """A batch flush delivered over a lossy network via FEC."""
+class TestBatchOverLossyReliable:
+    """A batch flush delivered by ack/retransmit over a lossy network."""
 
-    def test_flush_via_fec(self):
+    def test_flush_over_lossy_reliable(self):
         server = GroupKeyServer(ServerConfig(degree=4, suite=SUITE,
                                              signing="none",
-                                             seed=b"batch-fec"))
+                                             seed=b"batch-loss"))
         members = [(f"u{i}", server.new_individual_key()) for i in range(64)]
         server.bootstrap(members)
-        network = InMemoryNetwork(drop_rate=0.15, seed=b"batch-fec-loss")
-        fec = FecMulticast(network, k=4, r=6)
+        chaos = ChaosTransport(InMemoryNetwork(), FaultProfile(
+            seed=b"batch-loss-drops", drop_rate=0.15))
+        reliable = ReliableDelivery(chaos)
         clients = {}
         for uid, key in members:
             client = GroupClient(uid, SUITE, verify=False)
@@ -95,17 +97,19 @@ class TestBatchOverFec:
             client.root_ref = (server.tree.root.node_id,
                                server.tree.root.version)
             clients[uid] = client
-            fec.attach(uid, client.process_message)
+            reliable.attach(uid, client.process_message)
         leavers = [f"u{i}" for i in range(12)]
         for uid in leavers:
-            fec.detach(uid)
+            reliable.detach(uid)
             del clients[uid]
-        fec.send_all(server.flush((), leavers).rekey_messages)
+        reliable.send_all(server.flush((), leavers).rekey_messages)
         group_key = server.tree.root.key
-        synchronized = sum(1 for client in clients.values()
-                           if client.group_key() == group_key)
-        # r=6 parity over 15% loss: everyone (or nearly) reconstructs.
-        assert synchronized >= len(clients) - 1
+        # Copies were lost and resent, and every remaining member holds
+        # the new group key.
+        assert chaos.injected["drop"] > 0
+        assert reliable.stats.retransmissions > 0
+        assert all(client.group_key() == group_key
+                   for client in clients.values())
 
 
 class TestPersistenceAcrossGroups:

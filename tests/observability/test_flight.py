@@ -6,8 +6,8 @@ import threading
 import pytest
 
 from repro.observability.flight import (DUMP_MIN_INTERVAL_S, FLIGHT_SCHEMA,
-                                        NULL_FLIGHT, FlightError,
-                                        FlightRecorder, validate_flight)
+                                        FlightError, FlightRecorder,
+                                        validate_flight)
 
 
 class FakeClock:
@@ -95,15 +95,6 @@ def test_clear_keeps_sequence_monotonic():
     recorder.record("b")
     (event,) = recorder.events()
     assert event[0] == 1  # sequence continued, did not restart
-
-
-def test_null_flight_is_inert_but_schema_valid():
-    assert not NULL_FLIGHT.enabled
-    NULL_FLIGHT.record("anything", trace_id=1, x=2)
-    assert NULL_FLIGHT.events() == []
-    assert len(NULL_FLIGHT) == 0
-    assert NULL_FLIGHT.maybe_dump("error") is None
-    validate_flight(NULL_FLIGHT.dump("signal"))
 
 
 @pytest.mark.parametrize("mutate, message", [

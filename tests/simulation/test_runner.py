@@ -137,3 +137,18 @@ def test_simulator_total_stats_include_departed():
     assert before == 1                      # the joiner's own unicast
     sim.remove_member("a")
     assert sim.total_stats().rekey_messages == before
+
+
+def test_simulator_total_stats_sum_every_counter():
+    from dataclasses import fields
+
+    from repro.core.client import ClientStats
+    sim = ClientSimulator(PAPER_SUITE_NO_SIG, verify=False)
+    for user in ("a", "b"):
+        sim.add_member(user, bytes(8))
+        for index, field in enumerate(fields(ClientStats), start=1):
+            setattr(sim.clients[user].stats, field.name, index)
+    sim.remove_member("a")
+    total = sim.total_stats()
+    for index, field in enumerate(fields(ClientStats), start=1):
+        assert getattr(total, field.name) == 2 * index, field.name

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import ChaosTransport, FaultProfile
 from repro.core.messages import (MSG_REKEY, Destination, Message,
                                  OutboundMessage)
 from repro.transport.inmemory import InMemoryNetwork
@@ -25,7 +26,8 @@ def test_lossless_passthrough():
 
 
 def test_delivers_despite_heavy_loss():
-    network = InMemoryNetwork(drop_rate=0.6, seed=b"retry")
+    network = ChaosTransport(InMemoryNetwork(),
+                             FaultProfile(seed=b"retry", drop_rate=0.6))
     reliable = ReliableDelivery(network, max_attempts=64)
     inboxes = {u: [] for u in ("a", "b", "c")}
     for user, box in inboxes.items():
@@ -40,7 +42,8 @@ def test_delivers_despite_heavy_loss():
 
 
 def test_gives_up_after_max_attempts():
-    network = InMemoryNetwork(drop_rate=0.97, seed=b"hopeless")
+    network = ChaosTransport(InMemoryNetwork(),
+                             FaultProfile(seed=b"hopeless", drop_rate=0.97))
     reliable = ReliableDelivery(network, max_attempts=2)
     reliable.attach("a", lambda _data: None)
     with pytest.raises(DeliveryFailure):

@@ -1,8 +1,8 @@
 """Transport registry series: delta collectors over TransportStats."""
 
+from repro.chaos import ChaosTransport, FaultProfile
 from repro.core.messages import Destination, Message, OutboundMessage
 from repro.observability.metrics import MetricRegistry
-from repro.transport.fecmulticast import FecMulticast
 from repro.transport.inmemory import InMemoryNetwork
 from repro.transport.reliable import ReliableDelivery
 
@@ -56,7 +56,9 @@ def test_collector_publishes_deltas_once():
 
 def test_reliable_over_lossy_publishes_retransmissions():
     registry = MetricRegistry("net")
-    net = InMemoryNetwork(drop_rate=0.4, seed=b"lossy", registry=registry)
+    net = ChaosTransport(InMemoryNetwork(),
+                         FaultProfile(seed=b"lossy", drop_rate=0.4),
+                         registry=registry)
     reliable = ReliableDelivery(net, registry=registry)
     received = []
     reliable.attach("u1", received.append)
@@ -68,22 +70,8 @@ def test_reliable_over_lossy_publishes_retransmissions():
                           transport="ReliableDelivery") \
         == reliable.stats.retransmissions > 0
     assert _counter_value(snapshot, "transport_drops_total",
-                          transport="InMemoryNetwork") \
+                          transport="ChaosTransport") \
         == net.stats.drops > 0
-
-
-def test_fec_publishes_recovery_counters():
-    registry = MetricRegistry("net")
-    net = InMemoryNetwork(drop_rate=0.2, seed=b"fec", registry=registry)
-    fec = FecMulticast(net, k=4, r=3, registry=registry)
-    received = []
-    fec.attach("u1", received.append)
-    for _ in range(30):
-        fec.send(_outbound(["u1"]))
-    snapshot = registry.snapshot()
-    recovered = snapshot["counters"]["fec_recovered_total"]["series"]
-    assert recovered[0]["value"] == fec.recovered_with_parity
-    assert fec.recovered_with_parity > 0
 
 
 def test_transport_without_registry_stays_silent():
